@@ -145,10 +145,9 @@ def main():
                     help="METRIC@WORKLOAD the change claims to improve")
     ap.add_argument("--spread", action="store_true",
                     help="print median and IQR/median per metric of one set")
-    ap.add_argument("--bench", default=BENCHMARK_JSON)
     args = ap.parse_args()
 
-    with open(args.bench) as f:
+    with open(BENCHMARK_JSON) as f:
         bench = json.load(f)
     directions = {m["name"]: m["better"]
                   for m in bench["end_to_end"] + bench["per_layer"]}

@@ -8,7 +8,7 @@ repository's sources) into .bench_build/perfbench, then runs one
 workload. The last line of standard output is the benchmark's JSON
 result; build output goes to standard error. Extra flags:
 
-    --smoke          tiny horizons and one typing seed
+    --smoke          tiny horizons
     --record FILE    append the run's record (provenance + metrics) to
                      FILE, one JSON object per line, for compare.py
 
@@ -27,7 +27,9 @@ ROOT = os.path.dirname(HERE)
 BUILD = os.path.join(ROOT, ".bench_build", "perfbench")
 WORK = os.path.join(ROOT, ".bench_build", "perfbench-work")
 WORKLOADS = ("paper_closed", "open_server", "prepare_store")
-RUN_TIMEOUT_S = 170
+# A run measures for --seconds, plus set-up, warm-up, the last pass and
+# the output check; this much time beyond --seconds covers them.
+RUN_ALLOWANCE_S = 140
 
 
 def build(jobs):
@@ -82,13 +84,14 @@ def main():
            "--work-dir", work, "--commit", commit_id()]
     if args.smoke:
         cmd.append("--smoke")
+    timeout = args.seconds + RUN_ALLOWANCE_S
     proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, text=True)
     try:
-        out, _ = proc.communicate(timeout=RUN_TIMEOUT_S)
+        out, _ = proc.communicate(timeout=timeout)
     except subprocess.TimeoutExpired:
         proc.kill()
         proc.communicate()
-        print(f"perfbench: run exceeded {RUN_TIMEOUT_S} s", file=sys.stderr)
+        print(f"perfbench: run exceeded {timeout:g} s", file=sys.stderr)
         return 4
 
     lines = out.splitlines()
