@@ -1,33 +1,29 @@
 //===- bench/micro_interpreter.cpp - execution-engine microbenchmark ------===//
 //
 // Measures the simulator's inner loop: interpreted blocks/sec and
-// simulated cycles/sec for all three execution engines — the
-// block-at-a-time reference interpreter, the exact flat-image engine,
-// and the validated fast-replay engine — on three images: the suite's
-// heaviest workload (410.bwaves) plain and Loop[45]-instrumented, plus
-// a chain-heavy synthetic (long mark-free jump chains inside a
-// high-trip-count loop) that isolates the fused-chain fast path.
-//
-// Alongside raw throughput the artifact carries a DriftReport: the
-// fast-replay engine replays a small mixed workload against its exact
-// twin, and the report records whether integer stats and completion
-// order were identical and how far cycle totals drifted — the
-// promotion contract docs/ARCHITECTURE.md documents and
-// tests/fastreplay_test.cpp enforces.
+// simulated cycles/sec for both execution engines — the block-at-a-time
+// reference interpreter and the flat-image engine — on three images:
+// the suite's heaviest workload (410.bwaves) plain and
+// Loop[45]-instrumented, plus a chain-heavy synthetic (long mark-free
+// jump chains inside a high-trip-count loop). The plain bwaves image is
+// self-loop heavy like every suite phase body, so its flat-vs-reference
+// ratio measures the O(1) self-loop fusion; the chain-heavy one
+// measures the O(1) superblock charge.
 //
 // Emits BENCH_interpreter.json alongside the human-readable table so the
 // interpreter's performance trajectory is tracked across PRs.
 // PBT_BENCH_SCALE scales the repetition count; PBT_INTERP_REPS pins it.
-// PBT_INTERP_MIN_FAST_SPEEDUP, when set > 0, is a hard floor on the
-// fast-replay-vs-flat blocks/sec ratio on the chain-heavy image: the
-// benchmark exits nonzero below it (the CI perf-smoke gate).
+// PBT_INTERP_MIN_FLAT_SPEEDUP, when set > 0, arms the CI perf-smoke
+// gate: the benchmark exits nonzero when the flat-vs-reference
+// blocks/sec ratio on the plain (self-loop heavy) image falls below
+// it, or when the two engines disagree on any image's block or cycle
+// total.
 //
 //===----------------------------------------------------------------------===//
 
 #include "BenchCommon.h"
 
 #include "ir/IRBuilder.h"
-#include "workload/Drift.h"
 
 #include <algorithm>
 #include <chrono>
@@ -88,9 +84,9 @@ Json engineJson(const EngineResult &R) {
 /// The fused-chain fast path's best case, shaped like the inner loop of
 /// a straight-line kernel: \p ChainLen mark-free Jump blocks in a row
 /// inside a loop latch with \p Trips iterations. Uninstrumented, every
-/// body block lowers to FlatOp::Chain, so the fast-replay engine
-/// retires the whole body as one fused charge per iteration while the
-/// exact engines step all ChainLen blocks.
+/// body block lowers to FlatOp::Chain, so the flat engine retires the
+/// whole body as one fused charge per iteration while the reference
+/// interpreter steps all ChainLen blocks.
 Program buildChainHeavy(uint32_t ChainLen, uint32_t Trips) {
   IRBuilder B("chain_heavy", /*Seed=*/7);
   uint32_t Main = B.createProc("main");
@@ -129,9 +125,8 @@ int main() {
   std::vector<Program> Programs;
   Programs.push_back(std::move(Prog));
   // Scale the chain-heavy trip count with the bench scale, but keep a
-  // floor: the CI gate reads this row's speedup, so even a smoke run
-  // must execute enough blocks for the ratio to be signal, not timer
-  // noise.
+  // floor so even a smoke run executes enough blocks for its ratio to
+  // be signal, not timer noise.
   uint32_t Trips = static_cast<uint32_t>(
       std::max(10000.0, 20000 * H.scale()));
   Programs.push_back(buildChainHeavy(/*ChainLen=*/48, Trips));
@@ -149,9 +144,7 @@ int main() {
   Reference.Engine = ExecEngine::Reference;
   SimConfig Flat;
   Flat.Engine = ExecEngine::Flat;
-  SimConfig Fast;
-  Fast.Engine = ExecEngine::FastReplay;
-  const SimConfig *Sims[3] = {&Reference, &Flat, &Fast};
+  const SimConfig *Sims[2] = {&Reference, &Flat};
 
   struct Row {
     const char *Image;
@@ -178,16 +171,26 @@ int main() {
     Entry.R = measure(*Entry.Suite, Entry.Bench, L.machine(), *Entry.Sim,
                       Reps);
 
+  // Rows are image-major (reference, flat): per-image flat-vs-reference
+  // ratios, and the engines' bit-identity on the same replay.
+  double Speedups[3];
+  bool Identical = true;
+  for (int Img = 0; Img < 3; ++Img) {
+    const EngineResult &Ref = Rows[Img * 2].R;
+    const EngineResult &Fl = Rows[Img * 2 + 1].R;
+    Speedups[Img] =
+        Ref.blocksPerSec() > 0 ? Fl.blocksPerSec() / Ref.blocksPerSec() : 0;
+    Identical = Identical && Ref.Blocks == Fl.Blocks && Ref.Cycles == Fl.Cycles;
+  }
+
   Table T({"image", "engine", "wall s", "Mblocks/s", "Mcycles/s",
            "vs reference"});
   for (size_t I = 0; I < Rows.size(); ++I) {
     const Row &Entry = Rows[I];
-    double Ref = Rows[I - I % 3].R.blocksPerSec();
     T.addRow({Entry.Image, Entry.Key, Table::fmt(Entry.R.WallSec, 4),
               Table::fmt(Entry.R.blocksPerSec() / 1e6, 2),
               Table::fmt(Entry.R.cyclesPerSec() / 1e6, 1),
-              Ref > 0 ? Table::fmt(Entry.R.blocksPerSec() / Ref, 2) + "x"
-                      : "-"});
+              I % 2 ? Table::fmt(Speedups[I / 2], 2) + "x" : "-"});
   }
   H.table(T);
 
@@ -197,83 +200,38 @@ int main() {
               FI.numBlocks(), FI.chainRecordCount(),
               100.0 * FI.chainRecordCount() / FI.numBlocks(),
               FI.configStride());
-
-  // Per-image fast-replay-vs-flat ratios (rows are image-major:
-  // reference, flat, fast_replay).
-  double Speedups[3];
-  for (int Img = 0; Img < 3; ++Img) {
-    double FlatBps = Rows[Img * 3 + 1].R.blocksPerSec();
-    Speedups[Img] =
-        FlatBps > 0 ? Rows[Img * 3 + 2].R.blocksPerSec() / FlatBps : 0;
-  }
-  std::printf("fast-replay-vs-flat speedup: %.2fx plain, %.2fx "
-              "instrumented, %.2fx chain-heavy (acceptance: >= 1.5x "
-              "chain-heavy)\n",
-              Speedups[0], Speedups[1], Speedups[2]);
-
-  // Validation twin-run: the same mixed workload over both images,
-  // replayed exactly and fast, folded into the promotion checker.
-  DriftReport Drift;
-  {
-    Workload W = Workload::random(/*NumSlots=*/4, /*JobsPerSlot=*/16,
-                                  /*NumBenchmarks=*/2, /*Seed=*/21);
-    // Deliberately unscaled: even a smoke run (tiny PBT_BENCH_SCALE)
-    // must compare a meaningful number of completed jobs for the
-    // promotion check to mean anything.
-    double Horizon = 120;
-    RunResult Exact = runWorkload(Plain, W, L.machine(), Flat, Horizon);
-    RunResult FastRun = runWorkload(Plain, W, L.machine(), Fast, Horizon);
-    Drift.merge(Exact, FastRun);
-  }
-  std::printf("drift report: %zu jobs, integer stats %s, order %s, max "
-              "rel cycle drift %.2e\n",
-              Drift.Jobs, Drift.IntegerStatsIdentical ? "identical" : "DIVERGED",
-              Drift.CompletionOrderIdentical ? "identical" : "DIVERGED",
-              Drift.MaxRelCycleDrift);
+  std::printf("flat-vs-reference speedup: %.2fx plain, %.2fx "
+              "instrumented, %.2fx chain-heavy; blocks and cycles %s\n",
+              Speedups[0], Speedups[1], Speedups[2],
+              Identical ? "identical" : "DIVERGED");
 
   Json &Extra = H.json();
   Extra["workload"] = WorkloadName;
   Extra["repetitions"] = Reps;
   for (const Row &Entry : Rows)
     Extra[Entry.Image][Entry.Key] = engineJson(Entry.R);
-  Extra["speedup_fast_plain"] = Speedups[0];
-  Extra["speedup_fast_instrumented"] = Speedups[1];
-  Extra["speedup_fast_chain_heavy"] = Speedups[2];
-  // Kept under their historical names so trajectory tooling keeps
-  // working: flat-vs-reference on the bwaves image.
-  double RefPlain = Rows[0].R.blocksPerSec();
-  double RefMarked = Rows[3].R.blocksPerSec();
-  Extra["speedup_flat_plain"] =
-      RefPlain > 0 ? Rows[1].R.blocksPerSec() / RefPlain : 0;
-  Extra["speedup_flat_instrumented"] =
-      RefMarked > 0 ? Rows[4].R.blocksPerSec() / RefMarked : 0;
-  Json D = Json::object();
-  D["runs"] = Drift.Runs;
-  D["jobs"] = Drift.Jobs;
-  D["integer_stats_identical"] = Drift.IntegerStatsIdentical;
-  D["completion_order_identical"] = Drift.CompletionOrderIdentical;
-  D["max_rel_cycle_drift"] = Drift.MaxRelCycleDrift;
-  D["max_rel_completion_drift"] = Drift.MaxRelCompletionDrift;
-  D["max_rel_total_cycle_drift"] = Drift.MaxRelTotalCycleDrift;
-  Extra["fast_replay_drift"] = std::move(D);
+  Extra["speedup_flat_plain"] = Speedups[0];
+  Extra["speedup_flat_instrumented"] = Speedups[1];
+  Extra["speedup_flat_chain_heavy"] = Speedups[2];
+  Extra["engines_identical"] = Identical;
 
   int Rc = H.finish();
 
-  // CI perf-smoke gate: a fast-replay regression that loses the fused
-  // chain win fails the build, not just the dashboard. The drift
-  // contract is enforced whenever the gate is armed, too.
-  double Floor = envDouble("PBT_INTERP_MIN_FAST_SPEEDUP", 0);
+  // CI perf-smoke gate: losing the O(1) self-loop fusion drops the
+  // plain image's ratio to the stepwise engine's few x, failing the
+  // build rather than just the dashboard.
+  double Floor = envDouble("PBT_INTERP_MIN_FLAT_SPEEDUP", 0);
   if (Floor > 0) {
-    if (Speedups[2] < Floor) {
+    if (Speedups[0] < Floor) {
       std::fprintf(stderr,
-                   "FAIL: fast-replay chain-heavy speedup %.2fx below "
-                   "PBT_INTERP_MIN_FAST_SPEEDUP=%.2fx\n",
-                   Speedups[2], Floor);
+                   "FAIL: flat-vs-reference speedup %.2fx on the plain "
+                   "image below PBT_INTERP_MIN_FLAT_SPEEDUP=%.2fx\n",
+                   Speedups[0], Floor);
       return 1;
     }
-    if (!Drift.withinBound(1e-9)) {
-      std::fprintf(stderr, "FAIL: fast-replay drift outside the "
-                           "promotion bound (see drift report above)\n");
+    if (!Identical) {
+      std::fprintf(stderr, "FAIL: flat and reference engines disagree on "
+                           "blocks or cycles (see the table above)\n");
       return 1;
     }
   }

@@ -32,12 +32,6 @@ PBT_SWEEP_EXPERIMENT(sweep_arrival_rates) {
 
   SweepGrid G;
   G.Techniques = {TechniqueSpec::baseline()};
-  // A throughput grid, not a paper figure: every replay (baselines
-  // included) runs on the validated fast-replay engine. Integer stats
-  // and completion order are exact; turnaround percentiles absorb the
-  // engine's documented ulp-bounded drift. Deterministic, so artifacts
-  // stay byte-identical across standalone/driver/cold/warm runs.
-  G.Engine = ExecEngine::FastReplay;
   G.Schedulers = {SchedulerSpec::oblivious(), SchedulerSpec::fastestFirst(),
                   SchedulerSpec::ipcSampling()};
   // Light load to past saturation (the paper quad serves roughly 3-4

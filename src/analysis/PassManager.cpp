@@ -530,6 +530,9 @@ bool checkFlat(const FlatImage &F, std::string *Out) {
                   CM.blockCycles(P, B, Ct, Sharers)))
             return failWith(
                 Out, place("cycle table differs from cost model", P, B));
+      for (uint32_t Cfg = 0; Cfg < Stride; ++Cfg)
+        if (!onCycleGrid(F.cycleTable()[FB.CycleRow + Cfg]))
+          return failWith(Out, place("cycle table off the cycle grid", P, B));
 
       int32_t E0 = MarkIndex(IP.edgeMark(P, B, 0));
       int32_t E1 = MarkIndex(IP.edgeMark(P, B, 1));
@@ -624,6 +627,9 @@ bool checkFlat(const FlatImage &F, std::string *Out) {
           return failWith(
               Out,
               place("chain cycle sum differs from exact walk", P, B));
+        if (!onCycleGrid(Sum))
+          return failWith(Out, place("chain cycle sum off the cycle grid",
+                                     P, B));
       }
     }
   }
@@ -656,6 +662,8 @@ bool pbt::verifyPrep(const ProgramPrep &PC, const PipelineContext &Ctx,
         if (PC.Cost->blockInsts(P, B) != Prog->Procs[P].Blocks[B].size())
           return failWith(ErrorOut,
                           place("cost model disagrees with program", P, B));
+    if (!PC.Cost->onGrid())
+      return failWith(ErrorOut, "cost table entry off the cycle grid");
   }
 
   if (PC.Typed && !checkTyping(*Prog, PC.Typing, ErrorOut))

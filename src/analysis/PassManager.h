@@ -28,8 +28,9 @@
 /// analysis of our *own* IR and derived images that checks structural
 /// invariants — Program::verify, CFG/dominator/loop consistency, typing
 /// shape, mark-placement legality, flat-image global-block-id
-/// contiguity, cost-table binding, and superblock-chain summaries
-/// re-walked against the exact block walk. Under the verify-IR toggle
+/// contiguity, cost-table binding, superblock-chain summaries
+/// re-walked against the exact block walk, and every cost-table and
+/// chain-sum entry on the exact cycle grid (sim/CostModel.h). Under the verify-IR toggle
 /// (driver `--verify-ir` or env `PBT_VERIFY_IR`) the manager reruns the
 /// verification sweep after every pass of every round, so a pass that
 /// corrupts state is caught at the pass boundary that broke it.

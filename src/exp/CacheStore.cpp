@@ -298,11 +298,6 @@ bool isProgEntryName(const char *Name) {
          std::strcmp(Name + Len - 4, ".pbt") == 0;
 }
 
-/// True for any entry this store writes (manifest or prog).
-bool isEntryName(const char *Name) {
-  return isSuiteEntryName(Name) || isProgEntryName(Name);
-}
-
 /// True for the store's advisory lock files: "suite-<16 hex>.lck" or
 /// "prog-<16 hex>.lck".
 bool isLockName(const char *Name) {

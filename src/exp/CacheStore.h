@@ -99,8 +99,8 @@ public:
   /// v2 dropped the per-program spawn-affinity word (the HASS-static
   /// comparator moved from suite preparation to the scheduler-policy
   /// axis); v3 changed FlatImage chain cycle sums to left-to-right
-  /// accumulation (the fast-replay drift bound), so v2 images would
-  /// replay with stale fused sums; v4 turned the suite entry into a
+  /// accumulation, so v2 images would replay with stale fused sums;
+  /// v4 turned the suite entry into a
   /// thin manifest of per-program content hashes resolved against
   /// `pbt-prog-v1` entries.
   static constexpr uint32_t FormatVersion = 4;
@@ -112,8 +112,10 @@ public:
   /// Version of the static preparation pipeline whose output prog
   /// entries hold (analysis/PassManager.h); part of every prog key, so
   /// a pipeline change that alters prepared artifacts invalidates
-  /// exactly the program entries.
-  static constexpr uint32_t PipelineVersion = 1;
+  /// exactly the program entries. v2 quantized cost tables to the
+  /// exact cycle grid (sim/CostModel.h); v1 entries hold off-grid
+  /// tables and are misses, never replayed.
+  static constexpr uint32_t PipelineVersion = 2;
 
   /// Opens (creating if needed) the store directory \p Dir and sweeps
   /// stale debris left by crashed processes (see sweepStale()).

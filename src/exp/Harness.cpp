@@ -60,9 +60,9 @@ ExperimentHarness::ExperimentHarness(std::string NameIn, std::string Title,
   // carry a "shard" block and per-sweep unit counts in place of cells
   // (full single-process and merged artifacts are unchanged in content
   // beyond the version tag). v5 gave sweeps[] the "engine" label
-  // (which execution engine replayed the grid's cells — exact engines
-  // vs validated fast-replay) and metrics "percentile_mode" (exact
-  // sorted percentiles vs the streaming sketch); v4 added the per-cell
+  // (which execution engine replayed the grid's cells) and metrics
+  // "percentile_mode" (exact sorted percentiles vs the streaming
+  // sketch); v4 added the per-cell
   // "scenario" label, the "latency" block, and "p95_flow"; v3 the
   // per-cell "scheduler" label; v2 replaced live suite_cache counters
   // with the grid-pure distinct_preparations — see
@@ -204,9 +204,7 @@ SweepResult ExperimentHarness::sweep(Lab &L, const SweepGrid &Grid) {
     C["metrics"] = runMetrics(Cell.Run, Cell.Fair, Cell.Latency);
     if (Grid.ExportTelemetry) {
       // Opt-in per-cell scheduler telemetry (pbt-bench-v7): what ran
-      // on which core type. CyclesByType is a float accumulation, so
-      // exporting grids should stay on the exact engines to keep the
-      // artifact byte-identical across engine choices.
+      // on which core type.
       Json Tel = Json::object();
       Json Insts = Json::array();
       Json Cycles = Json::array();

@@ -53,10 +53,15 @@ Comparison Lab::compare(const TechniqueSpec &Tech, uint32_t Slots,
   Workload W = workload(Slots, Seed);
   const std::vector<double> &Iso = isolated();
   std::vector<WorkloadJob> Jobs(2);
-  Jobs[0] = {&BaselineSuite, &W, &MachineCfg, Sim, Horizon, &Iso,
-             SchedulerSpec(), ScenarioSpec()};
-  Jobs[1] = {&TunedSuite, &W, &MachineCfg, Sim, Horizon, &Iso,
-             SchedulerSpec(), ScenarioSpec()};
+  for (WorkloadJob &Job : Jobs) {
+    Job.W = &W;
+    Job.Machine = &MachineCfg;
+    Job.Sim = Sim;
+    Job.Horizon = Horizon;
+    Job.Isolated = &Iso;
+  }
+  Jobs[0].Suite = &BaselineSuite;
+  Jobs[1].Suite = &TunedSuite;
   std::vector<RunResult> Results = runWorkloads(Jobs);
   Comparison C;
   C.Base = std::move(Results[0]);

@@ -159,6 +159,35 @@ Workload materializeWorkload(const WorkloadSpec &Spec, size_t ProgramCount) {
                           static_cast<uint32_t>(ProgramCount), Spec.Seed);
 }
 
+/// The replay of plan job \p Job on \p Suite and \p W. Baselines
+/// always replay under the oblivious scheduler and the batch scenario —
+/// the paper's fixed reference point; cells under their own axes. The
+/// grid's engine applies to baselines and cells alike, so vs-baseline
+/// deltas always compare like with like. Trace identity comes from the
+/// whole-grid plan, so unit ids (and trace files) are a pure function
+/// of the grid, whatever thread or shard runs the job.
+WorkloadJob sweepJob(const Lab &L, const SweepGrid &Grid,
+                     const SweepJobPlan &Plan, size_t Job,
+                     const PreparedSuite &Suite, const Workload &W,
+                     const std::vector<double> &Iso, uint64_t TraceGroup) {
+  const SweepJobPlan::Coord &Co = Plan.Jobs[Job];
+  WorkloadJob J;
+  J.Suite = &Suite;
+  J.W = &W;
+  J.Machine = &L.machine();
+  J.Sim = L.sim();
+  J.Sim.Engine = Grid.Engine;
+  J.Horizon = Grid.Workloads[Co.W].Horizon;
+  J.Isolated = &Iso;
+  if (!Co.IsBaseline) {
+    J.Sched = Grid.effectiveSchedulers()[Co.C];
+    J.Scenario = Grid.effectiveScenarios()[Co.N];
+  }
+  J.TraceUnit = Plan.Ids[Job];
+  J.TraceGroup = TraceGroup;
+  return J;
+}
+
 } // namespace
 
 SweepUnitList pbt::exp::enumerateSweepUnits(const SweepGrid &Grid) {
@@ -172,8 +201,6 @@ SweepUnitList pbt::exp::enumerateSweepUnits(const SweepGrid &Grid) {
 SweepResult pbt::exp::runSweep(Lab &L, const SweepGrid &Grid) {
   SweepJobPlan Plan = planSweepJobs(Grid);
   const std::vector<double> &Iso = L.isolated();
-  const std::vector<SchedulerSpec> &Schedulers = Grid.effectiveSchedulers();
-  const std::vector<ScenarioSpec> &Scenarios = Grid.effectiveScenarios();
 
   // Prepare every distinct (technique, typing seed) once, through the
   // suite cache: variants sharing a preparation (e.g. tuner-only sweeps)
@@ -194,36 +221,19 @@ SweepResult pbt::exp::runSweep(Lab &L, const SweepGrid &Grid) {
 
   // One flat batch: baseline replays first, then all cells. Every job is
   // an independent simulation, so batch execution is bit-identical to
-  // running them back to back. Baselines always replay under the
-  // oblivious scheduler and the batch scenario — the paper's fixed
-  // reference point. The grid's engine applies to baselines and cells
-  // alike, so vs-baseline deltas always compare like with like.
-  SimConfig CellSim = L.sim();
-  CellSim.Engine = Grid.Engine;
+  // running them back to back. The group counter advances even when
+  // tracing is off, keeping trace file names stable across --trace
+  // on/off reruns of the same build.
+  uint64_t TraceGroup = obs::beginTraceGroup();
   std::vector<WorkloadJob> Jobs;
   Jobs.reserve(Plan.Jobs.size());
-  for (const SweepJobPlan::Coord &Co : Plan.Jobs) {
-    if (Co.IsBaseline) {
-      Jobs.push_back({&BaselineSuite, &Workloads[Co.W], &L.machine(), CellSim,
-                      Grid.Workloads[Co.W].Horizon, &Iso, SchedulerSpec(),
-                      ScenarioSpec()});
-      continue;
-    }
+  for (size_t Job = 0; Job < Plan.Jobs.size(); ++Job) {
+    const SweepJobPlan::Coord &Co = Plan.Jobs[Job];
     const PreparedSuite &Suite =
-        Suites[Co.T * Grid.TypingSeeds.size() + Co.S];
-    Jobs.push_back({&Suite, &Workloads[Co.W], &L.machine(), CellSim,
-                    Grid.Workloads[Co.W].Horizon, &Iso, Schedulers[Co.C],
-                    Scenarios[Co.N]});
-  }
-  // Plane-1 trace identity: jobs are in plan order, so unit ids (and
-  // the sweep's group ordinal) are a pure function of the grid — trace
-  // files come out identical whatever thread runs which job. The group
-  // counter advances even when tracing is off, keeping file names
-  // stable across --trace on/off reruns of the same build.
-  uint64_t TraceGroup = obs::beginTraceGroup();
-  for (size_t I = 0; I < Jobs.size(); ++I) {
-    Jobs[I].TraceUnit = Plan.Ids[I];
-    Jobs[I].TraceGroup = TraceGroup;
+        Co.IsBaseline ? BaselineSuite
+                      : Suites[Co.T * Grid.TypingSeeds.size() + Co.S];
+    Jobs.push_back(
+        sweepJob(L, Grid, Plan, Job, Suite, Workloads[Co.W], Iso, TraceGroup));
   }
   obs::CounterRegistry::global().add("sweep.units_total", Plan.Jobs.size());
   obs::CounterRegistry::global().add("sweep.units_owned", Jobs.size());
@@ -236,8 +246,6 @@ SweepShardStats pbt::exp::runSweepSharded(Lab &L, const SweepGrid &Grid,
                                           const ShardSpec &Spec,
                                           const SweepUnitRecorder &Record) {
   SweepJobPlan Plan = planSweepJobs(Grid);
-  const std::vector<SchedulerSpec> &Schedulers = Grid.effectiveSchedulers();
-  const std::vector<ScenarioSpec> &Scenarios = Grid.effectiveScenarios();
 
   // Allocated before the owns-nothing early return so the group
   // ordinal stays in lockstep with a single-process run's (every sweep
@@ -281,32 +289,18 @@ SweepShardStats pbt::exp::runSweepSharded(Lab &L, const SweepGrid &Grid,
     BaselineSuite = L.suite(TechniqueSpec::baseline());
 
   // One parallel batch of just the owned jobs. Each job is a fully
-  // independent simulation, so its result is bit-identical to the same
-  // job inside a full runSweep batch.
-  SimConfig CellSim = L.sim();
-  CellSim.Engine = Grid.Engine;
+  // independent simulation with the whole-grid plan's trace identity,
+  // so its result and TRACE_* file are bit-identical to the same job
+  // inside a full runSweep batch.
   std::vector<WorkloadJob> Jobs;
   Jobs.reserve(Owned.size());
   for (size_t Job : Owned) {
     const SweepJobPlan::Coord &Co = Plan.Jobs[Job];
-    if (Co.IsBaseline) {
-      Jobs.push_back({&BaselineSuite, &Workloads.at(Co.W), &L.machine(),
-                      CellSim, Grid.Workloads[Co.W].Horizon, &Iso,
-                      SchedulerSpec(), ScenarioSpec()});
-      continue;
-    }
     const PreparedSuite &Suite =
-        Suites.at(Co.T * Grid.TypingSeeds.size() + Co.S);
-    Jobs.push_back({&Suite, &Workloads.at(Co.W), &L.machine(), CellSim,
-                    Grid.Workloads[Co.W].Horizon, &Iso, Schedulers[Co.C],
-                    Scenarios[Co.N]});
-  }
-  // Same trace identity as the full runSweep: unit ids come from the
-  // whole-grid plan, so a shard's TRACE_* files are byte-identical to
-  // the matching files of a single-process traced run.
-  for (size_t I = 0; I < Jobs.size(); ++I) {
-    Jobs[I].TraceUnit = Plan.Ids[Owned[I]];
-    Jobs[I].TraceGroup = TraceGroup;
+        Co.IsBaseline ? BaselineSuite
+                      : Suites.at(Co.T * Grid.TypingSeeds.size() + Co.S);
+    Jobs.push_back(sweepJob(L, Grid, Plan, Job, Suite, Workloads.at(Co.W),
+                            Iso, TraceGroup));
   }
   obs::CounterRegistry::global().add("sweep.units_total", Plan.Jobs.size());
   obs::CounterRegistry::global().add("sweep.units_owned", Owned.size());

@@ -74,21 +74,17 @@ struct SweepGrid {
   /// regardless of the Schedulers axis.
   bool WithBaseline = true;
   /// Execution engine for EVERY replay of this grid, baselines
-  /// included (comparisons must never mix engines within a grid). The
-  /// exact Flat default keeps paper-figure grids bit-identical to the
-  /// reference interpreter; throughput grids (arrival-rate sweeps,
-  /// long scenarios) declare FastReplay and accept its documented
-  /// ulp-bounded cycle drift for an integer multiple of blocks/sec.
+  /// included. Flat and Reference are bit-identical, so the field only
+  /// trades speed (Flat, the default) for the oracle (Reference).
   /// Orthogonal to preparation (the engine only steers replays), so it
   /// never appears in suite-cache keys. Isolated-runtime oracles (t_i)
-  /// are measured by the Lab, always exact, regardless of this field.
+  /// are measured by the Lab under its own SimConfig.
   ExecEngine Engine = ExecEngine::Flat;
   /// Export each cell's per-core-type scheduler telemetry
   /// (RunResult::InstsByType/CyclesByType and the final IPC windows)
   /// into the artifact as a "telemetry" block. Off by default: the
-  /// block adds bytes to every cell, and CyclesByType carries
-  /// FastReplay's ulp drift, so only exact-engine grids should opt in
-  /// (see docs/BENCH_SCHEMA.md, pbt-bench-v7).
+  /// block adds bytes to every cell (see docs/BENCH_SCHEMA.md,
+  /// pbt-bench-v7).
   bool ExportTelemetry = false;
 
   /// The scheduler axis with the empty-vector default applied. Both

@@ -11,11 +11,11 @@
 /// with their IPC evidence, scheduleAt injections, scenario
 /// arrivals/admissions/completions — timestamped exclusively in
 /// *simulated cycles* on the machine's reference core type. No value in
-/// a trace may derive from wall clocks, cycle accumulators that differ
-/// between engines (FastReplay drifts by ulps), or thread scheduling,
-/// so TRACE_*.json files are byte-identical across
-/// standalone/driver/cold/warm runs, thread counts, and all three
-/// execution engines — CI-asserted like every other artifact.
+/// a trace may derive from wall clocks, floating-point cycle
+/// accumulators, or thread scheduling, so TRACE_*.json files are
+/// byte-identical across standalone/driver/cold/warm runs, thread
+/// counts, and both execution engines — CI-asserted like every other
+/// artifact.
 ///
 /// The output is Chrome trace-event JSON ({"traceEvents": [...]}),
 /// loadable in Perfetto / chrome://tracing: one track per core (pid 1),
@@ -106,16 +106,15 @@ public:
   void exitProcess(double Ts, uint32_t Pid, uint64_t Insts);
   /// One execution window: \p Pid ran on \p Core for \p Dur cycles of
   /// the quantum starting at \p Ts, retiring \p Insts instructions.
-  /// Widths are instruction-proportional shares of the quantum (cycle-
-  /// exact widths would break cross-engine byte-identity).
+  /// Widths are instruction-proportional shares of the quantum, so
+  /// they derive from integer counts and quantized time only.
   void window(double Ts, double Dur, uint32_t Core, uint32_t Pid,
               uint64_t Insts);
   /// Mark-triggered migration of \p Pid off \p From, re-placed on \p To.
   void migrate(double Ts, uint32_t Pid, uint32_t From, uint32_t To);
   /// Scheduler policy moved queued \p Pid from \p From to \p To; \p Ipc
   /// is the sampled-IPC evidence (0 when the policy keeps none),
-  /// rounded to 4 significant digits so ulp-level engine drift cannot
-  /// reach the bytes.
+  /// rounded to 4 significant digits.
   void reassign(double Ts, uint32_t Pid, uint32_t From, uint32_t To,
                 double Ipc);
   /// Periodic balance pass ran.

@@ -50,6 +50,7 @@ CostModel::CostModel(const Program &Prog, const MachineConfig &MachineIn,
       E.MemOps = static_cast<uint32_t>(BB.memOpCount());
       for (const Instruction &I : BB.Insts)
         E.BaseCycles += Cpi.of(I.Kind);
+      E.BaseCycles = quantizeCycles(E.BaseCycles);
 
       ReuseProfile Reuse = computeBlockReuse(BB);
       E.StallCycles.resize(Machine.numCoreTypes());
@@ -58,10 +59,10 @@ CostModel::CostModel(const Program &Prog, const MachineConfig &MachineIn,
         double Penalty = Machine.missPenaltyCycles(Ct);
         for (uint32_t Sharers = 1; Sharers <= MaxSharers; ++Sharers) {
           uint32_t EffLines = std::max(1u, Machine.cacheLines(Ct) / Sharers);
-          E.StallCycles[Ct][Sharers - 1] =
+          E.StallCycles[Ct][Sharers - 1] = quantizeCycles(
               (Reuse.missRate(EffLines) * static_cast<double>(E.MemOps) +
                Cpi.AmbientMissPerInst * static_cast<double>(E.Insts)) *
-              Penalty;
+              Penalty);
         }
       }
     }
@@ -151,6 +152,18 @@ double CostModel::blockCycles(uint32_t Proc, uint32_t Block,
   assert(CoreType < E.StallCycles.size() && "core type out of range");
   uint32_t Level = std::min(std::max(Sharers, 1u), MaxSharers) - 1;
   return E.BaseCycles + E.StallCycles[CoreType][Level];
+}
+
+bool CostModel::onGrid() const {
+  for (const BlockEntry &E : Entries) {
+    if (!onCycleGrid(E.BaseCycles))
+      return false;
+    for (const std::vector<double> &Row : E.StallCycles)
+      for (double Stall : Row)
+        if (!onCycleGrid(Stall))
+          return false;
+  }
+  return true;
 }
 
 uint32_t CostModel::blockInsts(uint32_t Proc, uint32_t Block) const {

@@ -31,10 +31,34 @@
 #include "sim/MachineConfig.h"
 #include "support/Binary.h"
 
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
 namespace pbt {
+
+/// Cycle costs live on a dyadic grid: every cost-table entry is a
+/// multiple of 2^-16 cycles. A double holds any grid value below
+/// ExactCycleBound = 2^37 cycles exactly (53 mantissa bits = 37 integer
+/// + 16 fractional), so sums of grid values below the bound never
+/// round: k*c equals k repeated additions of c, and chain sums can be
+/// added in any order. This is what lets the Flat engine charge a
+/// whole self-loop run or superblock chain in one step and still be
+/// bit-identical to the block-at-a-time Reference interpreter (see
+/// docs/ARCHITECTURE.md "Exact cycle arithmetic").
+constexpr int CycleGridBits = 16;
+constexpr double ExactCycleBound = 137438953472.0; // 2^37
+
+/// Rounds \p Cycles to the nearest multiple of 2^-CycleGridBits.
+inline double quantizeCycles(double Cycles) {
+  return std::ldexp(std::round(std::ldexp(Cycles, CycleGridBits)),
+                    -CycleGridBits);
+}
+
+/// True when \p Cycles is a multiple of 2^-CycleGridBits.
+inline bool onCycleGrid(double Cycles) {
+  return quantizeCycles(Cycles) == Cycles;
+}
 
 /// Base CPI per instruction class (identical across core types; frequency
 /// and stalls carry the asymmetry). Values reflect a superscalar core:
@@ -70,7 +94,8 @@ public:
             CpiTable Cpi = CpiTable());
 
   /// Cycles for one execution of a block on a core of \p CoreType whose
-  /// L2 is shared by \p Sharers active cores (>= 1).
+  /// L2 is shared by \p Sharers active cores (>= 1). Always on the cycle
+  /// grid (the constructor quantizes every table entry).
   double blockCycles(uint32_t Proc, uint32_t Block, uint32_t CoreType,
                      uint32_t Sharers) const;
 
@@ -86,6 +111,10 @@ public:
   }
 
   const MachineConfig &machine() const { return Machine; }
+
+  /// True when every base and stall entry is on the cycle grid (the
+  /// verify-IR audit of fresh and store-served tables).
+  bool onGrid() const;
 
   /// Largest sharer count the stall tables are built for (the machine's
   /// biggest L2 group); blockCycles clamps Sharers to [1, maxSharers()].

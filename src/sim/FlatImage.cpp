@@ -138,13 +138,18 @@ void FlatImage::buildChains() {
     }
 
     // Unwind from the chain exit back to Start, accumulating suffixes.
+    // Cycle sums follow the same recurrence: costs are on the exact
+    // cycle grid (CostModel.h), so a right-to-left suffix sum equals
+    // the left-to-right adds of the engines' chain walk bit for bit.
     uint32_t NextBlocks = 0;
     uint32_t NextInsts = 0;
     uint32_t Exit = Cur;
+    const double *NextSum = nullptr;
     if (Blocks[Cur].Op == FlatOp::Chain) { // Memoized, valid summary.
       NextBlocks = Blocks[Cur].ChainBlocks;
       NextInsts = Blocks[Cur].ChainInsts;
       Exit = Blocks[Cur].ChainExit;
+      NextSum = &ChainCycles[Blocks[Cur].ChainRow];
     }
     for (auto It = Path.rbegin(); It != Path.rend(); ++It) {
       FlatBlock &F = Blocks[*It];
@@ -152,34 +157,12 @@ void FlatImage::buildChains() {
       F.ChainBlocks = NextBlocks + 1;
       F.ChainInsts = NextInsts + F.Insts;
       F.ChainExit = Exit;
+      double *Sum = &ChainCycles[F.ChainRow];
+      for (uint32_t Cfg = 0; Cfg < Stride; ++Cfg)
+        Sum[Cfg] = Cycles[F.CycleRow + Cfg] + (NextSum ? NextSum[Cfg] : 0.0);
       NextBlocks = F.ChainBlocks;
       NextInsts = F.ChainInsts;
-    }
-  }
-
-  // Fused cycle sums, in the SAME left-to-right order the engines'
-  // exact chain walk accumulates them. The memoized suffix recurrence
-  // above would be O(chain) per record but adds right to left —
-  // charging such a sum in one step drifts from the exact walk by the
-  // reassociation error of the whole chain. Walking each record's
-  // chain forward instead costs O(sum of chain lengths) once at build
-  // time (chains are short straight-line runs between marks) and makes
-  // a fused charge bit-equal to what the exact walk adds when it
-  // starts from a zero partial sum; the only drift the fast-replay
-  // engine can accumulate is the reassociation of folding whole-chain
-  // sums into a non-zero quantum accumulator, bounded by a few ulps of
-  // the quantum total per chain (see docs/ARCHITECTURE.md).
-  for (const FlatBlock &F : Blocks) {
-    if (F.Op != FlatOp::Chain || F.ChainBlocks == 0)
-      continue;
-    for (uint32_t Cfg = 0; Cfg < Stride; ++Cfg) {
-      double Sum = 0.0;
-      uint32_t Cur2 = static_cast<uint32_t>(&F - Blocks.data());
-      for (uint32_t Step = 0; Step < F.ChainBlocks; ++Step) {
-        Sum += Cycles[Blocks[Cur2].CycleRow + Cfg];
-        Cur2 = Blocks[Cur2].Succ[0];
-      }
-      ChainCycles[F.ChainRow + Cfg] = Sum;
+      NextSum = Sum;
     }
   }
 }

@@ -27,9 +27,11 @@
 /// (Jump) blocks. The paper's own insight — marks sit only on
 /// phase-*transition* edges — means most dynamic blocks are mark-free,
 /// so straight-line regions collapse into a fused summary (summed
-/// cycles and instructions, block count, exit id) that the engine can
-/// charge in O(1) when exact replay is not required, and execute with a
-/// dispatch-free tight loop when it is.
+/// cycles and instructions, block count, exit id) that the engine
+/// charges in O(1) when the whole chain fits the quantum budget, and
+/// walks with a dispatch-free tight loop when it straddles it. Cycle
+/// costs are on the exact grid of CostModel.h, so a fused charge is
+/// bit-equal to the walk.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -128,12 +130,9 @@ public:
   const double *cycleTable() const { return Cycles.data(); }
 
   /// Summed superblock cycle costs, indexed via FlatBlock::ChainRow.
-  /// Each sum is accumulated in the exact engines' left-to-right chain
-  /// order, so a fused charge equals bit for bit what the exact walk
-  /// would add starting from a zero partial sum; fast-replay drift is
-  /// therefore only the reassociation of whole-chain sums into the
-  /// quantum accumulator (see docs/ARCHITECTURE.md "Fast-replay
-  /// engine").
+  /// Sums of grid costs are exact, so a fused charge equals bit for bit
+  /// what the block-at-a-time walk adds (see docs/ARCHITECTURE.md
+  /// "Exact cycle arithmetic").
   const double *chainCycleTable() const { return ChainCycles.data(); }
 
   /// The instrumented program's mark array (indices in FlatBlock are

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <stdexcept>
 
 using namespace pbt;
@@ -20,8 +21,6 @@ const char *pbt::engineName(ExecEngine Engine) {
     return "flat";
   case ExecEngine::Reference:
     return "reference";
-  case ExecEngine::FastReplay:
-    return "fast_replay";
   }
   return "unknown";
 }
@@ -111,7 +110,7 @@ void Machine::setTraceSink(obs::TraceSink *Sink) {
     return;
   // Timestamps are simulated cycles on the reference core type (type
   // 0), a pure function of quantized simulated time — never of cycle
-  // accumulators, which drift by ulps between engines.
+  // accumulators, so trace bytes cannot depend on how costs are summed.
   Trace->setCyclesPerSecond(Config.CoreTypes[0].Frequency);
   for (uint32_t Core = 0; Core < Config.numCores(); ++Core)
     Trace->coreTrack(Core, Config.CoreTypes[coreType(Core)].Name +
@@ -239,7 +238,7 @@ void Machine::run(double Until) {
               finishMonitor(P);
             if (Trace)
               // Timestamped at the quantum start (CompletionTime is
-              // cycle-derived and drifts between engines).
+              // cycle-derived; traces use quantized time only).
               Trace->exitProcess(Trace->cycles(Now), Pid,
                                  P.Stats.InstsRetired);
             Policy->onExit(*this, P);
@@ -299,8 +298,6 @@ void Machine::flushTraceWindows() {
 Machine::AdvanceResult Machine::advanceProcess(Process &P, uint32_t Core,
                                                double BudgetCycles,
                                                uint32_t Sharers) {
-  if (Sim.Engine == ExecEngine::FastReplay)
-    return advanceProcessFastReplay(P, Core, BudgetCycles, Sharers);
   uint64_t InstsBefore = P.Stats.InstsRetired;
   AdvanceResult R =
       Sim.Engine == ExecEngine::Flat
@@ -310,14 +307,46 @@ Machine::AdvanceResult Machine::advanceProcess(Process &P, uint32_t Core,
   return R;
 }
 
-/// The flat-image interpreter. Mirrors advanceProcessReference exactly —
-/// same block sequence, same RNG draws, and the same floating-point
-/// accumulation order (one add per block, marks charged through
-/// fireMark) — so both engines produce bit-identical ProcessStats. The
-/// difference is purely mechanical: each step is one indexed load from
-/// the FlatImage instead of pointer chases through Program, CostModel,
-/// and InstrumentedProgram, and mark-free superblock chains run in a
-/// dispatch-free inner loop.
+namespace {
+
+/// True when adding \p Add cycles to \p Used — and to the monitoring
+/// accumulator, when a session is live — keeps both below
+/// ExactCycleBound. Below it every sum of grid costs is exact, so one
+/// fused charge is bit-equal to the block-at-a-time adds it replaces.
+bool exactCharge(const Process &P, double Used, double Add) {
+  return Used + Add < ExactCycleBound &&
+         (!P.MonActive || P.MonCycles + Add < ExactCycleBound);
+}
+
+/// Back-edge iterations of an unmarked self-loop that the quantum runs
+/// before its budget check fails or only the exit iteration is left:
+/// min(\p BackEdges, smallest j >= 1 with Used + j*C >= Budget). Every
+/// Used + j*C below ExactCycleBound is exact, so the comparisons
+/// reproduce the stepwise loop's budget checks exactly.
+uint64_t selfLoopRun(double Used, double Budget, double C,
+                     uint64_t BackEdges) {
+  if (C <= 0 || (Budget - Used) / C >= static_cast<double>(BackEdges))
+    return BackEdges;
+  uint64_t J = std::max<uint64_t>(
+      1, static_cast<uint64_t>(std::ceil((Budget - Used) / C)));
+  while (J > 1 && Used + static_cast<double>(J - 1) * C >= Budget)
+    --J;
+  while (Used + static_cast<double>(J) * C < Budget)
+    ++J;
+  return std::min(J, BackEdges);
+}
+
+} // namespace
+
+/// The flat-image interpreter. Same block sequence, same RNG draws, and
+/// the same cycle totals as advanceProcessReference, so both engines
+/// produce bit-identical ProcessStats. The difference is mechanical:
+/// each step is one indexed load from the FlatImage instead of pointer
+/// chases through Program, CostModel, and InstrumentedProgram, and two
+/// shapes are charged in O(1) — a mark-free superblock chain that fits
+/// the remaining budget (its precomputed sum), and a run of unmarked
+/// self-loop iterations (k * cost). Costs are on the exact cycle grid
+/// (CostModel.h), so both equal the adds they replace.
 Machine::AdvanceResult Machine::advanceProcessFlat(Process &P, uint32_t Core,
                                                    double BudgetCycles,
                                                    uint32_t Sharers) {
@@ -325,6 +354,7 @@ Machine::AdvanceResult Machine::advanceProcessFlat(Process &P, uint32_t Core,
   const FlatImage &FI = *P.Flat;
   const FlatBlock *Blk = FI.blocks();
   const double *Cyc = FI.cycleTable();
+  const double *ChainCyc = FI.chainCycleTable();
   const PhaseMark *Marks = FI.marks();
   // Per-quantum invariant, cached across quanta in the hot lane and
   // recomputed only on migration or a sharer-count change. Pure
@@ -336,21 +366,26 @@ Machine::AdvanceResult Machine::advanceProcessFlat(Process &P, uint32_t Core,
     const FlatBlock *B = &Blk[Cur];
 
     if (B->Op == FlatOp::Chain) {
-      if (Sim.FusedChains && !P.MonActive && B->ChainBlocks > 0) {
-        double Sum = FI.chainCycleTable()[B->ChainRow + CfgOff];
-        if (R.CyclesUsed + Sum < BudgetCycles) {
+      if (B->ChainBlocks > 0) {
+        double Sum = ChainCyc[B->ChainRow + CfgOff];
+        if (R.CyclesUsed + Sum < BudgetCycles &&
+            exactCharge(P, R.CyclesUsed, Sum)) {
           // O(1) superblock: the whole mark-free chain fits in the
           // remaining budget, so charge the fused summary at once.
           R.CyclesUsed += Sum;
           P.Stats.InstsRetired += B->ChainInsts;
           P.Stats.BlocksExecuted += B->ChainBlocks;
+          if (P.MonActive) {
+            P.MonInsts += B->ChainInsts;
+            P.MonCycles += Sum;
+          }
           Cur = B->ChainExit;
           continue;
         }
       }
-      // Exact superblock walk: no terminator dispatch, no mark lookups,
-      // no RNG — just successive records until the chain exit or the
-      // quantum budget. Monitoring is hoisted out of the loop (it can
+      // Exact superblock walk: budget-straddling chains and mark-free
+      // Jump cycles (ChainBlocks == 0). No terminator dispatch, no mark
+      // lookups, no RNG. Monitoring is hoisted out of the loop (it can
       // only change at a mark, and chains are mark-free).
       if (P.MonActive) {
         do {
@@ -377,6 +412,31 @@ Machine::AdvanceResult Machine::advanceProcessFlat(Process &P, uint32_t Core,
 
     double Cycles = Cyc[B->CycleRow + CfgOff];
     uint32_t Insts = B->Insts;
+
+    if (B->Op == FlatOp::Loop && B->Succ[0] == Cur && B->EdgeMark[0] < 0) {
+      // O(1) self-loop: run every back-edge iteration this quantum
+      // reaches at once. Latch executions left in this activation,
+      // counting the exit one (a fresh activation starts at TripCount).
+      uint32_t &Rem = P.LoopRemaining[Cur];
+      uint32_t Left = Rem == 0 ? B->TripCount : Rem;
+      if (Left > 1) {
+        uint64_t K =
+            selfLoopRun(R.CyclesUsed, BudgetCycles, Cycles, Left - 1);
+        double Charge = static_cast<double>(K) * Cycles;
+        if (exactCharge(P, R.CyclesUsed, Charge)) {
+          R.CyclesUsed += Charge;
+          P.Stats.InstsRetired += K * Insts;
+          P.Stats.BlocksExecuted += K;
+          if (P.MonActive) {
+            P.MonInsts += K * Insts;
+            P.MonCycles += Charge;
+          }
+          Rem = Left - static_cast<uint32_t>(K);
+          continue; // The exit iteration takes the path below.
+        }
+      }
+    }
+
     R.CyclesUsed += Cycles;
     P.Stats.InstsRetired += Insts;
     ++P.Stats.BlocksExecuted;
@@ -454,204 +514,6 @@ Machine::AdvanceResult Machine::advanceProcessFlat(Process &P, uint32_t Core,
     }
   }
   P.CurGlobal = Cur;
-  return R;
-}
-
-/// The validated fast-replay engine. Same block sequence and RNG draws
-/// as the exact engines — the dynamic trace is identical — but three
-/// things make it faster, at the price of ulp-bounded cycle drift:
-///
-///  1. Superblock chains are ALWAYS charged through the precomputed
-///     left-to-right sums in chainCycleTable() (no opt-in flag, no
-///     per-member walk) whenever the whole chain fits in the remaining
-///     budget. Each sum equals bit for bit what the exact walk adds
-///     from a zero partial sum, so the only drift is reassociating a
-///     whole-chain sum into the non-zero quantum accumulator: a few
-///     ulps of the running total per fused charge.
-///  2. Hot-path state lives in registers for the whole call: cycle,
-///     instruction, and block accumulators plus the monitoring triple
-///     are locals, written back to the cold Process body once per
-///     quantum (and flushed/reloaded around fireMark, which reads and
-///     mutates the cold body).
-///  3. Per-quantum invariants (the config offset) are served from the
-///     hot lane's migration-aware cache, like the flat engine.
-///
-/// Monitoring sessions never fuse: MonCycles feeds truncated into
-/// integer tuner samples, where drift would become integer divergence
-/// in tuning decisions. Mark-free Jump cycles (ChainBlocks == 0) fall
-/// back to the exact tight loop, exactly like the flat engine.
-Machine::AdvanceResult
-Machine::advanceProcessFastReplay(Process &P, uint32_t Core,
-                                  double BudgetCycles, uint32_t Sharers) {
-  AdvanceResult R;
-  const FlatImage &FI = *P.Flat;
-  const FlatBlock *Blk = FI.blocks();
-  const double *Cyc = FI.cycleTable();
-  const double *ChainCyc = FI.chainCycleTable();
-  const PhaseMark *Marks = FI.marks();
-  uint32_t *LoopRem = P.LoopRemaining.data();
-  Rng &Gen = P.Gen;
-  const uint32_t CfgOff = configOffsetCached(P, Core, Sharers);
-  const uint64_t EntryInsts = P.Stats.InstsRetired;
-
-  // Register-resident hot state; flushed once at exit (and around
-  // fireMark, whose monitoring bookkeeping reads the cold body).
-  uint32_t Cur = P.CurGlobal;
-  double Used = 0;
-  uint64_t Insts = 0;
-  uint64_t Blocks = 0;
-  bool MonActive = P.MonActive;
-  uint64_t MonInsts = P.MonInsts;
-  double MonCycles = P.MonCycles;
-
-  auto Flush = [&] {
-    P.CurGlobal = Cur;
-    P.Stats.InstsRetired += Insts;
-    P.Stats.BlocksExecuted += Blocks;
-    Insts = 0;
-    Blocks = 0;
-    P.MonActive = MonActive;
-    P.MonInsts = MonInsts;
-    P.MonCycles = MonCycles;
-  };
-  // fireMark reads/writes the cold body (stats, monitoring, tuner,
-  // affinity), so the hot state round-trips through the Process here.
-  auto Fire = [&](const PhaseMark &Mark) {
-    Flush();
-    bool Migrate = fireMark(P, Mark, Core, Used);
-    MonActive = P.MonActive;
-    MonInsts = P.MonInsts;
-    MonCycles = P.MonCycles;
-    return Migrate;
-  };
-
-  while (Used < BudgetCycles) {
-    const FlatBlock *B = &Blk[Cur];
-
-    if (B->Op == FlatOp::Chain) {
-      if (!MonActive && B->ChainBlocks > 0) {
-        double Sum = ChainCyc[B->ChainRow + CfgOff];
-        if (Used + Sum < BudgetCycles) {
-          // O(1) superblock: the whole mark-free chain fits in the
-          // remaining budget; charge the fused left-to-right sum.
-          Used += Sum;
-          Insts += B->ChainInsts;
-          Blocks += B->ChainBlocks;
-          Cur = B->ChainExit;
-          continue;
-        }
-      }
-      // Exact tight loop: budget-straddling chains, mark-free cycles
-      // (ChainBlocks == 0), and monitored sections.
-      if (MonActive) {
-        do {
-          double Cycles = Cyc[B->CycleRow + CfgOff];
-          Used += Cycles;
-          Insts += B->Insts;
-          ++Blocks;
-          MonInsts += B->Insts;
-          MonCycles += Cycles;
-          Cur = B->Succ[0];
-          B = &Blk[Cur];
-        } while (B->Op == FlatOp::Chain && Used < BudgetCycles);
-      } else {
-        do {
-          Used += Cyc[B->CycleRow + CfgOff];
-          Insts += B->Insts;
-          ++Blocks;
-          Cur = B->Succ[0];
-          B = &Blk[Cur];
-        } while (B->Op == FlatOp::Chain && Used < BudgetCycles);
-      }
-      continue;
-    }
-
-    double Cycles = Cyc[B->CycleRow + CfgOff];
-    uint32_t BI = B->Insts;
-    Used += Cycles;
-    Insts += BI;
-    ++Blocks;
-    if (MonActive) {
-      MonInsts += BI;
-      MonCycles += Cycles;
-    }
-
-    const PhaseMark *TakenMark = nullptr;
-    switch (B->Op) {
-    case FlatOp::Jump: // Always carries a mark (else it would be Chain).
-      TakenMark = Marks + B->EdgeMark[0];
-      Cur = B->Succ[0];
-      break;
-    case FlatOp::Call: {
-      P.CallStack.push_back(CallFrame{0, 0, B->EdgeMark[0], B->Succ[0]});
-      int32_t CallMark = B->CallMark;
-      Cur = B->Callee;
-      if (CallMark >= 0 && Fire(Marks[CallMark])) {
-        R.Migrated = true;
-        Flush();
-        R.CyclesUsed = Used;
-        R.InstsDelta = P.Stats.InstsRetired - EntryInsts;
-        return R;
-      }
-      continue;
-    }
-    case FlatOp::Loop: {
-      uint32_t &Rem = LoopRem[Cur];
-      if (Rem == 0)
-        Rem = B->TripCount; // First latch execution of this activation.
-      uint32_t Index;
-      if (Rem > 1) {
-        --Rem;
-        Index = 0;
-      } else {
-        Rem = 0;
-        Index = 1;
-      }
-      int32_t Mark = B->EdgeMark[Index];
-      if (Mark >= 0)
-        TakenMark = Marks + Mark;
-      Cur = B->Succ[Index];
-      break;
-    }
-    case FlatOp::Cond: {
-      uint32_t Index = Gen.nextBool(B->TakenProb) ? 0 : 1;
-      int32_t Mark = B->EdgeMark[Index];
-      if (Mark >= 0)
-        TakenMark = Marks + Mark;
-      Cur = B->Succ[Index];
-      break;
-    }
-    case FlatOp::Ret: {
-      if (P.CallStack.empty()) {
-        P.Finished = true;
-        R.Finished = true;
-        Flush();
-        R.CyclesUsed = Used;
-        R.InstsDelta = P.Stats.InstsRetired - EntryInsts;
-        return R;
-      }
-      CallFrame Frame = P.CallStack.back();
-      P.CallStack.pop_back();
-      Cur = Frame.ContGlobal;
-      if (Frame.ContMarkIndex >= 0)
-        TakenMark = Marks + Frame.ContMarkIndex;
-      break;
-    }
-    case FlatOp::Chain: // Handled above.
-      break;
-    }
-
-    if (TakenMark && Fire(*TakenMark)) {
-      R.Migrated = true;
-      Flush();
-      R.CyclesUsed = Used;
-      R.InstsDelta = P.Stats.InstsRetired - EntryInsts;
-      return R;
-    }
-  }
-  Flush();
-  R.CyclesUsed = Used;
-  R.InstsDelta = P.Stats.InstsRetired - EntryInsts;
   return R;
 }
 

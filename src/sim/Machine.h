@@ -42,30 +42,21 @@ namespace obs {
 class TraceSink;
 }
 
-/// Which interpreter advances processes through their programs.
+/// Which interpreter advances processes through their programs. Both
+/// produce bit-identical results: cycle costs sit on an exact dyadic
+/// grid (see CostModel.h), so the Flat engine's one-step charges equal
+/// the Reference interpreter's block-at-a-time adds.
 enum class ExecEngine : uint8_t {
-  /// Flat-image engine: one indexed load per block, superblock chains
-  /// executed in a dispatch-free tight loop. Bit-identical to Reference.
+  /// Flat-image engine: one indexed load per block, mark-free superblock
+  /// chains and unmarked self-loop runs charged in O(1).
   Flat,
   /// Block-at-a-time interpreter over the IR + CostModel + mark lookup,
   /// retained as the differential-testing oracle.
   Reference,
-  /// Validated fast-replay engine: the flat image with superblock
-  /// chains always charged through their precomputed left-to-right
-  /// cycle sums, register-local hot-path accumulators, and per-quantum
-  /// invariants cached across quanta (recomputed only on migration).
-  /// Integer statistics (instructions, blocks, marks, switches) and
-  /// completion order are exactly identical to the exact engines on
-  /// the differential corpus; cycle totals and completion times drift
-  /// by the reassociation of whole-chain sums into the quantum
-  /// accumulator — bounded, and characterized by workload/Drift.h.
-  /// Paper figures stay on the exact engines; sweeps declare FastReplay
-  /// per cell (exp::SweepGrid::Engine).
-  FastReplay,
 };
 
-/// Stable display name of \p Engine ("flat", "reference",
-/// "fast_replay") — used by artifact cell labels.
+/// Stable display name of \p Engine ("flat", "reference") — used by
+/// artifact cell labels.
 const char *engineName(ExecEngine Engine);
 
 /// Simulation knobs independent of the machine's hardware shape.
@@ -85,21 +76,8 @@ struct SimConfig {
   uint32_t CounterWaitCycles = 500;
   /// Master seed for process RNG derivation.
   uint64_t Seed = 0x5EED;
-  /// Execution engine. Flat and Reference produce bit-identical
-  /// results; FastReplay trades ulp-bounded cycle drift for an integer
-  /// multiple of blocks/sec (see ExecEngine).
+  /// Execution engine (Flat and Reference are bit-identical).
   ExecEngine Engine = ExecEngine::Flat;
-  /// Opt-in O(1) superblock accounting for the Flat engine: when a
-  /// whole mark-free chain fits in the remaining quantum budget, charge
-  /// its precomputed cycle sum in one step instead of walking the
-  /// members. Changes the floating-point accumulation order (ulp-level
-  /// drift in cycle totals and completion times), so replays are no
-  /// longer bit-identical to the reference engine; integer stats
-  /// (instructions, blocks, marks) are unaffected. Superseded by
-  /// Engine = FastReplay, which fuses unconditionally and adds the
-  /// hot-path state split; the flag is kept so the Flat engine's fused
-  /// mode stays independently testable.
-  bool FusedChains = false;
 };
 
 /// The simulated machine: cores, runqueues, clock, counter slots.
@@ -251,11 +229,6 @@ private:
   AdvanceResult advanceProcessReference(Process &P, uint32_t Core,
                                         double BudgetCycles,
                                         uint32_t Sharers);
-
-  /// Validated fast-replay engine (see ExecEngine::FastReplay).
-  AdvanceResult advanceProcessFastReplay(Process &P, uint32_t Core,
-                                         double BudgetCycles,
-                                         uint32_t Sharers);
 
   /// Executes one phase mark; returns true when the process must migrate
   /// off its current core. Adds overhead cycles to \p Cycles.

@@ -210,9 +210,8 @@ struct RunResult {
   std::vector<double> CoreBusy;
   /// Machine-wide scheduler telemetry summed over all processes,
   /// indexed by core type: what ran where (see SchedTelemetry).
-  /// CyclesByType is a float accumulation, so it carries FastReplay's
-  /// ulp-level drift — sweeps export it into artifacts only on request
-  /// (SweepGrid::ExportTelemetry) and exact-engine grids.
+  /// Sweeps export it into artifacts only on request
+  /// (SweepGrid::ExportTelemetry).
   std::vector<uint64_t> InstsByType;
   std::vector<double> CyclesByType;
 };
@@ -270,8 +269,7 @@ struct WorkloadJob {
   /// is enabled process-wide, the runner opens a per-unit sink named
   /// TRACE_<experiment>.g<TraceGroup>.<TraceUnit>.json. Unit ids come
   /// from the sweep plan, so file names — and contents — are
-  /// independent of thread scheduling. Deliberately the last members:
-  /// existing aggregate initializers default them to "off".
+  /// independent of thread scheduling.
   std::string TraceUnit;
   uint64_t TraceGroup = 0;
 };

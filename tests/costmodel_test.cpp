@@ -156,3 +156,23 @@ TEST(CpiTable, KindMapping) {
   EXPECT_DOUBLE_EQ(Cpi.of(InstKind::Call), Cpi.CallRet);
   EXPECT_GT(Cpi.of(InstKind::Syscall), Cpi.of(InstKind::IntAlu));
 }
+
+TEST(CostModel, CostsSitOnTheExactCycleGrid) {
+  Program Prog = twoBlockProgram();
+  CostModel Cost(Prog, MachineConfig::quadAsymmetric());
+  EXPECT_TRUE(Cost.onGrid());
+  for (uint32_t Block = 0; Block < 2; ++Block)
+    for (uint32_t Ct = 0; Ct < 2; ++Ct)
+      for (uint32_t Sharers = 1; Sharers <= Cost.maxSharers(); ++Sharers) {
+        double C = Cost.blockCycles(0, Block, Ct, Sharers);
+        ASSERT_TRUE(onCycleGrid(C));
+        // The property the flat engine's one-step charges rest on: k*c
+        // equals k repeated adds, from any grid starting point.
+        double Stepwise = 0.375;
+        for (int K = 0; K < 1000; ++K)
+          Stepwise += C;
+        EXPECT_EQ(Stepwise, 0.375 + 1000 * C);
+      }
+  EXPECT_EQ(quantizeCycles(0.35), 22938 / 65536.0);
+  EXPECT_FALSE(onCycleGrid(0.35));
+}

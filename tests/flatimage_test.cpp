@@ -9,6 +9,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "RunIdentity.h"
+
 #include "core/Transitions.h"
 #include "ir/IRBuilder.h"
 #include "sim/FlatImage.h"
@@ -18,6 +20,8 @@
 #include "workload/Runner.h"
 
 #include <gtest/gtest.h>
+
+#include <functional>
 
 using namespace pbt;
 
@@ -127,18 +131,6 @@ const Process &runAlone(Machine &M, const PreparedSuite &Suite,
   return M.process(Pid);
 }
 
-void expectStatsIdentical(const ProcessStats &A, const ProcessStats &B) {
-  EXPECT_EQ(A.InstsRetired, B.InstsRetired);
-  EXPECT_EQ(A.BlocksExecuted, B.BlocksExecuted);
-  EXPECT_EQ(A.CyclesConsumed, B.CyclesConsumed); // Exact double equality.
-  EXPECT_EQ(A.CpuSeconds, B.CpuSeconds);
-  EXPECT_EQ(A.CoreSwitches, B.CoreSwitches);
-  EXPECT_EQ(A.MarksFired, B.MarksFired);
-  EXPECT_EQ(A.MonitorSessions, B.MonitorSessions);
-  EXPECT_EQ(A.CounterWaits, B.CounterWaits);
-  EXPECT_EQ(A.OverheadCycles, B.OverheadCycles);
-}
-
 } // namespace
 
 TEST(FlatImage, GlobalIdsFollowProcOffsets) {
@@ -208,8 +200,10 @@ TEST(FlatImage, ChainSummariesMatchManualWalk) {
       for (uint32_t Walk = G; FI.block(Walk).Op == FlatOp::Chain;
            Walk = FI.block(Walk).Succ[0])
         Expect += FI.cycleTable()[FI.block(Walk).CycleRow + Cfg];
-      EXPECT_NEAR(FI.chainCycleTable()[F.ChainRow + Cfg], Expect,
-                  1e-9 * (1 + Expect));
+      // Exact: costs sit on the dyadic cycle grid, so the suffix sums
+      // the builder stores equal this left-to-right walk bit for bit.
+      EXPECT_EQ(FI.chainCycleTable()[F.ChainRow + Cfg], Expect);
+      EXPECT_TRUE(onCycleGrid(Expect));
     }
   }
   EXPECT_EQ(ChainRecords, FI.chainRecordCount());
@@ -271,22 +265,8 @@ TEST(FlatEngine, BitIdenticalToReferenceUnderContention) {
     Flat.Engine = ExecEngine::Flat;
     RunResult A = runWorkload(Suite, W, MC, Ref, 25);
     RunResult B = runWorkload(Suite, W, MC, Flat, 25);
-
-    EXPECT_EQ(A.InstructionsRetired, B.InstructionsRetired);
-    EXPECT_EQ(A.TotalSwitches, B.TotalSwitches);
-    EXPECT_EQ(A.TotalMarks, B.TotalMarks);
-    EXPECT_EQ(A.CounterWaits, B.CounterWaits);
-    EXPECT_EQ(A.TotalOverheadCycles, B.TotalOverheadCycles);
-    EXPECT_EQ(A.TotalCycles, B.TotalCycles);
-    ASSERT_EQ(A.Completed.size(), B.Completed.size());
     ASSERT_GT(A.Completed.size(), 0u);
-    for (size_t I = 0; I < A.Completed.size(); ++I) {
-      EXPECT_EQ(A.Completed[I].Bench, B.Completed[I].Bench);
-      EXPECT_EQ(A.Completed[I].Slot, B.Completed[I].Slot);
-      EXPECT_EQ(A.Completed[I].Arrival, B.Completed[I].Arrival);
-      EXPECT_EQ(A.Completed[I].Completion, B.Completed[I].Completion);
-      expectStatsIdentical(A.Completed[I].Stats, B.Completed[I].Stats);
-    }
+    expectRunsIdentical(A, B);
   }
 }
 
@@ -348,28 +328,212 @@ TEST(FlatEngine, SingleSuccessorCondFoldsIdentically) {
   EXPECT_EQ(Stats[0].MarksFired, 50u);
 }
 
-TEST(FlatEngine, FusedChainsPreserveIntegerStats) {
-  // The opt-in O(1) fused-chain accounting may drift in the last ulp of
-  // cycle totals but must retire exactly the same instruction and block
-  // streams and fire exactly the same marks.
-  std::vector<Program> Programs = {randomProgram(31)};
-  MachineConfig MC = MachineConfig::quadAsymmetric();
-  PreparedSuite Suite = prepareSuite(Programs, MC, loopTechnique());
-  SimConfig Exact;
-  SimConfig Fused;
-  Fused.FusedChains = true;
-  Machine MA(MC, Exact, std::make_unique<ObliviousScheduler>());
-  Machine MB(MC, Fused, std::make_unique<ObliviousScheduler>());
-  const Process &PA = runAlone(MA, Suite, 77);
-  const Process &PB = runAlone(MB, Suite, 77);
-  EXPECT_EQ(PA.Stats.InstsRetired, PB.Stats.InstsRetired);
-  EXPECT_EQ(PA.Stats.BlocksExecuted, PB.Stats.BlocksExecuted);
-  EXPECT_EQ(PA.Stats.MarksFired, PB.Stats.MarksFired);
-  EXPECT_EQ(PA.Stats.CoreSwitches, PB.Stats.CoreSwitches);
-  EXPECT_NEAR(PA.Stats.CyclesConsumed, PB.Stats.CyclesConsumed,
-              1e-6 * PA.Stats.CyclesConsumed);
-  EXPECT_NEAR(PA.CompletionTime, PB.CompletionTime,
-              1e-6 * PA.CompletionTime);
+//===----------------------------------------------------------------------===//
+// O(1) self-loop fusion: the flat engine charges K back-edge iterations
+// of an unmarked single-block self-loop at once. Each case replays one
+// process under both engines and expects bit-identity.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Two cores of two types with power-of-two frequencies, in separate L2
+/// groups: a timeslice of j*c/Freq then gives a quantum budget of
+/// exactly j*c cycles.
+MachineConfig dyadicMachine() {
+  MachineConfig MC;
+  MC.CoreTypes = {{"fast", 2097152.0, 4096}, {"slow", 1048576.0, 2048}};
+  MC.Cores = {{0, 0}, {1, 1}};
+  return MC;
+}
+
+/// A block of \p Count integer-ALU instructions ending in \p Term.
+BasicBlock aluBlock(uint32_t Id, unsigned Count, TermKind Term,
+                    std::vector<uint32_t> Succs, uint32_t Trips = 1) {
+  BasicBlock BB;
+  BB.Id = Id;
+  for (unsigned I = 0; I < Count; ++I)
+    BB.Insts.push_back(Instruction::intAlu());
+  BB.Term = Term;
+  BB.Succs = std::move(Succs);
+  BB.TripCount = Trips;
+  return BB;
+}
+
+/// main: block 0 is a self-loop of \p Trips iterations exiting to block
+/// 1, a return. The loop is the entry, so the first quantum's budget
+/// check sees nothing but loop iterations.
+Program entrySelfLoop(uint32_t Trips) {
+  Program Prog;
+  Prog.Name = "self_loop";
+  Procedure Main;
+  Main.Id = 0;
+  Main.Name = "main";
+  Main.Blocks = {aluBlock(0, 24, TermKind::Loop, {0, 1}, Trips),
+                 aluBlock(1, 0, TermKind::Ret, {})};
+  Prog.Procs = {Main};
+  return Prog;
+}
+
+/// main: an outer loop (block 3, \p OuterTrips) around two self-loop
+/// phases — block 1 (\p InnerTrips, 40 instructions) and block 2
+/// (\p InnerTrips + 1, 24 instructions) — entered from block 0 and left
+/// to block 4, a return. Every activation re-enters both self-loops.
+Program nestedSelfLoops(uint32_t InnerTrips, uint32_t OuterTrips) {
+  Program Prog;
+  Prog.Name = "nested_self_loops";
+  Procedure Main;
+  Main.Id = 0;
+  Main.Name = "main";
+  Main.Blocks = {aluBlock(0, 8, TermKind::Jump, {1}),
+                 aluBlock(1, 40, TermKind::Loop, {1, 2}, InnerTrips),
+                 aluBlock(2, 24, TermKind::Loop, {2, 3}, InnerTrips + 1),
+                 aluBlock(3, 4, TermKind::Loop, {0, 4}, OuterTrips),
+                 aluBlock(4, 0, TermKind::Ret, {})};
+  Prog.Procs = {Main};
+  return Prog;
+}
+
+/// Instruments \p Prog with \p Marks (two phase types).
+std::shared_ptr<const InstrumentedProgram>
+withMarks(const Program &Prog, std::vector<PhaseMark> Marks = {}) {
+  std::string Error;
+  EXPECT_TRUE(verify(Prog, &Error)) << Error;
+  MarkingResult Marking;
+  Marking.NumTypes = 2;
+  Marking.RegionType.resize(Prog.Procs.size());
+  Marking.Marks = std::move(Marks);
+  return std::make_shared<const InstrumentedProgram>(Prog, Marking);
+}
+
+/// Drives a machine holding one process; must run it to completion.
+using Driver = std::function<void(Machine &, uint32_t Pid)>;
+
+void runToCompletion(Machine &M, uint32_t Pid) {
+  while (M.process(Pid).CompletionTime < 0)
+    M.run(M.now() + 64);
+}
+
+/// Replays \p IP alone on \p MC under each engine, driven by \p Drive,
+/// and expects the two processes bit-identical. Returns the reference
+/// process's stats for case-specific checks.
+ProcessStats expectEnginesAgree(std::shared_ptr<const InstrumentedProgram> IP,
+                                const MachineConfig &MC, SimConfig SC,
+                                const Driver &Drive = runToCompletion) {
+  auto Cost = std::make_shared<const CostModel>(IP->program(), MC);
+  ProcessStats Stats[2];
+  double Completion[2];
+  int I = 0;
+  for (ExecEngine Engine : {ExecEngine::Reference, ExecEngine::Flat}) {
+    SC.Engine = Engine;
+    Machine M(MC, SC, std::make_unique<ObliviousScheduler>());
+    uint32_t Pid = M.spawn(IP, Cost, TunerConfig(), 5);
+    Drive(M, Pid);
+    Stats[I] = M.process(Pid).Stats;
+    Completion[I] = M.process(Pid).CompletionTime;
+    ++I;
+  }
+  expectStatsIdentical(Stats[0], Stats[1]);
+  EXPECT_EQ(Completion[0], Completion[1]);
+  EXPECT_GT(Completion[0], 0.0);
+  return Stats[0];
+}
+
+} // namespace
+
+TEST(SelfLoopFusion, BudgetRunsOutMidLoop) {
+  // 24 instructions per iteration over 100k trips spans dozens of
+  // quanta; the default budget is no multiple of the iteration cost, so
+  // every quantum ends part-way through an iteration's budget share.
+  const uint32_t Trips = 100000;
+  SimConfig SC;
+  uint32_t Quanta = 0;
+  ProcessStats S = expectEnginesAgree(
+      withMarks(entrySelfLoop(Trips)), dyadicMachine(), SC,
+      [&](Machine &M, uint32_t Pid) {
+        while (M.process(Pid).CompletionTime < 0) {
+          M.run(M.now() + SC.Timeslice);
+          ++Quanta;
+        }
+      });
+  EXPECT_EQ(S.BlocksExecuted, Trips + 1u);
+  EXPECT_GT(Quanta, 10u);
+}
+
+TEST(SelfLoopFusion, BudgetLandsExactlyOnIterationBoundary) {
+  // Budget = 500 iterations exactly: the stepwise loop stops when
+  // Used + j*c == Budget (the check is Used < Budget), so both engines
+  // must retire exactly 500 iterations in the first quantum.
+  MachineConfig MC = dyadicMachine();
+  Program Prog = entrySelfLoop(1700);
+  CostModel Cost(Prog, MC);
+  double C = Cost.blockCycles(0, 0, /*CoreType=*/0, /*Sharers=*/1);
+  ASSERT_TRUE(onCycleGrid(C));
+  const uint32_t J = 500;
+  SimConfig SC;
+  SC.Timeslice = J * C / MC.CoreTypes[0].Frequency;
+  ASSERT_EQ(SC.Timeslice * MC.CoreTypes[0].Frequency, J * C);
+  SC.BalancePeriod = 1e6;
+  expectEnginesAgree(withMarks(Prog), MC, SC, [&](Machine &M, uint32_t Pid) {
+    M.run(SC.Timeslice);
+    EXPECT_EQ(M.process(Pid).Stats.BlocksExecuted, J);
+    EXPECT_EQ(M.process(Pid).LoopRemaining[0], 1700u - J);
+    runToCompletion(M, Pid);
+  });
+}
+
+TEST(SelfLoopFusion, TripCountsOneAndTwo) {
+  // Trip count 1 leaves no back edge to fuse; 2 leaves exactly one.
+  for (uint32_t Trips : {1u, 2u}) {
+    SCOPED_TRACE("trips " + std::to_string(Trips));
+    ProcessStats S = expectEnginesAgree(
+        withMarks(nestedSelfLoops(Trips, 20000)), dyadicMachine(),
+        SimConfig());
+    EXPECT_EQ(S.BlocksExecuted, 20000u * (2 * Trips + 3) + 1);
+  }
+}
+
+TEST(SelfLoopFusion, MarkedBackEdgeDoesNotFuse) {
+  // A mark on the back edge fires on every iteration, so the loop must
+  // step: one mark per back-edge traversal, charged in order.
+  Program Prog = nestedSelfLoops(300, 50);
+  ProcessStats S = expectEnginesAgree(
+      withMarks(Prog, {{0, 1, 0, MarkPoint::Edge, 1}}), dyadicMachine(),
+      SimConfig());
+  EXPECT_EQ(S.MarksFired, 50u * 299);
+}
+
+TEST(SelfLoopFusion, MonitoringAcrossFusedRuns) {
+  // Phase marks on both self-loops' entry edges: each mark closes the
+  // previous monitoring session and may open the next, so sessions span
+  // fused runs (MonInsts/MonCycles advance by K at a time) and the
+  // tuner's samples, decisions, and migrations depend on them.
+  Program Prog = nestedSelfLoops(5000, 40);
+  ProcessStats S = expectEnginesAgree(
+      withMarks(Prog, {{0, 0, 0, MarkPoint::Edge, 1},
+                       {0, 1, 1, MarkPoint::Edge, 0}}),
+      dyadicMachine(), SimConfig());
+  EXPECT_GT(S.MonitorSessions, 1u);
+  EXPECT_EQ(S.MarksFired, 80u);
+}
+
+TEST(SelfLoopFusion, LoopResumesAcrossQuantaAndAfterMigration) {
+  // Stop after one quantum with the loop part-way, move the process to
+  // the other core type (different cost per iteration and budget), and
+  // finish there: the remaining trip count carries over exactly.
+  const uint32_t Trips = 100000;
+  expectEnginesAgree(
+      withMarks(entrySelfLoop(Trips)), dyadicMachine(), SimConfig(),
+      [&](Machine &M, uint32_t Pid) {
+        M.run(M.simConfig().Timeslice);
+        uint32_t Rem = M.process(Pid).LoopRemaining[0];
+        EXPECT_GT(Rem, 1u);
+        EXPECT_LT(Rem, Trips);
+        ASSERT_EQ(M.queueLength(0), 1u); // Spawned onto core 0 (fast).
+        ASSERT_TRUE(M.moveQueued(Pid, 0, 1));
+        M.run(2 * M.simConfig().Timeslice);
+        EXPECT_LT(M.process(Pid).LoopRemaining[0], Rem);
+        runToCompletion(M, Pid);
+      });
 }
 
 TEST(ParallelRunner, BitIdenticalToSerialRuns) {
@@ -393,8 +557,13 @@ TEST(ParallelRunner, BitIdenticalToSerialRuns) {
   SimConfig SC;
   std::vector<WorkloadJob> Jobs;
   for (size_t I = 0; I < Workloads.size(); ++I) {
-    const PreparedSuite &Suite = I % 2 ? Tuned : Base;
-    Jobs.push_back({&Suite, &Workloads[I], &MC, SC, 20.0, nullptr});
+    WorkloadJob Job;
+    Job.Suite = I % 2 ? &Tuned : &Base;
+    Job.W = &Workloads[I];
+    Job.Machine = &MC;
+    Job.Sim = SC;
+    Job.Horizon = 20.0;
+    Jobs.push_back(std::move(Job));
   }
 
   std::vector<RunResult> Parallel = runWorkloads(Jobs);

@@ -463,6 +463,36 @@ TEST(VerifyPass, RejectsImageCostModelDivergence) {
   expectRejected(F.prep(0), Ctx, "image mark-cost model differs");
 }
 
+TEST(VerifyPass, RejectsOffGridCostTables) {
+  // A store entry written before cost quantization holds off-grid
+  // tables; the audit must reject them whether they arrive through the
+  // cost model or only through the flat image's inlined copy.
+  PreparedFixture F;
+  const Program &Prog = F.Programs[0];
+  BinaryWriter W;
+  F.Prepared[0].Cost->serializeTables(W);
+  std::string Bytes = W.buffer();
+  // Entry 0's BaseCycles follows MaxSharers, the proc-offset vector,
+  // the entry count, and entry 0's Insts and MemOps.
+  size_t At = 4 + 4 + 4 * Prog.Procs.size() + 4 + 4 + 4;
+  double Base;
+  std::memcpy(&Base, Bytes.data() + At, sizeof(Base));
+  ASSERT_TRUE(onCycleGrid(Base));
+  double OffGrid = Base + 0x1p-20;
+  std::memcpy(&Bytes[At], &OffGrid, sizeof(OffGrid));
+  BinaryReader R(Bytes);
+  auto Cost = std::make_shared<const CostModel>(
+      CostModel::deserializeTables(R, F.MC, Prog));
+  ASSERT_FALSE(R.failed());
+
+  ProgramPrep PC = F.prep(0);
+  PC.Cost = Cost;
+  PC.Flat = std::make_shared<const FlatImage>(PC.Image, Cost);
+  expectRejected(PC, F.Ctx, "cost table entry off the cycle grid");
+  PC.Cost = nullptr;
+  expectRejected(PC, F.Ctx, "cycle table off the cycle grid");
+}
+
 //===----------------------------------------------------------------------===//
 // verifyPrepared: whole-suite audit
 //===----------------------------------------------------------------------===//
