@@ -52,7 +52,7 @@
 // byte-copies whole artifacts and re-runs sweep bodies over the
 // recombined bit-exact units, producing BENCH_*.json files
 // byte-identical to a single-process run, plus BENCH_merge.json with
-// the shards' merged metric sketches. Any inconsistency (missing or
+// exact fabric-wide metrics over the recombined cells. Any inconsistency (missing or
 // duplicate shard, mixed n, corrupt partial, ...) is a distinct
 // diagnostic and a nonzero exit.
 //
@@ -487,9 +487,9 @@ int main(int Argc, char **Argv) {
     // experiment becomes a recorded failure, and the batch moves on to
     // the next experiment. The shard bracket opens inside the guarded
     // body so EVERY attempt starts from a clean bracket — a retried
-    // attempt must not inherit the failed attempt's sweep seq numbers,
-    // recorded units, or staged sketch contributions (beginExperiment
-    // replaces the manifest entry it already holds for this name).
+    // attempt must not inherit the failed attempt's sweep seq numbers
+    // or recorded units (beginExperiment replaces the manifest entry it
+    // already holds for this name).
     std::function<int()> Body = E.Fn;
     if (ShardMode) {
       exp::ShardRuntime *RTp = &RT;

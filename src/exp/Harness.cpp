@@ -61,8 +61,7 @@ ExperimentHarness::ExperimentHarness(std::string NameIn, std::string Title,
   // (full single-process and merged artifacts are unchanged in content
   // beyond the version tag). v5 gave sweeps[] the "engine" label
   // (which execution engine replayed the grid's cells) and metrics
-  // "percentile_mode" (exact sorted percentiles vs the streaming
-  // sketch); v4 added the per-cell
+  // "percentile_mode" (always "exact"); v4 added the per-cell
   // "scenario" label, the "latency" block, and "p95_flow"; v3 the
   // per-cell "scheduler" label; v2 replaced live suite_cache counters
   // with the grid-pure distinct_preparations — see
@@ -101,10 +100,9 @@ Json runMetrics(const RunResult &Run, const FairnessMetrics &Fair,
   M["max_stretch"] = Fair.MaxStretch;
   M["avg_process_time"] = Fair.AvgProcessTime;
   M["p95_flow"] = Fair.P95Flow;
-  // Sweep-cell metrics are always exact-percentile (artifacts are
-  // compared byte for byte); the tag makes the mode explicit so
-  // streamed-metrics artifacts can never be mistaken for exact ones.
-  M["percentile_mode"] = percentileModeName(PercentileMode::Exact);
+  // Percentiles are always exact (one sort per sample); the constant
+  // tag is kept from pbt-bench-v5 so artifacts stay byte-identical.
+  M["percentile_mode"] = "exact";
   Json L = Json::object();
   L["jobs"] = Latency.Jobs;
   L["mean_turnaround"] = Latency.MeanTurnaround;

@@ -195,11 +195,13 @@ std::string joinDir(const std::string &Dir, const std::string &File) {
 
 const char PayloadMagic[4] = {'P', 'B', 'C', 'P'};
 const char ManifestMagic[4] = {'P', 'B', 'S', 'M'};
-// v2: RunResult gained per-core-type telemetry (InstsByType,
-// CyclesByType). Shard fabrics are ephemeral within one driver
-// invocation, so a strict version check beats compatibility shims.
+// Payload v2: RunResult gained per-core-type telemetry (InstsByType,
+// CyclesByType). Manifest v2: the metric sketches are gone (the merge
+// computes fabric metrics exactly from the recombined units). Shard
+// fabrics are ephemeral within one driver invocation, so a strict
+// version check beats compatibility shims.
 constexpr uint32_t PayloadVersion = 2;
-constexpr uint32_t ManifestVersion = 1;
+constexpr uint32_t ManifestVersion = 2;
 
 void writeMagic(BinaryWriter &W, const char (&Magic)[4]) {
   for (char C : Magic)
@@ -215,6 +217,14 @@ bool readMagic(BinaryReader &R, const char (&Magic)[4]) {
 
 std::string unitKey(uint32_t Seq, const std::string &Id) {
   return std::to_string(Seq) + ":" + Id;
+}
+
+/// True for the key of a replayed cell ("seq:cell/..."), false for a
+/// baseline ("seq:base/...").
+bool isCellKey(const std::string &Key) {
+  size_t Colon = Key.find(':');
+  return Colon != std::string::npos &&
+         Key.compare(Colon + 1, 5, "cell/") == 0;
 }
 
 } // namespace
@@ -233,9 +243,6 @@ void ShardRuntime::beginExperiment(const std::string &Name,
   SweepSeq = 0;
   PayloadUnitsBuf = BinaryWriter();
   PayloadUnits = 0;
-  CurLatency = LatencyAccumulator();
-  CurFairness = FairnessAccumulator();
-  CurCells = 0;
   LastEntryIndex = -1;
   if (M == Mode::Shard) {
     // A bracket re-opened for the name it already holds is a retry of
@@ -260,14 +267,6 @@ void ShardRuntime::endExperiment(int ExitCode) {
   if (M == Mode::Shard && LastEntryIndex >= 0) {
     ManifestEntry &E = Entries[static_cast<size_t>(LastEntryIndex)];
     E.Ok = ExitCode == 0 && !E.ArtifactFile.empty();
-    if (E.Ok) {
-      // Only a successful close reaches the manifest's fabric
-      // sketches; a failed attempt's staged cells would otherwise
-      // double-count once its retry succeeds.
-      DoneLatency.push_back(CurLatency);
-      DoneFairness.push_back(CurFairness);
-      FabricCells += CurCells;
-    }
   }
   CurName.clear();
   CurG = ShardGranularity::Whole;
@@ -281,13 +280,6 @@ void ShardRuntime::recordUnit(uint32_t Seq, const std::string &Id,
   PayloadUnitsBuf.str(Id);
   serializeRunResult(PayloadUnitsBuf, Run);
   ++PayloadUnits;
-  if (Id.compare(0, 5, "cell/") == 0) {
-    for (const CompletedJob &Job : Run.Completed) {
-      CurLatency.add(Job);
-      CurFairness.add(Job);
-    }
-    ++CurCells;
-  }
 }
 
 int ShardRuntime::finishArtifact(const std::string &Name, Json &Root) {
@@ -362,12 +354,6 @@ bool ShardRuntime::writeManifest() {
     W.u64(E.PayloadFnv);
     W.u64(E.PayloadBytes);
   }
-  W.u64(FabricCells);
-  // Committed per-experiment accumulators, merged in run order (a
-  // deterministic function of the run set — retries never contribute,
-  // since only a successful close commits its staged sketch).
-  LatencyAccumulator::merged(DoneLatency).serialize(W);
-  FairnessAccumulator::merged(DoneFairness).serialize(W);
   // Self-checksum trailer: FNV over everything above, so the merge can
   // distinguish a truncated/corrupt manifest from a malformed one.
   uint64_t Fnv = fnv1a(W.buffer().data(), W.buffer().size());
@@ -419,9 +405,6 @@ struct ParsedManifest {
   double Scale = 1;
   uint64_t RunSetHash = 0;
   std::vector<MEntry> Entries;
-  uint64_t FabricCells = 0;
-  LatencyAccumulator Lat;
-  FairnessAccumulator Fair;
 };
 
 std::string parseManifest(const std::string &Bytes, const std::string &File,
@@ -464,10 +447,8 @@ std::string parseManifest(const std::string &Bytes, const std::string &File,
     E.PayloadFnv = R.u64();
     E.PayloadBytes = R.u64();
   }
-  Out.FabricCells = R.u64();
-  if (!Out.Lat.deserialize(R) || !Out.Fair.deserialize(R) || R.failed() ||
-      Out.Spec.Count == 0 || Out.Spec.Index == 0 ||
-      Out.Spec.Index > Out.Spec.Count)
+  if (R.failed() || R.remaining() != 0 || Out.Spec.Count == 0 ||
+      Out.Spec.Index == 0 || Out.Spec.Index > Out.Spec.Count)
     return "manifest " + File + ": malformed";
   return std::string();
 }
@@ -648,6 +629,9 @@ std::string pbt::exp::mergeShards(const std::string &ShardDir,
   MergeReport &Rep = Report ? *Report : Local;
   Rep = MergeReport();
   Rep.ShardCount = Count;
+  // Completions of every recombined cell, in merge order, for the
+  // fabric-wide metrics.
+  RunResult Fabric;
 
   for (const auto &Exp : Experiments) {
     const std::string &Name = Exp.first;
@@ -725,6 +709,13 @@ std::string pbt::exp::mergeShards(const std::string &ShardDir,
       }
     }
     Rep.Units += Units.size();
+    for (const auto &Unit : Units)
+      if (isCellKey(Unit.first)) {
+        ++Rep.FabricCells;
+        Fabric.Completed.insert(Fabric.Completed.end(),
+                                Unit.second.Completed.begin(),
+                                Unit.second.Completed.end());
+      }
 
     RT.setMergeUnits(std::move(Units));
     RT.beginExperiment(Name, G);
@@ -744,25 +735,13 @@ std::string pbt::exp::mergeShards(const std::string &ShardDir,
     Rep.Replayed.push_back(Name);
   }
 
-  // Fabric sketches, merged in shard-index order (Shards is sorted).
-  {
-    std::vector<LatencyAccumulator> Lats;
-    std::vector<FairnessAccumulator> Fairs;
-    for (const ParsedManifest &PM : Shards) {
-      Rep.FabricCells += PM.FabricCells;
-      Lats.push_back(PM.Lat);
-      Fairs.push_back(PM.Fair);
-    }
-    LatencyAccumulator Lat = LatencyAccumulator::merged(Lats);
-    FairnessAccumulator Fair = FairnessAccumulator::merged(Fairs);
-    // Horizon 0: the fabric readout spans heterogeneous machines, so
-    // the capacity-normalized throughput is reported as 0 by design.
-    Rep.FabricLatency = Lat.finish(0, MachineConfig());
-    Rep.FabricFairness = Fair.finish();
-  }
+  // Horizon 0: the fabric readout spans heterogeneous machines, so the
+  // capacity-normalized throughput is reported as 0 by design.
+  Rep.FabricLatency = computeLatency(Fabric, MachineConfig());
+  Rep.FabricFairness = computeFairness(Fabric.Completed);
 
   Json Root = Json::object();
-  Root["schema"] = "pbt-merge-v1";
+  Root["schema"] = "pbt-merge-v2";
   Root["shards"] = Rep.ShardCount;
   Root["scale"] = Shards.front().Scale;
   {

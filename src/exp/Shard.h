@@ -32,9 +32,7 @@
 ///  - BENCH_<name>.shard-k-of-n.cells.pbs per sweep-cell experiment:
 ///    the shard's replayed units, bit-exact (support/Binary);
 ///  - shard-k-of-n.manifest.pbs: the shard's inventory — every emitted
-///    file with size + FNV checksum, the run-set hash, the scale, and
-///    the shard's mergeable metric sketches (metrics/Latency,
-///    metrics/Fairness accumulators over its replayed cells).
+///    file with size + FNV checksum, the run-set hash, and the scale.
 ///
 /// `driver --merge <dir>` (exp::mergeShards) validates the manifests
 /// (missing/duplicate shard, mixed n, mixed scale, mixed schema,
@@ -43,8 +41,9 @@
 /// sweep-cell experiment body with its sweeps fed from the recombined
 /// units (exp::runSweepFromUnits): metrics and JSON are recomputed by
 /// the same code that runs single-process, over bit-exact inputs, so
-/// merged artifacts are byte-identical by construction. The shards'
-/// sketches merge in shard-index order into BENCH_merge.json.
+/// merged artifacts are byte-identical by construction. BENCH_merge.json
+/// summarizes the merge, including fabric-wide latency and fairness
+/// metrics computed exactly over every recombined cell's completions.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -154,18 +153,17 @@ public:
   void setRunSetHash(uint64_t Hash) { RunSetHash = Hash; }
 
   /// Brackets one experiment body ATTEMPT: resets the per-experiment
-  /// sweep sequence, partial-unit state, and staged sketch
-  /// contributions. Call at the start of every attempt (the driver
-  /// wraps it into the guarded body), not once per guarded call — a
-  /// retried attempt must not inherit the failed attempt's units or
-  /// seq numbers. Re-opening the bracket for the name it already holds
-  /// replaces the manifest entry rather than appending a second one.
+  /// sweep sequence and partial-unit state. Call at the start of every
+  /// attempt (the driver wraps it into the guarded body), not once per
+  /// guarded call — a retried attempt must not inherit the failed
+  /// attempt's units or seq numbers. Re-opening the bracket for the
+  /// name it already holds replaces the manifest entry rather than
+  /// appending a second one.
   void beginExperiment(const std::string &Name, ShardGranularity G);
 
   /// Closes the bracket; \p ExitCode is the final attempt's result and
   /// decides the manifest disposition (a failed body's files are never
-  /// merged). Only a successful close commits the attempt's staged
-  /// sketch contributions into the manifest's fabric sketches.
+  /// merged).
   void endExperiment(int ExitCode);
 
   /// True when the current experiment shards at sweep-cell granularity.
@@ -179,8 +177,7 @@ public:
 
   // --- Shard mode ---
 
-  /// Records one owned unit of sweep \p Seq. Replayed cells (ids
-  /// beginning "cell/") also feed the shard's fabric sketches.
+  /// Records one owned unit of sweep \p Seq.
   void recordUnit(uint32_t Seq, const std::string &Id, const RunResult &Run);
 
   /// Units recorded for the current experiment so far.
@@ -237,18 +234,6 @@ private:
   std::vector<ManifestEntry> Entries;
   int LastEntryIndex = -1; ///< Entry of the current bracket, or -1.
 
-  // The current attempt's sketch contributions, staged so a failed
-  // attempt (retried by the driver's guard) never reaches the manifest.
-  LatencyAccumulator CurLatency;
-  FairnessAccumulator CurFairness;
-  uint64_t CurCells = 0;
-
-  // Committed fabric sketches: one accumulator per successfully closed
-  // experiment, merged in run order at manifest-write time.
-  std::vector<LatencyAccumulator> DoneLatency;
-  std::vector<FairnessAccumulator> DoneFairness;
-  uint64_t FabricCells = 0;
-
   // Merge mode: units of the current experiment, keyed "seq:id".
   std::map<std::string, RunResult> MergeUnits;
 };
@@ -259,8 +244,11 @@ struct MergeReport {
   std::vector<std::string> Copied;   ///< Whole artifacts byte-copied.
   std::vector<std::string> Replayed; ///< Sweep-cell experiments re-run.
   uint64_t Units = 0;                ///< Units recombined across shards.
-  uint64_t FabricCells = 0;          ///< Replayed cells in the sketches.
-  LatencyMetrics FabricLatency;      ///< Merged streaming sketch readout.
+  /// Fabric-wide metrics over the completions of every recombined
+  /// "cell/" unit, in merge order (experiments by name, then units by
+  /// "seq:id" key) — exact, like every artifact metric.
+  uint64_t FabricCells = 0;
+  LatencyMetrics FabricLatency;
   FairnessMetrics FabricFairness;
 };
 
@@ -277,9 +265,9 @@ using MergeResolver =
 /// validates every manifest and partial (each failure mode gets a
 /// distinct diagnostic — see the file comment), byte-copies whole
 /// artifacts, re-runs sweep-cell bodies over the recombined units, and
-/// writes BENCH_merge.json (schema pbt-merge-v1) with the shard
-/// sketches merged in shard-index order. Sets PBT_BENCH_SCALE to the
-/// shards' recorded scale so replayed bodies build identical grids.
+/// writes BENCH_merge.json (schema pbt-merge-v2) with the fabric-wide
+/// metrics of MergeReport. Sets PBT_BENCH_SCALE to the shards' recorded
+/// scale so replayed bodies build identical grids.
 /// Returns the empty string on success, else the first diagnostic;
 /// never leaves a silently wrong artifact (the failing experiment's
 /// output is not written).

@@ -6,7 +6,6 @@
 
 #include "metrics/Fairness.h"
 
-#include "support/Binary.h"
 #include "support/Statistics.h"
 
 #include <algorithm>
@@ -14,71 +13,7 @@
 
 using namespace pbt;
 
-void FairnessAccumulator::add(const CompletedJob &Job) {
-  ++Jobs;
-  double FlowTime = Job.Completion - Job.Arrival;
-  FlowSum += FlowTime;
-  if (FlowTime > MaxFlow)
-    MaxFlow = FlowTime;
-  if (Job.Isolated > 0 && FlowTime / Job.Isolated > MaxStretch)
-    MaxStretch = FlowTime / Job.Isolated;
-  Flow.add(FlowTime);
-}
-
-FairnessMetrics FairnessAccumulator::finish() const {
-  FairnessMetrics Metrics;
-  if (Jobs == 0)
-    return Metrics;
-  Metrics.Jobs = Jobs;
-  Metrics.MaxFlow = MaxFlow;
-  Metrics.MaxStretch = MaxStretch;
-  Metrics.AvgProcessTime = FlowSum / static_cast<double>(Jobs);
-  Metrics.P95Flow = Flow.percentile(95);
-  return Metrics;
-}
-
-void FairnessAccumulator::serialize(BinaryWriter &W) const {
-  W.u64(Jobs);
-  W.f64(FlowSum);
-  W.f64(MaxFlow);
-  W.f64(MaxStretch);
-  Flow.serialize(W);
-}
-
-bool FairnessAccumulator::deserialize(BinaryReader &R) {
-  Jobs = R.u64();
-  FlowSum = R.f64();
-  MaxFlow = R.f64();
-  MaxStretch = R.f64();
-  return Flow.deserialize(R) && !R.failed();
-}
-
-FairnessAccumulator
-FairnessAccumulator::merged(const std::vector<FairnessAccumulator> &Parts) {
-  FairnessAccumulator Out;
-  if (Parts.size() == 1)
-    return Parts.front();
-  std::vector<const TDigest *> Flows;
-  for (const FairnessAccumulator &Part : Parts) {
-    Out.Jobs += Part.Jobs;
-    Out.FlowSum += Part.FlowSum;
-    Out.MaxFlow = std::max(Out.MaxFlow, Part.MaxFlow);
-    Out.MaxStretch = std::max(Out.MaxStretch, Part.MaxStretch);
-    Flows.push_back(&Part.Flow);
-  }
-  if (!Parts.empty())
-    Out.Flow = TDigest::merged(Flows);
-  return Out;
-}
-
-FairnessMetrics pbt::computeFairness(const std::vector<CompletedJob> &Jobs,
-                                     PercentileMode Mode) {
-  if (Mode == PercentileMode::Streaming) {
-    FairnessAccumulator Acc;
-    for (const CompletedJob &Job : Jobs)
-      Acc.add(Job);
-    return Acc.finish();
-  }
+FairnessMetrics pbt::computeFairness(const std::vector<CompletedJob> &Jobs) {
   FairnessMetrics Metrics;
   if (Jobs.empty())
     return Metrics;

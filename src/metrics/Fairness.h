@@ -18,7 +18,6 @@
 #ifndef PBT_METRICS_FAIRNESS_H
 #define PBT_METRICS_FAIRNESS_H
 
-#include "support/Statistics.h"
 #include "workload/Runner.h"
 
 #include <cstddef>
@@ -37,41 +36,9 @@ struct FairnessMetrics {
 };
 
 /// Computes the metrics over \p Jobs. Jobs without an isolated-time
-/// oracle (Isolated <= 0) are skipped for max-stretch only. Exact mode
-/// (the default) buffers flows for the P95 percentile; Streaming
-/// replays through a FairnessAccumulator (P²-sketched P95Flow,
-/// identical maxima and mean).
-FairnessMetrics computeFairness(const std::vector<CompletedJob> &Jobs,
-                                PercentileMode Mode = PercentileMode::Exact);
-
-/// Streaming fairness accumulator: running maxima and mean, t-digest-
-/// sketched P95Flow — O(1) memory in job count, and mergeable for the
-/// sharded experiment fabric (see LatencyAccumulator for the merge
-/// contract: canonical shard-index order, single-part identity).
-class FairnessAccumulator {
-public:
-  void add(const CompletedJob &Job);
-  size_t jobs() const { return Jobs; }
-  FairnessMetrics finish() const;
-
-  /// Appends the accumulator to \p W (bit-exact round-trip).
-  void serialize(BinaryWriter &W) const;
-
-  /// Reads an accumulator serialized by serialize(); false on
-  /// malformed input.
-  bool deserialize(BinaryReader &R);
-
-  /// Merges \p Parts (canonical order; see LatencyAccumulator::merged).
-  static FairnessAccumulator
-  merged(const std::vector<FairnessAccumulator> &Parts);
-
-private:
-  size_t Jobs = 0;
-  double FlowSum = 0;
-  double MaxFlow = 0;
-  double MaxStretch = 0;
-  TDigest Flow;
-};
+/// oracle (Isolated <= 0) are skipped for max-stretch only. P95Flow is
+/// exact: the flows are buffered and sorted once.
+FairnessMetrics computeFairness(const std::vector<CompletedJob> &Jobs);
 
 /// Percent decrease of \p Value relative to \p Baseline: positive is an
 /// improvement, matching the paper's Table 2 sign convention.

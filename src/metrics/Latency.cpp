@@ -6,19 +6,15 @@
 
 #include "metrics/Latency.h"
 
-#include "support/Binary.h"
 #include "support/Statistics.h"
 
 #include <algorithm>
 
 using namespace pbt;
 
-namespace {
-
-/// Completed jobs per megacycle of machine capacity over the horizon —
-/// the one definition shared by both percentile modes.
-double jobsPerMegacycle(size_t Jobs, double Horizon,
-                        const MachineConfig &Machine) {
+/// Completed jobs per megacycle of machine capacity over the horizon.
+static double jobsPerMegacycle(size_t Jobs, double Horizon,
+                               const MachineConfig &Machine) {
   double CapacityCycles = 0;
   for (const CoreDesc &Core : Machine.Cores)
     CapacityCycles += Machine.CoreTypes[Core.TypeId].Frequency * Horizon;
@@ -27,97 +23,8 @@ double jobsPerMegacycle(size_t Jobs, double Horizon,
   return static_cast<double>(Jobs) / (CapacityCycles / 1e6);
 }
 
-} // namespace
-
-void LatencyAccumulator::add(const CompletedJob &Job) {
-  ++Jobs;
-  double T = Job.Completion - Job.Arrival;
-  TurnSum += T;
-  Turn.add(T);
-  if (Job.Isolated > 0) {
-    double S = T / Job.Isolated;
-    ++SlowJobs;
-    SlowSum += S;
-    Slow.add(S);
-    if (S > MaxSlow)
-      MaxSlow = S;
-  }
-}
-
-LatencyMetrics LatencyAccumulator::finish(double Horizon,
-                                          const MachineConfig &Machine) const {
-  LatencyMetrics M;
-  M.Jobs = Jobs;
-  M.JobsPerMegacycle = jobsPerMegacycle(Jobs, Horizon, Machine);
-  if (Jobs == 0)
-    return M;
-  M.MeanTurnaround = TurnSum / static_cast<double>(Jobs);
-  M.P50Turnaround = Turn.percentile(50);
-  M.P95Turnaround = Turn.percentile(95);
-  M.P99Turnaround = Turn.percentile(99);
-  if (SlowJobs > 0) {
-    M.MeanSlowdown = SlowSum / static_cast<double>(SlowJobs);
-    M.P95Slowdown = Slow.percentile(95);
-    M.MaxSlowdown = MaxSlow;
-  }
-  return M;
-}
-
-void LatencyAccumulator::serialize(BinaryWriter &W) const {
-  W.u64(Jobs);
-  W.f64(TurnSum);
-  W.u64(SlowJobs);
-  W.f64(SlowSum);
-  W.f64(MaxSlow);
-  Turn.serialize(W);
-  Slow.serialize(W);
-}
-
-bool LatencyAccumulator::deserialize(BinaryReader &R) {
-  Jobs = R.u64();
-  TurnSum = R.f64();
-  SlowJobs = R.u64();
-  SlowSum = R.f64();
-  MaxSlow = R.f64();
-  return Turn.deserialize(R) && Slow.deserialize(R) && !R.failed();
-}
-
-LatencyAccumulator
-LatencyAccumulator::merged(const std::vector<LatencyAccumulator> &Parts) {
-  LatencyAccumulator Out;
-  if (Parts.size() == 1)
-    return Parts.front();
-  std::vector<const TDigest *> Turns;
-  std::vector<const TDigest *> Slows;
-  for (const LatencyAccumulator &Part : Parts) {
-    Out.Jobs += Part.Jobs;
-    Out.TurnSum += Part.TurnSum;
-    Out.SlowJobs += Part.SlowJobs;
-    Out.SlowSum += Part.SlowSum;
-    Out.MaxSlow = std::max(Out.MaxSlow, Part.MaxSlow);
-    Turns.push_back(&Part.Turn);
-    Slows.push_back(&Part.Slow);
-  }
-  if (!Parts.empty()) {
-    Out.Turn = TDigest::merged(Turns);
-    Out.Slow = TDigest::merged(Slows);
-  }
-  return Out;
-}
-
 LatencyMetrics pbt::computeLatency(const RunResult &Run,
-                                   const MachineConfig &Machine,
-                                   PercentileMode Mode) {
-  if (Mode == PercentileMode::Streaming) {
-    // Replay the buffered completions through the streaming
-    // accumulator, in their canonical order — what a sink-fed run
-    // would have produced had the jobs arrived in this order.
-    LatencyAccumulator Acc;
-    for (const CompletedJob &Job : Run.Completed)
-      Acc.add(Job);
-    return Acc.finish(Run.Horizon, Machine);
-  }
-
+                                   const MachineConfig &Machine) {
   LatencyMetrics M;
   M.Jobs = Run.Completed.size();
   M.JobsPerMegacycle = jobsPerMegacycle(M.Jobs, Run.Horizon, Machine);

@@ -29,7 +29,6 @@
 #define PBT_METRICS_LATENCY_H
 
 #include "sim/MachineConfig.h"
-#include "support/Statistics.h"
 #include "workload/Runner.h"
 
 #include <cstddef>
@@ -54,68 +53,10 @@ struct LatencyMetrics {
 };
 
 /// Computes the metrics over \p Run's completions on \p Machine (whose
-/// core frequencies define the capacity normalization). The default
-/// Exact mode buffers and sorts (bit-reproducible, O(n) memory);
-/// Streaming replays the completions through a LatencyAccumulator —
-/// identical means/max, P²-sketched percentiles — and exists so
-/// buffered runs can be compared against streamed ones.
+/// core frequencies define the capacity normalization). Percentiles are
+/// exact: each sample is buffered and sorted once.
 LatencyMetrics computeLatency(const RunResult &Run,
-                              const MachineConfig &Machine,
-                              PercentileMode Mode = PercentileMode::Exact);
-
-/// Streaming latency accumulator: feed every completed job as it
-/// finishes (e.g. through runWorkload's OnCompleted sink) and read the
-/// metrics at the end. O(1) memory in job count — the turnaround and
-/// slowdown distributions are never materialized; percentiles come
-/// from deterministic mergeable t-digest sketches (support/Statistics
-/// TDigest — exact below 2 x 256 observations, near-exact tails
-/// beyond), means and maxima from running sums, so a long-horizon
-/// scenario run's metrics memory no longer grows with its completion
-/// count.
-///
-/// Accumulators are MERGEABLE for the sharded experiment fabric: each
-/// shard serializes its accumulator into its manifest, and the merge
-/// tool recombines them with merged(), canonically ordered by shard
-/// index — single-shard merge is the identity, and the merged digest is
-/// independent of input permutation (see TDigest).
-class LatencyAccumulator {
-public:
-  /// Feeds one completed job (same conventions as computeLatency:
-  /// turnaround is Completion - Arrival; slowdown only for jobs with
-  /// an isolated-time oracle).
-  void add(const CompletedJob &Job);
-
-  /// Jobs fed so far.
-  size_t jobs() const { return Jobs; }
-
-  /// Metrics over everything fed, normalized to \p Horizon seconds of
-  /// \p Machine capacity (the same JobsPerMegacycle definition as
-  /// computeLatency).
-  LatencyMetrics finish(double Horizon, const MachineConfig &Machine) const;
-
-  /// Appends the accumulator to \p W (bit-exact round-trip).
-  void serialize(BinaryWriter &W) const;
-
-  /// Reads an accumulator serialized by serialize(); false on
-  /// malformed input.
-  bool deserialize(BinaryReader &R);
-
-  /// Merges \p Parts into one accumulator. Callers pass parts in
-  /// canonical order (the fabric sorts by shard index) so the running
-  /// sums — floating-point, hence order-sensitive — are reproducible;
-  /// the digests themselves merge order-independently. A single part
-  /// merges to an identical copy.
-  static LatencyAccumulator merged(const std::vector<LatencyAccumulator> &Parts);
-
-private:
-  size_t Jobs = 0;
-  double TurnSum = 0;
-  TDigest Turn;
-  size_t SlowJobs = 0;
-  double SlowSum = 0;
-  TDigest Slow;
-  double MaxSlow = 0;
-};
+                              const MachineConfig &Machine);
 
 } // namespace pbt
 

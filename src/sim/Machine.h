@@ -195,7 +195,7 @@ private:
   /// count, so engines recompute it only when either changes
   /// (migration, or an L2 neighbour going idle/busy). configOffset is
   /// a pure function of (core type, sharers), so the cache can never
-  /// change results — tests/fastreplay_test.cpp locks this in against
+  /// change results — tests/flatimage_test.cpp locks this in against
   /// the per-block recomputing reference engine.
   struct HotProc {
     uint32_t LastCore = ~0u;

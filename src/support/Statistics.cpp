@@ -6,17 +6,11 @@
 
 #include "support/Statistics.h"
 
-#include "support/Binary.h"
-
 #include <algorithm>
 #include <cassert>
 #include <cmath>
 
 using namespace pbt;
-
-const char *pbt::percentileModeName(PercentileMode Mode) {
-  return Mode == PercentileMode::Exact ? "exact" : "streaming";
-}
 
 static double interpolatedQuantile(const std::vector<double> &Sorted,
                                    double Q) {
@@ -81,242 +75,6 @@ double pbt::percentileSorted(const std::vector<double> &Sorted,
   assert(std::is_sorted(Sorted.begin(), Sorted.end()) &&
          "percentileSorted needs a sorted sample");
   return interpolatedQuantile(Sorted, Pct / 100.0);
-}
-
-P2Quantile::P2Quantile(double Pct) : Q(Pct / 100.0) {
-  assert(Pct >= 0.0 && Pct <= 100.0 && "percentile out of range");
-  for (int I = 0; I < 5; ++I) {
-    Heights[I] = 0;
-    Positions[I] = static_cast<double>(I + 1);
-  }
-  // Marker 2 tracks the target quantile; 1 and 3 its midpoints to the
-  // extremes; 0 and 4 the sample minimum and maximum.
-  Desired[0] = 1;
-  Desired[1] = 1 + 2 * Q;
-  Desired[2] = 1 + 4 * Q;
-  Desired[3] = 3 + 2 * Q;
-  Desired[4] = 5;
-  Increment[0] = 0;
-  Increment[1] = Q / 2;
-  Increment[2] = Q;
-  Increment[3] = (1 + Q) / 2;
-  Increment[4] = 1;
-}
-
-void P2Quantile::add(double X) {
-  if (Count < 5) {
-    // Bootstrap: the markers hold the sorted sample itself.
-    Heights[Count++] = X;
-    std::sort(Heights, Heights + Count);
-    return;
-  }
-  ++Count;
-
-  // Locate the cell and update the extremes.
-  int Cell;
-  if (X < Heights[0]) {
-    Heights[0] = X;
-    Cell = 0;
-  } else if (X >= Heights[4]) {
-    Heights[4] = X;
-    Cell = 3;
-  } else {
-    Cell = 0;
-    while (Cell < 3 && X >= Heights[Cell + 1])
-      ++Cell;
-  }
-
-  for (int I = Cell + 1; I < 5; ++I)
-    Positions[I] += 1;
-  for (int I = 0; I < 5; ++I)
-    Desired[I] += Increment[I];
-
-  // Nudge interior markers toward their desired positions, adjusting
-  // heights by the piecewise-parabolic (P²) formula, falling back to
-  // linear interpolation when the parabola would de-sort the markers.
-  for (int I = 1; I <= 3; ++I) {
-    double Diff = Desired[I] - Positions[I];
-    if ((Diff >= 1 && Positions[I + 1] - Positions[I] > 1) ||
-        (Diff <= -1 && Positions[I - 1] - Positions[I] < -1)) {
-      double D = Diff < 0 ? -1.0 : 1.0;
-      double Hp = Heights[I + 1];
-      double Hm = Heights[I - 1];
-      double Np = Positions[I + 1];
-      double Nm = Positions[I - 1];
-      double N = Positions[I];
-      double Parabolic =
-          Heights[I] +
-          D / (Np - Nm) *
-              ((N - Nm + D) * (Hp - Heights[I]) / (Np - N) +
-               (Np - N - D) * (Heights[I] - Hm) / (N - Nm));
-      if (Hm < Parabolic && Parabolic < Hp)
-        Heights[I] = Parabolic;
-      else
-        Heights[I] = Heights[I] + D * (Heights[I + (int)D] - Heights[I]) /
-                                      (Positions[I + (int)D] - N);
-      Positions[I] += D;
-    }
-  }
-}
-
-double P2Quantile::value() const {
-  if (Count == 0)
-    return 0;
-  if (Count <= 5) {
-    // Exact small-sample percentile off the sorted bootstrap buffer,
-    // matching percentile() (type-7 interpolation).
-    std::vector<double> Sorted(Heights, Heights + Count);
-    return interpolatedQuantile(Sorted, Q);
-  }
-  return Heights[2];
-}
-
-TDigest::TDigest(double Compression) : Compression(Compression) {
-  assert(Compression >= 8 && "t-digest compression too small");
-  // Buffering 2x the compression amortizes compaction to O(log) sorts
-  // per observation while keeping peak memory O(Compression).
-  Buffer.reserve(static_cast<size_t>(2 * Compression));
-}
-
-void TDigest::add(double X) {
-  Buffer.push_back(X);
-  Total += 1;
-  if (Buffer.size() >= static_cast<size_t>(2 * Compression))
-    flush();
-}
-
-std::vector<TDigest::Centroid>
-TDigest::compact(std::vector<Centroid> All, double Total,
-                 double Compression) {
-  // The one ordering every path (add-side flush, multi-digest merge)
-  // compacts under: mean, then weight. Ties in both fields merge to an
-  // identical centroid whichever comes first, so the compacted digest
-  // is a pure function of the multiset of input centroids.
-  std::sort(All.begin(), All.end(),
-            [](const Centroid &A, const Centroid &B) {
-              return A.Mean != B.Mean ? A.Mean < B.Mean
-                                      : A.Weight < B.Weight;
-            });
-  std::vector<Centroid> Out;
-  Out.reserve(All.size());
-  double SoFar = 0; // Weight fully to the left of Out.back().
-  for (const Centroid &C : All) {
-    if (!Out.empty()) {
-      double W = Out.back().Weight + C.Weight;
-      double Q = (SoFar + W / 2) / Total;
-      double Limit = 4 * Total * Q * (1 - Q) / Compression;
-      if (W <= Limit) {
-        Out.back().Mean =
-            (Out.back().Mean * Out.back().Weight + C.Mean * C.Weight) / W;
-        Out.back().Weight = W;
-        continue;
-      }
-      SoFar += Out.back().Weight;
-    }
-    Out.push_back(C);
-  }
-  return Out;
-}
-
-void TDigest::flush() const {
-  if (Buffer.empty())
-    return;
-  std::vector<Centroid> All = Centroids;
-  All.reserve(All.size() + Buffer.size());
-  for (double X : Buffer)
-    All.push_back({X, 1});
-  Buffer.clear();
-  Centroids = compact(std::move(All), Total, Compression);
-}
-
-double TDigest::quantile(double Q) const {
-  assert(Q >= 0.0 && Q <= 1.0 && "quantile fraction out of range");
-  flush();
-  if (Centroids.empty())
-    return 0;
-  if (Centroids.size() == 1)
-    return Centroids.front().Mean;
-  // Type-7 target rank, interpolated between centroid center ranks
-  // cum + (w - 1) / 2 — for singleton centroids the center rank of the
-  // i-th centroid is exactly i, so this reduces to percentile().
-  double R = Q * (Total - 1);
-  double Cum = 0;
-  double PrevCenter = (Centroids.front().Weight - 1) / 2;
-  if (R <= PrevCenter)
-    return Centroids.front().Mean;
-  for (size_t I = 1; I < Centroids.size(); ++I) {
-    Cum += Centroids[I - 1].Weight;
-    double Center = Cum + (Centroids[I].Weight - 1) / 2;
-    if (R <= Center) {
-      double Frac = (R - PrevCenter) / (Center - PrevCenter);
-      return Centroids[I - 1].Mean +
-             Frac * (Centroids[I].Mean - Centroids[I - 1].Mean);
-    }
-    PrevCenter = Center;
-  }
-  return Centroids.back().Mean;
-}
-
-void TDigest::serialize(BinaryWriter &W) const {
-  flush();
-  W.f64(Compression);
-  W.f64(Total);
-  W.u32(static_cast<uint32_t>(Centroids.size()));
-  for (const Centroid &C : Centroids) {
-    W.f64(C.Mean);
-    W.f64(C.Weight);
-  }
-}
-
-bool TDigest::deserialize(BinaryReader &R) {
-  Compression = R.f64();
-  Total = R.f64();
-  uint32_t N = R.count(1u << 22, 16);
-  Centroids.clear();
-  Buffer.clear();
-  Centroids.reserve(N);
-  double WeightSum = 0;
-  bool WeightsOk = true;
-  for (uint32_t I = 0; I < N; ++I) {
-    Centroid C;
-    C.Mean = R.f64();
-    C.Weight = R.f64();
-    WeightsOk = WeightsOk && C.Weight > 0 && std::isfinite(C.Mean);
-    WeightSum += C.Weight;
-    Centroids.push_back(C);
-  }
-  // Beyond wire-format checks, enforce the digest invariants a crafted
-  // or corrupt-but-checksummed stream could violate: Compression in a
-  // sane range (an oversized value would overflow add()'s buffer
-  // sizing), strictly positive finite centroids, and Total equal to
-  // the centroid weight mass (serialize() flushes the buffer, so after
-  // a round trip the centroids carry every observation; weights are
-  // integer counts, hence the sum is exact). NaNs fail every
-  // comparison, so non-finite headers are rejected too.
-  return !R.failed() && Compression >= 8 && Compression <= 1e6 &&
-         Total >= 0 && WeightsOk && WeightSum == Total;
-}
-
-TDigest TDigest::merged(const std::vector<const TDigest *> &Parts) {
-  assert(!Parts.empty() && "merging zero digests");
-  // Single-shard merge is the identity: copy, never re-compact (a
-  // second compaction pass could legally merge further).
-  if (Parts.size() == 1) {
-    Parts.front()->flush();
-    return *Parts.front();
-  }
-  TDigest Out(Parts.front()->Compression);
-  std::vector<Centroid> All;
-  for (const TDigest *Part : Parts) {
-    assert(Part->Compression == Out.Compression &&
-           "merging digests of different compression");
-    Part->flush();
-    All.insert(All.end(), Part->Centroids.begin(), Part->Centroids.end());
-    Out.Total += Part->Total;
-  }
-  if (Out.Total > 0)
-    Out.Centroids = compact(std::move(All), Out.Total, Out.Compression);
-  return Out;
 }
 
 double pbt::geomean(const std::vector<double> &Values) {

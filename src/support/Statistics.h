@@ -6,7 +6,12 @@
 ///
 /// \file
 /// Descriptive statistics used by the benchmark harnesses: five-number
-/// box-plot summaries (paper Fig. 3), means, and geometric means.
+/// box-plot summaries (paper Fig. 3), means, geometric means, and the
+/// one quantile definition of the repository — linear interpolation
+/// between order statistics (type-7) over a sorted sample. Every
+/// latency and fairness percentile (metrics/Latency, metrics/Fairness)
+/// is read off an exact sort through percentile()/percentileSorted();
+/// there is no approximate estimator.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -14,32 +19,9 @@
 #define PBT_SUPPORT_STATISTICS_H
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 namespace pbt {
-class BinaryReader;
-class BinaryWriter;
-} // namespace pbt
-
-namespace pbt {
-
-/// How percentile statistics are computed from a sample stream.
-/// Recorded explicitly in every artifact metrics block so downstream
-/// comparisons never mix the two silently.
-enum class PercentileMode : uint8_t {
-  /// Buffer every observation and read percentiles off one sort —
-  /// O(n) memory, bit-reproducible, the default for every artifact
-  /// that is compared byte for byte.
-  Exact,
-  /// Stream observations through P2Quantile sketches — O(1) memory in
-  /// job count (long-horizon scenario runs), deterministic but
-  /// approximate (documented error bounds; see P2Quantile).
-  Streaming,
-};
-
-/// Stable artifact name of \p Mode ("exact" / "streaming").
-const char *percentileModeName(PercentileMode Mode);
 
 /// Five-number summary of a sample, as drawn in a box plot: the box spans
 /// [Q1, Q3] with a line at the median; whiskers extend to min and max.
@@ -81,136 +63,6 @@ double percentileSorted(const std::vector<double> &Sorted, double Pct);
 
 /// Geometric mean; asserts all values are positive. 0 for empty input.
 double geomean(const std::vector<double> &Values);
-
-/// Streaming quantile estimator: the P² algorithm (Jain & Chlamtac,
-/// CACM 1985). Five markers track the target quantile plus the sample
-/// extremes and the quantile's neighbourhood, adjusted by piecewise-
-/// parabolic interpolation as observations arrive — O(1) memory and
-/// O(1) time per observation, independent of stream length, which is
-/// what makes long-horizon scenario metrics O(1) in job count
-/// (metrics/Latency.h, PercentileMode::Streaming).
-///
-/// Fully deterministic: the estimate is a pure function of the
-/// observation sequence (no randomization, no buffers to flush), so
-/// identical replays produce bit-identical streamed metrics. For
-/// samples of at most five observations the estimate is EXACT — the
-/// markers still hold the sorted sample and value() reads the type-7
-/// interpolated percentile off it, matching percentile().
-///
-/// Accuracy on larger streams is that of the published algorithm:
-/// exact for constant streams, and within a few percent of the sample
-/// range for adversarial (sorted, bimodal) streams —
-/// tests/fastreplay_test.cpp pins the documented tolerances. Exact
-/// percentiles (PercentileMode::Exact) remain the default everywhere
-/// artifacts are compared byte for byte.
-class P2Quantile {
-public:
-  /// \p Pct in [0,100], e.g. 95 for the P95 estimator.
-  explicit P2Quantile(double Pct);
-
-  /// Feeds one observation.
-  void add(double X);
-
-  /// Current estimate; 0 before any observation.
-  double value() const;
-
-  /// Observations fed so far.
-  size_t count() const { return Count; }
-
-private:
-  double Q;            ///< Target quantile fraction in [0,1].
-  double Heights[5];   ///< Marker heights (estimates).
-  double Positions[5]; ///< Actual marker positions (1-based ranks).
-  double Desired[5];   ///< Desired marker positions.
-  double Increment[5]; ///< Desired-position increments per observation.
-  size_t Count = 0;
-};
-
-/// Deterministic mergeable streaming quantile sketch: the buffered
-/// merging t-digest (Dunning's MergingDigest, simplified to weight-1
-/// inputs). Observations buffer until the buffer fills, then buffer and
-/// centroids are sorted together by (mean, weight) and compacted in one
-/// left-to-right greedy pass under the k-size bound
-///
-///   merged weight <= 4 * N * q * (1 - q) / Compression
-///
-/// where q is the merged centroid's center-rank fraction. The bound
-/// pinches to < 1 at the tails, so extreme observations survive as
-/// singleton centroids and tail percentiles stay near-exact; at the
-/// median it allows ~N/Compression-weight centroids, capping memory at
-/// O(Compression) however long the stream runs.
-///
-/// Properties the sharded experiment fabric depends on (all asserted in
-/// tests/fastreplay_test.cpp):
-///
-///  - Deterministic: the digest is a pure function of the observation
-///    sequence (sort + greedy pass; no randomization, no clocks).
-///  - EXACT below 2 x Compression observations: the bound stays < 2
-///    everywhere, no pair ever merges, every observation is its own
-///    centroid, and quantile() reduces exactly to the type-7
-///    interpolation of percentile().
-///  - Mergeable, order-independently: merged() gathers every input's
-///    centroids, sorts them by (mean, weight), and compacts once, so
-///    the result is identical under any permutation of the inputs.
-///    Callers still canonicalize merge order (the fabric sorts by shard
-///    index) so that future weighted variants cannot drift.
-///  - Single-input merge is the identity: merged({D}) returns a copy of
-///    D, never a re-compaction.
-///
-/// serialize()/deserialize() round-trip the compacted centroid list
-/// bit-exactly (support/Binary f64 bit patterns).
-class TDigest {
-public:
-  /// \p Compression bounds the compacted centroid count (~2x this) and
-  /// sets the exactness threshold (exact below 2 x Compression
-  /// observations). 256 keeps partial-artifact sketches a few KiB.
-  explicit TDigest(double Compression = 256);
-
-  /// Feeds one weight-1 observation.
-  void add(double X);
-
-  /// Observations fed so far (total weight).
-  size_t count() const { return static_cast<size_t>(Total); }
-
-  /// Quantile \p Q in [0,1] by center-rank interpolation between
-  /// centroid means; 0 before any observation. For an all-singleton
-  /// digest this is exactly the type-7 percentile of the sample.
-  double quantile(double Q) const;
-
-  /// quantile(Pct / 100).
-  double percentile(double Pct) const { return quantile(Pct / 100.0); }
-
-  /// Appends the compacted digest to \p W (bit-exact round-trip).
-  void serialize(BinaryWriter &W) const;
-
-  /// Reads a digest serialized by serialize(); false (and an
-  /// unspecified digest) on malformed input.
-  bool deserialize(BinaryReader &R);
-
-  /// Merges \p Parts into one digest. All parts must share one
-  /// Compression. A single part is returned as an identical copy; more
-  /// parts are gathered, sorted by (mean, weight), and compacted once,
-  /// so the result is independent of the order of \p Parts.
-  static TDigest merged(const std::vector<const TDigest *> &Parts);
-
-private:
-  struct Centroid {
-    double Mean = 0;
-    double Weight = 0;
-  };
-
-  /// Folds Buffer into Centroids (sort by (mean, weight), one greedy
-  /// compaction pass). Const because readers must see buffered
-  /// observations; only Centroids/Buffer mutate, never Total.
-  void flush() const;
-  static std::vector<Centroid> compact(std::vector<Centroid> All,
-                                       double Total, double Compression);
-
-  double Compression;
-  double Total = 0;
-  mutable std::vector<Centroid> Centroids; ///< Sorted by (mean, weight).
-  mutable std::vector<double> Buffer;      ///< Pending raw observations.
-};
 
 } // namespace pbt
 

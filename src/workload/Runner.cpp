@@ -194,7 +194,6 @@ RunResult pbt::runWorkload(const PreparedSuite &Suite, const Workload &W,
                            const std::vector<double> &Isolated,
                            const SchedulerSpec &Sched,
                            const ScenarioSpec &Scenario,
-                           const CompletionSink &OnCompleted,
                            obs::TraceSink *Trace) {
   RunResult Result;
   Result.Horizon = Horizon;
@@ -236,12 +235,7 @@ RunResult pbt::runWorkload(const PreparedSuite &Suite, const Workload &W,
     if (Job.Bench < Isolated.size())
       Job.Isolated = Isolated[Job.Bench];
     Job.Stats = P.Stats;
-    // Sink-fed runs never buffer: the job goes straight to the caller
-    // (machine exit order) and memory stays O(1) in completion count.
-    if (OnCompleted)
-      OnCompleted(Job);
-    else
-      Result.Completed.push_back(Job);
+    Result.Completed.push_back(Job);
     ++Done;
     if (Trace)
       // Timestamped at the quantum start of the exit (see the machine's
@@ -389,8 +383,7 @@ pbt::runWorkloads(const std::vector<WorkloadJob> &Jobs) {
     Results[I] = runWorkload(*Job.Suite, *Job.W, *Job.Machine, Job.Sim,
                              Job.Horizon,
                              Job.Isolated ? *Job.Isolated : NoIsolated,
-                             Job.Sched, Job.Scenario,
-                             /*OnCompleted=*/nullptr, Sink.get());
+                             Job.Sched, Job.Scenario, Sink.get());
   });
   return Results;
 }

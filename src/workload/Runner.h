@@ -24,7 +24,6 @@
 #include "support/ThreadPool.h"
 #include "workload/Workload.h"
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -192,13 +191,13 @@ struct RunResult {
   double Horizon = 0;
   /// Instructions retired machine-wide within the horizon (throughput).
   uint64_t InstructionsRetired = 0;
-  /// Completed jobs in canonical order. Stays EMPTY when the run was
-  /// given a completion sink (see runWorkload's OnCompleted): jobs are
-  /// delivered to the sink instead of buffered, which is what keeps a
-  /// long-horizon run's memory O(1) in job count.
+  /// Completed jobs in canonical order: the one input of every latency
+  /// and fairness metric (metrics/Latency, metrics/Fairness).
   std::vector<CompletedJob> Completed;
-  /// Jobs completed within the horizon — Completed.size() for buffered
-  /// runs, and still meaningful for sink-fed runs.
+  /// Jobs completed within the horizon; always Completed.size(). Kept
+  /// as its own field because it is part of the serialized RunResult
+  /// (exp/Shard cells payloads) and external harnesses read the job
+  /// count from it.
   size_t CompletedCount = 0;
   /// Aggregates over all processes (finished or not).
   uint64_t TotalSwitches = 0;
@@ -229,26 +228,15 @@ struct RunResult {
 /// tie-breaks) so downstream tables are stable however the run was
 /// scheduled.
 ///
-/// \p OnCompleted, when set, receives each completed job the moment it
-/// finishes (deterministic machine exit order — NOT the canonical
-/// sorted order) and RunResult::Completed stays empty: run memory is
-/// O(1) in job count. Feed the jobs into streaming metric accumulators
-/// (LatencyAccumulator / FairnessAccumulator, declared in metrics/ —
-/// the sink is a plain callback precisely so this layer never depends
-/// on the metrics layer above it). Buffered and sink-fed replays of
-/// the same job are bit-identical simulations; only where the
-/// CompletedJob goes differs.
 /// \p Trace, when non-null, attaches a Plane-1 trace sink for the
 /// replay (obs/Trace.h): the simulation is bit-identical with or
 /// without it — tracing only observes.
-using CompletionSink = std::function<void(const CompletedJob &)>;
 RunResult runWorkload(const PreparedSuite &Suite, const Workload &W,
                       const MachineConfig &MachineCfg, const SimConfig &Sim,
                       double Horizon,
                       const std::vector<double> &Isolated = {},
                       const SchedulerSpec &Sched = SchedulerSpec(),
                       const ScenarioSpec &Scenario = ScenarioSpec(),
-                      const CompletionSink &OnCompleted = nullptr,
                       obs::TraceSink *Trace = nullptr);
 
 /// One workload replay request for the parallel runner. Pointees must

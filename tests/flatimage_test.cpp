@@ -4,8 +4,11 @@
 // block-at-a-time reference interpreter: on randomized programs, across
 // machines with two and three core types, instrumented or not, every
 // ProcessStats field (including the floating-point ones) and every
-// completion time must be bit-identical. The parallel experiment runner
-// must likewise reproduce the serial runner bit-for-bit.
+// completion time must be bit-identical. That holds on chain-heavy
+// programs (long mark-free jump runs the engine charges in O(1)) and
+// under migration churn of the hot-lane configuration-offset cache. The
+// parallel experiment runner must likewise reproduce the serial runner
+// bit-for-bit.
 //
 //===----------------------------------------------------------------------===//
 
@@ -30,8 +33,10 @@ namespace {
 /// Generates a random but guaranteed-terminating program: within a
 /// procedure control only moves forward, self-loops finitely, or
 /// returns; calls target strictly later procedures (acyclic call graph).
-/// Jump runs give the chain builder real superblocks to fuse.
-Program randomProgram(uint64_t Seed) {
+/// Jump runs give the chain builder real superblocks to fuse;
+/// \p ChainHeavy turns the generator's conditional branches into jumps
+/// too, lengthening the mark-free runs the flat engine fuses.
+Program randomProgram(uint64_t Seed, bool ChainHeavy = false) {
   Rng Gen(Seed);
   IRBuilder B("random_" + std::to_string(Seed), Seed);
   uint32_t NumProcs = 2 + static_cast<uint32_t>(Gen.nextBelow(3));
@@ -66,7 +71,7 @@ Program randomProgram(uint64_t Seed) {
         continue;
       }
       double Roll = Gen.nextDouble();
-      if (Roll < 0.3) {
+      if (Roll < (ChainHeavy ? 0.5 : 0.3)) {
         B.setJump(P, I, I + 1); // Chainable straight-line step.
       } else if (Roll < 0.5) {
         uint32_t Other =
@@ -535,6 +540,110 @@ TEST(SelfLoopFusion, LoopResumesAcrossQuantaAndAfterMigration) {
         runToCompletion(M, Pid);
       });
 }
+
+//===----------------------------------------------------------------------===//
+// Chain fusion on chain-heavy programs
+//===----------------------------------------------------------------------===//
+
+TEST(ChainFusion, ChainHeavyIsolatedBitIdentical) {
+  uint64_t TotalMarks = 0;
+  uint64_t TotalSwitches = 0;
+  uint32_t ChainRecords = 0;
+  for (uint64_t Seed : {1ull, 2ull, 3ull, 4ull, 5ull, 6ull}) {
+    std::vector<Program> Programs = {randomProgram(Seed, true)};
+    for (const MachineConfig &MC :
+         {MachineConfig::quadAsymmetric(), threeTypeMachine()}) {
+      for (const TechniqueSpec &Tech :
+           {TechniqueSpec::baseline(), loopTechnique()}) {
+        PreparedSuite Suite = prepareSuite(Programs, MC, Tech);
+        ChainRecords += Suite.Flats[0]->chainRecordCount();
+        SimConfig Ref;
+        Ref.Engine = ExecEngine::Reference;
+        SimConfig Flat;
+        Flat.Engine = ExecEngine::Flat;
+        Machine MR(MC, Ref, std::make_unique<ObliviousScheduler>());
+        Machine MF(MC, Flat, std::make_unique<ObliviousScheduler>());
+        const Process &PR = runAlone(MR, Suite, 42 + Seed);
+        const Process &PF = runAlone(MF, Suite, 42 + Seed);
+        SCOPED_TRACE("seed " + std::to_string(Seed) + " cores " +
+                     std::to_string(MC.numCores()) + " tech " +
+                     Tech.label());
+        expectStatsIdentical(PR.Stats, PF.Stats);
+        EXPECT_EQ(PR.CompletionTime, PF.CompletionTime);
+        TotalMarks += PR.Stats.MarksFired;
+        TotalSwitches += PR.Stats.CoreSwitches;
+      }
+    }
+  }
+  // The sweep must exercise chains and the monitored and migrating
+  // paths, or the comparison proves nothing about them.
+  EXPECT_GT(ChainRecords, 0u);
+  EXPECT_GT(TotalMarks, 0u);
+  EXPECT_GT(TotalSwitches, 0u);
+}
+
+TEST(ChainFusion, ChainHeavyWorkloadBitIdentical) {
+  std::vector<Program> Programs;
+  for (uint64_t Seed : {21ull, 22ull, 23ull})
+    Programs.push_back(randomProgram(Seed, true));
+  for (const MachineConfig &MC :
+       {MachineConfig::quadAsymmetric(), threeTypeMachine()}) {
+    PreparedSuite Suite = prepareSuite(Programs, MC, loopTechnique());
+    Workload W = Workload::random(6, 64, Programs.size(), 9);
+    SimConfig Ref;
+    Ref.Engine = ExecEngine::Reference;
+    SimConfig Flat;
+    Flat.Engine = ExecEngine::Flat;
+    RunResult A = runWorkload(Suite, W, MC, Ref, 25);
+    RunResult B = runWorkload(Suite, W, MC, Flat, 25);
+    ASSERT_GT(A.Completed.size(), 0u);
+    expectRunsIdentical(A, B);
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Hot-lane invariant cache
+//===----------------------------------------------------------------------===//
+
+TEST(HotLane, ConfigOffsetCacheInvisibleUnderMigrationChurn) {
+  // The per-process hot lane caches the (core type, sharers) ->
+  // configuration offset mapping and recomputes it only on migration
+  // or sharer change. configOffset is a pure function, so the cache
+  // must be invisible: the Flat engine (which uses it) stays
+  // bit-identical to the Reference interpreter (which does not) on a
+  // migration-heavy contended workload — doubles compared with ==.
+  std::vector<Program> Programs;
+  for (uint64_t Seed : {21ull, 22ull, 23ull})
+    Programs.push_back(randomProgram(Seed));
+  uint64_t TotalSwitches = 0;
+  for (const MachineConfig &MC :
+       {MachineConfig::quadAsymmetric(), threeTypeMachine()}) {
+    PreparedSuite Suite = prepareSuite(Programs, MC, loopTechnique());
+    Workload W = Workload::random(6, 48, Programs.size(), 17);
+    SimConfig Ref;
+    Ref.Engine = ExecEngine::Reference;
+    SimConfig Flat;
+    Flat.Engine = ExecEngine::Flat;
+    RunResult A = runWorkload(Suite, W, MC, Ref, 25);
+    RunResult B = runWorkload(Suite, W, MC, Flat, 25);
+    TotalSwitches += A.TotalSwitches;
+    EXPECT_EQ(A.InstructionsRetired, B.InstructionsRetired);
+    EXPECT_EQ(A.TotalCycles, B.TotalCycles);
+    EXPECT_EQ(A.TotalOverheadCycles, B.TotalOverheadCycles);
+    ASSERT_EQ(A.Completed.size(), B.Completed.size());
+    ASSERT_GT(A.Completed.size(), 0u);
+    for (size_t I = 0; I < A.Completed.size(); ++I) {
+      EXPECT_EQ(A.Completed[I].Completion, B.Completed[I].Completion);
+      expectStatsIdentical(A.Completed[I].Stats, B.Completed[I].Stats);
+    }
+  }
+  // Many migrations and sharer changes, or the cache was not churned.
+  EXPECT_GT(TotalSwitches, 0u);
+}
+
+//===----------------------------------------------------------------------===//
+// Parallel runner
+//===----------------------------------------------------------------------===//
 
 TEST(ParallelRunner, BitIdenticalToSerialRuns) {
   // Replicated workloads through the thread pool must reproduce the

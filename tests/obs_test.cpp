@@ -29,7 +29,7 @@ using namespace pbt;
 
 namespace {
 
-/// Same generator family as tests/fastreplay_test.cpp: random but
+/// Same generator family as tests/flatimage_test.cpp: random but
 /// guaranteed-terminating programs that exercise monitoring and
 /// migration.
 Program randomProgram(uint64_t Seed) {
@@ -113,8 +113,8 @@ RunResult tracedRun(const PreparedSuite &Suite, const Workload &W,
   SimConfig SC;
   SC.Engine = Engine;
   std::unique_ptr<obs::TraceSink> Sink = obs::TraceSink::openAt(Path);
-  RunResult R = runWorkload(Suite, W, MC, SC, 25, {}, Sched, Scenario,
-                            nullptr, Sink.get());
+  RunResult R =
+      runWorkload(Suite, W, MC, SC, 25, {}, Sched, Scenario, Sink.get());
   if (PeakOut)
     *PeakOut = Sink ? Sink->peakBufferBytes() : 0;
   return R;

@@ -263,6 +263,36 @@ void expectMergeDiagnostic(const std::string &FabricDir,
   removeTree(FabricDir);
 }
 
+/// The raw text of the first JSON member \p Key in \p Text, as the
+/// artifact writer formatted it (objects included, brace-matched), or
+/// the empty string when absent. Comparing these against Json(...)
+/// renderings of expected values checks numbers at artifact precision.
+std::string jsonMember(const std::string &Text, const std::string &Key) {
+  std::string Tag = "\"" + Key + "\": ";
+  size_t At = Text.find(Tag);
+  if (At == std::string::npos)
+    return std::string();
+  At += Tag.size();
+  size_t End = At;
+  int Depth = 0;
+  for (; End < Text.size(); ++End) {
+    char C = Text[End];
+    if (C == '{' || C == '[') {
+      ++Depth;
+    } else if (C == '}' || C == ']') {
+      if (Depth == 0)
+        break; // The enclosing object ends: a scalar value is complete.
+      if (--Depth == 0) {
+        ++End; // Keep the value's own closing bracket.
+        break;
+      }
+    } else if (Depth == 0 && (C == ',' || C == '\n')) {
+      break;
+    }
+  }
+  return Text.substr(At, End - At);
+}
+
 /// Flips one byte of \p Path at \p Offset (from the end when negative).
 void flipByte(const std::string &Path, long Offset) {
   std::string Bytes = slurp(Path);
@@ -456,10 +486,36 @@ TEST(ShardSerializationTest, RunResultRoundTripsBitExactly) {
 
 // The tentpole proof, in-process: for n = 1 (the merge-identity case),
 // 2, and 4, running the demo registry sharded and merging the partials
-// reproduces the single-process BENCH artifacts byte-identically.
+// reproduces the single-process BENCH artifacts byte-identically. The
+// BENCH_merge.json fabric block is identical across the three merges
+// and equals the exact metrics over the single-process sweep's
+// replayed cells.
 TEST(ShardFabricTest, MergeReproducesSingleProcessArtifactsByteForByte) {
   const std::map<std::string, std::string> &Ref = referenceArtifacts();
   ASSERT_EQ(Ref.size(), 2u);
+
+  // Replayed cells are the non-baseline techniques' cells; baseline-
+  // technique cells coincide with the baseline replay (no unit).
+  SweepGrid Grid = demoGrid();
+  Lab L(demoPrograms(), MachineConfig::quadAsymmetric());
+  SweepResult Single = runSweep(L, Grid);
+  RunResult Cells;
+  uint64_t CellCount = 0;
+  for (const SweepCell &C : Single.Cells)
+    if (!Grid.Techniques[C.Technique].Baseline) {
+      ++CellCount;
+      Cells.Completed.insert(Cells.Completed.end(), C.Run.Completed.begin(),
+                             C.Run.Completed.end());
+    }
+  ASSERT_EQ(CellCount, 4u);
+  LatencyMetrics Lat = computeLatency(Cells, MachineConfig());
+  FairnessMetrics Fair = computeFairness(Cells.Completed);
+  ASSERT_GT(Lat.Jobs, 0u);
+  ASSERT_GT(Lat.MaxSlowdown, 0.0);
+  auto Num = [](double V) { return Json(V).dump(); };
+  auto Count = [](size_t V) { return Json(static_cast<uint64_t>(V)).dump(); };
+
+  std::string FirstFabric;
   for (uint32_t N : {1u, 2u, 4u}) {
     SCOPED_TRACE("fabric n=" + std::to_string(N));
     std::string Fabric = freshDir("fab" + std::to_string(N));
@@ -476,7 +532,26 @@ TEST(ShardFabricTest, MergeReproducesSingleProcessArtifactsByteForByte) {
     for (const auto &KV : Ref)
       EXPECT_EQ(slurp(Out + "/BENCH_" + KV.first + ".json"), KV.second)
           << "BENCH_" << KV.first << ".json differs from single-process run";
-    EXPECT_FALSE(slurp(Out + "/BENCH_merge.json").empty());
+    std::string Merge = slurp(Out + "/BENCH_merge.json");
+    EXPECT_NE(Merge.find("\"schema\": \"pbt-merge-v2\""), std::string::npos);
+    std::string FabricBlock = jsonMember(Merge, "fabric");
+    ASSERT_FALSE(FabricBlock.empty());
+    if (FirstFabric.empty())
+      FirstFabric = FabricBlock;
+    EXPECT_EQ(FabricBlock, FirstFabric) << "fabric block depends on n";
+    EXPECT_EQ(jsonMember(FabricBlock, "cells"), Count(CellCount));
+    std::string LatBlock = jsonMember(FabricBlock, "latency");
+    EXPECT_EQ(jsonMember(LatBlock, "jobs"), Count(Lat.Jobs));
+    EXPECT_EQ(jsonMember(LatBlock, "p50_turnaround"), Num(Lat.P50Turnaround));
+    EXPECT_EQ(jsonMember(LatBlock, "p95_turnaround"), Num(Lat.P95Turnaround));
+    EXPECT_EQ(jsonMember(LatBlock, "p99_turnaround"), Num(Lat.P99Turnaround));
+    EXPECT_EQ(jsonMember(LatBlock, "p95_slowdown"), Num(Lat.P95Slowdown));
+    EXPECT_EQ(jsonMember(LatBlock, "max_slowdown"), Num(Lat.MaxSlowdown));
+    std::string FairBlock = jsonMember(FabricBlock, "fairness");
+    EXPECT_EQ(jsonMember(FairBlock, "jobs"), Count(Fair.Jobs));
+    EXPECT_EQ(jsonMember(FairBlock, "p95_flow"), Num(Fair.P95Flow));
+    EXPECT_EQ(jsonMember(FairBlock, "max_flow"), Num(Fair.MaxFlow));
+    EXPECT_EQ(jsonMember(FairBlock, "max_stretch"), Num(Fair.MaxStretch));
     removeTree(Fabric);
     removeTree(Out);
   }
@@ -484,8 +559,8 @@ TEST(ShardFabricTest, MergeReproducesSingleProcessArtifactsByteForByte) {
 
 // A guard retry re-opens the bracket WITHOUT an endExperiment in
 // between (exactly the driver's runGuarded loop with MaxAttempts > 1):
-// the failed attempt's recorded units, sweep seq numbers, staged
-// sketch cells, and manifest entry must all be discarded, leaving
+// the failed attempt's recorded units, sweep seq numbers, and manifest
+// entry must all be discarded, leaving
 // every shard-emitted file byte-identical to a quiet (no-retry) run —
 // and the fabric still mergeable to the single-process artifacts.
 TEST(ShardFabricTest, GuardRetryLeavesShardByteIdenticalToQuietRun) {
@@ -511,9 +586,9 @@ TEST(ShardFabricTest, GuardRetryLeavesShardByteIdenticalToQuietRun) {
   ShardRuntime::install(nullptr);
   ASSERT_TRUE(RT.writeManifest());
 
-  // The manifest byte-compare is the sharp edge: double-counted fabric
-  // sketches, duplicate entries, or shifted seq numbers would all
-  // change its bytes.
+  // The manifest byte-compare is the sharp edge: a duplicate entry for
+  // the retried experiment, or a payload whose units carry shifted seq
+  // numbers or a second copy of each unit, would change its bytes.
   EXPECT_EQ(listDir(Dir), listDir(Quiet));
   for (const std::string &Name : listDir(Quiet))
     EXPECT_EQ(slurp(Dir + "/" + Name), slurp(Quiet + "/" + Name)) << Name;
