@@ -21,7 +21,8 @@ using namespace pbt;
 namespace {
 
 /// A toy phase-aware OS policy: place on the least-loaded core like the
-/// oblivious baseline, then each quantum steer every process toward the
+/// oblivious baseline, then at every balance instant (each quantum, on
+/// a machine balancing every timeslice) steer every process toward the
 /// core type its *last window's* IPC says it belongs on — memory-bound
 /// windows (which waste fast-core cycles on stalls) to slow cores,
 /// compute-bound windows to fast cores. Moves are load-aware (never
@@ -42,7 +43,7 @@ public:
     return Best;
   }
 
-  void onQuantumEnd(Machine &M) override {
+  void balance(Machine &M) override {
     const MachineConfig &Cfg = M.config();
     // Fastest and slowest core types.
     uint32_t Fast = 0;
@@ -102,10 +103,13 @@ int main() {
 
   // The custom policy drives a Machine directly (the hook API needs no
   // SchedulerSpec registration), replaying the exact queues runWorkload
-  // uses for the built-ins.
+  // uses for the built-ins. Balancing every timeslice makes balance()
+  // the per-quantum steering point.
   auto Policy = std::make_unique<WindowIpcScheduler>();
   WindowIpcScheduler *Raw = Policy.get();
-  Machine M(MC, SimConfig(), std::move(Policy));
+  SimConfig EveryQuantum;
+  EveryQuantum.BalancePeriod = EveryQuantum.Timeslice;
+  Machine M(MC, EveryQuantum, std::move(Policy));
   std::vector<uint32_t> NextJob(W.numSlots(), 0);
   auto SpawnSlot = [&](uint32_t Slot) {
     uint32_t Index = NextJob[Slot]++;
@@ -140,7 +144,7 @@ int main() {
                 static_cast<unsigned long long>(R.InstructionsRetired));
   }
   std::printf("\na policy is ~30 lines: selectCore plus any of the "
-              "balance/onSpawn/onQuantumEnd/onExit hooks, reading "
+              "balance/onSpawn/onExit hooks, reading "
               "Machine::telemetry() instead of simulator internals\n");
   return 0;
 }

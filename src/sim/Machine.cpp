@@ -159,7 +159,7 @@ void Machine::scheduleAt(double Time, std::function<void(Machine &)> Fn) {
 }
 
 void Machine::run(double Until) {
-  while (Now < Until) {
+  while (Now < Until && !StopRequested) {
     // Deterministic mid-run injection: fire every event due by now, in
     // (time, insertion) order, before balancing — an arrival landing on
     // a balance instant is visible to the balancer, and batch arrivals
@@ -189,6 +189,10 @@ void Machine::run(double Until) {
     for (uint32_t Core = 0; Core < NumCores; ++Core)
       if (!Queues[Core].empty())
         ++GroupActive[Config.Cores[Core].L2Group];
+
+    if (fuseSteadyQuanta(Until))
+      continue;
+    ++QuantaStepped;
 
     // Work-conserving quantum: after the main pass, cores with leftover
     // budget re-check their queues so work migrated from later-visited
@@ -265,7 +269,6 @@ void Machine::run(double Until) {
     if (Trace)
       flushTraceWindows();
 
-    Policy->onQuantumEnd(*this);
     Now += Sim.Timeslice;
   }
 }
@@ -336,7 +339,154 @@ uint64_t selfLoopRun(double Used, double Budget, double C,
   return std::min(J, BackEdges);
 }
 
+/// Turns the process at queue position \p Pos of a queue of \p Len
+/// runs in a window of \p S quanta (one per quantum k = Pos mod Len).
+uint64_t turnsInWindow(uint64_t S, uint64_t Pos, uint64_t Len) {
+  return S > Pos ? (S - Pos + Len - 1) / Len : 0;
+}
+
 } // namespace
+
+uint32_t Machine::steadyTurns(const Process &P, uint32_t Core,
+                              uint32_t Sharers) {
+  HotProc &H = Hot[P.Pid];
+  uint32_t CfgOff = configOffsetCached(P, Core, Sharers);
+  uint32_t Cur = P.CurGlobal;
+  uint32_t Rem = P.LoopRemaining[Cur];
+  if (Cur == H.SteadyCur && CfgOff == H.SteadyCfg && Rem == H.SteadyRem)
+    return H.SteadyTurns;
+  H.SteadyCur = Cur;
+  H.SteadyCfg = CfgOff;
+  H.SteadyRem = Rem;
+  H.SteadyTurns = 0;
+
+  // The shape advanceProcessFlat charges as one O(1) self-loop run.
+  const FlatBlock &B = P.Flat->blocks()[Cur];
+  if (B.Op != FlatOp::Loop || B.Succ[0] != Cur || B.EdgeMark[0] >= 0)
+    return 0;
+  double C = P.Flat->cycleTable()[B.CycleRow + CfgOff];
+  uint32_t Left = Rem == 0 ? B.TripCount : Rem;
+  if (!(C > 0) || Left < 2)
+    return 0;
+  // A turn starts at Used = 0 and runs the engine's J back edges. It is
+  // steady when they reach the budget: J is then the smallest count
+  // that does, every later turn runs J too, and each leaves Left - J.
+  double Budget = Sim.Timeslice * coreFrequency(Core);
+  uint64_t J = selfLoopRun(0, Budget, C, Left - 1);
+  double Charge = static_cast<double>(J) * C;
+  if (!(Charge >= Budget) || !(Charge < ExactCycleBound))
+    return 0;
+  H.SteadyIters = static_cast<uint32_t>(J);
+  H.SteadyInsts = J * B.Insts;
+  H.SteadyCharge = Charge;
+  H.SteadyTurns = static_cast<uint32_t>((Left - 1) / J);
+  return H.SteadyTurns;
+}
+
+bool Machine::fuseSteadyQuanta(double Until) {
+  // The Reference interpreter is the oracle and traced runs emit
+  // per-quantum events: both always step.
+  if (Sim.Engine != ExecEngine::Flat || Trace)
+    return false;
+  uint32_t NumCores = Config.numCores();
+
+  // S: steady quanta ahead, counting this one. The process at position
+  // i of a queue of length len runs at quanta i, i + len, ...; it has
+  // T_i steady turns left, so the queue stays steady for i + len*T_i
+  // quanta. Empty cores never limit S.
+  uint64_t S = UINT64_MAX;
+  for (uint32_t Core = 0; Core < NumCores && S >= 2; ++Core) {
+    const std::deque<uint32_t> &Q = Queues[Core];
+    uint64_t Len = Q.size();
+    uint32_t Sharers = std::max(1u, GroupActive[Config.Cores[Core].L2Group]);
+    for (uint64_t Pos = 0; Pos < Len && Pos < S; ++Pos)
+      S = std::min(S, Pos + Len * steadyTurns(*Procs[Q[Pos]], Core, Sharers));
+  }
+  if (S < 2)
+    return false;
+
+  // No quantum start inside the window may fire an event, balance, or
+  // reach Until. The clock walks by repeated adds of Timeslice (not a
+  // dyadic value), exactly as stepping would, so Now stays bit-equal.
+  double Limit = std::min(Until, NextBalance);
+  if (!Events.empty())
+    Limit = std::min(Limit, Events.begin()->first);
+  double End = Now + Sim.Timeslice;
+  uint64_t Window = 1;
+  while (Window < S && End < Limit) {
+    End += Sim.Timeslice;
+    ++Window;
+  }
+  if (Window < 2)
+    return false;
+
+  // Grid sums are exact below ExactCycleBound, so k turns charged as
+  // one product equal k adds only while each accumulator stays below
+  // it. Checked from the current values; any miss steps the quantum.
+  for (uint32_t Core = 0; Core < NumCores; ++Core) {
+    const std::deque<uint32_t> &Q = Queues[Core];
+    uint64_t Len = Q.size();
+    uint32_t Ct = coreType(Core);
+    double Busy = BusyCycles[Core];
+    for (uint64_t Pos = 0; Pos < Len && Pos < Window; ++Pos) {
+      const Process &P = *Procs[Q[Pos]];
+      double Charge = static_cast<double>(turnsInWindow(Window, Pos, Len)) *
+                      Hot[P.Pid].SteadyCharge;
+      Busy += Charge;
+      if (!(Busy < ExactCycleBound) ||
+          !(P.Stats.CyclesConsumed + Charge < ExactCycleBound) ||
+          !(Telem[P.Pid].CyclesByType[Ct] + Charge < ExactCycleBound) ||
+          (P.MonActive && !(P.MonCycles + Charge < ExactCycleBound)))
+        return false;
+    }
+  }
+
+  for (uint32_t Core = 0; Core < NumCores; ++Core) {
+    std::deque<uint32_t> &Q = Queues[Core];
+    uint64_t Len = Q.size();
+    if (Len == 0)
+      continue;
+    double Freq = coreFrequency(Core);
+    uint32_t Ct = coreType(Core);
+    for (uint64_t Pos = 0; Pos < Len && Pos < Window; ++Pos) {
+      Process &P = *Procs[Q[Pos]];
+      HotProc &H = Hot[P.Pid];
+      uint64_t Turns = turnsInWindow(Window, Pos, Len);
+      uint64_t Insts = Turns * H.SteadyInsts;
+      double Charge = static_cast<double>(Turns) * H.SteadyCharge;
+      P.Stats.InstsRetired += Insts;
+      P.Stats.BlocksExecuted += Turns * H.SteadyIters;
+      P.Stats.CyclesConsumed += Charge;
+      BusyCycles[Core] += Charge;
+      if (P.MonActive) {
+        P.MonInsts += Insts;
+        P.MonCycles += Charge;
+      }
+      // CpuSeconds adds Charge/Freq, which is off the grid: replay the
+      // per-turn adds so rounding happens exactly as when stepping.
+      double TurnSeconds = H.SteadyCharge / Freq;
+      for (uint64_t Turn = 0; Turn < Turns; ++Turn)
+        P.Stats.CpuSeconds += TurnSeconds;
+      SchedTelemetry &T = Telem[P.Pid];
+      T.InstsByType[Ct] += Insts;
+      T.CyclesByType[Ct] += Charge;
+      T.WindowIpc = static_cast<double>(H.SteadyInsts) / H.SteadyCharge;
+      T.WindowCoreType = Ct;
+      // Advance the trip count and re-key the steady cache to match.
+      uint32_t &Rem = P.LoopRemaining[P.CurGlobal];
+      uint32_t Left = Rem == 0 ? P.Flat->blocks()[P.CurGlobal].TripCount : Rem;
+      Rem = Left - static_cast<uint32_t>(Turns * H.SteadyIters);
+      H.SteadyRem = Rem;
+      H.SteadyTurns -= static_cast<uint32_t>(Turns);
+    }
+    std::rotate(Q.begin(), Q.begin() + static_cast<ptrdiff_t>(Window % Len),
+                Q.end());
+  }
+
+  Now = End;
+  QuantaFused += Window;
+  return true;
+}
 
 /// The flat-image interpreter. Same block sequence, same RNG draws, and
 /// the same cycle totals as advanceProcessReference, so both engines

@@ -11,7 +11,9 @@
 /// instrumented edges and call sites, performs counter-based monitoring,
 /// and carries out affinity switches. Shared-L2 contention is modeled by
 /// halving the effective cache per active sharer of the L2 group,
-/// re-evaluated every quantum.
+/// re-evaluated every quantum. Runs of steady quanta (every queue front
+/// in a budget-exhausting unmarked self-loop) are charged in one step,
+/// bit-identical to stepping them (see Machine::run).
 ///
 /// The phase-tuned and baseline configurations differ *only* in the
 /// program image (marks or no marks), matching the paper's transparent-
@@ -125,8 +127,22 @@ public:
   /// Events scheduled but not yet fired.
   size_t pendingEvents() const { return Events.size(); }
 
-  /// Advances simulated time to \p Until (absolute seconds).
+  /// Advances simulated time to \p Until (absolute seconds), or to the
+  /// end of the quantum in which requestStop() was called. Runs of
+  /// steady quanta are charged in one step (see fuseSteadyQuanta);
+  /// the result is bit-identical to stepping them.
   void run(double Until);
+
+  /// Ends the simulation: the current run() call returns at the end of
+  /// the current quantum, and later calls return at once. Exit handlers
+  /// call it to implement stop rules (a job count, a drained stream).
+  void requestStop() { StopRequested = true; }
+
+  /// Quanta simulated one by one, and quanta charged inside fused
+  /// windows of steady quanta (Plane-2 diagnostics; their sum is every
+  /// quantum this machine simulated).
+  uint64_t quantaStepped() const { return QuantaStepped; }
+  uint64_t quantaFused() const { return QuantaFused; }
 
   double now() const { return Now; }
 
@@ -197,10 +213,27 @@ private:
   /// a pure function of (core type, sharers), so the cache can never
   /// change results — tests/flatimage_test.cpp locks this in against
   /// the per-block recomputing reference engine.
+  ///
+  /// The Steady* fields cache the process's steady-turn shape for
+  /// fuseSteadyQuanta, keyed by (SteadyCur, SteadyCfg, SteadyRem) =
+  /// (CurGlobal, CfgOff, LoopRemaining[CurGlobal]): a pure function of
+  /// the key, so a stale entry is never used and a hit saves the
+  /// division that finds the turn's iteration count.
   struct HotProc {
     uint32_t LastCore = ~0u;
     uint32_t LastSharers = 0;
     uint32_t CfgOff = 0;
+    uint32_t SteadyCur = ~0u;
+    uint32_t SteadyCfg = 0;
+    uint32_t SteadyRem = 0;
+    /// Steady turns left from the keyed state (0 = not steady).
+    uint32_t SteadyTurns = 0;
+    /// Self-loop iterations one steady turn runs (J).
+    uint32_t SteadyIters = 0;
+    /// Instructions one steady turn retires (J * block insts).
+    uint64_t SteadyInsts = 0;
+    /// Cycles one steady turn charges (J * block cycles).
+    double SteadyCharge = 0;
   };
 
   /// CfgOff for \p P on (\p Core, \p Sharers), served from the hot
@@ -215,6 +248,19 @@ private:
     }
     return H.CfgOff;
   }
+
+  /// Steady turns \p P has left on \p Core with \p Sharers L2 sharers:
+  /// consecutive front-of-queue turns, each one run of J unmarked
+  /// self-loop iterations that exhausts the quantum budget and changes
+  /// nothing but counters and the trip count. 0 when the next turn is
+  /// not steady. Fills the process's HotProc steady cache.
+  uint32_t steadyTurns(const Process &P, uint32_t Core, uint32_t Sharers);
+
+  /// Charges the run of steady quanta starting at the current quantum
+  /// in one step when there are at least two, advancing Now past them;
+  /// returns false (nothing changed) when the quantum must be stepped.
+  /// GroupActive must hold this quantum's sharer counts.
+  bool fuseSteadyQuanta(double Until);
 
   /// Runs \p P on \p Core for at most \p BudgetCycles (dispatches on
   /// SimConfig::Engine).
@@ -264,6 +310,9 @@ private:
   CounterManager Counters;
   double Now = 0;
   double NextBalance = 0;
+  bool StopRequested = false;
+  uint64_t QuantaStepped = 0;
+  uint64_t QuantaFused = 0;
   std::vector<std::deque<uint32_t>> Queues;
   std::vector<std::unique_ptr<Process>> Procs;
   /// Per-process hot lanes, indexed like Procs (see HotProc).

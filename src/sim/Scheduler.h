@@ -34,7 +34,7 @@
 ///    the fast cores.
 ///
 /// **Determinism rules.** Policies are consulted at deterministic points
-/// (spawn, quantum end, balance period, exit) in deterministic order and
+/// (spawn, balance period, exit) in deterministic order and
 /// must derive decisions only from the Machine's observable state — the
 /// runqueues, the telemetry, and the processes themselves. A policy must
 /// never consult wall-clock time, pointers-as-ordering, or private RNG;
@@ -103,17 +103,15 @@ public:
 
   /// Periodic load balancing (every SimConfig::BalancePeriod); may move
   /// queued (not running) processes between cores via Machine::moveQueued.
+  /// There is no per-quantum hook: a policy that steers every quantum
+  /// runs with BalancePeriod == Timeslice (the machine charges runs of
+  /// steady quanta between balance instants in one step).
   virtual void balance(Machine &) {}
 
   /// Fired when \p P is spawned, before its first placement. The policy
   /// may constrain Process::AffinityMask here (an OS-level static
   /// assignment); selectCore is called immediately after.
   virtual void onSpawn(Machine &, Process &) {}
-
-  /// Fired once per timeslice after every core exhausted its budget,
-  /// before the clock advances. Telemetry for the quantum is final;
-  /// queued processes may be moved.
-  virtual void onQuantumEnd(Machine &) {}
 
   /// Fired when \p P completes, before the workload's exit handler
   /// spawns any replacement.

@@ -8,6 +8,7 @@
 
 #include "analysis/BlockTyping.h"
 #include "analysis/PassManager.h"
+#include "obs/Counters.h"
 #include "obs/Trace.h"
 #include "support/Hashing.h"
 
@@ -15,6 +16,7 @@
 #include <cassert>
 #include <cstdio>
 #include <deque>
+#include <stdexcept>
 
 using namespace pbt;
 
@@ -173,10 +175,15 @@ CompletedJob pbt::runIsolated(const PreparedSuite &Suite, uint32_t Bench,
       M.spawn(Suite.Images[Bench], Suite.Costs[Bench], Suite.Tuner, Seed,
               /*Slot=*/-1, /*InitialAffinity=*/0, Suite.Flats[Bench]);
   // Advance until the process finishes.
-  double Step = 64;
+  const double Step = 64;
+  const double Limit = 1e7;
   while (M.process(Pid).CompletionTime < 0) {
+    if (M.now() >= Limit)
+      throw std::runtime_error("isolated run of benchmark '" +
+                               Suite.Names[Bench] +
+                               "' did not terminate within 1e7 simulated "
+                               "seconds");
     M.run(M.now() + Step);
-    assert(M.now() < 1e7 && "isolated benchmark failed to terminate");
   }
   const Process &P = M.process(Pid);
   CompletedJob Job;
@@ -208,6 +215,18 @@ RunResult pbt::runWorkload(const PreparedSuite &Suite, const Workload &W,
   std::vector<double> ArrivalOfPid;
   uint32_t Done = 0;
 
+  // Stop rules: a job count, or an open stream (Stream jobs) fully
+  // completed. Record asks the machine to stop once one holds, and
+  // run() returns at the end of that quantum — the same clock walk as
+  // stepping run(now + Timeslice) until the rule holds.
+  bool HasStopRule = !Scenario.isBatch() || Scenario.MaxJobs > 0;
+  uint32_t Stream = 0;
+  auto Stopped = [&] {
+    if (Scenario.MaxJobs > 0 && Done >= Scenario.MaxJobs)
+      return true;
+    return !Scenario.isBatch() && Done >= Stream;
+  };
+
   auto Spawn = [&](uint32_t Bench, uint64_t Seed, int32_t Slot,
                    double Arrival) {
     uint32_t Pid =
@@ -237,6 +256,8 @@ RunResult pbt::runWorkload(const PreparedSuite &Suite, const Workload &W,
     Job.Stats = P.Stats;
     Result.Completed.push_back(Job);
     ++Done;
+    if (Stopped())
+      M.requestStop();
     if (Trace)
       // Timestamped at the quantum start of the exit (see the machine's
       // exit event); the cycle-derived CompletionTime stays out of the
@@ -286,6 +307,7 @@ RunResult pbt::runWorkload(const PreparedSuite &Suite, const Workload &W,
   } else {
     Arrivals = scenarioArrivals(
         Scenario, static_cast<uint32_t>(Suite.Images.size()), Horizon);
+    Stream = static_cast<uint32_t>(Arrivals.size());
     M.setExitHandler([&](Machine &, Process &P) {
       Record(P);
       --InFlight;
@@ -309,25 +331,14 @@ RunResult pbt::runWorkload(const PreparedSuite &Suite, const Workload &W,
       });
   }
 
-  if (Scenario.isBatch() && Scenario.MaxJobs == 0) {
-    // The classic run: one call, unchanged floating-point clock walk.
+  // An empty open stream is stopped before it starts.
+  if (!Stopped())
     M.run(Horizon);
-  } else {
-    // Stop-rule runs advance quantum by quantum so the run ends at the
-    // end of the quantum that satisfied the rule. The chunked clock
-    // walk is bit-identical to one run(Horizon) call: Until is always
-    // the exact value the internal Now accumulation reaches next.
-    uint32_t Stream = static_cast<uint32_t>(Arrivals.size());
-    auto Stopped = [&] {
-      if (Scenario.MaxJobs > 0 && Done >= Scenario.MaxJobs)
-        return true;
-      // An open run whose whole stream completed has nothing left.
-      return !Scenario.isBatch() && Done >= Stream;
-    };
-    while (M.now() < Horizon && !Stopped())
-      M.run(M.now() + Sim.Timeslice);
+  if (HasStopRule)
     Result.Horizon = M.now();
-  }
+  obs::CounterRegistry &Reg = obs::CounterRegistry::global();
+  Reg.add("sim.quanta_stepped", M.quantaStepped());
+  Reg.add("sim.quanta_fused", M.quantaFused());
 
   Result.CompletedCount = Done;
   Result.InstructionsRetired = M.totalInstructions();

@@ -273,7 +273,9 @@ std::vector<RunResult> runWorkloads(const std::vector<WorkloadJob> &Jobs);
 /// finished process's record (Table 1 / Fig. 5 per-benchmark data).
 /// Always runs under the oblivious scheduler: the isolated runtime t_i
 /// is *defined* against the paper's Linux baseline, so the fairness
-/// metrics stay comparable across scheduler-axis sweeps.
+/// metrics stay comparable across scheduler-axis sweeps. Throws
+/// std::runtime_error naming the benchmark when it has not finished
+/// after 1e7 simulated seconds.
 CompletedJob runIsolated(const PreparedSuite &Suite, uint32_t Bench,
                          const MachineConfig &MachineCfg,
                          const SimConfig &Sim, uint64_t Seed = 1);

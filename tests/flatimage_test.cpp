@@ -24,7 +24,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <functional>
+#include <memory>
 
 using namespace pbt;
 
@@ -539,6 +541,304 @@ TEST(SelfLoopFusion, LoopResumesAcrossQuantaAndAfterMigration) {
         EXPECT_LT(M.process(Pid).LoopRemaining[0], Rem);
         runToCompletion(M, Pid);
       });
+}
+
+//===----------------------------------------------------------------------===//
+// Steady-quantum fusion: Machine::run charges a run of quanta in which
+// every queue front runs one budget-exhausting unmarked self-loop turn
+// in one step. The Reference machine steps every quantum, so each case
+// replays the same scenario on both engines and expects the machines
+// bit-identical, fused windows included.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// main: block 0 self-loops \p Trips times over a mix of \p Count
+/// instructions (memory-bound when \p Memory, so its cost depends on
+/// the L2 sharer count), then block 1 returns.
+Program loopProgram(uint32_t Trips, unsigned Count, bool Memory,
+                    uint64_t Seed = 1) {
+  IRBuilder B("loop_" + std::to_string(Trips), Seed);
+  uint32_t Main = B.createProc("main");
+  uint32_t Body = B.addBlock(Main);
+  uint32_t Exit = B.addBlock(Main);
+  B.appendMix(Main, Body,
+              // 48k lines fit a whole 4 MiB L2 but not half of one.
+              Memory ? InstMix::memory(Count, 48000, 0.3)
+                     : InstMix::compute(Count, 0.2));
+  B.setLoop(Main, Body, Body, Exit, Trips);
+  B.setRet(Main, Exit);
+  return B.take();
+}
+
+/// One single-core machine of the dyadic fast type.
+MachineConfig oneCoreMachine() {
+  MachineConfig MC = dyadicMachine();
+  MC.Cores = {{0, 0}};
+  return MC;
+}
+
+/// A program image plus cost model for spawning on \p MC.
+struct Image {
+  std::shared_ptr<const InstrumentedProgram> IP;
+  std::shared_ptr<const CostModel> Cost;
+};
+Image imageFor(const Program &Prog, const MachineConfig &MC,
+               std::vector<PhaseMark> Marks = {}) {
+  Image Out;
+  Out.IP = withMarks(Prog, std::move(Marks));
+  Out.Cost = std::make_shared<const CostModel>(Out.IP->program(), MC);
+  return Out;
+}
+
+uint32_t spawnImage(Machine &M, const Image &I, uint64_t Seed = 5) {
+  return M.spawn(I.IP, I.Cost, TunerConfig(), Seed);
+}
+
+/// Quanta the Reference and Flat machines of expectFusionInvisible
+/// simulated.
+struct QuantaCounts {
+  uint64_t Stepped = 0;
+  uint64_t Fused = 0;
+};
+
+/// Plays \p Play (spawns, events, run calls) on one machine per engine
+/// and expects the two bit-identical: clock, every process's stats,
+/// completion, trip counts, monitoring state and telemetry, per-core
+/// busy fractions, and runqueue order. Returns the Flat machine's
+/// quantum counts; the Reference machine must fuse nothing and step
+/// exactly as many quanta as the Flat machine simulated.
+QuantaCounts expectFusionInvisible(const MachineConfig &MC, SimConfig SC,
+                                   const std::function<void(Machine &)> &Play) {
+  std::unique_ptr<Machine> Ms[2];
+  int I = 0;
+  for (ExecEngine Engine : {ExecEngine::Reference, ExecEngine::Flat}) {
+    SC.Engine = Engine;
+    Ms[I] = std::make_unique<Machine>(MC, SC,
+                                      std::make_unique<ObliviousScheduler>());
+    Play(*Ms[I]);
+    ++I;
+  }
+  const Machine &R = *Ms[0];
+  const Machine &F = *Ms[1];
+  EXPECT_EQ(R.now(), F.now());
+  EXPECT_EQ(R.quantaFused(), 0u);
+  EXPECT_EQ(R.quantaStepped(), F.quantaStepped() + F.quantaFused());
+  EXPECT_EQ(R.totalInstructions(), F.totalInstructions());
+  for (uint32_t Core = 0; Core < MC.numCores(); ++Core) {
+    EXPECT_EQ(R.coreBusyFraction(Core), F.coreBusyFraction(Core));
+    EXPECT_EQ(R.queue(Core), F.queue(Core)) << "core " << Core;
+  }
+  EXPECT_EQ(R.processes().size(), F.processes().size());
+  for (size_t Pid = 0;
+       Pid < std::min(R.processes().size(), F.processes().size()); ++Pid) {
+    SCOPED_TRACE("pid " + std::to_string(Pid));
+    const Process &A = *R.processes()[Pid];
+    const Process &B = *F.processes()[Pid];
+    expectStatsIdentical(A.Stats, B.Stats);
+    EXPECT_EQ(A.CompletionTime, B.CompletionTime);
+    EXPECT_EQ(A.LoopRemaining, B.LoopRemaining);
+    EXPECT_EQ(A.MonActive, B.MonActive);
+    EXPECT_EQ(A.MonInsts, B.MonInsts);
+    EXPECT_EQ(A.MonCycles, B.MonCycles);
+    const SchedTelemetry &TA = R.telemetry(A.Pid);
+    const SchedTelemetry &TB = F.telemetry(B.Pid);
+    EXPECT_EQ(TA.InstsByType, TB.InstsByType);
+    EXPECT_EQ(TA.CyclesByType, TB.CyclesByType);
+    EXPECT_EQ(TA.WindowIpc, TB.WindowIpc);
+    EXPECT_EQ(TA.WindowCoreType, TB.WindowCoreType);
+  }
+  return QuantaCounts{F.quantaStepped(), F.quantaFused()};
+}
+
+} // namespace
+
+TEST(SteadyQuantumFusion, WindowsCutByNextBalance) {
+  // One long loop: every window ends at a balance instant. A period
+  // that is no multiple of the timeslice puts the cut mid-stride.
+  Image I = imageFor(loopProgram(2000000, 24, false), dyadicMachine());
+  for (double Period : {0.1, 0.0105}) {
+    SCOPED_TRACE("balance period " + std::to_string(Period));
+    SimConfig SC;
+    SC.BalancePeriod = Period;
+    QuantaCounts Q =
+        expectFusionInvisible(dyadicMachine(), SC, [&](Machine &M) {
+          spawnImage(M, I);
+          M.run(7.3);
+        });
+    EXPECT_GT(Q.Fused, 10 * Q.Stepped);
+  }
+}
+
+TEST(SteadyQuantumFusion, WindowCutByArrivalMidWindow) {
+  // Arrivals at instants off the quantum grid land inside what would
+  // otherwise be one window; the new job changes queue lengths and, on
+  // the shared L2, the running job's cost.
+  MachineConfig MC = MachineConfig::quadAsymmetric();
+  Image Long = imageFor(loopProgram(900000, 40, true), MC);
+  Image Short = imageFor(loopProgram(30000, 24, false, 2), MC);
+  SimConfig SC;
+  SC.BalancePeriod = 0.5;
+  QuantaCounts Q = expectFusionInvisible(MC, SC, [&](Machine &M) {
+    spawnImage(M, Long);
+    for (double At : {0.0571, 0.3013, 0.3013, 0.9})
+      M.scheduleAt(At, [&](Machine &Mach) { spawnImage(Mach, Short, 9); });
+    M.run(3.0);
+  });
+  EXPECT_GT(Q.Fused, 0u);
+}
+
+TEST(SteadyQuantumFusion, MonitoringSessionOpenAcrossWindow) {
+  // The entry edge's mark opens a counter session that stays open for
+  // the whole first self-loop: MonInsts/MonCycles advance by whole
+  // windows, and the sample the tuner records must match.
+  Image I = imageFor(nestedSelfLoops(200000, 3), dyadicMachine(),
+                     {{0, 0, 0, MarkPoint::Edge, 1},
+                      {0, 1, 1, MarkPoint::Edge, 0}});
+  bool OpenAcrossWindow = false;
+  QuantaCounts Q =
+      expectFusionInvisible(dyadicMachine(), SimConfig(), [&](Machine &M) {
+        uint32_t Pid = spawnImage(M, I);
+        M.run(0.5);
+        if (M.process(Pid).MonActive && M.quantaFused() > 0)
+          OpenAcrossWindow = true;
+        runToCompletion(M, Pid);
+        EXPECT_GT(M.process(Pid).Stats.MonitorSessions, 1u);
+      });
+  EXPECT_TRUE(OpenAcrossWindow);
+  EXPECT_GT(Q.Fused, 0u);
+}
+
+TEST(SteadyQuantumFusion, QueueRotationWithRemainder) {
+  // Queues of one to three jobs on one core, with windows cut by the
+  // balance period (25 quanta) or, with balancing out of the way, by
+  // the shortest job's steady turns: both leave S mod len != 0, so the
+  // queue must come out rotated by exactly S mod len.
+  for (uint32_t Len : {1u, 2u, 3u}) {
+    for (double Period : {0.1, 1e3}) {
+      SCOPED_TRACE("len " + std::to_string(Len) + " period " +
+                   std::to_string(Period));
+      std::vector<Image> Images;
+      for (uint32_t Job = 0; Job < Len; ++Job)
+        Images.push_back(imageFor(
+            loopProgram(2000000 + 17011 * Job, 24 + 8 * Job, false, Job + 1),
+            oneCoreMachine()));
+      SimConfig SC;
+      SC.BalancePeriod = Period;
+      QuantaCounts Q =
+          expectFusionInvisible(oneCoreMachine(), SC, [&](Machine &M) {
+            for (const Image &I : Images)
+              spawnImage(M, I);
+            // Stop mid-run: the machines compare queue order too.
+            M.run(1.5);
+            EXPECT_EQ(M.queueLength(0), Len);
+          });
+      EXPECT_GT(Q.Fused, 0u);
+    }
+  }
+}
+
+TEST(SteadyQuantumFusion, TripsLeftExactMultipleOfTurn) {
+  // Left - 1 = m*J: the m-th steady turn leaves exactly the exit
+  // iteration, which the next (stepped) quantum runs before returning.
+  // One trip fewer and one more cover the neighbours.
+  MachineConfig MC = dyadicMachine();
+  Program Probe = loopProgram(2, 24, false);
+  CostModel Cost(Probe, MC);
+  double C = Cost.blockCycles(0, 0, /*CoreType=*/0, /*Sharers=*/1);
+  SimConfig SC;
+  double Budget = SC.Timeslice * MC.CoreTypes[0].Frequency;
+  uint32_t J = static_cast<uint32_t>(std::ceil(Budget / C));
+  while (J > 1 && (J - 1) * C >= Budget)
+    --J;
+  while (J * C < Budget)
+    ++J;
+  const uint32_t M = 37;
+  for (uint32_t Trips : {M * J, M * J + 1, M * J + 2}) {
+    SCOPED_TRACE("trips " + std::to_string(Trips));
+    Image I = imageFor(loopProgram(Trips, 24, false), MC);
+    QuantaCounts Q = expectFusionInvisible(MC, SC, [&](Machine &Mach) {
+      uint32_t Pid = spawnImage(Mach, I);
+      runToCompletion(Mach, Pid);
+    });
+    EXPECT_GT(Q.Fused, 0u);
+  }
+}
+
+TEST(SteadyQuantumFusion, SharerGoesIdleAfterWindow) {
+  // Two cores on one L2: a short memory-bound job finishes right after
+  // a window, and its neighbour's cost drops from the two-sharer to the
+  // one-sharer row in the very next quantum.
+  MachineConfig MC;
+  MC.CoreTypes = {{"fast", 2097152.0, 4096}};
+  MC.Cores = {{0, 0}, {0, 0}};
+  Image Long = imageFor(loopProgram(600000, 40, true), MC);
+  Image Short = imageFor(loopProgram(40000, 40, true, 2), MC);
+  ASSERT_NE(Long.Cost->blockCycles(0, 0, 0, 1),
+            Long.Cost->blockCycles(0, 0, 0, 2));
+  SimConfig SC;
+  SC.BalancePeriod = 1e3;
+  QuantaCounts Q = expectFusionInvisible(MC, SC, [&](Machine &M) {
+    uint32_t A = spawnImage(M, Long);
+    uint32_t B = spawnImage(M, Short, 7);
+    runToCompletion(M, A);
+    runToCompletion(M, B);
+    EXPECT_GT(M.process(A).CompletionTime, M.process(B).CompletionTime);
+  });
+  EXPECT_GT(Q.Fused, 0u);
+}
+
+TEST(SteadyQuantumFusion, FallsBackNearExactCycleBound) {
+  // A huge timeslice makes each turn charge about 2^34 cycles, so the
+  // core's busy-cycle accumulator reaches 2^37 within eight turns. Two
+  // turn windows (the balance period) fuse while every accumulator
+  // stays below the bound; after that each quantum must step, because
+  // past the bound a turn's add rounds (its charge has a 2^-16 bit set)
+  // and a product would not.
+  MachineConfig MC = oneCoreMachine();
+  Program Prog = loopProgram(2, 16384, true);
+  CostModel Cost(Prog, MC);
+  double C = Cost.blockCycles(0, 0, 0, 1);
+  SimConfig SC;
+  SC.Timeslice = std::ldexp(1.0, 34) / MC.CoreTypes[0].Frequency;
+  SC.BalancePeriod = 2 * SC.Timeslice;
+  uint32_t J = static_cast<uint32_t>(std::ceil(std::ldexp(1.0, 34) / C));
+  const uint32_t Turns = 12;
+  double Charge = J * C;
+  ASSERT_NE(std::fmod(std::ldexp(Charge, 15), 1.0), 0.0);
+  double Stepped = 0;
+  for (uint32_t Turn = 0; Turn < Turns; ++Turn)
+    Stepped += Charge;
+  ASSERT_NE(Stepped, Turns * Charge); // The bound matters here.
+
+  Prog.Procs[0].Blocks[0].TripCount = Turns * J;
+  Image I = imageFor(Prog, MC);
+  QuantaCounts Q = expectFusionInvisible(MC, SC, [&](Machine &M) {
+    uint32_t Pid = spawnImage(M, I);
+    while (M.process(Pid).CompletionTime < 0)
+      M.run(M.now() + 64 * SC.Timeslice);
+    EXPECT_GT(M.process(Pid).Stats.CyclesConsumed, ExactCycleBound);
+  });
+  EXPECT_GT(Q.Fused, 0u);
+  EXPECT_GE(Q.Stepped, 4u);
+}
+
+TEST(SteadyQuantumFusion, IdleMachineSkipsToLateArrival) {
+  // Nothing runs until an arrival at 123.4567 s: the idle quanta before
+  // it are charged in windows cut only by balance instants, and the
+  // clock walk must land on the same quantum start as stepping.
+  Image I = imageFor(loopProgram(5000, 24, false), dyadicMachine());
+  SimConfig SC;
+  SC.BalancePeriod = 50;
+  QuantaCounts Q =
+      expectFusionInvisible(dyadicMachine(), SC, [&](Machine &M) {
+        M.scheduleAt(123.4567, [&](Machine &Mach) { spawnImage(Mach, I); });
+        M.run(130);
+        EXPECT_EQ(M.pendingEvents(), 0u);
+        EXPECT_GT(M.process(0).CompletionTime, 123.4567);
+      });
+  EXPECT_GT(Q.Fused, 30000u);
+  EXPECT_LT(Q.Stepped, 10u);
 }
 
 //===----------------------------------------------------------------------===//

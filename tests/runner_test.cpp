@@ -1,11 +1,17 @@
 //===- tests/runner_test.cpp - suite preparation + workload replay --------===//
 
+#include "RunIdentity.h"
+
+#include "ir/IRBuilder.h"
+#include "obs/Counters.h"
 #include "workload/Benchmarks.h"
 #include "workload/Runner.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 using namespace pbt;
 
@@ -217,4 +223,157 @@ TEST(HassStatic, PinRespectedThroughoutRun) {
                             SchedulerSpec::hassStatic());
   EXPECT_EQ(R.TotalSwitches, 0u); // Static assignment never migrates.
   EXPECT_GT(R.InstructionsRetired, 0u);
+}
+
+//===----------------------------------------------------------------------===//
+// Stop rules over fused quanta. runWorkload makes one run(Horizon) call
+// and stops through Machine::requestStop; the Reference engine steps
+// every quantum, so it replays the old per-quantum stop loop, and the
+// Flat engine, which fuses runs of steady quanta, must match it exactly.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// main: block 0 self-loops \p Trips times over 24 compute
+/// instructions, then block 1 returns.
+Program selfLoopProgram(uint32_t Trips) {
+  IRBuilder B("self_loop_" + std::to_string(Trips));
+  uint32_t Main = B.createProc("main");
+  uint32_t Body = B.addBlock(Main);
+  uint32_t Exit = B.addBlock(Main);
+  B.appendMix(Main, Body, InstMix::compute(24, 0.2));
+  B.setLoop(Main, Body, Body, Exit, Trips);
+  B.setRet(Main, Exit);
+  return B.take();
+}
+
+uint64_t registryCount(const char *Name) {
+  return obs::CounterRegistry::global().value(Name);
+}
+
+/// Quanta a runWorkload call stepped and fused (registry deltas).
+struct Quanta {
+  uint64_t Stepped = 0;
+  uint64_t Fused = 0;
+};
+
+/// Replays one scenario under Reference, then Flat; expects the two
+/// runs bit-identical (horizon included) and returns the Flat run and
+/// its quantum counts.
+RunResult expectStopMatchesStepped(const PreparedSuite &Suite,
+                                   const Workload &W,
+                                   const MachineConfig &MC, SimConfig SC,
+                                   double Horizon,
+                                   const ScenarioSpec &Scenario,
+                                   Quanta &FlatQuanta) {
+  SC.Engine = ExecEngine::Reference;
+  RunResult Stepped = runWorkload(Suite, W, MC, SC, Horizon, {},
+                                  SchedulerSpec::oblivious(), Scenario);
+  uint64_t StepBefore = registryCount("sim.quanta_stepped");
+  uint64_t FuseBefore = registryCount("sim.quanta_fused");
+  SC.Engine = ExecEngine::Flat;
+  RunResult Fused = runWorkload(Suite, W, MC, SC, Horizon, {},
+                                SchedulerSpec::oblivious(), Scenario);
+  FlatQuanta.Stepped = registryCount("sim.quanta_stepped") - StepBefore;
+  FlatQuanta.Fused = registryCount("sim.quanta_fused") - FuseBefore;
+  expectRunsIdentical(Stepped, Fused);
+  EXPECT_EQ(Stepped.Horizon, Fused.Horizon);
+  EXPECT_EQ(Stepped.CompletedCount, Fused.CompletedCount);
+  return Fused;
+}
+
+} // namespace
+
+TEST(StopRules, MaxJobsMatchesSteppedRun) {
+  auto Programs = smallSuite();
+  MachineConfig MC = MachineConfig::quadAsymmetric();
+  PreparedSuite Suite =
+      prepareSuite(Programs, MC, TechniqueSpec::baseline());
+  Workload W = Workload::random(6, 64, Programs.size(), 5);
+  Quanta Q;
+  RunResult R = expectStopMatchesStepped(Suite, W, MC, SimConfig(), 500,
+                                         ScenarioSpec::batch().withMaxJobs(7),
+                                         Q);
+  EXPECT_GE(R.CompletedCount, 7u); // Same-quantum exits may overshoot.
+  EXPECT_LT(R.Horizon, 500.0);
+  EXPECT_GT(Q.Fused, 0u);
+}
+
+TEST(StopRules, OpenStopRightAfterFusedWindow) {
+  // One core, one self-loop benchmark, arrivals a second apart that each
+  // finish well before the next: every job's life is one fused window
+  // plus the stepped quantum (or two) that runs its exit, and the idle
+  // gaps fuse too. The run stops at the last exit, so the stop quantum
+  // directly follows a fused window.
+  MachineConfig MC;
+  MC.CoreTypes = {{"fast", 2.4e6, 4096}};
+  MC.Cores = {{0, 0}};
+  std::vector<Program> Programs = {selfLoopProgram(60000)};
+  PreparedSuite Suite =
+      prepareSuite(Programs, MC, TechniqueSpec::baseline());
+  Workload W = Workload::random(1, 4, 1, 3);
+  SimConfig SC;
+  SC.BalancePeriod = 100;
+  Quanta Q;
+  RunResult R = expectStopMatchesStepped(
+      Suite, W, MC, SC, 2.5, ScenarioSpec::periodic(1.0), Q);
+  EXPECT_EQ(R.CompletedCount, 3u);
+  EXPECT_GT(R.Horizon, 2.0);
+  EXPECT_LT(R.Horizon, 2.5);
+  EXPECT_LE(Q.Stepped, 2u * R.CompletedCount);
+  EXPECT_GT(Q.Fused, 100 * Q.Stepped);
+}
+
+TEST(StopRules, EmptyOpenStreamStopsAtTimeZero) {
+  // A stream with no arrival inside the horizon has nothing to run: the
+  // run stops before its first quantum.
+  auto Programs = smallSuite();
+  MachineConfig MC = MachineConfig::quadAsymmetric();
+  PreparedSuite Suite =
+      prepareSuite(Programs, MC, TechniqueSpec::baseline());
+  Workload W = Workload::random(2, 4, Programs.size(), 5);
+  Quanta Q;
+  RunResult R = expectStopMatchesStepped(Suite, W, MC, SimConfig(), 50,
+                                         ScenarioSpec::poisson(1e-9), Q);
+  EXPECT_EQ(R.Horizon, 0.0);
+  EXPECT_EQ(R.CompletedCount, 0u);
+  EXPECT_EQ(R.InstructionsRetired, 0u);
+  EXPECT_EQ(Q.Stepped + Q.Fused, 0u);
+}
+
+TEST(RunIsolated, NonTerminatingBenchmarkThrows) {
+  // A mark-free jump cycle never returns. A one-hertz core with a 1e5 s
+  // timeslice reaches the 1e7 s limit in a hundred cheap quanta.
+  Program Prog;
+  Prog.Name = "spin";
+  Procedure Main;
+  Main.Id = 0;
+  Main.Name = "main";
+  for (uint32_t Id = 0; Id < 3; ++Id) {
+    BasicBlock BB;
+    BB.Id = Id;
+    for (int I = 0; I < 100; ++I)
+      BB.Insts.push_back(Instruction::intAlu());
+    BB.Term = Id < 2 ? TermKind::Jump : TermKind::Ret;
+    if (Id < 2)
+      BB.Succs = {1 - Id};
+    Main.Blocks.push_back(BB);
+  }
+  Prog.Procs = {Main};
+  std::string Error;
+  ASSERT_TRUE(verify(Prog, &Error)) << Error;
+
+  MachineConfig MC;
+  MC.CoreTypes = {{"slow", 1.0, 4096}};
+  MC.Cores = {{0, 0}};
+  SimConfig SC;
+  SC.Timeslice = 1e5;
+  SC.BalancePeriod = 1e5;
+  try {
+    isolatedRuntimes({Prog}, MC, SC);
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error &E) {
+    EXPECT_NE(std::string(E.what()).find("'spin'"), std::string::npos)
+        << E.what();
+  }
 }
