@@ -29,7 +29,7 @@ int main() {
 
   // A trimmed three-benchmark suite keeps the example fast.
   std::vector<Program> Programs;
-  for (const std::string &Name : {"164.gzip", "179.art", "473.astar"})
+  for (const char *Name : {"164.gzip", "179.art", "473.astar"})
     for (const BenchSpec &Spec : specSuite())
       if (Spec.Name == Name)
         Programs.push_back(buildBenchmark(Spec));

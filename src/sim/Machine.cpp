@@ -29,8 +29,8 @@ Machine::Machine(MachineConfig ConfigIn, SimConfig SimIn,
                  std::unique_ptr<SchedulerPolicy> PolicyIn)
     : Config(std::move(ConfigIn)), Sim(SimIn), Policy(std::move(PolicyIn)),
       Counters(SimIn.CounterSlots), Queues(Config.numCores()),
-      BusyCycles(Config.numCores(), 0.0), Used(Config.numCores(), 0.0),
-      Gen(SimIn.Seed) {
+      Windows(Config.numCores()), BusyCycles(Config.numCores(), 0.0),
+      Used(Config.numCores(), 0.0), Gen(SimIn.Seed) {
   // Validate the SimConfig up front: these inconsistencies would not
   // crash, they would silently simulate nonsense (a zero timeslice
   // never advances the clock; a timeslice past the balance period makes
@@ -48,6 +48,7 @@ Machine::Machine(MachineConfig ConfigIn, SimConfig SimIn,
   assert(Config.numCores() >= 1 && Config.numCores() <= 64 &&
          "machine must have 1..64 cores");
   assert(Policy && "machine needs a scheduling policy");
+  PolicyShapeOnly = Policy->shapeOnly();
   uint32_t NumGroups = 0;
   for (const CoreDesc &Core : Config.Cores)
     NumGroups = std::max(NumGroups, Core.L2Group + 1);
@@ -87,6 +88,8 @@ uint32_t Machine::spawn(std::shared_ptr<const InstrumentedProgram> IProg,
   Telem.push_back(std::move(T));
   // The policy sees the process before its first placement and may
   // narrow the affinity mask (OS-level static assignment).
+  if (!PolicyShapeOnly)
+    settleAll();
   Policy->onSpawn(*this, *Procs[Pid]);
   assert((Procs[Pid]->AffinityMask & Config.allCoresMask()) != 0 &&
          "policy onSpawn left no allowed core");
@@ -98,9 +101,15 @@ uint32_t Machine::spawn(std::shared_ptr<const InstrumentedProgram> IProg,
 
 uint32_t Machine::placeProcess(uint32_t Pid) {
   Process &P = *Procs[Pid];
+  // Deferred windows keep queue lengths, so a shape-only policy places
+  // on unsettled state; only the receiving core must settle.
+  if (!PolicyShapeOnly)
+    settleAll();
   uint32_t Core = Policy->selectCore(*this, P);
   assert(P.allowedOn(Core) && "policy violated the affinity mask");
+  settle(Core);
   Queues[Core].push_back(Pid);
+  ShapeDirty = true;
   return Core;
 }
 
@@ -127,12 +136,15 @@ bool Machine::moveQueued(uint32_t Pid, uint32_t FromCore, uint32_t ToCore) {
   Process &P = *Procs[Pid];
   if (!P.allowedOn(ToCore))
     return false;
+  settle(FromCore);
+  settle(ToCore);
   auto &From = Queues[FromCore];
   auto It = std::find(From.begin(), From.end(), Pid);
   if (It == From.end())
     return false;
   From.erase(It);
   Queues[ToCore].push_back(Pid);
+  ShapeDirty = true;
   if (Trace)
     // Policy reassignment with its IPC evidence (the last execution
     // window the policy could observe; 0 before the first window).
@@ -159,18 +171,25 @@ void Machine::scheduleAt(double Time, std::function<void(Machine &)> Fn) {
 }
 
 void Machine::run(double Until) {
+  // Queues and masks may have been edited between calls.
+  ShapeDirty = true;
+  uint32_t NumCores = Config.numCores();
   while (Now < Until && !StopRequested) {
     // Deterministic mid-run injection: fire every event due by now, in
     // (time, insertion) order, before balancing — an arrival landing on
     // a balance instant is visible to the balancer, and batch arrivals
     // at time zero reproduce the classic spawn-before-run state bit for
-    // bit.
-    while (!Events.empty() && Events.begin()->first <= Now) {
-      std::function<void(Machine &)> Fn = std::move(Events.begin()->second);
-      Events.erase(Events.begin());
-      if (Trace)
-        Trace->inject(Trace->cycles(Now));
-      Fn(*this);
+    // bit. Callbacks see settled state and may edit anything.
+    if (!Events.empty() && Events.begin()->first <= Now) {
+      settleAll();
+      while (!Events.empty() && Events.begin()->first <= Now) {
+        std::function<void(Machine &)> Fn = std::move(Events.begin()->second);
+        Events.erase(Events.begin());
+        if (Trace)
+          Trace->inject(Trace->cycles(Now));
+        Fn(*this);
+      }
+      ShapeDirty = true;
     }
 
     if (Now >= NextBalance) {
@@ -178,31 +197,88 @@ void Machine::run(double Until) {
       // the policy emits through moveQueued.
       if (Trace)
         Trace->balance(Trace->cycles(Now));
-      Policy->balance(*this);
+      if (balanceSkippable()) {
+        ++BalanceSkipped;
+      } else {
+        settleAll();
+        ShapeDirty = false;
+        Policy->balance(*this);
+      }
       NextBalance = Now + Sim.BalancePeriod;
     }
 
     // Effective cache sharing this quantum: active cores per L2 group.
     // GroupActive/Used are members so no timeslice allocates.
-    uint32_t NumCores = Config.numCores();
     std::fill(GroupActive.begin(), GroupActive.end(), 0u);
     for (uint32_t Core = 0; Core < NumCores; ++Core)
       if (!Queues[Core].empty())
         ++GroupActive[Config.Cores[Core].L2Group];
 
-    if (fuseSteadyQuanta(Until))
+    // A window ends at its planned length, or early when its turns'
+    // price changes (the L2 group's active count); then the core opens
+    // a new window if it can, and steps otherwise. Idle cores hold no
+    // window: they have nothing to charge.
+    bool AllDeferred = fusing();
+    uint32_t Idle = 0;
+    if (AllDeferred) {
+      for (uint32_t Core = 0; Core < NumCores; ++Core) {
+        CoreWindow &W = Windows[Core];
+        if (W.Open &&
+            (Quantum >= W.End ||
+             W.Active != GroupActive[Config.Cores[Core].L2Group]))
+          settle(Core);
+        if (Queues[Core].empty())
+          ++Idle;
+        else if (!W.Open && !openWindow(Core))
+          AllDeferred = false;
+      }
+    }
+
+    if (AllDeferred) {
+      // Nothing happens until a window ends, an event is due, a balance
+      // must run, or Until. The clock walks by repeated adds of
+      // Timeslice (not a dyadic value), exactly as stepping would. A
+      // quantum start where anything else happens goes back to the top,
+      // which fires its events before its balance; skippable balance
+      // instants in between replay NextBalance.
+      uint64_t Stop = UINT64_MAX;
+      for (const CoreWindow &W : Windows)
+        if (W.Open)
+          Stop = std::min(Stop, W.End);
+      uint64_t First = Quantum;
+      for (;;) {
+        Now += Sim.Timeslice;
+        ++Quantum;
+        if (Quantum >= Stop || !(Now < Until) ||
+            (!Events.empty() && Events.begin()->first <= Now) ||
+            (Now >= NextBalance && !balanceSkippable()))
+          break;
+        if (Now >= NextBalance) {
+          ++BalanceSkipped;
+          NextBalance = Now + Sim.BalancePeriod;
+        }
+      }
+      QuantaFused += Idle * (Quantum - First);
       continue;
-    ++QuantaStepped;
+    }
 
     // Work-conserving quantum: after the main pass, cores with leftover
     // budget re-check their queues so work migrated from later-visited
     // cores (or spawned mid-quantum) starts immediately instead of
     // idling until the next tick — as on a real machine, where an idle
-    // core picks up a migrated task at once.
+    // core picks up a migrated task at once. Deferred cores sit it out:
+    // their turn in this quantum is charged when they settle.
     std::fill(Used.begin(), Used.end(), 0.0);
     for (int Pass = 0; Pass < 4; ++Pass) {
       bool Progress = false;
       for (uint32_t Core = 0; Core < NumCores; ++Core) {
+        if (Pass == 0) {
+          VisitPos = Core;
+          if (!Windows[Core].Open)
+            ++QuantaStepped;
+        }
+        if (Windows[Core].Open)
+          continue;
         double Freq = coreFrequency(Core);
         double Budget = Sim.Timeslice * Freq;
         uint32_t Ct = coreType(Core);
@@ -238,6 +314,7 @@ void Machine::run(double Until) {
           if (R.Finished) {
             P.CompletionTime = Now + std::min(Used[Core], Budget) / Freq;
             Queues[Core].pop_front();
+            ShapeDirty = true;
             if (P.MonActive)
               finishMonitor(P);
             if (Trace)
@@ -245,9 +322,13 @@ void Machine::run(double Until) {
               // cycle-derived; traces use quantized time only).
               Trace->exitProcess(Trace->cycles(Now), Pid,
                                  P.Stats.InstsRetired);
+            if (!PolicyShapeOnly)
+              settleAll();
             Policy->onExit(*this, P);
-            if (OnExit)
+            if (OnExit) {
+              settleAll();
               OnExit(*this, P);
+            }
             continue;
           }
           if (R.Migrated) {
@@ -262,15 +343,19 @@ void Machine::run(double Until) {
           Queues[Core].push_back(Pid);
         }
       }
+      VisitPos = NumCores;
       if (!Progress)
         break;
     }
+    VisitPos = 0;
 
     if (Trace)
       flushTraceWindows();
 
     Now += Sim.Timeslice;
+    ++Quantum;
   }
+  settleAll();
 }
 
 void Machine::flushTraceWindows() {
@@ -383,109 +468,109 @@ uint32_t Machine::steadyTurns(const Process &P, uint32_t Core,
   return H.SteadyTurns;
 }
 
-bool Machine::fuseSteadyQuanta(double Until) {
-  // The Reference interpreter is the oracle and traced runs emit
-  // per-quantum events: both always step.
-  if (Sim.Engine != ExecEngine::Flat || Trace)
-    return false;
-  uint32_t NumCores = Config.numCores();
-
+bool Machine::openWindow(uint32_t Core) {
   // S: steady quanta ahead, counting this one. The process at position
   // i of a queue of length len runs at quanta i, i + len, ...; it has
   // T_i steady turns left, so the queue stays steady for i + len*T_i
-  // quanta. Empty cores never limit S.
+  // quanta.
+  const std::deque<uint32_t> &Q = Queues[Core];
+  uint64_t Len = Q.size();
+  uint32_t Active = GroupActive[Config.Cores[Core].L2Group];
   uint64_t S = UINT64_MAX;
-  for (uint32_t Core = 0; Core < NumCores && S >= 2; ++Core) {
-    const std::deque<uint32_t> &Q = Queues[Core];
-    uint64_t Len = Q.size();
-    uint32_t Sharers = std::max(1u, GroupActive[Config.Cores[Core].L2Group]);
-    for (uint64_t Pos = 0; Pos < Len && Pos < S; ++Pos)
-      S = std::min(S, Pos + Len * steadyTurns(*Procs[Q[Pos]], Core, Sharers));
-  }
+  for (uint64_t Pos = 0; Pos < Len && Pos < S; ++Pos)
+    S = std::min(S, Pos + Len * steadyTurns(*Procs[Q[Pos]], Core, Active));
+  // Any shorter window is steady too: halve until the charges are exact.
+  while (S >= 2 && !windowExact(Core, S))
+    S /= 2;
   if (S < 2)
     return false;
+  CoreWindow &W = Windows[Core];
+  W.Open = true;
+  W.Start = Quantum;
+  W.End = Quantum + S;
+  W.Active = Active;
+  return true;
+}
 
-  // No quantum start inside the window may fire an event, balance, or
-  // reach Until. The clock walks by repeated adds of Timeslice (not a
-  // dyadic value), exactly as stepping would, so Now stays bit-equal.
-  double Limit = std::min(Until, NextBalance);
-  if (!Events.empty())
-    Limit = std::min(Limit, Events.begin()->first);
-  double End = Now + Sim.Timeslice;
-  uint64_t Window = 1;
-  while (Window < S && End < Limit) {
-    End += Sim.Timeslice;
-    ++Window;
-  }
-  if (Window < 2)
-    return false;
-
+bool Machine::windowExact(uint32_t Core, uint64_t Quanta) const {
   // Grid sums are exact below ExactCycleBound, so k turns charged as
   // one product equal k adds only while each accumulator stays below
-  // it. Checked from the current values; any miss steps the quantum.
-  for (uint32_t Core = 0; Core < NumCores; ++Core) {
-    const std::deque<uint32_t> &Q = Queues[Core];
-    uint64_t Len = Q.size();
-    uint32_t Ct = coreType(Core);
-    double Busy = BusyCycles[Core];
-    for (uint64_t Pos = 0; Pos < Len && Pos < Window; ++Pos) {
-      const Process &P = *Procs[Q[Pos]];
-      double Charge = static_cast<double>(turnsInWindow(Window, Pos, Len)) *
-                      Hot[P.Pid].SteadyCharge;
-      Busy += Charge;
-      if (!(Busy < ExactCycleBound) ||
-          !(P.Stats.CyclesConsumed + Charge < ExactCycleBound) ||
-          !(Telem[P.Pid].CyclesByType[Ct] + Charge < ExactCycleBound) ||
-          (P.MonActive && !(P.MonCycles + Charge < ExactCycleBound)))
-        return false;
-    }
+  // it. Checked from the current values for the whole window, so every
+  // prefix a settle charges is exact too.
+  const std::deque<uint32_t> &Q = Queues[Core];
+  uint64_t Len = Q.size();
+  uint32_t Ct = coreType(Core);
+  double Busy = BusyCycles[Core];
+  for (uint64_t Pos = 0; Pos < Len && Pos < Quanta; ++Pos) {
+    const Process &P = *Procs[Q[Pos]];
+    double Charge = static_cast<double>(turnsInWindow(Quanta, Pos, Len)) *
+                    Hot[P.Pid].SteadyCharge;
+    Busy += Charge;
+    if (!(Busy < ExactCycleBound) ||
+        !(P.Stats.CyclesConsumed + Charge < ExactCycleBound) ||
+        !(Telem[P.Pid].CyclesByType[Ct] + Charge < ExactCycleBound) ||
+        (P.MonActive && !(P.MonCycles + Charge < ExactCycleBound)))
+      return false;
   }
-
-  for (uint32_t Core = 0; Core < NumCores; ++Core) {
-    std::deque<uint32_t> &Q = Queues[Core];
-    uint64_t Len = Q.size();
-    if (Len == 0)
-      continue;
-    double Freq = coreFrequency(Core);
-    uint32_t Ct = coreType(Core);
-    for (uint64_t Pos = 0; Pos < Len && Pos < Window; ++Pos) {
-      Process &P = *Procs[Q[Pos]];
-      HotProc &H = Hot[P.Pid];
-      uint64_t Turns = turnsInWindow(Window, Pos, Len);
-      uint64_t Insts = Turns * H.SteadyInsts;
-      double Charge = static_cast<double>(Turns) * H.SteadyCharge;
-      P.Stats.InstsRetired += Insts;
-      P.Stats.BlocksExecuted += Turns * H.SteadyIters;
-      P.Stats.CyclesConsumed += Charge;
-      BusyCycles[Core] += Charge;
-      if (P.MonActive) {
-        P.MonInsts += Insts;
-        P.MonCycles += Charge;
-      }
-      // CpuSeconds adds Charge/Freq, which is off the grid: replay the
-      // per-turn adds so rounding happens exactly as when stepping.
-      double TurnSeconds = H.SteadyCharge / Freq;
-      for (uint64_t Turn = 0; Turn < Turns; ++Turn)
-        P.Stats.CpuSeconds += TurnSeconds;
-      SchedTelemetry &T = Telem[P.Pid];
-      T.InstsByType[Ct] += Insts;
-      T.CyclesByType[Ct] += Charge;
-      T.WindowIpc = static_cast<double>(H.SteadyInsts) / H.SteadyCharge;
-      T.WindowCoreType = Ct;
-      // Advance the trip count and re-key the steady cache to match.
-      uint32_t &Rem = P.LoopRemaining[P.CurGlobal];
-      uint32_t Left = Rem == 0 ? P.Flat->blocks()[P.CurGlobal].TripCount : Rem;
-      Rem = Left - static_cast<uint32_t>(Turns * H.SteadyIters);
-      H.SteadyRem = Rem;
-      H.SteadyTurns -= static_cast<uint32_t>(Turns);
-    }
-    std::rotate(Q.begin(), Q.begin() + static_cast<ptrdiff_t>(Window % Len),
-                Q.end());
-  }
-
-  Now = End;
-  QuantaFused += Window;
   return true;
+}
+
+void Machine::settle(uint32_t Core) {
+  CoreWindow &W = Windows[Core];
+  if (!W.Open)
+    return;
+  W.Open = false;
+  // Cores are visited in index order, so inside a stepped quantum the
+  // turn of a core below VisitPos has already run, and the settled core
+  // must then sit out the quantum's work-conserving re-passes.
+  bool Ran = Core < VisitPos;
+  uint64_t Quanta = Quantum + (Ran ? 1 : 0) - W.Start;
+  QuantaFused += Quanta;
+  std::deque<uint32_t> &Q = Queues[Core];
+  uint64_t Len = Q.size();
+  assert(Len > 0 && "windows open on busy cores only");
+  double Freq = coreFrequency(Core);
+  if (Ran)
+    Used[Core] = Sim.Timeslice * Freq;
+  uint32_t Ct = coreType(Core);
+  for (uint64_t Pos = 0; Pos < Len && Pos < Quanta; ++Pos) {
+    Process &P = *Procs[Q[Pos]];
+    HotProc &H = Hot[P.Pid];
+    uint64_t Turns = turnsInWindow(Quanta, Pos, Len);
+    uint64_t Insts = Turns * H.SteadyInsts;
+    double Charge = static_cast<double>(Turns) * H.SteadyCharge;
+    P.Stats.InstsRetired += Insts;
+    P.Stats.BlocksExecuted += Turns * H.SteadyIters;
+    P.Stats.CyclesConsumed += Charge;
+    BusyCycles[Core] += Charge;
+    if (P.MonActive) {
+      P.MonInsts += Insts;
+      P.MonCycles += Charge;
+    }
+    // CpuSeconds adds Charge/Freq, which is off the grid: replay the
+    // per-turn adds so rounding happens exactly as when stepping.
+    double TurnSeconds = H.SteadyCharge / Freq;
+    for (uint64_t Turn = 0; Turn < Turns; ++Turn)
+      P.Stats.CpuSeconds += TurnSeconds;
+    SchedTelemetry &T = Telem[P.Pid];
+    T.InstsByType[Ct] += Insts;
+    T.CyclesByType[Ct] += Charge;
+    T.WindowIpc = static_cast<double>(H.SteadyInsts) / H.SteadyCharge;
+    T.WindowCoreType = Ct;
+    // Advance the trip count and re-key the steady cache to match.
+    uint32_t &Rem = P.LoopRemaining[P.CurGlobal];
+    uint32_t Left = Rem == 0 ? P.Flat->blocks()[P.CurGlobal].TripCount : Rem;
+    Rem = Left - static_cast<uint32_t>(Turns * H.SteadyIters);
+    H.SteadyRem = Rem;
+    H.SteadyTurns -= static_cast<uint32_t>(Turns);
+  }
+  std::rotate(Q.begin(), Q.begin() + static_cast<ptrdiff_t>(Quanta % Len),
+              Q.end());
+}
+
+void Machine::settleAll() {
+  for (uint32_t Core = 0; Core < Config.numCores(); ++Core)
+    settle(Core);
 }
 
 /// The flat-image interpreter. Same block sequence, same RNG draws, and
@@ -771,6 +856,7 @@ bool Machine::fireMark(Process &P, const PhaseMark &Mark, uint32_t Core,
                        double &Cycles) {
   const MarkCostModel &MC = P.IProg->cost();
   ++P.Stats.MarksFired;
+  uint64_t MaskBefore = P.AffinityMask;
   uint32_t Ct = coreType(Core);
   double Overhead = static_cast<double>(MC.MarkInsts) * 0.5;
 
@@ -824,6 +910,8 @@ bool Machine::fireMark(Process &P, const PhaseMark &Mark, uint32_t Core,
 
   Cycles += Overhead;
   P.Stats.OverheadCycles += Overhead;
+  if (P.AffinityMask != MaskBefore)
+    ShapeDirty = true;
   return NeedMigrate;
 }
 

@@ -11,9 +11,10 @@
 /// instrumented edges and call sites, performs counter-based monitoring,
 /// and carries out affinity switches. Shared-L2 contention is modeled by
 /// halving the effective cache per active sharer of the L2 group,
-/// re-evaluated every quantum. Runs of steady quanta (every queue front
-/// in a budget-exhausting unmarked self-loop) are charged in one step,
-/// bit-identical to stepping them (see Machine::run).
+/// re-evaluated every quantum. A core whose queue is steady (every
+/// front it will run sits in a budget-exhausting unmarked self-loop)
+/// defers its quanta and charges them in one step later, bit-identical
+/// to stepping them (see Machine::run).
 ///
 /// The phase-tuned and baseline configurations differ *only* in the
 /// program image (marks or no marks), matching the paper's transparent-
@@ -128,9 +129,15 @@ public:
   size_t pendingEvents() const { return Events.size(); }
 
   /// Advances simulated time to \p Until (absolute seconds), or to the
-  /// end of the quantum in which requestStop() was called. Runs of
-  /// steady quanta are charged in one step (see fuseSteadyQuanta);
-  /// the result is bit-identical to stepping them.
+  /// end of the quantum in which requestStop() was called. On the Flat
+  /// engine without a trace sink, each core whose queue is steady for
+  /// two or more quanta opens a deferred window and is charged later in
+  /// one step (settle); only the other cores step, and when every busy
+  /// core is deferred the clock jumps to the earliest window end, event,
+  /// required balance or \p Until. Balance instants of a shape-only
+  /// policy that cannot move anything are skipped. Every window is
+  /// settled before run() returns, and the result is bit-identical to
+  /// stepping every quantum.
   void run(double Until);
 
   /// Ends the simulation: the current run() call returns at the end of
@@ -138,11 +145,15 @@ public:
   /// call it to implement stop rules (a job count, a drained stream).
   void requestStop() { StopRequested = true; }
 
-  /// Quanta simulated one by one, and quanta charged inside fused
-  /// windows of steady quanta (Plane-2 diagnostics; their sum is every
-  /// quantum this machine simulated).
+  /// Core-quanta stepped one by one, and core-quanta charged inside
+  /// deferred windows or jumped over on idle cores (Plane-2
+  /// diagnostics). Their sum is cores times the quanta simulated; the
+  /// Reference engine and traced runs step them all.
   uint64_t quantaStepped() const { return QuantaStepped; }
   uint64_t quantaFused() const { return QuantaFused; }
+  /// Balance instants skipped because the shape-only policy could not
+  /// move anything there (see SchedulerPolicy::shapeOnly).
+  uint64_t balancesSkipped() const { return BalanceSkipped; }
 
   double now() const { return Now; }
 
@@ -215,7 +226,7 @@ private:
   /// the per-block recomputing reference engine.
   ///
   /// The Steady* fields cache the process's steady-turn shape for
-  /// fuseSteadyQuanta, keyed by (SteadyCur, SteadyCfg, SteadyRem) =
+  /// deferred windows, keyed by (SteadyCur, SteadyCfg, SteadyRem) =
   /// (CurGlobal, CfgOff, LoopRemaining[CurGlobal]): a pure function of
   /// the key, so a stale entry is never used and a hit saves the
   /// division that finds the turn's iteration count.
@@ -256,11 +267,42 @@ private:
   /// not steady. Fills the process's HotProc steady cache.
   uint32_t steadyTurns(const Process &P, uint32_t Core, uint32_t Sharers);
 
-  /// Charges the run of steady quanta starting at the current quantum
-  /// in one step when there are at least two, advancing Now past them;
-  /// returns false (nothing changed) when the quantum must be stepped.
-  /// GroupActive must hold this quantum's sharer counts.
-  bool fuseSteadyQuanta(double Until);
+  /// A core's deferred window: quanta [Start, End) whose turns are
+  /// charged later, in one step, by settle().
+  struct CoreWindow {
+    bool Open = false;
+    uint64_t Start = 0;
+    uint64_t End = 0;
+    /// The L2 group's active-core count the turns were priced at.
+    uint32_t Active = 0;
+  };
+
+  /// True when quanta may be deferred: the Reference interpreter is the
+  /// oracle and traced runs emit per-quantum events, so both step.
+  bool fusing() const { return Sim.Engine == ExecEngine::Flat && !Trace; }
+
+  /// True when the balance instant at hand cannot move anything: the
+  /// policy is shape-only and no queue or mask changed since the last
+  /// balance, which made no move.
+  bool balanceSkippable() const {
+    return PolicyShapeOnly && !ShapeDirty && fusing();
+  }
+
+  /// Opens a deferred window on the busy \p Core at the current quantum
+  /// when its queue is steady for at least two quanta; returns false
+  /// when the core must step. GroupActive must hold this quantum's
+  /// sharer counts.
+  bool openWindow(uint32_t Core);
+
+  /// True when charging \p Quanta turns of \p Core's window keeps every
+  /// accumulator it touches below ExactCycleBound.
+  bool windowExact(uint32_t Core, uint64_t Quanta) const;
+
+  /// Charges \p Core's open window and closes it: through the current
+  /// quantum when the core's turn in it has run (Core < VisitPos), else
+  /// through the previous one.
+  void settle(uint32_t Core);
+  void settleAll();
 
   /// Runs \p P on \p Core for at most \p BudgetCycles (dispatches on
   /// SimConfig::Engine).
@@ -311,9 +353,21 @@ private:
   double Now = 0;
   double NextBalance = 0;
   bool StopRequested = false;
+  /// SchedulerPolicy::shapeOnly() of Policy (fixed for its life).
+  bool PolicyShapeOnly = false;
+  /// A queue gained or lost a process, or a mask changed, since the
+  /// last balance call.
+  bool ShapeDirty = true;
   uint64_t QuantaStepped = 0;
   uint64_t QuantaFused = 0;
+  uint64_t BalanceSkipped = 0;
+  /// Index of the quantum starting at Now.
+  uint64_t Quantum = 0;
+  /// Inside a stepped quantum, the cores below VisitPos have had their
+  /// turn in it (NumCores once the first pass is done); 0 elsewhere.
+  uint32_t VisitPos = 0;
   std::vector<std::deque<uint32_t>> Queues;
+  std::vector<CoreWindow> Windows;
   std::vector<std::unique_ptr<Process>> Procs;
   /// Per-process hot lanes, indexed like Procs (see HotProc).
   std::vector<HotProc> Hot;

@@ -98,15 +98,29 @@ public:
 
   /// Picks a core for a ready process (new arrival or migration). Must
   /// honor the process's affinity mask; the machine guarantees at least
-  /// one allowed core exists.
+  /// one allowed core exists. Unless the policy is shapeOnly(), the
+  /// machine settles every deferred core first, so the call observes
+  /// exactly the state stepping would have produced.
   virtual uint32_t selectCore(const Machine &M, const Process &P) = 0;
 
   /// Periodic load balancing (every SimConfig::BalancePeriod); may move
   /// queued (not running) processes between cores via Machine::moveQueued.
-  /// There is no per-quantum hook: a policy that steers every quantum
-  /// runs with BalancePeriod == Timeslice (the machine charges runs of
-  /// steady quanta between balance instants in one step).
+  /// Every deferred core is settled before it runs. There is no
+  /// per-quantum hook: a policy that steers every quantum runs with
+  /// BalancePeriod == Timeslice.
   virtual void balance(Machine &) {}
+
+  /// Declares that selectCore and balance read only queue lengths, the
+  /// affinity masks of queued processes and the static machine config,
+  /// that whether balance moves anything does not depend on queue order
+  /// (order may only choose which process moves), and that the hooks
+  /// read nothing a steady quantum changes. Deferred windows change
+  /// none of these, so the machine then places processes and runs the
+  /// hooks without settling, and skips a balance instant when the last
+  /// balance made no move and no queue or mask changed since: the call
+  /// could not move anything. A subclass that reads more (telemetry,
+  /// process progress) must return false.
+  virtual bool shapeOnly() const { return false; }
 
   /// Fired when \p P is spawned, before its first placement. The policy
   /// may constrain Process::AffinityMask here (an OS-level static
@@ -124,6 +138,7 @@ class ObliviousScheduler : public SchedulerPolicy {
 public:
   uint32_t selectCore(const Machine &M, const Process &P) override;
   void balance(Machine &M) override;
+  bool shapeOnly() const override { return true; }
 };
 
 /// Asymmetry-aware, program-oblivious: at equal queue length prefers the
@@ -133,6 +148,7 @@ class FastestFirstScheduler final : public SchedulerPolicy {
 public:
   uint32_t selectCore(const Machine &M, const Process &P) override;
   void balance(Machine &M) override;
+  bool shapeOnly() const override { return true; }
 };
 
 /// The whole-program dominant-type mask of the HASS-style comparator:
@@ -174,6 +190,8 @@ public:
       : MinSampleInsts(MinSampleInsts), SpeedupThreshold(SpeedupThreshold) {}
 
   void balance(Machine &M) override;
+  /// balance reads counter telemetry.
+  bool shapeOnly() const override { return false; }
 
 private:
   uint64_t MinSampleInsts;

@@ -339,6 +339,7 @@ RunResult pbt::runWorkload(const PreparedSuite &Suite, const Workload &W,
   obs::CounterRegistry &Reg = obs::CounterRegistry::global();
   Reg.add("sim.quanta_stepped", M.quantaStepped());
   Reg.add("sim.quanta_fused", M.quantaFused());
+  Reg.add("sim.balance_skipped", M.balancesSkipped());
 
   Result.CompletedCount = Done;
   Result.InstructionsRetired = M.totalInstructions();

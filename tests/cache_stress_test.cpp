@@ -40,7 +40,7 @@ namespace {
 std::vector<Program> tinySuite() {
   auto Specs = specSuite();
   std::vector<Program> Programs;
-  for (const std::string &Name : {"164.gzip", "179.art"})
+  for (const char *Name : {"164.gzip", "179.art"})
     for (const BenchSpec &S : Specs)
       if (S.Name == Name)
         Programs.push_back(buildBenchmark(S));
@@ -353,12 +353,14 @@ TEST(CacheStressTest, MultiProcessHammerConvergesToReferenceBytes) {
   // Recovery pass: one quiet load-through each. A key the chaos left
   // torn gets quarantined and rebuilt here; a healthy key just hits.
   CacheStore Final(DirName);
-  if (!Final.load(Rig.Key, Rig.ProgramsHash, Rig.MC, Rig.Tech, 42))
+  if (!Final.load(Rig.Key, Rig.ProgramsHash, Rig.MC, Rig.Tech, 42)) {
     ASSERT_TRUE(Final.save(Rig.Key, Rig.ProgramsHash, Rig.MC, Rig.Tech,
                            42, Rig.Suite));
-  if (!Final.load(SecondKey, Rig.ProgramsHash, Rig.MC, SecondTech, 42))
+  }
+  if (!Final.load(SecondKey, Rig.ProgramsHash, Rig.MC, SecondTech, 42)) {
     ASSERT_TRUE(Final.save(SecondKey, Rig.ProgramsHash, Rig.MC,
                            SecondTech, 42, SecondSuite));
+  }
 
   // Byte-identity with the quiet single-writer reference: concurrency
   // and faults may cost misses, never artifact drift.

@@ -33,7 +33,7 @@ namespace {
 std::vector<Program> smallSuite() {
   auto Specs = specSuite();
   std::vector<Program> Programs;
-  for (const std::string &Name : {"164.gzip", "179.art", "473.astar"})
+  for (const char *Name : {"164.gzip", "179.art", "473.astar"})
     for (const BenchSpec &S : Specs)
       if (S.Name == Name)
         Programs.push_back(buildBenchmark(S));

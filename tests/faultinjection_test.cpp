@@ -36,7 +36,7 @@ namespace {
 std::vector<Program> tinySuite() {
   auto Specs = specSuite();
   std::vector<Program> Programs;
-  for (const std::string &Name : {"164.gzip", "179.art"})
+  for (const char *Name : {"164.gzip", "179.art"})
     for (const BenchSpec &S : Specs)
       if (S.Name == Name)
         Programs.push_back(buildBenchmark(S));

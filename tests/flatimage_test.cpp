@@ -24,7 +24,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <deque>
 #include <functional>
 #include <memory>
 
@@ -241,8 +243,9 @@ TEST(FlatEngine, BitIdenticalToReferenceIsolated) {
                      Tech.label());
         expectStatsIdentical(PRef.Stats, PFlat.Stats);
         EXPECT_EQ(PRef.CompletionTime, PFlat.CompletionTime);
-        if (Suite.Images[0]->marks().empty())
+        if (Suite.Images[0]->marks().empty()) {
           EXPECT_EQ(PRef.Stats.MarksFired, 0u);
+        }
         TotalMarks += PRef.Stats.MarksFired;
         TotalSwitches += PRef.Stats.CoreSwitches;
         TotalMonitors += PRef.Stats.MonitorSessions;
@@ -544,11 +547,11 @@ TEST(SelfLoopFusion, LoopResumesAcrossQuantaAndAfterMigration) {
 }
 
 //===----------------------------------------------------------------------===//
-// Steady-quantum fusion: Machine::run charges a run of quanta in which
-// every queue front runs one budget-exhausting unmarked self-loop turn
-// in one step. The Reference machine steps every quantum, so each case
-// replays the same scenario on both engines and expects the machines
-// bit-identical, fused windows included.
+// Steady-quantum fusion: Machine::run charges a core's run of quanta in
+// which every queue front runs one budget-exhausting unmarked self-loop
+// turn in one step. The Reference machine steps every quantum, so each
+// case replays the same scenario on both engines and expects the
+// machines bit-identical, fused windows included.
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -595,27 +598,48 @@ uint32_t spawnImage(Machine &M, const Image &I, uint64_t Seed = 5) {
   return M.spawn(I.IP, I.Cost, TunerConfig(), Seed);
 }
 
-/// Quanta the Reference and Flat machines of expectFusionInvisible
-/// simulated.
+/// Core-quanta the Flat machine of expectFusionInvisible stepped and
+/// deferred, and the balance instants it skipped.
 struct QuantaCounts {
   uint64_t Stepped = 0;
   uint64_t Fused = 0;
+  uint64_t Skipped = 0;
 };
+
+using PolicyFactory = std::function<std::unique_ptr<SchedulerPolicy>()>;
+
+std::unique_ptr<SchedulerPolicy> oblivious() {
+  return std::make_unique<ObliviousScheduler>();
+}
+
+/// Oblivious scheduling without the shape-only declaration: every
+/// balance instant runs and settles every core, so it ends each window.
+struct SettlingOblivious final : ObliviousScheduler {
+  bool shapeOnly() const override { return false; }
+};
+
+/// Both ways a balance instant meets a window: crossed (skipped) or
+/// cut (settled).
+const std::pair<const char *, PolicyFactory> BalanceModes[] = {
+    {"oblivious", oblivious},
+    {"settling", [] { return std::make_unique<SettlingOblivious>(); }}};
 
 /// Plays \p Play (spawns, events, run calls) on one machine per engine
 /// and expects the two bit-identical: clock, every process's stats,
 /// completion, trip counts, monitoring state and telemetry, per-core
 /// busy fractions, and runqueue order. Returns the Flat machine's
-/// quantum counts; the Reference machine must fuse nothing and step
-/// exactly as many quanta as the Flat machine simulated.
-QuantaCounts expectFusionInvisible(const MachineConfig &MC, SimConfig SC,
-                                   const std::function<void(Machine &)> &Play) {
+/// counts. The Reference machine steps every core in every quantum and
+/// skips no balance, so its stepped core-quanta are a multiple of the
+/// core count and equal the Flat machine's stepped plus fused ones.
+QuantaCounts
+expectFusionInvisible(const MachineConfig &MC, SimConfig SC,
+                      const std::function<void(Machine &)> &Play,
+                      const PolicyFactory &MakePolicy = oblivious) {
   std::unique_ptr<Machine> Ms[2];
   int I = 0;
   for (ExecEngine Engine : {ExecEngine::Reference, ExecEngine::Flat}) {
     SC.Engine = Engine;
-    Ms[I] = std::make_unique<Machine>(MC, SC,
-                                      std::make_unique<ObliviousScheduler>());
+    Ms[I] = std::make_unique<Machine>(MC, SC, MakePolicy());
     Play(*Ms[I]);
     ++I;
   }
@@ -623,6 +647,8 @@ QuantaCounts expectFusionInvisible(const MachineConfig &MC, SimConfig SC,
   const Machine &F = *Ms[1];
   EXPECT_EQ(R.now(), F.now());
   EXPECT_EQ(R.quantaFused(), 0u);
+  EXPECT_EQ(R.balancesSkipped(), 0u);
+  EXPECT_EQ(R.quantaStepped() % MC.numCores(), 0u);
   EXPECT_EQ(R.quantaStepped(), F.quantaStepped() + F.quantaFused());
   EXPECT_EQ(R.totalInstructions(), F.totalInstructions());
   for (uint32_t Core = 0; Core < MC.numCores(); ++Core) {
@@ -648,25 +674,33 @@ QuantaCounts expectFusionInvisible(const MachineConfig &MC, SimConfig SC,
     EXPECT_EQ(TA.WindowIpc, TB.WindowIpc);
     EXPECT_EQ(TA.WindowCoreType, TB.WindowCoreType);
   }
-  return QuantaCounts{F.quantaStepped(), F.quantaFused()};
+  return QuantaCounts{F.quantaStepped(), F.quantaFused(),
+                      F.balancesSkipped()};
 }
 
 } // namespace
 
 TEST(SteadyQuantumFusion, WindowsCutByNextBalance) {
-  // One long loop: every window ends at a balance instant. A period
-  // that is no multiple of the timeslice puts the cut mid-stride.
+  // One long loop: under the settling policy every window ends at a
+  // balance instant; under oblivious ones the no-op instants are
+  // skipped and NextBalance replayed. A period that is no multiple of
+  // the timeslice puts the instants mid-stride.
   Image I = imageFor(loopProgram(2000000, 24, false), dyadicMachine());
-  for (double Period : {0.1, 0.0105}) {
-    SCOPED_TRACE("balance period " + std::to_string(Period));
-    SimConfig SC;
-    SC.BalancePeriod = Period;
-    QuantaCounts Q =
-        expectFusionInvisible(dyadicMachine(), SC, [&](Machine &M) {
-          spawnImage(M, I);
-          M.run(7.3);
-        });
-    EXPECT_GT(Q.Fused, 10 * Q.Stepped);
+  for (const auto &Mode : BalanceModes) {
+    for (double Period : {0.1, 0.0105}) {
+      SCOPED_TRACE(std::string(Mode.first) + " balance period " +
+                   std::to_string(Period));
+      SimConfig SC;
+      SC.BalancePeriod = Period;
+      QuantaCounts Q = expectFusionInvisible(
+          dyadicMachine(), SC,
+          [&](Machine &M) {
+            spawnImage(M, I);
+            M.run(7.3);
+          },
+          Mode.second);
+      EXPECT_GT(Q.Fused, 10 * Q.Stepped);
+    }
   }
 }
 
@@ -711,29 +745,35 @@ TEST(SteadyQuantumFusion, MonitoringSessionOpenAcrossWindow) {
 
 TEST(SteadyQuantumFusion, QueueRotationWithRemainder) {
   // Queues of one to three jobs on one core, with windows cut by the
-  // balance period (25 quanta) or, with balancing out of the way, by
-  // the shortest job's steady turns: both leave S mod len != 0, so the
-  // queue must come out rotated by exactly S mod len.
-  for (uint32_t Len : {1u, 2u, 3u}) {
-    for (double Period : {0.1, 1e3}) {
-      SCOPED_TRACE("len " + std::to_string(Len) + " period " +
-                   std::to_string(Period));
-      std::vector<Image> Images;
-      for (uint32_t Job = 0; Job < Len; ++Job)
-        Images.push_back(imageFor(
-            loopProgram(2000000 + 17011 * Job, 24 + 8 * Job, false, Job + 1),
-            oneCoreMachine()));
-      SimConfig SC;
-      SC.BalancePeriod = Period;
-      QuantaCounts Q =
-          expectFusionInvisible(oneCoreMachine(), SC, [&](Machine &M) {
-            for (const Image &I : Images)
-              spawnImage(M, I);
-            // Stop mid-run: the machines compare queue order too.
-            M.run(1.5);
-            EXPECT_EQ(M.queueLength(0), Len);
-          });
-      EXPECT_GT(Q.Fused, 0u);
+  // balance period (25 quanta, settling policy) or by the shortest
+  // job's steady turns (balancing skipped or out of the way): both
+  // leave S mod len != 0, so the queue must come out rotated by exactly
+  // S mod len.
+  for (const auto &Mode : BalanceModes) {
+    for (uint32_t Len : {1u, 2u, 3u}) {
+      for (double Period : {0.1, 1e3}) {
+        SCOPED_TRACE(std::string(Mode.first) + " len " +
+                     std::to_string(Len) + " period " +
+                     std::to_string(Period));
+        std::vector<Image> Images;
+        for (uint32_t Job = 0; Job < Len; ++Job)
+          Images.push_back(imageFor(loopProgram(2000000 + 17011 * Job,
+                                                24 + 8 * Job, false, Job + 1),
+                                    oneCoreMachine()));
+        SimConfig SC;
+        SC.BalancePeriod = Period;
+        QuantaCounts Q = expectFusionInvisible(
+            oneCoreMachine(), SC,
+            [&](Machine &M) {
+              for (const Image &I : Images)
+                spawnImage(M, I);
+              // Stop mid-run: the machines compare queue order too.
+              M.run(1.5);
+              EXPECT_EQ(M.queueLength(0), Len);
+            },
+            Mode.second);
+        EXPECT_GT(Q.Fused, 0u);
+      }
     }
   }
 }
@@ -790,11 +830,12 @@ TEST(SteadyQuantumFusion, SharerGoesIdleAfterWindow) {
 
 TEST(SteadyQuantumFusion, FallsBackNearExactCycleBound) {
   // A huge timeslice makes each turn charge about 2^34 cycles, so the
-  // core's busy-cycle accumulator reaches 2^37 within eight turns. Two
-  // turn windows (the balance period) fuse while every accumulator
-  // stays below the bound; after that each quantum must step, because
-  // past the bound a turn's add rounds (its charge has a 2^-16 bit set)
-  // and a product would not.
+  // core's busy-cycle accumulator reaches 2^37 within eight turns.
+  // Windows fuse while every accumulator stays below the bound: two
+  // turns long under the settling policy (the balance period), halved
+  // from the planned length under oblivious. After that each quantum
+  // must step, because past the bound a turn's add rounds (its charge
+  // has a 2^-16 bit set) and a product would not.
   MachineConfig MC = oneCoreMachine();
   Program Prog = loopProgram(2, 16384, true);
   CostModel Cost(Prog, MC);
@@ -813,14 +854,24 @@ TEST(SteadyQuantumFusion, FallsBackNearExactCycleBound) {
 
   Prog.Procs[0].Blocks[0].TripCount = Turns * J;
   Image I = imageFor(Prog, MC);
-  QuantaCounts Q = expectFusionInvisible(MC, SC, [&](Machine &M) {
-    uint32_t Pid = spawnImage(M, I);
-    while (M.process(Pid).CompletionTime < 0)
-      M.run(M.now() + 64 * SC.Timeslice);
-    EXPECT_GT(M.process(Pid).Stats.CyclesConsumed, ExactCycleBound);
-  });
-  EXPECT_GT(Q.Fused, 0u);
-  EXPECT_GE(Q.Stepped, 4u);
+  for (const auto &Mode : BalanceModes) {
+    SCOPED_TRACE(Mode.first);
+    QuantaCounts Q = expectFusionInvisible(
+        MC, SC,
+        [&](Machine &M) {
+          // Stop at the exit, so idle quanta after it count for nothing.
+          M.setExitHandler([](Machine &Mach, Process &) {
+            Mach.requestStop();
+          });
+          uint32_t Pid = spawnImage(M, I);
+          while (M.process(Pid).CompletionTime < 0)
+            M.run(M.now() + 64 * SC.Timeslice);
+          EXPECT_GT(M.process(Pid).Stats.CyclesConsumed, ExactCycleBound);
+        },
+        Mode.second);
+    EXPECT_GT(Q.Fused, 0u);
+    EXPECT_GE(Q.Stepped, 4u);
+  }
 }
 
 TEST(SteadyQuantumFusion, IdleMachineSkipsToLateArrival) {
@@ -839,6 +890,428 @@ TEST(SteadyQuantumFusion, IdleMachineSkipsToLateArrival) {
       });
   EXPECT_GT(Q.Fused, 30000u);
   EXPECT_LT(Q.Stepped, 10u);
+}
+
+//===----------------------------------------------------------------------===//
+// Per-core deferred windows: a steady core defers its quanta while the
+// others step, and is settled (charged) before anything touches its
+// queue, its L2 group's active count changes, a callback runs, or run()
+// returns. Each case drives one of those settle points on both engines
+// and expects the machines bit-identical, with state snapshots taken
+// mid-run where the settle happens.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// A fast core between two slow ones, each on its own L2: a job leaving
+/// core 1 lands on a lower or a higher core.
+MachineConfig slowFastSlowMachine() {
+  MachineConfig MC = dyadicMachine();
+  MC.Cores = {{1, 0}, {0, 1}, {1, 2}};
+  return MC;
+}
+
+/// main: a compute self-loop of \p PreTrips whose exit edge carries a
+/// phase mark (type 0), then a self-loop of \p Trips (memory-bound when
+/// \p Memory), then a return.
+Program phaseChangeProgram(uint32_t PreTrips, uint32_t Trips, bool Memory) {
+  IRBuilder B("phase_change", 3);
+  uint32_t Main = B.createProc("main");
+  uint32_t Pre = B.addBlock(Main);
+  uint32_t Body = B.addBlock(Main);
+  uint32_t Exit = B.addBlock(Main);
+  B.appendMix(Main, Pre, InstMix::compute(24, 0.2));
+  B.appendMix(Main, Body,
+              Memory ? InstMix::memory(40, 48000, 0.3)
+                     : InstMix::compute(24, 0.2));
+  B.setLoop(Main, Pre, Pre, Body, PreTrips);
+  B.setLoop(Main, Body, Body, Exit, Trips);
+  B.setRet(Main, Exit);
+  return B.take();
+}
+
+Image phaseChangeImage(uint32_t PreTrips, uint32_t Trips, bool Memory,
+                       const MachineConfig &MC) {
+  return imageFor(phaseChangeProgram(PreTrips, Trips, Memory), MC,
+                  {{0, 0, 1, MarkPoint::Edge, 0}});
+}
+
+uint32_t spawnOn(Machine &M, const Image &I, uint64_t Mask,
+                 uint64_t Seed = 5, int32_t Slot = -1) {
+  return M.spawn(I.IP, I.Cost, TunerConfig(), Seed, Slot, Mask);
+}
+
+/// Decides phase type 0 of \p Pid's tuner for core type \p Type (0 =
+/// fast, 1 = slow), so its phase mark switches it to that type.
+void decide(Machine &M, uint32_t Pid, int32_t Type) {
+  PhaseTuner &T = M.process(Pid).Tuner;
+  T.recordSample(0, 0, Type == 0 ? 4000 : 2200, 2000);
+  T.recordSample(0, 1, 2000, 2000);
+  ASSERT_EQ(T.assignment(0), Type);
+}
+
+/// Everything a caller can observe of \p M between quanta, flattened.
+std::vector<double> stateOf(const Machine &M) {
+  std::vector<double> S{M.now()};
+  for (uint32_t Core = 0; Core < M.config().numCores(); ++Core) {
+    S.push_back(-1.0 - Core);
+    for (uint32_t Pid : M.queue(Core))
+      S.push_back(Pid);
+    S.push_back(M.coreBusyFraction(Core));
+  }
+  for (const auto &P : M.processes()) {
+    S.push_back(static_cast<double>(P->Stats.InstsRetired));
+    S.push_back(P->Stats.CyclesConsumed);
+    S.push_back(P->Stats.CpuSeconds);
+    S.push_back(P->CompletionTime);
+    S.insert(S.end(), P->LoopRemaining.begin(), P->LoopRemaining.end());
+    S.push_back(M.telemetry(P->Pid).WindowIpc);
+  }
+  return S;
+}
+
+/// Snapshots per engine (Reference first), for Play callbacks.
+struct Snapshots {
+  std::vector<std::vector<double>> Of[2];
+  void take(const Machine &M) {
+    Of[M.simConfig().Engine == ExecEngine::Reference ? 0 : 1].push_back(
+        stateOf(M));
+  }
+  void expectAgree() const {
+    EXPECT_FALSE(Of[0].empty());
+    EXPECT_EQ(Of[0], Of[1]);
+  }
+};
+
+} // namespace
+
+TEST(PerCoreFusion, MigrationsIntoLowerAndHigherDeferredCores) {
+  // Cores 0 and 2 are deferred from the first quantum. In it, core 1
+  // steps X and Y; both fire a mark at once and migrate to the slow
+  // cores. X lands on core 0, whose turn in this quantum has already
+  // run: it settles through this quantum (rotating its queue) and sits
+  // out the re-passes. Y lands on core 2, not yet visited: it settles
+  // through the previous quantum and steps this one.
+  MachineConfig MC = slowFastSlowMachine();
+  Image Long = imageFor(loopProgram(2000000, 24, false), MC);
+  Image Mover = phaseChangeImage(2, 300000, false, MC);
+  Snapshots Snap;
+  QuantaCounts Q = expectFusionInvisible(MC, SimConfig(), [&](Machine &M) {
+    uint32_t A = spawnOn(M, Long, 1u << 0, 1);
+    uint32_t B = spawnOn(M, Long, 1u << 0, 2);
+    uint32_t C = spawnOn(M, Long, 1u << 2, 3);
+    uint32_t D = spawnOn(M, Long, 1u << 2, 4);
+    uint32_t X = spawnOn(M, Mover, 1u << 1, 5);
+    uint32_t Y = spawnOn(M, Mover, 1u << 1, 6);
+    decide(M, X, 1);
+    decide(M, Y, 1);
+    M.run(M.simConfig().Timeslice);
+    Snap.take(M);
+    EXPECT_EQ(M.queue(0), (std::deque<uint32_t>{B, A, X}));
+    EXPECT_EQ(M.queue(1), std::deque<uint32_t>{});
+    EXPECT_EQ(M.queue(2), (std::deque<uint32_t>{D, Y, C}));
+    EXPECT_EQ(M.process(X).Stats.CoreSwitches, 1u);
+    EXPECT_EQ(M.process(Y).Stats.CoreSwitches, 1u);
+    M.run(1.0);
+  });
+  Snap.expectAgree();
+  EXPECT_GT(Q.Fused, 10 * Q.Stepped);
+}
+
+TEST(PerCoreFusion, ClosedLoopRespawnOntoDeferredCores) {
+  // Short jobs on core 1 finish mid-quantum; the exit handler starts the
+  // next one there and a side job pinned to core 0 or core 2, both
+  // deferred. Handlers see every core settled by the visit-order rule.
+  MachineConfig MC = slowFastSlowMachine();
+  Image Long = imageFor(loopProgram(2000000, 24, false), MC);
+  Image Short = imageFor(loopProgram(23011, 24, false, 2), MC);
+  Image Side = imageFor(loopProgram(9001, 40, false, 3), MC);
+  Snapshots Snap;
+  QuantaCounts Q = expectFusionInvisible(MC, SimConfig(), [&](Machine &M) {
+    uint32_t Generation = 0;
+    M.setExitHandler([&](Machine &Mach, Process &P) {
+      if (P.Slot != 1 || Generation == 8)
+        return;
+      ++Generation;
+      spawnOn(Mach, Short, 1u << 1, 10 + Generation, 1);
+      spawnOn(Mach, Side, Generation % 2 ? 1u << 0 : 1u << 2,
+              20 + Generation);
+      Snap.take(Mach);
+    });
+    spawnOn(M, Long, 1u << 0, 1);
+    spawnOn(M, Long, 1u << 0, 2);
+    spawnOn(M, Long, 1u << 2, 3);
+    spawnOn(M, Short, 1u << 1, 4, 1);
+    M.run(12.0);
+    EXPECT_EQ(Generation, 8u);
+  });
+  Snap.expectAgree();
+  EXPECT_EQ(Snap.Of[0].size(), 8u);
+  EXPECT_GT(Q.Fused, 10 * Q.Stepped);
+}
+
+TEST(PerCoreFusion, L2PartnerGoesBusyThenIdleMidWindow) {
+  // Core 0 runs a memory-bound loop whose cost depends on its L2
+  // partner, core 1. X migrates from the slow core 2 into the idle core
+  // 1 (group count 1 -> 2), runs, and exits (2 -> 1): core 0's window
+  // must settle at each change and reopen at the new price.
+  MachineConfig MC = dyadicMachine();
+  MC.Cores = {{0, 0}, {0, 0}, {1, 1}};
+  Image Long = imageFor(loopProgram(3000000, 40, true), MC);
+  ASSERT_NE(Long.Cost->blockCycles(0, 0, 0, 1),
+            Long.Cost->blockCycles(0, 0, 0, 2));
+  Image Mover = phaseChangeImage(20000, 60000, true, MC);
+  Snapshots Snap;
+  QuantaCounts Q = expectFusionInvisible(MC, SimConfig(), [&](Machine &M) {
+    uint32_t A = spawnOn(M, Long, 1u << 0, 1);
+    uint32_t X = spawnOn(M, Mover, 1u << 2, 2);
+    decide(M, X, 0);
+    // Until X has moved in, then until it has gone.
+    while (M.queueLength(1) == 0)
+      M.run(M.now() + M.simConfig().Timeslice);
+    Snap.take(M);
+    while (M.process(X).CompletionTime < 0)
+      M.run(M.now() + 0.5);
+    Snap.take(M);
+    M.run(M.now() + 1.0);
+    EXPECT_EQ(M.process(X).Stats.CoreSwitches, 1u);
+    EXPECT_LT(M.process(A).CompletionTime, 0.0);
+  });
+  Snap.expectAgree();
+  EXPECT_GT(Q.Fused, 10 * Q.Stepped);
+}
+
+TEST(PerCoreFusion, ObliviousBalanceMovesAfterShapeChange) {
+  // Queues of three and two jobs: balancing is a no-op, so its instants
+  // are skipped while the shape holds. When D exits (3 vs 1) the next
+  // balance moves core 0's tail job, which depends on how far core 0's
+  // deferred queue has rotated: it must settle before the policy looks.
+  // D's length varies so the rotation at the move varies too.
+  MachineConfig MC = dyadicMachine();
+  MC.Cores = {{0, 0}, {0, 1}};
+  Image Long = imageFor(loopProgram(2000000, 24, false), MC);
+  for (uint32_t Trips : {120011u, 131071u, 142007u}) {
+    SCOPED_TRACE("D trips " + std::to_string(Trips));
+    Image Short = imageFor(loopProgram(Trips, 24, false, 2), MC);
+    QuantaCounts Q = expectFusionInvisible(MC, SimConfig(), [&](Machine &M) {
+      for (uint64_t Seed : {1, 2, 3})
+        spawnOn(M, Long, 1u << 0, Seed);
+      uint32_t D = spawnOn(M, Short, 1u << 1, 4);
+      spawnOn(M, Long, 1u << 1, 5);
+      // Free core 0's jobs to move; the pinned D and E keep core 1.
+      for (uint32_t Pid : {0u, 1u, 2u})
+        M.process(Pid).AffinityMask = M.config().allCoresMask();
+      M.run(6.0);
+      EXPECT_GT(M.process(D).CompletionTime, 0.0);
+      EXPECT_EQ(M.queueLength(0), 2u);
+      EXPECT_EQ(M.queueLength(1), 2u);
+    });
+    EXPECT_GT(Q.Skipped, 10u);
+    EXPECT_GT(Q.Fused, 10 * Q.Stepped);
+  }
+}
+
+TEST(PerCoreFusion, MaskChangeReenablesSkippedBalance) {
+  // Core 0 holds three jobs pinned to it and core 1 none: no job may
+  // move, so balance instants are skipped. C's phase mark then widens
+  // its mask to every core (overhead-measurement tuning) without a
+  // queue change; the next balance must run and move C.
+  MachineConfig MC = dyadicMachine();
+  MC.Cores = {{0, 0}, {0, 1}};
+  Image Long = imageFor(loopProgram(2000000, 24, false), MC);
+  Image Widening = phaseChangeImage(60000, 400000, false, MC);
+  TunerConfig AllCores;
+  AllCores.SwitchToAllCores = true;
+  QuantaCounts Q = expectFusionInvisible(MC, SimConfig(), [&](Machine &M) {
+    spawnOn(M, Long, 1u << 0, 1);
+    spawnOn(M, Long, 1u << 0, 2);
+    uint32_t C = M.spawn(Widening.IP, Widening.Cost, AllCores, 3, -1, 1u << 0);
+    M.run(1.0);
+    EXPECT_EQ(M.process(C).Stats.MarksFired, 1u);
+    EXPECT_EQ(M.queue(1), std::deque<uint32_t>{C});
+    M.run(6.0);
+    EXPECT_GT(M.process(C).CompletionTime, 0.0);
+  });
+  EXPECT_GT(Q.Skipped, 10u);
+  EXPECT_GT(Q.Fused, 10 * Q.Stepped);
+}
+
+namespace {
+
+/// A shape-only policy whose exit hook moves the lowest pid queued on
+/// core 0 to core 1: it reads queue contents but not their order, and
+/// relies on moveQueued to settle the cores it touches.
+struct MoveLowestOnExit final : ObliviousScheduler {
+  void onExit(Machine &M, Process &) override {
+    const std::deque<uint32_t> &Q = M.queue(0);
+    if (!Q.empty())
+      M.moveQueued(*std::min_element(Q.begin(), Q.end()), 0, 1);
+  }
+};
+
+} // namespace
+
+TEST(PerCoreFusion, ShapeOnlyHookMovesQueuedJob) {
+  // D exits on core 1 while core 0 is deferred; the policy's exit hook
+  // runs without a settle and moves a job out of core 0's queue, so
+  // moveQueued must settle core 0 before erasing from it.
+  MachineConfig MC = dyadicMachine();
+  MC.Cores = {{0, 0}, {0, 1}};
+  Image Long = imageFor(loopProgram(2000000, 24, false), MC);
+  Image Short = imageFor(loopProgram(131071, 24, false, 2), MC);
+  QuantaCounts Q = expectFusionInvisible(
+      MC, SimConfig(),
+      [&](Machine &M) {
+        for (uint64_t Seed : {1, 2, 3})
+          spawnOn(M, Long, 1u << 0, Seed);
+        uint32_t D = spawnOn(M, Short, 1u << 1, 4);
+        spawnOn(M, Long, 1u << 1, 5);
+        for (uint32_t Pid : {0u, 1u, 2u})
+          M.process(Pid).AffinityMask = M.config().allCoresMask();
+        M.run(6.0);
+        EXPECT_GT(M.process(D).CompletionTime, 0.0);
+        EXPECT_EQ(M.queueLength(1), 2u);
+      },
+      [] { return std::make_unique<MoveLowestOnExit>(); });
+  EXPECT_GT(Q.Fused, 10 * Q.Stepped);
+}
+
+TEST(PerCoreFusion, IpcSamplingBalanceSettlesEveryCore) {
+  // ipc-sampling reads counter telemetry, so it is not shape-only: each
+  // balance settles every core first and no instant is skipped.
+  MachineConfig MC = MachineConfig::quadAsymmetric();
+  std::vector<Image> Images;
+  for (uint32_t Job = 0; Job < 6; ++Job)
+    Images.push_back(imageFor(
+        loopProgram(400000 + 9973 * Job, 32, Job % 2 == 1, Job + 1), MC));
+  SimConfig SC;
+  SC.BalancePeriod = 0.05;
+  QuantaCounts Q = expectFusionInvisible(
+      MC, SC,
+      [&](Machine &M) {
+        for (const Image &I : Images)
+          spawnImage(M, I);
+        M.run(8.0);
+      },
+      [] { return std::make_unique<IpcSamplingScheduler>(20000, 1.05); });
+  EXPECT_EQ(Q.Skipped, 0u);
+  EXPECT_GT(Q.Fused, 0u);
+}
+
+TEST(PerCoreFusion, EventArrivalOntoDeferredCore) {
+  // Arrivals at off-grid instants pinned to a deferred core: callbacks
+  // run on settled state, and the new job joins the queue's tail.
+  MachineConfig MC = slowFastSlowMachine();
+  Image Long = imageFor(loopProgram(2000000, 24, false), MC);
+  Image Late = imageFor(loopProgram(50000, 40, false, 2), MC);
+  Snapshots Snap;
+  QuantaCounts Q = expectFusionInvisible(MC, SimConfig(), [&](Machine &M) {
+    spawnOn(M, Long, 1u << 0, 1);
+    spawnOn(M, Long, 1u << 0, 2);
+    spawnOn(M, Long, 1u << 1, 3);
+    for (double At : {0.3013, 1.7771, 1.7771})
+      M.scheduleAt(At, [&](Machine &Mach) {
+        Snap.take(Mach);
+        spawnOn(Mach, Late, 1u << 0, 7);
+        Snap.take(Mach);
+      });
+    M.run(4.0);
+  });
+  Snap.expectAgree();
+  EXPECT_EQ(Snap.Of[0].size(), 6u);
+  EXPECT_GT(Q.Fused, 10 * Q.Stepped);
+}
+
+TEST(PerCoreFusion, BalanceInstantMeetsArrivalAndUntil) {
+  // Every quantum start is a balance instant (period == timeslice), and
+  // the jumps over deferred quanta skip them while balancing cannot
+  // move anything. Each arrival, pinned to one core, makes the balance
+  // at its own quantum start move C, the one free job, to the other
+  // core: the arrival fires before that balance. The first run() ends at the first
+  // arrival's quantum start, so that instant belongs to the next call.
+  MachineConfig MC = dyadicMachine();
+  MC.Cores = {{0, 0}, {0, 1}};
+  Image Long = imageFor(loopProgram(2000000, 24, false), MC);
+  SimConfig SC;
+  SC.BalancePeriod = SC.Timeslice;
+  Snapshots Snap;
+  QuantaCounts Q = expectFusionInvisible(MC, SC, [&](Machine &M) {
+    spawnOn(M, Long, 1u << 0, 1);
+    spawnOn(M, Long, 1u << 0, 2);
+    uint32_t C = spawnOn(M, Long, 1u << 0, 3);
+    spawnOn(M, Long, 1u << 1, 4);
+    spawnOn(M, Long, 1u << 1, 5);
+    M.process(C).AffinityMask = M.config().allCoresMask();
+    for (double At : {0.5001, 1.5001})
+      M.scheduleAt(At, [&, At](Machine &Mach) {
+        // 3 + 1 vs 2 first, then 3 vs 3 + 2.
+        spawnOn(Mach, Long, At < 1 ? 1u << 0 : 1u << 1, 6);
+        if (At > 1)
+          spawnOn(Mach, Long, 1u << 1, 7);
+        Snap.take(Mach);
+      });
+    M.run(0.5001);
+    Snap.take(M);
+    EXPECT_EQ(M.pendingEvents(), 2u);
+    M.run(2.0);
+    Snap.take(M);
+    EXPECT_EQ(M.queueLength(0), 4u);
+    EXPECT_EQ(M.queueLength(1), 4u);
+    EXPECT_EQ(M.queue(0).back(), C);
+  });
+  Snap.expectAgree();
+  EXPECT_EQ(Snap.Of[0].size(), 4u);
+  EXPECT_GT(Q.Skipped, 100u);
+  EXPECT_GT(Q.Fused, 10 * Q.Stepped);
+}
+
+TEST(PerCoreFusion, RequestStopWhileCoresDeferred) {
+  // A job on core 1 stops the run when it exits, while cores 0 and 2 are
+  // deferred: run() returns at the end of that quantum with both
+  // settled, and later calls return at once.
+  MachineConfig MC = slowFastSlowMachine();
+  Image Long = imageFor(loopProgram(2000000, 24, false), MC);
+  Image Short = imageFor(loopProgram(77777, 24, false, 2), MC);
+  Snapshots Snap;
+  QuantaCounts Q = expectFusionInvisible(MC, SimConfig(), [&](Machine &M) {
+    M.setExitHandler([](Machine &Mach, Process &) { Mach.requestStop(); });
+    spawnOn(M, Long, 1u << 0, 1);
+    spawnOn(M, Long, 1u << 0, 2);
+    spawnOn(M, Long, 1u << 2, 3);
+    uint32_t S = spawnOn(M, Short, 1u << 1, 4);
+    M.run(100.0);
+    Snap.take(M);
+    double Stop = M.now();
+    EXPECT_GT(M.process(S).CompletionTime, 0.0);
+    EXPECT_LT(Stop, 100.0);
+    M.run(200.0);
+    EXPECT_EQ(M.now(), Stop);
+  });
+  Snap.expectAgree();
+  EXPECT_GT(Q.Fused, 10 * Q.Stepped);
+}
+
+TEST(PerCoreFusion, RunUntilCalledTwice) {
+  // Windows open in one run() call are settled when it returns and
+  // reopened by the next; the state between the calls matches stepping.
+  MachineConfig MC = MachineConfig::quadAsymmetric();
+  std::vector<Image> Images;
+  for (uint32_t Job = 0; Job < 5; ++Job)
+    Images.push_back(imageFor(
+        loopProgram(300000 + 7919 * Job, 24 + 8 * Job, Job % 2 == 0,
+                    Job + 1),
+        MC));
+  Snapshots Snap;
+  QuantaCounts Q = expectFusionInvisible(MC, SimConfig(), [&](Machine &M) {
+    for (const Image &I : Images)
+      spawnImage(M, I);
+    M.run(2.5);
+    Snap.take(M);
+    M.run(5.0);
+    Snap.take(M);
+  });
+  Snap.expectAgree();
+  EXPECT_GT(Q.Fused, 10 * Q.Stepped);
 }
 
 //===----------------------------------------------------------------------===//
@@ -950,7 +1423,7 @@ TEST(ParallelRunner, BitIdenticalToSerialRuns) {
   // serial loop exactly, in input order.
   auto Specs = specSuite();
   std::vector<Program> Programs;
-  for (const std::string &Name : {"164.gzip", "179.art", "473.astar"})
+  for (const char *Name : {"164.gzip", "179.art", "473.astar"})
     for (const BenchSpec &S : Specs)
       if (S.Name == Name)
         Programs.push_back(buildBenchmark(S));
@@ -996,7 +1469,7 @@ TEST(ParallelRunner, BitIdenticalToSerialRuns) {
 TEST(ParallelRunner, IsolatedRuntimesMatchManualLoop) {
   auto Specs = specSuite();
   std::vector<Program> Programs;
-  for (const std::string &Name : {"164.gzip", "179.art"})
+  for (const char *Name : {"164.gzip", "179.art"})
     for (const BenchSpec &S : Specs)
       if (S.Name == Name)
         Programs.push_back(buildBenchmark(S));

@@ -419,9 +419,11 @@ TEST(ShardPartitionTest, SweepUnitsAreUniqueStableAndExactlyOnce) {
   for (uint32_t N = 1; N <= 8; ++N) {
     std::set<size_t> Covered;
     for (uint32_t K = 1; K <= N; ++K)
-      for (size_t Ordinal = 0; Ordinal < Units.Ids.size(); ++Ordinal)
-        if (shardOf(Ordinal, N) == K)
+      for (size_t Ordinal = 0; Ordinal < Units.Ids.size(); ++Ordinal) {
+        if (shardOf(Ordinal, N) == K) {
           EXPECT_TRUE(Covered.insert(Ordinal).second);
+        }
+      }
     EXPECT_EQ(Covered.size(), Units.Ids.size());
   }
 }
