@@ -25,8 +25,6 @@
 #ifndef PBT_BENCH_REGISTRY_H
 #define PBT_BENCH_REGISTRY_H
 
-#include "exp/Shard.h"
-
 #include <vector>
 
 namespace pbt {
@@ -40,10 +38,6 @@ using ExperimentFn = int (*)();
 struct Experiment {
   const char *Name;
   ExperimentFn Fn;
-  /// How the sharded fabric partitions this experiment's work (see
-  /// exp/Shard.h): Whole — one shard owns the whole body; SweepCells —
-  /// every shard runs the body, replaying only its own sweep units.
-  exp::ShardGranularity Granularity;
 };
 
 /// All experiments linked into this binary, in registration order
@@ -52,9 +46,7 @@ const std::vector<Experiment> &experiments();
 
 /// Registers \p Fn under \p Name; invoked by PBT_EXPERIMENT at static
 /// initialization. Always returns true (the result anchors a static).
-bool registerExperiment(const char *Name, ExperimentFn Fn,
-                        exp::ShardGranularity Granularity =
-                            exp::ShardGranularity::Whole);
+bool registerExperiment(const char *Name, ExperimentFn Fn);
 
 } // namespace bench
 } // namespace pbt
@@ -70,19 +62,6 @@ bool registerExperiment(const char *Name, ExperimentFn Fn,
   static int pbtExperimentBody_##NAME();                                       \
   [[maybe_unused]] static const bool PbtExperimentRegistered_##NAME =          \
       ::pbt::bench::registerExperiment(#NAME, &pbtExperimentBody_##NAME);      \
-  static int pbtExperimentBody_##NAME()
-
-/// Like PBT_EXPERIMENT, but declares the body shardable at sweep-cell
-/// granularity: under `driver --shard k/n` every shard runs it, each
-/// replaying only its own cells. Only bodies whose entire output is
-/// derived from harness sweep() results may use this — side computation
-/// outside the sweeps would run on every shard and can't be merged.
-#define PBT_SWEEP_EXPERIMENT(NAME)                                             \
-  static int pbtExperimentBody_##NAME();                                       \
-  [[maybe_unused]] static const bool PbtExperimentRegistered_##NAME =          \
-      ::pbt::bench::registerExperiment(#NAME, &pbtExperimentBody_##NAME,       \
-                                       ::pbt::exp::ShardGranularity::          \
-                                           SweepCells);                        \
   static int pbtExperimentBody_##NAME()
 
 #endif // PBT_BENCH_REGISTRY_H

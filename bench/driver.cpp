@@ -18,8 +18,11 @@
 // Usage:
 //   driver [--list] [--only=name1,name2] [--verify-ir] [--clean-cache]
 //          [--gc-cache] [--max-cache-bytes=N] [--max-cache-age-days=D]
-//          [--timeout-seconds=D] [--max-attempts=N]
-//          [--shard=k/n] [--merge=dir] [--trace=dir] [--report]
+//          [--timeout-seconds=D] [--max-attempts=N] [--trace=dir]
+//          [--report]
+//
+// --only runs just the named experiments (repeats count once); an empty
+// list is an error, not "everything".
 //
 // --trace=dir (or PBT_TRACE=dir; the flag wins) turns on the
 // deterministic simulated-time trace plane: every replay unit writes a
@@ -39,23 +42,6 @@
 // that experiment (the guard records it); the artifacts themselves are
 // unchanged — verification only reads.
 //
-// --shard=k/n (or PBT_SHARD=k/n; the flag wins) runs this process as
-// shard k of an n-shard fabric: whole experiments are round-robined
-// over the sorted registry (non-owned ones report status
-// "other-shard"), sweep experiments replay only their owned cells, and
-// the run emits BENCH_*.shard-k-of-n.json partials, cells payloads,
-// and a shard-k-of-n.manifest.pbs inventory instead of the final
-// artifacts (exp/Shard.h).
-//
-// --merge=dir recombines the shard partials found in dir into the
-// working directory: after validating every manifest and checksum it
-// byte-copies whole artifacts and re-runs sweep bodies over the
-// recombined bit-exact units, producing BENCH_*.json files
-// byte-identical to a single-process run, plus BENCH_merge.json with
-// exact fabric-wide metrics over the recombined cells. Any inconsistency (missing or
-// duplicate shard, mixed n, corrupt partial, ...) is a distinct
-// diagnostic and a nonzero exit.
-//
 // --clean-cache deletes PBT_CACHE_DIR entries written by other format
 // versions (they can never load again) and exits.
 //
@@ -66,7 +52,8 @@
 // given, a default 512 MiB size budget applies.
 //
 // Every experiment runs behind exp::runGuarded: --timeout-seconds
-// bounds each attempt's wall clock (0 = no timeout, the default) and
+// bounds each attempt's wall clock (0 = no timeout, the default; a
+// non-finite value is rejected) and
 // --max-attempts retries failed or throwing experiments (default 1).
 // A failing or throwing experiment never stops the batch — the driver
 // records it, runs everything else, and exits nonzero at the end. A
@@ -79,7 +66,8 @@
 // Environment: PBT_BENCH_SCALE scales horizons, PBT_CACHE_DIR enables
 // the persistent suite store, PBT_THREADS sizes the replay pool,
 // PBT_EXP_TIMEOUT_SECONDS / PBT_EXP_MAX_ATTEMPTS default the two
-// guard flags, PBT_FAULTS arms fault injection (support/FaultInjection).
+// guard flags (nonsense values degrade to no timeout / one attempt),
+// PBT_FAULTS arms fault injection (support/FaultInjection).
 //
 // Writes BENCH_driver.json (schema pbt-driver-v4, docs/BENCH_SCHEMA.md)
 // with per-experiment status/attempts/duration, a failure summary, and
@@ -97,7 +85,6 @@
 #include "exp/CacheStore.h"
 #include "exp/Guard.h"
 #include "exp/Harness.h"
-#include "exp/Shard.h"
 #include "obs/Counters.h"
 #include "obs/Trace.h"
 #include "support/Env.h"
@@ -105,10 +92,10 @@
 #include "support/Json.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -117,13 +104,14 @@ using namespace pbt::bench;
 
 namespace {
 
-/// Splits the comma-separated --only list.
+/// Splits the comma-separated --only list, dropping empty and repeated
+/// names.
 std::vector<std::string> splitList(const char *Csv) {
   std::vector<std::string> Out;
   std::string Cur;
   for (const char *P = Csv;; ++P) {
     if (*P == ',' || *P == '\0') {
-      if (!Cur.empty())
+      if (!Cur.empty() && std::find(Out.begin(), Out.end(), Cur) == Out.end())
         Out.push_back(Cur);
       Cur.clear();
       if (*P == '\0')
@@ -154,9 +142,6 @@ int main(int Argc, char **Argv) {
   // the defaults (no timeout, single attempt).
   double TimeoutSeconds = envDouble("PBT_EXP_TIMEOUT_SECONDS", 0);
   int64_t MaxAttempts = envInt("PBT_EXP_MAX_ATTEMPTS", 1);
-  bool SawShardFlag = false;
-  exp::ShardSpec Shard; // 1/1 unless --shard or PBT_SHARD says otherwise.
-  std::string MergeDir;
   bool Report = false;
   std::vector<std::string> Only;
   for (int I = 1; I < Argc; ++I) {
@@ -192,9 +177,9 @@ int main(int Argc, char **Argv) {
     } else if (std::strncmp(Arg, "--timeout-seconds=", 18) == 0) {
       char *End = nullptr;
       TimeoutSeconds = std::strtod(Arg + 18, &End);
-      if (End == Arg + 18 || *End != '\0') {
-        std::fprintf(stderr, "driver: --timeout-seconds wants a number "
-                             "of seconds, got '%s'\n",
+      if (End == Arg + 18 || *End != '\0' || !std::isfinite(TimeoutSeconds)) {
+        std::fprintf(stderr, "driver: --timeout-seconds wants a finite "
+                             "number of seconds, got '%s'\n",
                      Arg + 18);
         return 2;
       }
@@ -209,17 +194,9 @@ int main(int Argc, char **Argv) {
       }
     } else if (std::strncmp(Arg, "--only=", 7) == 0) {
       Only = splitList(Arg + 7);
-    } else if (std::strncmp(Arg, "--shard=", 8) == 0) {
-      std::string Error;
-      if (!exp::ShardSpec::parse(Arg + 8, Shard, Error)) {
-        std::fprintf(stderr, "driver: %s\n", Error.c_str());
-        return 2;
-      }
-      SawShardFlag = true;
-    } else if (std::strncmp(Arg, "--merge=", 8) == 0) {
-      MergeDir = Arg + 8;
-      if (MergeDir.empty()) {
-        std::fprintf(stderr, "driver: --merge wants a shard directory\n");
+      if (Only.empty()) {
+        std::fprintf(stderr, "driver: --only wants at least one experiment "
+                             "name (see --list)\n");
         return 2;
       }
     } else if (std::strncmp(Arg, "--trace=", 8) == 0) {
@@ -236,41 +213,19 @@ int main(int Argc, char **Argv) {
                    "[--verify-ir] [--clean-cache] [--gc-cache] "
                    "[--max-cache-bytes=N] [--max-cache-age-days=D] "
                    "[--timeout-seconds=D] [--max-attempts=N] "
-                   "[--shard=k/n] [--merge=dir] [--trace=dir] "
-                   "[--report]\n");
+                   "[--trace=dir] [--report]\n");
       return 2;
     }
   }
   // PBT_TRACE needs no handling here: obs seeds the trace directory
   // from the environment for every binary, and the --trace flag above
-  // overwrites it — the flag wins, mirroring --shard/PBT_SHARD.
-  // The flag wins over the environment; the environment only applies
-  // when no flag was given (so wrapper scripts can export PBT_SHARD and
-  // still be overridden per invocation).
-  if (!SawShardFlag) {
-    if (const char *Env = envString("PBT_SHARD")) {
-      std::string Error;
-      if (!exp::ShardSpec::parse(Env, Shard, Error)) {
-        std::fprintf(stderr, "driver: PBT_SHARD: %s\n", Error.c_str());
-        return 2;
-      }
-      SawShardFlag = true;
-    }
-  }
-  bool ShardMode = SawShardFlag;
-  if (ShardMode && !MergeDir.empty()) {
-    std::fprintf(stderr,
-                 "driver: --shard and --merge are mutually exclusive\n");
-    return 2;
-  }
-  if (!MergeDir.empty() && !Only.empty()) {
-    std::fprintf(stderr, "driver: --merge recombines whatever the shard "
-                         "manifests list; it cannot be combined with "
-                         "--only\n");
-    return 2;
-  }
+  // overwrites it.
+  //
+  // Nonsense environment values degrade sanely instead of failing.
+  if (!std::isfinite(TimeoutSeconds))
+    TimeoutSeconds = 0; // No timeout.
   if (MaxAttempts < 1)
-    MaxAttempts = 1; // A nonsense PBT_EXP_MAX_ATTEMPTS degrades sanely.
+    MaxAttempts = 1;
 
   // A GC bound without --gc-cache would be silently ignored and the
   // whole experiment matrix would run instead; refuse the ambiguity.
@@ -345,45 +300,6 @@ int main(int Argc, char **Argv) {
     }
   }
 
-  if (!MergeDir.empty()) {
-    // Merge mode: recombine shard partials into final artifacts. Sweep
-    // replays resolve through a shared lab pool like a normal run (the
-    // labs only serve machine configs and isolated-runtime oracles —
-    // no simulation happens; every replay is fed from the recombined
-    // units).
-    std::map<std::string, exp::MergeExperimentInfo> Infos;
-    for (const Experiment &E : Sorted) {
-      exp::MergeExperimentInfo Info;
-      Info.G = E.Granularity;
-      Info.Run = E.Fn;
-      Infos[E.Name] = std::move(Info);
-    }
-    exp::LabPool Pool;
-    exp::ExperimentHarness::setSharedLabPool(&Pool);
-    std::printf("== experiment driver: merging shards from %s ==\n",
-                MergeDir.c_str());
-    exp::MergeReport Report;
-    std::string Err = exp::mergeShards(
-        MergeDir, ".",
-        [&](const std::string &Name) -> const exp::MergeExperimentInfo * {
-          auto It = Infos.find(Name);
-          return It == Infos.end() ? nullptr : &It->second;
-        },
-        &Report);
-    exp::ExperimentHarness::setSharedLabPool(nullptr);
-    if (!Err.empty()) {
-      std::fprintf(stderr, "driver: merge failed: %s\n", Err.c_str());
-      return 1;
-    }
-    std::printf("\n== merge summary: %u shards, %zu artifacts copied, "
-                "%zu sweep experiments replayed from %llu units ==\n"
-                "wrote BENCH_merge.json\n",
-                Report.ShardCount, Report.Copied.size(),
-                Report.Replayed.size(),
-                static_cast<unsigned long long>(Report.Units));
-    return 0;
-  }
-
   // One pool of per-machine labs for the whole run: every harness
   // constructed by the experiment bodies resolves lab() through it, so
   // isolated runtimes are measured once per machine and the suite
@@ -392,31 +308,8 @@ int main(int Argc, char **Argv) {
   exp::ExperimentHarness::setSharedLabPool(&Pool);
   std::shared_ptr<exp::CacheStore> Store = exp::CacheStore::fromEnv();
 
-  // Shard mode: install the process-global runtime the harness routes
-  // through, hash the run set (the merge refuses to combine shards
-  // launched over different sets), and assign whole experiments.
-  exp::ShardRuntime RT(exp::ShardRuntime::Mode::Shard, Shard, ".");
-  std::map<std::string, uint32_t> WholeOwner;
-  if (ShardMode) {
-    std::vector<exp::RunSetEntry> RunSet;
-    std::vector<std::string> WholeNames;
-    for (const Experiment &E : Sorted) {
-      if (!Only.empty() &&
-          std::find(Only.begin(), Only.end(), E.Name) == Only.end())
-        continue;
-      RunSet.emplace_back(E.Name, E.Granularity);
-      if (E.Granularity == exp::ShardGranularity::Whole)
-        WholeNames.push_back(E.Name);
-    }
-    RT.setRunSetHash(exp::hashRunSet(RunSet));
-    WholeOwner = exp::assignWholeShards(WholeNames, Shard.Count);
-    exp::ShardRuntime::install(&RT);
-  }
-
-  std::printf("== experiment driver: %zu experiments, one process%s%s ==\n",
-              Only.empty() ? Sorted.size() : Only.size(),
-              ShardMode ? ", shard " : "",
-              ShardMode ? Shard.label().c_str() : "");
+  std::printf("== experiment driver: %zu experiments, one process ==\n",
+              Only.empty() ? Sorted.size() : Only.size());
   if (Store)
     std::printf("persistent suite cache: %s\n", Store->dir().c_str());
   if (verifyIREnabled())
@@ -468,44 +361,11 @@ int main(int Argc, char **Argv) {
       Rows.push_back(ReportRow{E.Name, "skipped", 0, 0.0});
       continue;
     }
-    if (ShardMode && E.Granularity == exp::ShardGranularity::Whole &&
-        WholeOwner[E.Name] != Shard.Index) {
-      // Another shard owns this whole experiment; recording it as
-      // "other-shard" (not failed, not skipped) keeps the summary an
-      // honest inventory of the fabric's division of labor.
-      Run["status"] = "other-shard";
-      Run["exit_code"] = 0;
-      Run["attempts"] = static_cast<uint64_t>(0);
-      Run["duration_seconds"] = 0.0;
-      Run["owner_shard"] = WholeOwner[E.Name];
-      Runs.push(std::move(Run));
-      Rows.push_back(ReportRow{E.Name, "other-shard", 0, 0.0});
-      continue;
-    }
     std::printf("\n---- %s ----\n", E.Name);
     // The guard is the driver's fault boundary: a throwing or failing
     // experiment becomes a recorded failure, and the batch moves on to
-    // the next experiment. The shard bracket opens inside the guarded
-    // body so EVERY attempt starts from a clean bracket — a retried
-    // attempt must not inherit the failed attempt's sweep seq numbers
-    // or recorded units (beginExperiment replaces the manifest entry it
-    // already holds for this name).
-    std::function<int()> Body = E.Fn;
-    if (ShardMode) {
-      exp::ShardRuntime *RTp = &RT;
-      const Experiment *EP = &E;
-      Body = [RTp, EP] {
-        RTp->beginExperiment(EP->Name, EP->Granularity);
-        return EP->Fn();
-      };
-    }
-    exp::GuardedResult R = exp::runGuarded(Body, Guard);
-    // After a timeout the abandoned runner may still be inside harness
-    // calls that touch the runtime; leave its bracket alone (the
-    // manifest is skipped below, so the incomplete shard can never be
-    // merged).
-    if (ShardMode && R.St != exp::GuardedResult::Status::Timeout)
-      RT.endExperiment(R.ok() ? 0 : (R.ExitCode != 0 ? R.ExitCode : 1));
+    // the next experiment.
+    exp::GuardedResult R = exp::runGuarded(E.Fn, Guard);
     if (R.St == exp::GuardedResult::Status::Timeout)
       AbandonedRunner = true;
     if (!R.ok()) {
@@ -529,21 +389,9 @@ int main(int Argc, char **Argv) {
   // With an abandoned runner possibly still live, neither the shared
   // pool pointer (the runner reads it on every harness lab() call) nor
   // the lab/store counters (the runner increments them) may be touched;
-  // the pool (and the shard runtime, which the runner consults the same
-  // way) stays installed until the _Exit below.
-  if (!AbandonedRunner) {
+  // the pool stays installed until the _Exit below.
+  if (!AbandonedRunner)
     exp::ExperimentHarness::setSharedLabPool(nullptr);
-    if (ShardMode)
-      exp::ShardRuntime::install(nullptr);
-  }
-
-  // The manifest is the shard's sign-off: it is only written after a
-  // clean pass over the whole run set, so a crashed or timed-out shard
-  // leaves no manifest and the merge reports it as missing instead of
-  // silently combining incomplete partials.
-  bool ManifestOk = true;
-  if (ShardMode && !AbandonedRunner)
-    ManifestOk = RT.writeManifest();
 
   // Aggregate suite-cache statistics over the shared labs. store_hits
   // counts preparations served from PBT_CACHE_DIR: a warm second run
@@ -565,19 +413,10 @@ int main(int Argc, char **Argv) {
   Json Root = Json::object();
   // v4: "pipeline" per-pass stats block, module-granular suite_cache
   // counters (prepared_programs, program_store_hits, store.prog_*),
-  // and "verify_ir"; v3 added the optional "shard" block and the
-  // "other-shard" status; v2 added suite_cache store counters — see
+  // and "verify_ir"; v2 added suite_cache store counters — see
   // docs/BENCH_SCHEMA.md.
   Root["schema"] = "pbt-driver-v4";
   Root["verify_ir"] = verifyIREnabled();
-  if (ShardMode) {
-    Json ShardBlock = Json::object();
-    ShardBlock["index"] = Shard.Index;
-    ShardBlock["count"] = Shard.Count;
-    ShardBlock["label"] = Shard.label();
-    ShardBlock["manifest"] = "shard-" + Shard.label() + ".manifest.pbs";
-    Root["shard"] = std::move(ShardBlock);
-  }
   Root["scale"] = envScale();
   Root["cache_dir"] = Store ? Json(Store->dir()) : Json();
   Root["timeout_seconds"] = TimeoutSeconds;
@@ -685,12 +524,8 @@ int main(int Argc, char **Argv) {
                   static_cast<unsigned long long>(P.ProgramsChanged),
                   P.Seconds);
   }
-  int Exit = Failed == 0 && ManifestOk ? 0 : 1;
-  // The summary is shard-suffixed in shard mode so n shards can share
-  // one output directory without clobbering each other.
-  std::string SummaryPath =
-      ShardMode ? "BENCH_driver.shard-" + Shard.label() + ".json"
-                : "BENCH_driver.json";
+  int Exit = Failed == 0 ? 0 : 1;
+  const std::string SummaryPath = "BENCH_driver.json";
   if (!writeJsonFile(SummaryPath, Root)) {
     std::perror(SummaryPath.c_str());
     Exit = 1;
@@ -708,9 +543,7 @@ int main(int Argc, char **Argv) {
     Profile["schema"] = "pbt-profile-v1";
     Profile["abandoned_runner"] = AbandonedRunner;
     Profile["registry"] = obs::CounterRegistry::global().snapshotJson();
-    std::string ProfilePath =
-        ShardMode ? "PROFILE_driver.shard-" + Shard.label() + ".json"
-                  : "PROFILE_driver.json";
+    const std::string ProfilePath = "PROFILE_driver.json";
     if (!writeJsonFile(ProfilePath, Profile)) {
       std::perror(ProfilePath.c_str());
       Exit = 1;

@@ -23,7 +23,7 @@
 using namespace pbt;
 using namespace pbt::bench;
 
-PBT_SWEEP_EXPERIMENT(sweep_arrival_rates) {
+PBT_EXPERIMENT(sweep_arrival_rates) {
   ExperimentHarness H("sweep_arrival_rates",
                       "Traffic sweep: Poisson arrival rate x OS scheduler "
                       "(open-system tail latency)",

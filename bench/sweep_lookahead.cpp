@@ -12,7 +12,7 @@
 using namespace pbt;
 using namespace pbt::bench;
 
-PBT_SWEEP_EXPERIMENT(sweep_lookahead) {
+PBT_EXPERIMENT(sweep_lookahead) {
   ExperimentHarness H("sweep_lookahead",
                       "Sec. IV-C2: lookahead depth sweep (BB[15,*])",
                       "CGO'11 Sec. IV-C2");

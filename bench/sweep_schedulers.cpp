@@ -27,7 +27,7 @@
 using namespace pbt;
 using namespace pbt::bench;
 
-PBT_SWEEP_EXPERIMENT(sweep_schedulers) {
+PBT_EXPERIMENT(sweep_schedulers) {
   ExperimentHarness H("sweep_schedulers",
                       "OS scheduler-policy sweep (oblivious baseline vs "
                       "asymmetry-aware strategies)",

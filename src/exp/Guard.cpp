@@ -40,10 +40,21 @@ struct TimedState {
   std::string Error;
 };
 
+/// True when \p TimeoutSeconds is a deadline the timed wait can
+/// represent in nanoseconds. Zero, negative, NaN, infinite, and larger
+/// timeouts (the conversion would overflow) mean no deadline. Half the
+/// range leaves room for the wait to add the current time.
+bool hasDeadline(double TimeoutSeconds) {
+  const double MaxSeconds =
+      std::chrono::duration<double>(std::chrono::nanoseconds::max()).count() /
+      2;
+  return TimeoutSeconds > 0 && TimeoutSeconds < MaxSeconds;
+}
+
 AttemptResult runOnce(const std::function<int()> &Fn, double TimeoutSeconds) {
   AttemptResult R;
-  if (TimeoutSeconds <= 0) {
-    // No timeout: run inline; nothing to abandon, so no thread needed.
+  if (!hasDeadline(TimeoutSeconds)) {
+    // No deadline: run inline; nothing to abandon, so no thread needed.
     try {
       R.Rc = Fn();
     } catch (const std::exception &E) {
@@ -82,7 +93,9 @@ AttemptResult runOnce(const std::function<int()> &Fn, double TimeoutSeconds) {
 
   std::unique_lock<std::mutex> Lock(State->Mutex);
   bool Finished = State->Done.wait_for(
-      Lock, std::chrono::duration<double>(TimeoutSeconds),
+      Lock,
+      std::chrono::ceil<std::chrono::nanoseconds>(
+          std::chrono::duration<double>(TimeoutSeconds)),
       [&] { return State->Finished; });
   if (Finished) {
     R.Threw = State->Threw;

@@ -37,8 +37,9 @@ namespace exp {
 
 /// Policy for one guarded execution.
 struct GuardOptions {
-  /// Wall-clock budget per attempt in seconds; <= 0 disables the
-  /// timeout (the body runs inline on the calling thread).
+  /// Wall-clock budget per attempt in seconds; <= 0, NaN, infinity, or
+  /// a value too large for the clock disables the timeout (the body
+  /// runs inline on the calling thread).
   double TimeoutSeconds = 0;
   /// Total attempts (first run + retries); clamped to at least 1.
   unsigned MaxAttempts = 1;

@@ -55,16 +55,14 @@ ExperimentHarness::ExperimentHarness(std::string NameIn, std::string Title,
   obs::setTraceExperiment(Name);
   // v7: cells may carry an opt-in "telemetry" block (per-core-type
   // instructions/cycles and IPC, SweepGrid::ExportTelemetry); grids
-  // that do not opt in emit cells unchanged from v6. v6: the sharded
-  // experiment fabric — shard-mode partial artifacts
-  // carry a "shard" block and per-sweep unit counts in place of cells
-  // (full single-process and merged artifacts are unchanged in content
-  // beyond the version tag). v5 gave sweeps[] the "engine" label
-  // (which execution engine replayed the grid's cells) and metrics
-  // "percentile_mode" (always "exact"); v4 added the per-cell
-  // "scenario" label, the "latency" block, and "p95_flow"; v3 the
-  // per-cell "scheduler" label; v2 replaced live suite_cache counters
-  // with the grid-pure distinct_preparations — see
+  // that do not opt in emit cells unchanged from v6. v6 added a
+  // partial-artifact variant for a since-removed multi-process mode
+  // (full artifacts were unchanged beyond the version tag). v5 gave
+  // sweeps[] the "engine" label (which execution engine replayed the
+  // grid's cells) and metrics "percentile_mode" (always "exact"); v4
+  // added the per-cell "scenario" label, the "latency" block, and
+  // "p95_flow"; v3 the per-cell "scheduler" label; v2 replaced live
+  // suite_cache counters with the grid-pure distinct_preparations — see
   // docs/BENCH_SCHEMA.md.
   Root["schema"] = "pbt-bench-v7";
   Root["bench"] = Name;
@@ -150,41 +148,7 @@ Json workloadJson(const WorkloadSpec &Spec) {
 } // namespace
 
 SweepResult ExperimentHarness::sweep(Lab &L, const SweepGrid &Grid) {
-  ShardRuntime *RT = ShardRuntime::current();
-
-  if (RT && RT->shardingCells()) {
-    // Shard mode: replay only the units this shard owns and stream
-    // them into the runtime's partial payload. The artifact records
-    // unit counts instead of cells; the body gets a placeholder result
-    // so its post-processing runs without real data (its tables and
-    // notes are suppressed — see table()/note()).
-    uint32_t Seq = RT->nextSweepSeq();
-    SweepShardStats Stats = runSweepSharded(
-        L, Grid, RT->spec(),
-        [&](const std::string &Id, const RunResult &Run) {
-          RT->recordUnit(Seq, Id, Run);
-        });
-    Json Record = Json::object();
-    Record["machine"] = L.machine().Name;
-    Record["engine"] = engineName(Grid.Engine);
-    Record["units_total"] = Stats.UnitsTotal;
-    Record["units_owned"] = Stats.UnitsOwned;
-    Root["sweeps"].push(std::move(Record));
-    return placeholderSweep(Grid, L.machine());
-  }
-
-  SweepResult Result;
-  if (RT && RT->mergingCells()) {
-    // Merge mode: identical assembly and metrics math, fed from the
-    // recombined bit-exact units instead of fresh simulations.
-    uint32_t Seq = RT->nextSweepSeq();
-    Result = runSweepFromUnits(Grid, L.machine(),
-                               [&](const std::string &Id) {
-                                 return RT->findUnit(Seq, Id);
-                               });
-  } else {
-    Result = runSweep(L, Grid);
-  }
+  SweepResult Result = runSweep(L, Grid);
 
   // The same normalized axes runSweep executed over, so Cell.Scheduler
   // and Cell.Scenario always label what actually ran.
@@ -275,12 +239,6 @@ std::vector<SweepResult> ExperimentHarness::sweep(const SweepGrid &Grid) {
 }
 
 void ExperimentHarness::table(const Table &T) {
-  // A sharding body's tables are computed from placeholder sweep data
-  // (the real cells live in other shards' payloads); the merge replay
-  // rebuilds them from the recombined units.
-  ShardRuntime *RT = ShardRuntime::current();
-  if (RT && RT->shardingCells())
-    return;
   std::fputs(T.render().c_str(), stdout);
   Json Columns = Json::array();
   for (const std::string &Column : T.columns())
@@ -299,33 +257,12 @@ void ExperimentHarness::table(const Table &T) {
 }
 
 void ExperimentHarness::note(const std::string &Text) {
-  // Suppressed while sharding, like table(): notes often interpolate
-  // computed numbers, which are placeholders on a shard.
-  ShardRuntime *RT = ShardRuntime::current();
-  if (RT && RT->shardingCells())
-    return;
   std::printf("\n%s\n", Text.c_str());
   Root["notes"].push(Text);
 }
 
 int ExperimentHarness::finish() {
-  std::string Path = "BENCH_" + Name + ".json";
-  if (ShardRuntime *RT = ShardRuntime::current()) {
-    if (RT->mode() == ShardRuntime::Mode::Shard) {
-      // Shard mode: the runtime writes the shard-suffixed artifact
-      // (byte-identical content for whole experiments, a partial with
-      // a shard block for sweep-cell ones) plus the cells payload, and
-      // records both in the shard manifest.
-      int Code = RT->finishArtifact(Name, Root);
-      if (Code == 0)
-        std::printf("wrote shard %s partial for %s\n",
-                    RT->spec().label().c_str(), Name.c_str());
-      return Code;
-    }
-    // Merge mode: same bytes as a single-process run, written where
-    // the merge directs.
-    Path = RT->mergedArtifactPath(Name);
-  }
+  const std::string Path = "BENCH_" + Name + ".json";
   obs::Span Write("harness.write_artifact");
   if (!writeJsonFile(Path, Root)) {
     std::perror(Path.c_str());

@@ -10,9 +10,6 @@
 #include "obs/Span.h"
 #include "obs/Trace.h"
 
-#include <map>
-#include <stdexcept>
-
 using namespace pbt;
 using namespace pbt::exp;
 
@@ -46,13 +43,10 @@ const std::vector<ScenarioSpec> &SweepGrid::effectiveScenarios() const {
 
 namespace {
 
-/// The one walker behind runSweep, runSweepSharded, runSweepFromUnits,
-/// and enumerateSweepUnits: the batch layout (baseline replays first,
-/// then all cells in technique-major nest order, with baseline-
-/// coincident cells reusing the baseline job) and the per-job unit ids
-/// come from here and nowhere else, so shard ownership, sharded
-/// execution, and merge-side reconstruction can never disagree about
-/// which job is which.
+/// runSweep's batch layout: baseline replays first, then all cells in
+/// technique-major nest order, with baseline-coincident cells reusing
+/// the baseline job. Each job's unit id names its trace file, so trace
+/// names are a pure function of the grid, whatever thread runs the job.
 struct SweepJobPlan {
   struct Coord {
     bool IsBaseline = false;
@@ -109,9 +103,7 @@ SweepJobPlan planSweepJobs(const SweepGrid &Grid) {
   return Plan;
 }
 
-/// Assembles a SweepResult from per-job results in batch order:
-/// identical for simulated and unit-fed runs, so merged artifacts are
-/// byte-identical by construction.
+/// Assembles a SweepResult from per-job results in batch order.
 SweepResult assembleSweep(const SweepGrid &Grid, const SweepJobPlan &Plan,
                           const MachineConfig &Machine,
                           std::vector<RunResult> Runs) {
@@ -159,47 +151,12 @@ Workload materializeWorkload(const WorkloadSpec &Spec, size_t ProgramCount) {
                           static_cast<uint32_t>(ProgramCount), Spec.Seed);
 }
 
-/// The replay of plan job \p Job on \p Suite and \p W. Baselines
-/// always replay under the oblivious scheduler and the batch scenario —
-/// the paper's fixed reference point; cells under their own axes. The
-/// grid's engine applies to baselines and cells alike, so vs-baseline
-/// deltas always compare like with like. Trace identity comes from the
-/// whole-grid plan, so unit ids (and trace files) are a pure function
-/// of the grid, whatever thread or shard runs the job.
-WorkloadJob sweepJob(const Lab &L, const SweepGrid &Grid,
-                     const SweepJobPlan &Plan, size_t Job,
-                     const PreparedSuite &Suite, const Workload &W,
-                     const std::vector<double> &Iso, uint64_t TraceGroup) {
-  const SweepJobPlan::Coord &Co = Plan.Jobs[Job];
-  WorkloadJob J;
-  J.Suite = &Suite;
-  J.W = &W;
-  J.Machine = &L.machine();
-  J.Sim = L.sim();
-  J.Sim.Engine = Grid.Engine;
-  J.Horizon = Grid.Workloads[Co.W].Horizon;
-  J.Isolated = &Iso;
-  if (!Co.IsBaseline) {
-    J.Sched = Grid.effectiveSchedulers()[Co.C];
-    J.Scenario = Grid.effectiveScenarios()[Co.N];
-  }
-  J.TraceUnit = Plan.Ids[Job];
-  J.TraceGroup = TraceGroup;
-  return J;
-}
-
 } // namespace
-
-SweepUnitList pbt::exp::enumerateSweepUnits(const SweepGrid &Grid) {
-  SweepJobPlan Plan = planSweepJobs(Grid);
-  SweepUnitList Units;
-  Units.Ids = std::move(Plan.Ids);
-  Units.BaselineJobs = Plan.BaselineJobs;
-  return Units;
-}
 
 SweepResult pbt::exp::runSweep(Lab &L, const SweepGrid &Grid) {
   SweepJobPlan Plan = planSweepJobs(Grid);
+  const std::vector<SchedulerSpec> &Schedulers = Grid.effectiveSchedulers();
+  const std::vector<ScenarioSpec> &Scenarios = Grid.effectiveScenarios();
   const std::vector<double> &Iso = L.isolated();
 
   // Prepare every distinct (technique, typing seed) once, through the
@@ -229,107 +186,29 @@ SweepResult pbt::exp::runSweep(Lab &L, const SweepGrid &Grid) {
   Jobs.reserve(Plan.Jobs.size());
   for (size_t Job = 0; Job < Plan.Jobs.size(); ++Job) {
     const SweepJobPlan::Coord &Co = Plan.Jobs[Job];
-    const PreparedSuite &Suite =
-        Co.IsBaseline ? BaselineSuite
-                      : Suites[Co.T * Grid.TypingSeeds.size() + Co.S];
-    Jobs.push_back(
-        sweepJob(L, Grid, Plan, Job, Suite, Workloads[Co.W], Iso, TraceGroup));
+    WorkloadJob J;
+    J.Suite = Co.IsBaseline ? &BaselineSuite
+                            : &Suites[Co.T * Grid.TypingSeeds.size() + Co.S];
+    J.W = &Workloads[Co.W];
+    J.Machine = &L.machine();
+    J.Sim = L.sim();
+    // The grid's engine applies to baselines and cells alike, so
+    // vs-baseline deltas always compare like with like.
+    J.Sim.Engine = Grid.Engine;
+    J.Horizon = Grid.Workloads[Co.W].Horizon;
+    J.Isolated = &Iso;
+    // Baselines keep the default oblivious scheduler and batch
+    // scenario: the paper's fixed reference point.
+    if (!Co.IsBaseline) {
+      J.Sched = Schedulers[Co.C];
+      J.Scenario = Scenarios[Co.N];
+    }
+    J.TraceUnit = Plan.Ids[Job];
+    J.TraceGroup = TraceGroup;
+    Jobs.push_back(std::move(J));
   }
   obs::CounterRegistry::global().add("sweep.units_total", Plan.Jobs.size());
-  obs::CounterRegistry::global().add("sweep.units_owned", Jobs.size());
   obs::Span Replay("sweep.replay");
   std::vector<RunResult> Runs = runWorkloads(Jobs);
   return assembleSweep(Grid, Plan, L.machine(), std::move(Runs));
-}
-
-SweepShardStats pbt::exp::runSweepSharded(Lab &L, const SweepGrid &Grid,
-                                          const ShardSpec &Spec,
-                                          const SweepUnitRecorder &Record) {
-  SweepJobPlan Plan = planSweepJobs(Grid);
-
-  // Allocated before the owns-nothing early return so the group
-  // ordinal stays in lockstep with a single-process run's (every sweep
-  // call bumps it exactly once on every shard).
-  uint64_t TraceGroup = obs::beginTraceGroup();
-
-  SweepShardStats Stats;
-  Stats.UnitsTotal = Plan.Jobs.size();
-  std::vector<size_t> Owned;
-  for (size_t Job = 0; Job < Plan.Jobs.size(); ++Job)
-    if (shardOf(Job, Spec.Count) == Spec.Index)
-      Owned.push_back(Job);
-  Stats.UnitsOwned = Owned.size();
-  if (Owned.empty())
-    return Stats;
-
-  // Prepare only what the owned units touch: a shard that owns no cell
-  // of a given (technique, typing seed) never runs its pipeline, and a
-  // shard owning no baseline skips the baseline suite.
-  const std::vector<double> &Iso = L.isolated();
-  std::map<size_t, PreparedSuite> Suites; // Keyed T * seeds + S.
-  PreparedSuite BaselineSuite;
-  bool NeedBaseline = false;
-  std::map<size_t, Workload> Workloads;
-  for (size_t Job : Owned) {
-    const SweepJobPlan::Coord &Co = Plan.Jobs[Job];
-    if (!Workloads.count(Co.W))
-      Workloads.emplace(
-          Co.W, materializeWorkload(Grid.Workloads[Co.W],
-                                    L.programs().size()));
-    if (Co.IsBaseline) {
-      NeedBaseline = true;
-      continue;
-    }
-    size_t Key = Co.T * Grid.TypingSeeds.size() + Co.S;
-    if (!Suites.count(Key))
-      Suites.emplace(Key,
-                     L.suite(Grid.Techniques[Co.T], Grid.TypingSeeds[Co.S]));
-  }
-  if (NeedBaseline)
-    BaselineSuite = L.suite(TechniqueSpec::baseline());
-
-  // One parallel batch of just the owned jobs. Each job is a fully
-  // independent simulation with the whole-grid plan's trace identity,
-  // so its result and TRACE_* file are bit-identical to the same job
-  // inside a full runSweep batch.
-  std::vector<WorkloadJob> Jobs;
-  Jobs.reserve(Owned.size());
-  for (size_t Job : Owned) {
-    const SweepJobPlan::Coord &Co = Plan.Jobs[Job];
-    const PreparedSuite &Suite =
-        Co.IsBaseline ? BaselineSuite
-                      : Suites.at(Co.T * Grid.TypingSeeds.size() + Co.S);
-    Jobs.push_back(sweepJob(L, Grid, Plan, Job, Suite, Workloads.at(Co.W),
-                            Iso, TraceGroup));
-  }
-  obs::CounterRegistry::global().add("sweep.units_total", Plan.Jobs.size());
-  obs::CounterRegistry::global().add("sweep.units_owned", Owned.size());
-  obs::Span Replay("sweep.replay");
-  std::vector<RunResult> Runs = runWorkloads(Jobs);
-  for (size_t I = 0; I < Owned.size(); ++I)
-    Record(Plan.Ids[Owned[I]], Runs[I]);
-  return Stats;
-}
-
-SweepResult pbt::exp::placeholderSweep(const SweepGrid &Grid,
-                                       const MachineConfig &Machine) {
-  SweepJobPlan Plan = planSweepJobs(Grid);
-  return assembleSweep(Grid, Plan, Machine,
-                       std::vector<RunResult>(Plan.Jobs.size()));
-}
-
-SweepResult pbt::exp::runSweepFromUnits(const SweepGrid &Grid,
-                                        const MachineConfig &Machine,
-                                        const SweepUnitSource &Units) {
-  SweepJobPlan Plan = planSweepJobs(Grid);
-  std::vector<RunResult> Runs;
-  Runs.reserve(Plan.Jobs.size());
-  for (const std::string &Id : Plan.Ids) {
-    const RunResult *Run = Units(Id);
-    if (!Run)
-      throw std::runtime_error("sweep unit " + Id +
-                               " missing from merged shards");
-    Runs.push_back(*Run);
-  }
-  return assembleSweep(Grid, Plan, Machine, std::move(Runs));
 }

@@ -21,12 +21,10 @@
 #define PBT_EXP_SWEEP_H
 
 #include "exp/Lab.h"
-#include "exp/Shard.h"
 #include "metrics/Latency.h"
 
 #include <cassert>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -142,74 +140,12 @@ struct SweepResult {
 
 /// Executes \p Grid on \p L (the grid's machine axis is ignored here;
 /// the Lab fixes the machine). Preparation happens through the Lab's
-/// suite cache; all workload replays run as one parallel batch.
+/// suite cache; all workload replays run as one parallel batch. Each
+/// replay job has a unit id that names its TRACE_* file when tracing is
+/// on (obs/Trace.h): baselines first ("base/w<W>"), then cells
+/// ("cell/t<T>/w<W>/s<S>/c<C>/n<N>") in technique-major nest order. A
+/// baseline-coincident cell reuses its baseline's job and adds no unit.
 SweepResult runSweep(Lab &L, const SweepGrid &Grid);
-
-//===----------------------------------------------------------------------===//
-// Sharded execution (see exp/Shard.h)
-//===----------------------------------------------------------------------===//
-
-/// The sweep's work units — one per replay job of runSweep's batch, in
-/// canonical batch order: baselines first ("base/w<W>"), then cells
-/// ("cell/t<T>/w<W>/s<S>/c<C>/n<N>") in the technique-major nest order.
-/// A baseline-coincident cell reuses the baseline's replay and adds no
-/// unit of its own, exactly as runSweep shares the job. The unit list
-/// is a pure function of the grid — both the sharded executor and the
-/// merge-side reconstructor enumerate through this one walker, so
-/// ownership can never drift from what actually runs.
-struct SweepUnitList {
-  std::vector<std::string> Ids;
-  /// The first BaselineJobs entries of Ids are baseline units.
-  size_t BaselineJobs = 0;
-};
-SweepUnitList enumerateSweepUnits(const SweepGrid &Grid);
-
-/// Unit ownership for sharded sweeps: unit ordinal round-robined over
-/// the fabric (exp::shardOf), so every unit runs on exactly one shard
-/// for any shard count.
-struct SweepShardStats {
-  size_t UnitsTotal = 0; ///< Units of the whole grid.
-  size_t UnitsOwned = 0; ///< Units this shard replayed.
-};
-
-/// Receives each owned unit's canonical result, in batch order.
-using SweepUnitRecorder =
-    std::function<void(const std::string &Id, const RunResult &Run)>;
-
-/// Shard-mode execution of \p Grid on \p L: replays ONLY the units
-/// owned by \p Spec (one parallel batch of just those jobs — every job
-/// is an independent simulation, so each result is bit-identical to the
-/// corresponding job of a full runSweep) and hands them to \p Record.
-/// Suites are prepared (and isolated runtimes measured) only when an
-/// owned unit needs them, so a shard that owns nothing of a grid does
-/// no simulation work at all. No SweepResult is assembled — cells,
-/// metrics, and tables are reconstructed at merge time.
-SweepShardStats runSweepSharded(Lab &L, const SweepGrid &Grid,
-                                const ShardSpec &Spec,
-                                const SweepUnitRecorder &Record);
-
-/// Supplies a unit's recombined result by id; null when absent.
-using SweepUnitSource =
-    std::function<const RunResult *(const std::string &Id)>;
-
-/// Merge-mode reconstruction: assembles the exact SweepResult a full
-/// runSweep on \p Machine would have produced, with every replay fed
-/// from \p Units instead of simulated — identical assembly, identical
-/// metrics math over bit-exact RunResults, hence byte-identical
-/// downstream artifacts. Throws std::runtime_error naming the unit when
-/// one is missing (a shard gap the manifest validation should have
-/// caught).
-SweepResult runSweepFromUnits(const SweepGrid &Grid,
-                              const MachineConfig &Machine,
-                              const SweepUnitSource &Units);
-
-/// The SweepResult shape of \p Grid with every run a default-constructed
-/// placeholder: correct cell/baseline structure and axis indices, empty
-/// metrics. What a sharding body's sweep() call returns — the body's
-/// post-processing (tables, notes) still executes without touching real
-/// data, and the harness suppresses its output in shard mode.
-SweepResult placeholderSweep(const SweepGrid &Grid,
-                             const MachineConfig &Machine);
 
 } // namespace exp
 } // namespace pbt

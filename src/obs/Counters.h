@@ -9,7 +9,7 @@
 /// named counters (monotonic uint64) and metrics (double, e.g. seconds)
 /// that absorbs the fabric's formerly scattered statistics — suite-cache
 /// hits/misses, CacheStore prog/lock/quarantine counts, guard
-/// attempts/timeouts, per-pass PassStats, shard/merge stats, trace-sink
+/// attempts/timeouts, per-pass PassStats, sweep unit counts, trace-sink
 /// I/O. Components either increment the registry directly at runtime
 /// (fabric events, spans) or are imported at dump time by the driver
 /// (per-lab cache counters), and the whole registry is snapshot into

@@ -195,9 +195,8 @@ struct RunResult {
   /// and fairness metric (metrics/Latency, metrics/Fairness).
   std::vector<CompletedJob> Completed;
   /// Jobs completed within the horizon; always Completed.size(). Kept
-  /// as its own field because it is part of the serialized RunResult
-  /// (exp/Shard cells payloads) and external harnesses read the job
-  /// count from it.
+  /// as its own field because external harnesses read the job count
+  /// from it.
   size_t CompletedCount = 0;
   /// Aggregates over all processes (finished or not).
   uint64_t TotalSwitches = 0;

@@ -11,7 +11,6 @@
 
 #include "exp/CacheStore.h"
 #include "exp/Harness.h"
-#include "exp/Shard.h"
 #include "exp/SuiteCache.h"
 #include "exp/Sweep.h"
 #include "support/Binary.h"
@@ -24,7 +23,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <dirent.h>
-#include <map>
 #include <string>
 #include <sys/stat.h>
 #include <sys/wait.h>
@@ -378,7 +376,7 @@ TEST(CacheStressTest, MultiProcessHammerConvergesToReferenceBytes) {
 }
 
 //===----------------------------------------------------------------------===//
-// Sharded drivers racing one cache dir under faults
+// Drivers racing one cache dir under faults
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -395,100 +393,58 @@ SweepGrid stressGrid() {
   return G;
 }
 
-/// Sweep-cell body for the sharded stress run: preparation goes through
-/// the Lab's suite cache, i.e. through the shared PBT_CACHE_DIR store.
+/// Sweep body for the racing drivers: preparation goes through the
+/// Lab's suite cache, i.e. through the shared PBT_CACHE_DIR store.
 int stressSweepBody() {
-  ExperimentHarness H("stress_shard_sweep", "sharded cache-race sweep",
-                      "none");
+  ExperimentHarness H("stress_race_sweep", "cache-race sweep", "none");
   Lab &L = H.customLab(tinySuite(), MachineConfig::quadAsymmetric());
   SweepResult R = H.sweep(L, stressGrid());
   H.note("cells: " + std::to_string(R.Cells.size()));
   return H.finish();
 }
 
-int stressWholeBody() {
-  ExperimentHarness H("stress_shard_whole", "sharded cache-race whole",
-                      "none");
-  H.note("whole-granularity body");
-  return H.finish();
-}
-
-struct StressExp {
-  const char *Name;
-  ShardGranularity G;
-  int (*Fn)();
-};
-
-const StressExp StressExps[] = {
-    {"stress_shard_sweep", ShardGranularity::SweepCells, &stressSweepBody},
-    {"stress_shard_whole", ShardGranularity::Whole, &stressWholeBody},
-};
-
-std::vector<RunSetEntry> stressRunSet() {
-  std::vector<RunSetEntry> Set;
-  for (const StressExp &E : StressExps)
-    Set.push_back({E.Name, E.G});
-  return Set;
-}
-
-/// One full shard pass of the stress registry into \p FabricDir. No
-/// gtest assertions: this also runs in forked children. Returns false
-/// when any body or file write failed (expected under armed faults).
-bool runStressShard(uint32_t K, uint32_t N, const std::string &FabricDir) {
-  ShardSpec Spec;
-  Spec.Index = K;
-  Spec.Count = N;
-  ShardRuntime RT(ShardRuntime::Mode::Shard, Spec, FabricDir);
-  RT.setRunSetHash(hashRunSet(stressRunSet()));
-  std::map<std::string, uint32_t> Owner =
-      assignWholeShards({"stress_shard_whole"}, N);
-  ShardRuntime::install(&RT);
-  bool Ok = true;
-  for (const StressExp &E : StressExps) {
-    if (E.G == ShardGranularity::Whole && Owner[E.Name] != K)
-      continue;
-    RT.beginExperiment(E.Name, E.G);
-    int Code = 1;
-    try {
-      Code = E.Fn();
-    } catch (...) {
-      Code = 1;
-    }
-    RT.endExperiment(Code);
-    Ok = Ok && Code == 0;
+/// One pass of the stress body in the working directory. No gtest
+/// assertions: this runs in forked children. Returns false when the
+/// body failed or threw (expected under armed faults).
+bool runStressPass() {
+  try {
+    return stressSweepBody() == 0;
+  } catch (...) {
+    return false;
   }
-  ShardRuntime::install(nullptr);
-  return RT.writeManifest() && Ok;
 }
 
 } // namespace
 
-// Four forked sharded drivers race one PBT_CACHE_DIR, each first under
-// its own seeded fault schedule (EIO, short writes, torn renames — the
-// chaos pass, outcome ignored), then with faults disarmed (the sign-off
-// pass, which rewrites every one of the shard's files cleanly). The
-// merged fabric must be byte-identical to a quiet single-process run
-// against the same — by then scarred — cache directory: concurrency and
-// fault degradation may cost cache misses, never artifact drift.
-TEST(CacheStressTest, ShardedDriversRacingOneCacheMergeByteIdentical) {
-  const std::string CacheDir = testCacheDir("stress_shard.cache");
-  const std::string Fabric = testCacheDir("stress_shard.fabric");
-  const std::string Out = testCacheDir("stress_shard.merged");
+// Four forked drivers race one PBT_CACHE_DIR, each in its own output
+// directory: first under its own seeded fault schedule (EIO, short
+// writes, torn renames — the chaos pass, outcome ignored), then with
+// faults disarmed (the quiet pass, which rewrites the artifact
+// cleanly). Every quiet pass's artifact must be byte-identical to a
+// quiet single-process run against the same — by then scarred — cache
+// directory: concurrency and fault degradation may cost cache misses,
+// never artifact drift.
+TEST(CacheStressTest, DriversRacingOneCacheStayByteIdentical) {
+  const std::string CacheDir = testCacheDir("stress_race.cache");
   wipeDir(CacheDir);
-  wipeDir(Fabric);
-  wipeDir(Out);
-  ::mkdir(Fabric.c_str(), 0755);
-  ::mkdir(Out.c_str(), 0755);
   // Must precede any Lab construction in this process: the process-wide
   // store (CacheStore::fromEnv) latches PBT_CACHE_DIR on first use.
   ASSERT_EQ(::setenv("PBT_CACHE_DIR", CacheDir.c_str(), 1), 0);
 
-  constexpr uint32_t N = 4;
+  constexpr int N = 4;
+  std::vector<std::string> OutDirs;
+  for (int K = 0; K < N; ++K) {
+    OutDirs.push_back(testCacheDir("stress_race.out" + std::to_string(K)));
+    wipeDir(OutDirs.back());
+    ::mkdir(OutDirs.back().c_str(), 0755);
+  }
   std::vector<pid_t> Children;
-  for (uint32_t K = 1; K <= N; ++K) {
+  for (int K = 0; K < N; ++K) {
     pid_t Pid = ::fork();
     ASSERT_GE(Pid, 0);
     if (Pid == 0) {
+      if (::chdir(OutDirs[K].c_str()) != 0)
+        ::_exit(3);
       if (auto Store = CacheStore::fromEnv())
         Store->setLockPolicy(/*MaxAttempts=*/200, /*BaseDelayMicros=*/50);
       FaultConfig C;
@@ -497,9 +453,9 @@ TEST(CacheStressTest, ShardedDriversRacingOneCacheMergeByteIdentical) {
       C.ShortWriteP = 0.05;
       C.TornRenameP = 0.05;
       FaultInjection::instance().configure(C);
-      runStressShard(K, N, Fabric); // chaos pass: may fail or tear files
+      runStressPass(); // chaos pass: may fail or tear files
       FaultInjection::instance().reset();
-      ::_exit(runStressShard(K, N, Fabric) ? 0 : 1);
+      ::_exit(runStressPass() ? 0 : 1);
     }
     Children.push_back(Pid);
   }
@@ -508,42 +464,22 @@ TEST(CacheStressTest, ShardedDriversRacingOneCacheMergeByteIdentical) {
     ASSERT_EQ(::waitpid(Pid, &Status, 0), Pid);
     ASSERT_TRUE(WIFEXITED(Status));
     ASSERT_EQ(WEXITSTATUS(Status), 0)
-        << "every shard's quiet sign-off pass must succeed";
+        << "every driver's quiet pass must succeed";
   }
 
   // Quiet single-process reference AFTER the race, against the same
   // cache dir the chaos scarred.
-  std::map<std::string, std::string> Reference;
-  for (const StressExp &E : StressExps) {
-    ASSERT_EQ(E.Fn(), 0);
-    std::string Path = std::string("BENCH_") + E.Name + ".json";
-    ASSERT_TRUE(readFile(Path, Reference[E.Name]));
-    std::remove(Path.c_str());
+  ASSERT_EQ(stressSweepBody(), 0);
+  const std::string Path = "BENCH_stress_race_sweep.json";
+  std::string Reference;
+  ASSERT_TRUE(readFile(Path, Reference));
+  std::remove(Path.c_str());
+  for (const std::string &Out : OutDirs) {
+    std::string Raced;
+    ASSERT_TRUE(readFile(Out + "/" + Path, Raced)) << Out;
+    EXPECT_EQ(Raced, Reference)
+        << Out << "/" << Path << " differs from single-process run";
   }
 
-  std::map<std::string, MergeExperimentInfo> Infos;
-  for (const StressExp &E : StressExps)
-    Infos[E.Name] = MergeExperimentInfo{E.G, E.Fn};
-  MergeReport Report;
-  std::string Err = mergeShards(
-      Fabric, Out,
-      [&Infos](const std::string &Name) -> const MergeExperimentInfo * {
-        auto It = Infos.find(Name);
-        return It == Infos.end() ? nullptr : &It->second;
-      },
-      &Report);
-  ASSERT_TRUE(Err.empty()) << Err;
-  EXPECT_EQ(Report.ShardCount, N);
-  for (const auto &KV : Reference) {
-    std::string Merged;
-    ASSERT_TRUE(readFile(Out + "/BENCH_" + KV.first + ".json", Merged));
-    EXPECT_EQ(Merged, KV.second)
-        << "BENCH_" << KV.first << ".json differs from single-process run";
-  }
-
-  wipeDir(Fabric);
-  ::rmdir(Fabric.c_str());
-  wipeDir(Out);
-  ::rmdir(Out.c_str());
   ::unsetenv("PBT_CACHE_DIR");
 }

@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <thread>
@@ -120,11 +121,16 @@ TEST(GuardTest, WedgedBodyTimesOut) {
 }
 
 TEST(GuardTest, FastBodyUnderTimeoutStillOk) {
-  GuardOptions Opts;
-  Opts.TimeoutSeconds = 30;
-  GuardedResult R = runGuarded([] { return 0; }, Opts);
-  EXPECT_TRUE(R.ok());
-  EXPECT_EQ(R.Attempts, 1u);
+  // Infinite, NaN, and huge timeouts mean no deadline: they must not
+  // overflow the clock conversion into an instant timeout.
+  for (double Timeout : {30.0, std::numeric_limits<double>::infinity(),
+                         std::numeric_limits<double>::quiet_NaN(), 1e300}) {
+    GuardOptions Opts;
+    Opts.TimeoutSeconds = Timeout;
+    GuardedResult R = runGuarded([] { return 0; }, Opts);
+    EXPECT_TRUE(R.ok()) << "timeout " << Timeout << ": " << R.statusName();
+    EXPECT_EQ(R.Attempts, 1u) << "timeout " << Timeout;
+  }
 }
 
 TEST(GuardTest, TimedPathStillRetriesOrdinaryFailures) {

@@ -3,7 +3,8 @@
 // Plane 1 (obs/Trace.h): TRACE_*.json files are a pure function of the
 // replay — byte-identical across both execution engines, across
 // serial and pooled execution, and unperturbed observers (a traced run's
-// RunResult is bit-identical to the untraced run). The streaming writer
+// RunResult is bit-identical to the untraced run). A sweep writes one
+// file per replay job, named by its unit id. The streaming writer
 // holds bounded memory however long the run is. Plane 2 (obs/Counters.h,
 // obs/Span.h): registry semantics, snapshot shape, span accounting.
 //
@@ -11,6 +12,7 @@
 
 #include "TestDirs.h"
 
+#include "exp/Sweep.h"
 #include "ir/IRBuilder.h"
 #include "obs/Clock.h"
 #include "obs/Counters.h"
@@ -22,7 +24,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
+#include <dirent.h>
 #include <fstream>
+#include <set>
 #include <sstream>
 
 using namespace pbt;
@@ -256,6 +261,46 @@ TEST(Trace, PooledRunnerEmitsSameBytesAsSerialRun) {
     ASSERT_GT(PoolBytes.size(), 0u) << PoolPath;
     EXPECT_EQ(PoolBytes, slurp(Serial)) << "unit " << I;
   }
+}
+
+TEST(Trace, SweepWritesOneFilePerReplayJob) {
+  // runSweep names each replay job's trace after its unit id: baselines
+  // first, then the cells in nest order. Baseline-coincident cells
+  // (technique 0 here) reuse their baseline's job, so they write no
+  // file of their own.
+  std::vector<Program> Programs = {randomProgram(71), randomProgram(72)};
+  exp::Lab L(Programs, MachineConfig::quadAsymmetric());
+  exp::SweepGrid G;
+  G.Techniques = {TechniqueSpec::baseline(), loopTechnique()};
+  G.Workloads = {{4, 20, 21, 16}, {4, 20, 22, 16}};
+  G.TypingSeeds = {42, 43};
+
+  std::string Dir = pbt_test::testCacheDir("obs_sweep_traces");
+  obs::setTraceDir(Dir);
+  obs::setTraceExperiment("obsgrid");
+  obs::CounterRegistry &Reg = obs::CounterRegistry::global();
+  uint64_t UnitsBefore = Reg.value("sweep.units_total");
+  exp::SweepResult R = exp::runSweep(L, G);
+  obs::setTraceDir(""); // Leave the process state clean for other tests.
+  ASSERT_EQ(R.Cells.size(), 8u);
+
+  std::set<std::string> Files;
+  if (DIR *D = ::opendir(Dir.c_str())) {
+    while (const dirent *E = ::readdir(D))
+      if (std::strncmp(E->d_name, "TRACE_", 6) == 0)
+        Files.insert(E->d_name);
+    ::closedir(D);
+  }
+  const std::set<std::string> Expected = {
+      "TRACE_obsgrid.g0.base-w0.json",
+      "TRACE_obsgrid.g0.base-w1.json",
+      "TRACE_obsgrid.g0.cell-t1-w0-s0-c0-n0.json",
+      "TRACE_obsgrid.g0.cell-t1-w0-s1-c0-n0.json",
+      "TRACE_obsgrid.g0.cell-t1-w1-s0-c0-n0.json",
+      "TRACE_obsgrid.g0.cell-t1-w1-s1-c0-n0.json"};
+  EXPECT_EQ(Files, Expected);
+  EXPECT_EQ(Reg.value("sweep.units_total") - UnitsBefore, Expected.size())
+      << "one replay job per trace file";
 }
 
 TEST(Trace, StreamingWriterHoldsBoundedMemoryOnLongRuns) {
