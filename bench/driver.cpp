@@ -32,11 +32,11 @@
 // BENCH_*.json artifacts are unaffected either way.
 //
 // --report prints a human-readable run report (per-experiment table,
-// pipeline pass stats, cache and observability counters) after the
+// pipeline stage stats, cache and observability counters) after the
 // summary line.
 //
 // --verify-ir (or PBT_VERIFY_IR=1) turns on the self-verifying IR: the
-// VerifyPass static analysis runs after every pipeline pass during
+// verifyPrep static analysis runs after every pipeline stage during
 // preparation, and every store-served suite is re-audited against the
 // same invariants before it reaches a simulation. A violation fails
 // that experiment (the guard records it); the artifacts themselves are
@@ -69,7 +69,7 @@
 // guard flags (nonsense values degrade to no timeout / one attempt),
 // PBT_FAULTS arms fault injection (support/FaultInjection).
 //
-// Writes BENCH_driver.json (schema pbt-driver-v4, docs/BENCH_SCHEMA.md)
+// Writes BENCH_driver.json (schema pbt-driver-v5, docs/BENCH_SCHEMA.md)
 // with per-experiment status/attempts/duration, a failure summary, and
 // suite-cache statistics, plus PROFILE_driver.json (pbt-profile-v1) —
 // the full observability counter registry; exits non-zero when any
@@ -313,8 +313,8 @@ int main(int Argc, char **Argv) {
   if (Store)
     std::printf("persistent suite cache: %s\n", Store->dir().c_str());
   if (verifyIREnabled())
-    std::printf("self-verifying IR: on (VerifyPass after every pipeline "
-                "pass + store-served suite audits)\n");
+    std::printf("self-verifying IR: on (verifyPrep after every pipeline "
+                "stage + store-served suite audits)\n");
 
   exp::GuardOptions Guard;
   Guard.TimeoutSeconds = TimeoutSeconds;
@@ -411,11 +411,12 @@ int main(int Argc, char **Argv) {
     }
 
   Json Root = Json::object();
+  // v5: "pipeline" rows are {name, programs, seconds} per stage.
   // v4: "pipeline" per-pass stats block, module-granular suite_cache
   // counters (prepared_programs, program_store_hits, store.prog_*),
   // and "verify_ir"; v2 added suite_cache store counters — see
   // docs/BENCH_SCHEMA.md.
-  Root["schema"] = "pbt-driver-v4";
+  Root["schema"] = "pbt-driver-v5";
   Root["verify_ir"] = verifyIREnabled();
   Root["scale"] = envScale();
   Root["cache_dir"] = Store ? Json(Store->dir()) : Json();
@@ -451,7 +452,7 @@ int main(int Argc, char **Argv) {
     }
     Root["suite_cache"] = std::move(CacheStats);
 
-    // Per-pass pipeline stats, cumulative over every preparation this
+    // Per-stage pipeline stats, cumulative over every preparation this
     // process ran. Seconds is wall time — BENCH_driver.json is excluded
     // from all byte-identity checks, so it is the one artifact allowed
     // to carry it.
@@ -460,8 +461,7 @@ int main(int Argc, char **Argv) {
     for (const PassStats &P : Pipe.Passes) {
       Json Pass = Json::object();
       Pass["name"] = P.Name;
-      Pass["invocations"] = P.Invocations;
-      Pass["programs_changed"] = P.ProgramsChanged;
+      Pass["programs"] = P.Programs;
       Pass["seconds"] = P.Seconds;
       Passes.push(std::move(Pass));
     }
@@ -496,9 +496,7 @@ int main(int Argc, char **Argv) {
       Reg.set("store.prog_writes", Store->progWrites());
     }
     for (const PassStats &P : cumulativePipelineStats().Passes) {
-      Reg.set("pipeline." + P.Name + ".invocations", P.Invocations);
-      Reg.set("pipeline." + P.Name + ".programs_changed",
-              P.ProgramsChanged);
+      Reg.set("pipeline." + P.Name + ".programs", P.Programs);
       Reg.setMetric("pipeline." + P.Name + ".seconds", P.Seconds);
     }
     Reg.set("driver.experiments_failed", Failed);
@@ -518,11 +516,8 @@ int main(int Argc, char **Argv) {
                 static_cast<unsigned long long>(PreparedProgramCount),
                 static_cast<unsigned long long>(ProgramStoreHits), Failed);
     for (const PassStats &P : cumulativePipelineStats().Passes)
-      std::printf("   pass %-12s invocations=%llu changed=%llu %.3fs\n",
-                  P.Name.c_str(),
-                  static_cast<unsigned long long>(P.Invocations),
-                  static_cast<unsigned long long>(P.ProgramsChanged),
-                  P.Seconds);
+      std::printf("   pass %-12s programs=%llu %.3fs\n", P.Name.c_str(),
+                  static_cast<unsigned long long>(P.Programs), P.Seconds);
   }
   int Exit = Failed == 0 ? 0 : 1;
   const std::string SummaryPath = "BENCH_driver.json";

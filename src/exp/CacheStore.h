@@ -110,7 +110,7 @@ public:
   static constexpr uint32_t ProgFormatVersion = 1;
 
   /// Version of the static preparation pipeline whose output prog
-  /// entries hold (analysis/PassManager.h); part of every prog key, so
+  /// entries hold (preparePrograms in workload/Runner.h); part of every prog key, so
   /// a pipeline change that alters prepared artifacts invalidates
   /// exactly the program entries. v2 quantized cost tables to the
   /// exact cycle grid (sim/CostModel.h); v1 entries hold off-grid

@@ -6,7 +6,6 @@
 
 #include "exp/SuiteCache.h"
 
-#include "analysis/PassManager.h"
 #include "exp/CacheStore.h"
 #include "obs/Span.h"
 #include "support/Hashing.h"

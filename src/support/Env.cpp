@@ -18,7 +18,7 @@ double pbt::envScale(double Default) {
     return Default;
   char *End = nullptr;
   double Value = std::strtod(Raw, &End);
-  if (End == Raw || Value <= 0)
+  if (End == Raw || !(Value > 0)) // NaN fails every comparison.
     return Default;
   if (Value < 0.01)
     return 0.01;

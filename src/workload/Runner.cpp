@@ -8,6 +8,7 @@
 
 #include "analysis/BlockTyping.h"
 #include "analysis/PassManager.h"
+#include "obs/Clock.h"
 #include "obs/Counters.h"
 #include "obs/Trace.h"
 #include "support/Hashing.h"
@@ -16,6 +17,7 @@
 #include <cassert>
 #include <cstdio>
 #include <deque>
+#include <mutex>
 #include <stdexcept>
 
 using namespace pbt;
@@ -48,56 +50,141 @@ uint64_t pbt::hashValue(const TechniqueSpec &Tech) {
 
 namespace {
 
-/// The full static pipeline for one program: cost model, typing, marking,
-/// instrumentation, flat image. Pure function of its arguments, so the
-/// per-program calls can run on any thread in any order.
-PreparedProgram prepareOne(const Program &Prog, const MachineConfig &Machine,
-                           const TechniqueSpec &Tech, uint64_t TypingSeed) {
-  PreparedProgram Out;
-  auto Cost = std::make_shared<const CostModel>(Prog, Machine);
+/// The stats table's rows: the pipeline stages in run order, then the
+/// verify-IR sweep.
+enum Stage : size_t {
+  CostModelStage,
+  TypingStage,
+  ErrorInjectStage,
+  TransitionsStage,
+  InstrumentStage,
+  FlattenStage,
+  VerifyRow,
+  NumRows
+};
 
-  MarkingResult Marking;
-  if (Tech.Baseline) {
-    // Uninstrumented image: no marks; region typing is irrelevant.
-    Marking.NumTypes = 1;
-    Marking.RegionType.resize(Prog.Procs.size());
-  } else {
-    ProgramTyping Typing;
-    if (Tech.UseStaticTyping) {
-      TypingConfig Config;
-      Config.Seed = TypingSeed;
-      Typing = computeStaticTyping(Prog, Config);
-    } else {
-      Typing = computeOracleTyping(Prog, *Cost);
-    }
-    if (Tech.TypingError > 0)
-      Typing = injectClusteringError(Typing, Tech.TypingError,
-                                     TypingSeed ^ 0xE77);
-    Marking = computeTransitions(Prog, Typing, Tech.Transition);
-  }
+const char *const RowNames[NumRows] = {"cost-model",  "typing",
+                                       "error-inject", "transitions",
+                                       "instrument",  "flatten",
+                                       "verify"};
 
-  Out.Image = std::make_shared<const InstrumentedProgram>(
-      Prog, std::move(Marking), Tech.Cost);
-  Out.Cost = std::move(Cost);
-  Out.Flat = std::make_shared<const FlatImage>(Out.Image, Out.Cost);
-  return Out;
+/// Process-wide per-stage counters behind cumulativePipelineStats().
+struct CumulativeStats {
+  std::mutex Mutex;
+  PassStats Rows[NumRows];
+};
+
+CumulativeStats &cumulative() {
+  static CumulativeStats C;
+  return C;
 }
 
 } // namespace
+
+PipelineStats pbt::cumulativePipelineStats() {
+  CumulativeStats &C = cumulative();
+  std::lock_guard<std::mutex> Lock(C.Mutex);
+  PipelineStats Out;
+  for (size_t R = 0; R < NumRows; ++R) {
+    if (R == VerifyRow && C.Rows[R].Programs == 0)
+      break;
+    Out.Passes.push_back(C.Rows[R]);
+    Out.Passes.back().Name = RowNames[R];
+  }
+  return Out;
+}
 
 std::vector<PreparedProgram>
 pbt::preparePrograms(const std::vector<Program> &Programs,
                      const MachineConfig &Machine, const TechniqueSpec &Tech,
                      uint64_t TypingSeed, ThreadPool *Pool) {
-  PipelineContext Ctx =
-      makePipelineContext(Programs, Machine, Tech, TypingSeed, Pool);
-  buildPreparationPipeline().run(Ctx);
+  ThreadPool &P = Pool ? *Pool : ThreadPool::global();
+  const size_t N = Programs.size();
+  const bool VerifyIR = verifyIREnabled();
+  std::vector<ProgramPrep> Preps(N);
+  for (size_t I = 0; I < N; ++I)
+    Preps[I].Prog = &Programs[I];
 
-  std::vector<PreparedProgram> Out(Programs.size());
-  for (size_t Index = 0; Index < Programs.size(); ++Index) {
-    Out[Index].Image = std::move(Ctx.Programs[Index].Image);
-    Out[Index].Cost = std::move(Ctx.Programs[Index].Cost);
-    Out[Index].Flat = std::move(Ctx.Programs[Index].Flat);
+  // Stages stay stage-major, with a barrier between them, so each
+  // stage's Seconds is the wall time of its own sweep. Seconds never
+  // feeds a byte-compared artifact (see PassStats).
+  PassStats Run[NumRows];
+  auto Sweep = [&](Stage S, const auto &Body) {
+    double Start = obs::monotonicSeconds();
+    P.parallelFor(N, Body);
+    Run[S].Programs += N;
+    Run[S].Seconds += obs::monotonicSeconds() - Start;
+  };
+  auto RunStage = [&](Stage S, const auto &Body) {
+    Sweep(S, [&](size_t I) { Body(Preps[I]); });
+    if (!VerifyIR)
+      return;
+    // Read-only per program; failures surface on the caller thread as
+    // one exception naming the stage that broke the invariant.
+    std::vector<std::string> Errors(N);
+    Sweep(VerifyRow, [&](size_t I) {
+      if (!verifyPrep(Preps[I], &Tech, &Errors[I]) && Errors[I].empty())
+        Errors[I] = "invariant violated";
+    });
+    for (size_t I = 0; I < N; ++I)
+      if (!Errors[I].empty())
+        throw std::runtime_error(std::string("verify-ir: after stage '") +
+                                 RowNames[S] + "', program '" +
+                                 Programs[I].Name + "': " + Errors[I]);
+  };
+
+  RunStage(CostModelStage, [&](ProgramPrep &PC) {
+    PC.Cost = std::make_shared<const CostModel>(*PC.Prog, Machine);
+  });
+  if (!Tech.Baseline) {
+    RunStage(TypingStage, [&](ProgramPrep &PC) {
+      if (Tech.UseStaticTyping) {
+        TypingConfig Config;
+        Config.Seed = TypingSeed;
+        PC.Typing = computeStaticTyping(*PC.Prog, Config);
+      } else {
+        PC.Typing = computeOracleTyping(*PC.Prog, *PC.Cost);
+      }
+      PC.Typed = true;
+    });
+    if (Tech.TypingError > 0)
+      RunStage(ErrorInjectStage, [&](ProgramPrep &PC) {
+        PC.Typing = injectClusteringError(PC.Typing, Tech.TypingError,
+                                          TypingSeed ^ 0xE77);
+      });
+  }
+  RunStage(TransitionsStage, [&](ProgramPrep &PC) {
+    if (Tech.Baseline) {
+      // Uninstrumented image: no marks; region typing is irrelevant.
+      PC.Marking.NumTypes = 1;
+      PC.Marking.RegionType.resize(PC.Prog->Procs.size());
+    } else {
+      PC.Marking = computeTransitions(*PC.Prog, PC.Typing, Tech.Transition);
+    }
+    PC.Marked = true;
+  });
+  RunStage(InstrumentStage, [&](ProgramPrep &PC) {
+    PC.Image = std::make_shared<const InstrumentedProgram>(
+        *PC.Prog, std::move(PC.Marking), Tech.Cost);
+  });
+  RunStage(FlattenStage, [&](ProgramPrep &PC) {
+    PC.Flat = std::make_shared<const FlatImage>(PC.Image, PC.Cost);
+  });
+
+  {
+    CumulativeStats &C = cumulative();
+    std::lock_guard<std::mutex> Lock(C.Mutex);
+    for (size_t R = 0; R < NumRows; ++R) {
+      C.Rows[R].Programs += Run[R].Programs;
+      C.Rows[R].Seconds += Run[R].Seconds;
+    }
+  }
+
+  std::vector<PreparedProgram> Out(N);
+  for (size_t I = 0; I < N; ++I) {
+    Out[I].Image = std::move(Preps[I].Image);
+    Out[I].Cost = std::move(Preps[I].Cost);
+    Out[I].Flat = std::move(Preps[I].Flat);
   }
   return Out;
 }
@@ -108,32 +195,6 @@ PreparedSuite pbt::prepareSuite(const std::vector<Program> &Programs,
                                 uint64_t TypingSeed, ThreadPool *Pool) {
   std::vector<PreparedProgram> Prepared =
       preparePrograms(Programs, Machine, Tech, TypingSeed, Pool);
-
-  PreparedSuite Suite;
-  Suite.Tuner = Tech.Tuner;
-  for (size_t Index = 0; Index < Programs.size(); ++Index) {
-    Suite.Names.push_back(Programs[Index].Name);
-    Suite.Images.push_back(std::move(Prepared[Index].Image));
-    Suite.Costs.push_back(std::move(Prepared[Index].Cost));
-    Suite.Flats.push_back(std::move(Prepared[Index].Flat));
-  }
-  return Suite;
-}
-
-PreparedSuite pbt::prepareSuiteMonolithic(const std::vector<Program> &Programs,
-                                          const MachineConfig &Machine,
-                                          const TechniqueSpec &Tech,
-                                          uint64_t TypingSeed,
-                                          ThreadPool *Pool) {
-  // The legacy path: one monolithic prepareOne per program, fanned out
-  // over the pool with by-index writes. Kept verbatim so tests can
-  // assert the pass-manager pipeline reproduces it bit for bit.
-  std::vector<PreparedProgram> Prepared(Programs.size());
-  ThreadPool &P = Pool ? *Pool : ThreadPool::global();
-  P.parallelFor(Programs.size(), [&](size_t Index) {
-    Prepared[Index] =
-        prepareOne(Programs[Index], Machine, Tech, TypingSeed);
-  });
 
   PreparedSuite Suite;
   Suite.Tuner = Tech.Tuner;

@@ -117,36 +117,74 @@ struct PreparedProgram {
   std::shared_ptr<const FlatImage> Flat;
 };
 
-/// Runs the static preparation pipeline (analysis/PassManager.h) over
-/// \p Programs for \p Tech on \p Machine and returns one
-/// PreparedProgram per input, in input order. \p TypingSeed drives
-/// k-means and error injection. The per-program steps are independent,
-/// so they fan out over \p Pool (the global thread pool when null) with
-/// by-index writes: output is bit-identical to the serial loop
-/// regardless of pool size.
+/// Runs the static preparation pipeline over \p Programs for \p Tech on
+/// \p Machine and returns one PreparedProgram per input, in input order.
+/// \p TypingSeed drives k-means and error injection.
+///
+/// The pipeline is a fixed sequence of stages — cost-model, typing,
+/// error-inject, transitions, instrument, flatten — each run as one
+/// parallelFor over the programs on \p Pool (the global thread pool when
+/// null), with by-index writes, so output is bit-identical regardless of
+/// pool size. The baseline skips typing and error-inject, and
+/// error-inject runs only when Tech.TypingError > 0. Under the verify-IR
+/// toggle the verifyPrep sweep runs after every stage and throws
+/// std::runtime_error naming the stage, program and broken invariant.
+/// Per-stage counters accumulate into cumulativePipelineStats()
+/// (analysis/PassManager.h).
 std::vector<PreparedProgram>
 preparePrograms(const std::vector<Program> &Programs,
                 const MachineConfig &Machine, const TechniqueSpec &Tech,
                 uint64_t TypingSeed = 42, ThreadPool *Pool = nullptr);
 
 /// Types + marks + instruments every program for \p Tech on \p Machine
-/// by running the pass-manager pipeline (see preparePrograms) and
-/// assembling the results into a suite.
+/// (see preparePrograms) and assembles the results into a suite.
 PreparedSuite prepareSuite(const std::vector<Program> &Programs,
                            const MachineConfig &Machine,
                            const TechniqueSpec &Tech,
                            uint64_t TypingSeed = 42,
                            ThreadPool *Pool = nullptr);
 
-/// The pre-pass-manager monolithic pipeline, kept verbatim as the
-/// reference implementation for the promotion contract: tests assert
-/// prepareSuite output is bit-identical to this path. Not used by
-/// production code.
-PreparedSuite prepareSuiteMonolithic(const std::vector<Program> &Programs,
-                                     const MachineConfig &Machine,
-                                     const TechniqueSpec &Tech,
-                                     uint64_t TypingSeed = 42,
-                                     ThreadPool *Pool = nullptr);
+/// The evolving prepared state of one program between pipeline stages.
+/// Each stage fills its slot; Typed and Marked tell verifyPrep which of
+/// the intermediate results are present.
+struct ProgramPrep {
+  /// The source program; owned by the caller.
+  const Program *Prog = nullptr;
+  /// Cost-model binding of Prog to the machine (cost-model stage).
+  std::shared_ptr<const CostModel> Cost;
+  /// Phase-type assignment (typing and error-inject stages).
+  ProgramTyping Typing;
+  bool Typed = false;
+  /// Transition analysis output (transitions stage). Moved into the
+  /// image by the instrument stage, after which Image carries the marks.
+  MarkingResult Marking;
+  bool Marked = false;
+  /// Instrumented program (instrument stage).
+  std::shared_ptr<const InstrumentedProgram> Image;
+  /// Fused flat execution image (flatten stage).
+  std::shared_ptr<const FlatImage> Flat;
+};
+
+/// Validates every artifact present in \p PC: Program::verify,
+/// CFG/dominator/loop consistency, typing shape, mark-placement
+/// legality, flat-image block-id contiguity and cost-table binding,
+/// chain summaries re-walked against the exact block walk, and every
+/// cycle-table entry on the exact cycle grid. When \p Tech is non-null
+/// the image's mark-cost model must match it. On failure writes a
+/// diagnostic to \p ErrorOut (when non-null) and returns false.
+bool verifyPrep(const ProgramPrep &PC, const TechniqueSpec *Tech,
+                std::string *ErrorOut = nullptr);
+
+/// Verifies a finished suite (freshly prepared or loaded from the
+/// store): every program's image, cost binding, and flat image.
+bool verifyPrepared(const PreparedSuite &Suite, const MachineConfig &Machine,
+                    std::string *ErrorOut = nullptr);
+
+/// Process-wide verify-IR toggle. Defaults to the PBT_VERIFY_IR
+/// environment variable (any non-empty value other than "0" enables);
+/// the driver's `--verify-ir` flag calls the setter.
+void setVerifyIR(bool Enabled);
+bool verifyIREnabled();
 
 /// Isolated runtime t_i of each program: uninstrumented, alone on the
 /// machine, canonical branch seed. The per-program simulations are

@@ -1,84 +1,35 @@
-//===- analysis/PassManager.cpp - Static-pipeline pass manager ------------===//
+//===- workload/Verify.cpp - Prepared-state self-verification -------------===//
 //
 // Part of the phase-based-tuning reproduction. MIT license.
 //
 //===----------------------------------------------------------------------===//
+//
+// The verify-IR toggle and the static checks behind verifyPrep and
+// verifyPrepared (workload/Runner.h).
+//
+//===----------------------------------------------------------------------===//
 
-#include "analysis/PassManager.h"
+#include "workload/Runner.h"
 
 #include "analysis/Dominators.h"
 #include "analysis/NaturalLoops.h"
-#include "core/ErrorInjection.h"
-#include "core/Instrument.h"
-#include "obs/Clock.h"
 #include "sim/CostModel.h"
 #include "sim/FlatImage.h"
 #include "support/Env.h"
-#include "support/ThreadPool.h"
-#include "workload/Runner.h"
 
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstring>
-#include <mutex>
 #include <set>
-#include <stdexcept>
 #include <tuple>
 
 using namespace pbt;
-
-ProgramPass::~ProgramPass() = default;
-bool ProgramPass::doInitialization(PipelineContext &) { return false; }
-bool ProgramPass::doFinalization(PipelineContext &) { return false; }
-
-PassManager::PassManager() = default;
-PassManager::~PassManager() = default;
-
-void PassManager::add(std::unique_ptr<ProgramPass> Pass) {
-  Passes.push_back(std::move(Pass));
-}
-
-//===----------------------------------------------------------------------===//
-// Verify-IR toggle and cumulative stats
-//===----------------------------------------------------------------------===//
 
 namespace {
 
 /// -1 = unset (consult the environment on first query), 0/1 = forced.
 std::atomic<int> VerifyIRState{-1};
-
-/// Process-wide accumulation of per-pass stats across pipeline runs.
-struct CumulativeStats {
-  std::mutex Mutex;
-  PipelineStats Stats;
-
-  void accumulate(const PipelineStats &Run) {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    Stats.Rounds += Run.Rounds;
-    for (const PassStats &P : Run.Passes) {
-      PassStats *Row = nullptr;
-      for (PassStats &Existing : Stats.Passes)
-        if (Existing.Name == P.Name) {
-          Row = &Existing;
-          break;
-        }
-      if (!Row) {
-        Stats.Passes.push_back(PassStats());
-        Stats.Passes.back().Name = P.Name;
-        Row = &Stats.Passes.back();
-      }
-      Row->Invocations += P.Invocations;
-      Row->ProgramsChanged += P.ProgramsChanged;
-      Row->Seconds += P.Seconds;
-    }
-  }
-};
-
-CumulativeStats &cumulative() {
-  static CumulativeStats C;
-  return C;
-}
 
 } // namespace
 
@@ -95,237 +46,6 @@ bool pbt::verifyIREnabled() {
   }
   return State == 1;
 }
-
-PipelineStats pbt::cumulativePipelineStats() {
-  CumulativeStats &C = cumulative();
-  std::lock_guard<std::mutex> Lock(C.Mutex);
-  return C.Stats;
-}
-
-//===----------------------------------------------------------------------===//
-// The pipeline passes
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-/// Binds the program to the machine: the per-block cycle/instruction
-/// tables every later stage (oracle typing, flat fusion) reads.
-class CostModelPass final : public ProgramPass {
-public:
-  const char *name() const override { return "cost-model"; }
-  bool doProgramPass(ProgramPrep &PC, const PipelineContext &Ctx) override {
-    if (PC.Cost)
-      return false;
-    PC.Cost = std::make_shared<const CostModel>(*PC.Prog, *Ctx.Machine);
-    return true;
-  }
-};
-
-/// Phase-type assignment: the k-means proof of concept or the
-/// behavioural oracle, per the technique. The baseline is untyped.
-class TypingPass final : public ProgramPass {
-public:
-  const char *name() const override { return "typing"; }
-  bool doProgramPass(ProgramPrep &PC, const PipelineContext &Ctx) override {
-    if (Ctx.Tech->Baseline || PC.Typed || !PC.Cost)
-      return false;
-    if (Ctx.Tech->UseStaticTyping) {
-      TypingConfig Config;
-      Config.Seed = Ctx.TypingSeed;
-      PC.Typing = computeStaticTyping(*PC.Prog, Config);
-    } else {
-      PC.Typing = computeOracleTyping(*PC.Prog, *PC.Cost);
-    }
-    PC.Typed = true;
-    return true;
-  }
-};
-
-/// Fig. 7 clustering-error injection over the fresh typing.
-class ErrorInjectPass final : public ProgramPass {
-public:
-  const char *name() const override { return "error-inject"; }
-  bool doProgramPass(ProgramPrep &PC, const PipelineContext &Ctx) override {
-    if (Ctx.Tech->Baseline || Ctx.Tech->TypingError <= 0 ||
-        PC.ErrorInjected || !PC.Typed)
-      return false;
-    PC.Typing = injectClusteringError(PC.Typing, Ctx.Tech->TypingError,
-                                      Ctx.TypingSeed ^ 0xE77);
-    PC.ErrorInjected = true;
-    return true;
-  }
-};
-
-/// Transition analysis: where the phase marks go. The baseline gets the
-/// trivial one-type, zero-mark result.
-class TransitionsPass final : public ProgramPass {
-public:
-  const char *name() const override { return "transitions"; }
-  bool doProgramPass(ProgramPrep &PC, const PipelineContext &Ctx) override {
-    if (PC.Marked)
-      return false;
-    if (Ctx.Tech->Baseline) {
-      PC.Marking = MarkingResult();
-      PC.Marking.NumTypes = 1;
-      PC.Marking.RegionType.resize(PC.Prog->Procs.size());
-    } else {
-      // The error-inject pass must have had its chance at the typing
-      // before marks are derived from it; within one round the pass
-      // order guarantees that.
-      if (!PC.Typed)
-        return false;
-      PC.Marking =
-          computeTransitions(*PC.Prog, PC.Typing, Ctx.Tech->Transition);
-    }
-    PC.Marked = true;
-    return true;
-  }
-};
-
-/// Builds the instrumented program; the marks move into the image,
-/// which owns them from here on.
-class InstrumentPass final : public ProgramPass {
-public:
-  const char *name() const override { return "instrument"; }
-  bool doProgramPass(ProgramPrep &PC, const PipelineContext &Ctx) override {
-    if (PC.Image || !PC.Marked)
-      return false;
-    PC.Image = std::make_shared<const InstrumentedProgram>(
-        *PC.Prog, std::move(PC.Marking), Ctx.Tech->Cost);
-    return true;
-  }
-};
-
-/// Fuses image + cost model into the flat execution image.
-class FlattenPass final : public ProgramPass {
-public:
-  const char *name() const override { return "flatten"; }
-  bool doProgramPass(ProgramPrep &PC, const PipelineContext &) override {
-    if (PC.Flat || !PC.Image || !PC.Cost)
-      return false;
-    PC.Flat = std::make_shared<const FlatImage>(PC.Image, PC.Cost);
-    return true;
-  }
-};
-
-double nowSeconds() {
-  // Wall time for the per-pass Seconds counters only; never feeds a
-  // byte-compared artifact (see PassStats). Reads the vetted obs/Clock
-  // seam, the one file allowed to touch std::chrono.
-  return obs::monotonicSeconds();
-}
-
-} // namespace
-
-PassManager pbt::buildPreparationPipeline() {
-  PassManager PM;
-  PM.add(std::make_unique<CostModelPass>());
-  PM.add(std::make_unique<TypingPass>());
-  PM.add(std::make_unique<ErrorInjectPass>());
-  PM.add(std::make_unique<TransitionsPass>());
-  PM.add(std::make_unique<InstrumentPass>());
-  PM.add(std::make_unique<FlattenPass>());
-  return PM;
-}
-
-PipelineContext pbt::makePipelineContext(const std::vector<Program> &Programs,
-                                         const MachineConfig &Machine,
-                                         const TechniqueSpec &Tech,
-                                         uint64_t TypingSeed,
-                                         ThreadPool *Pool) {
-  PipelineContext Ctx;
-  Ctx.Machine = &Machine;
-  Ctx.Tech = &Tech;
-  Ctx.TypingSeed = TypingSeed;
-  Ctx.VerifyIR = verifyIREnabled();
-  Ctx.Pool = Pool;
-  Ctx.Programs.resize(Programs.size());
-  for (size_t I = 0; I < Programs.size(); ++I)
-    Ctx.Programs[I].Prog = &Programs[I];
-  return Ctx;
-}
-
-PipelineStats PassManager::run(PipelineContext &Ctx) const {
-  PipelineStats Stats;
-  Stats.Passes.resize(Passes.size() + (Ctx.VerifyIR ? 1 : 0));
-  for (size_t P = 0; P < Passes.size(); ++P)
-    Stats.Passes[P].Name = Passes[P]->name();
-  if (Ctx.VerifyIR)
-    Stats.Passes.back().Name = "verify";
-
-  ThreadPool &Pool = Ctx.Pool ? *Ctx.Pool : ThreadPool::global();
-  const size_t N = Ctx.Programs.size();
-  std::vector<uint8_t> Changed(N);
-
-  // The self-verification sweep: every program's whole prepared state,
-  // re-checked after the pass that just ran. Read-only per program, so
-  // it fans out like any pass; failures surface on the caller thread as
-  // one exception naming the pass boundary that broke the invariant.
-  auto VerifySweep = [&](const char *AfterPass) {
-    PassStats &V = Stats.Passes.back();
-    double Start = nowSeconds();
-    std::vector<std::string> Errors(N);
-    Pool.parallelFor(N, [&](size_t I) {
-      std::string Err;
-      if (!verifyPrep(Ctx.Programs[I], Ctx, &Err))
-        Errors[I] = Err.empty() ? "invariant violated" : Err;
-    });
-    V.Invocations += N;
-    V.Seconds += nowSeconds() - Start;
-    for (size_t I = 0; I < N; ++I)
-      if (!Errors[I].empty())
-        throw std::runtime_error(
-            std::string("verify-ir: after pass '") + AfterPass +
-            "', program '" + Ctx.Programs[I].Prog->Name +
-            "': " + Errors[I]);
-  };
-
-  for (size_t P = 0; P < Passes.size(); ++P) {
-    double Start = nowSeconds();
-    Passes[P]->doInitialization(Ctx);
-    Stats.Passes[P].Seconds += nowSeconds() - Start;
-  }
-
-  // The cross-program fixpoint: rounds of every pass over every
-  // program until a full round reports no change.
-  bool AnyChanged = true;
-  while (AnyChanged) {
-    AnyChanged = false;
-    ++Stats.Rounds;
-    for (size_t P = 0; P < Passes.size(); ++P) {
-      PassStats &PS = Stats.Passes[P];
-      double Start = nowSeconds();
-      std::fill(Changed.begin(), Changed.end(), 0);
-      Pool.parallelFor(N, [&](size_t I) {
-        Changed[I] =
-            Passes[P]->doProgramPass(Ctx.Programs[I], Ctx) ? 1 : 0;
-      });
-      uint64_t Count = 0;
-      for (uint8_t C : Changed)
-        Count += C;
-      PS.Invocations += N;
-      PS.ProgramsChanged += Count;
-      PS.Seconds += nowSeconds() - Start;
-      if (Count)
-        AnyChanged = true;
-      if (Ctx.VerifyIR)
-        VerifySweep(Passes[P]->name());
-    }
-  }
-
-  for (size_t P = 0; P < Passes.size(); ++P) {
-    double Start = nowSeconds();
-    Passes[P]->doFinalization(Ctx);
-    Stats.Passes[P].Seconds += nowSeconds() - Start;
-  }
-
-  cumulative().accumulate(Stats);
-  return Stats;
-}
-
-//===----------------------------------------------------------------------===//
-// VerifyPass: static analysis of our own IR and derived images
-//===----------------------------------------------------------------------===//
 
 namespace {
 
@@ -640,7 +360,7 @@ bool checkFlat(const FlatImage &F, std::string *Out) {
 
 } // namespace
 
-bool pbt::verifyPrep(const ProgramPrep &PC, const PipelineContext &Ctx,
+bool pbt::verifyPrep(const ProgramPrep &PC, const TechniqueSpec *Tech,
                      std::string *ErrorOut) {
   const Program *Prog = PC.Prog;
   if (!Prog && PC.Image)
@@ -706,7 +426,7 @@ bool pbt::verifyPrep(const ProgramPrep &PC, const PipelineContext &Ctx,
       return failWith(ErrorOut, "image has zero phase types");
     if (!checkMarks(IP.program(), IP.marks(), IP.numTypes(), ErrorOut))
       return false;
-    if (Ctx.Tech && IP.cost() != Ctx.Tech->Cost)
+    if (Tech && IP.cost() != Tech->Cost)
       return failWith(ErrorOut,
                       "image mark-cost model differs from technique");
   }
@@ -723,15 +443,12 @@ bool pbt::verifyPrep(const ProgramPrep &PC, const PipelineContext &Ctx,
   return true;
 }
 
-bool pbt::verifyPrepared(const PreparedSuite &Suite,
-                         const MachineConfig &Machine,
+bool pbt::verifyPrepared(const PreparedSuite &Suite, const MachineConfig &,
                          std::string *ErrorOut) {
   if (Suite.Images.size() != Suite.Costs.size() ||
       Suite.Images.size() != Suite.Flats.size() ||
       Suite.Images.size() != Suite.Names.size())
     return failWith(ErrorOut, "suite arrays have mismatched sizes");
-  PipelineContext Ctx;
-  Ctx.Machine = &Machine;
   for (size_t I = 0; I < Suite.Images.size(); ++I) {
     ProgramPrep PC;
     PC.Prog = &Suite.Images[I]->program();
@@ -739,7 +456,7 @@ bool pbt::verifyPrepared(const PreparedSuite &Suite,
     PC.Image = Suite.Images[I];
     PC.Flat = Suite.Flats[I];
     std::string Err;
-    if (!verifyPrep(PC, Ctx, &Err))
+    if (!verifyPrep(PC, nullptr, &Err))
       return failWith(ErrorOut, "suite[" + std::to_string(I) + "] '" +
                                     Suite.Names[I] + "': " + Err);
   }

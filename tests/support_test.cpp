@@ -196,6 +196,11 @@ TEST(Env, ScaleDefaultsAndClamps) {
   EXPECT_DOUBLE_EQ(envScale(), 0.5);
   setenv("PBT_SCALE", "bogus", 1);
   EXPECT_DOUBLE_EQ(envScale(2.0), 2.0);
+  // strtod parses "nan", which slips past every range comparison.
+  setenv("PBT_SCALE", "nan", 1);
+  EXPECT_DOUBLE_EQ(envScale(2.0), 2.0);
+  setenv("PBT_SCALE", "-nan", 1);
+  EXPECT_DOUBLE_EQ(envScale(2.0), 2.0);
   setenv("PBT_SCALE", "0.0001", 1);
   EXPECT_DOUBLE_EQ(envScale(), 0.01);
   setenv("PBT_SCALE", "1000", 1);
