@@ -23,11 +23,14 @@ PBT_EXPERIMENT(ablation_static_typing) {
                       "CGO'11 Sec. II-A3");
 
   Lab &L = H.lab();
+  // The baseline suite's cost models are the lab's shared per-program
+  // bases on its machine.
+  PreparedSuite Base = L.suite(TechniqueSpec::baseline());
   Table T({"benchmark", "blocks", "disagreement %"});
   std::vector<double> Disagreements;
-  for (const Program &Prog : L.programs()) {
-    CostModel Cost(Prog, L.machine());
-    ProgramTyping Oracle = computeOracleTyping(Prog, Cost);
+  for (size_t I = 0; I < L.programs().size(); ++I) {
+    const Program &Prog = L.programs()[I];
+    ProgramTyping Oracle = computeOracleTyping(Prog, *Base.Costs[I]);
     ProgramTyping Static = computeStaticTyping(Prog, TypingConfig());
     double D = 100.0 * Static.disagreement(Oracle);
     Disagreements.push_back(D);

@@ -20,13 +20,14 @@ uint64_t pbt::hashValue(const MarkCostModel &Cost) {
   return hashCombine(H, Cost.SwitchCycles);
 }
 
-InstrumentedProgram::InstrumentedProgram(Program ProgIn,
-                                         MarkingResult Marking,
-                                         MarkCostModel CostIn)
+InstrumentedProgram::InstrumentedProgram(
+    std::shared_ptr<const Program> ProgIn, MarkingResult Marking,
+    MarkCostModel CostIn)
     : Prog(std::move(ProgIn)), Marks(std::move(Marking.Marks)),
       NumTypes(Marking.NumTypes), Cost(CostIn) {
-  Lookup.resize(Prog.Procs.size());
-  for (const Procedure &P : Prog.Procs)
+  assert(Prog && "an image needs a program");
+  Lookup.resize(Prog->Procs.size());
+  for (const Procedure &P : Prog->Procs)
     Lookup[P.Id].resize(P.Blocks.size());
 
   for (size_t I = 0; I < Marks.size(); ++I) {
@@ -60,13 +61,13 @@ const PhaseMark *InstrumentedProgram::callMark(uint32_t Proc,
 }
 
 uint64_t InstrumentedProgram::instrumentedByteSize() const {
-  return Prog.byteSize() +
+  return Prog->byteSize() +
          static_cast<uint64_t>(Marks.size()) * Cost.MarkBytes +
          Cost.RuntimeStubBytes;
 }
 
 double InstrumentedProgram::spaceOverheadPercent() const {
-  double Original = static_cast<double>(Prog.byteSize());
+  double Original = static_cast<double>(Prog->byteSize());
   if (Original <= 0)
     return 0;
   double Added = static_cast<double>(instrumentedByteSize()) - Original;

@@ -23,6 +23,7 @@
 #include "ir/Program.h"
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 namespace pbt {
@@ -74,13 +75,22 @@ uint64_t hashValue(const MarkCostModel &Cost);
 
 /// A program together with its phase marks and O(1) mark lookup,
 /// analogous to the paper's "standalone binary with phase information and
-/// dynamic analysis code fragments".
+/// dynamic analysis code fragments". The program itself is shared and
+/// immutable: every technique's image of one benchmark can point at the
+/// same Program, since marks live beside it rather than in it.
 class InstrumentedProgram {
 public:
-  InstrumentedProgram(Program Prog, MarkingResult Marking,
+  InstrumentedProgram(std::shared_ptr<const Program> Prog,
+                      MarkingResult Marking,
                       MarkCostModel Cost = MarkCostModel::tuned());
 
-  const Program &program() const { return Prog; }
+  /// Convenience for callers that own a program outright.
+  InstrumentedProgram(Program Prog, MarkingResult Marking,
+                      MarkCostModel Cost = MarkCostModel::tuned())
+      : InstrumentedProgram(std::make_shared<const Program>(std::move(Prog)),
+                            std::move(Marking), Cost) {}
+
+  const Program &program() const { return *Prog; }
   const std::vector<PhaseMark> &marks() const { return Marks; }
   uint32_t numTypes() const { return NumTypes; }
   const MarkCostModel &cost() const { return Cost; }
@@ -104,7 +114,7 @@ private:
     int32_t CallMark = -1;
   };
 
-  Program Prog;
+  std::shared_ptr<const Program> Prog;
   std::vector<PhaseMark> Marks;
   uint32_t NumTypes = 0;
   MarkCostModel Cost;

@@ -95,6 +95,17 @@ struct BasicBlock {
     const Instruction &Last = Insts.back();
     return Last.Kind == InstKind::Call ? Last.Callee : -1;
   }
+
+  /// Exact equality over every field.
+  bool operator==(const BasicBlock &Other) const {
+    return Id == Other.Id && Term == Other.Term &&
+           TripCount == Other.TripCount && TakenProb == Other.TakenProb &&
+           StreamWorkingSet == Other.StreamWorkingSet &&
+           Succs == Other.Succs && Insts == Other.Insts;
+  }
+  bool operator!=(const BasicBlock &Other) const {
+    return !(*this == Other);
+  }
 };
 
 } // namespace pbt

@@ -79,6 +79,15 @@ struct Instruction {
   }
   static Instruction ret() { return {InstKind::Ret, 1, -1, -1}; }
   static Instruction syscall() { return {InstKind::Syscall, 2, -1, -1}; }
+
+  /// Exact equality over every field.
+  bool operator==(const Instruction &Other) const {
+    return Kind == Other.Kind && SizeBytes == Other.SizeBytes &&
+           MemRef == Other.MemRef && Callee == Other.Callee;
+  }
+  bool operator!=(const Instruction &Other) const {
+    return !(*this == Other);
+  }
 };
 
 } // namespace pbt

@@ -43,6 +43,14 @@ struct Procedure {
       Bytes += BB.byteSize();
     return Bytes;
   }
+
+  /// Exact structural equality: id, name, and every block.
+  bool operator==(const Procedure &Other) const {
+    return Id == Other.Id && Name == Other.Name && Blocks == Other.Blocks;
+  }
+  bool operator!=(const Procedure &Other) const {
+    return !(*this == Other);
+  }
 };
 
 /// A whole program. Procedure 0 is `main` by convention.
@@ -74,6 +82,14 @@ struct Program {
     for (const Procedure &P : Procs)
       N += P.Blocks.size();
     return N;
+  }
+
+  /// Exact structural equality: name and every procedure.
+  bool operator==(const Program &Other) const {
+    return Name == Other.Name && Procs == Other.Procs;
+  }
+  bool operator!=(const Program &Other) const {
+    return !(*this == Other);
   }
 };
 

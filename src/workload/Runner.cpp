@@ -17,8 +17,10 @@
 #include <cassert>
 #include <cstdio>
 #include <deque>
+#include <map>
 #include <mutex>
 #include <stdexcept>
+#include <tuple>
 
 using namespace pbt;
 
@@ -79,6 +81,81 @@ CumulativeStats &cumulative() {
   return C;
 }
 
+/// The technique-invariant base of one program on one machine. Program
+/// and cost model share one allocation, so one weak_ptr tracks both and
+/// aliasing shared_ptrs hand out each half.
+struct ProgramBase {
+  Program Prog;
+  CostModel Cost;
+  ProgramBase(const Program &P, const MachineConfig &Machine)
+      : Prog(P), Cost(Prog, Machine) {}
+};
+
+/// Process-wide intern table of live program bases. Entries are
+/// weak_ptrs, so a base lives exactly as long as some prepared artifact
+/// holds it; the table never keeps one alive. The key is cheap and only
+/// narrows the search: a hit requires full structural equality of the
+/// program and MachineConfig equality.
+class BaseTable {
+public:
+  std::shared_ptr<const ProgramBase> bind(const Program &Prog,
+                                          const MachineConfig &Machine) {
+    obs::CounterRegistry &Reg = obs::CounterRegistry::global();
+    Key K{Prog.Name, Prog.Procs.size(), Prog.blockCount(),
+          Prog.instructionCount(), hashValue(Machine)};
+    // Fast path: live candidates are pinned under the lock and compared
+    // outside it, so concurrent hits do not serialize on the compare.
+    std::vector<std::shared_ptr<const ProgramBase>> Live;
+    {
+      std::lock_guard<std::mutex> Lock(Mutex);
+      auto It = Entries.find(K);
+      if (It != Entries.end())
+        for (const auto &W : It->second)
+          if (auto B = W.lock())
+            Live.push_back(std::move(B));
+    }
+    for (auto &B : Live)
+      if (matches(*B, Prog, Machine)) {
+        Reg.add("analysis.cost_models_shared");
+        return std::move(B);
+      }
+
+    // Built outside the lock so distinct programs build in parallel. A
+    // racing thread may have published an equal base meanwhile; the
+    // locked re-check keeps one base per (program, machine).
+    auto Fresh = std::make_shared<const ProgramBase>(Prog, Machine);
+    Reg.add("analysis.cost_models_built");
+    std::lock_guard<std::mutex> Lock(Mutex);
+    std::vector<std::weak_ptr<const ProgramBase>> &Bucket = Entries[K];
+    Bucket.erase(std::remove_if(Bucket.begin(), Bucket.end(),
+                                [](const auto &W) { return W.expired(); }),
+                 Bucket.end());
+    for (const auto &W : Bucket)
+      if (auto B = W.lock(); B && matches(*B, Prog, Machine)) {
+        Reg.add("analysis.cost_models_shared");
+        return B;
+      }
+    Bucket.push_back(Fresh);
+    return Fresh;
+  }
+
+private:
+  using Key = std::tuple<std::string, size_t, size_t, size_t, uint64_t>;
+
+  static bool matches(const ProgramBase &B, const Program &Prog,
+                      const MachineConfig &Machine) {
+    return B.Cost.machine() == Machine && B.Prog == Prog;
+  }
+
+  std::mutex Mutex;
+  std::map<Key, std::vector<std::weak_ptr<const ProgramBase>>> Entries;
+};
+
+BaseTable &bases() {
+  static BaseTable T;
+  return T;
+}
+
 } // namespace
 
 PipelineStats pbt::cumulativePipelineStats() {
@@ -134,7 +211,10 @@ pbt::preparePrograms(const std::vector<Program> &Programs,
   };
 
   RunStage(CostModelStage, [&](ProgramPrep &PC) {
-    PC.Cost = std::make_shared<const CostModel>(*PC.Prog, Machine);
+    std::shared_ptr<const ProgramBase> B = bases().bind(*PC.Prog, Machine);
+    PC.Base = std::shared_ptr<const Program>(B, &B->Prog);
+    PC.Cost = std::shared_ptr<const CostModel>(B, &B->Cost);
+    PC.Prog = PC.Base.get();
   });
   if (!Tech.Baseline) {
     RunStage(TypingStage, [&](ProgramPrep &PC) {
@@ -165,7 +245,7 @@ pbt::preparePrograms(const std::vector<Program> &Programs,
   });
   RunStage(InstrumentStage, [&](ProgramPrep &PC) {
     PC.Image = std::make_shared<const InstrumentedProgram>(
-        *PC.Prog, std::move(PC.Marking), Tech.Cost);
+        PC.Base, std::move(PC.Marking), Tech.Cost);
   });
   RunStage(FlattenStage, [&](ProgramPrep &PC) {
     PC.Flat = std::make_shared<const FlatImage>(PC.Image, PC.Cost);

@@ -131,6 +131,16 @@ struct PreparedProgram {
 /// std::runtime_error naming the stage, program and broken invariant.
 /// Per-stage counters accumulate into cumulativePipelineStats()
 /// (analysis/PassManager.h).
+///
+/// The cost-model stage binds each program to its technique-invariant
+/// base: one immutable copy of the program plus its CostModel, shared
+/// process-wide by every preparation of an equal program on an equal
+/// machine while any result still holds it. Every image is built on that
+/// shared program, so the returned Image->program() is the base copy,
+/// not the caller's object. A base is reused only after full structural
+/// equality of program and machine; the registry counters
+/// analysis.cost_models_built and analysis.cost_models_shared count
+/// fresh builds and reuses.
 std::vector<PreparedProgram>
 preparePrograms(const std::vector<Program> &Programs,
                 const MachineConfig &Machine, const TechniqueSpec &Tech,
@@ -148,9 +158,14 @@ PreparedSuite prepareSuite(const std::vector<Program> &Programs,
 /// Each stage fills its slot; Typed and Marked tell verifyPrep which of
 /// the intermediate results are present.
 struct ProgramPrep {
-  /// The source program; owned by the caller.
+  /// The program being prepared: the caller's until the cost-model
+  /// stage, which rebinds it to Base.
   const Program *Prog = nullptr;
-  /// Cost-model binding of Prog to the machine (cost-model stage).
+  /// The shared, equal-content program every later stage and the image
+  /// build on (cost-model stage).
+  std::shared_ptr<const Program> Base;
+  /// Cost-model binding of Prog to the machine (cost-model stage);
+  /// shared with every preparation of the same base.
   std::shared_ptr<const CostModel> Cost;
   /// Phase-type assignment (typing and error-inject stages).
   ProgramTyping Typing;

@@ -412,8 +412,9 @@ bool pbt::verifyPrep(const ProgramPrep &PC, const TechniqueSpec *Tech,
 
   if (PC.Image) {
     const InstrumentedProgram &IP = *PC.Image;
-    // The image carries its own program copy; it must still satisfy the
-    // IR invariants and describe the same program.
+    // An image that does not share the prepared program (one loaded
+    // from the store) must still satisfy the IR invariants and describe
+    // the same program.
     if (&IP.program() != Prog) {
       if (!verify(IP.program(), &Err))
         return failWith(ErrorOut, "image program invariant: " + Err);

@@ -5,7 +5,35 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 using namespace pbt;
+
+// operator== on the IR compares every field. These mirrors list the
+// fields in declaration order; a field added to Instruction or
+// BasicBlock changes its size and fails the build here until operator==
+// and the mirror are extended together.
+namespace {
+struct InstructionFields {
+  InstKind Kind;
+  uint8_t SizeBytes;
+  int32_t MemRef;
+  int32_t Callee;
+};
+struct BasicBlockFields {
+  uint32_t Id;
+  std::vector<Instruction> Insts;
+  TermKind Term;
+  std::vector<uint32_t> Succs;
+  uint32_t TripCount;
+  double TakenProb;
+  uint32_t StreamWorkingSet;
+};
+} // namespace
+static_assert(sizeof(Instruction) == sizeof(InstructionFields),
+              "Instruction gained a field: extend operator== and the mirror");
+static_assert(sizeof(BasicBlock) == sizeof(BasicBlockFields),
+              "BasicBlock gained a field: extend operator== and the mirror");
 
 namespace {
 
@@ -53,6 +81,77 @@ TEST(BasicBlock, CalleeDetection) {
   BasicBlock BB;
   BB.Insts = {Instruction::intAlu(), Instruction::call(5)};
   EXPECT_EQ(BB.calleeOrNone(), 5);
+}
+
+TEST(Instruction, EqualityComparesEveryField) {
+  const Instruction Base = Instruction::load(3, 4);
+  EXPECT_TRUE(Base == Instruction::load(3, 4));
+  Instruction I = Base;
+  I.Kind = InstKind::Store;
+  EXPECT_FALSE(I == Base);
+  I = Base;
+  I.SizeBytes = 5;
+  EXPECT_FALSE(I == Base);
+  I = Base;
+  I.MemRef = 4;
+  EXPECT_FALSE(I == Base);
+  I = Base;
+  I.Callee = 0;
+  EXPECT_FALSE(I == Base);
+}
+
+TEST(BasicBlock, EqualityComparesEveryField) {
+  BasicBlock Base;
+  Base.Id = 2;
+  Base.Insts = {Instruction::intAlu(), Instruction::load(1)};
+  Base.Term = TermKind::Cond;
+  Base.Succs = {3, 4};
+  Base.TripCount = 1;
+  Base.TakenProb = 0.25;
+  Base.StreamWorkingSet = 64;
+  BasicBlock Copy = Base;
+  EXPECT_TRUE(Copy == Base);
+
+  std::vector<void (*)(BasicBlock &)> Edits = {
+      [](BasicBlock &B) { B.Id = 3; },
+      [](BasicBlock &B) { B.Insts[1].MemRef = 2; },
+      [](BasicBlock &B) { B.Insts.pop_back(); },
+      [](BasicBlock &B) { B.Term = TermKind::Loop; },
+      [](BasicBlock &B) { B.Succs[1] = 5; },
+      [](BasicBlock &B) { B.Succs.pop_back(); },
+      [](BasicBlock &B) { B.TripCount = 2; },
+      [](BasicBlock &B) { B.TakenProb = 0.5; },
+      [](BasicBlock &B) { B.StreamWorkingSet = 0; },
+  };
+  for (size_t E = 0; E < Edits.size(); ++E) {
+    BasicBlock Changed = Base;
+    Edits[E](Changed);
+    EXPECT_FALSE(Changed == Base) << "edit " << E;
+  }
+}
+
+TEST(Program, EqualityComparesEveryField) {
+  const Program Base = trivialProgram();
+  EXPECT_TRUE(trivialProgram() == Base);
+
+  Program P = Base;
+  P.Name = "u";
+  EXPECT_FALSE(P == Base);
+  P = Base;
+  P.Procs[0].Id = 1;
+  EXPECT_FALSE(P == Base);
+  P = Base;
+  P.Procs[0].Name = "other";
+  EXPECT_FALSE(P == Base);
+  P = Base;
+  P.Procs[0].Blocks[0].Insts[0] = Instruction::fpAlu();
+  EXPECT_FALSE(P == Base);
+  P = Base;
+  P.Procs[0].Blocks.push_back(P.Procs[0].Blocks[0]);
+  EXPECT_FALSE(P == Base);
+  P = Base;
+  P.Procs.push_back(P.Procs[0]);
+  EXPECT_FALSE(P == Base);
 }
 
 TEST(Verifier, AcceptsTrivial) {

@@ -2,12 +2,14 @@
 //
 // The static preparation pipeline and its self-verification:
 // prepareSuite's output is pinned by digest, every stage runs once per
-// program it applies to, verify-IR leaves output untouched, and
+// program it applies to, verify-IR leaves output untouched, every
+// technique shares one program base per (program, machine), and
 // verifyPrep / verifyPrepared accept every well-formed preparation and
 // reject each documented class of broken state.
 
 #include "analysis/PassManager.h"
 
+#include "obs/Counters.h"
 #include "sim/CostModel.h"
 #include "sim/FlatImage.h"
 #include "support/Binary.h"
@@ -18,8 +20,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <ios>
+#include <memory>
+#include <set>
+#include <thread>
 
 using namespace pbt;
 
@@ -132,30 +138,36 @@ uint64_t stagePrograms(const PipelineStats &Stats, const char *Name) {
 // IEEE-754 doubles without floating-point contraction (the default
 // x86-64 build); a target that fuses multiply-adds prepares different
 // cost tables.
+namespace {
+
+struct PinRow {
+  uint64_t ProgramSeed;
+  unsigned Count;
+  size_t Tech; ///< Index into pinTechniques().
+  uint64_t TypingSeed;
+  uint64_t Digest;
+};
+
+const PinRow Pins[] = {
+    {3, 6, 0, 42, 0x5a49e5ccbc357f01ull},     // Linux
+    {3, 6, 1, 42, 0x2be78cbd8de8c2deull},     // Loop[45]
+    {3, 6, 2, 42, 0x632133fd2d606886ull},     // BB[15,0]
+    {3, 6, 3, 42, 0x353d21f5e35c1481ull},     // Loop[45]+static+err25%
+    {101, 6, 0, 42, 0x7d382951bf742aaeull},   // Linux
+    {101, 6, 1, 42, 0x83666f2814afafe3ull},   // Loop[45]
+    {101, 6, 2, 42, 0xdbc9d26f7eed41d6ull},   // BB[15,0]
+    {101, 6, 3, 42, 0x1cd35e1859000c3aull},   // Loop[45]+static+err25%
+    {17, 5, 4, 7, 0xc04f5fcf4fb17c07ull},     // Loop[45]+static+err15%
+    {17, 5, 4, 42, 0x4d2cbc2f831c1c35ull},    // Loop[45]+static+err15%
+    {17, 5, 4, 1234, 0x91e2c0ad260b8404ull},  // Loop[45]+static+err15%
+};
+
+} // namespace
+
 TEST(PreparePins, DigestsMatchPinnedValues) {
-  struct Row {
-    uint64_t ProgramSeed;
-    unsigned Count;
-    size_t Tech; ///< Index into pinTechniques().
-    uint64_t TypingSeed;
-    uint64_t Digest;
-  };
-  const Row Pins[] = {
-      {3, 6, 0, 42, 0x5a49e5ccbc357f01ull},     // Linux
-      {3, 6, 1, 42, 0x2be78cbd8de8c2deull},     // Loop[45]
-      {3, 6, 2, 42, 0x632133fd2d606886ull},     // BB[15,0]
-      {3, 6, 3, 42, 0x353d21f5e35c1481ull},     // Loop[45]+static+err25%
-      {101, 6, 0, 42, 0x7d382951bf742aaeull},   // Linux
-      {101, 6, 1, 42, 0x83666f2814afafe3ull},   // Loop[45]
-      {101, 6, 2, 42, 0xdbc9d26f7eed41d6ull},   // BB[15,0]
-      {101, 6, 3, 42, 0x1cd35e1859000c3aull},   // Loop[45]+static+err25%
-      {17, 5, 4, 7, 0xc04f5fcf4fb17c07ull},     // Loop[45]+static+err15%
-      {17, 5, 4, 42, 0x4d2cbc2f831c1c35ull},    // Loop[45]+static+err15%
-      {17, 5, 4, 1234, 0x91e2c0ad260b8404ull},  // Loop[45]+static+err15%
-  };
   MachineConfig MC = MachineConfig::quadAsymmetric();
   std::vector<TechniqueSpec> Techniques = pinTechniques();
-  for (const Row &R : Pins) {
+  for (const PinRow &R : Pins) {
     std::vector<Program> Programs = randomPrograms(R.ProgramSeed, R.Count);
     const TechniqueSpec &Tech = Techniques[R.Tech];
     uint64_t Digest =
@@ -454,4 +466,225 @@ TEST(VerifyPrepared, FullRegistryVerifiesUnderEveryTechniqueClass) {
     EXPECT_TRUE(verifyPrepared(Suite, MC, &Err))
         << "technique " << Tech.label() << ": " << Err;
   }
+}
+
+//===----------------------------------------------------------------------===//
+// Shared program bases: one Program and CostModel per (program, machine)
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The paper's Table 2 grid: the baseline plus the 18 marking variants
+/// BB[{10,15,20},{0..3}], Int[{30,45,60}] and Loop[{30,45,60}].
+std::vector<TechniqueSpec> tableTwoTechniques() {
+  std::vector<TransitionConfig> Variants;
+  for (uint32_t MinSize : {10u, 15u, 20u})
+    for (uint32_t Lookahead : {0u, 1u, 2u, 3u}) {
+      TransitionConfig C;
+      C.Strat = Strategy::BasicBlock;
+      C.MinSize = MinSize;
+      C.Lookahead = Lookahead;
+      Variants.push_back(C);
+    }
+  for (Strategy Strat : {Strategy::Interval, Strategy::Loop})
+    for (uint32_t MinSize : {30u, 45u, 60u}) {
+      TransitionConfig C;
+      C.Strat = Strat;
+      C.MinSize = MinSize;
+      Variants.push_back(C);
+    }
+  std::vector<TechniqueSpec> Out = {TechniqueSpec::baseline()};
+  TunerConfig Tuner;
+  Tuner.IpcDelta = 0.15;
+  for (const TransitionConfig &C : Variants)
+    Out.push_back(TechniqueSpec::tuned(C, Tuner));
+  return Out;
+}
+
+uint64_t counterValue(const char *Name) {
+  return obs::CounterRegistry::global().value(Name);
+}
+
+/// A copy of \p Prog with one field of one instruction or block changed.
+/// \p Edit returns false when the program has no site it applies to.
+template <typename EditFn> Program edited(Program Prog, EditFn Edit) {
+  for (Procedure &P : Prog.Procs)
+    for (BasicBlock &BB : P.Blocks)
+      if (Edit(BB))
+        return Prog;
+  ADD_FAILURE() << "no block to edit";
+  return Prog;
+}
+
+} // namespace
+
+// The whole Table 2 grid over the paper suite builds one base per
+// benchmark: every technique's image and cost model of a benchmark are
+// the same objects, and the base is an equal copy of the input.
+TEST(SharedBase, TableTwoTechniquesShareOneBasePerBenchmark) {
+  MachineConfig MC = MachineConfig::quadAsymmetric();
+  std::vector<Program> Programs = buildSuite();
+  const size_t N = Programs.size();
+  std::vector<TechniqueSpec> Techniques = tableTwoTechniques();
+  ASSERT_EQ(Techniques.size(), 19u);
+
+  uint64_t Built = counterValue("analysis.cost_models_built");
+  uint64_t Shared = counterValue("analysis.cost_models_shared");
+  std::vector<PreparedSuite> Suites;
+  for (const TechniqueSpec &Tech : Techniques)
+    Suites.push_back(prepareSuite(Programs, MC, Tech));
+  EXPECT_EQ(counterValue("analysis.cost_models_built") - Built, N);
+  EXPECT_EQ(counterValue("analysis.cost_models_shared") - Shared,
+            (Techniques.size() - 1) * N);
+
+  std::set<const CostModel *> Distinct;
+  for (size_t I = 0; I < N; ++I) {
+    const Program &Base = Suites[0].Images[I]->program();
+    EXPECT_NE(&Base, &Programs[I]);
+    EXPECT_TRUE(Base == Programs[I]);
+    Distinct.insert(Suites[0].Costs[I].get());
+    for (const PreparedSuite &S : Suites) {
+      EXPECT_EQ(S.Costs[I].get(), Suites[0].Costs[I].get()) << Programs[I].Name;
+      EXPECT_EQ(&S.Images[I]->program(), &Base) << Programs[I].Name;
+    }
+  }
+  EXPECT_EQ(Distinct.size(), N);
+}
+
+// A base is shared only by an equal program on an equal machine: a change
+// to any single field gets its own base, while an equal copy, or the
+// same machine under another display name, shares.
+TEST(SharedBase, NoFalseSharing) {
+  MachineConfig MC = MachineConfig::quadAsymmetric();
+  TechniqueSpec Base = TechniqueSpec::baseline();
+  const Program Original = randomPrograms(83, 1)[0];
+
+  struct Variant {
+    const char *What;
+    Program Prog;
+  };
+  Program Renamed = Original;
+  Renamed.Name += "'";
+  const Variant Variants[] = {
+      {"MemRef", edited(Original,
+                        [](BasicBlock &BB) {
+                          for (Instruction &I : BB.Insts)
+                            if (I.MemRef >= 0) {
+                              ++I.MemRef;
+                              return true;
+                            }
+                          return false;
+                        })},
+      {"StreamWorkingSet", edited(Original,
+                                  [](BasicBlock &BB) {
+                                    ++BB.StreamWorkingSet;
+                                    return true;
+                                  })},
+      {"TakenProb", edited(Original,
+                           [](BasicBlock &BB) {
+                             if (BB.Term != TermKind::Cond)
+                               return false;
+                             BB.TakenProb = std::nextafter(BB.TakenProb, 1.0);
+                             return true;
+                           })},
+      {"successor", edited(Original,
+                           [](BasicBlock &BB) {
+                             if (BB.Term != TermKind::Cond ||
+                                 BB.Succs.size() != 2 ||
+                                 BB.Succs[0] == BB.Succs[1])
+                               return false;
+                             std::swap(BB.Succs[0], BB.Succs[1]);
+                             return true;
+                           })},
+      {"name", Renamed},
+  };
+  for (const Variant &V : Variants) {
+    SCOPED_TRACE(V.What);
+    ASSERT_FALSE(V.Prog == Original);
+    std::vector<PreparedProgram> P =
+        preparePrograms({Original, V.Prog, Original}, MC, Base);
+    EXPECT_EQ(P[0].Cost.get(), P[2].Cost.get());
+    EXPECT_EQ(&P[0].Image->program(), &P[2].Image->program());
+    EXPECT_NE(P[0].Cost.get(), P[1].Cost.get());
+    EXPECT_NE(&P[0].Image->program(), &P[1].Image->program());
+    EXPECT_TRUE(P[1].Image->program() == V.Prog);
+  }
+
+  // Machines: a structurally different machine gets its own base; the
+  // same machine under another display name shares.
+  PreparedSuite Quad = prepareSuite({Original}, MC, Base);
+  PreparedSuite Sym =
+      prepareSuite({Original}, MachineConfig::symmetricQuad(), Base);
+  EXPECT_NE(Quad.Costs[0].get(), Sym.Costs[0].get());
+  EXPECT_TRUE(Sym.Costs[0]->machine() == MachineConfig::symmetricQuad());
+  MachineConfig Relabeled = MC;
+  Relabeled.Name = "relabeled";
+  PreparedSuite Same = prepareSuite({Original}, Relabeled, Base);
+  EXPECT_EQ(Quad.Costs[0].get(), Same.Costs[0].get());
+}
+
+// The table holds no strong reference: once every prepared artifact is
+// dropped the base dies, and the next preparation builds afresh.
+TEST(SharedBase, BaseLivesOnlyWhilePreparedArtifactsDo) {
+  MachineConfig MC = MachineConfig::quadAsymmetric();
+  std::vector<Program> Programs = randomPrograms(71, 3);
+  const uint64_t N = Programs.size();
+  std::weak_ptr<const CostModel> Held;
+  std::weak_ptr<const InstrumentedProgram> HeldImage;
+
+  uint64_t Built = counterValue("analysis.cost_models_built");
+  {
+    PreparedSuite Tuned = prepareSuite(Programs, MC, loopTechnique());
+    PreparedSuite Plain = prepareSuite(Programs, MC, TechniqueSpec::baseline());
+    EXPECT_EQ(Tuned.Costs[0].get(), Plain.Costs[0].get());
+    EXPECT_EQ(counterValue("analysis.cost_models_built") - Built, N);
+    Held = Tuned.Costs[0];
+    HeldImage = Tuned.Images[0];
+  }
+  EXPECT_TRUE(Held.expired());
+  EXPECT_TRUE(HeldImage.expired());
+
+  Built = counterValue("analysis.cost_models_built");
+  PreparedSuite Again = prepareSuite(Programs, MC, loopTechnique());
+  EXPECT_EQ(counterValue("analysis.cost_models_built") - Built, N);
+}
+
+// Concurrent preparations race on the shared table: every thread still
+// reproduces the pinned digests, and all of them end up on one base per
+// program.
+TEST(SharedBase, ConcurrentPreparationsReproducePinnedDigests) {
+  MachineConfig MC = MachineConfig::quadAsymmetric();
+  std::vector<TechniqueSpec> Techniques = pinTechniques();
+  constexpr size_t Threads = 4;
+  constexpr size_t Rows = sizeof(Pins) / sizeof(Pins[0]);
+  std::vector<std::vector<PreparedSuite>> Suites(
+      Threads, std::vector<PreparedSuite>(Rows));
+  std::vector<std::vector<uint64_t>> Digests(Threads,
+                                             std::vector<uint64_t>(Rows));
+  std::vector<std::thread> Pool;
+  for (size_t T = 0; T < Threads; ++T)
+    Pool.emplace_back([&, T] {
+      // Each thread walks the rows from its own offset, over its own
+      // copies of the programs.
+      for (size_t K = 0; K < Rows; ++K) {
+        size_t Row = (K + T * 3) % Rows;
+        const PinRow &R = Pins[Row];
+        std::vector<Program> Programs = randomPrograms(R.ProgramSeed, R.Count);
+        Suites[T][Row] = prepareSuite(Programs, MC, Techniques[R.Tech],
+                                      R.TypingSeed);
+        Digests[T][Row] = suiteDigest(Suites[T][Row]);
+      }
+    });
+  for (std::thread &Th : Pool)
+    Th.join();
+
+  for (size_t Row = 0; Row < Rows; ++Row)
+    for (size_t T = 0; T < Threads; ++T) {
+      EXPECT_EQ(Digests[T][Row], Pins[Row].Digest)
+          << "thread " << T << ", row " << Row;
+      for (size_t I = 0; I < Suites[T][Row].Costs.size(); ++I)
+        EXPECT_EQ(Suites[T][Row].Costs[I].get(),
+                  Suites[0][Row].Costs[I].get())
+            << "thread " << T << ", row " << Row << ", program " << I;
+    }
 }
