@@ -7,18 +7,16 @@
 /// \file
 /// Registry of experiment declarations. Each fig/table/sweep/ablation
 /// source defines its body with PBT_EXPERIMENT(name) instead of main();
-/// the body self-registers at static-initialization time. The same
-/// object file then serves two link targets:
+/// the body self-registers at static-initialization time, and
+/// bench/driver — which links every experiment source — runs the
+/// registry (or the `--only` subset) in one process over shared
+/// per-machine Labs, so suite preparation is deduplicated across
+/// experiments.
 ///
-///  - the standalone binary (the .cpp linked with StandaloneMain.cpp),
-///    which runs the single registered experiment, exactly as before;
-///  - bench/driver, which links every experiment object and runs the
-///    whole registry in one process over shared per-machine Labs, so
-///    suite preparation is deduplicated across experiments.
-///
-/// Experiment bodies return the process exit code (0 on success) and
-/// must not depend on process-global warm state: the harness guarantees
-/// their BENCH_*.json artifacts are byte-identical either way.
+/// Experiment bodies return their exit code (0 on success) and must
+/// not depend on process-global warm state: the harness guarantees
+/// their BENCH_*.json artifacts are byte-identical whether an
+/// experiment runs alone or after others.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -9,20 +9,23 @@
 //
 //  - suite preparation is deduplicated across experiments through the
 //    shared labs' SuiteCaches (e.g. the 18 paper variants are prepared
-//    once for fig3/fig4/fig8/table2 together, not once per binary);
+//    once for fig3/fig4/fig8/table2 together, not once per experiment);
 //  - with PBT_CACHE_DIR set, prepared suites persist on disk, so a
 //    second driver run replays the whole matrix with zero preparations;
 //  - every BENCH_<name>.json is emitted in one run, byte-identical to
-//    the standalone binaries' output (locked in by tests and CI).
+//    the same experiment run alone with --only (locked in by tests and
+//    CI).
+//
+// The driver is the only entry point for registered experiments.
 //
 // Usage:
 //   driver [--list] [--only=name1,name2] [--verify-ir] [--clean-cache]
 //          [--gc-cache] [--max-cache-bytes=N] [--max-cache-age-days=D]
-//          [--timeout-seconds=D] [--max-attempts=N] [--trace=dir]
-//          [--report]
+//          [--trace=dir] [--report]
 //
 // --only runs just the named experiments (repeats count once); an empty
-// list is an error, not "everything".
+// list is an error, not "everything". `driver --only=<name>` is how to
+// run one experiment.
 //
 // --trace=dir (or PBT_TRACE=dir; the flag wins) turns on the
 // deterministic simulated-time trace plane: every replay unit writes a
@@ -49,33 +52,23 @@
 // entries older than --max-cache-age-days are evicted, then the
 // least-recently-used entries (file mtime, refreshed on every cache
 // hit) until the store fits in --max-cache-bytes. With neither bound
-// given, a default 512 MiB size budget applies.
+// given, a default 512 MiB size budget applies. A negative or
+// non-numeric byte count and a negative or non-finite day count are
+// usage errors.
 //
-// Every experiment runs behind exp::runGuarded: --timeout-seconds
-// bounds each attempt's wall clock (0 = no timeout, the default; a
-// non-finite value is rejected) and
-// --max-attempts retries failed or throwing experiments (default 1).
-// A failing or throwing experiment never stops the batch — the driver
-// records it, runs everything else, and exits nonzero at the end. A
-// TIMEOUT is the one exception: the abandoned runner thread may still
-// be executing its body and mutating the shared labs, so the driver
-// stops launching experiments, reports the remainder as "skipped",
-// and exits nonzero (run the stragglers in a fresh process, e.g. via
-// --only).
+// Every experiment runs once, inline, behind exp::runGuarded: a
+// failing or throwing experiment never stops the batch — the driver
+// records it, runs everything else, and exits nonzero at the end.
 //
 // Environment: PBT_BENCH_SCALE scales horizons, PBT_CACHE_DIR enables
 // the persistent suite store, PBT_THREADS sizes the replay pool,
-// PBT_EXP_TIMEOUT_SECONDS / PBT_EXP_MAX_ATTEMPTS default the two
-// guard flags (nonsense values degrade to no timeout / one attempt),
 // PBT_FAULTS arms fault injection (support/FaultInjection).
 //
-// Writes BENCH_driver.json (schema pbt-driver-v5, docs/BENCH_SCHEMA.md)
-// with per-experiment status/attempts/duration, a failure summary, and
-// suite-cache statistics, plus PROFILE_driver.json (pbt-profile-v1) —
+// Writes BENCH_driver.json (schema pbt-driver-v6, docs/BENCH_SCHEMA.md)
+// with per-experiment status/duration, a failure summary, and
+// suite-cache statistics, plus PROFILE_driver.json (pbt-profile-v2) —
 // the full observability counter registry; exits non-zero when any
 // experiment failed.
-// Per-experiment BENCH_*.json files are unaffected by the guard and
-// stay byte-identical to the standalone binaries' output.
 //
 //===----------------------------------------------------------------------===//
 
@@ -92,6 +85,8 @@
 #include "support/Json.h"
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -138,10 +133,6 @@ int main(int Argc, char **Argv) {
   bool SawMaxAge = false;
   uint64_t MaxCacheBytes = 0;
   double MaxCacheAgeDays = 0;
-  // Guard policy: flags override the environment, environment overrides
-  // the defaults (no timeout, single attempt).
-  double TimeoutSeconds = envDouble("PBT_EXP_TIMEOUT_SECONDS", 0);
-  int64_t MaxAttempts = envInt("PBT_EXP_MAX_ATTEMPTS", 1);
   bool Report = false;
   std::vector<std::string> Only;
   for (int I = 1; I < Argc; ++I) {
@@ -155,9 +146,13 @@ int main(int Argc, char **Argv) {
     } else if (std::strcmp(Arg, "--gc-cache") == 0) {
       GcCache = true;
     } else if (std::strncmp(Arg, "--max-cache-bytes=", 18) == 0) {
+      // strtoull would accept a sign and wrap "-1" to 2^64-1, silently
+      // lifting the size budget; only plain digits are a byte count.
       char *End = nullptr;
+      errno = 0;
       MaxCacheBytes = std::strtoull(Arg + 18, &End, 10);
-      if (End == Arg + 18 || *End != '\0') {
+      if (!std::isdigit(static_cast<unsigned char>(Arg[18])) ||
+          *End != '\0' || errno == ERANGE) {
         std::fprintf(stderr, "driver: --max-cache-bytes wants a plain "
                              "byte count, got '%s'\n",
                      Arg + 18);
@@ -167,31 +162,14 @@ int main(int Argc, char **Argv) {
     } else if (std::strncmp(Arg, "--max-cache-age-days=", 21) == 0) {
       char *End = nullptr;
       MaxCacheAgeDays = std::strtod(Arg + 21, &End);
-      if (End == Arg + 21 || *End != '\0') {
+      if (End == Arg + 21 || *End != '\0' ||
+          !std::isfinite(MaxCacheAgeDays) || MaxCacheAgeDays < 0) {
         std::fprintf(stderr, "driver: --max-cache-age-days wants a "
-                             "number of days, got '%s'\n",
+                             "non-negative number of days, got '%s'\n",
                      Arg + 21);
         return 2;
       }
       SawMaxAge = true;
-    } else if (std::strncmp(Arg, "--timeout-seconds=", 18) == 0) {
-      char *End = nullptr;
-      TimeoutSeconds = std::strtod(Arg + 18, &End);
-      if (End == Arg + 18 || *End != '\0' || !std::isfinite(TimeoutSeconds)) {
-        std::fprintf(stderr, "driver: --timeout-seconds wants a finite "
-                             "number of seconds, got '%s'\n",
-                     Arg + 18);
-        return 2;
-      }
-    } else if (std::strncmp(Arg, "--max-attempts=", 15) == 0) {
-      char *End = nullptr;
-      MaxAttempts = std::strtoll(Arg + 15, &End, 10);
-      if (End == Arg + 15 || *End != '\0' || MaxAttempts < 1) {
-        std::fprintf(stderr, "driver: --max-attempts wants a positive "
-                             "integer, got '%s'\n",
-                     Arg + 15);
-        return 2;
-      }
     } else if (std::strncmp(Arg, "--only=", 7) == 0) {
       Only = splitList(Arg + 7);
       if (Only.empty()) {
@@ -212,7 +190,6 @@ int main(int Argc, char **Argv) {
                    "usage: driver [--list] [--only=name1,name2] "
                    "[--verify-ir] [--clean-cache] [--gc-cache] "
                    "[--max-cache-bytes=N] [--max-cache-age-days=D] "
-                   "[--timeout-seconds=D] [--max-attempts=N] "
                    "[--trace=dir] [--report]\n");
       return 2;
     }
@@ -220,12 +197,6 @@ int main(int Argc, char **Argv) {
   // PBT_TRACE needs no handling here: obs seeds the trace directory
   // from the environment for every binary, and the --trace flag above
   // overwrites it.
-  //
-  // Nonsense environment values degrade sanely instead of failing.
-  if (!std::isfinite(TimeoutSeconds))
-    TimeoutSeconds = 0; // No timeout.
-  if (MaxAttempts < 1)
-    MaxAttempts = 1;
 
   // A GC bound without --gc-cache would be silently ignored and the
   // whole experiment matrix would run instead; refuse the ambiguity.
@@ -300,12 +271,10 @@ int main(int Argc, char **Argv) {
     }
   }
 
-  // One pool of per-machine labs for the whole run: every harness
-  // constructed by the experiment bodies resolves lab() through it, so
-  // isolated runtimes are measured once per machine and the suite
-  // caches deduplicate preparation across experiments.
-  exp::LabPool Pool;
-  exp::ExperimentHarness::setSharedLabPool(&Pool);
+  // Every harness the experiment bodies construct resolves lab()
+  // through the one process-wide pool, so isolated runtimes are
+  // measured once per machine and the suite caches deduplicate
+  // preparation across experiments.
   std::shared_ptr<exp::CacheStore> Store = exp::CacheStore::fromEnv();
 
   std::printf("== experiment driver: %zu experiments, one process ==\n",
@@ -316,10 +285,6 @@ int main(int Argc, char **Argv) {
     std::printf("self-verifying IR: on (verifyPrep after every pipeline "
                 "stage + store-served suite audits)\n");
 
-  exp::GuardOptions Guard;
-  Guard.TimeoutSeconds = TimeoutSeconds;
-  Guard.MaxAttempts = static_cast<unsigned>(MaxAttempts);
-
   Json Runs = Json::array();
   Json Failures = Json::array();
   // Rows for the optional --report table, mirroring the "experiments"
@@ -328,70 +293,36 @@ int main(int Argc, char **Argv) {
   struct ReportRow {
     std::string Name;
     std::string Status;
-    unsigned Attempts = 0;
     double Seconds = 0;
   };
   std::vector<ReportRow> Rows;
   size_t Failed = 0;
-  bool AbandonedRunner = false;
   for (const Experiment &E : Sorted) {
     if (!Only.empty() &&
         std::find(Only.begin(), Only.end(), E.Name) == Only.end())
       continue;
-    Json Run = Json::object();
-    Run["name"] = E.Name;
-    if (AbandonedRunner) {
-      // A timed-out experiment's runner thread may still be executing
-      // its body and mutating the shared labs (LabPool, Labs, their
-      // SuiteCaches have no cross-experiment synchronization); running
-      // further experiments beside it would race on that state. The
-      // remainder of the batch is skipped and reported as such — rerun
-      // the stragglers in a fresh process.
-      ++Failed;
-      Failures.push(Json(E.Name));
-      std::fprintf(stderr, "driver: %s skipped (a timed-out experiment's "
-                           "abandoned runner may still be mutating shared "
-                           "state)\n",
-                   E.Name);
-      Run["status"] = "skipped";
-      Run["exit_code"] = -1;
-      Run["attempts"] = static_cast<uint64_t>(0);
-      Run["duration_seconds"] = 0.0;
-      Runs.push(std::move(Run));
-      Rows.push_back(ReportRow{E.Name, "skipped", 0, 0.0});
-      continue;
-    }
     std::printf("\n---- %s ----\n", E.Name);
     // The guard is the driver's fault boundary: a throwing or failing
     // experiment becomes a recorded failure, and the batch moves on to
     // the next experiment.
-    exp::GuardedResult R = exp::runGuarded(E.Fn, Guard);
-    if (R.St == exp::GuardedResult::Status::Timeout)
-      AbandonedRunner = true;
+    exp::GuardedResult R = exp::runGuarded(E.Fn);
     if (!R.ok()) {
       ++Failed;
       Failures.push(Json(E.Name));
-      std::fprintf(stderr, "driver: %s %s after %u attempt%s (%.1fs)%s%s\n",
-                   E.Name, R.statusName(), R.Attempts,
-                   R.Attempts == 1 ? "" : "s", R.DurationSeconds,
+      std::fprintf(stderr, "driver: %s %s (%.1fs)%s%s\n", E.Name,
+                   R.statusName(), R.DurationSeconds,
                    R.Error.empty() ? "" : ": ", R.Error.c_str());
     }
+    Json Run = Json::object();
+    Run["name"] = E.Name;
     Run["status"] = R.statusName();
     Run["exit_code"] = R.ExitCode;
-    Run["attempts"] = static_cast<uint64_t>(R.Attempts);
     Run["duration_seconds"] = R.DurationSeconds;
     if (!R.Error.empty())
       Run["error"] = R.Error;
     Runs.push(std::move(Run));
-    Rows.push_back(
-        ReportRow{E.Name, R.statusName(), R.Attempts, R.DurationSeconds});
+    Rows.push_back(ReportRow{E.Name, R.statusName(), R.DurationSeconds});
   }
-  // With an abandoned runner possibly still live, neither the shared
-  // pool pointer (the runner reads it on every harness lab() call) nor
-  // the lab/store counters (the runner increments them) may be touched;
-  // the pool stays installed until the _Exit below.
-  if (!AbandonedRunner)
-    exp::ExperimentHarness::setSharedLabPool(nullptr);
 
   // Aggregate suite-cache statistics over the shared labs. store_hits
   // counts preparations served from PBT_CACHE_DIR: a warm second run
@@ -401,124 +332,105 @@ int main(int Argc, char **Argv) {
   uint64_t PreparedCount = 0;
   uint64_t PreparedProgramCount = 0;
   uint64_t ProgramStoreHits = 0;
-  if (!AbandonedRunner)
-    for (exp::Lab *L : Pool.labs()) {
-      MemoryHits += L->cache().hits();
-      StoreHits += L->cache().storeHits();
-      PreparedCount += L->cache().prepared();
-      PreparedProgramCount += L->cache().preparedPrograms();
-      ProgramStoreHits += L->cache().programStoreHits();
-    }
+  for (exp::Lab *L : exp::ExperimentHarness::labPool().labs()) {
+    MemoryHits += L->cache().hits();
+    StoreHits += L->cache().storeHits();
+    PreparedCount += L->cache().prepared();
+    PreparedProgramCount += L->cache().preparedPrograms();
+    ProgramStoreHits += L->cache().programStoreHits();
+  }
 
   Json Root = Json::object();
-  // v5: "pipeline" rows are {name, programs, seconds} per stage.
+  // v6: no guard policy fields, no per-experiment "attempts", and
+  // suite_cache/pipeline are always objects. v5: "pipeline" rows are
+  // {name, programs, seconds} per stage.
   // v4: "pipeline" per-pass stats block, module-granular suite_cache
   // counters (prepared_programs, program_store_hits, store.prog_*),
   // and "verify_ir"; v2 added suite_cache store counters — see
   // docs/BENCH_SCHEMA.md.
-  Root["schema"] = "pbt-driver-v5";
+  Root["schema"] = "pbt-driver-v6";
   Root["verify_ir"] = verifyIREnabled();
   Root["scale"] = envScale();
   Root["cache_dir"] = Store ? Json(Store->dir()) : Json();
-  Root["timeout_seconds"] = TimeoutSeconds;
-  Root["max_attempts"] = static_cast<uint64_t>(MaxAttempts);
   Root["experiments"] = std::move(Runs);
   Root["failed"] = static_cast<uint64_t>(Failed);
   Root["failures"] = std::move(Failures);
-  if (AbandonedRunner) {
-    // The counters would be read beside a thread still incrementing
-    // them; null is honest where numbers would be racy.
-    Root["suite_cache"] = Json();
-    Root["pipeline"] = Json();
-  } else {
-    Json CacheStats = Json::object();
-    CacheStats["memory_hits"] = MemoryHits;
-    CacheStats["store_hits"] = StoreHits;
-    CacheStats["prepared"] = PreparedCount;
-    CacheStats["prepared_programs"] = PreparedProgramCount;
-    CacheStats["program_store_hits"] = ProgramStoreHits;
-    if (Store) {
-      Json StoreStats = Json::object();
-      StoreStats["hits"] = Store->hits();
-      StoreStats["misses"] = Store->misses();
-      StoreStats["rejects"] = Store->rejects();
-      StoreStats["writes"] = Store->writes();
-      StoreStats["quarantines"] = Store->quarantines();
-      StoreStats["lock_timeouts"] = Store->lockTimeouts();
-      StoreStats["prog_hits"] = Store->progHits();
-      StoreStats["prog_misses"] = Store->progMisses();
-      StoreStats["prog_writes"] = Store->progWrites();
-      CacheStats["store"] = std::move(StoreStats);
-    }
-    Root["suite_cache"] = std::move(CacheStats);
-
-    // Per-stage pipeline stats, cumulative over every preparation this
-    // process ran. Seconds is wall time — BENCH_driver.json is excluded
-    // from all byte-identity checks, so it is the one artifact allowed
-    // to carry it.
-    PipelineStats Pipe = cumulativePipelineStats();
-    Json Passes = Json::array();
-    for (const PassStats &P : Pipe.Passes) {
-      Json Pass = Json::object();
-      Pass["name"] = P.Name;
-      Pass["programs"] = P.Programs;
-      Pass["seconds"] = P.Seconds;
-      Passes.push(std::move(Pass));
-    }
-    Json Pipeline = Json::object();
-    Pipeline["passes"] = std::move(Passes);
-    Root["pipeline"] = std::move(Pipeline);
+  Json CacheStats = Json::object();
+  CacheStats["memory_hits"] = MemoryHits;
+  CacheStats["store_hits"] = StoreHits;
+  CacheStats["prepared"] = PreparedCount;
+  CacheStats["prepared_programs"] = PreparedProgramCount;
+  CacheStats["program_store_hits"] = ProgramStoreHits;
+  if (Store) {
+    Json StoreStats = Json::object();
+    StoreStats["hits"] = Store->hits();
+    StoreStats["misses"] = Store->misses();
+    StoreStats["rejects"] = Store->rejects();
+    StoreStats["writes"] = Store->writes();
+    StoreStats["quarantines"] = Store->quarantines();
+    StoreStats["lock_timeouts"] = Store->lockTimeouts();
+    StoreStats["prog_hits"] = Store->progHits();
+    StoreStats["prog_misses"] = Store->progMisses();
+    StoreStats["prog_writes"] = Store->progWrites();
+    CacheStats["store"] = std::move(StoreStats);
   }
+  Root["suite_cache"] = std::move(CacheStats);
+
+  // Per-stage pipeline stats, cumulative over every preparation this
+  // process ran. Seconds is wall time — BENCH_driver.json is excluded
+  // from all byte-identity checks, so it is the one artifact allowed
+  // to carry it.
+  PipelineStats Pipe = cumulativePipelineStats();
+  Json Passes = Json::array();
+  for (const PassStats &P : Pipe.Passes) {
+    Json Pass = Json::object();
+    Pass["name"] = P.Name;
+    Pass["programs"] = P.Programs;
+    Pass["seconds"] = P.Seconds;
+    Passes.push(std::move(Pass));
+  }
+  Json Pipeline = Json::object();
+  Pipeline["passes"] = std::move(Passes);
+  Root["pipeline"] = std::move(Pipeline);
 
   // Import the dump-time statistics into the observability registry so
   // PROFILE_driver.json is a one-stop snapshot of the run's Plane-2
-  // state (docs/OBSERVABILITY.md). Under an abandoned runner every
-  // source here is racy — the runner thread may still be incrementing
-  // lab and store counters — so the imports are skipped exactly like
-  // the suite_cache/pipeline blocks above and the profile carries only
-  // what was safely accumulated before the timeout.
-  if (!AbandonedRunner) {
-    obs::CounterRegistry &Reg = obs::CounterRegistry::global();
-    Reg.set("suite_cache.memory_hits", MemoryHits);
-    Reg.set("suite_cache.store_hits", StoreHits);
-    Reg.set("suite_cache.prepared", PreparedCount);
-    Reg.set("suite_cache.prepared_programs", PreparedProgramCount);
-    Reg.set("suite_cache.program_store_hits", ProgramStoreHits);
-    if (Store) {
-      Reg.set("store.hits", Store->hits());
-      Reg.set("store.misses", Store->misses());
-      Reg.set("store.rejects", Store->rejects());
-      Reg.set("store.writes", Store->writes());
-      Reg.set("store.quarantines", Store->quarantines());
-      Reg.set("store.lock_timeouts", Store->lockTimeouts());
-      Reg.set("store.prog_hits", Store->progHits());
-      Reg.set("store.prog_misses", Store->progMisses());
-      Reg.set("store.prog_writes", Store->progWrites());
-    }
-    for (const PassStats &P : cumulativePipelineStats().Passes) {
-      Reg.set("pipeline." + P.Name + ".programs", P.Programs);
-      Reg.setMetric("pipeline." + P.Name + ".seconds", P.Seconds);
-    }
-    Reg.set("driver.experiments_failed", Failed);
+  // state (docs/OBSERVABILITY.md).
+  obs::CounterRegistry &Reg = obs::CounterRegistry::global();
+  Reg.set("suite_cache.memory_hits", MemoryHits);
+  Reg.set("suite_cache.store_hits", StoreHits);
+  Reg.set("suite_cache.prepared", PreparedCount);
+  Reg.set("suite_cache.prepared_programs", PreparedProgramCount);
+  Reg.set("suite_cache.program_store_hits", ProgramStoreHits);
+  if (Store) {
+    Reg.set("store.hits", Store->hits());
+    Reg.set("store.misses", Store->misses());
+    Reg.set("store.rejects", Store->rejects());
+    Reg.set("store.writes", Store->writes());
+    Reg.set("store.quarantines", Store->quarantines());
+    Reg.set("store.lock_timeouts", Store->lockTimeouts());
+    Reg.set("store.prog_hits", Store->progHits());
+    Reg.set("store.prog_misses", Store->progMisses());
+    Reg.set("store.prog_writes", Store->progWrites());
   }
+  for (const PassStats &P : Pipe.Passes) {
+    Reg.set("pipeline." + P.Name + ".programs", P.Programs);
+    Reg.setMetric("pipeline." + P.Name + ".seconds", P.Seconds);
+  }
+  Reg.set("driver.experiments_failed", Failed);
 
-  if (AbandonedRunner)
-    std::printf("\n== driver summary: batch aborted after a timeout, "
-                "failed=%zu (suite-cache counters unavailable) ==\n",
-                Failed);
-  else {
-    std::printf("\n== driver summary: memory_hits=%llu store_hits=%llu "
-                "prepared=%llu prepared_programs=%llu "
-                "program_store_hits=%llu failed=%zu ==\n",
-                static_cast<unsigned long long>(MemoryHits),
-                static_cast<unsigned long long>(StoreHits),
-                static_cast<unsigned long long>(PreparedCount),
-                static_cast<unsigned long long>(PreparedProgramCount),
-                static_cast<unsigned long long>(ProgramStoreHits), Failed);
-    for (const PassStats &P : cumulativePipelineStats().Passes)
-      std::printf("   pass %-12s programs=%llu %.3fs\n", P.Name.c_str(),
-                  static_cast<unsigned long long>(P.Programs), P.Seconds);
-  }
+  std::printf("\n== driver summary: memory_hits=%llu store_hits=%llu "
+              "prepared=%llu prepared_programs=%llu "
+              "program_store_hits=%llu failed=%zu ==\n",
+              static_cast<unsigned long long>(MemoryHits),
+              static_cast<unsigned long long>(StoreHits),
+              static_cast<unsigned long long>(PreparedCount),
+              static_cast<unsigned long long>(PreparedProgramCount),
+              static_cast<unsigned long long>(ProgramStoreHits), Failed);
+  for (const PassStats &P : Pipe.Passes)
+    std::printf("   pass %-12s programs=%llu %.3fs\n", P.Name.c_str(),
+                static_cast<unsigned long long>(P.Programs), P.Seconds);
+
   int Exit = Failed == 0 ? 0 : 1;
   const std::string SummaryPath = "BENCH_driver.json";
   if (!writeJsonFile(SummaryPath, Root)) {
@@ -528,16 +440,13 @@ int main(int Argc, char **Argv) {
     std::printf("wrote %s\n", SummaryPath.c_str());
   }
 
-  // Plane-2 self-profile: the full counter registry, always written
-  // (the registry is mutex/atomic-guarded, so the snapshot is safe even
-  // beside an abandoned runner — it just omits the skipped dump-time
-  // imports then). Wall-clock-tainted by design and excluded from every
-  // byte-identity check, like BENCH_driver.json.
+  // Plane-2 self-profile: the full counter registry, always written.
+  // Wall-clock-tainted by design and excluded from every byte-identity
+  // check, like BENCH_driver.json.
   {
     Json Profile = Json::object();
-    Profile["schema"] = "pbt-profile-v1";
-    Profile["abandoned_runner"] = AbandonedRunner;
-    Profile["registry"] = obs::CounterRegistry::global().snapshotJson();
+    Profile["schema"] = "pbt-profile-v2";
+    Profile["registry"] = Reg.snapshotJson();
     const std::string ProfilePath = "PROFILE_driver.json";
     if (!writeJsonFile(ProfilePath, Profile)) {
       std::perror(ProfilePath.c_str());
@@ -549,12 +458,10 @@ int main(int Argc, char **Argv) {
 
   if (Report) {
     std::printf("\n== run report ==\n");
-    std::printf("%-28s %-12s %8s %10s\n", "experiment", "status",
-                "attempts", "seconds");
+    std::printf("%-28s %-12s %10s\n", "experiment", "status", "seconds");
     for (const ReportRow &Row : Rows)
-      std::printf("%-28s %-12s %8u %10.2f\n", Row.Name.c_str(),
-                  Row.Status.c_str(), Row.Attempts, Row.Seconds);
-    obs::CounterRegistry &Reg = obs::CounterRegistry::global();
+      std::printf("%-28s %-12s %10.2f\n", Row.Name.c_str(),
+                  Row.Status.c_str(), Row.Seconds);
     std::vector<std::pair<std::string, uint64_t>> Cs = Reg.counterValues();
     std::vector<std::pair<std::string, double>> Ms = Reg.metricValues();
     if (!Cs.empty()) {
@@ -568,14 +475,6 @@ int main(int Argc, char **Argv) {
       for (const auto &KV : Ms)
         std::printf("%-44s %12.4f\n", KV.first.c_str(), KV.second);
     }
-  }
-
-  if (AbandonedRunner) {
-    // A timed-out experiment's runner thread may still be executing its
-    // body; normal teardown (static destructors, thread-pool joins)
-    // would race with it. Flush and leave without running destructors.
-    std::fflush(nullptr);
-    std::_Exit(Exit);
   }
   return Exit;
 }

@@ -35,13 +35,10 @@ std::vector<Lab *> LabPool::labs() {
   return Out;
 }
 
-namespace {
-/// Installed by bench/driver (see setSharedLabPool); null means every
-/// harness uses its own pool.
-LabPool *SharedLabs = nullptr;
-} // namespace
-
-void ExperimentHarness::setSharedLabPool(LabPool *Pool) { SharedLabs = Pool; }
+LabPool &ExperimentHarness::labPool() {
+  static LabPool Pool;
+  return Pool;
+}
 
 ExperimentHarness::ExperimentHarness(std::string NameIn, std::string Title,
                                      std::string PaperRef)
@@ -72,7 +69,7 @@ ExperimentHarness::ExperimentHarness(std::string NameIn, std::string Title,
 }
 
 Lab &ExperimentHarness::lab(const MachineConfig &MachineCfg) {
-  return (SharedLabs ? *SharedLabs : OwnLabs).lab(MachineCfg);
+  return labPool().lab(MachineCfg);
 }
 
 Lab &ExperimentHarness::customLab(std::vector<Program> Programs,
@@ -207,8 +204,8 @@ SweepResult ExperimentHarness::sweep(Lab &L, const SweepGrid &Grid) {
   // traffic scenarios only steer replays, so sweeps over those axes
   // alone need one preparation. A pure function of
   // the grid — unlike raw cache counters it does not depend on what ran
-  // earlier in the process, so artifacts stay byte-identical between
-  // standalone binaries and the one-process driver (whose warm labs may
+  // earlier in the process, so artifacts stay byte-identical whether the
+  // driver runs an experiment alone or after others (whose warm labs may
   // satisfy the whole grid from cache).
   std::set<uint64_t> Preparations;
   for (const TechniqueSpec &Tech : Grid.Techniques)
@@ -220,7 +217,7 @@ SweepResult ExperimentHarness::sweep(Lab &L, const SweepGrid &Grid) {
 
   Json Record = Json::object();
   Record["machine"] = L.machine().Name;
-  Record["engine"] = engineName(Grid.Engine);
+  Record["engine"] = engineName(L.sim().Engine);
   Record["cells"] = std::move(Cells);
   Record["distinct_preparations"] = Preparations.size();
   Root["sweeps"].push(std::move(Record));

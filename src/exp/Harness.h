@@ -41,12 +41,10 @@
 namespace pbt {
 namespace exp {
 
-/// A pool of per-machine Labs. Each ExperimentHarness owns one, but a
-/// pool can also be shared across many harnesses (see
-/// ExperimentHarness::setSharedLabPool): the one-process bench/driver
-/// installs a single pool so all registered experiments reuse the same
-/// labs — one isolated-runtime measurement and one suite cache per
-/// machine for the whole run.
+/// A pool of per-machine Labs. The process has one
+/// (ExperimentHarness::labPool), so every experiment bench/driver runs
+/// reuses the same labs — one isolated-runtime measurement and one
+/// suite cache per machine for the whole run.
 class LabPool {
 public:
   /// The lab for \p MachineCfg, created on first use. Labs are matched
@@ -56,11 +54,8 @@ public:
   /// machines at most.
   ///
   /// Resolution is thread-safe (the pool's map is mutex-guarded, and
-  /// heap-allocated Labs keep their addresses across growth), so a
-  /// detached runner abandoned by a timed-out experiment can never
-  /// corrupt the pool itself. The returned Lab is NOT thread-safe;
-  /// bench/driver stops launching experiments once a runner has been
-  /// abandoned so two bodies never share one Lab concurrently.
+  /// heap-allocated Labs keep their addresses across growth). The
+  /// returned Lab is NOT thread-safe.
   Lab &lab(const MachineConfig &MachineCfg);
 
   /// Every lab created so far (driver diagnostics).
@@ -83,21 +78,18 @@ public:
   /// Horizon scale from PBT_BENCH_SCALE (legacy alias PBT_SCALE).
   double scale() const { return Scale; }
 
-  /// The lab for \p MachineCfg, created on first use and shared (with
-  /// its suite cache) by every sweep on that machine. Served from the
-  /// process-wide shared pool when one is installed, the harness's own
-  /// pool otherwise.
+  /// The lab for \p MachineCfg from the process-wide pool, created on
+  /// first use and shared (with its suite cache) by every sweep on that
+  /// machine, in this harness and every other. Experiment artifacts
+  /// are byte-identical whether the lab is cold or warmed by earlier
+  /// experiments (prepared suites and isolated runtimes are
+  /// deterministic, and artifacts carry no warm-state-dependent
+  /// fields); tests/exp_test.cpp locks this in.
   Lab &lab(const MachineConfig &MachineCfg = MachineConfig::quadAsymmetric());
 
-  /// Installs \p Pool as the process-wide lab pool every subsequently
-  /// constructed (and existing) harness resolves lab() through; pass
-  /// nullptr to restore per-harness pools. The caller keeps ownership
-  /// and must keep \p Pool alive while installed. Experiment artifacts
-  /// are byte-identical with and without a shared pool (prepared suites
-  /// and isolated runtimes are deterministic, and artifacts carry no
-  /// warm-state-dependent fields), which is what lets bench/driver share
-  /// labs across all experiments; tests/exp_test.cpp locks this in.
-  static void setSharedLabPool(LabPool *Pool);
+  /// The process-wide pool lab() resolves through (the driver reads
+  /// its labs' cache counters).
+  static LabPool &labPool();
 
   /// Registers a custom lab (subsetted programs, ablation SimConfigs)
   /// under the harness's lifetime and returns it.
@@ -131,8 +123,6 @@ private:
   std::string Name;
   double Scale;
   Json Root;
-  /// The harness's own labs, used when no shared pool is installed.
-  LabPool OwnLabs;
   std::vector<std::unique_ptr<Lab>> CustomLabs;
 };
 

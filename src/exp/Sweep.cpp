@@ -192,9 +192,6 @@ SweepResult pbt::exp::runSweep(Lab &L, const SweepGrid &Grid) {
     J.W = &Workloads[Co.W];
     J.Machine = &L.machine();
     J.Sim = L.sim();
-    // The grid's engine applies to baselines and cells alike, so
-    // vs-baseline deltas always compare like with like.
-    J.Sim.Engine = Grid.Engine;
     J.Horizon = Grid.Workloads[Co.W].Horizon;
     J.Isolated = &Iso;
     // Baselines keep the default oblivious scheduler and batch

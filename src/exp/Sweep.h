@@ -71,13 +71,6 @@ struct SweepGrid {
   /// point — uninstrumented programs under the oblivious scheduler —
   /// regardless of the Schedulers axis.
   bool WithBaseline = true;
-  /// Execution engine for EVERY replay of this grid, baselines
-  /// included. Flat and Reference are bit-identical, so the field only
-  /// trades speed (Flat, the default) for the oracle (Reference).
-  /// Orthogonal to preparation (the engine only steers replays), so it
-  /// never appears in suite-cache keys. Isolated-runtime oracles (t_i)
-  /// are measured by the Lab under its own SimConfig.
-  ExecEngine Engine = ExecEngine::Flat;
   /// Export each cell's per-core-type scheduler telemetry
   /// (RunResult::InstsByType/CyclesByType and the final IPC windows)
   /// into the artifact as a "telemetry" block. Off by default: the

@@ -9,13 +9,13 @@
 /// named counters (monotonic uint64) and metrics (double, e.g. seconds)
 /// that absorbs the fabric's formerly scattered statistics — suite-cache
 /// hits/misses, CacheStore prog/lock/quarantine counts, guard
-/// attempts/timeouts, per-pass PassStats, sweep unit counts, trace-sink
+/// attempts/exceptions, per-pass PassStats, sweep unit counts, trace-sink
 /// I/O. Components either increment the registry directly at runtime
 /// (fabric events, spans) or are imported at dump time by the driver
 /// (per-lab cache counters), and the whole registry is snapshot into
 /// PROFILE_driver.json and the `driver --report` table.
 ///
-/// Names are dot-namespaced ("suite_cache.hits", "guard.timeouts",
+/// Names are dot-namespaced ("suite_cache.hits", "guard.exceptions",
 /// "pipeline.typing.seconds"); the snapshot is sorted by name, so dumps
 /// are stable given equal values. Everything here is wall-clock-tainted
 /// or run-order-dependent by design and is excluded from every

@@ -22,8 +22,8 @@ namespace {
 
 /// Process-global trace configuration; written once at startup by the
 /// driver/harness, read at sink-open time only (never on hot paths).
-/// PBT_TRACE seeds the directory so every binary — standalone
-/// experiment, driver, test — honors the environment; an explicit
+/// PBT_TRACE seeds the directory so every binary — driver, test,
+/// example — honors the environment; an explicit
 /// setTraceDir (the driver's --trace flag) overwrites it.
 struct TraceGlobal {
   std::mutex Mu;

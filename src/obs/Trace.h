@@ -13,8 +13,8 @@
 /// *simulated cycles* on the machine's reference core type. No value in
 /// a trace may derive from wall clocks, floating-point cycle
 /// accumulators, or thread scheduling, so TRACE_*.json files are
-/// byte-identical across standalone/driver/cold/warm runs, thread
-/// counts, and both execution engines — CI-asserted like every other
+/// byte-identical across run-alone/whole-registry/cold/warm runs,
+/// thread counts, and both execution engines — CI-asserted like every other
 /// artifact.
 ///
 /// The output is Chrome trace-event JSON ({"traceEvents": [...]}),
@@ -43,8 +43,8 @@ namespace pbt {
 namespace obs {
 
 /// \name Process-global trace configuration
-/// Set once by the driver (--trace=<dir>) or standalone harness
-/// (PBT_TRACE=<dir>); consulted at sink-open time only.
+/// Set once from PBT_TRACE=<dir> or the driver's --trace=<dir> (which
+/// wins); consulted at sink-open time only.
 /// @{
 
 /// True when a trace directory is configured.

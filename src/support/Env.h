@@ -30,8 +30,8 @@ double envScale(double Default = 1.0);
 int64_t envInt(const char *Name, int64_t Default);
 
 /// Returns the value of the floating-point environment variable
-/// \p Name, or \p Default when unset or unparsable. (Used by the
-/// driver's `PBT_EXP_TIMEOUT_SECONDS` per-experiment timeout.)
+/// \p Name, or \p Default when unset or unparsable. (Used by
+/// micro_interpreter's `PBT_INTERP_MIN_FLAT_SPEEDUP` CI floor.)
 double envDouble(const char *Name, double Default);
 
 /// Returns the value of the environment variable \p Name, or nullptr

@@ -834,22 +834,26 @@ TEST(CacheStoreTest, SuiteCacheLoadThrough) {
 // Shared lab pool: the driver's byte-identity contract
 //===----------------------------------------------------------------------===//
 
-// The one-process driver shares labs across experiments, so a grid may
-// be satisfied entirely from another experiment's warm caches. The
-// artifact must not notice: this runs the same "experiment" cold (own
-// labs) and warm (shared pool, pre-warmed by a different grid) and
-// requires byte-identical artifact JSON — the in-process version of the
-// driver-vs-standalone BENCH_*.json comparison CI performs on the real
-// binaries.
+// The one-process driver resolves every experiment's labs through one
+// process-wide pool, so a grid may be satisfied entirely from another
+// experiment's warm caches. The artifact must not notice: this runs the
+// same "experiment" cold (a fresh custom lab over the same suite and
+// machine) and warm (the pool's lab, pre-warmed by a different grid)
+// and requires byte-identical artifact JSON — the in-process version of
+// the run-alone vs whole-registry BENCH_*.json comparison CI performs
+// on the real driver.
 TEST(HarnessTest, DriverSharedLabsByteIdenticalArtifacts) {
-  auto RunExperiment = [] {
+  auto RunExperiment = [](bool Cold) {
     ExperimentHarness H("pool_identity", "shared-pool identity check",
                         "none");
+    Lab &L = Cold ? H.customLab(buildSuite(),
+                                MachineConfig::quadAsymmetric())
+                  : H.lab();
     SweepGrid G;
     G.Techniques = {loopTechnique(0.2), loopTechnique(0.05)};
     G.Workloads = {{/*Slots=*/4, /*Horizon=*/10, /*Seed=*/5,
                     /*JobsPerSlot=*/64}};
-    SweepResult R = H.sweep(H.lab(), G);
+    SweepResult R = H.sweep(L, G);
     Table T({"technique", "throughput %"});
     for (const SweepCell &Cell : R.Cells)
       T.addRow({G.Techniques[Cell.Technique].label(),
@@ -858,12 +862,10 @@ TEST(HarnessTest, DriverSharedLabsByteIdenticalArtifacts) {
     return H.json().dump();
   };
 
-  std::string Cold = RunExperiment();
+  std::string Cold = RunExperiment(/*Cold=*/true);
 
-  LabPool Pool;
-  ExperimentHarness::setSharedLabPool(&Pool);
   {
-    // A different experiment warms the shared labs first (baseline,
+    // A different experiment warms the pool's lab first (baseline,
     // isolated runtimes, and one of the techniques above).
     ExperimentHarness Warmup("pool_warmup", "warmup", "none");
     SweepGrid G;
@@ -871,24 +873,22 @@ TEST(HarnessTest, DriverSharedLabsByteIdenticalArtifacts) {
     G.Workloads = {{4, 10, 7, 64}};
     Warmup.sweep(Warmup.lab(), G);
   }
-  std::string Warm = RunExperiment();
-  ExperimentHarness::setSharedLabPool(nullptr);
+  Lab &Pooled =
+      ExperimentHarness::labPool().lab(MachineConfig::quadAsymmetric());
+  uint64_t HitsBefore = Pooled.cache().hits();
+  std::string Warm = RunExperiment(/*Cold=*/false);
 
   EXPECT_EQ(Cold, Warm);
 
   // The warm run really did reuse the pool's caches.
-  uint64_t PoolHits = 0;
-  for (Lab *L : Pool.labs())
-    PoolHits += L->cache().hits();
-  EXPECT_GT(PoolHits, 0u);
+  EXPECT_GT(Pooled.cache().hits(), HitsBefore);
 }
 
 TEST(LabPoolTest, ConcurrentResolutionIsSafeAndDeduplicated) {
-  // A timed-out experiment's abandoned runner can still call lab()
-  // while another thread touches the pool; resolution must not race on
-  // the pool's map, and concurrent requests for one machine must get
-  // ONE lab. (Labs themselves stay single-threaded: the driver stops
-  // launching experiments once a runner has been abandoned.)
+  // The pool is process-wide, so any thread may resolve a lab: lab()
+  // must not race on the pool's map, and concurrent requests for one
+  // machine must get ONE lab. (Labs themselves stay single-threaded:
+  // the driver runs one experiment body at a time.)
   LabPool Pool;
   MachineConfig A = MachineConfig::quadAsymmetric();
   MachineConfig B = MachineConfig::quadAsymmetric();

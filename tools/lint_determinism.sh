@@ -3,7 +3,7 @@
 # wall-clock reads and nondeterministic randomness sources are banned
 # from src/ except where tools/lint_determinism.allow vouches for them
 # (timing surfaced only through artifacts excluded from byte-identity
-# checks, LRU aging, watchdog timeouts).
+# checks, LRU aging).
 #
 # Usage: tools/lint_determinism.sh [repo-root]
 # Exits non-zero listing every banned occurrence not covered by the
