@@ -153,6 +153,20 @@ bool Machine::moveQueued(uint32_t Pid, uint32_t FromCore, uint32_t ToCore) {
   return true;
 }
 
+bool Machine::pullTail(uint32_t FromCore, uint32_t ToCore) {
+  const std::deque<uint32_t> &From = Queues[FromCore];
+  if (std::none_of(From.begin(), From.end(), [&](uint32_t Pid) {
+        return Procs[Pid]->allowedOn(ToCore);
+      }))
+    return false;
+  // Which process is the tail-most depends on the rotation.
+  settle(FromCore);
+  for (auto It = From.rbegin(); It != From.rend(); ++It)
+    if (Procs[*It]->allowedOn(ToCore))
+      return moveQueued(*It, FromCore, ToCore);
+  return false;
+}
+
 double Machine::coreBusyFraction(uint32_t Core) const {
   if (Now <= 0)
     return 0;
@@ -200,7 +214,11 @@ void Machine::run(double Until) {
       if (balanceSkippable()) {
         ++BalanceSkipped;
       } else {
-        settleAll();
+        // A shape-only policy runs on deferred state: what it reads is
+        // exact there, and the order it may read settles on demand
+        // (queue(), pullTail, moveQueued).
+        if (!PolicyShapeOnly)
+          settleAll();
         ShapeDirty = false;
         Policy->balance(*this);
       }
@@ -214,29 +232,28 @@ void Machine::run(double Until) {
       if (!Queues[Core].empty())
         ++GroupActive[Config.Cores[Core].L2Group];
 
-    // A window ends at its planned length, or early when its turns'
-    // price changes (the L2 group's active count); then the core opens
-    // a new window if it can, and steps otherwise. Idle cores hold no
-    // window: they have nothing to charge.
+    // A window ends early when its turns' price changes (the L2
+    // group's active count); a core without one opens a new window if
+    // it can, and steps otherwise. A window at its planned end steps
+    // its one turn that is not steady in this quantum's step loop. Idle
+    // cores hold no window: they have nothing to charge.
     bool AllDeferred = fusing();
     uint32_t Idle = 0;
     if (AllDeferred) {
       for (uint32_t Core = 0; Core < NumCores; ++Core) {
         CoreWindow &W = Windows[Core];
-        if (W.Open &&
-            (Quantum >= W.End ||
-             W.Active != GroupActive[Config.Cores[Core].L2Group]))
+        if (W.Open && W.Active != GroupActive[Config.Cores[Core].L2Group])
           settle(Core);
         if (Queues[Core].empty())
           ++Idle;
-        else if (!W.Open && !openWindow(Core))
+        else if (W.Open ? Quantum >= W.End : !openWindow(Core))
           AllDeferred = false;
       }
     }
 
     if (AllDeferred) {
-      // Nothing happens until a window ends, an event is due, a balance
-      // must run, or Until. The clock walks by repeated adds of
+      // Nothing happens until a window reaches its planned end, an event
+      // is due, a balance must run, or Until. The clock walks by repeated adds of
       // Timeslice (not a dyadic value), exactly as stepping would. A
       // quantum start where anything else happens goes back to the top,
       // which fires its events before its balance; skippable balance
@@ -267,80 +284,36 @@ void Machine::run(double Until) {
     // cores (or spawned mid-quantum) starts immediately instead of
     // idling until the next tick — as on a real machine, where an idle
     // core picks up a migrated task at once. Deferred cores sit it out:
-    // their turn in this quantum is charged when they settle.
+    // their turn in this quantum is charged when they settle, or, at a
+    // window's end, stepped in pass 0 at the core's visit position, as
+    // stepping would. When that turn breaks the schedule the window is
+    // settled and the core steps the rest of the quantum.
     std::fill(Used.begin(), Used.end(), 0.0);
     for (int Pass = 0; Pass < 4; ++Pass) {
       bool Progress = false;
       for (uint32_t Core = 0; Core < NumCores; ++Core) {
+        const CoreWindow &W = Windows[Core];
         if (Pass == 0) {
           VisitPos = Core;
-          if (!Windows[Core].Open)
+          if (!W.Open)
             ++QuantaStepped;
         }
-        if (Windows[Core].Open)
-          continue;
-        double Freq = coreFrequency(Core);
-        double Budget = Sim.Timeslice * Freq;
-        uint32_t Ct = coreType(Core);
+        if (W.Open) {
+          if (Pass != 0 || Quantum < W.End || stepInWindow(Core))
+            continue;
+          Progress = true;
+        }
+        double Budget = Sim.Timeslice * coreFrequency(Core);
         uint32_t Sharers =
             std::max(1u, GroupActive[Config.Cores[Core].L2Group]);
 
         while (Used[Core] < Budget && !Queues[Core].empty()) {
           Progress = true;
-          uint32_t Pid = Queues[Core].front();
-          Process &P = *Procs[Pid];
+          Process &P = *Procs[Queues[Core].front()];
           AdvanceResult R =
               advanceProcess(P, Core, Budget - Used[Core], Sharers);
           Used[Core] += R.CyclesUsed;
-          BusyCycles[Core] += R.CyclesUsed;
-          P.Stats.CyclesConsumed += R.CyclesUsed;
-          P.Stats.CpuSeconds += R.CyclesUsed / Freq;
-
-          // Scheduler telemetry: the counters an OS policy may observe.
-          // Pure bookkeeping — it never feeds back into the simulation
-          // unless a policy acts on it.
-          SchedTelemetry &T = Telem[Pid];
-          uint64_t WindowInsts = R.InstsDelta;
-          T.InstsByType[Ct] += WindowInsts;
-          T.CyclesByType[Ct] += R.CyclesUsed;
-          if (R.CyclesUsed > 0) {
-            T.WindowIpc = static_cast<double>(WindowInsts) / R.CyclesUsed;
-            T.WindowCoreType = Ct;
-          }
-
-          if (Trace)
-            TraceWindows.push_back(TraceWindow{Core, Pid, WindowInsts});
-
-          if (R.Finished) {
-            P.CompletionTime = Now + std::min(Used[Core], Budget) / Freq;
-            Queues[Core].pop_front();
-            ShapeDirty = true;
-            if (P.MonActive)
-              finishMonitor(P);
-            if (Trace)
-              // Timestamped at the quantum start (CompletionTime is
-              // cycle-derived; traces use quantized time only).
-              Trace->exitProcess(Trace->cycles(Now), Pid,
-                                 P.Stats.InstsRetired);
-            if (!PolicyShapeOnly)
-              settleAll();
-            Policy->onExit(*this, P);
-            if (OnExit) {
-              settleAll();
-              OnExit(*this, P);
-            }
-            continue;
-          }
-          if (R.Migrated) {
-            Queues[Core].pop_front();
-            uint32_t To = placeProcess(Pid);
-            if (Trace)
-              Trace->migrate(Trace->cycles(Now), Pid, Core, To);
-            continue;
-          }
-          // Timeslice exhausted: round-robin rotate.
-          Queues[Core].pop_front();
-          Queues[Core].push_back(Pid);
+          finishTurn(Core, P, R);
         }
       }
       VisitPos = NumCores;
@@ -356,6 +329,62 @@ void Machine::run(double Until) {
     ++Quantum;
   }
   settleAll();
+}
+
+void Machine::chargeTurn(uint32_t Core, Process &P, const AdvanceResult &R) {
+  uint32_t Ct = coreType(Core);
+  BusyCycles[Core] += R.CyclesUsed;
+  P.Stats.CyclesConsumed += R.CyclesUsed;
+  P.Stats.CpuSeconds += R.CyclesUsed / coreFrequency(Core);
+
+  // Scheduler telemetry: the counters an OS policy may observe. Pure
+  // bookkeeping — it never feeds back into the simulation unless a
+  // policy acts on it.
+  SchedTelemetry &T = Telem[P.Pid];
+  T.InstsByType[Ct] += R.InstsDelta;
+  T.CyclesByType[Ct] += R.CyclesUsed;
+  if (R.CyclesUsed > 0) {
+    T.WindowIpc = static_cast<double>(R.InstsDelta) / R.CyclesUsed;
+    T.WindowCoreType = Ct;
+  }
+
+  if (Trace)
+    TraceWindows.push_back(TraceWindow{Core, P.Pid, R.InstsDelta});
+}
+
+void Machine::finishTurn(uint32_t Core, Process &P, const AdvanceResult &R) {
+  chargeTurn(Core, P, R);
+  uint32_t Pid = P.Pid;
+  if (R.Finished) {
+    double Freq = coreFrequency(Core);
+    P.CompletionTime = Now + std::min(Used[Core], Sim.Timeslice * Freq) / Freq;
+    Queues[Core].pop_front();
+    ShapeDirty = true;
+    if (P.MonActive)
+      finishMonitor(P);
+    if (Trace)
+      // Timestamped at the quantum start (CompletionTime is
+      // cycle-derived; traces use quantized time only).
+      Trace->exitProcess(Trace->cycles(Now), Pid, P.Stats.InstsRetired);
+    if (!PolicyShapeOnly)
+      settleAll();
+    Policy->onExit(*this, P);
+    if (OnExit) {
+      settleAll();
+      OnExit(*this, P);
+    }
+    return;
+  }
+  if (R.Migrated) {
+    Queues[Core].pop_front();
+    uint32_t To = placeProcess(Pid);
+    if (Trace)
+      Trace->migrate(Trace->cycles(Now), Pid, Core, To);
+    return;
+  }
+  // Timeslice exhausted: round-robin rotate.
+  Queues[Core].pop_front();
+  Queues[Core].push_back(Pid);
 }
 
 void Machine::flushTraceWindows() {
@@ -424,11 +453,18 @@ uint64_t selfLoopRun(double Used, double Budget, double C,
   return std::min(J, BackEdges);
 }
 
-/// Turns the process at queue position \p Pos of a queue of \p Len
-/// runs in a window of \p S quanta (one per quantum k = Pos mod Len).
-uint64_t turnsInWindow(uint64_t S, uint64_t Pos, uint64_t Len) {
-  return S > Pos ? (S - Pos + Len - 1) / Len : 0;
-}
+/// Turns each queue position runs in a window's first S quanta over a
+/// queue of Len (position Pos runs at quanta k = Pos mod Len): S / Len,
+/// plus one below S mod Len. One division per window, not per position.
+class TurnsInWindow {
+public:
+  TurnsInWindow(uint64_t S, uint64_t Len) : Whole(S / Len), Rest(S % Len) {}
+  uint64_t operator()(uint64_t Pos) const { return Whole + (Pos < Rest); }
+
+private:
+  uint64_t Whole;
+  uint64_t Rest;
+};
 
 } // namespace
 
@@ -476,42 +512,147 @@ bool Machine::openWindow(uint32_t Core) {
   const std::deque<uint32_t> &Q = Queues[Core];
   uint64_t Len = Q.size();
   uint32_t Active = GroupActive[Config.Cores[Core].L2Group];
+  // Every position's steady turns are cached for the window's
+  // re-planning (only the first two can make S < 2).
   uint64_t S = UINT64_MAX;
-  for (uint64_t Pos = 0; Pos < Len && Pos < S; ++Pos)
+  for (uint64_t Pos = 0; Pos < Len; ++Pos) {
     S = std::min(S, Pos + Len * steadyTurns(*Procs[Q[Pos]], Core, Active));
+    if (S < 2)
+      return false;
+  }
+  for (uint32_t Pid : Q)
+    Hot[Pid].WindowTurns = 0;
   // Any shorter window is steady too: halve until the charges are exact.
-  while (S >= 2 && !windowExact(Core, S))
+  double Busy = windowBusy(Core, S);
+  while (!(Busy < ExactCycleBound)) {
     S /= 2;
-  if (S < 2)
-    return false;
+    if (S < 2)
+      return false;
+    Busy = windowBusy(Core, S);
+  }
   CoreWindow &W = Windows[Core];
   W.Open = true;
   W.Start = Quantum;
   W.End = Quantum + S;
   W.Active = Active;
+  W.Busy = Busy;
+  ++WindowsOpened;
   return true;
 }
 
-bool Machine::windowExact(uint32_t Core, uint64_t Quanta) const {
+double Machine::windowBusy(uint32_t Core, uint64_t Quanta) const {
   // Grid sums are exact below ExactCycleBound, so k turns charged as
   // one product equal k adds only while each accumulator stays below
-  // it. Checked from the current values for the whole window, so every
-  // prefix a settle charges is exact too.
+  // it. Checked from the current values for every turn not charged
+  // yet, so every prefix a settle charges is exact too.
   const std::deque<uint32_t> &Q = Queues[Core];
   uint64_t Len = Q.size();
   uint32_t Ct = coreType(Core);
   double Busy = BusyCycles[Core];
+  TurnsInWindow Turns(Quanta, Len);
   for (uint64_t Pos = 0; Pos < Len && Pos < Quanta; ++Pos) {
     const Process &P = *Procs[Q[Pos]];
-    double Charge = static_cast<double>(turnsInWindow(Quanta, Pos, Len)) *
-                    Hot[P.Pid].SteadyCharge;
+    const HotProc &H = Hot[P.Pid];
+    double Charge =
+        static_cast<double>(Turns(Pos) - H.WindowTurns) * H.SteadyCharge;
     Busy += Charge;
     if (!(Busy < ExactCycleBound) ||
         !(P.Stats.CyclesConsumed + Charge < ExactCycleBound) ||
         !(Telem[P.Pid].CyclesByType[Ct] + Charge < ExactCycleBound) ||
         (P.MonActive && !(P.MonCycles + Charge < ExactCycleBound)))
-      return false;
+      return ExactCycleBound;
   }
+  return Busy;
+}
+
+void Machine::chargeSteady(uint32_t Core, Process &P, uint64_t Turns) {
+  if (Turns == 0)
+    return;
+  HotProc &H = Hot[P.Pid];
+  H.WindowTurns += Turns;
+  uint64_t Insts = Turns * H.SteadyInsts;
+  double Charge = static_cast<double>(Turns) * H.SteadyCharge;
+  P.Stats.InstsRetired += Insts;
+  P.Stats.BlocksExecuted += Turns * H.SteadyIters;
+  P.Stats.CyclesConsumed += Charge;
+  BusyCycles[Core] += Charge;
+  if (P.MonActive) {
+    P.MonInsts += Insts;
+    P.MonCycles += Charge;
+  }
+  // CpuSeconds adds Charge/Freq, which is off the grid: replay the
+  // per-turn adds so rounding happens exactly as when stepping.
+  double TurnSeconds = H.SteadyCharge / coreFrequency(Core);
+  for (uint64_t Turn = 0; Turn < Turns; ++Turn)
+    P.Stats.CpuSeconds += TurnSeconds;
+  uint32_t Ct = coreType(Core);
+  SchedTelemetry &T = Telem[P.Pid];
+  T.InstsByType[Ct] += Insts;
+  T.CyclesByType[Ct] += Charge;
+  T.WindowIpc = static_cast<double>(H.SteadyInsts) / H.SteadyCharge;
+  T.WindowCoreType = Ct;
+  // Advance the trip count and re-key the steady cache to match.
+  uint32_t &Rem = P.LoopRemaining[P.CurGlobal];
+  uint32_t Left = Rem == 0 ? P.Flat->blocks()[P.CurGlobal].TripCount : Rem;
+  Rem = Left - static_cast<uint32_t>(Turns * H.SteadyIters);
+  H.SteadyRem = Rem;
+  H.SteadyTurns -= static_cast<uint32_t>(Turns);
+}
+
+bool Machine::stepInWindow(uint32_t Core) {
+  CoreWindow &W = Windows[Core];
+  assert(Quantum == W.End && "a window steps at its planned end");
+  const std::deque<uint32_t> &Q = Queues[Core];
+  uint64_t Len = Q.size();
+  uint64_t Elapsed = Quantum - W.Start;
+  uint64_t Front = Elapsed % Len;
+  Process &P = *Procs[Q[Front]];
+  HotProc &H = Hot[P.Pid];
+  // The process's steady turns before this one first, so its adds keep
+  // their stepping order.
+  chargeSteady(Core, P, Elapsed / Len - H.WindowTurns);
+  AdvanceResult R = advanceProcess(P, Core, Sim.Timeslice * coreFrequency(Core),
+                                   W.Active);
+  // Every turn the window planned lies before this quantum, so W.Busy
+  // is the busy-cycle sum with the other processes' turns still
+  // pending. Busy cycles are the one accumulator this turn shares with
+  // them: adding its charge before theirs is exact while the whole sum
+  // stays below the bound.
+  if (R.Finished || R.Migrated || !(W.Busy + R.CyclesUsed < ExactCycleBound)) {
+    // Settled through the previous quantum, P is at the front again.
+    settle(Core);
+    ++QuantaStepped;
+    Used[Core] += R.CyclesUsed;
+    finishTurn(Core, P, R);
+    return false;
+  }
+  // A full turn: P goes to the back of the rotation, as the window
+  // already assumes.
+  chargeTurn(Core, P, R);
+  W.Busy += R.CyclesUsed;
+  ++H.WindowTurns;
+  ++WindowSteps;
+  // Re-plan: the process at position i breaks the schedule at its turn
+  // WindowTurns + T_i, in quantum i + len * that. Only P's T changed;
+  // the others' are cached from the window's opening.
+  steadyTurns(P, Core, W.Active);
+  uint64_t End = UINT64_MAX;
+  for (uint64_t Pos = 0; Pos < Len; ++Pos) {
+    const HotProc &O = Hot[Q[Pos]];
+    End = std::min(End, W.Start + Pos + Len * (O.WindowTurns + O.SteadyTurns));
+  }
+  // Through this quantum every charge is exact; halve what lies beyond
+  // until it is too.
+  uint64_t Next = Quantum + 1;
+  while (End > Next) {
+    double Busy = windowBusy(Core, End - W.Start);
+    if (Busy < ExactCycleBound) {
+      W.Busy = Busy;
+      break;
+    }
+    End = Next + (End - Next) / 2;
+  }
+  W.End = End;
   return true;
 }
 
@@ -520,6 +661,7 @@ void Machine::settle(uint32_t Core) {
   if (!W.Open)
     return;
   W.Open = false;
+  ++WindowSettles;
   // Cores are visited in index order, so inside a stepped quantum the
   // turn of a core below VisitPos has already run, and the settled core
   // must then sit out the quantum's work-conserving re-passes.
@@ -529,40 +671,12 @@ void Machine::settle(uint32_t Core) {
   std::deque<uint32_t> &Q = Queues[Core];
   uint64_t Len = Q.size();
   assert(Len > 0 && "windows open on busy cores only");
-  double Freq = coreFrequency(Core);
   if (Ran)
-    Used[Core] = Sim.Timeslice * Freq;
-  uint32_t Ct = coreType(Core);
+    Used[Core] = Sim.Timeslice * coreFrequency(Core);
+  TurnsInWindow Turns(Quanta, Len);
   for (uint64_t Pos = 0; Pos < Len && Pos < Quanta; ++Pos) {
     Process &P = *Procs[Q[Pos]];
-    HotProc &H = Hot[P.Pid];
-    uint64_t Turns = turnsInWindow(Quanta, Pos, Len);
-    uint64_t Insts = Turns * H.SteadyInsts;
-    double Charge = static_cast<double>(Turns) * H.SteadyCharge;
-    P.Stats.InstsRetired += Insts;
-    P.Stats.BlocksExecuted += Turns * H.SteadyIters;
-    P.Stats.CyclesConsumed += Charge;
-    BusyCycles[Core] += Charge;
-    if (P.MonActive) {
-      P.MonInsts += Insts;
-      P.MonCycles += Charge;
-    }
-    // CpuSeconds adds Charge/Freq, which is off the grid: replay the
-    // per-turn adds so rounding happens exactly as when stepping.
-    double TurnSeconds = H.SteadyCharge / Freq;
-    for (uint64_t Turn = 0; Turn < Turns; ++Turn)
-      P.Stats.CpuSeconds += TurnSeconds;
-    SchedTelemetry &T = Telem[P.Pid];
-    T.InstsByType[Ct] += Insts;
-    T.CyclesByType[Ct] += Charge;
-    T.WindowIpc = static_cast<double>(H.SteadyInsts) / H.SteadyCharge;
-    T.WindowCoreType = Ct;
-    // Advance the trip count and re-key the steady cache to match.
-    uint32_t &Rem = P.LoopRemaining[P.CurGlobal];
-    uint32_t Left = Rem == 0 ? P.Flat->blocks()[P.CurGlobal].TripCount : Rem;
-    Rem = Left - static_cast<uint32_t>(Turns * H.SteadyIters);
-    H.SteadyRem = Rem;
-    H.SteadyTurns -= static_cast<uint32_t>(Turns);
+    chargeSteady(Core, P, Turns(Pos) - Hot[P.Pid].WindowTurns);
   }
   std::rotate(Q.begin(), Q.begin() + static_cast<ptrdiff_t>(Quanta % Len),
               Q.end());

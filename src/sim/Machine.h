@@ -14,7 +14,9 @@
 /// re-evaluated every quantum. A core whose queue is steady (every
 /// front it will run sits in a budget-exhausting unmarked self-loop)
 /// defers its quanta and charges them in one step later, bit-identical
-/// to stepping them (see Machine::run).
+/// to stepping them; a turn that is not steady is stepped inside the
+/// deferred window while the round-robin schedule holds (see
+/// Machine::run).
 ///
 /// The phase-tuned and baseline configurations differ *only* in the
 /// program image (marks or no marks), matching the paper's transparent-
@@ -134,10 +136,13 @@ public:
   /// two or more quanta opens a deferred window and is charged later in
   /// one step (settle); only the other cores step, and when every busy
   /// core is deferred the clock jumps to the earliest window end, event,
-  /// required balance or \p Until. Balance instants of a shape-only
-  /// policy that cannot move anything are skipped. Every window is
-  /// settled before run() returns, and the result is bit-identical to
-  /// stepping every quantum.
+  /// required balance or \p Until. At its window's end a deferred core
+  /// steps the one turn that is not steady and keeps the window open
+  /// when that turn used its whole budget. Balance instants of a
+  /// shape-only policy that cannot move anything are skipped; the
+  /// others run on deferred state. Every window is settled before run()
+  /// returns, and the result is bit-identical to stepping every
+  /// quantum.
   void run(double Until);
 
   /// Ends the simulation: the current run() call returns at the end of
@@ -154,6 +159,12 @@ public:
   /// Balance instants skipped because the shape-only policy could not
   /// move anything there (see SchedulerPolicy::shapeOnly).
   uint64_t balancesSkipped() const { return BalanceSkipped; }
+  /// Deferred windows opened, windows settled (charged and closed), and
+  /// turns stepped inside a window that stayed open (Plane-2
+  /// diagnostics; all 0 on the Reference engine and traced runs).
+  uint64_t windowsOpened() const { return WindowsOpened; }
+  uint64_t windowSettles() const { return WindowSettles; }
+  uint64_t windowSteps() const { return WindowSteps; }
 
   double now() const { return Now; }
 
@@ -174,15 +185,29 @@ public:
   Process &process(uint32_t Pid) { return *Procs[Pid]; }
 
   /// Scheduler-policy API: runqueue inspection and queued-process moves.
+  /// Queue lengths and the set of queued processes are exact at every
+  /// call; the order of a deferred core's queue is not. The non-const
+  /// queue() settles \p Core first, so the order it shows is the one
+  /// stepping would; the const one shows the stored order, exact
+  /// between run() calls and wherever the core holds no window.
   uint32_t queueLength(uint32_t Core) const {
     return static_cast<uint32_t>(Queues[Core].size());
   }
   const std::deque<uint32_t> &queue(uint32_t Core) const {
     return Queues[Core];
   }
+  const std::deque<uint32_t> &queue(uint32_t Core) {
+    settle(Core);
+    return Queues[Core];
+  }
   /// Moves a queued process to \p ToCore (affinity permitting); returns
   /// false when the process is not queued on \p FromCore or not allowed.
   bool moveQueued(uint32_t Pid, uint32_t FromCore, uint32_t ToCore);
+  /// Moves the tail-most (coldest) process queued on \p FromCore that
+  /// is allowed on \p ToCore; false when none is. Whether one is does
+  /// not depend on queue order, so \p FromCore is settled only when a
+  /// move happens.
+  bool pullTail(uint32_t FromCore, uint32_t ToCore);
 
   /// Scheduler-policy telemetry for \p Pid: counter-derived instructions
   /// and cycles per core type plus the last execution window's IPC —
@@ -245,6 +270,10 @@ private:
     uint64_t SteadyInsts = 0;
     /// Cycles one steady turn charges (J * block cycles).
     double SteadyCharge = 0;
+    /// Turns of its core's open window already charged to the process
+    /// (steady turns and turns stepped inside the window); reset when
+    /// the window opens.
+    uint64_t WindowTurns = 0;
   };
 
   /// CfgOff for \p P on (\p Core, \p Sharers), served from the hot
@@ -267,14 +296,18 @@ private:
   /// not steady. Fills the process's HotProc steady cache.
   uint32_t steadyTurns(const Process &P, uint32_t Core, uint32_t Sharers);
 
-  /// A core's deferred window: quanta [Start, End) whose turns are
-  /// charged later, in one step, by settle().
+  /// A core's deferred window: quanta [Start, End) whose steady turns
+  /// are charged later, in one step, by settle(). The turn at End is
+  /// stepped inside the window (stepInWindow), which may extend it.
   struct CoreWindow {
     bool Open = false;
     uint64_t Start = 0;
     uint64_t End = 0;
     /// The L2 group's active-core count the turns were priced at.
     uint32_t Active = 0;
+    /// The core's BusyCycles once every turn in [Start, End) is
+    /// charged.
+    double Busy = 0;
   };
 
   /// True when quanta may be deferred: the Reference interpreter is the
@@ -294,15 +327,37 @@ private:
   /// sharer counts.
   bool openWindow(uint32_t Core);
 
-  /// True when charging \p Quanta turns of \p Core's window keeps every
-  /// accumulator it touches below ExactCycleBound.
-  bool windowExact(uint32_t Core, uint64_t Quanta) const;
+  /// The core's BusyCycles once the turns of \p Core's window through
+  /// its first \p Quanta quanta that are not charged yet are; at least
+  /// ExactCycleBound when charging them would take any accumulator they
+  /// touch to the bound (then the products would not be exact).
+  double windowBusy(uint32_t Core, uint64_t Quanta) const;
+
+  /// Charges \p Turns steady turns of \p P on \p Core's window.
+  void chargeSteady(uint32_t Core, Process &P, uint64_t Turns);
+
+  /// Steps, inside \p Core's window, the turn at its planned end: that
+  /// of the process whose steady run ends there, or the first turn past
+  /// a cut made for exactness. When the turn used its whole budget
+  /// and the busy-cycle sum stays exact, the window stays open and is
+  /// re-planned (true). Otherwise the window is settled through the
+  /// previous quantum and the turn is finished as a stepped one, so the
+  /// core steps the rest of the quantum (false).
+  bool stepInWindow(uint32_t Core);
 
   /// Charges \p Core's open window and closes it: through the current
   /// quantum when the core's turn in it has run (Core < VisitPos), else
   /// through the previous one.
   void settle(uint32_t Core);
   void settleAll();
+
+  /// Books one stepped turn of \p P on \p Core: busy cycles, process
+  /// stats, telemetry and the trace window.
+  void chargeTurn(uint32_t Core, Process &P, const AdvanceResult &R);
+
+  /// Books the turn \p R of \p Core's front process \p P (Used[Core]
+  /// already counts it), then exits, migrates or rotates the process.
+  void finishTurn(uint32_t Core, Process &P, const AdvanceResult &R);
 
   /// Runs \p P on \p Core for at most \p BudgetCycles (dispatches on
   /// SimConfig::Engine).
@@ -361,6 +416,9 @@ private:
   uint64_t QuantaStepped = 0;
   uint64_t QuantaFused = 0;
   uint64_t BalanceSkipped = 0;
+  uint64_t WindowsOpened = 0;
+  uint64_t WindowSettles = 0;
+  uint64_t WindowSteps = 0;
   /// Index of the quantum starting at Now.
   uint64_t Quantum = 0;
   /// Inside a stepped quantum, the cores below VisitPos have had their

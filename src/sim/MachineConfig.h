@@ -13,9 +13,11 @@
 /// megahertz-like scale (2.4e6 vs the real 2.4e9). Every reported paper
 /// metric is a ratio (overhead %, % decrease vs Linux), so the uniform
 /// time scaling cancels; it merely keeps whole-workload simulations
-/// tractable. The frequency ratio (2.4 : 1.6) and the per-miss stall
-/// cycles (~240 on the fast core) match the real machine's first-order
-/// behaviour.
+/// tractable. The frequency ratio (2.4 : 1.6) matches the real
+/// machine. The per-miss stall is Frequency * MemLatency, about 20
+/// cycles on the fast core and 13 on the slow one (see MemLatency) —
+/// an effective latency after memory-level parallelism, well below the
+/// real machine's raw DRAM latency in cycles.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -56,16 +56,7 @@ void ObliviousScheduler::balance(Machine &M) {
     }
     if (M.queueLength(Longest) < M.queueLength(Shortest) + 2)
       return;
-    // Find a migratable process, preferring the tail (coldest).
-    const std::deque<uint32_t> &Queue = M.queue(Longest);
-    bool Moved = false;
-    for (auto It = Queue.rbegin(); It != Queue.rend(); ++It) {
-      if (M.process(*It).allowedOn(Shortest)) {
-        Moved = M.moveQueued(*It, Longest, Shortest);
-        break;
-      }
-    }
-    if (!Moved)
+    if (!M.pullTail(Longest, Shortest))
       return;
   }
 }
@@ -78,16 +69,6 @@ namespace {
 
 double coreFreq(const MachineConfig &Cfg, uint32_t Core) {
   return Cfg.CoreTypes[Cfg.Cores[Core].TypeId].Frequency;
-}
-
-/// Moves the tail-most process of \p From allowed on \p To; false when
-/// none may migrate.
-bool pullOne(Machine &M, uint32_t From, uint32_t To) {
-  const std::deque<uint32_t> &Queue = M.queue(From);
-  for (auto It = Queue.rbegin(); It != Queue.rend(); ++It)
-    if (M.process(*It).allowedOn(To))
-      return M.moveQueued(*It, From, To);
-  return false;
 }
 
 } // namespace
@@ -139,7 +120,7 @@ void FastestFirstScheduler::balance(Machine &M) {
           From = Core;
       }
       if (From != UINT32_MAX)
-        Moved = pullOne(M, From, To);
+        Moved = M.pullTail(From, To);
     }
     if (Moved)
       continue;
@@ -159,7 +140,7 @@ void FastestFirstScheduler::balance(Machine &M) {
     }
     if (M.queueLength(Longest) < M.queueLength(Shortest) + 2)
       return;
-    if (!pullOne(M, Longest, Shortest))
+    if (!M.pullTail(Longest, Shortest))
       return;
   }
 }

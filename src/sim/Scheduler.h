@@ -104,8 +104,12 @@ public:
   virtual uint32_t selectCore(const Machine &M, const Process &P) = 0;
 
   /// Periodic load balancing (every SimConfig::BalancePeriod); may move
-  /// queued (not running) processes between cores via Machine::moveQueued.
-  /// Every deferred core is settled before it runs. There is no
+  /// queued (not running) processes between cores via
+  /// Machine::moveQueued or Machine::pullTail. Unless the policy is
+  /// shapeOnly(), every deferred core is settled before it runs; a
+  /// shape-only balance runs on deferred state, where queue lengths and
+  /// masks are exact and Machine::queue (non-const), pullTail and
+  /// moveQueued settle the cores whose order they use. There is no
   /// per-quantum hook: a policy that steers every quantum runs with
   /// BalancePeriod == Timeslice.
   virtual void balance(Machine &) {}
@@ -113,13 +117,14 @@ public:
   /// Declares that selectCore and balance read only queue lengths, the
   /// affinity masks of queued processes and the static machine config,
   /// that whether balance moves anything does not depend on queue order
-  /// (order may only choose which process moves), and that the hooks
-  /// read nothing a steady quantum changes. Deferred windows change
-  /// none of these, so the machine then places processes and runs the
-  /// hooks without settling, and skips a balance instant when the last
-  /// balance made no move and no queue or mask changed since: the call
-  /// could not move anything. A subclass that reads more (telemetry,
-  /// process progress) must return false.
+  /// (order may only choose which process moves, read through the
+  /// settling Machine::queue or pullTail), and that the hooks read
+  /// nothing a steady quantum changes. Deferred windows change none of
+  /// these, so the machine then places processes and runs balance and
+  /// the hooks without settling, and skips a balance instant when the
+  /// last balance made no move and no queue or mask changed since: the
+  /// call could not move anything. A subclass that reads more
+  /// (telemetry, process progress) must return false.
   virtual bool shapeOnly() const { return false; }
 
   /// Fired when \p P is spawned, before its first placement. The policy

@@ -481,6 +481,9 @@ RunResult pbt::runWorkload(const PreparedSuite &Suite, const Workload &W,
   Reg.add("sim.quanta_stepped", M.quantaStepped());
   Reg.add("sim.quanta_fused", M.quantaFused());
   Reg.add("sim.balance_skipped", M.balancesSkipped());
+  Reg.add("sim.windows_opened", M.windowsOpened());
+  Reg.add("sim.window_settles", M.windowSettles());
+  Reg.add("sim.window_steps", M.windowSteps());
 
   Result.CompletedCount = Done;
   Result.InstructionsRetired = M.totalInstructions();

@@ -599,11 +599,14 @@ uint32_t spawnImage(Machine &M, const Image &I, uint64_t Seed = 5) {
 }
 
 /// Core-quanta the Flat machine of expectFusionInvisible stepped and
-/// deferred, and the balance instants it skipped.
+/// deferred, the balance instants it skipped, the windows it settled
+/// and the turns it stepped inside open windows.
 struct QuantaCounts {
   uint64_t Stepped = 0;
   uint64_t Fused = 0;
   uint64_t Skipped = 0;
+  uint64_t Settles = 0;
+  uint64_t WindowSteps = 0;
 };
 
 using PolicyFactory = std::function<std::unique_ptr<SchedulerPolicy>()>;
@@ -628,9 +631,10 @@ const std::pair<const char *, PolicyFactory> BalanceModes[] = {
 /// and expects the two bit-identical: clock, every process's stats,
 /// completion, trip counts, monitoring state and telemetry, per-core
 /// busy fractions, and runqueue order. Returns the Flat machine's
-/// counts. The Reference machine steps every core in every quantum and
-/// skips no balance, so its stepped core-quanta are a multiple of the
-/// core count and equal the Flat machine's stepped plus fused ones.
+/// counts. The Reference machine steps every core in every quantum,
+/// opens no window and skips no balance, so its stepped core-quanta are
+/// a multiple of the core count and equal the Flat machine's stepped
+/// plus fused ones. Every window the Flat machine opened was settled.
 QuantaCounts
 expectFusionInvisible(const MachineConfig &MC, SimConfig SC,
                       const std::function<void(Machine &)> &Play,
@@ -648,6 +652,9 @@ expectFusionInvisible(const MachineConfig &MC, SimConfig SC,
   EXPECT_EQ(R.now(), F.now());
   EXPECT_EQ(R.quantaFused(), 0u);
   EXPECT_EQ(R.balancesSkipped(), 0u);
+  EXPECT_EQ(R.windowsOpened(), 0u);
+  EXPECT_EQ(R.windowSteps(), 0u);
+  EXPECT_EQ(F.windowsOpened(), F.windowSettles());
   EXPECT_EQ(R.quantaStepped() % MC.numCores(), 0u);
   EXPECT_EQ(R.quantaStepped(), F.quantaStepped() + F.quantaFused());
   EXPECT_EQ(R.totalInstructions(), F.totalInstructions());
@@ -675,7 +682,8 @@ expectFusionInvisible(const MachineConfig &MC, SimConfig SC,
     EXPECT_EQ(TA.WindowCoreType, TB.WindowCoreType);
   }
   return QuantaCounts{F.quantaStepped(), F.quantaFused(),
-                      F.balancesSkipped()};
+                      F.balancesSkipped(), F.windowSettles(),
+                      F.windowSteps()};
 }
 
 } // namespace
@@ -1312,6 +1320,273 @@ TEST(PerCoreFusion, RunUntilCalledTwice) {
   });
   Snap.expectAgree();
   EXPECT_GT(Q.Fused, 10 * Q.Stepped);
+}
+
+//===----------------------------------------------------------------------===//
+// Windows that outlive balance instants and turns that are not steady:
+// a shape-only balance runs on deferred state and settles only a core
+// whose order it uses, and the turn at a window's end is stepped inside
+// the window, which stays open when the turn used its whole budget.
+// Each case expects the machines bit-identical to the Reference one.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Two cores of the fast type on separate L2 groups.
+MachineConfig twoFastCores() {
+  MachineConfig MC = dyadicMachine();
+  MC.Cores = {{0, 0}, {0, 1}};
+  return MC;
+}
+
+/// main: a self-loop of \p PreTrips, then one of \p Trips over another
+/// memory-bound mix of \p Count instructions, then a return. Its steady
+/// run ends where the first loop exits; the next turn finishes that
+/// loop and goes on in the second.
+Program twoSelfLoops(uint32_t PreTrips, uint32_t Trips, unsigned Count) {
+  IRBuilder B("two_self_loops", 4);
+  uint32_t Main = B.createProc("main");
+  uint32_t Pre = B.addBlock(Main);
+  uint32_t Body = B.addBlock(Main);
+  uint32_t Exit = B.addBlock(Main);
+  B.appendMix(Main, Pre, InstMix::memory(Count, 48000, 0.3));
+  B.appendMix(Main, Body, InstMix::memory(Count, 48000, 0.3));
+  B.setLoop(Main, Pre, Pre, Body, PreTrips);
+  B.setLoop(Main, Body, Body, Exit, Trips);
+  B.setRet(Main, Exit);
+  return B.take();
+}
+
+/// A shape-only policy whose balance moves the front process (the next
+/// to run) of the longest queue: it picks by queue order, read through
+/// the settling Machine::queue.
+struct PullFront final : ObliviousScheduler {
+  void balance(Machine &M) override {
+    uint32_t Longest = 0;
+    uint32_t Shortest = 0;
+    for (uint32_t Core = 1; Core < M.config().numCores(); ++Core) {
+      if (M.queueLength(Core) > M.queueLength(Longest))
+        Longest = Core;
+      if (M.queueLength(Core) < M.queueLength(Shortest))
+        Shortest = Core;
+    }
+    if (M.queueLength(Longest) < M.queueLength(Shortest) + 2)
+      return;
+    for (uint32_t Pid : M.queue(Longest))
+      if (M.process(Pid).allowedOn(Shortest)) {
+        M.moveQueued(Pid, Longest, Shortest);
+        return;
+      }
+  }
+};
+
+} // namespace
+
+TEST(InWindowStep, PinnedImbalanceKeepsWindowsOpen) {
+  // Core 0 holds three long jobs pinned to it and core 1 six short ones
+  // pinned to it. Each exit on core 1 makes the next balance run, and
+  // each finds a length imbalance but nothing it may move: oblivious
+  // settles no core for it, so core 0 keeps one window for the whole
+  // run, while the settling policy ends core 0's window at every
+  // balance instant.
+  MachineConfig MC = twoFastCores();
+  Image Long = imageFor(loopProgram(2000000, 24, false), MC);
+  std::vector<Image> Shorts;
+  for (uint32_t Job = 0; Job < 6; ++Job)
+    Shorts.push_back(
+        imageFor(loopProgram(60000 + 30011 * Job, 24, false, Job + 2), MC));
+  QuantaCounts Q[2];
+  for (int Mode = 0; Mode < 2; ++Mode) {
+    SCOPED_TRACE(BalanceModes[Mode].first);
+    Q[Mode] = expectFusionInvisible(
+        MC, SimConfig(),
+        [&](Machine &M) {
+          for (uint64_t Seed : {1, 2, 3})
+            spawnOn(M, Long, 1u << 0, Seed);
+          for (uint32_t Job = 0; Job < 6; ++Job)
+            spawnOn(M, Shorts[Job], 1u << 1, 10 + Job);
+          M.run(8.0);
+          EXPECT_EQ(M.queueLength(0), 3u);
+          EXPECT_EQ(M.queueLength(1), 0u);
+        },
+        BalanceModes[Mode].second);
+  }
+  // Core 0's one window, settled when run() returns, and one settle
+  // per exit on core 1 (the in-window step that finishes the job).
+  EXPECT_EQ(Q[0].Settles, 1u + 6);
+  // The settling policy runs all 80 balance instants, each ending core
+  // 0's window.
+  EXPECT_GE(Q[1].Settles, 80u);
+  EXPECT_GT(Q[0].Skipped, 50u);
+}
+
+TEST(InWindowStep, FastestFirstPullsFromDeferredCore) {
+  // Core 0 (slow) holds two free jobs and core 2 (slow) one pinned job;
+  // D, pinned to the fast core 1, exits while core 0 is deferred. The
+  // next balance fills the idle fast core from core 0: the tail-most
+  // job, which depends on how far core 0's queue has rotated, so the
+  // pull must settle core 0 first. D's length varies the rotation.
+  MachineConfig MC = slowFastSlowMachine();
+  Image Long = imageFor(loopProgram(2000000, 24, false), MC);
+  for (uint32_t Trips : {120011u, 131071u}) {
+    SCOPED_TRACE("D trips " + std::to_string(Trips));
+    Image Short = imageFor(loopProgram(Trips, 24, false, 2), MC);
+    Snapshots Snap;
+    QuantaCounts Q = expectFusionInvisible(
+        MC, SimConfig(),
+        [&](Machine &M) {
+          uint32_t A = spawnOn(M, Long, 1u << 0, 1);
+          uint32_t B = spawnOn(M, Long, 1u << 0, 2);
+          spawnOn(M, Long, 1u << 2, 3);
+          uint32_t D = spawnOn(M, Short, 1u << 1, 4);
+          for (uint32_t Pid : {A, B})
+            M.process(Pid).AffinityMask = M.config().allCoresMask();
+          M.run(4.0);
+          Snap.take(M);
+          EXPECT_GT(M.process(D).CompletionTime, 0.0);
+          EXPECT_EQ(M.queueLength(0), 1u);
+          EXPECT_EQ(M.queueLength(1), 1u);
+          EXPECT_EQ(M.queueLength(2), 1u);
+        },
+        [] { return std::make_unique<FastestFirstScheduler>(); });
+    Snap.expectAgree();
+    EXPECT_GT(Q.Fused, 10 * Q.Stepped);
+  }
+}
+
+TEST(InWindowStep, SteadyRunEndsMidWindow) {
+  // Core 0 runs two long jobs and X, whose steady run ends while the
+  // window is open. X's next turn is stepped inside the window, with
+  // each outcome: a full turn into its next self-loop (the window
+  // survives), a phase mark that starts a monitor (it survives, and the
+  // session accrues over deferred turns), a mark that migrates X to the
+  // slow core, and an exit (both settle the window and step the rest of
+  // the quantum).
+  MachineConfig MC = dyadicMachine();
+  Image Long = imageFor(loopProgram(2000000, 24, false), MC);
+  enum Outcome { FullTurn, Monitor, Migration, Exit };
+  for (Outcome O : {FullTurn, Monitor, Migration, Exit}) {
+    SCOPED_TRACE("outcome " + std::to_string(O));
+    Image X = O == FullTurn ? imageFor(nestedSelfLoops(30011, 8), MC)
+              : O == Exit   ? imageFor(loopProgram(70001, 24, false, 2), MC)
+                            : phaseChangeImage(70001, 2000000, false, MC);
+    Snapshots Snap;
+    QuantaCounts Q = expectFusionInvisible(MC, SimConfig(), [&](Machine &M) {
+      spawnOn(M, Long, 1u << 0, 1);
+      spawnOn(M, Long, 1u << 0, 2);
+      uint32_t Pid = spawnOn(M, X, 1u << 0, 3);
+      if (O == Migration)
+        decide(M, Pid, 1);
+      M.run(1.5);
+      Snap.take(M);
+      M.run(3.0);
+      Snap.take(M);
+      const Process &P = M.process(Pid);
+      switch (O) {
+      case FullTurn:
+        EXPECT_LT(P.CompletionTime, 0.0);
+        break;
+      case Monitor:
+        EXPECT_EQ(P.Stats.MonitorSessions, 1u);
+        EXPECT_TRUE(P.MonActive);
+        EXPECT_GT(P.MonInsts, 0u);
+        break;
+      case Migration:
+        EXPECT_EQ(P.Stats.CoreSwitches, 1u);
+        EXPECT_EQ(M.queue(1), std::deque<uint32_t>{Pid});
+        break;
+      case Exit:
+        EXPECT_GT(P.CompletionTime, 0.0);
+        break;
+      }
+    });
+    Snap.expectAgree();
+    EXPECT_GT(Q.Fused, 10 * Q.Stepped);
+    if (O == FullTurn || O == Monitor) {
+      EXPECT_GT(Q.WindowSteps, 0u);
+      // Core 0 settles only when each run() call returns.
+      EXPECT_EQ(Q.Settles, 2u);
+    }
+  }
+}
+
+TEST(InWindowStep, NearExactCycleBound) {
+  // Each turn charges about 2^34 cycles, so the core's busy cycles
+  // reach 2^37 within eight turns. B, last in the queue, leaves its
+  // first self-loop at its second turn, stepped inside the window; the
+  // window re-planned after it is halved to stay exact. Where the
+  // busy-cycle sum, with the other jobs' turns still pending, would
+  // reach the bound, the in-window step settles first, so its add
+  // lands after theirs as in stepping, and the rest steps in order.
+  // The jobs' costs differ, so an out-of-order add past the bound would
+  // round differently.
+  MachineConfig MC = oneCoreMachine();
+  SimConfig SC;
+  SC.Timeslice = std::ldexp(1.0, 34) / MC.CoreTypes[0].Frequency;
+  SC.BalancePeriod = 1e3 * SC.Timeslice;
+  auto TurnIters = [&](const Program &Prog, uint32_t Block) {
+    CostModel Cost(Prog, MC);
+    return static_cast<uint32_t>(
+        std::ceil(std::ldexp(1.0, 34) / Cost.blockCycles(0, Block, 0, 1)));
+  };
+  std::vector<Image> Longs;
+  for (uint32_t K = 0; K < 3; ++K) {
+    Program Long = loopProgram(2, 16393 + 40 * K, true, 7 + K);
+    Long.Procs[0].Blocks[0].TripCount = 6 * TurnIters(Long, 0);
+    Longs.push_back(imageFor(Long, MC));
+  }
+  // One steady turn in the first loop, then two trips left.
+  Program Leaver = twoSelfLoops(2, 2, 16384);
+  uint32_t JPre = TurnIters(Leaver, 0);
+  Leaver.Procs[0].Blocks[0].TripCount = JPre + 2;
+  Leaver.Procs[0].Blocks[1].TripCount = 6 * JPre;
+  Image B = imageFor(Leaver, MC);
+  uint64_t WindowSteps = 0;
+  for (uint32_t Jobs : {2u, 3u, 4u}) {
+    SCOPED_TRACE("jobs " + std::to_string(Jobs));
+    QuantaCounts Q = expectFusionInvisible(MC, SC, [&](Machine &M) {
+      for (uint32_t Job = 1; Job < Jobs; ++Job)
+        spawnImage(M, Longs[Job - 1], Job);
+      spawnImage(M, B, Jobs);
+      M.run(40 * SC.Timeslice);
+      EXPECT_GT(M.coreBusyFraction(0) * M.now() * MC.CoreTypes[0].Frequency,
+                ExactCycleBound);
+    });
+    WindowSteps += Q.WindowSteps;
+    EXPECT_GT(Q.Fused, 0u);
+    EXPECT_GE(Q.Stepped, 4u);
+  }
+  EXPECT_GT(WindowSteps, 0u);
+}
+
+TEST(InWindowStep, ShapeOnlyPolicyReadsQueueOrder) {
+  // D exits on core 1 while core 0 is deferred; the next balance moves
+  // the front of core 0's queue, which depends on its rotation. The
+  // policy reads order through the non-const Machine::queue, which
+  // settles core 0 first.
+  MachineConfig MC = twoFastCores();
+  Image Long = imageFor(loopProgram(2000000, 24, false), MC);
+  for (uint32_t Trips : {120011u, 131071u, 142007u}) {
+    SCOPED_TRACE("D trips " + std::to_string(Trips));
+    Image Short = imageFor(loopProgram(Trips, 24, false, 2), MC);
+    QuantaCounts Q = expectFusionInvisible(
+        MC, SimConfig(),
+        [&](Machine &M) {
+          for (uint64_t Seed : {1, 2, 3})
+            spawnOn(M, Long, 1u << 0, Seed);
+          uint32_t D = spawnOn(M, Short, 1u << 1, 4);
+          spawnOn(M, Long, 1u << 1, 5);
+          for (uint32_t Pid : {0u, 1u, 2u})
+            M.process(Pid).AffinityMask = M.config().allCoresMask();
+          M.run(6.0);
+          EXPECT_GT(M.process(D).CompletionTime, 0.0);
+          EXPECT_EQ(M.queueLength(0), 2u);
+          EXPECT_EQ(M.queueLength(1), 2u);
+        },
+        [] { return std::make_unique<PullFront>(); });
+    EXPECT_GT(Q.Skipped, 10u);
+    EXPECT_GT(Q.Fused, 10 * Q.Stepped);
+  }
 }
 
 //===----------------------------------------------------------------------===//
