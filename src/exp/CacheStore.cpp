@@ -181,7 +181,7 @@ std::vector<PhaseMark> readMarks(BinaryReader &R, const Program &Prog) {
 // Per-program payload and suite manifest
 //===----------------------------------------------------------------------===//
 
-/// One prepared program: the `pbt-prog-v1` payload (IR, marks, mark
+/// One prepared program: the `pbt-prog-v2` payload (IR, marks, mark
 /// cost, cost tables, flat image).
 void writePrepared(BinaryWriter &W, const InstrumentedProgram &Image,
                    const CostModel &Tables, const FlatImage &Flat) {

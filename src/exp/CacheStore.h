@@ -14,7 +14,7 @@
 ///
 /// **Addressing.** Entries are keyed by 64-bit content hashes of
 /// everything preparation depends on. The store is *module-granular*:
-/// the unit of storage is one prepared program (`pbt-prog-v1`,
+/// the unit of storage is one prepared program (`pbt-prog-v2`,
 /// `prog-<16 hex>.pbt`), keyed by that program's own content hash
 /// (every instruction of every block), the machine (structural fields,
 /// name excluded), the technique's preparation identity
@@ -31,7 +31,7 @@
 /// directory can thus be shared by labs with different program sets and
 /// machines.
 ///
-/// **Format** (`pbt-suite-v4` manifests and `pbt-prog-v1` program
+/// **Format** (`pbt-suite-v4` manifests and `pbt-prog-v2` program
 /// entries, documented field by field in docs/BENCH_SCHEMA.md): a fixed
 /// header — magic (`PBTS` for manifests, `PBTP` for prog entries),
 /// format version, key, the key components, payload length, FNV-1a
@@ -102,12 +102,13 @@ public:
   /// accumulation, so v2 images would replay with stale fused sums;
   /// v4 turned the suite entry into a
   /// thin manifest of per-program content hashes resolved against
-  /// `pbt-prog-v1` entries.
+  /// `pbt-prog-v2` entries.
   static constexpr uint32_t FormatVersion = 4;
 
-  /// On-disk per-program entry format version (`pbt-prog-v1`),
-  /// versioned independently of the manifest format.
-  static constexpr uint32_t ProgFormatVersion = 1;
+  /// On-disk per-program entry format version (`pbt-prog-v2`),
+  /// versioned independently of the manifest format. v2 dropped the
+  /// flat image's superblock-chain summaries (48-byte block records).
+  static constexpr uint32_t ProgFormatVersion = 2;
 
   /// Version of the static preparation pipeline whose output prog
   /// entries hold (preparePrograms in workload/Runner.h); part of every prog key, so
@@ -153,7 +154,7 @@ public:
   /// Loads the suite stored under \p Key: reads the manifest, verifies
   /// its header against the request's key components and its payload
   /// against its checksum, then reassembles the suite from the
-  /// `pbt-prog-v1` entries the manifest lists (each validated the same
+  /// `pbt-prog-v2` entries the manifest lists (each validated the same
   /// way). Returns nullptr on miss or on any rejection (corrupt,
   /// truncated, version or key mismatch, or any referenced prog entry
   /// missing/rejected). The returned suite carries a
@@ -173,7 +174,7 @@ public:
                               const TechniqueSpec &Tech,
                               uint64_t TypingSeed);
 
-  /// Serializes \p Suite under \p Key: writes one `pbt-prog-v1` entry
+  /// Serializes \p Suite under \p Key: writes one `pbt-prog-v2` entry
   /// per program (skipping entries already on disk — content
   /// addressing makes them identical by construction, which is what
   /// dedupes shared programs), then the manifest (atomic write).

@@ -75,7 +75,7 @@ public:
   ExperimentHarness(std::string Name, std::string Title,
                     std::string PaperRef);
 
-  /// Horizon scale from PBT_BENCH_SCALE (legacy alias PBT_SCALE).
+  /// Horizon scale from PBT_BENCH_SCALE.
   double scale() const { return Scale; }
 
   /// The lab for \p MachineCfg from the process-wide pool, created on

@@ -39,44 +39,6 @@ PreparedSuite Lab::suite(const TechniqueSpec &Tech, uint64_t TypingSeed) {
   return Cache.get(Programs, MachineCfg, Tech, TypingSeed);
 }
 
-RunResult Lab::run(const TechniqueSpec &Tech, uint32_t Slots, double Horizon,
-                   uint64_t Seed) {
-  PreparedSuite Suite = suite(Tech);
-  Workload W = workload(Slots, Seed);
-  return runWorkload(Suite, W, MachineCfg, Sim, Horizon, isolated());
-}
-
-Comparison Lab::compare(const TechniqueSpec &Tech, uint32_t Slots,
-                        double Horizon, uint64_t Seed) {
-  PreparedSuite BaselineSuite = suite(TechniqueSpec::baseline());
-  PreparedSuite TunedSuite = suite(Tech);
-  Workload W = workload(Slots, Seed);
-  const std::vector<double> &Iso = isolated();
-  std::vector<WorkloadJob> Jobs(2);
-  for (WorkloadJob &Job : Jobs) {
-    Job.W = &W;
-    Job.Machine = &MachineCfg;
-    Job.Sim = Sim;
-    Job.Horizon = Horizon;
-    Job.Isolated = &Iso;
-  }
-  Jobs[0].Suite = &BaselineSuite;
-  Jobs[1].Suite = &TunedSuite;
-  std::vector<RunResult> Results = runWorkloads(Jobs);
-  Comparison C;
-  C.Base = std::move(Results[0]);
-  C.Tuned = std::move(Results[1]);
-  C.BaseFair = computeFairness(C.Base.Completed);
-  C.TunedFair = computeFairness(C.Tuned.Completed);
-  return C;
-}
-
-CompletedJob Lab::isolatedJob(const TechniqueSpec &Tech, uint32_t Bench,
-                              uint64_t Seed) {
-  PreparedSuite Suite = suite(Tech);
-  return runIsolated(Suite, Bench, MachineCfg, Sim, Seed);
-}
-
 std::vector<CompletedJob> Lab::isolatedJobs(const TechniqueSpec &Tech,
                                             uint64_t Seed) {
   std::vector<uint32_t> Benches(Programs.size());
@@ -94,9 +56,4 @@ Lab::isolatedJobs(const TechniqueSpec &Tech,
     Jobs[I] = runIsolated(Suite, Benches[I], MachineCfg, Sim, Seed);
   });
   return Jobs;
-}
-
-Workload Lab::workload(uint32_t Slots, uint64_t Seed) const {
-  return Workload::random(Slots, /*JobsPerSlot=*/512,
-                          static_cast<uint32_t>(Programs.size()), Seed);
 }

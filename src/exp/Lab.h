@@ -85,34 +85,17 @@ public:
   PreparedSuite suite(const TechniqueSpec &Tech,
                       uint64_t TypingSeed = DefaultTypingSeed);
 
-  /// Runs one workload under \p Tech (canonical 512-jobs-per-slot queues).
-  RunResult run(const TechniqueSpec &Tech, uint32_t Slots, double Horizon,
-                uint64_t Seed);
-
-  /// Runs baseline + technique on identical queues and seeds. The two
-  /// replays are independent simulations, so they run concurrently on
-  /// the global thread pool (results identical to back-to-back runs).
-  Comparison compare(const TechniqueSpec &Tech, uint32_t Slots,
-                     double Horizon, uint64_t Seed);
-
-  /// Runs benchmark \p Bench alone to completion under \p Tech.
-  CompletedJob isolatedJob(const TechniqueSpec &Tech, uint32_t Bench,
-                           uint64_t Seed = 1);
-
-  /// isolatedJob for every benchmark, fanned out over the global thread
-  /// pool; results are by-index and bit-identical to the serial loop.
+  /// Runs every benchmark alone to completion under \p Tech, fanned out
+  /// over the global thread pool; results are by-index and bit-identical
+  /// to the serial loop.
   std::vector<CompletedJob> isolatedJobs(const TechniqueSpec &Tech,
                                          uint64_t Seed = 1);
 
-  /// isolatedJob for the listed benchmark indices only (same parallel
-  /// fan-out); result I corresponds to Benches[I].
+  /// isolatedJobs for the listed benchmark indices only; result I
+  /// corresponds to Benches[I].
   std::vector<CompletedJob>
   isolatedJobs(const TechniqueSpec &Tech,
                const std::vector<uint32_t> &Benches, uint64_t Seed = 1);
-
-  /// The canonical queue shape shared by run() and compare(): 512 jobs
-  /// per slot keeps every slot busy for the longest horizons used.
-  Workload workload(uint32_t Slots, uint64_t Seed) const;
 
   /// The lab's suite cache (counters are read by tests and the driver;
   /// with `PBT_CACHE_DIR` set it load-throughs the persistent store).

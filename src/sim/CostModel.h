@@ -41,9 +41,9 @@ namespace pbt {
 /// multiple of 2^-16 cycles. A double holds any grid value below
 /// ExactCycleBound = 2^37 cycles exactly (53 mantissa bits = 37 integer
 /// + 16 fractional), so sums of grid values below the bound never
-/// round: k*c equals k repeated additions of c, and chain sums can be
+/// round: k*c equals k repeated additions of c, and grid sums can be
 /// added in any order. This is what lets the Flat engine charge a
-/// whole self-loop run or superblock chain in one step and still be
+/// whole self-loop run in one step and still be
 /// bit-identical to the block-at-a-time Reference interpreter (see
 /// docs/ARCHITECTURE.md "Exact cycle arithmetic").
 constexpr int CycleGridBits = 16;

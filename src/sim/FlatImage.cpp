@@ -59,7 +59,7 @@ FlatImage::FlatImage(std::shared_ptr<const InstrumentedProgram> IProgIn,
           F.Op = FlatOp::Call;
           F.Callee = Offsets[static_cast<uint32_t>(Callee)];
         } else {
-          F.Op = F.EdgeMark[0] >= 0 ? FlatOp::Jump : FlatOp::Chain;
+          F.Op = FlatOp::Jump;
         }
         break;
       }
@@ -86,8 +86,6 @@ FlatImage::FlatImage(std::shared_ptr<const InstrumentedProgram> IProgIn,
       }
     }
   }
-
-  buildChains();
 }
 
 uint32_t FlatImage::procOf(uint32_t Global) const {
@@ -96,82 +94,10 @@ uint32_t FlatImage::procOf(uint32_t Global) const {
   return static_cast<uint32_t>(It - Offsets.begin()) - 1;
 }
 
-void FlatImage::buildChains() {
-  // Assign each Chain record a row in the summed-cycles table.
-  for (FlatBlock &F : Blocks)
-    if (F.Op == FlatOp::Chain)
-      F.ChainRow = NumChainRecords++ * Stride;
-  ChainCycles.assign(static_cast<size_t>(NumChainRecords) * Stride, 0.0);
-
-  // Memoized suffix walk: the summary of a chain record is its own cost
-  // plus the summary of its (single) successor. A mark-free Jump cycle
-  // never exits, so every record on or feeding such a cycle keeps
-  // ChainBlocks == 0 (no fused summary; the engine's tight loop still
-  // executes it under the quantum budget, exactly like the reference).
-  enum : uint8_t { Unvisited = 0, OnPath = 1, Done = 2 };
-  std::vector<uint8_t> State(Blocks.size(), Unvisited);
-  std::vector<uint32_t> Path;
-
-  for (uint32_t Start = 0; Start < Blocks.size(); ++Start) {
-    if (Blocks[Start].Op != FlatOp::Chain || State[Start] != Unvisited)
-      continue;
-
-    Path.clear();
-    uint32_t Cur = Start;
-    while (Blocks[Cur].Op == FlatOp::Chain && State[Cur] == Unvisited) {
-      State[Cur] = OnPath;
-      Path.push_back(Cur);
-      Cur = Blocks[Cur].Succ[0];
-    }
-
-    bool Cyclic = Blocks[Cur].Op == FlatOp::Chain && State[Cur] == OnPath;
-    if (!Cyclic && Blocks[Cur].Op == FlatOp::Chain &&
-        Blocks[Cur].ChainBlocks == 0)
-      Cyclic = true; // Memoized successor already known to feed a cycle.
-
-    if (Cyclic) {
-      for (uint32_t Id : Path) {
-        State[Id] = Done;
-        Blocks[Id].ChainBlocks = 0;
-      }
-      continue;
-    }
-
-    // Unwind from the chain exit back to Start, accumulating suffixes.
-    // Cycle sums follow the same recurrence: costs are on the exact
-    // cycle grid (CostModel.h), so a right-to-left suffix sum equals
-    // the left-to-right adds of the engines' chain walk bit for bit.
-    uint32_t NextBlocks = 0;
-    uint32_t NextInsts = 0;
-    uint32_t Exit = Cur;
-    const double *NextSum = nullptr;
-    if (Blocks[Cur].Op == FlatOp::Chain) { // Memoized, valid summary.
-      NextBlocks = Blocks[Cur].ChainBlocks;
-      NextInsts = Blocks[Cur].ChainInsts;
-      Exit = Blocks[Cur].ChainExit;
-      NextSum = &ChainCycles[Blocks[Cur].ChainRow];
-    }
-    for (auto It = Path.rbegin(); It != Path.rend(); ++It) {
-      FlatBlock &F = Blocks[*It];
-      State[*It] = Done;
-      F.ChainBlocks = NextBlocks + 1;
-      F.ChainInsts = NextInsts + F.Insts;
-      F.ChainExit = Exit;
-      double *Sum = &ChainCycles[F.ChainRow];
-      for (uint32_t Cfg = 0; Cfg < Stride; ++Cfg)
-        Sum[Cfg] = Cycles[F.CycleRow + Cfg] + (NextSum ? NextSum[Cfg] : 0.0);
-      NextBlocks = F.ChainBlocks;
-      NextInsts = F.ChainInsts;
-      NextSum = Sum;
-    }
-  }
-}
-
 void FlatImage::serialize(BinaryWriter &W) const {
   W.u32(NumCoreTypes);
   W.u32(MaxSharers);
   W.u32(Stride);
-  W.u32(NumChainRecords);
   W.u32(static_cast<uint32_t>(Offsets.size()));
   for (uint32_t Offset : Offsets)
     W.u32(Offset);
@@ -188,16 +114,9 @@ void FlatImage::serialize(BinaryWriter &W) const {
     W.u32(F.Callee);
     W.u32(F.TripCount);
     W.f64(F.TakenProb);
-    W.u32(F.ChainBlocks);
-    W.u32(F.ChainInsts);
-    W.u32(F.ChainExit);
-    W.u32(F.ChainRow);
   }
   W.u32(static_cast<uint32_t>(Cycles.size()));
   for (double Value : Cycles)
-    W.f64(Value);
-  W.u32(static_cast<uint32_t>(ChainCycles.size()));
-  for (double Value : ChainCycles)
     W.f64(Value);
 }
 
@@ -212,11 +131,10 @@ FlatImage::deserialize(BinaryReader &R,
   Img.NumCoreTypes = R.u32();
   Img.MaxSharers = R.u32();
   Img.Stride = R.u32();
-  Img.NumChainRecords = R.u32();
   Img.Offsets.resize(R.count(1u << 24, /*ElemBytes=*/4));
   for (uint32_t &Offset : Img.Offsets)
     Offset = R.u32();
-  Img.Blocks.resize(R.count(1u << 24, /*ElemBytes=*/61));
+  Img.Blocks.resize(R.count(1u << 24, /*ElemBytes=*/45));
   for (FlatBlock &F : Img.Blocks) {
     uint8_t Op = R.u8();
     if (Op > static_cast<uint8_t>(FlatOp::Ret)) {
@@ -234,18 +152,11 @@ FlatImage::deserialize(BinaryReader &R,
     F.Callee = R.u32();
     F.TripCount = R.u32();
     F.TakenProb = R.f64();
-    F.ChainBlocks = R.u32();
-    F.ChainInsts = R.u32();
-    F.ChainExit = R.u32();
-    F.ChainRow = R.u32();
     if (R.failed())
       break; // Truncated record: stop spinning through dead reads.
   }
   Img.Cycles.resize(R.count(1u << 28, /*ElemBytes=*/8));
   for (double &Value : Img.Cycles)
-    Value = R.f64();
-  Img.ChainCycles.resize(R.count(1u << 28, /*ElemBytes=*/8));
-  for (double &Value : Img.ChainCycles)
     Value = R.f64();
 
   // Cross-field sanity: the machine shape, the offset layout, the table
@@ -272,9 +183,7 @@ FlatImage::deserialize(BinaryReader &R,
   }
   uint32_t NumBlocks = static_cast<uint32_t>(Img.Blocks.size());
   if (NumBlocks != Prog.blockCount() ||
-      Img.Cycles.size() != static_cast<size_t>(NumBlocks) * Img.Stride ||
-      Img.ChainCycles.size() !=
-          static_cast<size_t>(Img.NumChainRecords) * Img.Stride)
+      Img.Cycles.size() != static_cast<size_t>(NumBlocks) * Img.Stride)
     R.markFailed();
   int32_t NumMarks = static_cast<int32_t>(Img.IProg->marks().size());
   for (const FlatBlock &F : Img.Blocks) {
@@ -287,10 +196,6 @@ FlatImage::deserialize(BinaryReader &R,
       Ok = Ok && F.Succ[0] < NumBlocks && F.Succ[1] < NumBlocks;
     if (F.Op == FlatOp::Call)
       Ok = Ok && F.Callee < NumBlocks;
-    if (F.Op == FlatOp::Chain && F.ChainBlocks > 0)
-      Ok = Ok && F.ChainExit < NumBlocks &&
-           static_cast<size_t>(F.ChainRow) + Img.Stride <=
-               Img.ChainCycles.size();
     if (!Ok) {
       R.markFailed();
       break;

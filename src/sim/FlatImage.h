@@ -17,21 +17,10 @@
 /// ids, callee entry, trip count, taken probability, instruction count,
 /// mark indices for both edges and the call site, and the row of a
 /// precomputed cycles[coreType][sharers] table — sits in a single
-/// 64-byte record, so advancing one block is one indexed load instead
+/// 48-byte record, so advancing one block is one indexed load instead
 /// of the reference interpreter's 4+ pointer chases
 /// (Prog.Procs[P].Blocks[B], CostModel::blockCycles, and two
 /// InstrumentedProgram::edgeMark lookups).
-///
-/// On top of the per-block records the image precomputes *superblock
-/// chains*: maximal runs of mark-free, call-free, single-successor
-/// (Jump) blocks. The paper's own insight — marks sit only on
-/// phase-*transition* edges — means most dynamic blocks are mark-free,
-/// so straight-line regions collapse into a fused summary (summed
-/// cycles and instructions, block count, exit id) that the engine
-/// charges in O(1) when the whole chain fits the quantum budget, and
-/// walks with a dispatch-free tight loop when it straddles it. Cycle
-/// costs are on the exact grid of CostModel.h, so a fused charge is
-/// bit-equal to the walk.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -49,18 +38,17 @@
 namespace pbt {
 
 /// Pre-decoded execution behaviour of one flat block record. Jump
-/// terminators split three ways so the inner loop never re-derives the
-/// distinction: a call, a marked jump, or a chainable (mark-free) jump.
+/// terminators split two ways so the inner loop never re-derives the
+/// distinction: a call or a plain jump.
 enum class FlatOp : uint8_t {
-  Chain, ///< Jump, no call, no mark on the edge: superblock member.
-  Jump,  ///< Jump, no call, mark on the taken edge.
-  Call,  ///< Jump terminator whose block ends in a call.
-  Loop,  ///< Loop latch (successor 0 back edge, 1 exit).
-  Cond,  ///< Data-dependent branch resolved by the process RNG.
-  Ret,   ///< Procedure return.
+  Jump, ///< Jump, no call; EdgeMark[0] >= 0 when the edge is marked.
+  Call, ///< Jump terminator whose block ends in a call.
+  Loop, ///< Loop latch (successor 0 back edge, 1 exit).
+  Cond, ///< Data-dependent branch resolved by the process RNG.
+  Ret,  ///< Procedure return.
 };
 
-/// One block's complete execution record (64 bytes, one cache line).
+/// One block's complete execution record (48 bytes).
 /// Fields beyond the common set are meaningful only for the matching Op;
 /// they are kept unconditionally so records stay fixed-size PODs.
 struct FlatBlock {
@@ -85,19 +73,8 @@ struct FlatBlock {
   uint32_t TripCount = 1;
   /// Probability of taking Succ[0] (Op == Cond).
   double TakenProb = 0.5;
-
-  /// Superblock summary of the maximal chain starting here (Op == Chain
-  /// only). ChainBlocks == 0 means no valid summary (non-chain record,
-  /// or a mark-free Jump cycle that never exits).
-  uint32_t ChainBlocks = 0;
-  /// Instructions retired by the whole chain.
-  uint32_t ChainInsts = 0;
-  /// Global id of the first non-chain record the chain runs into.
-  uint32_t ChainExit = 0;
-  /// Base row of the chain's summed cycles in chainCycleTable(), same
-  /// per-config layout as CycleRow.
-  uint32_t ChainRow = 0;
 };
+static_assert(sizeof(FlatBlock) == 48, "FlatBlock layout changed");
 
 /// The fused image for one (InstrumentedProgram, CostModel) pair.
 /// Construction is O(program x machine configs); all queries are O(1).
@@ -129,12 +106,6 @@ public:
   /// bit-identical to CostModel::blockCycles for the same configuration.
   const double *cycleTable() const { return Cycles.data(); }
 
-  /// Summed superblock cycle costs, indexed via FlatBlock::ChainRow.
-  /// Sums of grid costs are exact, so a fused charge equals bit for bit
-  /// what the block-at-a-time walk adds (see docs/ARCHITECTURE.md
-  /// "Exact cycle arithmetic").
-  const double *chainCycleTable() const { return ChainCycles.data(); }
-
   /// The instrumented program's mark array (indices in FlatBlock are
   /// relative to this).
   const PhaseMark *marks() const { return Marks; }
@@ -154,16 +125,13 @@ public:
     return CoreType * MaxSharers + Level;
   }
 
-  /// Number of records that are superblock-chain members (diagnostics).
-  uint32_t chainRecordCount() const { return NumChainRecords; }
-
   const InstrumentedProgram &program() const { return *IProg; }
   const CostModel &cost() const { return *Cost; }
 
   /// Serializes the image's numeric payload — offsets, block records,
-  /// cycle tables (by bit pattern), chain summaries — to \p W. The
-  /// backing program and cost model are serialized separately by the
-  /// caller (exp/CacheStore) and re-attached at deserialization.
+  /// the cycle table (by bit pattern) — to \p W. The backing program and
+  /// cost model are serialized separately by the caller (exp/CacheStore)
+  /// and re-attached at deserialization.
   void serialize(BinaryWriter &W) const;
 
   /// Rebuilds an image from serialize() output, re-attached to \p IProg
@@ -177,19 +145,15 @@ public:
 private:
   FlatImage() = default; ///< Shell for deserialize().
 
-  void buildChains();
-
   std::shared_ptr<const InstrumentedProgram> IProg;
   std::shared_ptr<const CostModel> Cost;
   const PhaseMark *Marks = nullptr;
   std::vector<uint32_t> Offsets;
   std::vector<FlatBlock> Blocks;
   std::vector<double> Cycles;
-  std::vector<double> ChainCycles;
   uint32_t NumCoreTypes = 1;
   uint32_t MaxSharers = 1;
   uint32_t Stride = 1;
-  uint32_t NumChainRecords = 0;
 };
 
 } // namespace pbt

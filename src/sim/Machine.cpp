@@ -15,6 +15,11 @@
 
 using namespace pbt;
 
+/// Concurrent hardware-counter monitoring slots. Counters are per-core
+/// resources virtualized across context switches: two contexts per core
+/// of the paper's quad.
+static constexpr uint32_t CounterSlots = 8;
+
 const char *pbt::engineName(ExecEngine Engine) {
   switch (Engine) {
   case ExecEngine::Flat:
@@ -28,7 +33,7 @@ const char *pbt::engineName(ExecEngine Engine) {
 Machine::Machine(MachineConfig ConfigIn, SimConfig SimIn,
                  std::unique_ptr<SchedulerPolicy> PolicyIn)
     : Config(std::move(ConfigIn)), Sim(SimIn), Policy(std::move(PolicyIn)),
-      Counters(SimIn.CounterSlots), Queues(Config.numCores()),
+      Counters(CounterSlots), Queues(Config.numCores()),
       Windows(Config.numCores()), BusyCycles(Config.numCores(), 0.0),
       Used(Config.numCores(), 0.0), Gen(SimIn.Seed) {
   // Validate the SimConfig up front: these inconsistencies would not
@@ -691,11 +696,10 @@ void Machine::settleAll() {
 /// the same cycle totals as advanceProcessReference, so both engines
 /// produce bit-identical ProcessStats. The difference is mechanical:
 /// each step is one indexed load from the FlatImage instead of pointer
-/// chases through Program, CostModel, and InstrumentedProgram, and two
-/// shapes are charged in O(1) — a mark-free superblock chain that fits
-/// the remaining budget (its precomputed sum), and a run of unmarked
-/// self-loop iterations (k * cost). Costs are on the exact cycle grid
-/// (CostModel.h), so both equal the adds they replace.
+/// chases through Program, CostModel, and InstrumentedProgram, and a
+/// run of unmarked self-loop iterations is charged in O(1) (k * cost).
+/// Costs are on the exact cycle grid (CostModel.h), so that product
+/// equals the adds it replaces.
 Machine::AdvanceResult Machine::advanceProcessFlat(Process &P, uint32_t Core,
                                                    double BudgetCycles,
                                                    uint32_t Sharers) {
@@ -703,7 +707,6 @@ Machine::AdvanceResult Machine::advanceProcessFlat(Process &P, uint32_t Core,
   const FlatImage &FI = *P.Flat;
   const FlatBlock *Blk = FI.blocks();
   const double *Cyc = FI.cycleTable();
-  const double *ChainCyc = FI.chainCycleTable();
   const PhaseMark *Marks = FI.marks();
   // Per-quantum invariant, cached across quanta in the hot lane and
   // recomputed only on migration or a sharer-count change. Pure
@@ -713,52 +716,6 @@ Machine::AdvanceResult Machine::advanceProcessFlat(Process &P, uint32_t Core,
 
   while (!P.Finished && R.CyclesUsed < BudgetCycles) {
     const FlatBlock *B = &Blk[Cur];
-
-    if (B->Op == FlatOp::Chain) {
-      if (B->ChainBlocks > 0) {
-        double Sum = ChainCyc[B->ChainRow + CfgOff];
-        if (R.CyclesUsed + Sum < BudgetCycles &&
-            exactCharge(P, R.CyclesUsed, Sum)) {
-          // O(1) superblock: the whole mark-free chain fits in the
-          // remaining budget, so charge the fused summary at once.
-          R.CyclesUsed += Sum;
-          P.Stats.InstsRetired += B->ChainInsts;
-          P.Stats.BlocksExecuted += B->ChainBlocks;
-          if (P.MonActive) {
-            P.MonInsts += B->ChainInsts;
-            P.MonCycles += Sum;
-          }
-          Cur = B->ChainExit;
-          continue;
-        }
-      }
-      // Exact superblock walk: budget-straddling chains and mark-free
-      // Jump cycles (ChainBlocks == 0). No terminator dispatch, no mark
-      // lookups, no RNG. Monitoring is hoisted out of the loop (it can
-      // only change at a mark, and chains are mark-free).
-      if (P.MonActive) {
-        do {
-          double Cycles = Cyc[B->CycleRow + CfgOff];
-          R.CyclesUsed += Cycles;
-          P.Stats.InstsRetired += B->Insts;
-          ++P.Stats.BlocksExecuted;
-          P.MonInsts += B->Insts;
-          P.MonCycles += Cycles;
-          Cur = B->Succ[0];
-          B = &Blk[Cur];
-        } while (B->Op == FlatOp::Chain && R.CyclesUsed < BudgetCycles);
-      } else {
-        do {
-          R.CyclesUsed += Cyc[B->CycleRow + CfgOff];
-          P.Stats.InstsRetired += B->Insts;
-          ++P.Stats.BlocksExecuted;
-          Cur = B->Succ[0];
-          B = &Blk[Cur];
-        } while (B->Op == FlatOp::Chain && R.CyclesUsed < BudgetCycles);
-      }
-      continue;
-    }
-
     double Cycles = Cyc[B->CycleRow + CfgOff];
     uint32_t Insts = B->Insts;
 
@@ -796,8 +753,9 @@ Machine::AdvanceResult Machine::advanceProcessFlat(Process &P, uint32_t Core,
 
     const PhaseMark *TakenMark = nullptr;
     switch (B->Op) {
-    case FlatOp::Jump: // Always carries a mark (else it would be Chain).
-      TakenMark = Marks + B->EdgeMark[0];
+    case FlatOp::Jump:
+      if (B->EdgeMark[0] >= 0)
+        TakenMark = Marks + B->EdgeMark[0];
       Cur = B->Succ[0];
       break;
     case FlatOp::Call: {
@@ -852,8 +810,6 @@ Machine::AdvanceResult Machine::advanceProcessFlat(Process &P, uint32_t Core,
         TakenMark = Marks + Frame.ContMarkIndex;
       break;
     }
-    case FlatOp::Chain: // Handled above.
-      break;
     }
 
     if (TakenMark && fireMark(P, *TakenMark, Core, R.CyclesUsed)) {

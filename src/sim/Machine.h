@@ -52,8 +52,8 @@ class TraceSink;
 /// grid (see CostModel.h), so the Flat engine's one-step charges equal
 /// the Reference interpreter's block-at-a-time adds.
 enum class ExecEngine : uint8_t {
-  /// Flat-image engine: one indexed load per block, mark-free superblock
-  /// chains and unmarked self-loop runs charged in O(1).
+  /// Flat-image engine: one indexed load per block, unmarked self-loop
+  /// runs charged in O(1).
   Flat,
   /// Block-at-a-time interpreter over the IR + CostModel + mark lookup,
   /// retained as the differential-testing oracle.
@@ -71,10 +71,6 @@ struct SimConfig {
   /// Load-balance period, simulated seconds (Linux rebalances busy cores
   /// on the order of 100 ms).
   double BalancePeriod = 0.1;
-  /// Concurrent hardware-counter monitoring slots (0 = unlimited).
-  /// Counters are per-core resources virtualized across context
-  /// switches; two contexts per core of the paper's quad is the default.
-  uint32_t CounterSlots = 8;
   /// Cycles of one affinity-API call (no migration).
   uint32_t AffinityApiCycles = 150;
   /// Cycles lost when a counter slot was unavailable (retry at next mark).

@@ -13,8 +13,6 @@ using namespace pbt;
 double pbt::envScale(double Default) {
   const char *Raw = std::getenv("PBT_BENCH_SCALE");
   if (!Raw)
-    Raw = std::getenv("PBT_SCALE"); // Legacy alias.
-  if (!Raw)
     return Default;
   char *End = nullptr;
   double Value = std::strtod(Raw, &End);

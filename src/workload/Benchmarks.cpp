@@ -7,6 +7,7 @@
 #include "workload/Benchmarks.h"
 
 #include "ir/IRBuilder.h"
+#include "sim/MachineConfig.h"
 
 #include <algorithm>
 #include <cassert>
@@ -18,10 +19,9 @@ namespace {
 
 /// Rough fast-core CPI of a phase body, used only for trip-count
 /// calibration (the simulator computes exact costs later).
-double estimateCpi(const PhaseSpec &Phase, double FastFrequency) {
+double estimateCpi(const PhaseSpec &Phase, double MissPenalty) {
   if (!Phase.Memory)
     return 0.255 + 0.2 * Phase.FpShare;
-  double MissPenalty = FastFrequency * 8.3e-6; // Matches MachineConfig.
   return 0.265 + 0.5 * Phase.ColdFrac * MissPenalty;
 }
 
@@ -47,8 +47,13 @@ constexpr unsigned NoiseSizes[] = {12, 18, 26, 34, 42, 52};
 
 } // namespace
 
-Program pbt::buildBenchmark(const BenchSpec &Spec, double FastFrequency) {
+Program pbt::buildBenchmark(const BenchSpec &Spec) {
   assert(!Spec.Phases.empty() && "benchmark needs at least one phase");
+  // Trip counts are calibrated against the paper's quad: its fast core
+  // type's frequency and per-miss stall.
+  const MachineConfig Quad = MachineConfig::quadAsymmetric();
+  const double FastFrequency = Quad.CoreTypes[0].Frequency;
+  const double MissPenalty = Quad.missPenaltyCycles(0);
   uint64_t Seed = 0xB5;
   for (char C : Spec.Name)
     Seed = Seed * 131 + static_cast<unsigned char>(C);
@@ -77,7 +82,7 @@ Program pbt::buildBenchmark(const BenchSpec &Spec, double FastFrequency) {
   for (size_t PhaseIndex = 0; PhaseIndex < Spec.Phases.size();
        ++PhaseIndex) {
     const PhaseSpec &Phase = Spec.Phases[PhaseIndex];
-    double Cpi = estimateCpi(Phase, FastFrequency);
+    double Cpi = estimateCpi(Phase, MissPenalty);
     double Trips = Phase.Share * CyclesPerActivation /
                    (static_cast<double>(Phase.BodyInsts) * Cpi);
     uint32_t TripCount =
@@ -282,9 +287,9 @@ std::vector<BenchSpec> pbt::specSuite() {
   return Suite;
 }
 
-std::vector<Program> pbt::buildSuite(double FastFrequency) {
+std::vector<Program> pbt::buildSuite() {
   std::vector<Program> Programs;
   for (const BenchSpec &Spec : specSuite())
-    Programs.push_back(buildBenchmark(Spec, FastFrequency));
+    Programs.push_back(buildBenchmark(Spec));
   return Programs;
 }

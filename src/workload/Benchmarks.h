@@ -65,15 +65,15 @@ struct BenchSpec {
   unsigned ColdCodeInsts = 20000;
 };
 
-/// Builds the IR program for \p Spec. \p FastFrequency (cycles/s of the
-/// fast core type) calibrates trip counts against TargetSeconds.
-Program buildBenchmark(const BenchSpec &Spec, double FastFrequency = 2.4e6);
+/// Builds the IR program for \p Spec. Trip counts are calibrated against
+/// TargetSeconds on the fast core type of MachineConfig::quadAsymmetric().
+Program buildBenchmark(const BenchSpec &Spec);
 
 /// The default 15-benchmark suite mirroring the paper's Table 1 set.
 std::vector<BenchSpec> specSuite();
 
 /// Convenience: builds every program of specSuite().
-std::vector<Program> buildSuite(double FastFrequency = 2.4e6);
+std::vector<Program> buildSuite();
 
 } // namespace pbt
 

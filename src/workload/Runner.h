@@ -109,7 +109,7 @@ struct PreparedSuite {
 
 /// Prepared artifacts of one program: the per-program slice of a
 /// PreparedSuite. The unit of incremental preparation — exp/SuiteCache
-/// stores and reloads these individually (`pbt-prog-v1` entries) and
+/// stores and reloads these individually (`pbt-prog-v2` entries) and
 /// assembles suites from them.
 struct PreparedProgram {
   std::shared_ptr<const InstrumentedProgram> Image;
@@ -182,9 +182,9 @@ struct ProgramPrep {
 
 /// Validates every artifact present in \p PC: Program::verify,
 /// CFG/dominator/loop consistency, typing shape, mark-placement
-/// legality, flat-image block-id contiguity and cost-table binding,
-/// chain summaries re-walked against the exact block walk, and every
-/// cycle-table entry on the exact cycle grid. When \p Tech is non-null
+/// legality, flat-image block-id contiguity, record decoding and
+/// cost-table binding, and every cycle-table entry on the exact cycle
+/// grid. When \p Tech is non-null
 /// the image's mark-cost model must match it. On failure writes a
 /// diagnostic to \p ErrorOut (when non-null) and returns false.
 bool verifyPrep(const ProgramPrep &PC, const TechniqueSpec *Tech,

@@ -194,9 +194,8 @@ bool checkTyping(const Program &Prog, const ProgramTyping &Typing,
 }
 
 /// The flat image re-derived from its own program and cost model: every
-/// record, mark index, cost-table row, and chain summary must equal
-/// what the constructor computes, with chain cycle sums re-walked in
-/// the exact engines' left-to-right order.
+/// record, mark index, and cost-table row must equal what the
+/// constructor computes.
 bool checkFlat(const FlatImage &F, std::string *Out) {
   const InstrumentedProgram &IP = F.program();
   const Program &Prog = IP.program();
@@ -226,7 +225,6 @@ bool checkFlat(const FlatImage &F, std::string *Out) {
     return M ? static_cast<int32_t>(M - Marks.data()) : -1;
   };
 
-  uint32_t ChainSeen = 0;
   for (uint32_t P = 0; P < F.numProcs(); ++P) {
     const Procedure &Proc = Prog.Procs[P];
     for (uint32_t B = 0; B < Proc.Blocks.size(); ++B) {
@@ -273,10 +271,8 @@ bool checkFlat(const FlatImage &F, std::string *Out) {
           if (FB.Op != FlatOp::Call ||
               FB.Callee != F.offsetOf(static_cast<uint32_t>(Callee)))
             return failWith(Out, place("call record mismatch", P, B));
-        } else if (FB.Op !=
-                   (FB.EdgeMark[0] >= 0 ? FlatOp::Jump : FlatOp::Chain)) {
-          // Chains must cover exactly the mark-free, call-free jumps.
-          return failWith(Out, place("jump/chain op mismatch", P, B));
+        } else if (FB.Op != FlatOp::Jump) {
+          return failWith(Out, place("jump record mismatch", P, B));
         }
         break;
       }
@@ -300,61 +296,8 @@ bool checkFlat(const FlatImage &F, std::string *Out) {
           return failWith(Out, place("ret record mismatch", P, B));
         break;
       }
-
-      if (FB.Op != FlatOp::Chain)
-        continue;
-
-      // Chain well-formedness. Rows are assigned sequentially in block
-      // order; summaries obey the suffix recurrence; and the fused
-      // cycle sums must equal a fresh left-to-right walk bit for bit.
-      if (FB.ChainRow != ChainSeen * Stride)
-        return failWith(Out, place("chain row out of order", P, B));
-      ++ChainSeen;
-      const FlatBlock &S = F.block(FB.Succ[0]);
-      if (FB.ChainBlocks == 0) {
-        // No summary: only legal when the record feeds a mark-free jump
-        // cycle, i.e. its successor is another summary-less chain.
-        if (S.Op != FlatOp::Chain || S.ChainBlocks != 0)
-          return failWith(
-              Out, place("summary-less chain does not feed a cycle", P, B));
-        continue;
-      }
-      if (S.Op == FlatOp::Chain) {
-        if (S.ChainBlocks == 0 || S.ChainBlocks + 1 != FB.ChainBlocks ||
-            FB.ChainInsts != FB.Insts + S.ChainInsts ||
-            FB.ChainExit != S.ChainExit)
-          return failWith(Out, place("chain suffix mismatch", P, B));
-      } else if (FB.ChainBlocks != 1 || FB.ChainInsts != FB.Insts ||
-                 FB.ChainExit != FB.Succ[0]) {
-        return failWith(Out, place("chain tail mismatch", P, B));
-      }
-      if (F.block(FB.ChainExit).Op == FlatOp::Chain)
-        return failWith(Out, place("chain exit is a chain record", P, B));
-      for (uint32_t Cfg = 0; Cfg < Stride; ++Cfg) {
-        double Sum = 0.0;
-        uint32_t Cur = G;
-        for (uint32_t Step = 0; Step < FB.ChainBlocks; ++Step) {
-          const FlatBlock &W = F.block(Cur);
-          if (W.Op != FlatOp::Chain)
-            return failWith(Out,
-                            place("chain walk leaves chain early", P, B));
-          Sum += F.cycleTable()[W.CycleRow + Cfg];
-          Cur = W.Succ[0];
-        }
-        if (Cur != FB.ChainExit)
-          return failWith(Out, place("chain walk exit mismatch", P, B));
-        if (!bitEqual(Sum, F.chainCycleTable()[FB.ChainRow + Cfg]))
-          return failWith(
-              Out,
-              place("chain cycle sum differs from exact walk", P, B));
-        if (!onCycleGrid(Sum))
-          return failWith(Out, place("chain cycle sum off the cycle grid",
-                                     P, B));
-      }
     }
   }
-  if (ChainSeen != F.chainRecordCount())
-    return failWith(Out, "chain record count mismatch");
   return true;
 }
 

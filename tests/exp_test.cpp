@@ -103,7 +103,6 @@ void expectSuitesIdentical(const PreparedSuite &A, const PreparedSuite &B) {
                          B.Costs[I]->blockCycles(Proc.Id, BB.Id, 0, 1));
       }
     EXPECT_EQ(A.Flats[I]->numBlocks(), B.Flats[I]->numBlocks());
-    EXPECT_EQ(A.Flats[I]->chainRecordCount(), B.Flats[I]->chainRecordCount());
   }
 }
 
@@ -251,6 +250,21 @@ TEST(SweepTest, CachedSweepSkipsRePreparation) {
   EXPECT_GT(R.Cells[0].Run.InstructionsRetired, 0u);
 }
 
+namespace {
+
+/// Field-exact equality of two fairness summaries.
+void expectFairIdentical(const FairnessMetrics &A, const FairnessMetrics &B) {
+  EXPECT_EQ(A.MaxFlow, B.MaxFlow);
+  EXPECT_EQ(A.MaxStretch, B.MaxStretch);
+  EXPECT_EQ(A.AvgProcessTime, B.AvgProcessTime);
+  EXPECT_EQ(A.P95Flow, B.P95Flow);
+  EXPECT_EQ(A.Jobs, B.Jobs);
+}
+
+} // namespace
+
+// Every sweep cell, its baseline, and the Comparison assembled from them
+// equal direct replays of the same queues and their fairness metrics.
 TEST(SweepTest, CellsBitIdenticalToDirectLabRuns) {
   Lab L(smallSuite(), MachineConfig::quadAsymmetric());
   SweepGrid G;
@@ -261,44 +275,31 @@ TEST(SweepTest, CellsBitIdenticalToDirectLabRuns) {
   ASSERT_EQ(R.Baselines.size(), 2u);
 
   Lab Fresh(smallSuite(), MachineConfig::quadAsymmetric());
-  for (const SweepCell &Cell : R.Cells) {
-    const WorkloadSpec &Spec = G.Workloads[Cell.Workload];
-    PreparedSuite Suite = Fresh.suite(G.Techniques[Cell.Technique]);
+  auto DirectRun = [&](const TechniqueSpec &Tech, const WorkloadSpec &Spec) {
+    PreparedSuite Suite = Fresh.suite(Tech);
     Workload W = Workload::random(Spec.Slots, Spec.JobsPerSlot,
                                   Fresh.programs().size(), Spec.Seed);
-    RunResult Direct = runWorkload(Suite, W, Fresh.machine(), Fresh.sim(),
-                                   Spec.Horizon, Fresh.isolated());
-    expectRunsIdentical(Cell.Run, Direct);
-  }
+    return runWorkload(Suite, W, Fresh.machine(), Fresh.sim(), Spec.Horizon,
+                       Fresh.isolated());
+  };
+  std::vector<RunResult> DirectBases;
   for (size_t WIdx = 0; WIdx < G.Workloads.size(); ++WIdx) {
-    const WorkloadSpec &Spec = G.Workloads[WIdx];
-    PreparedSuite Base = Fresh.suite(TechniqueSpec::baseline());
-    Workload W = Workload::random(Spec.Slots, Spec.JobsPerSlot,
-                                  Fresh.programs().size(), Spec.Seed);
-    RunResult Direct = runWorkload(Base, W, Fresh.machine(), Fresh.sim(),
-                                   Spec.Horizon, Fresh.isolated());
-    expectRunsIdentical(R.Baselines[WIdx], Direct);
+    DirectBases.push_back(
+        DirectRun(TechniqueSpec::baseline(), G.Workloads[WIdx]));
+    expectRunsIdentical(R.Baselines[WIdx], DirectBases.back());
   }
-}
+  for (const SweepCell &Cell : R.Cells) {
+    RunResult Direct = DirectRun(G.Techniques[Cell.Technique],
+                                 G.Workloads[Cell.Workload]);
+    expectRunsIdentical(Cell.Run, Direct);
 
-TEST(SweepTest, ComparisonMatchesLabCompare) {
-  Lab L(smallSuite(), MachineConfig::quadAsymmetric());
-  SweepGrid G;
-  G.Techniques = {loopTechnique()};
-  G.Workloads = {{4, 20, 5, 512}};
-  SweepResult R = runSweep(L, G);
-  Comparison FromSweep = R.comparison(R.Cells[0]);
-
-  Lab Fresh(smallSuite(), MachineConfig::quadAsymmetric());
-  Comparison Direct = Fresh.compare(loopTechnique(), 4, 20, 5);
-  EXPECT_EQ(FromSweep.Tuned.InstructionsRetired,
-            Direct.Tuned.InstructionsRetired);
-  EXPECT_EQ(FromSweep.Base.InstructionsRetired,
-            Direct.Base.InstructionsRetired);
-  EXPECT_DOUBLE_EQ(FromSweep.TunedFair.MaxStretch,
-                   Direct.TunedFair.MaxStretch);
-  EXPECT_DOUBLE_EQ(FromSweep.throughputImprovement(),
-                   Direct.throughputImprovement());
+    Comparison C = R.comparison(Cell);
+    const RunResult &DirectBase = DirectBases[Cell.Workload];
+    expectRunsIdentical(C.Base, DirectBase);
+    expectRunsIdentical(C.Tuned, Direct);
+    expectFairIdentical(C.BaseFair, computeFairness(DirectBase.Completed));
+    expectFairIdentical(C.TunedFair, computeFairness(Direct.Completed));
+  }
 }
 
 // The scheduler axis multiplies cells but NOT preparations: policies
@@ -493,7 +494,7 @@ TEST(JsonTest, NumbersRoundTrip) {
 namespace {
 
 /// Bitwise comparison of every numeric table of two suites: flat-image
-/// cycle and chain tables compared with memcmp over the raw doubles, so
+/// cycle tables compared with memcmp over the raw doubles, so
 /// round-trips are proven bit-identical, not just approximately equal.
 void expectTablesBitIdentical(const PreparedSuite &A,
                               const PreparedSuite &B) {
@@ -503,17 +504,11 @@ void expectTablesBitIdentical(const PreparedSuite &A,
     const FlatImage &FB = *B.Flats[I];
     ASSERT_EQ(FA.numBlocks(), FB.numBlocks());
     ASSERT_EQ(FA.configStride(), FB.configStride());
-    ASSERT_EQ(FA.chainRecordCount(), FB.chainRecordCount());
     size_t CycleBytes =
         static_cast<size_t>(FA.numBlocks()) * FA.configStride() *
         sizeof(double);
     EXPECT_EQ(0,
               std::memcmp(FA.cycleTable(), FB.cycleTable(), CycleBytes));
-    size_t ChainBytes =
-        static_cast<size_t>(FA.chainRecordCount()) * FA.configStride() *
-        sizeof(double);
-    EXPECT_EQ(0, std::memcmp(FA.chainCycleTable(), FB.chainCycleTable(),
-                             ChainBytes));
     // Block records are compared through their serialized byte streams:
     // field-exact, without touching the structs' (indeterminate)
     // padding bytes.

@@ -4,9 +4,9 @@
 // block-at-a-time reference interpreter: on randomized programs, across
 // machines with two and three core types, instrumented or not, every
 // ProcessStats field (including the floating-point ones) and every
-// completion time must be bit-identical. That holds on chain-heavy
-// programs (long mark-free jump runs the engine charges in O(1)) and
-// under migration churn of the hot-lane configuration-offset cache. The
+// completion time must be bit-identical. That holds on jump-heavy
+// programs (long mark-free jump runs) and under migration churn of the
+// hot-lane configuration-offset cache. The
 // parallel experiment runner must likewise reproduce the serial runner
 // bit-for-bit.
 //
@@ -37,10 +37,9 @@ namespace {
 /// Generates a random but guaranteed-terminating program: within a
 /// procedure control only moves forward, self-loops finitely, or
 /// returns; calls target strictly later procedures (acyclic call graph).
-/// Jump runs give the chain builder real superblocks to fuse;
-/// \p ChainHeavy turns the generator's conditional branches into jumps
-/// too, lengthening the mark-free runs the flat engine fuses.
-Program randomProgram(uint64_t Seed, bool ChainHeavy = false) {
+/// \p JumpHeavy turns the generator's conditional branches into jumps
+/// too, lengthening the mark-free straight-line runs.
+Program randomProgram(uint64_t Seed, bool JumpHeavy = false) {
   Rng Gen(Seed);
   IRBuilder B("random_" + std::to_string(Seed), Seed);
   uint32_t NumProcs = 2 + static_cast<uint32_t>(Gen.nextBelow(3));
@@ -75,8 +74,8 @@ Program randomProgram(uint64_t Seed, bool ChainHeavy = false) {
         continue;
       }
       double Roll = Gen.nextDouble();
-      if (Roll < (ChainHeavy ? 0.5 : 0.3)) {
-        B.setJump(P, I, I + 1); // Chainable straight-line step.
+      if (Roll < (JumpHeavy ? 0.5 : 0.3)) {
+        B.setJump(P, I, I + 1); // Straight-line step.
       } else if (Roll < 0.5) {
         uint32_t Other =
             I + 1 + static_cast<uint32_t>(Gen.nextBelow(N - I - 1));
@@ -171,52 +170,6 @@ TEST(FlatImage, GlobalIdsFollowProcOffsets) {
     }
     Expected += static_cast<uint32_t>(P.Blocks.size());
   }
-}
-
-TEST(FlatImage, ChainSummariesMatchManualWalk) {
-  Program Prog = randomProgram(11);
-  auto Cost = std::make_shared<const CostModel>(
-      Prog, MachineConfig::quadAsymmetric());
-  MarkingResult Empty;
-  Empty.NumTypes = 1;
-  Empty.RegionType.resize(Prog.Procs.size());
-  auto IP =
-      std::make_shared<const InstrumentedProgram>(Prog, std::move(Empty));
-  FlatImage FI(IP, Cost);
-
-  uint32_t ChainRecords = 0;
-  for (uint32_t G = 0; G < FI.numBlocks(); ++G) {
-    const FlatBlock &F = FI.block(G);
-    if (F.Op != FlatOp::Chain)
-      continue;
-    ++ChainRecords;
-    ASSERT_GT(F.ChainBlocks, 0u) << "terminating program: chains exit";
-    // Walk the chain by hand and check the fused summary.
-    uint64_t Insts = 0;
-    uint32_t Blocks = 0;
-    uint32_t Cur = G;
-    while (FI.block(Cur).Op == FlatOp::Chain) {
-      Insts += FI.block(Cur).Insts;
-      ++Blocks;
-      Cur = FI.block(Cur).Succ[0];
-    }
-    EXPECT_EQ(F.ChainBlocks, Blocks);
-    EXPECT_EQ(F.ChainInsts, Insts);
-    EXPECT_EQ(F.ChainExit, Cur);
-    // Summed cycles for every configuration.
-    for (uint32_t Cfg = 0; Cfg < FI.configStride(); ++Cfg) {
-      double Expect = 0;
-      for (uint32_t Walk = G; FI.block(Walk).Op == FlatOp::Chain;
-           Walk = FI.block(Walk).Succ[0])
-        Expect += FI.cycleTable()[FI.block(Walk).CycleRow + Cfg];
-      // Exact: costs sit on the dyadic cycle grid, so the suffix sums
-      // the builder stores equal this left-to-right walk bit for bit.
-      EXPECT_EQ(FI.chainCycleTable()[F.ChainRow + Cfg], Expect);
-      EXPECT_TRUE(onCycleGrid(Expect));
-    }
-  }
-  EXPECT_EQ(ChainRecords, FI.chainRecordCount());
-  EXPECT_GT(ChainRecords, 0u) << "generator should produce jump runs";
 }
 
 TEST(FlatEngine, BitIdenticalToReferenceIsolated) {
@@ -1590,13 +1543,25 @@ TEST(InWindowStep, ShapeOnlyPolicyReadsQueueOrder) {
 }
 
 //===----------------------------------------------------------------------===//
-// Chain fusion on chain-heavy programs
+// Jump-heavy programs
 //===----------------------------------------------------------------------===//
 
-TEST(ChainFusion, ChainHeavyIsolatedBitIdentical) {
+namespace {
+
+/// Call-free jump records whose edge carries no mark.
+uint32_t markFreeJumps(const FlatImage &FI) {
+  uint32_t Count = 0;
+  for (uint32_t G = 0; G < FI.numBlocks(); ++G)
+    Count += FI.block(G).Op == FlatOp::Jump && FI.block(G).EdgeMark[0] < 0;
+  return Count;
+}
+
+} // namespace
+
+TEST(JumpHeavy, IsolatedBitIdentical) {
   uint64_t TotalMarks = 0;
   uint64_t TotalSwitches = 0;
-  uint32_t ChainRecords = 0;
+  uint32_t MarkFreeJumps = 0;
   for (uint64_t Seed : {1ull, 2ull, 3ull, 4ull, 5ull, 6ull}) {
     std::vector<Program> Programs = {randomProgram(Seed, true)};
     for (const MachineConfig &MC :
@@ -1604,7 +1569,7 @@ TEST(ChainFusion, ChainHeavyIsolatedBitIdentical) {
       for (const TechniqueSpec &Tech :
            {TechniqueSpec::baseline(), loopTechnique()}) {
         PreparedSuite Suite = prepareSuite(Programs, MC, Tech);
-        ChainRecords += Suite.Flats[0]->chainRecordCount();
+        MarkFreeJumps += markFreeJumps(*Suite.Flats[0]);
         SimConfig Ref;
         Ref.Engine = ExecEngine::Reference;
         SimConfig Flat;
@@ -1623,20 +1588,24 @@ TEST(ChainFusion, ChainHeavyIsolatedBitIdentical) {
       }
     }
   }
-  // The sweep must exercise chains and the monitored and migrating
-  // paths, or the comparison proves nothing about them.
-  EXPECT_GT(ChainRecords, 0u);
+  // The sweep must exercise mark-free jumps and the monitored and
+  // migrating paths, or the comparison proves nothing about them.
+  EXPECT_GT(MarkFreeJumps, 0u);
   EXPECT_GT(TotalMarks, 0u);
   EXPECT_GT(TotalSwitches, 0u);
 }
 
-TEST(ChainFusion, ChainHeavyWorkloadBitIdentical) {
+TEST(JumpHeavy, WorkloadBitIdentical) {
   std::vector<Program> Programs;
   for (uint64_t Seed : {21ull, 22ull, 23ull})
     Programs.push_back(randomProgram(Seed, true));
   for (const MachineConfig &MC :
        {MachineConfig::quadAsymmetric(), threeTypeMachine()}) {
     PreparedSuite Suite = prepareSuite(Programs, MC, loopTechnique());
+    uint32_t MarkFreeJumps = 0;
+    for (const auto &Flat : Suite.Flats)
+      MarkFreeJumps += markFreeJumps(*Flat);
+    EXPECT_GT(MarkFreeJumps, 0u);
     Workload W = Workload::random(6, 64, Programs.size(), 9);
     SimConfig Ref;
     Ref.Engine = ExecEngine::Reference;

@@ -1,6 +1,6 @@
 //===- tests/incremental_test.cpp - per-program incremental store ---------===//
 //
-// The incremental half of the persistent cache: `pbt-prog-v1` entries
+// The incremental half of the persistent cache: `pbt-prog-v2` entries
 // round-trip bit-identically, adding one benchmark to a cached suite
 // re-prepares exactly that benchmark, programs dedupe across suites,
 // corrupt prog entries quarantine and heal, and gc/version cleanup

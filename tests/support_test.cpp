@@ -192,24 +192,23 @@ TEST(Env, ScaleDefaultsAndClamps) {
   unsetenv("PBT_SCALE");
   unsetenv("PBT_BENCH_SCALE");
   EXPECT_DOUBLE_EQ(envScale(1.0), 1.0);
+  // PBT_SCALE is not a scale knob: alone, it changes nothing.
   setenv("PBT_SCALE", "0.5", 1);
+  EXPECT_DOUBLE_EQ(envScale(1.0), 1.0);
+  unsetenv("PBT_SCALE");
+  setenv("PBT_BENCH_SCALE", "0.5", 1);
   EXPECT_DOUBLE_EQ(envScale(), 0.5);
-  setenv("PBT_SCALE", "bogus", 1);
+  setenv("PBT_BENCH_SCALE", "bogus", 1);
   EXPECT_DOUBLE_EQ(envScale(2.0), 2.0);
   // strtod parses "nan", which slips past every range comparison.
-  setenv("PBT_SCALE", "nan", 1);
+  setenv("PBT_BENCH_SCALE", "nan", 1);
   EXPECT_DOUBLE_EQ(envScale(2.0), 2.0);
-  setenv("PBT_SCALE", "-nan", 1);
+  setenv("PBT_BENCH_SCALE", "-nan", 1);
   EXPECT_DOUBLE_EQ(envScale(2.0), 2.0);
-  setenv("PBT_SCALE", "0.0001", 1);
+  setenv("PBT_BENCH_SCALE", "0.0001", 1);
   EXPECT_DOUBLE_EQ(envScale(), 0.01);
-  setenv("PBT_SCALE", "1000", 1);
+  setenv("PBT_BENCH_SCALE", "1000", 1);
   EXPECT_DOUBLE_EQ(envScale(), 100);
-  // PBT_BENCH_SCALE is the primary name and wins over the legacy alias.
-  setenv("PBT_BENCH_SCALE", "0.25", 1);
-  EXPECT_DOUBLE_EQ(envScale(), 0.25);
-  unsetenv("PBT_BENCH_SCALE");
-  unsetenv("PBT_SCALE");
   setenv("PBT_BENCH_SCALE", "2", 1);
   EXPECT_DOUBLE_EQ(envScale(), 2.0);
   unsetenv("PBT_BENCH_SCALE");
