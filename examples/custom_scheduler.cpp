@@ -29,6 +29,12 @@ namespace {
 /// into a longer queue), so neither type starves.
 class WindowIpcScheduler : public SchedulerPolicy {
 public:
+  /// selectCore reads queue lengths and masks; balance also reads
+  /// telemetry, and queue order only through the settling
+  /// Machine::queue. So the machine need not settle deferred cores
+  /// before each call.
+  PolicyReads reads() const override { return PolicyReads::Telemetry; }
+
   uint32_t selectCore(const Machine &M, const Process &P) override {
     uint32_t Best = UINT32_MAX;
     uint32_t BestLen = UINT32_MAX;
@@ -55,9 +61,11 @@ public:
         Slow = Ct;
     }
     for (uint32_t Core = 0; Core < Cfg.numCores(); ++Core) {
-      // Snapshot the queue: moves invalidate iteration.
-      std::vector<uint32_t> Pids(M.queue(Core).begin(),
-                                 M.queue(Core).end());
+      // Snapshot the queue: moves invalidate iteration. Which process
+      // moves first depends on the order, so it is read through the
+      // non-const (settling) queue().
+      const std::deque<uint32_t> &Queue = M.queue(Core);
+      std::vector<uint32_t> Pids(Queue.begin(), Queue.end());
       for (uint32_t Pid : Pids) {
         const SchedTelemetry &T = M.telemetry(Pid);
         if (T.WindowIpc == 0)

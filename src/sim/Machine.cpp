@@ -53,7 +53,7 @@ Machine::Machine(MachineConfig ConfigIn, SimConfig SimIn,
   assert(Config.numCores() >= 1 && Config.numCores() <= 64 &&
          "machine must have 1..64 cores");
   assert(Policy && "machine needs a scheduling policy");
-  PolicyShapeOnly = Policy->shapeOnly();
+  Reads = Policy->reads();
   uint32_t NumGroups = 0;
   for (const CoreDesc &Core : Config.Cores)
     NumGroups = std::max(NumGroups, Core.L2Group + 1);
@@ -93,7 +93,7 @@ uint32_t Machine::spawn(std::shared_ptr<const InstrumentedProgram> IProg,
   Telem.push_back(std::move(T));
   // The policy sees the process before its first placement and may
   // narrow the affinity mask (OS-level static assignment).
-  if (!PolicyShapeOnly)
+  if (Reads == PolicyReads::Anything)
     settleAll();
   Policy->onSpawn(*this, *Procs[Pid]);
   assert((Procs[Pid]->AffinityMask & Config.allCoresMask()) != 0 &&
@@ -106,14 +106,14 @@ uint32_t Machine::spawn(std::shared_ptr<const InstrumentedProgram> IProg,
 
 uint32_t Machine::placeProcess(uint32_t Pid) {
   Process &P = *Procs[Pid];
-  // Deferred windows keep queue lengths, so a shape-only policy places
-  // on unsettled state; only the receiving core must settle.
-  if (!PolicyShapeOnly)
+  // Deferred windows keep queue lengths, so a policy that does not read
+  // Anything places on unsettled state, and the process joins the
+  // receiving core's window if it holds one.
+  if (Reads == PolicyReads::Anything)
     settleAll();
   uint32_t Core = Policy->selectCore(*this, P);
   assert(P.allowedOn(Core) && "policy violated the affinity mask");
-  settle(Core);
-  Queues[Core].push_back(Pid);
+  enqueue(Core, Pid);
   ShapeDirty = true;
   return Core;
 }
@@ -142,13 +142,12 @@ bool Machine::moveQueued(uint32_t Pid, uint32_t FromCore, uint32_t ToCore) {
   if (!P.allowedOn(ToCore))
     return false;
   settle(FromCore);
-  settle(ToCore);
   auto &From = Queues[FromCore];
   auto It = std::find(From.begin(), From.end(), Pid);
   if (It == From.end())
     return false;
   From.erase(It);
-  Queues[ToCore].push_back(Pid);
+  enqueue(ToCore, Pid);
   ShapeDirty = true;
   if (Trace)
     // Policy reassignment with its IPC evidence (the last execution
@@ -219,10 +218,11 @@ void Machine::run(double Until) {
       if (balanceSkippable()) {
         ++BalanceSkipped;
       } else {
-        // A shape-only policy runs on deferred state: what it reads is
-        // exact there, and the order it may read settles on demand
+        // A policy that does not read Anything runs on deferred state:
+        // what it reads is exact there or caught up on demand
+        // (telemetry()), and the order it may read settles on demand
         // (queue(), pullTail, moveQueued).
-        if (!PolicyShapeOnly)
+        if (Reads == PolicyReads::Anything)
           settleAll();
         ShapeDirty = false;
         Policy->balance(*this);
@@ -371,7 +371,7 @@ void Machine::finishTurn(uint32_t Core, Process &P, const AdvanceResult &R) {
       // Timestamped at the quantum start (CompletionTime is
       // cycle-derived; traces use quantized time only).
       Trace->exitProcess(Trace->cycles(Now), Pid, P.Stats.InstsRetired);
-    if (!PolicyShapeOnly)
+    if (Reads == PolicyReads::Anything)
       settleAll();
     Policy->onExit(*this, P);
     if (OnExit) {
@@ -464,7 +464,9 @@ uint64_t selfLoopRun(double Used, double Budget, double C,
 class TurnsInWindow {
 public:
   TurnsInWindow(uint64_t S, uint64_t Len) : Whole(S / Len), Rest(S % Len) {}
-  uint64_t operator()(uint64_t Pos) const { return Whole + (Pos < Rest); }
+  int64_t operator()(uint64_t Pos) const {
+    return static_cast<int64_t>(Whole + (Pos < Rest));
+  }
 
 private:
   uint64_t Whole;
@@ -541,6 +543,7 @@ bool Machine::openWindow(uint32_t Core) {
   W.End = Quantum + S;
   W.Active = Active;
   W.Busy = Busy;
+  W.CaughtUp = UINT64_MAX;
   ++WindowsOpened;
   return true;
 }
@@ -549,17 +552,20 @@ double Machine::windowBusy(uint32_t Core, uint64_t Quanta) const {
   // Grid sums are exact below ExactCycleBound, so k turns charged as
   // one product equal k adds only while each accumulator stays below
   // it. Checked from the current values for every turn not charged
-  // yet, so every prefix a settle charges is exact too.
+  // yet, so every prefix a settle or catch-up charges is exact too.
+  // Owed turns make any position pending, whatever Quanta is.
   const std::deque<uint32_t> &Q = Queues[Core];
   uint64_t Len = Q.size();
   uint32_t Ct = coreType(Core);
   double Busy = BusyCycles[Core];
   TurnsInWindow Turns(Quanta, Len);
-  for (uint64_t Pos = 0; Pos < Len && Pos < Quanta; ++Pos) {
+  for (uint64_t Pos = 0; Pos < Len; ++Pos) {
     const Process &P = *Procs[Q[Pos]];
     const HotProc &H = Hot[P.Pid];
-    double Charge =
-        static_cast<double>(Turns(Pos) - H.WindowTurns) * H.SteadyCharge;
+    int64_t Pending = Turns(Pos) - H.WindowTurns;
+    if (Pending == 0)
+      continue;
+    double Charge = static_cast<double>(Pending) * H.SteadyCharge;
     Busy += Charge;
     if (!(Busy < ExactCycleBound) ||
         !(P.Stats.CyclesConsumed + Charge < ExactCycleBound) ||
@@ -570,15 +576,16 @@ double Machine::windowBusy(uint32_t Core, uint64_t Quanta) const {
   return Busy;
 }
 
-void Machine::chargeSteady(uint32_t Core, Process &P, uint64_t Turns) {
+void Machine::chargeSteady(uint32_t Core, Process &P, int64_t Turns) {
+  assert(Turns >= 0 && "a window never charges a turn twice");
   if (Turns == 0)
     return;
   HotProc &H = Hot[P.Pid];
   H.WindowTurns += Turns;
-  uint64_t Insts = Turns * H.SteadyInsts;
+  uint64_t Insts = static_cast<uint64_t>(Turns) * H.SteadyInsts;
   double Charge = static_cast<double>(Turns) * H.SteadyCharge;
   P.Stats.InstsRetired += Insts;
-  P.Stats.BlocksExecuted += Turns * H.SteadyIters;
+  P.Stats.BlocksExecuted += static_cast<uint64_t>(Turns) * H.SteadyIters;
   P.Stats.CyclesConsumed += Charge;
   BusyCycles[Core] += Charge;
   if (P.MonActive) {
@@ -588,7 +595,7 @@ void Machine::chargeSteady(uint32_t Core, Process &P, uint64_t Turns) {
   // CpuSeconds adds Charge/Freq, which is off the grid: replay the
   // per-turn adds so rounding happens exactly as when stepping.
   double TurnSeconds = H.SteadyCharge / coreFrequency(Core);
-  for (uint64_t Turn = 0; Turn < Turns; ++Turn)
+  for (int64_t Turn = 0; Turn < Turns; ++Turn)
     P.Stats.CpuSeconds += TurnSeconds;
   uint32_t Ct = coreType(Core);
   SchedTelemetry &T = Telem[P.Pid];
@@ -613,9 +620,9 @@ bool Machine::stepInWindow(uint32_t Core) {
   uint64_t Front = Elapsed % Len;
   Process &P = *Procs[Q[Front]];
   HotProc &H = Hot[P.Pid];
-  // The process's steady turns before this one first, so its adds keep
-  // their stepping order.
-  chargeSteady(Core, P, Elapsed / Len - H.WindowTurns);
+  // The process's steady turns before this one first, owed ones
+  // included, so its adds keep their stepping order.
+  chargeSteady(Core, P, static_cast<int64_t>(Elapsed / Len) - H.WindowTurns);
   AdvanceResult R = advanceProcess(P, Core, Sim.Timeslice * coreFrequency(Core),
                                    W.Active);
   // Every turn the window planned lies before this quantum, so W.Busy
@@ -637,28 +644,43 @@ bool Machine::stepInWindow(uint32_t Core) {
   W.Busy += R.CyclesUsed;
   ++H.WindowTurns;
   ++WindowSteps;
-  // Re-plan: the process at position i breaks the schedule at its turn
-  // WindowTurns + T_i, in quantum i + len * that. Only P's T changed;
-  // the others' are cached from the window's opening.
+  // Re-plan. Only P's T changed; the others' are cached from the
+  // window's opening or their joining it. Through this quantum every
+  // charge is exact.
   steadyTurns(P, Core, W.Active);
+  planEnd(Core, Quantum + 1);
+  return true;
+}
+
+void Machine::planEnd(uint32_t Core, uint64_t Floor) {
+  CoreWindow &W = Windows[Core];
+  const std::deque<uint32_t> &Q = Queues[Core];
+  uint64_t Len = Q.size();
+  // The process at position i breaks the schedule at its turn
+  // WindowTurns + T_i, in quantum Start + i + len * that; owed turns
+  // were steady, so that turn never lies before Start.
   uint64_t End = UINT64_MAX;
   for (uint64_t Pos = 0; Pos < Len; ++Pos) {
     const HotProc &O = Hot[Q[Pos]];
-    End = std::min(End, W.Start + Pos + Len * (O.WindowTurns + O.SteadyTurns));
+    int64_t Turn = O.WindowTurns + O.SteadyTurns;
+    assert(Turn >= 0 && "owed turns are steady");
+    End = std::min(End, W.Start + Pos + Len * static_cast<uint64_t>(Turn));
   }
-  // Through this quantum every charge is exact; halve what lies beyond
-  // until it is too.
-  uint64_t Next = Quantum + 1;
-  while (End > Next) {
+  // Halve what lies past Floor until it is exact too.
+  while (End > Floor) {
     double Busy = windowBusy(Core, End - W.Start);
     if (Busy < ExactCycleBound) {
       W.Busy = Busy;
       break;
     }
-    End = Next + (End - Next) / 2;
+    End = Floor + (End - Floor) / 2;
+  }
+  if (End == W.Start) {
+    // Nothing but owed turns: a prefix of what an earlier plan checked.
+    W.Busy = windowBusy(Core, 0);
+    assert(W.Busy < ExactCycleBound && "owed turns were planned exact");
   }
   W.End = End;
-  return true;
 }
 
 void Machine::settle(uint32_t Core) {
@@ -674,17 +696,65 @@ void Machine::settle(uint32_t Core) {
   uint64_t Quanta = Quantum + (Ran ? 1 : 0) - W.Start;
   QuantaFused += Quanta;
   std::deque<uint32_t> &Q = Queues[Core];
-  uint64_t Len = Q.size();
-  assert(Len > 0 && "windows open on busy cores only");
+  assert(!Q.empty() && "windows open on busy cores only");
   if (Ran)
     Used[Core] = Sim.Timeslice * coreFrequency(Core);
+  chargeWindow(Core, Quanta);
+  std::rotate(Q.begin(),
+              Q.begin() + static_cast<ptrdiff_t>(Quanta % Q.size()), Q.end());
+}
+
+void Machine::chargeWindow(uint32_t Core, uint64_t Quanta) {
+  // Every position: owed turns are pending even where Quanta gives the
+  // position none.
+  const std::deque<uint32_t> &Q = Queues[Core];
+  uint64_t Len = Q.size();
   TurnsInWindow Turns(Quanta, Len);
-  for (uint64_t Pos = 0; Pos < Len && Pos < Quanta; ++Pos) {
+  for (uint64_t Pos = 0; Pos < Len; ++Pos) {
     Process &P = *Procs[Q[Pos]];
     chargeSteady(Core, P, Turns(Pos) - Hot[P.Pid].WindowTurns);
   }
-  std::rotate(Q.begin(), Q.begin() + static_cast<ptrdiff_t>(Quanta % Len),
+}
+
+void Machine::catchUp(uint32_t Core) {
+  CoreWindow &W = Windows[Core];
+  // The visit-order rule of settle: the core's turn in this quantum has
+  // run when the core is below VisitPos.
+  uint64_t Through = Quantum + (Core < VisitPos ? 1 : 0);
+  if (W.CaughtUp == Through)
+    return;
+  W.CaughtUp = Through;
+  ++WindowCatchUps;
+  chargeWindow(Core, Through - W.Start);
+}
+
+void Machine::enqueue(uint32_t Core, uint32_t Pid) {
+  CoreWindow &W = Windows[Core];
+  std::deque<uint32_t> &Q = Queues[Core];
+  if (!W.Open) {
+    Q.push_back(Pid);
+    return;
+  }
+  uint64_t Len = Q.size();
+  // Re-base at the first quantum the newcomer can run in: after this
+  // one when the core's turn in it has run. The turns of the quanta
+  // before it stay uncharged, owed, and the queue rotates past them as
+  // settle would rotate it.
+  uint64_t Elapsed = Quantum + (Core < VisitPos ? 1 : 0) - W.Start;
+  TurnsInWindow Turns(Elapsed, Len);
+  for (uint64_t Pos = 0; Pos < Len; ++Pos)
+    Hot[Q[Pos]].WindowTurns -= Turns(Pos);
+  std::rotate(Q.begin(), Q.begin() + static_cast<ptrdiff_t>(Elapsed % Len),
               Q.end());
+  QuantaFused += Elapsed;
+  W.Start += Elapsed;
+  Q.push_back(Pid);
+  Hot[Pid].WindowTurns = 0;
+  steadyTurns(*Procs[Pid], Core, W.Active);
+  ++WindowAbsorbs;
+  // The owed turns are a prefix of the turns the window was planned
+  // with, so charging them is exact.
+  planEnd(Core, W.Start);
 }
 
 void Machine::settleAll() {
@@ -713,8 +783,12 @@ Machine::AdvanceResult Machine::advanceProcessFlat(Process &P, uint32_t Core,
   // function of (core type, sharers), so caching cannot change results.
   uint32_t CfgOff = configOffsetCached(P, Core, Sharers);
   uint32_t Cur = P.CurGlobal;
+  // The cycle sum lives in a register, written to R once per exit:
+  // through R, or with its address taken, it would be stored and
+  // reloaded on every block. Marks add their overhead through a copy.
+  double Used = 0;
 
-  while (!P.Finished && R.CyclesUsed < BudgetCycles) {
+  while (!P.Finished && Used < BudgetCycles) {
     const FlatBlock *B = &Blk[Cur];
     double Cycles = Cyc[B->CycleRow + CfgOff];
     uint32_t Insts = B->Insts;
@@ -726,11 +800,10 @@ Machine::AdvanceResult Machine::advanceProcessFlat(Process &P, uint32_t Core,
       uint32_t &Rem = P.LoopRemaining[Cur];
       uint32_t Left = Rem == 0 ? B->TripCount : Rem;
       if (Left > 1) {
-        uint64_t K =
-            selfLoopRun(R.CyclesUsed, BudgetCycles, Cycles, Left - 1);
+        uint64_t K = selfLoopRun(Used, BudgetCycles, Cycles, Left - 1);
         double Charge = static_cast<double>(K) * Cycles;
-        if (exactCharge(P, R.CyclesUsed, Charge)) {
-          R.CyclesUsed += Charge;
+        if (exactCharge(P, Used, Charge)) {
+          Used += Charge;
           P.Stats.InstsRetired += K * Insts;
           P.Stats.BlocksExecuted += K;
           if (P.MonActive) {
@@ -743,7 +816,7 @@ Machine::AdvanceResult Machine::advanceProcessFlat(Process &P, uint32_t Core,
       }
     }
 
-    R.CyclesUsed += Cycles;
+    Used += Cycles;
     P.Stats.InstsRetired += Insts;
     ++P.Stats.BlocksExecuted;
     if (P.MonActive) {
@@ -758,18 +831,14 @@ Machine::AdvanceResult Machine::advanceProcessFlat(Process &P, uint32_t Core,
         TakenMark = Marks + B->EdgeMark[0];
       Cur = B->Succ[0];
       break;
-    case FlatOp::Call: {
+    case FlatOp::Call:
+      // The call site's own mark fires now; the continuation edge's
+      // waits for the matching return.
       P.CallStack.push_back(CallFrame{0, 0, B->EdgeMark[0], B->Succ[0]});
-      int32_t CallMark = B->CallMark;
+      if (B->CallMark >= 0)
+        TakenMark = Marks + B->CallMark;
       Cur = B->Callee;
-      if (CallMark >= 0 &&
-          fireMark(P, Marks[CallMark], Core, R.CyclesUsed)) {
-        R.Migrated = true;
-        P.CurGlobal = Cur;
-        return R;
-      }
-      continue;
-    }
+      break;
     case FlatOp::Loop: {
       uint32_t &Rem = P.LoopRemaining[Cur];
       if (Rem == 0)
@@ -800,6 +869,7 @@ Machine::AdvanceResult Machine::advanceProcessFlat(Process &P, uint32_t Core,
       if (P.CallStack.empty()) {
         P.Finished = true;
         R.Finished = true;
+        R.CyclesUsed = Used;
         P.CurGlobal = Cur;
         return R;
       }
@@ -812,12 +882,19 @@ Machine::AdvanceResult Machine::advanceProcessFlat(Process &P, uint32_t Core,
     }
     }
 
-    if (TakenMark && fireMark(P, *TakenMark, Core, R.CyclesUsed)) {
-      R.Migrated = true;
-      P.CurGlobal = Cur;
-      return R;
+    if (TakenMark) {
+      double Cycles = Used;
+      bool Migrate = fireMark(P, *TakenMark, Core, Cycles);
+      Used = Cycles;
+      if (Migrate) {
+        R.Migrated = true;
+        R.CyclesUsed = Used;
+        P.CurGlobal = Cur;
+        return R;
+      }
     }
   }
+  R.CyclesUsed = Used;
   P.CurGlobal = Cur;
   return R;
 }

@@ -15,8 +15,8 @@
 /// front it will run sits in a budget-exhausting unmarked self-loop)
 /// defers its quanta and charges them in one step later, bit-identical
 /// to stepping them; a turn that is not steady is stepped inside the
-/// deferred window while the round-robin schedule holds (see
-/// Machine::run).
+/// deferred window while the round-robin schedule holds, and a process
+/// placed on the core joins the window (see Machine::run).
 ///
 /// The phase-tuned and baseline configurations differ *only* in the
 /// program image (marks or no marks), matching the paper's transparent-
@@ -134,11 +134,12 @@ public:
   /// core is deferred the clock jumps to the earliest window end, event,
   /// required balance or \p Until. At its window's end a deferred core
   /// steps the one turn that is not steady and keeps the window open
-  /// when that turn used its whole budget. Balance instants of a
-  /// shape-only policy that cannot move anything are skipped; the
-  /// others run on deferred state. Every window is settled before run()
-  /// returns, and the result is bit-identical to stepping every
-  /// quantum.
+  /// when that turn used its whole budget; a process placed on a
+  /// deferred core joins its window. Balance instants of a Shape policy
+  /// that cannot move anything are skipped; the others run on deferred
+  /// state unless the policy reads Anything (see PolicyReads). Every
+  /// window is settled before run() returns, and the result is
+  /// bit-identical to stepping every quantum.
   void run(double Until);
 
   /// Ends the simulation: the current run() call returns at the end of
@@ -152,15 +153,19 @@ public:
   /// Reference engine and traced runs step them all.
   uint64_t quantaStepped() const { return QuantaStepped; }
   uint64_t quantaFused() const { return QuantaFused; }
-  /// Balance instants skipped because the shape-only policy could not
-  /// move anything there (see SchedulerPolicy::shapeOnly).
+  /// Balance instants skipped because the Shape policy could not move
+  /// anything there (see PolicyReads).
   uint64_t balancesSkipped() const { return BalanceSkipped; }
-  /// Deferred windows opened, windows settled (charged and closed), and
-  /// turns stepped inside a window that stayed open (Plane-2
+  /// Deferred windows opened, windows settled (charged and closed),
+  /// turns stepped inside a window that stayed open, placements that
+  /// joined an open window, and catch-ups that charged a window's due
+  /// turns for a telemetry read without closing it (Plane-2
   /// diagnostics; all 0 on the Reference engine and traced runs).
   uint64_t windowsOpened() const { return WindowsOpened; }
   uint64_t windowSettles() const { return WindowSettles; }
   uint64_t windowSteps() const { return WindowSteps; }
+  uint64_t windowAbsorbs() const { return WindowAbsorbs; }
+  uint64_t windowCatchUps() const { return WindowCatchUps; }
 
   double now() const { return Now; }
 
@@ -198,6 +203,8 @@ public:
   }
   /// Moves a queued process to \p ToCore (affinity permitting); returns
   /// false when the process is not queued on \p FromCore or not allowed.
+  /// \p FromCore is settled; the process joins \p ToCore's window if it
+  /// holds one, as a placement does.
   bool moveQueued(uint32_t Pid, uint32_t FromCore, uint32_t ToCore);
   /// Moves the tail-most (coldest) process queued on \p FromCore that
   /// is allowed on \p ToCore; false when none is. Whether one is does
@@ -209,8 +216,20 @@ public:
   /// and cycles per core type plus the last execution window's IPC —
   /// what an asymmetry-aware OS policy is allowed to observe (see
   /// SchedTelemetry). Maintained for every process; never influences
-  /// the simulation unless a policy acts on it.
+  /// the simulation unless a policy acts on it. The non-const one first
+  /// charges the turns due on \p Pid's deferred core, without closing
+  /// its window, so it is exact at every call; the const one shows the
+  /// stored counters, exact between run() calls and wherever the core
+  /// holds no window.
   const SchedTelemetry &telemetry(uint32_t Pid) const {
+    return Telem[Pid];
+  }
+  const SchedTelemetry &telemetry(uint32_t Pid) {
+    // A process queued in an open window was last priced on its core
+    // (openWindow, stepInWindow and enqueue call steadyTurns).
+    uint32_t Core = Hot[Pid].LastCore;
+    if (Core < Windows.size() && Windows[Core].Open)
+      catchUp(Core);
     return Telem[Pid];
   }
 
@@ -268,8 +287,10 @@ private:
     double SteadyCharge = 0;
     /// Turns of its core's open window already charged to the process
     /// (steady turns and turns stepped inside the window); reset when
-    /// the window opens.
-    uint64_t WindowTurns = 0;
+    /// the window opens or the process joins it. Negative after the
+    /// window is re-based (enqueue): the turns it ran before the new
+    /// start and still owes.
+    int64_t WindowTurns = 0;
   };
 
   /// CfgOff for \p P on (\p Core, \p Sharers), served from the hot
@@ -293,17 +314,22 @@ private:
   uint32_t steadyTurns(const Process &P, uint32_t Core, uint32_t Sharers);
 
   /// A core's deferred window: quanta [Start, End) whose steady turns
-  /// are charged later, in one step, by settle(). The turn at End is
-  /// stepped inside the window (stepInWindow), which may extend it.
+  /// are charged later, in one step, by settle(), plus the turns its
+  /// processes owe from before Start (see HotProc::WindowTurns). The
+  /// turn at End is stepped inside the window (stepInWindow), which
+  /// may extend it.
   struct CoreWindow {
     bool Open = false;
     uint64_t Start = 0;
     uint64_t End = 0;
     /// The L2 group's active-core count the turns were priced at.
     uint32_t Active = 0;
-    /// The core's BusyCycles once every turn in [Start, End) is
-    /// charged.
+    /// The core's BusyCycles once every turn in [Start, End) and every
+    /// owed one is charged.
     double Busy = 0;
+    /// Quanta through which the last catch-up charged the window's
+    /// turns (see catchUp); UINT64_MAX when none did since it opened.
+    uint64_t CaughtUp = UINT64_MAX;
   };
 
   /// True when quanta may be deferred: the Reference interpreter is the
@@ -311,10 +337,10 @@ private:
   bool fusing() const { return Sim.Engine == ExecEngine::Flat && !Trace; }
 
   /// True when the balance instant at hand cannot move anything: the
-  /// policy is shape-only and no queue or mask changed since the last
-  /// balance, which made no move.
+  /// policy reads only Shape and no queue or mask changed since the
+  /// last balance, which made no move.
   bool balanceSkippable() const {
-    return PolicyShapeOnly && !ShapeDirty && fusing();
+    return Reads == PolicyReads::Shape && !ShapeDirty && fusing();
   }
 
   /// Opens a deferred window on the busy \p Core at the current quantum
@@ -324,13 +350,39 @@ private:
   bool openWindow(uint32_t Core);
 
   /// The core's BusyCycles once the turns of \p Core's window through
-  /// its first \p Quanta quanta that are not charged yet are; at least
-  /// ExactCycleBound when charging them would take any accumulator they
-  /// touch to the bound (then the products would not be exact).
+  /// its first \p Quanta quanta, and the owed ones, that are not
+  /// charged yet are; at least ExactCycleBound when charging them would
+  /// take any accumulator they touch to the bound (then the products
+  /// would not be exact).
   double windowBusy(uint32_t Core, uint64_t Quanta) const;
 
+  /// Plans the end of \p Core's window: the first quantum in which a
+  /// turn is not steady, cut by halving what lies past \p Floor until
+  /// charging the window is exact. The window through \p Floor must be
+  /// exact, and W.Busy must hold its busy-cycle sum when \p Floor is
+  /// past W.Start.
+  void planEnd(uint32_t Core, uint64_t Floor);
+
   /// Charges \p Turns steady turns of \p P on \p Core's window.
-  void chargeSteady(uint32_t Core, Process &P, uint64_t Turns);
+  void chargeSteady(uint32_t Core, Process &P, int64_t Turns);
+
+  /// Charges the turns of \p Core's window through its first \p Quanta
+  /// quanta, and the owed ones, that are not charged yet; the window
+  /// stays as it is.
+  void chargeWindow(uint32_t Core, uint64_t Quanta);
+
+  /// Charges the turns \p Core's open window has run so far (through
+  /// the current quantum when the core's turn in it has run), without
+  /// closing, rotating or re-planning it, so its processes' telemetry
+  /// is exact. Once per quantum and visit side.
+  void catchUp(uint32_t Core);
+
+  /// Appends \p Pid to \p Core's queue. When the core holds a window
+  /// the process joins it instead of settling it: the window is
+  /// re-based to start now, the queue rotates by the quanta it has run,
+  /// those quanta's turns stay uncharged as owed turns, and the end is
+  /// re-planned with the newcomer in the rotation.
+  void enqueue(uint32_t Core, uint32_t Pid);
 
   /// Steps, inside \p Core's window, the turn at its planned end: that
   /// of the process whose steady run ends there, or the first turn past
@@ -404,8 +456,8 @@ private:
   double Now = 0;
   double NextBalance = 0;
   bool StopRequested = false;
-  /// SchedulerPolicy::shapeOnly() of Policy (fixed for its life).
-  bool PolicyShapeOnly = false;
+  /// SchedulerPolicy::reads() of Policy (fixed for its life).
+  PolicyReads Reads = PolicyReads::Anything;
   /// A queue gained or lost a process, or a mask changed, since the
   /// last balance call.
   bool ShapeDirty = true;
@@ -415,6 +467,8 @@ private:
   uint64_t WindowsOpened = 0;
   uint64_t WindowSettles = 0;
   uint64_t WindowSteps = 0;
+  uint64_t WindowAbsorbs = 0;
+  uint64_t WindowCatchUps = 0;
   /// Index of the quantum starting at Now.
   uint64_t Quantum = 0;
   /// Inside a stepped quantum, the cores below VisitPos have had their

@@ -291,18 +291,14 @@ void IpcSamplingScheduler::balance(Machine &M) {
   // Snapshot every queued process with its desired core type. Processes
   // this pass will not move (pinned to one type, degenerate samples)
   // keep occupying their queues; they are counted into the projected
-  // load so movable work is not piled on top of them.
-  struct Item {
-    uint32_t Pid = 0;
-    uint32_t Core = 0;     ///< Where it is queued now.
-    uint32_t WantType = 0; ///< Where it should run.
-    bool Sampling = false; ///< Migrating to gather a missing IPC sample.
-    double Benefit = 1.0;  ///< Best/worst estimated-throughput ratio.
-  };
-  std::vector<Item> Items;
-  std::vector<uint32_t> Proj(NumCores, 0);
+  // load so movable work is not piled on top of them. The queues are
+  // read unsettled (const): what follows depends only on which
+  // processes each holds, not on their order.
+  const Machine &Shape = M;
+  Items.clear();
+  Proj.assign(NumCores, 0);
   for (uint32_t Core = 0; Core < NumCores; ++Core) {
-    for (uint32_t Pid : M.queue(Core)) {
+    for (uint32_t Pid : Shape.queue(Core)) {
       const Process &P = M.process(Pid);
       const SchedTelemetry &T = M.telemetry(Pid);
       // Bitmask of core types the process's affinity mask reaches at
@@ -375,16 +371,15 @@ void IpcSamplingScheduler::balance(Machine &M) {
     return;
 
   // Sampling migrations first, then the biggest beneficiaries, so fast
-  // slots go to the processes that profit most; pid breaks ties for
-  // determinism.
-  std::stable_sort(Items.begin(), Items.end(),
-                   [](const Item &A, const Item &B) {
-                     if (A.Sampling != B.Sampling)
-                       return A.Sampling;
-                     if (A.Benefit != B.Benefit)
-                       return A.Benefit > B.Benefit;
-                     return A.Pid < B.Pid;
-                   });
+  // slots go to the processes that profit most; pid breaks ties, so the
+  // key is total and the order does not depend on the queues'.
+  std::sort(Items.begin(), Items.end(), [](const Item &A, const Item &B) {
+    if (A.Sampling != B.Sampling)
+      return A.Sampling;
+    if (A.Benefit != B.Benefit)
+      return A.Benefit > B.Benefit;
+    return A.Pid < B.Pid;
+  });
 
   // Greedy placement against projected queue lengths (seeded with the
   // immovable residents counted above): each process goes to the

@@ -89,6 +89,35 @@ struct SchedTelemetry {
   }
 };
 
+/// What a SchedulerPolicy reads of the Machine, which decides how much
+/// of it the Machine brings up to date before each call. Deferred
+/// windows (see Machine::run) keep queue lengths, the set of queued
+/// processes, affinity masks and the machine config exact at all times;
+/// they defer charging steady turns and rotating the queues.
+enum class PolicyReads : uint8_t {
+  /// selectCore and balance read only queue lengths, the affinity masks
+  /// of queued processes and the static machine config; whether balance
+  /// moves anything does not depend on queue order (order may only
+  /// choose which process moves, read through the settling
+  /// Machine::queue or pullTail); the hooks read nothing a steady
+  /// quantum changes. The machine places processes and runs balance
+  /// and the hooks without settling, and skips a balance instant when
+  /// the last balance made no move and no queue or mask changed since:
+  /// the call could not move anything.
+  Shape,
+  /// As Shape for selectCore. balance and the hooks may also read
+  /// counter telemetry through the non-const Machine::telemetry, which
+  /// charges the turns its process's core owes first, and read queue
+  /// order only through the settling Machine::queue, pullTail and
+  /// moveQueued. They run on deferred state, and no balance instant is
+  /// skipped.
+  Telemetry,
+  /// Anything else (process progress, stats): every deferred core is
+  /// settled before every call, so it observes exactly the state
+  /// stepping would have produced.
+  Anything,
+};
+
 /// Placement/balancing policy plugged into the Machine. The pure-virtual
 /// selectCore is the only mandatory method; the lifecycle hooks default
 /// to no-ops so simple policies stay two functions long.
@@ -98,34 +127,22 @@ public:
 
   /// Picks a core for a ready process (new arrival or migration). Must
   /// honor the process's affinity mask; the machine guarantees at least
-  /// one allowed core exists. Unless the policy is shapeOnly(), the
-  /// machine settles every deferred core first, so the call observes
-  /// exactly the state stepping would have produced.
+  /// one allowed core exists. What the call may read is declared by
+  /// reads().
   virtual uint32_t selectCore(const Machine &M, const Process &P) = 0;
 
   /// Periodic load balancing (every SimConfig::BalancePeriod); may move
   /// queued (not running) processes between cores via
-  /// Machine::moveQueued or Machine::pullTail. Unless the policy is
-  /// shapeOnly(), every deferred core is settled before it runs; a
-  /// shape-only balance runs on deferred state, where queue lengths and
-  /// masks are exact and Machine::queue (non-const), pullTail and
-  /// moveQueued settle the cores whose order they use. There is no
-  /// per-quantum hook: a policy that steers every quantum runs with
-  /// BalancePeriod == Timeslice.
+  /// Machine::moveQueued or Machine::pullTail. What it may read, and
+  /// whether it runs on deferred state, is declared by reads(). There
+  /// is no per-quantum hook: a policy that steers every quantum runs
+  /// with BalancePeriod == Timeslice.
   virtual void balance(Machine &) {}
 
-  /// Declares that selectCore and balance read only queue lengths, the
-  /// affinity masks of queued processes and the static machine config,
-  /// that whether balance moves anything does not depend on queue order
-  /// (order may only choose which process moves, read through the
-  /// settling Machine::queue or pullTail), and that the hooks read
-  /// nothing a steady quantum changes. Deferred windows change none of
-  /// these, so the machine then places processes and runs balance and
-  /// the hooks without settling, and skips a balance instant when the
-  /// last balance made no move and no queue or mask changed since: the
-  /// call could not move anything. A subclass that reads more
-  /// (telemetry, process progress) must return false.
-  virtual bool shapeOnly() const { return false; }
+  /// Declares what selectCore, balance and the hooks read (see
+  /// PolicyReads). Fixed for the policy's life; a subclass that reads
+  /// more than its base declares must override it.
+  virtual PolicyReads reads() const { return PolicyReads::Anything; }
 
   /// Fired when \p P is spawned, before its first placement. The policy
   /// may constrain Process::AffinityMask here (an OS-level static
@@ -143,7 +160,7 @@ class ObliviousScheduler : public SchedulerPolicy {
 public:
   uint32_t selectCore(const Machine &M, const Process &P) override;
   void balance(Machine &M) override;
-  bool shapeOnly() const override { return true; }
+  PolicyReads reads() const override { return PolicyReads::Shape; }
 };
 
 /// Asymmetry-aware, program-oblivious: at equal queue length prefers the
@@ -153,7 +170,7 @@ class FastestFirstScheduler final : public SchedulerPolicy {
 public:
   uint32_t selectCore(const Machine &M, const Process &P) override;
   void balance(Machine &M) override;
-  bool shapeOnly() const override { return true; }
+  PolicyReads reads() const override { return PolicyReads::Shape; }
 };
 
 /// The whole-program dominant-type mask of the HASS-style comparator:
@@ -194,19 +211,31 @@ public:
   IpcSamplingScheduler(uint64_t MinSampleInsts, double SpeedupThreshold)
       : MinSampleInsts(MinSampleInsts), SpeedupThreshold(SpeedupThreshold) {}
 
+  /// balance reads counter telemetry, and queue order only through
+  /// moveQueued: its decisions depend on the set of queued processes.
   void balance(Machine &M) override;
-  /// balance reads counter telemetry.
-  bool shapeOnly() const override { return false; }
+  PolicyReads reads() const override { return PolicyReads::Telemetry; }
 
 private:
+  /// One queued process and where balance wants it.
+  struct Item {
+    uint32_t Pid = 0;
+    uint32_t Core = 0;     ///< Where it is queued now.
+    uint32_t WantType = 0; ///< Where it should run.
+    bool Sampling = false; ///< Migrating to gather a missing IPC sample.
+    double Benefit = 1.0;  ///< Best/worst estimated-throughput ratio.
+  };
+
   uint64_t MinSampleInsts;
   double SpeedupThreshold;
   /// Machine-shape tables, built on the first balance call (a policy
-  /// instance serves one machine for its whole life) so the periodic
-  /// pass allocates nothing for them.
+  /// instance serves one machine for its whole life), and the pass's
+  /// scratch, so the periodic pass allocates nothing.
   bool ShapeCached = false;
   std::vector<uint32_t> TypesByFreq;
   std::vector<std::vector<uint32_t>> CoresOfType;
+  std::vector<Item> Items;
+  std::vector<uint32_t> Proj;
 };
 
 /// A named, declarative OS-scheduler configuration: the scheduler analog

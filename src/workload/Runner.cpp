@@ -484,6 +484,8 @@ RunResult pbt::runWorkload(const PreparedSuite &Suite, const Workload &W,
   Reg.add("sim.windows_opened", M.windowsOpened());
   Reg.add("sim.window_settles", M.windowSettles());
   Reg.add("sim.window_steps", M.windowSteps());
+  Reg.add("sim.window_absorbs", M.windowAbsorbs());
+  Reg.add("sim.window_catchups", M.windowCatchUps());
 
   Result.CompletedCount = Done;
   Result.InstructionsRetired = M.totalInstructions();

@@ -552,14 +552,17 @@ uint32_t spawnImage(Machine &M, const Image &I, uint64_t Seed = 5) {
 }
 
 /// Core-quanta the Flat machine of expectFusionInvisible stepped and
-/// deferred, the balance instants it skipped, the windows it settled
-/// and the turns it stepped inside open windows.
+/// deferred, the balance instants it skipped, the windows it settled,
+/// the turns it stepped inside open windows, the placements that joined
+/// an open window and the catch-ups of open windows.
 struct QuantaCounts {
   uint64_t Stepped = 0;
   uint64_t Fused = 0;
   uint64_t Skipped = 0;
   uint64_t Settles = 0;
   uint64_t WindowSteps = 0;
+  uint64_t Absorbs = 0;
+  uint64_t CatchUps = 0;
 };
 
 using PolicyFactory = std::function<std::unique_ptr<SchedulerPolicy>()>;
@@ -568,10 +571,10 @@ std::unique_ptr<SchedulerPolicy> oblivious() {
   return std::make_unique<ObliviousScheduler>();
 }
 
-/// Oblivious scheduling without the shape-only declaration: every
-/// balance instant runs and settles every core, so it ends each window.
+/// Oblivious scheduling declared to read Anything: every balance
+/// instant runs and settles every core, so it ends each window.
 struct SettlingOblivious final : ObliviousScheduler {
-  bool shapeOnly() const override { return false; }
+  PolicyReads reads() const override { return PolicyReads::Anything; }
 };
 
 /// Both ways a balance instant meets a window: crossed (skipped) or
@@ -607,6 +610,8 @@ expectFusionInvisible(const MachineConfig &MC, SimConfig SC,
   EXPECT_EQ(R.balancesSkipped(), 0u);
   EXPECT_EQ(R.windowsOpened(), 0u);
   EXPECT_EQ(R.windowSteps(), 0u);
+  EXPECT_EQ(R.windowAbsorbs(), 0u);
+  EXPECT_EQ(R.windowCatchUps(), 0u);
   EXPECT_EQ(F.windowsOpened(), F.windowSettles());
   EXPECT_EQ(R.quantaStepped() % MC.numCores(), 0u);
   EXPECT_EQ(R.quantaStepped(), F.quantaStepped() + F.quantaFused());
@@ -634,9 +639,10 @@ expectFusionInvisible(const MachineConfig &MC, SimConfig SC,
     EXPECT_EQ(TA.WindowIpc, TB.WindowIpc);
     EXPECT_EQ(TA.WindowCoreType, TB.WindowCoreType);
   }
-  return QuantaCounts{F.quantaStepped(), F.quantaFused(),
+  return QuantaCounts{F.quantaStepped(),  F.quantaFused(),
                       F.balancesSkipped(), F.windowSettles(),
-                      F.windowSteps()};
+                      F.windowSteps(),     F.windowAbsorbs(),
+                      F.windowCatchUps()};
 }
 
 } // namespace
@@ -949,10 +955,11 @@ struct Snapshots {
 TEST(PerCoreFusion, MigrationsIntoLowerAndHigherDeferredCores) {
   // Cores 0 and 2 are deferred from the first quantum. In it, core 1
   // steps X and Y; both fire a mark at once and migrate to the slow
-  // cores. X lands on core 0, whose turn in this quantum has already
-  // run: it settles through this quantum (rotating its queue) and sits
-  // out the re-passes. Y lands on core 2, not yet visited: it settles
-  // through the previous quantum and steps this one.
+  // cores, joining their open windows. X lands on core 0, whose turn in
+  // this quantum has already run: its window is re-based after this
+  // quantum, which A and B owe a turn of. Y lands on core 2, not yet
+  // visited: its window is re-based at this quantum, which stays
+  // deferred.
   MachineConfig MC = slowFastSlowMachine();
   Image Long = imageFor(loopProgram(2000000, 24, false), MC);
   Image Mover = phaseChangeImage(2, 300000, false, MC);
@@ -977,6 +984,7 @@ TEST(PerCoreFusion, MigrationsIntoLowerAndHigherDeferredCores) {
   });
   Snap.expectAgree();
   EXPECT_GT(Q.Fused, 10 * Q.Stepped);
+  EXPECT_EQ(Q.Absorbs, 2u);
 }
 
 TEST(PerCoreFusion, ClosedLoopRespawnOntoDeferredCores) {
@@ -1137,14 +1145,21 @@ TEST(PerCoreFusion, ShapeOnlyHookMovesQueuedJob) {
   EXPECT_GT(Q.Fused, 10 * Q.Stepped);
 }
 
-TEST(PerCoreFusion, IpcSamplingBalanceSettlesEveryCore) {
-  // ipc-sampling reads counter telemetry, so it is not shape-only: each
-  // balance settles every core first and no instant is skipped.
+TEST(PerCoreFusion, IpcSamplingRunsOnDeferredWindows) {
+  // ipc-sampling reads counter telemetry: no balance instant is
+  // skipped, each runs on deferred state and catches up the windows
+  // whose processes it reads, and its moves settle only the cores they
+  // touch. Movers fire a phase mark that switches them to the other
+  // core type; those that must migrate join the open window there.
   MachineConfig MC = MachineConfig::quadAsymmetric();
   std::vector<Image> Images;
   for (uint32_t Job = 0; Job < 6; ++Job)
     Images.push_back(imageFor(
         loopProgram(400000 + 9973 * Job, 32, Job % 2 == 1, Job + 1), MC));
+  std::vector<Image> Movers;
+  for (uint32_t Job = 0; Job < 4; ++Job)
+    Movers.push_back(
+        phaseChangeImage(90001 + 70001 * Job, 300000, Job % 2 == 1, MC));
   SimConfig SC;
   SC.BalancePeriod = 0.05;
   QuantaCounts Q = expectFusionInvisible(
@@ -1152,11 +1167,91 @@ TEST(PerCoreFusion, IpcSamplingBalanceSettlesEveryCore) {
       [&](Machine &M) {
         for (const Image &I : Images)
           spawnImage(M, I);
+        for (uint32_t Job = 0; Job < 4; ++Job)
+          decide(M, spawnImage(M, Movers[Job], 20 + Job), Job % 2);
         M.run(8.0);
+        // The policy moved processes between core types to sample them,
+        // and the tuner moved the movers.
+        uint32_t Sampled = 0;
+        uint64_t Switches = 0;
+        for (const auto &P : M.processes()) {
+          const SchedTelemetry &T = M.telemetry(P->Pid);
+          Sampled += T.InstsByType[0] > 0 && T.InstsByType[1] > 0;
+          Switches += P->Stats.CoreSwitches;
+        }
+        EXPECT_GT(Sampled, 2u);
+        EXPECT_GT(Switches, 0u);
       },
       [] { return std::make_unique<IpcSamplingScheduler>(20000, 1.05); });
   EXPECT_EQ(Q.Skipped, 0u);
-  EXPECT_GT(Q.Fused, 0u);
+  EXPECT_GT(Q.Fused, 10 * Q.Stepped);
+  EXPECT_GT(Q.Absorbs, 0u);
+  EXPECT_GT(Q.CatchUps, 0u);
+}
+
+namespace {
+
+/// A Telemetry policy that balances like oblivious and logs, at every
+/// balance instant and every exit, the clock and every process's
+/// counters, read through the catching-up Machine::telemetry.
+struct TelemetryLogger final : ObliviousScheduler {
+  explicit TelemetryLogger(std::vector<double> &Log) : Log(Log) {}
+  PolicyReads reads() const override { return PolicyReads::Telemetry; }
+  void balance(Machine &M) override {
+    record(M);
+    ObliviousScheduler::balance(M);
+  }
+  void onExit(Machine &M, Process &P) override {
+    Log.push_back(-1.0 - P.Pid);
+    record(M);
+  }
+  void record(Machine &M) {
+    Log.push_back(M.now());
+    for (uint32_t Pid = 0; Pid < M.processes().size(); ++Pid) {
+      const SchedTelemetry &T = M.telemetry(Pid);
+      for (uint64_t Insts : T.InstsByType)
+        Log.push_back(static_cast<double>(Insts));
+      Log.insert(Log.end(), T.CyclesByType.begin(), T.CyclesByType.end());
+      Log.push_back(T.WindowIpc);
+      Log.push_back(T.WindowCoreType);
+    }
+  }
+  std::vector<double> &Log;
+};
+
+} // namespace
+
+TEST(PerCoreFusion, TelemetryPolicyReadsDeferredCores) {
+  // Cores 0 and 2 hold long jobs and stay deferred. Short jobs on core 1
+  // exit mid-quantum, in the first pass, where core 0's turn in the
+  // quantum has run and core 2's has not. The policy reads every
+  // process's counters at each exit and each balance instant without a
+  // settle; every read must equal stepping's.
+  MachineConfig MC = slowFastSlowMachine();
+  Image Long = imageFor(loopProgram(2000000, 24, false), MC);
+  std::vector<Image> Shorts;
+  for (uint32_t Job = 0; Job < 6; ++Job)
+    Shorts.push_back(
+        imageFor(loopProgram(60000 + 30011 * Job, 24, false, Job + 2), MC));
+  std::vector<double> Logs[2];
+  int Made = 0;
+  QuantaCounts Q = expectFusionInvisible(
+      MC, SimConfig(),
+      [&](Machine &M) {
+        for (uint64_t Seed : {1, 2})
+          spawnOn(M, Long, 1u << 0, Seed);
+        for (uint64_t Seed : {3, 4, 5})
+          spawnOn(M, Long, 1u << 2, Seed);
+        for (uint32_t Job = 0; Job < 6; ++Job)
+          spawnOn(M, Shorts[Job], 1u << 1, 10 + Job);
+        M.run(4.0);
+        EXPECT_EQ(M.queueLength(1), 0u);
+      },
+      [&] { return std::make_unique<TelemetryLogger>(Logs[Made++]); });
+  EXPECT_FALSE(Logs[0].empty());
+  EXPECT_TRUE(Logs[0] == Logs[1]);
+  EXPECT_GT(Q.CatchUps, 0u);
+  EXPECT_GT(Q.Fused, 10 * Q.Stepped);
 }
 
 TEST(PerCoreFusion, EventArrivalOntoDeferredCore) {
@@ -1510,6 +1605,53 @@ TEST(InWindowStep, NearExactCycleBound) {
     EXPECT_GE(Q.Stepped, 4u);
   }
   EXPECT_GT(WindowSteps, 0u);
+}
+
+TEST(InWindowStep, JoinNearExactCycleBound) {
+  // Each turn on the fast core 0 charges about 2^34 cycles, so its busy
+  // cycles reach 2^37 within eight turns. Two long jobs keep core 0 in
+  // one window. X, alone on the slow core 1, leaves its first self-loop
+  // in its turn K + 1 and its phase mark moves it to the fast type: it
+  // joins core 0's window, re-based after the quantum whose turn core 0
+  // has already run. The owed turns and the re-planned window must stay
+  // exact, so the plan is halved near the bound, and past it the turns
+  // step in order.
+  MachineConfig MC = dyadicMachine();
+  SimConfig SC;
+  SC.Timeslice = std::ldexp(1.0, 34) / MC.CoreTypes[0].Frequency;
+  SC.BalancePeriod = 1e3 * SC.Timeslice;
+  auto TurnIters = [&](const Program &Prog, uint32_t Block, uint32_t Type) {
+    CostModel Cost(Prog, MC);
+    double Budget = SC.Timeslice * MC.CoreTypes[Type].Frequency;
+    return static_cast<uint32_t>(
+        std::ceil(Budget / Cost.blockCycles(0, Block, Type, 1)));
+  };
+  std::vector<Image> Longs;
+  for (uint32_t K = 0; K < 2; ++K) {
+    Program Long = loopProgram(2, 16393 + 40 * K, true, 7 + K);
+    Long.Procs[0].Blocks[0].TripCount = 12 * TurnIters(Long, 0, 0);
+    Longs.push_back(imageFor(Long, MC));
+  }
+  for (uint32_t K : {2u, 6u}) {
+    SCOPED_TRACE("K " + std::to_string(K));
+    Program Mover = twoSelfLoops(2, 2, 16384);
+    uint32_t JSlow = TurnIters(Mover, 0, 1);
+    Mover.Procs[0].Blocks[0].TripCount = K * JSlow + JSlow / 2;
+    Mover.Procs[0].Blocks[1].TripCount = 6 * TurnIters(Mover, 1, 0);
+    Image X = imageFor(Mover, MC, {{0, 0, 1, MarkPoint::Edge, 0}});
+    QuantaCounts Q = expectFusionInvisible(MC, SC, [&](Machine &M) {
+      spawnOn(M, Longs[0], 1u << 0, 1);
+      spawnOn(M, Longs[1], 1u << 0, 2);
+      uint32_t Pid = spawnOn(M, X, 1u << 1, 3);
+      decide(M, Pid, 0);
+      M.run(20 * SC.Timeslice);
+      EXPECT_EQ(M.process(Pid).Stats.CoreSwitches, 1u);
+      EXPECT_GT(M.coreBusyFraction(0) * M.now() * MC.CoreTypes[0].Frequency,
+                ExactCycleBound);
+    });
+    EXPECT_EQ(Q.Absorbs, 1u);
+    EXPECT_GT(Q.Fused, 0u);
+  }
 }
 
 TEST(InWindowStep, ShapeOnlyPolicyReadsQueueOrder) {

@@ -1,21 +1,23 @@
 # Golden artifact pins: runs the driver at PBT_BENCH_SCALE=0.05 in a
 # fresh directory and compares the SHA-256 of every BENCH_<name>.json
-# it writes against tests/golden/bench_digests.txt, and Table 2's cells
-# against the readable rows of tests/golden/table2_rows.txt.
+# it writes against tests/golden/bench_digests.txt, and the cells of
+# Table 1, Table 2 and Fig. 6 against the readable rows of
+# tests/golden/{table1,table2,fig6}_rows.txt.
 #
 #   cmake -DDRIVER=<driver> -DDIGESTS=<bench_digests.txt> \
-#         -DTABLE2_ROWS=<table2_rows.txt> \
+#         -DTABLE1_ROWS=<table1_rows.txt> -DTABLE2_ROWS=<table2_rows.txt> \
+#         -DFIG6_ROWS=<fig6_rows.txt> \
 #         -DWORK_DIR=<work dir> -P check_bench_digests.cmake
 #
 # Fails when a pinned digest differs, a pinned artifact is missing, the
-# driver writes an artifact the file does not pin, or a Table 2 cell
-# differs from its pinned row. On failure it names each changed Table 2
+# driver writes an artifact the file does not pin, or a pinned table
+# cell differs from its pinned row. On failure it names each changed
 # cell and prints the digest lines of this run for a reviewed
 # rebaseline.
 
 cmake_minimum_required(VERSION 3.19) # string(JSON)
 
-foreach(VAR DRIVER DIGESTS TABLE2_ROWS WORK_DIR)
+foreach(VAR DRIVER DIGESTS TABLE1_ROWS TABLE2_ROWS FIG6_ROWS WORK_DIR)
   if(NOT DEFINED ${VAR})
     message(FATAL_ERROR "check_bench_digests: -D${VAR}=... is required")
   endif()
@@ -59,20 +61,25 @@ foreach(LINE ${LINES})
   endif()
 endforeach()
 
-# Table 2 in readable form: the pinned file holds the driver's printed
-# table (header, rule, one row per technique); each row's cells must
-# equal the artifact's table row of the same index.
-file(STRINGS "${TABLE2_ROWS}" PINNED_ROWS REGEX "^[^#]")
-list(REMOVE_AT PINNED_ROWS 0 1) # Header and rule lines.
-set(TABLE2 "${WORK_DIR}/BENCH_table2_fairness.json")
-if(EXISTS "${TABLE2}")
-  file(READ "${TABLE2}" TABLE2_JSON)
-  string(JSON NUM_ROWS LENGTH "${TABLE2_JSON}" tables 0 rows)
-  string(JSON NUM_COLS LENGTH "${TABLE2_JSON}" tables 0 columns)
+# Readable pins: each rows file holds the driver's printed table
+# (header, rule, one row per line); each row's cells must equal the
+# artifact's table row of the same index. Names each changed cell: the
+# row's first cell, the column, the pinned and the new value.
+function(check_rows LABEL ROWS_FILE ARTIFACT)
+  file(STRINGS "${ROWS_FILE}" PINNED_ROWS REGEX "^[^#]")
+  list(REMOVE_AT PINNED_ROWS 0 1) # Header and rule lines.
+  set(ARTIFACT_PATH "${WORK_DIR}/${ARTIFACT}")
+  if(NOT EXISTS "${ARTIFACT_PATH}")
+    return() # Reported as a missing artifact by the digest check.
+  endif()
+  set(BAD FALSE)
+  file(READ "${ARTIFACT_PATH}" JSON)
+  string(JSON NUM_ROWS LENGTH "${JSON}" tables 0 rows)
+  string(JSON NUM_COLS LENGTH "${JSON}" tables 0 columns)
   list(LENGTH PINNED_ROWS NUM_PINNED)
   if(NOT NUM_ROWS EQUAL NUM_PINNED)
-    message(SEND_ERROR "table2: ${NUM_ROWS} rows, ${NUM_PINNED} pinned")
-    set(FAILED TRUE)
+    message(SEND_ERROR "${LABEL}: ${NUM_ROWS} rows, ${NUM_PINNED} pinned")
+    set(BAD TRUE)
   endif()
   set(ROW 0)
   foreach(LINE ${PINNED_ROWS})
@@ -82,31 +89,38 @@ if(EXISTS "${TABLE2}")
     # Cells are space-free tokens separated by alignment padding.
     set(REST "${LINE}")
     set(COL 0)
-    set(TECHNIQUE "")
+    set(KEY "")
     while(NOT REST STREQUAL "" AND COL LESS NUM_COLS)
       string(REGEX MATCH "^([^ ]+) *(.*)$" _ "${REST}")
       set(WANT "${CMAKE_MATCH_1}")
       set(REST "${CMAKE_MATCH_2}")
       if(COL EQUAL 0)
-        set(TECHNIQUE "${WANT}")
+        set(KEY "${WANT}")
       endif()
-      string(JSON GOT GET "${TABLE2_JSON}" tables 0 rows ${ROW} ${COL})
+      string(JSON GOT GET "${JSON}" tables 0 rows ${ROW} ${COL})
       if(NOT GOT STREQUAL WANT)
-        string(JSON COLUMN GET "${TABLE2_JSON}" tables 0 columns ${COL})
-        message(SEND_ERROR "table2 cell changed: ${TECHNIQUE} / ${COLUMN}: "
+        string(JSON COLUMN GET "${JSON}" tables 0 columns ${COL})
+        message(SEND_ERROR "${LABEL} cell changed: ${KEY} / ${COLUMN}: "
                            "pinned ${WANT}, now ${GOT}")
-        set(FAILED TRUE)
+        set(BAD TRUE)
       endif()
       math(EXPR COL "${COL} + 1")
     endwhile()
     if(NOT COL EQUAL NUM_COLS OR NOT REST STREQUAL "")
-      message(SEND_ERROR "table2: pinned row '${LINE}' does not have the "
+      message(SEND_ERROR "${LABEL}: pinned row '${LINE}' does not have the "
                          "artifact's ${NUM_COLS} cells")
-      set(FAILED TRUE)
+      set(BAD TRUE)
     endif()
     math(EXPR ROW "${ROW} + 1")
   endforeach()
-endif()
+  if(BAD)
+    set(FAILED TRUE PARENT_SCOPE)
+  endif()
+endfunction()
+
+check_rows(table1 "${TABLE1_ROWS}" BENCH_table1_switches.json)
+check_rows(table2 "${TABLE2_ROWS}" BENCH_table2_fairness.json)
+check_rows(fig6 "${FIG6_ROWS}" BENCH_fig6_ipc_threshold.json)
 
 file(GLOB WRITTEN RELATIVE "${WORK_DIR}" "${WORK_DIR}/BENCH_*.json")
 list(REMOVE_ITEM WRITTEN "BENCH_driver.json")
@@ -128,4 +142,5 @@ if(FAILED)
   message(FATAL_ERROR "BENCH artifacts differ from ${DIGESTS}")
 endif()
 list(LENGTH PINNED COUNT)
-message(STATUS "bench_digests: ${COUNT} artifacts and Table 2 match")
+message(STATUS "bench_digests: ${COUNT} artifacts, Table 1, Table 2 and "
+               "Fig. 6 match")

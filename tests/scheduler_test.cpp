@@ -202,6 +202,27 @@ TEST(SchedulerSpecTest, FactoryMakesPoliciesAndRejectsUnknownNames) {
   EXPECT_THROW(Bogus.makeScheduler(), std::invalid_argument);
 }
 
+TEST(SchedulerSpecTest, PoliciesDeclareWhatTheyRead) {
+  // The declaration decides what the machine settles before each call
+  // (see PolicyReads): a policy that read more than it declares would
+  // see deferred state. ipc-sampling reads counter telemetry; the
+  // others read only queue lengths, masks and config.
+  auto Reads = [](const SchedulerSpec &Spec) {
+    return Spec.makeScheduler()->reads();
+  };
+  EXPECT_EQ(Reads(SchedulerSpec::oblivious()), PolicyReads::Shape);
+  EXPECT_EQ(Reads(SchedulerSpec::fastestFirst()), PolicyReads::Shape);
+  EXPECT_EQ(Reads(SchedulerSpec::hassStatic()), PolicyReads::Shape);
+  EXPECT_EQ(Reads(SchedulerSpec::ipcSampling()), PolicyReads::Telemetry);
+  // A policy that declares nothing is settled before every call.
+  struct Undeclared final : SchedulerPolicy {
+    uint32_t selectCore(const Machine &, const Process &) override {
+      return 0;
+    }
+  };
+  EXPECT_EQ(Undeclared().reads(), PolicyReads::Anything);
+}
+
 //===----------------------------------------------------------------------===//
 // SimConfig validation (satellite: no silent misbehaviour)
 //===----------------------------------------------------------------------===//
