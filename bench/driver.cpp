@@ -10,8 +10,9 @@
 //  - suite preparation is deduplicated across experiments through the
 //    shared labs' SuiteCaches (e.g. the 18 paper variants are prepared
 //    once for fig3/fig4/fig8/table2 together, not once per experiment);
-//  - with PBT_CACHE_DIR set, prepared suites persist on disk, so a
-//    second driver run replays the whole matrix with zero preparations;
+//  - with PBT_CACHE_DIR set, prepared programs persist on disk, one
+//    store entry each, so a second driver run replays the whole matrix
+//    with zero preparations;
 //  - every BENCH_<name>.json is emitted in one run, byte-identical to
 //    the same experiment run alone with --only (locked in by tests and
 //    CI).
@@ -64,9 +65,10 @@
 // the persistent suite store, PBT_THREADS sizes the replay pool,
 // PBT_FAULTS arms fault injection (support/FaultInjection).
 //
-// Writes BENCH_driver.json (schema pbt-driver-v6, docs/BENCH_SCHEMA.md)
+// Writes BENCH_driver.json (schema pbt-driver-v7, docs/BENCH_SCHEMA.md)
 // with per-experiment status/duration, a failure summary, and
-// suite-cache statistics, plus PROFILE_driver.json (pbt-profile-v2) —
+// suite-cache and store-entry statistics, plus PROFILE_driver.json
+// (pbt-profile-v2) —
 // the full observability counter registry; exits non-zero when any
 // experiment failed.
 //
@@ -217,7 +219,7 @@ int main(int Argc, char **Argv) {
     std::printf("cleaned %s: removed %zu version-mismatched entr%s "
                 "(current format v%u)\n",
                 Store->dir().c_str(), Removed, Removed == 1 ? "y" : "ies",
-                exp::CacheStore::FormatVersion);
+                exp::CacheStore::ProgFormatVersion);
     return 0;
   }
 
@@ -341,6 +343,8 @@ int main(int Argc, char **Argv) {
   }
 
   Json Root = Json::object();
+  // v7: the "store" block counts program entries only (hits, misses,
+  // rejects, writes, quarantines, lock_timeouts; no prog_* fields).
   // v6: no guard policy fields, no per-experiment "attempts", and
   // suite_cache/pipeline are always objects. v5: "pipeline" rows are
   // {name, programs, seconds} per stage.
@@ -348,7 +352,7 @@ int main(int Argc, char **Argv) {
   // counters (prepared_programs, program_store_hits, store.prog_*),
   // and "verify_ir"; v2 added suite_cache store counters — see
   // docs/BENCH_SCHEMA.md.
-  Root["schema"] = "pbt-driver-v6";
+  Root["schema"] = "pbt-driver-v7";
   Root["verify_ir"] = verifyIREnabled();
   Root["scale"] = envScale();
   Root["cache_dir"] = Store ? Json(Store->dir()) : Json();
@@ -369,9 +373,6 @@ int main(int Argc, char **Argv) {
     StoreStats["writes"] = Store->writes();
     StoreStats["quarantines"] = Store->quarantines();
     StoreStats["lock_timeouts"] = Store->lockTimeouts();
-    StoreStats["prog_hits"] = Store->progHits();
-    StoreStats["prog_misses"] = Store->progMisses();
-    StoreStats["prog_writes"] = Store->progWrites();
     CacheStats["store"] = std::move(StoreStats);
   }
   Root["suite_cache"] = std::move(CacheStats);
@@ -409,9 +410,6 @@ int main(int Argc, char **Argv) {
     Reg.set("store.writes", Store->writes());
     Reg.set("store.quarantines", Store->quarantines());
     Reg.set("store.lock_timeouts", Store->lockTimeouts());
-    Reg.set("store.prog_hits", Store->progHits());
-    Reg.set("store.prog_misses", Store->progMisses());
-    Reg.set("store.prog_writes", Store->progWrites());
   }
   for (const PassStats &P : Pipe.Passes) {
     Reg.set("pipeline." + P.Name + ".programs", P.Programs);

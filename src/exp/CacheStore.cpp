@@ -1,4 +1,4 @@
-//===- exp/CacheStore.cpp - Persistent prepared-suite store ---------------===//
+//===- exp/CacheStore.cpp - Persistent prepared-program store -------------===//
 //
 // Part of the phase-based-tuning reproduction. MIT license.
 //
@@ -31,18 +31,13 @@ using namespace pbt::exp;
 
 namespace {
 
-/// "PBTS" as a little-endian u32: suite manifests.
-constexpr uint32_t Magic = 0x53544250u;
+/// "PBTP" as a little-endian u32.
+constexpr uint32_t Magic = 0x50544250u;
 
-/// "PBTP" as a little-endian u32: per-program entries.
-constexpr uint32_t ProgMagic = 0x50544250u;
-
-/// Fixed-size file header preceding the payload. Manifests and prog
-/// entries share the layout; for prog entries the second slot holds the
-/// single program's content hash instead of the set hash.
+/// Fixed-size file header preceding the payload.
 struct Header {
   uint64_t Key = 0;
-  uint64_t ProgramSetHash = 0;
+  uint64_t ProgramHash = 0;
   uint64_t MachineHash = 0;
   uint64_t PrepHash = 0;
   uint64_t TypingSeed = 0;
@@ -50,12 +45,11 @@ struct Header {
   uint64_t Checksum = 0;
 };
 
-void writeHeader(BinaryWriter &W, uint32_t FileMagic, uint32_t Version,
-                 const Header &H) {
-  W.u32(FileMagic);
-  W.u32(Version);
+void writeHeader(BinaryWriter &W, const Header &H) {
+  W.u32(Magic);
+  W.u32(CacheStore::ProgFormatVersion);
   W.u64(H.Key);
-  W.u64(H.ProgramSetHash);
+  W.u64(H.ProgramHash);
   W.u64(H.MachineHash);
   W.u64(H.PrepHash);
   W.u64(H.TypingSeed);
@@ -178,7 +172,7 @@ std::vector<PhaseMark> readMarks(BinaryReader &R, const Program &Prog) {
 }
 
 //===----------------------------------------------------------------------===//
-// Per-program payload and suite manifest
+// Per-program payload
 //===----------------------------------------------------------------------===//
 
 /// One prepared program: the `pbt-prog-v2` payload (IR, marks, mark
@@ -250,25 +244,8 @@ PreparedProgram readPrepared(BinaryReader &R, const MachineConfig &Machine,
   return Out;
 }
 
-/// The `pbt-suite-v4` manifest payload: the per-program content hashes
-/// whose prog entries make up the suite, in suite order.
-void writeManifest(BinaryWriter &W, const std::vector<uint64_t> &Hashes) {
-  W.u32(static_cast<uint32_t>(Hashes.size()));
-  for (uint64_t H : Hashes)
-    W.u64(H);
-}
-
-std::vector<uint64_t> readManifest(BinaryReader &R) {
-  std::vector<uint64_t> Hashes(R.count(1u << 16, /*ElemBytes=*/8));
-  for (uint64_t &H : Hashes)
-    H = R.u64();
-  if (R.remaining() != 0)
-    R.markFailed();
-  return Hashes;
-}
-
 /// Creates \p Dir (and parents) best-effort; existing directories are
-/// fine — a failed creation surfaces later as save() I/O failures.
+/// fine — a failed creation surfaces later as saveProgram() I/O failures.
 void makeDirs(const std::string &Dir) {
   std::string Partial;
   for (size_t I = 0; I <= Dir.size(); ++I) {
@@ -283,37 +260,18 @@ void makeDirs(const std::string &Dir) {
   }
 }
 
-/// True for file names this store writes for suite manifests:
-/// "suite-<16 hex>.pbt".
-bool isSuiteEntryName(const char *Name) {
-  size_t Len = std::strlen(Name);
-  return Len == 26 && std::strncmp(Name, "suite-", 6) == 0 &&
-         std::strcmp(Name + Len - 4, ".pbt") == 0;
-}
-
-/// True for per-program entries: "prog-<16 hex>.pbt".
-bool isProgEntryName(const char *Name) {
+/// True for the store's entries: "prog-<16 hex>.pbt".
+bool isEntryName(const char *Name) {
   size_t Len = std::strlen(Name);
   return Len == 25 && std::strncmp(Name, "prog-", 5) == 0 &&
          std::strcmp(Name + Len - 4, ".pbt") == 0;
 }
 
-/// True for the store's advisory lock files: "suite-<16 hex>.lck" or
-/// "prog-<16 hex>.lck".
+/// True for the store's advisory lock files: "prog-<16 hex>.lck".
 bool isLockName(const char *Name) {
   size_t Len = std::strlen(Name);
-  if (std::strncmp(Name, "suite-", 6) == 0)
-    return Len == 26 && std::strcmp(Name + Len - 4, ".lck") == 0;
-  if (std::strncmp(Name, "prog-", 5) == 0)
-    return Len == 25 && std::strcmp(Name + Len - 4, ".lck") == 0;
-  return false;
-}
-
-/// True when \p Name starts with one of the store's entry prefixes (the
-/// debris sweep's coarse filter; exact shapes are checked above).
-bool hasStorePrefix(const char *Name) {
-  return std::strncmp(Name, "suite-", 6) == 0 ||
-         std::strncmp(Name, "prog-", 5) == 0;
+  return Len == 25 && std::strncmp(Name, "prog-", 5) == 0 &&
+         std::strcmp(Name + Len - 4, ".lck") == 0;
 }
 
 /// \p Path's mtime, or 0 when unreadable.
@@ -356,7 +314,7 @@ size_t sweepDebris(const std::string &Dir, double MaxQuarantineAgeSeconds,
   while (const dirent *Entry = ::readdir(D)) {
     const char *Name = Entry->d_name;
     // Only debris derived from our own entry names is considered.
-    if (!hasStorePrefix(Name))
+    if (std::strncmp(Name, "prog-", 5) != 0)
       continue;
     std::string Path = Dir + "/" + Name;
     if (std::strstr(Name, ".pbt.tmp.")) {
@@ -424,34 +382,14 @@ std::shared_ptr<CacheStore> CacheStore::fromEnv() {
   return Store;
 }
 
-uint64_t CacheStore::hashProgramSet(const std::vector<Program> &Programs) {
-  BinaryWriter W;
-  for (const Program &Prog : Programs)
-    writeProgram(W, Prog);
-  return fnv1a(W.buffer().data(), W.buffer().size());
-}
-
 uint64_t CacheStore::hashProgram(const Program &Prog) {
   BinaryWriter W;
   writeProgram(W, Prog);
   return fnv1a(W.buffer().data(), W.buffer().size());
 }
 
-uint64_t CacheStore::suiteKey(uint64_t ProgramSetHash,
-                              const MachineConfig &Machine,
-                              const TechniqueSpec &Tech,
-                              uint64_t TypingSeed) {
-  uint64_t Key = hashCombine(0x5B17CACE, FormatVersion);
-  Key = hashCombine(Key, ProgramSetHash);
-  Key = hashCombine(Key, hashValue(Machine));
-  Key = hashCombine(Key, Tech.preparationHash());
-  return hashCombine(Key, TypingSeed);
-}
-
-uint64_t CacheStore::progKey(uint64_t ProgramHash,
-                             const MachineConfig &Machine,
-                             const TechniqueSpec &Tech,
-                             uint64_t TypingSeed) {
+uint64_t CacheStore::key(uint64_t ProgramHash, const MachineConfig &Machine,
+                         const TechniqueSpec &Tech, uint64_t TypingSeed) {
   uint64_t Key = hashCombine(0x9B09CACE, ProgFormatVersion);
   Key = hashCombine(Key, PipelineVersion);
   Key = hashCombine(Key, ProgramHash);
@@ -462,26 +400,12 @@ uint64_t CacheStore::progKey(uint64_t ProgramHash,
 
 std::string CacheStore::pathFor(uint64_t Key) const {
   char Name[32];
-  std::snprintf(Name, sizeof(Name), "suite-%016llx.pbt",
-                static_cast<unsigned long long>(Key));
-  return Dir + "/" + Name;
-}
-
-std::string CacheStore::progPathFor(uint64_t Key) const {
-  char Name[32];
   std::snprintf(Name, sizeof(Name), "prog-%016llx.pbt",
                 static_cast<unsigned long long>(Key));
   return Dir + "/" + Name;
 }
 
 std::string CacheStore::lockPathFor(uint64_t Key) const {
-  char Name[32];
-  std::snprintf(Name, sizeof(Name), "suite-%016llx.lck",
-                static_cast<unsigned long long>(Key));
-  return Dir + "/" + Name;
-}
-
-std::string CacheStore::progLockPathFor(uint64_t Key) const {
   char Name[32];
   std::snprintf(Name, sizeof(Name), "prog-%016llx.lck",
                 static_cast<unsigned long long>(Key));
@@ -491,11 +415,6 @@ std::string CacheStore::progLockPathFor(uint64_t Key) const {
 std::string CacheStore::quarantinePathFor(uint64_t Key,
                                           const char *Reason) const {
   return pathFor(Key) + ".quarantined-" + Reason;
-}
-
-std::string CacheStore::progQuarantinePathFor(uint64_t Key,
-                                              const char *Reason) const {
-  return progPathFor(Key) + ".quarantined-" + Reason;
 }
 
 void CacheStore::setLockPolicy(unsigned MaxAttempts,
@@ -522,11 +441,8 @@ size_t CacheStore::cleanMismatchedVersions() {
   std::vector<std::string> Stale;
   while (const dirent *Entry = ::readdir(D)) {
     const char *Name = Entry->d_name;
-    // Only files this store wrote: "suite-<16 hex>.pbt" manifests and
-    // "prog-<16 hex>.pbt" program entries, each against its own
-    // expected magic and version.
-    bool IsSuite = isSuiteEntryName(Name);
-    if (!IsSuite && !isProgEntryName(Name))
+    // Only files this store wrote: "prog-<16 hex>.pbt" entries.
+    if (!isEntryName(Name))
       continue;
     std::string Path = Dir + "/" + Name;
     // Only the first 8 header bytes matter (magic + version); entries
@@ -541,9 +457,9 @@ size_t CacheStore::cleanMismatchedVersions() {
     if (Got != sizeof(Hdr))
       continue; // Too short to carry a header; leave it.
     BinaryReader R(Hdr, sizeof(Hdr));
-    if (R.u32() != (IsSuite ? Magic : ProgMagic))
+    if (R.u32() != Magic)
       continue; // Not one of ours after all.
-    if (R.u32() != (IsSuite ? FormatVersion : ProgFormatVersion))
+    if (R.u32() != ProgFormatVersion)
       Stale.push_back(std::move(Path));
   }
   ::closedir(D);
@@ -569,12 +485,11 @@ CacheStore::GcStats CacheStore::gc(uint64_t MaxBytes, double MaxAgeSeconds) {
   std::lock_guard<std::mutex> Lock(Mutex);
   GcStats Stats;
 
-  // Scan the directory for store entries — suite manifests and prog
-  // entries alike, the same name + magic filter
-  // cleanMismatchedVersions uses, so foreign files are never touched.
-  // Sort by (mtime, path): mtime is the LRU clock (load() refreshes it,
-  // for every prog entry a manifest hit resolved too), the path
-  // tie-break makes a pass deterministic for a given directory state.
+  // Scan the directory for store entries — the same name + magic
+  // filter cleanMismatchedVersions uses, so foreign files are never
+  // touched. Sort by (mtime, path): mtime is the LRU clock
+  // (loadProgram() refreshes it), the path tie-break makes a pass
+  // deterministic for a given directory state.
   struct Entry {
     time_t Mtime;
     uint64_t Bytes;
@@ -586,8 +501,7 @@ CacheStore::GcStats CacheStore::gc(uint64_t MaxBytes, double MaxAgeSeconds) {
     return Stats;
   while (const dirent *DirEntry = ::readdir(D)) {
     const char *Name = DirEntry->d_name;
-    bool IsSuite = isSuiteEntryName(Name);
-    if (!IsSuite && !isProgEntryName(Name))
+    if (!isEntryName(Name))
       continue;
     std::string Path = Dir + "/" + Name;
     char Hdr[4];
@@ -599,7 +513,7 @@ CacheStore::GcStats CacheStore::gc(uint64_t MaxBytes, double MaxAgeSeconds) {
     if (Got != sizeof(Hdr))
       continue;
     BinaryReader R(Hdr, sizeof(Hdr));
-    if (R.u32() != (IsSuite ? Magic : ProgMagic))
+    if (R.u32() != Magic)
       continue; // Not one of ours after all.
     struct stat St;
     if (::stat(Path.c_str(), &St) != 0)
@@ -661,11 +575,13 @@ CacheStore::GcStats CacheStore::gc(uint64_t MaxBytes, double MaxAgeSeconds) {
   return Stats;
 }
 
-std::shared_ptr<const PreparedSuite>
-CacheStore::load(uint64_t Key, uint64_t ProgramSetHash,
-                 const MachineConfig &Machine, const TechniqueSpec &Tech,
-                 uint64_t TypingSeed) {
+PreparedProgram CacheStore::loadProgram(uint64_t ProgramHash,
+                                        const MachineConfig &Machine,
+                                        const TechniqueSpec &Tech,
+                                        uint64_t TypingSeed) {
   std::lock_guard<std::mutex> Lock(Mutex);
+  PreparedProgram Out;
+  uint64_t Key = key(ProgramHash, Machine, Tech, TypingSeed);
 
   // Shared reader lock with bounded retry: waits out an in-flight
   // writer on the same key, but contention past the retry budget
@@ -680,40 +596,38 @@ CacheStore::load(uint64_t Key, uint64_t ProgramSetHash,
       !ReadLock.openFailed()) {
     ++Misses;
     ++LockTimeouts;
-    return nullptr;
+    return Out;
   }
 
   std::string Bytes;
   if (!readFile(pathFor(Key), Bytes)) {
     ++Misses; // Plain absence: the ordinary cold-store miss.
-    return nullptr;
+    return Out;
   }
 
-  // Parse and validate the manifest; Why names the first failed check
-  // and becomes the quarantine suffix, so a post-mortem can tell bit
-  // rot from a version skew from a hash collision at a glance.
+  // Parse and validate the entry; Why names the first failed check and
+  // becomes the quarantine suffix, so a post-mortem can tell bit rot
+  // from a version skew from a hash collision at a glance.
   const char *Why = nullptr;
-  std::vector<uint64_t> Hashes;
-  bool HaveManifest = false;
   BinaryReader R(Bytes);
   if (R.u32() != Magic) {
     Why = "magic";
-  } else if (R.u32() != FormatVersion) {
+  } else if (R.u32() != ProgFormatVersion) {
     Why = "version";
   } else {
     Header H;
     H.Key = R.u64();
-    H.ProgramSetHash = R.u64();
+    H.ProgramHash = R.u64();
     H.MachineHash = R.u64();
     H.PrepHash = R.u64();
     H.TypingSeed = R.u64();
     H.PayloadSize = R.u64();
     H.Checksum = R.u64();
     // The header must describe exactly the requested preparation: key,
-    // program set, machine, preparation identity, and typing seed.
+    // program, machine, preparation identity, and typing seed.
     if (R.failed())
       Why = "truncated";
-    else if (H.Key != Key || H.ProgramSetHash != ProgramSetHash ||
+    else if (H.Key != Key || H.ProgramHash != ProgramHash ||
              H.MachineHash != hashValue(Machine) ||
              H.PrepHash != Tech.preparationHash() ||
              H.TypingSeed != TypingSeed)
@@ -724,52 +638,28 @@ CacheStore::load(uint64_t Key, uint64_t ProgramSetHash,
       Why = "checksum"; // Bit rot within the payload.
     else {
       BinaryReader Payload(Bytes.data() + HeaderBytes, H.PayloadSize);
-      Hashes = readManifest(Payload);
-      if (Payload.failed())
+      Out = readPrepared(Payload, Machine, Tech);
+      if (!Out.Image || Payload.remaining() != 0) {
+        Out = PreparedProgram();
         Why = "payload"; // Checksummed bytes decode to nonsense.
-      else
-        HaveManifest = true;
-    }
-  }
-
-  if (HaveManifest) {
-    // Resolve every referenced prog entry. Any one missing or rejected
-    // degrades the whole request to a plain miss — the caller
-    // re-prepares (incrementally, through loadProgram probes of its
-    // own) and save() heals the gap.
-    auto Suite = std::make_shared<PreparedSuite>();
-    bool Complete = true;
-    for (uint64_t ProgHash : Hashes) {
-      PreparedProgram Prepared =
-          loadProgramImpl(ProgHash, Machine, Tech, TypingSeed);
-      if (!Prepared.Image) {
-        Complete = false;
-        break;
       }
-      Suite->Names.push_back(Prepared.Image->program().Name);
-      Suite->Images.push_back(std::move(Prepared.Image));
-      Suite->Costs.push_back(std::move(Prepared.Cost));
-      Suite->Flats.push_back(std::move(Prepared.Flat));
     }
-    if (Complete) {
-      ++Hits;
-      // Refresh the manifest's mtime: it is the LRU clock gc() evicts
-      // by, so a hit must mark the entry recently used (best-effort — a
-      // failed touch only ages the entry; the prog entries were touched
-      // by their own loads).
-      ::utime(pathFor(Key).c_str(), nullptr);
-      return Suite;
-    }
-    ++Misses;
-    return nullptr;
   }
 
-  // Manifest rejected. Count a miss (the caller re-prepares) and
-  // quarantine the file so the next request sees a clean miss instead
-  // of re-parsing the same bad bytes — but only under an uncontended
-  // writer lock, and only if the bytes did not change underneath us (a
-  // concurrent save may already have replaced the entry with a healthy
-  // one).
+  if (Out.Image) {
+    ++Hits;
+    // Refresh the mtime: it is the LRU clock gc() evicts by, so a hit
+    // must mark the entry recently used (best-effort — a failed touch
+    // only ages the entry).
+    ::utime(pathFor(Key).c_str(), nullptr);
+    return Out;
+  }
+
+  // Rejected. Count a miss (the caller re-prepares) and quarantine the
+  // file so the next request sees a clean miss instead of re-parsing the
+  // same bad bytes — but only under an uncontended writer lock, and only
+  // if the bytes did not change underneath us (a concurrent save may
+  // already have replaced the entry with a healthy one).
   ++Misses;
   ++Rejects;
   ReadLock.release();
@@ -781,168 +671,38 @@ CacheStore::load(uint64_t Key, uint64_t ProgramSetHash,
                     quarantinePathFor(Key, Why).c_str()) == 0)
       ++Quarantines;
   }
-  return nullptr;
-}
-
-PreparedProgram CacheStore::loadProgram(uint64_t ProgramHash,
-                                        const MachineConfig &Machine,
-                                        const TechniqueSpec &Tech,
-                                        uint64_t TypingSeed) {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  return loadProgramImpl(ProgramHash, Machine, Tech, TypingSeed);
-}
-
-PreparedProgram CacheStore::loadProgramImpl(uint64_t ProgramHash,
-                                            const MachineConfig &Machine,
-                                            const TechniqueSpec &Tech,
-                                            uint64_t TypingSeed) {
-  PreparedProgram Out;
-  uint64_t Key = progKey(ProgramHash, Machine, Tech, TypingSeed);
-
-  // Same locking contract as the suite path: bounded shared lock,
-  // lockless fallback for read-only stores, timeout degrades to a miss.
-  FileLock ReadLock;
-  if (!ReadLock.acquire(progLockPathFor(Key), FileLock::Mode::Shared,
-                        LockMaxAttempts, LockRng, LockBaseDelayMicros) &&
-      !ReadLock.openFailed()) {
-    ++ProgMisses;
-    ++LockTimeouts;
-    return Out;
-  }
-
-  std::string Bytes;
-  if (!readFile(progPathFor(Key), Bytes)) {
-    ++ProgMisses; // Plain absence.
-    return Out;
-  }
-
-  const char *Why = nullptr;
-  BinaryReader R(Bytes);
-  if (R.u32() != ProgMagic) {
-    Why = "magic";
-  } else if (R.u32() != ProgFormatVersion) {
-    Why = "version";
-  } else {
-    Header H;
-    H.Key = R.u64();
-    H.ProgramSetHash = R.u64(); // The program's own content hash here.
-    H.MachineHash = R.u64();
-    H.PrepHash = R.u64();
-    H.TypingSeed = R.u64();
-    H.PayloadSize = R.u64();
-    H.Checksum = R.u64();
-    if (R.failed())
-      Why = "truncated";
-    else if (H.Key != Key || H.ProgramSetHash != ProgramHash ||
-             H.MachineHash != hashValue(Machine) ||
-             H.PrepHash != Tech.preparationHash() ||
-             H.TypingSeed != TypingSeed)
-      Why = "key";
-    else if (H.PayloadSize != Bytes.size() - HeaderBytes)
-      Why = "truncated";
-    else if (H.Checksum != fnv1a(Bytes.data() + HeaderBytes, H.PayloadSize))
-      Why = "checksum";
-    else {
-      BinaryReader Payload(Bytes.data() + HeaderBytes, H.PayloadSize);
-      Out = readPrepared(Payload, Machine, Tech);
-      if (Out.Image && Payload.remaining() != 0) {
-        Out = PreparedProgram();
-        Why = "payload";
-      } else if (!Out.Image) {
-        Why = "payload";
-      }
-    }
-  }
-
-  if (Out.Image) {
-    ++ProgHits;
-    ::utime(progPathFor(Key).c_str(), nullptr); // LRU touch.
-    return Out;
-  }
-
-  ++ProgMisses;
-  ++Rejects;
-  ReadLock.release();
-  FileLock WriteLock;
-  if (WriteLock.tryAcquire(progLockPathFor(Key),
-                           FileLock::Mode::Exclusive)) {
-    std::string Again;
-    if (readFile(progPathFor(Key), Again) && Again == Bytes &&
-        std::rename(progPathFor(Key).c_str(),
-                    progQuarantinePathFor(Key, Why).c_str()) == 0)
-      ++Quarantines;
-  }
   return Out;
 }
 
-bool CacheStore::save(uint64_t Key, uint64_t ProgramSetHash,
-                      const MachineConfig &Machine, const TechniqueSpec &Tech,
-                      uint64_t TypingSeed, const PreparedSuite &Suite) {
+bool CacheStore::saveProgram(uint64_t ProgramHash,
+                             const MachineConfig &Machine,
+                             const TechniqueSpec &Tech, uint64_t TypingSeed,
+                             const PreparedProgram &Prepared) {
   std::lock_guard<std::mutex> Lock(Mutex);
+  uint64_t Key = key(ProgramHash, Machine, Tech, TypingSeed);
 
-  // First the per-program entries the manifest will reference. Entries
-  // already on disk are skipped: content addressing makes a same-key
-  // file identical by construction, and the skip is what dedupes
-  // programs shared across suites (and keeps an incremental save to
-  // "exactly the new benchmark" writes).
-  std::vector<uint64_t> Hashes;
-  Hashes.reserve(Suite.Images.size());
-  for (size_t I = 0; I < Suite.Images.size(); ++I) {
-    uint64_t ProgHash = hashProgram(Suite.Images[I]->program());
-    Hashes.push_back(ProgHash);
-    uint64_t PKey = progKey(ProgHash, Machine, Tech, TypingSeed);
+  // An entry already on disk is skipped: content addressing makes a
+  // same-key file identical by construction, and the skip is what
+  // dedupes programs shared across suites.
+  struct stat St;
+  if (::stat(pathFor(Key).c_str(), &St) == 0)
+    return true;
 
-    struct stat St;
-    if (::stat(progPathFor(PKey).c_str(), &St) == 0)
-      continue; // Entry exists; identical by construction.
-
-    BinaryWriter Payload;
-    writePrepared(Payload, *Suite.Images[I], *Suite.Costs[I],
-                  *Suite.Flats[I]);
-    Header H;
-    H.Key = PKey;
-    H.ProgramSetHash = ProgHash; // The program's own content hash.
-    H.MachineHash = hashValue(Machine);
-    H.PrepHash = Tech.preparationHash();
-    H.TypingSeed = TypingSeed;
-    H.PayloadSize = Payload.buffer().size();
-    H.Checksum = fnv1a(Payload.buffer().data(), Payload.buffer().size());
-    BinaryWriter File;
-    writeHeader(File, ProgMagic, ProgFormatVersion, H);
-
-    FileLock ProgLock;
-    if (!ProgLock.acquire(progLockPathFor(PKey), FileLock::Mode::Exclusive,
-                          LockMaxAttempts, LockRng, LockBaseDelayMicros)) {
-      // Contended past the budget: whoever holds the lock is writing
-      // identical bytes, so trust them and move on (the manifest may
-      // briefly reference an in-flight entry; readers of a missing or
-      // partial entry just miss). Only real contention counts.
-      if (!ProgLock.openFailed())
-        ++LockTimeouts;
-      continue;
-    }
-    if (!writeFileAtomic(progPathFor(PKey),
-                         File.buffer() + Payload.buffer()))
-      return false; // The manifest must not reference a failed write.
-    ++ProgWrites;
-  }
-
-  // Then the manifest, the commit point of the whole save.
   BinaryWriter Payload;
-  writeManifest(Payload, Hashes);
+  writePrepared(Payload, *Prepared.Image, *Prepared.Cost, *Prepared.Flat);
   Header H;
   H.Key = Key;
-  H.ProgramSetHash = ProgramSetHash;
+  H.ProgramHash = ProgramHash;
   H.MachineHash = hashValue(Machine);
   H.PrepHash = Tech.preparationHash();
   H.TypingSeed = TypingSeed;
   H.PayloadSize = Payload.buffer().size();
   H.Checksum = fnv1a(Payload.buffer().data(), Payload.buffer().size());
   BinaryWriter File;
-  writeHeader(File, Magic, FormatVersion, H);
+  writeHeader(File, H);
 
   // Exclusive writer lock, bounded: a key contended past the retry
-  // budget just skips the write-back (the suite is still served from
+  // budget just skips the write-back (the program is still served from
   // memory, and whoever holds the lock is writing identical bytes).
   FileLock WriteLock;
   if (!WriteLock.acquire(lockPathFor(Key), FileLock::Mode::Exclusive,

@@ -1,4 +1,4 @@
-//===- exp/CacheStore.h - Persistent prepared-suite store ------*- C++ -*-===//
+//===- exp/CacheStore.h - Persistent prepared-program store ----*- C++ -*-===//
 //
 // Part of the phase-based-tuning reproduction. MIT license.
 //
@@ -6,40 +6,33 @@
 ///
 /// \file
 /// The on-disk half of the suite cache: a content-addressed store of
-/// prepared suites (instrumented programs, phase marks, cost tables,
-/// flat execution images) that survives across processes. A SuiteCache with an attached store serves misses from
-/// disk before running the static pipeline, so a second run of any
-/// experiment — or the one-process bench/driver — skips every
-/// preparation it has seen before.
+/// prepared programs (instrumented program, phase marks, cost tables,
+/// flat execution image) that survives across processes. A SuiteCache
+/// with an attached store probes it per program before running the
+/// static pipeline, and writes back every program it had to prepare,
+/// so a second run of any experiment — or the one-process bench/driver
+/// — skips every preparation it has seen before.
 ///
-/// **Addressing.** Entries are keyed by 64-bit content hashes of
-/// everything preparation depends on. The store is *module-granular*:
-/// the unit of storage is one prepared program (`pbt-prog-v2`,
-/// `prog-<16 hex>.pbt`), keyed by that program's own content hash
-/// (every instruction of every block), the machine (structural fields,
-/// name excluded), the technique's preparation identity
-/// (`TechniqueSpec::preparationHash`, tuner excluded — the same
-/// relation the in-memory SuiteCache keys on), the typing seed, and the
-/// program-format + pipeline versions. Because the *set* a program
-/// belongs to is not part of its key, programs shared by different
-/// suites resolve to the same entry: adding one benchmark to a cached
-/// suite re-prepares exactly that benchmark, and shared programs dedupe
-/// across suites. The suite entry (`pbt-suite-v4`,
-/// `suite-<16 hex>.pbt`, keyed as before by the whole program-set hash)
-/// is a thin *manifest*: the list of per-program content hashes, from
-/// which load() reassembles the suite out of prog entries. One store
-/// directory can thus be shared by labs with different program sets and
-/// machines.
+/// **Addressing.** The unit of storage is one prepared program
+/// (`pbt-prog-v2`, `prog-<16 hex>.pbt`), keyed by a 64-bit hash of
+/// everything its preparation depends on: the program's own content
+/// hash (every instruction of every block), the machine (structural
+/// fields, name excluded), the technique's preparation identity
+/// (`TechniqueSpec::preparationHash`, tuner excluded — the same relation
+/// the in-memory SuiteCache keys on), the typing seed, and the
+/// program-format + pipeline versions. The set a program belongs to is
+/// not part of its key, so programs shared by different suites resolve
+/// to the same entry: adding one benchmark to a cached suite re-prepares
+/// exactly that benchmark, and one store directory can be shared by labs
+/// with different program sets and machines.
 ///
-/// **Format** (`pbt-suite-v4` manifests and `pbt-prog-v2` program
-/// entries, documented field by field in docs/BENCH_SCHEMA.md): a fixed
-/// header — magic (`PBTS` for manifests, `PBTP` for prog entries),
-/// format version, key, the key components, payload length, FNV-1a
-/// payload checksum — followed by the payload: the per-program hash
-/// list for manifests, the serialized prepared program (IR, marks,
-/// cost tables, flat image) for prog entries. Doubles are stored by bit
-/// pattern, so a loaded suite is bit-identical to the freshly prepared
-/// one (proven in tests/exp_test.cpp and tests/incremental_test.cpp).
+/// **Format** (documented field by field in docs/BENCH_SCHEMA.md): a
+/// fixed header — `PBTP` magic, format version, key, the key components,
+/// payload length, FNV-1a payload checksum — followed by the serialized
+/// prepared program (IR, marks, cost tables, flat image). Doubles are
+/// stored by bit pattern, so a loaded program is bit-identical to the
+/// freshly prepared one (proven in tests/exp_test.cpp and
+/// tests/incremental_test.cpp).
 ///
 /// **Crash safety and concurrency.** The store is built to survive
 /// `kill -9`, concurrent writers, and injected filesystem faults
@@ -50,7 +43,7 @@
 ///    readers never observe partial files and a crash leaves at worst
 ///    a stale `.tmp.<pid>` file.
 ///  - Cooperating processes serialize per key through an advisory
-///    `flock` on `suite-<key>.lck` — shared for readers, exclusive for
+///    `flock` on `prog-<key>.lck` — shared for readers, exclusive for
 ///    writers — acquired with bounded, seeded-backoff retries
 ///    (support/FileLock). Exhausting the retries degrades gracefully:
 ///    a reader counts a miss, a writer skips the write-back (counted
@@ -69,6 +62,10 @@
 ///  - Construction and gc() sweep stale debris: `.tmp.<pid>` files
 ///    whose writer is dead and old quarantine files.
 ///
+/// Files named `suite-*.pbt` are whole-suite manifests written by
+/// earlier versions of the store; nothing reads, cleans or evicts them,
+/// and they may be deleted by hand.
+///
 /// Every filesystem step routes through support/FaultInjection, so the
 /// whole contract is exercised under injected EIO, short writes, torn
 /// renames, and crash points.
@@ -85,37 +82,26 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
 
 namespace pbt {
 namespace exp {
 
-/// Content-addressed on-disk store of serialized PreparedSuites.
+/// Content-addressed on-disk store of serialized PreparedPrograms.
 class CacheStore {
 public:
-  /// On-disk suite-entry format version; bumped whenever the binary
-  /// layout changes. Part of the file header AND the key hash, so a
-  /// version bump invalidates old entries without ever misreading them.
-  /// v2 dropped the per-program spawn-affinity word (the HASS-static
-  /// comparator moved from suite preparation to the scheduler-policy
-  /// axis); v3 changed FlatImage chain cycle sums to left-to-right
-  /// accumulation, so v2 images would replay with stale fused sums;
-  /// v4 turned the suite entry into a
-  /// thin manifest of per-program content hashes resolved against
-  /// `pbt-prog-v2` entries.
-  static constexpr uint32_t FormatVersion = 4;
-
-  /// On-disk per-program entry format version (`pbt-prog-v2`),
-  /// versioned independently of the manifest format. v2 dropped the
-  /// flat image's superblock-chain summaries (48-byte block records).
+  /// On-disk entry format version (`pbt-prog-v2`); bumped whenever the
+  /// binary layout changes. Part of the file header AND the key hash, so
+  /// a version bump invalidates old entries without ever misreading
+  /// them. v2 dropped the flat image's superblock-chain summaries
+  /// (48-byte block records).
   static constexpr uint32_t ProgFormatVersion = 2;
 
-  /// Version of the static preparation pipeline whose output prog
-  /// entries hold (preparePrograms in workload/Runner.h); part of every prog key, so
-  /// a pipeline change that alters prepared artifacts invalidates
-  /// exactly the program entries. v2 quantized cost tables to the
-  /// exact cycle grid (sim/CostModel.h); v1 entries hold off-grid
-  /// tables and are misses, never replayed.
+  /// Version of the static preparation pipeline whose output entries
+  /// hold (preparePrograms in workload/Runner.h); part of every key, so
+  /// a pipeline change that alters prepared artifacts invalidates every
+  /// entry. v2 quantized cost tables to the exact cycle grid
+  /// (sim/CostModel.h); v1 entries hold off-grid tables and are misses,
+  /// never replayed.
   static constexpr uint32_t PipelineVersion = 2;
 
   /// Opens (creating if needed) the store directory \p Dir and sweeps
@@ -127,83 +113,47 @@ public:
   /// variable is unset (persistence disabled).
   static std::shared_ptr<CacheStore> fromEnv();
 
-  /// Content hash of a whole program set (every instruction of every
-  /// block); the program-set component of suite keys.
-  static uint64_t hashProgramSet(const std::vector<Program> &Programs);
-
-  /// Content hash of one program; the program component of prog keys
-  /// and the hashes a suite manifest lists. hashProgramSet is the hash
-  /// of the concatenation, NOT of these values, so the two are
-  /// independent addressing schemes.
+  /// Content hash of one program (every instruction of every block);
+  /// the program component of keys.
   static uint64_t hashProgram(const Program &Prog);
 
-  /// The store key for (\p ProgramSetHash, \p Machine, \p Tech,
+  /// The entry key for (\p ProgramHash, \p Machine, \p Tech,
   /// \p TypingSeed). Uses Tech's preparation identity only (tuner
-  /// excluded), mirroring SuiteCache's in-memory key relation.
-  static uint64_t suiteKey(uint64_t ProgramSetHash,
-                           const MachineConfig &Machine,
-                           const TechniqueSpec &Tech, uint64_t TypingSeed);
-
-  /// The per-program entry key for (\p ProgramHash, \p Machine,
-  /// \p Tech, \p TypingSeed). Deliberately excludes any program-set
-  /// component (that is what makes cross-suite dedupe work) and bakes
+  /// excluded), mirroring SuiteCache's in-memory key relation, and bakes
   /// in ProgFormatVersion and PipelineVersion.
-  static uint64_t progKey(uint64_t ProgramHash, const MachineConfig &Machine,
-                          const TechniqueSpec &Tech, uint64_t TypingSeed);
+  static uint64_t key(uint64_t ProgramHash, const MachineConfig &Machine,
+                      const TechniqueSpec &Tech, uint64_t TypingSeed);
 
-  /// Loads the suite stored under \p Key: reads the manifest, verifies
-  /// its header against the request's key components and its payload
-  /// against its checksum, then reassembles the suite from the
-  /// `pbt-prog-v2` entries the manifest lists (each validated the same
-  /// way). Returns nullptr on miss or on any rejection (corrupt,
-  /// truncated, version or key mismatch, or any referenced prog entry
-  /// missing/rejected). The returned suite carries a
-  /// default-constructed TunerConfig; callers stamp the requested tuner
-  /// (as SuiteCache does for in-memory hits).
-  std::shared_ptr<const PreparedSuite>
-  load(uint64_t Key, uint64_t ProgramSetHash, const MachineConfig &Machine,
-       const TechniqueSpec &Tech, uint64_t TypingSeed);
-
-  /// Loads the single prepared program stored under
-  /// progKey(\p ProgramHash, ...). Returns a PreparedProgram with null
-  /// pointers on miss or rejection. The incremental half of the store:
-  /// SuiteCache probes per program on a manifest miss and re-prepares
-  /// only the programs this cannot serve.
+  /// Loads the prepared program stored under key(\p ProgramHash, ...),
+  /// after verifying its header against the request's key components
+  /// and its payload against its checksum. Returns a PreparedProgram
+  /// with null pointers on a miss or on any rejection (corrupt,
+  /// truncated, version or key mismatch); a rejected file is
+  /// quarantined.
   PreparedProgram loadProgram(uint64_t ProgramHash,
                               const MachineConfig &Machine,
-                              const TechniqueSpec &Tech,
-                              uint64_t TypingSeed);
+                              const TechniqueSpec &Tech, uint64_t TypingSeed);
 
-  /// Serializes \p Suite under \p Key: writes one `pbt-prog-v2` entry
-  /// per program (skipping entries already on disk — content
-  /// addressing makes them identical by construction, which is what
-  /// dedupes shared programs), then the manifest (atomic write).
-  /// Returns false when any write the manifest would depend on failed.
-  /// An existing manifest is replaced — by construction with identical
-  /// content, so this also self-heals corrupted files.
-  bool save(uint64_t Key, uint64_t ProgramSetHash,
-            const MachineConfig &Machine, const TechniqueSpec &Tech,
-            uint64_t TypingSeed, const PreparedSuite &Suite);
+  /// Serializes \p Prepared under key(\p ProgramHash, ...) with an
+  /// atomic write. An entry already on disk is left alone: content
+  /// addressing makes it identical by construction, which is what
+  /// dedupes programs shared across suites. Returns true when the entry
+  /// is on disk afterwards; false when the write failed or the lock
+  /// could not be taken (the write-back is skipped, nothing aborts).
+  bool saveProgram(uint64_t ProgramHash, const MachineConfig &Machine,
+                   const TechniqueSpec &Tech, uint64_t TypingSeed,
+                   const PreparedProgram &Prepared);
 
-  /// The file path suite manifests for \p Key live at.
+  /// The file path the entry for \p Key lives at.
   std::string pathFor(uint64_t Key) const;
 
-  /// The file path the prog entry for \p Key lives at.
-  std::string progPathFor(uint64_t Key) const;
-
-  /// The advisory lock file guarding \p Key's manifest.
+  /// The advisory lock file guarding \p Key's entry.
   std::string lockPathFor(uint64_t Key) const;
 
-  /// The advisory lock file guarding \p Key's prog entry.
-  std::string progLockPathFor(uint64_t Key) const;
-
-  /// The quarantine destination for \p Key's manifest when rejected for
+  /// The quarantine destination for \p Key's entry when rejected for
   /// \p Reason ("magic", "version", "key", "truncated", "checksum",
   /// "payload").
   std::string quarantinePathFor(uint64_t Key, const char *Reason) const;
-
-  /// The quarantine destination for \p Key's prog entry.
-  std::string progQuarantinePathFor(uint64_t Key, const char *Reason) const;
 
   /// Tunes the bounded lock acquisition: \p MaxAttempts non-blocking
   /// tries, exponential backoff from \p BaseDelayMicros (capped at
@@ -220,12 +170,11 @@ public:
   /// quarantine).
   size_t sweepStale(double MaxQuarantineAgeSeconds = 7 * 86400.0);
 
-  /// Deletes every `suite-*.pbt` entry whose header carries a format
-  /// version other than FormatVersion and every `prog-*.pbt` entry off
-  /// ProgFormatVersion (such entries can never load again; a bump only
-  /// changes the keys, so they would otherwise sit on disk forever).
-  /// Returns the number of files removed. Unreadable or foreign files
-  /// are left alone. Backs `bench/driver --clean-cache`.
+  /// Deletes every `prog-*.pbt` entry whose header carries a format
+  /// version other than ProgFormatVersion (such entries can never load
+  /// again; a bump only changes the keys, so they would otherwise sit on
+  /// disk forever). Returns the number of files removed. Unreadable or
+  /// foreign files are left alone. Backs `bench/driver --clean-cache`.
   size_t cleanMismatchedVersions();
 
   /// Outcome of one gc() pass.
@@ -240,42 +189,33 @@ public:
                               ///< files removed alongside the pass.
   };
 
-  /// Age/size-based garbage collection over the store directory (both
-  /// suite manifests and prog entries), backing `bench/driver
-  /// --gc-cache`. Recency is approximated by file modification time,
-  /// which load() refreshes on every hit — a manifest hit touches the
-  /// manifest *and* every prog entry it resolved, so a suite's programs
-  /// age as a group while unshared entries of abandoned suites age out.
-  /// Eviction order is least-recently-used. A manifest whose prog entry
-  /// was evicted underneath it simply misses and is rebuilt. Two independent bounds:
-  /// entries older than \p MaxAgeSeconds are always evicted
-  /// (<= 0 disables the age bound), then the oldest remaining entries
-  /// are evicted until the store fits in \p MaxBytes (0 disables the
-  /// size bound). Only files with the store magic are touched; ties on
-  /// mtime break by path, so a pass is deterministic for a given
-  /// directory state.
+  /// Age/size-based garbage collection over the store's entries,
+  /// backing `bench/driver --gc-cache`. Recency is approximated by file
+  /// modification time, which loadProgram() refreshes on every hit, so
+  /// entries of suites still in use stay young while entries of
+  /// abandoned suites age out. Eviction order is least-recently-used; a
+  /// suite that lost an entry re-prepares just that program. Two
+  /// independent bounds: entries older than \p MaxAgeSeconds are always
+  /// evicted (<= 0 disables the age bound), then the oldest remaining
+  /// entries are evicted until the store fits in \p MaxBytes (0
+  /// disables the size bound). Only files with the store magic are
+  /// touched; ties on mtime break by path, so a pass is deterministic
+  /// for a given directory state.
   GcStats gc(uint64_t MaxBytes, double MaxAgeSeconds = 0);
 
   const std::string &dir() const { return Dir; }
 
-  /// Suites served from disk (manifest plus every prog entry).
+  /// Entries served from disk.
   uint64_t hits() const { return Hits; }
-  /// Suite requests the store could not serve (absent manifest, or a
-  /// manifest whose prog entries could not all be resolved).
+  /// loadProgram probes with no usable entry (absent, rejected, or
+  /// lock timed out).
   uint64_t misses() const { return Misses; }
   /// Files present but rejected (corruption, truncation, version or key
-  /// mismatch), manifests and prog entries alike; every suite-level
-  /// reject is also counted as a miss.
+  /// mismatch); every reject is also counted as a miss.
   uint64_t rejects() const { return Rejects; }
-  /// Suite manifests written by save().
-  uint64_t writes() const { return Writes; }
-  /// Prog entries served from disk (inside load() or via loadProgram).
-  uint64_t progHits() const { return ProgHits; }
-  /// loadProgram probes with no usable entry.
-  uint64_t progMisses() const { return ProgMisses; }
-  /// Prog entries written by save() (existing entries are skipped, so
+  /// Entries written by saveProgram() (existing entries are skipped, so
   /// this counts genuinely new preparations reaching disk).
-  uint64_t progWrites() const { return ProgWrites; }
+  uint64_t writes() const { return Writes; }
   /// Rejected entries renamed aside for post-mortem (a subset of
   /// rejects(): quarantining needs the uncontended writer lock).
   uint64_t quarantines() const { return Quarantines; }
@@ -294,17 +234,8 @@ private:
   uint64_t Misses = 0;
   uint64_t Rejects = 0;
   uint64_t Writes = 0;
-  uint64_t ProgHits = 0;
-  uint64_t ProgMisses = 0;
-  uint64_t ProgWrites = 0;
   uint64_t Quarantines = 0;
   uint64_t LockTimeouts = 0;
-
-  /// Unlocked bodies (callers hold Mutex).
-  PreparedProgram loadProgramImpl(uint64_t ProgramHash,
-                                  const MachineConfig &Machine,
-                                  const TechniqueSpec &Tech,
-                                  uint64_t TypingSeed);
 };
 
 } // namespace exp

@@ -11,8 +11,9 @@
 /// lazily measured isolated-runtime vector (the t_i of the fairness
 /// metrics). Promoted out of bench/BenchCommon.h so experiment binaries,
 /// sweeps, and tests all share one implementation. With `PBT_CACHE_DIR`
-/// set, the lab's cache load-throughs the process-wide persistent
-/// CacheStore, so preparations also survive across processes.
+/// set, the lab's cache reads and writes per-program entries of the
+/// process-wide persistent CacheStore, so preparations also survive
+/// across processes.
 ///
 //===----------------------------------------------------------------------===//
 

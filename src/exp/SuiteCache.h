@@ -16,19 +16,16 @@
 ///
 /// One cache serves one fixed program set (it is owned by a Lab, whose
 /// programs never change); programs are therefore not part of the
-/// in-memory key. An optional CacheStore adds a persistent disk tier:
-/// memory misses are served from disk (load-through) before falling back
-/// to the static pipeline, and fresh preparations are written back, so
-/// suites survive across processes. The disk tier keys on the program
-/// set too, so one store directory safely serves many labs.
-///
-/// The disk tier is *module-granular*: when the whole-suite manifest
-/// misses, the cache probes the store per program
-/// (CacheStore::loadProgram) and runs the static pipeline only over the
-/// programs the store cannot serve — so adding one benchmark to an
-/// otherwise-cached suite prepares exactly that benchmark, and programs
-/// shared between suites (or labs) are prepared once ever
-/// (preparedPrograms() / programStoreHits() count this split).
+/// in-memory key. An optional CacheStore adds a persistent disk tier of
+/// per-program entries: a memory miss probes the store for each program
+/// (CacheStore::loadProgram), runs the static pipeline once over the
+/// programs it cannot serve (all of them without a store), and writes
+/// those back (CacheStore::saveProgram). Adding one benchmark to an
+/// otherwise-cached suite thus prepares exactly that benchmark, and
+/// programs shared between suites (or labs) are prepared once ever
+/// (preparedPrograms() / programStoreHits() count this split). Store
+/// keys include each program's content hash, so one store directory
+/// safely serves many labs.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -65,8 +62,8 @@ public:
   const std::shared_ptr<CacheStore> &store() const { return Store; }
 
   /// Returns the suite for (\p Tech, \p Machine, \p TypingSeed),
-  /// serving it from memory, then from the persistent store (when
-  /// attached), and only then preparing it with the static pipeline.
+  /// serving it from memory, else assembling it from the persistent
+  /// store's entries (when attached) and the static pipeline.
   /// The returned value shares the cached immutable images/costs/flats
   /// (cheap shared_ptr copies) but carries \p Tech's own TunerConfig,
   /// so cache hits still honor the requested tuner.
@@ -79,10 +76,8 @@ public:
   /// Requests not in memory (storeHits() + prepared() of them were
   /// served from disk / freshly prepared, respectively).
   uint64_t misses() const { return Misses; }
-  /// Memory misses served entirely from the persistent store — via the
-  /// suite manifest, or assembled from per-program entries alone
-  /// (cross-suite dedupe: every program already on disk, only the
-  /// manifest was new).
+  /// Memory misses served entirely from the persistent store: every
+  /// program's entry was already on disk.
   uint64_t storeHits() const { return StoreHits; }
   /// Requests that had to run the static pipeline for at least one
   /// program.
@@ -91,8 +86,7 @@ public:
   /// counter: adding one benchmark to a warm suite raises this by
   /// exactly one).
   uint64_t preparedPrograms() const { return PreparedPrograms; }
-  /// Programs served from per-program store entries during incremental
-  /// assembly (manifest-level hits not included).
+  /// Programs served from store entries.
   uint64_t programStoreHits() const { return ProgramStoreHits; }
   /// Distinct prepared suites currently held in memory.
   size_t size() const;
@@ -107,11 +101,8 @@ private:
     std::shared_ptr<const PreparedSuite> Suite;
   };
 
-  /// The program-set content hash for the disk tier, computed once (the
+  /// Per-program content hashes for the disk tier, computed once (the
   /// cache serves one fixed program set for its whole life).
-  uint64_t programSetHash(const std::vector<Program> &Programs);
-
-  /// Per-program content hashes, memoized alongside programSetHash.
   const std::vector<uint64_t> &
   programHashes(const std::vector<Program> &Programs);
 
@@ -119,10 +110,7 @@ private:
   /// comparison (samePreparation + machine equality + seed).
   std::unordered_map<uint64_t, std::vector<Entry>> Buckets;
   std::shared_ptr<CacheStore> Store;
-  uint64_t ProgramsHash = 0;
-  bool ProgramsHashed = false;
   std::vector<uint64_t> ProgramHashes;
-  bool ProgramHashesComputed = false;
   uint64_t Hits = 0;
   uint64_t Misses = 0;
   uint64_t StoreHits = 0;

@@ -8,7 +8,7 @@
 /// Plane 2 of the observability subsystem: one process-wide registry of
 /// named counters (monotonic uint64) and metrics (double, e.g. seconds)
 /// that absorbs the fabric's formerly scattered statistics — suite-cache
-/// hits/misses, CacheStore prog/lock/quarantine counts, guard
+/// hits/misses, CacheStore entry/lock/quarantine counts, guard
 /// attempts/exceptions, per-pass PassStats, sweep unit counts, trace-sink
 /// I/O. Components either increment the registry directly at runtime
 /// (fabric events, spans) or are imported at dump time by the driver

@@ -32,20 +32,23 @@ double parseProbability(const std::string &Key, const std::string &Value) {
 
 FaultInjection &FaultInjection::instance() {
   static FaultInjection *FI = [] {
-    auto *I = new FaultInjection();
+    FaultConfig Config;
     if (const char *Spec = envString("PBT_FAULTS"))
       if (*Spec) {
         // The first call can come from anywhere (a store op deep in a
         // gc pass, a test fixture) with no catch in sight; a typo'd
         // env var must be a clean diagnostic, never std::terminate
-        // from a throwing static initializer.
+        // from a throwing static initializer. The spec is parsed before
+        // the singleton is allocated, so the exit leaks nothing.
         try {
-          I->configure(parse(Spec));
+          Config = parse(Spec);
         } catch (const std::invalid_argument &E) {
           std::fprintf(stderr, "%s\n", E.what());
           std::exit(2);
         }
       }
+    auto *I = new FaultInjection();
+    I->configure(Config);
     return I;
   }();
   return *FI;

@@ -7,6 +7,7 @@
 // of which the store must still load, rebuild transparently, and end up
 // byte-identical to a single quiet writer's output.
 
+#include "StoreEntries.h"
 #include "TestDirs.h"
 
 #include "exp/CacheStore.h"
@@ -31,6 +32,9 @@
 
 using namespace pbt;
 using namespace pbt::exp;
+using pbt_test::entryPath;
+using pbt_test::loadSuite;
+using pbt_test::saveSuite;
 using pbt_test::testCacheDir;
 
 namespace {
@@ -52,11 +56,6 @@ TechniqueSpec loopTechnique(unsigned MinSize) {
   TunerConfig TU;
   TU.IpcDelta = 0.2;
   return TechniqueSpec::tuned(TC, TU);
-}
-
-bool fileExists(const std::string &Path) {
-  std::string Bytes;
-  return readFile(Path, Bytes);
 }
 
 /// Removes every file inside \p Dir. The scratch root is per-process,
@@ -90,19 +89,18 @@ size_t countMatching(const std::string &Dir, const char *Needle) {
 /// Everything a crash-point scenario needs, prepared once in the parent
 /// BEFORE any fork (children must not touch the thread pool).
 struct CrashRig {
-  explicit CrashRig(const std::string &DirName)
+  explicit CrashRig(const std::string &DirName, unsigned MinSize = 60)
       : DirName(DirName), Programs(tinySuite()),
-        MC(MachineConfig::quadAsymmetric()), Tech(loopTechnique(60)),
-        ProgramsHash(CacheStore::hashProgramSet(Programs)),
-        Key(CacheStore::suiteKey(ProgramsHash, MC, Tech, 42)),
+        MC(MachineConfig::quadAsymmetric()), Tech(loopTechnique(MinSize)),
         Suite(prepareSuite(Programs, MC, Tech, 42)) {
     wipeDir(DirName);
     wipeDir(DirName + ".ref");
   }
 
-  /// Forks a child that arms \p CrashPoint and calls save(); asserts it
-  /// died with the kill -9 status. Returns the child's exit status.
-  void crashChildAt(const char *CrashPoint) {
+  /// Forks a child that arms the \p Hit-th hit of \p CrashPoint and
+  /// saves every program's entry; asserts it died with the kill -9
+  /// status.
+  void crashChildAt(const char *CrashPoint, uint32_t Hit = 1) {
     pid_t Pid = ::fork();
     ASSERT_GE(Pid, 0);
     if (Pid == 0) {
@@ -110,9 +108,10 @@ struct CrashRig {
       // via _exit — gtest machinery, buffers, and all.
       FaultConfig C;
       C.CrashPoint = CrashPoint;
+      C.CrashAtHit = Hit;
       FaultInjection::instance().configure(C);
       CacheStore Child(DirName);
-      Child.save(Key, ProgramsHash, MC, Tech, 42, Suite);
+      saveSuite(Child, Programs, MC, Tech, 42, Suite);
       ::_exit(0); // The crash point never fired: wrong, and visible.
     }
     int Status = 0;
@@ -122,36 +121,37 @@ struct CrashRig {
         << ": child must die AT the crash point";
   }
 
-  /// The manifest bytes a quiet single writer produces for Key (the
-  /// reference store lives beside the crash store and is populated on
-  /// first call).
-  std::string referenceBytes() {
-    CacheStore Ref(DirName + ".ref");
-    EXPECT_TRUE(Ref.save(Key, ProgramsHash, MC, Tech, 42, Suite));
+  /// The bytes of program \p I's entry in \p Store, or "" when absent.
+  std::string entryBytes(const CacheStore &Store, size_t I) {
     std::string Bytes;
-    EXPECT_TRUE(readFile(Ref.pathFor(Key), Bytes));
+    readFile(entryPath(Store, Programs[I], MC, Tech, 42), Bytes);
     return Bytes;
   }
 
-  /// The reference store's bytes for program \p I's per-program entry
-  /// (referenceBytes() must have populated the reference store first).
-  std::string referenceProgBytes(size_t I) {
+  /// The entry bytes a quiet single writer produces for every program
+  /// (the reference store lives beside the crash store).
+  std::vector<std::string> referenceBytes() {
     CacheStore Ref(DirName + ".ref");
-    std::string Bytes;
-    EXPECT_TRUE(readFile(
-        Ref.progPathFor(CacheStore::progKey(
-            CacheStore::hashProgram(Programs[I]), MC, Tech, 42)),
-        Bytes))
-        << "reference prog entry " << I;
+    EXPECT_TRUE(saveSuite(Ref, Programs, MC, Tech, 42, Suite));
+    std::vector<std::string> Bytes;
+    for (size_t I = 0; I < Programs.size(); ++I) {
+      Bytes.push_back(entryBytes(Ref, I));
+      EXPECT_FALSE(Bytes.back().empty()) << "reference entry " << I;
+    }
     return Bytes;
+  }
+
+  /// Asserts every entry in \p Store equals \p Reference, byte for byte.
+  void expectEntries(const CacheStore &Store,
+                     const std::vector<std::string> &Reference) {
+    for (size_t I = 0; I < Programs.size(); ++I)
+      EXPECT_EQ(entryBytes(Store, I), Reference[I]) << "entry " << I;
   }
 
   std::string DirName;
   std::vector<Program> Programs;
   MachineConfig MC;
   TechniqueSpec Tech;
-  uint64_t ProgramsHash;
-  uint64_t Key;
   PreparedSuite Suite;
 };
 
@@ -186,28 +186,26 @@ TEST(CacheStressTest, SurvivesEnvironmentFaults) {
 // kill -9 at every interesting instant of a store write
 //===----------------------------------------------------------------------===//
 
-// A child dies mid-temp-write: the destination must never exist, the
-// torn temp is swept at the next construction, and a rebuild produces
-// byte-identical output.
+// A child dies mid-temp-write of the first entry: the destination must
+// never exist, the torn temp is swept at the next construction, and a
+// rebuild produces byte-identical output.
 TEST(CacheStressTest, CrashMidWriteLeavesRecoverableStore) {
   CrashRig Rig(testCacheDir("stress_crash_midwrite.cache"));
-  std::string Reference = Rig.referenceBytes();
+  std::vector<std::string> Reference = Rig.referenceBytes();
   Rig.crashChildAt("atomic.mid_write");
 
   CacheStore After(Rig.DirName); // Construction sweeps the dead temp.
   EXPECT_EQ(countMatching(After.dir(), ".tmp."), 0u)
       << "dead writer's temp must be swept";
-  EXPECT_TRUE(After.load(Rig.Key, Rig.ProgramsHash, Rig.MC, Rig.Tech,
-                         42) == nullptr)
+  EXPECT_EQ(countMatching(After.dir(), ".pbt"), 0u)
       << "a crashed write must never produce a visible entry";
+  EXPECT_FALSE(loadSuite(After, Rig.Programs, Rig.MC, Rig.Tech, 42));
   EXPECT_EQ(After.rejects(), 0u) << "nothing to reject: a clean miss";
 
   // Rebuild and compare to the quiet single writer, byte for byte.
-  ASSERT_TRUE(After.save(Rig.Key, Rig.ProgramsHash, Rig.MC, Rig.Tech, 42,
-                         Rig.Suite));
-  std::string Bytes;
-  ASSERT_TRUE(readFile(After.pathFor(Rig.Key), Bytes));
-  EXPECT_EQ(Bytes, Reference);
+  ASSERT_TRUE(saveSuite(After, Rig.Programs, Rig.MC, Rig.Tech, 42,
+                        Rig.Suite));
+  Rig.expectEntries(After, Reference);
 }
 
 // A child dies between the temp fsync and the rename: same contract —
@@ -218,46 +216,36 @@ TEST(CacheStressTest, CrashBeforeRenameLeavesNoEntry) {
 
   CacheStore After(Rig.DirName);
   EXPECT_EQ(countMatching(After.dir(), ".tmp."), 0u);
-  EXPECT_TRUE(After.load(Rig.Key, Rig.ProgramsHash, Rig.MC, Rig.Tech,
-                         42) == nullptr);
+  EXPECT_EQ(countMatching(After.dir(), ".pbt"), 0u);
+  EXPECT_FALSE(loadSuite(After, Rig.Programs, Rig.MC, Rig.Tech, 42));
   EXPECT_EQ(After.rejects(), 0u);
 }
 
-// A child dies right AFTER the first rename of the save — which, under
-// module-granular addressing, commits the first program's entry, not
-// the manifest. That entry is complete and byte-identical to a quiet
-// writer's (the point of fsync-before-rename); the suite itself is a
-// clean miss (the manifest never landed), and a rebuild reuses the
-// durable prog entry and converges to the reference bytes.
+// A child dies right AFTER the first rename of the save, which commits
+// the first program's entry. That entry is complete and byte-identical
+// to a quiet writer's (the point of fsync-before-rename); the second
+// program is a clean miss, and a rebuild reuses the durable entry and
+// converges to the reference bytes.
 TEST(CacheStressTest, CrashAfterRenameLeavesCompleteEntry) {
   CrashRig Rig(testCacheDir("stress_crash_postrename.cache"));
-  std::string Reference = Rig.referenceBytes();
+  std::vector<std::string> Reference = Rig.referenceBytes();
   Rig.crashChildAt("atomic.after_rename");
 
   CacheStore After(Rig.DirName);
-  std::string FirstProgPath = After.progPathFor(CacheStore::progKey(
-      CacheStore::hashProgram(Rig.Programs[0]), Rig.MC, Rig.Tech, 42));
-  std::string ProgBytes;
-  ASSERT_TRUE(readFile(FirstProgPath, ProgBytes))
-      << "renamed prog entry survives the crash";
-  EXPECT_EQ(ProgBytes, Rig.referenceProgBytes(0))
-      << "completed prog entry is byte-identical to a quiet writer's";
-  EXPECT_TRUE(After.load(Rig.Key, Rig.ProgramsHash, Rig.MC, Rig.Tech,
-                         42) == nullptr)
-      << "no manifest yet: the suite is a clean miss";
+  EXPECT_EQ(Rig.entryBytes(After, 0), Reference[0])
+      << "completed entry survives, byte-identical to a quiet writer's";
+  EXPECT_EQ(Rig.entryBytes(After, 1), "") << "second entry never landed";
+  EXPECT_FALSE(loadSuite(After, Rig.Programs, Rig.MC, Rig.Tech, 42));
   EXPECT_EQ(After.rejects(), 0u);
 
-  // Rebuild: the durable prog entry is reused (exists-skip), the rest
-  // is written, and the manifest matches the quiet single writer's.
-  ASSERT_TRUE(After.save(Rig.Key, Rig.ProgramsHash, Rig.MC, Rig.Tech, 42,
-                         Rig.Suite));
-  EXPECT_EQ(After.progWrites(), Rig.Programs.size() - 1)
+  // Rebuild: the durable entry is reused (exists-skip), the rest is
+  // written, and every entry matches the quiet single writer's.
+  ASSERT_TRUE(saveSuite(After, Rig.Programs, Rig.MC, Rig.Tech, 42,
+                        Rig.Suite));
+  EXPECT_EQ(After.writes(), Rig.Programs.size() - 1)
       << "the crash's surviving entry must not be rewritten";
-  std::string Bytes;
-  ASSERT_TRUE(readFile(After.pathFor(Rig.Key), Bytes));
-  EXPECT_EQ(Bytes, Reference);
-  EXPECT_TRUE(After.load(Rig.Key, Rig.ProgramsHash, Rig.MC, Rig.Tech,
-                         42) != nullptr);
+  Rig.expectEntries(After, Reference);
+  EXPECT_TRUE(loadSuite(After, Rig.Programs, Rig.MC, Rig.Tech, 42));
 }
 
 // A child dies while HOLDING the exclusive writer flock: the kernel
@@ -269,27 +257,24 @@ TEST(CacheStressTest, CrashWhileHoldingLockStrandsNothing) {
 
   CacheStore After(Rig.DirName);
   After.setLockPolicy(/*MaxAttempts=*/2, /*BaseDelayMicros=*/10);
-  ASSERT_TRUE(After.save(Rig.Key, Rig.ProgramsHash, Rig.MC, Rig.Tech, 42,
-                         Rig.Suite))
+  ASSERT_TRUE(saveSuite(After, Rig.Programs, Rig.MC, Rig.Tech, 42,
+                        Rig.Suite))
       << "dead child's flock must have died with it";
-  EXPECT_TRUE(After.load(Rig.Key, Rig.ProgramsHash, Rig.MC, Rig.Tech,
-                         42) != nullptr);
+  EXPECT_TRUE(loadSuite(After, Rig.Programs, Rig.MC, Rig.Tech, 42));
   EXPECT_EQ(After.lockTimeouts(), 0u);
 }
 
-// A child dies after the full save: everything is durable; a second
-// process simply hits.
+// A child dies after its last entry is saved: everything is durable; a
+// second process simply hits.
 TEST(CacheStressTest, CrashAfterSaveIsInvisible) {
   CrashRig Rig(testCacheDir("stress_crash_saved.cache"));
-  std::string Reference = Rig.referenceBytes();
-  Rig.crashChildAt("store.saved");
+  std::vector<std::string> Reference = Rig.referenceBytes();
+  Rig.crashChildAt("store.saved",
+                   static_cast<uint32_t>(Rig.Programs.size()));
 
   CacheStore After(Rig.DirName);
-  std::string Bytes;
-  ASSERT_TRUE(readFile(After.pathFor(Rig.Key), Bytes));
-  EXPECT_EQ(Bytes, Reference);
-  EXPECT_TRUE(After.load(Rig.Key, Rig.ProgramsHash, Rig.MC, Rig.Tech,
-                         42) != nullptr);
+  Rig.expectEntries(After, Reference);
+  EXPECT_TRUE(loadSuite(After, Rig.Programs, Rig.MC, Rig.Tech, 42));
 }
 
 //===----------------------------------------------------------------------===//
@@ -298,18 +283,19 @@ TEST(CacheStressTest, CrashAfterSaveIsInvisible) {
 
 // Four forked processes hammer one store directory — each with its own
 // seeded fault schedule (EIO, short writes, torn renames) — while
-// re-loading and re-saving the same two keys. Afterwards the store must
-// recover to entries BYTE-IDENTICAL to a quiet single writer's, with no
-// temp debris left behind.
+// re-loading and re-saving the entries of the same two suites.
+// Afterwards the store must recover to entries BYTE-IDENTICAL to a quiet
+// single writer's, with no temp debris left behind.
 TEST(CacheStressTest, MultiProcessHammerConvergesToReferenceBytes) {
   std::string DirName = testCacheDir("stress_hammer.cache");
-  CrashRig Rig(DirName); // Reuses the rig for key/suite plumbing.
-  TechniqueSpec SecondTech = loopTechnique(61);
-  uint64_t SecondKey =
-      CacheStore::suiteKey(Rig.ProgramsHash, Rig.MC, SecondTech, 42);
-  PreparedSuite SecondSuite =
-      prepareSuite(Rig.Programs, Rig.MC, SecondTech, 42);
-  std::string Reference = Rig.referenceBytes();
+  // Two rigs for the suite plumbing: two preparations of one program
+  // set, whose entries share a directory.
+  CrashRig Rig(DirName);
+  CrashRig Second(DirName, 61);
+  const TechniqueSpec &SecondTech = Second.Tech;
+  const PreparedSuite &SecondSuite = Second.Suite;
+  std::vector<std::string> Reference = Rig.referenceBytes();
+  std::vector<std::string> SecondReference = Second.referenceBytes();
 
   constexpr int NumChildren = 4;
   std::vector<pid_t> Children;
@@ -327,15 +313,14 @@ TEST(CacheStressTest, MultiProcessHammerConvergesToReferenceBytes) {
       CacheStore Store(DirName);
       Store.setLockPolicy(/*MaxAttempts=*/200, /*BaseDelayMicros=*/50);
       for (int Round = 0; Round < 8; ++Round) {
-        // Alternate keys so writers and readers collide across
+        // Alternate suites so writers and readers collide across
         // children. Loads may miss (faults, quarantines, in-flight
         // writers) — they must just never crash or wedge.
         bool First = (Round + Child) % 2 == 0;
-        uint64_t K = First ? Rig.Key : SecondKey;
         const TechniqueSpec &T = First ? Rig.Tech : SecondTech;
         const PreparedSuite &S = First ? Rig.Suite : SecondSuite;
-        if (!Store.load(K, Rig.ProgramsHash, Rig.MC, T, 42))
-          Store.save(K, Rig.ProgramsHash, Rig.MC, T, 42, S);
+        if (!loadSuite(Store, Rig.Programs, Rig.MC, T, 42))
+          saveSuite(Store, Rig.Programs, Rig.MC, T, 42, S);
       }
       ::_exit(0);
     }
@@ -348,31 +333,30 @@ TEST(CacheStressTest, MultiProcessHammerConvergesToReferenceBytes) {
     ASSERT_EQ(WEXITSTATUS(Status), 0) << "no child may crash or wedge";
   }
 
-  // Recovery pass: one quiet load-through each. A key the chaos left
-  // torn gets quarantined and rebuilt here; a healthy key just hits.
+  // Recovery pass: one quiet load-through per suite. An entry the chaos
+  // left torn gets quarantined and rebuilt here; healthy entries hit.
   CacheStore Final(DirName);
-  if (!Final.load(Rig.Key, Rig.ProgramsHash, Rig.MC, Rig.Tech, 42)) {
-    ASSERT_TRUE(Final.save(Rig.Key, Rig.ProgramsHash, Rig.MC, Rig.Tech,
-                           42, Rig.Suite));
+  if (!loadSuite(Final, Rig.Programs, Rig.MC, Rig.Tech, 42)) {
+    ASSERT_TRUE(saveSuite(Final, Rig.Programs, Rig.MC, Rig.Tech, 42,
+                          Rig.Suite));
   }
-  if (!Final.load(SecondKey, Rig.ProgramsHash, Rig.MC, SecondTech, 42)) {
-    ASSERT_TRUE(Final.save(SecondKey, Rig.ProgramsHash, Rig.MC,
-                           SecondTech, 42, SecondSuite));
+  if (!loadSuite(Final, Rig.Programs, Rig.MC, SecondTech, 42)) {
+    ASSERT_TRUE(saveSuite(Final, Rig.Programs, Rig.MC, SecondTech, 42,
+                          SecondSuite));
   }
 
-  // Byte-identity with the quiet single-writer reference: concurrency
-  // and faults may cost misses, never artifact drift.
-  std::string Bytes;
-  ASSERT_TRUE(readFile(Final.pathFor(Rig.Key), Bytes));
-  EXPECT_EQ(Bytes, Reference);
+  // Byte-identity of every entry with the quiet single-writer reference:
+  // concurrency and faults may cost misses, never artifact drift.
+  Rig.expectEntries(Final, Reference);
+  Second.expectEntries(Final, SecondReference);
 
   // gc clears every trace of the chaos: quarantines, dead temps,
   // orphaned locks.
   Final.gc(/*MaxBytes=*/0);
   EXPECT_EQ(countMatching(Final.dir(), ".tmp."), 0u);
   EXPECT_EQ(countMatching(Final.dir(), ".quarantined-"), 0u);
-  EXPECT_TRUE(fileExists(Final.pathFor(Rig.Key)))
-      << "gc must not evict live entries";
+  Rig.expectEntries(Final, Reference);
+  Second.expectEntries(Final, SecondReference);
 }
 
 //===----------------------------------------------------------------------===//

@@ -1,6 +1,7 @@
 //===- tests/exp_test.cpp - experiment harness: cache, sweeps, parallel ---===//
 
 #include "RunIdentity.h"
+#include "StoreEntries.h"
 #include "TestDirs.h"
 
 #include "exp/CacheStore.h"
@@ -25,6 +26,9 @@
 
 using namespace pbt;
 using namespace pbt::exp;
+using pbt_test::entryPath;
+using pbt_test::loadSuite;
+using pbt_test::saveSuite;
 using pbt_test::testCacheDir;
 
 namespace {
@@ -488,7 +492,7 @@ TEST(JsonTest, NumbersRoundTrip) {
 }
 
 //===----------------------------------------------------------------------===//
-// CacheStore: persistent suite cache
+// CacheStore: persistent per-program store
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -521,28 +525,24 @@ void expectTablesBitIdentical(const PreparedSuite &A,
 
 } // namespace
 
-// A suite written to the store and loaded back must be bit-identical to
-// the freshly prepared one — every mark, every cost sample, every flat
-// record and cycle-table double — and must replay workloads with
-// bit-identical results.
+// A suite written to the store entry by entry and loaded back must be
+// bit-identical to the freshly prepared one — every mark, every cost
+// sample, every flat record and cycle-table double — and must replay
+// workloads with bit-identical results.
 TEST(CacheStoreTest, RoundTripBitIdentical) {
   CacheStore Store(testCacheDir("exp_test_roundtrip.cache"));
   std::vector<Program> Programs = randomPrograms(31, 5);
   MachineConfig MC = MachineConfig::quadAsymmetric();
-  uint64_t ProgramsHash = CacheStore::hashProgramSet(Programs);
 
   TechniqueSpec Static = loopTechnique();
   Static.UseStaticTyping = true;
   for (const TechniqueSpec &Tech :
        {TechniqueSpec::baseline(), loopTechnique(), Static}) {
     PreparedSuite Fresh = prepareSuite(Programs, MC, Tech, 42);
-    uint64_t Key = CacheStore::suiteKey(ProgramsHash, MC, Tech, 42);
-    ASSERT_TRUE(Store.save(Key, ProgramsHash, MC, Tech, 42, Fresh));
+    ASSERT_TRUE(saveSuite(Store, Programs, MC, Tech, 42, Fresh));
 
-    std::shared_ptr<const PreparedSuite> Loaded =
-        Store.load(Key, ProgramsHash, MC, Tech, 42);
-    ASSERT_TRUE(Loaded != nullptr);
-    PreparedSuite Reloaded = *Loaded;
+    PreparedSuite Reloaded;
+    ASSERT_TRUE(loadSuite(Store, Programs, MC, Tech, 42, &Reloaded));
     Reloaded.Tuner = Tech.Tuner; // Callers stamp the tuner, as SuiteCache does.
 
     expectSuitesIdentical(Fresh, Reloaded);
@@ -553,7 +553,8 @@ TEST(CacheStoreTest, RoundTripBitIdentical) {
     RunResult FromDisk = runWorkload(Reloaded, W, MC, SimConfig(), 15);
     expectRunsIdentical(FromFresh, FromDisk);
   }
-  EXPECT_EQ(Store.hits(), 3u);
+  EXPECT_EQ(Store.hits(), 3 * Programs.size());
+  EXPECT_EQ(Store.writes(), 3 * Programs.size());
   EXPECT_EQ(Store.rejects(), 0u);
 }
 
@@ -562,19 +563,20 @@ TEST(CacheStoreTest, VersionMismatchRejected) {
   std::vector<Program> Programs = smallSuite();
   MachineConfig MC = MachineConfig::quadAsymmetric();
   TechniqueSpec Tech = loopTechnique();
-  uint64_t ProgramsHash = CacheStore::hashProgramSet(Programs);
-  uint64_t Key = CacheStore::suiteKey(ProgramsHash, MC, Tech, 42);
-  ASSERT_TRUE(Store.save(Key, ProgramsHash, MC, Tech, 42,
-                         prepareSuite(Programs, MC, Tech, 42)));
+  ASSERT_TRUE(saveSuite(Store, Programs, MC, Tech, 42,
+                        prepareSuite(Programs, MC, Tech, 42)));
 
-  // Bump the format-version field (bytes 4..7, after the magic).
+  // Bump the format-version field (bytes 4..7, after the magic) of the
+  // first program's entry.
+  std::string Path = entryPath(Store, Programs[0], MC, Tech, 42);
   std::string Bytes;
-  ASSERT_TRUE(readFile(Store.pathFor(Key), Bytes));
-  Bytes[4] = static_cast<char>(CacheStore::FormatVersion + 1);
-  ASSERT_TRUE(writeFileAtomic(Store.pathFor(Key), Bytes));
+  ASSERT_TRUE(readFile(Path, Bytes));
+  Bytes[4] = static_cast<char>(CacheStore::ProgFormatVersion + 1);
+  ASSERT_TRUE(writeFileAtomic(Path, Bytes));
 
-  EXPECT_TRUE(Store.load(Key, ProgramsHash, MC, Tech, 42) == nullptr);
+  EXPECT_FALSE(loadSuite(Store, Programs, MC, Tech, 42));
   EXPECT_EQ(Store.rejects(), 1u);
+  EXPECT_EQ(Store.hits(), Programs.size() - 1);
 }
 
 TEST(CacheStoreTest, TruncatedAndCorruptFilesRejected) {
@@ -582,31 +584,31 @@ TEST(CacheStoreTest, TruncatedAndCorruptFilesRejected) {
   std::vector<Program> Programs = smallSuite();
   MachineConfig MC = MachineConfig::quadAsymmetric();
   TechniqueSpec Tech = loopTechnique();
-  uint64_t ProgramsHash = CacheStore::hashProgramSet(Programs);
-  uint64_t Key = CacheStore::suiteKey(ProgramsHash, MC, Tech, 42);
-  ASSERT_TRUE(Store.save(Key, ProgramsHash, MC, Tech, 42,
-                         prepareSuite(Programs, MC, Tech, 42)));
+  ASSERT_TRUE(saveSuite(Store, Programs, MC, Tech, 42,
+                        prepareSuite(Programs, MC, Tech, 42)));
+  uint64_t Hash = CacheStore::hashProgram(Programs[0]);
+  std::string Path = entryPath(Store, Programs[0], MC, Tech, 42);
   std::string Good;
-  ASSERT_TRUE(readFile(Store.pathFor(Key), Good));
+  ASSERT_TRUE(readFile(Path, Good));
 
   // Truncation at several depths: inside the header, at the payload
   // boundary (the header is 64 bytes), and mid-payload.
   for (size_t Keep : {size_t(10), size_t(64), Good.size() / 2}) {
-    ASSERT_TRUE(writeFileAtomic(Store.pathFor(Key), Good.substr(0, Keep)));
-    EXPECT_TRUE(Store.load(Key, ProgramsHash, MC, Tech, 42) == nullptr)
+    ASSERT_TRUE(writeFileAtomic(Path, Good.substr(0, Keep)));
+    EXPECT_TRUE(Store.loadProgram(Hash, MC, Tech, 42).Image == nullptr)
         << "truncated to " << Keep << " bytes";
   }
 
   // A single flipped payload byte must fail the checksum.
   std::string Flipped = Good;
   Flipped[Good.size() - 7] ^= 0x20;
-  ASSERT_TRUE(writeFileAtomic(Store.pathFor(Key), Flipped));
-  EXPECT_TRUE(Store.load(Key, ProgramsHash, MC, Tech, 42) == nullptr);
+  ASSERT_TRUE(writeFileAtomic(Path, Flipped));
+  EXPECT_TRUE(Store.loadProgram(Hash, MC, Tech, 42).Image == nullptr);
   EXPECT_EQ(Store.rejects(), 4u);
 
   // The pristine bytes still load.
-  ASSERT_TRUE(writeFileAtomic(Store.pathFor(Key), Good));
-  EXPECT_TRUE(Store.load(Key, ProgramsHash, MC, Tech, 42) != nullptr);
+  ASSERT_TRUE(writeFileAtomic(Path, Good));
+  EXPECT_TRUE(Store.loadProgram(Hash, MC, Tech, 42).Image != nullptr);
 }
 
 // --clean-cache's helper: only entries carrying a foreign format
@@ -616,17 +618,15 @@ TEST(CacheStoreTest, CleanMismatchedVersionsRemovesOnlyStaleEntries) {
   std::vector<Program> Programs = smallSuite();
   MachineConfig MC = MachineConfig::quadAsymmetric();
   TechniqueSpec Tech = loopTechnique();
-  uint64_t ProgramsHash = CacheStore::hashProgramSet(Programs);
-  uint64_t Key = CacheStore::suiteKey(ProgramsHash, MC, Tech, 42);
-  ASSERT_TRUE(Store.save(Key, ProgramsHash, MC, Tech, 42,
-                         prepareSuite(Programs, MC, Tech, 42)));
+  ASSERT_TRUE(saveSuite(Store, Programs, MC, Tech, 42,
+                        prepareSuite(Programs, MC, Tech, 42)));
 
-  // A stale entry from a previous format version ("PBTS" + version 1),
+  // A stale entry from a previous format version ("PBTP" + version 1),
   // and a foreign file that merely looks similar.
-  std::string StalePath = Store.dir() + "/suite-00000000deadbeef.pbt";
-  std::string Stale("PBTS\x01\x00\x00\x00stale-payload", 21);
+  std::string StalePath = Store.dir() + "/prog-00000000deadbeef.pbt";
+  std::string Stale("PBTP\x01\x00\x00\x00stale-payload", 21);
   ASSERT_TRUE(writeFileAtomic(StalePath, Stale));
-  std::string ForeignPath = Store.dir() + "/suite-0000000000000000.txt";
+  std::string ForeignPath = Store.dir() + "/prog-0000000000000000.txt";
   ASSERT_TRUE(writeFileAtomic(ForeignPath, "not a store file"));
 
   EXPECT_EQ(Store.cleanMismatchedVersions(), 1u);
@@ -634,8 +634,8 @@ TEST(CacheStoreTest, CleanMismatchedVersionsRemovesOnlyStaleEntries) {
   std::string Bytes;
   EXPECT_FALSE(readFile(StalePath, Bytes)) << "stale entry must be gone";
   EXPECT_TRUE(readFile(ForeignPath, Bytes)) << "foreign file untouched";
-  EXPECT_TRUE(Store.load(Key, ProgramsHash, MC, Tech, 42) != nullptr)
-      << "current-version entry untouched";
+  EXPECT_TRUE(loadSuite(Store, Programs, MC, Tech, 42))
+      << "current-version entries untouched";
   std::remove(ForeignPath.c_str());
 }
 
@@ -654,8 +654,8 @@ uint64_t fileBytes(const std::string &Path) {
   return readFile(Path, Bytes) ? Bytes.size() : 0;
 }
 
-/// Every store entry file (suite manifest or prog entry) currently in
-/// \p Dir, sorted for deterministic diffs.
+/// Every store entry file currently in \p Dir, sorted for
+/// deterministic diffs.
 std::vector<std::string> listEntryFiles(const std::string &Dir) {
   std::vector<std::string> Files;
   if (DIR *D = ::opendir(Dir.c_str())) {
@@ -677,23 +677,20 @@ uint64_t groupBytes(const std::vector<std::string> &Paths) {
   return N;
 }
 
-/// Three distinct suites in a fresh GC-test store, oldest first. A save
-/// produces a file *group* — one manifest plus a prog entry per program
-/// — and gc treats each file as an entry, so each element holds all of
-/// one save's files, aged together: suite I's mtime is (3 - I) hours
-/// ago.
+/// Three distinct suites in a fresh GC-test store, oldest first. A
+/// suite is a file *group* — one entry per program — and gc treats each
+/// file as an entry, so each element holds all of one suite's files,
+/// aged together: suite I's mtime is (3 - I) hours ago.
 std::vector<std::vector<std::string>> populateGcStore(CacheStore &Store) {
   std::vector<Program> Programs = smallSuite();
   MachineConfig MC = MachineConfig::quadAsymmetric();
-  uint64_t ProgramsHash = CacheStore::hashProgramSet(Programs);
   std::vector<std::vector<std::string>> Groups;
   std::vector<std::string> Before;
   for (uint32_t I = 0; I < 3; ++I) {
     TechniqueSpec Tech = loopTechnique();
     Tech.Transition.MinSize = 40 + I; // Distinct preparations.
-    uint64_t Key = CacheStore::suiteKey(ProgramsHash, MC, Tech, 42);
-    EXPECT_TRUE(Store.save(Key, ProgramsHash, MC, Tech, 42,
-                           prepareSuite(Programs, MC, Tech, 42)));
+    EXPECT_TRUE(saveSuite(Store, Programs, MC, Tech, 42,
+                          prepareSuite(Programs, MC, Tech, 42)));
     std::vector<std::string> After = listEntryFiles(Store.dir());
     std::vector<std::string> Fresh;
     std::set_difference(After.begin(), After.end(), Before.begin(),
@@ -721,8 +718,8 @@ void expectGroup(const std::vector<std::string> &Paths, bool Present,
 
 // Size-bound GC evicts least-recently-used entries first and stops as
 // soon as the store fits the budget. Eviction is per file, but mtimes
-// move per save group (the manifest and its prog entries age together),
-// so a whole suite is the natural LRU victim.
+// move per suite (its entries age together), so a whole suite is the
+// natural LRU victim.
 TEST(CacheStoreTest, GcEvictsLeastRecentlyUsedBeyondSizeBudget) {
   CacheStore Store(testCacheDir("exp_test_gc_size.cache"));
   std::vector<std::vector<std::string>> Groups = populateGcStore(Store);
@@ -730,7 +727,7 @@ TEST(CacheStoreTest, GcEvictsLeastRecentlyUsedBeyondSizeBudget) {
   size_t TotalFiles = Groups[0].size() + Groups[1].size() + Groups[2].size();
 
   // Budget exactly fits the two newest suites: only the oldest group
-  // (its manifest and every prog entry) goes.
+  // (every one of its entries) goes.
   uint64_t Budget = groupBytes(Groups[1]) + groupBytes(Groups[2]);
   CacheStore::GcStats Stats = Store.gc(Budget);
   EXPECT_EQ(Stats.Scanned, TotalFiles);
@@ -751,11 +748,11 @@ TEST(CacheStoreTest, GcEvictsLeastRecentlyUsedBeyondSizeBudget) {
 TEST(CacheStoreTest, GcAgeBoundEvictsOldEntriesOnly) {
   CacheStore Store(testCacheDir("exp_test_gc_age.cache"));
   std::vector<std::vector<std::string>> Groups = populateGcStore(Store);
-  std::string ForeignPath = Store.dir() + "/suite-0000000000000000.txt";
+  std::string ForeignPath = Store.dir() + "/prog-0000000000000000.txt";
   ASSERT_TRUE(writeFileAtomic(ForeignPath, "not a store file"));
 
-  // Cutoff at 2.5 hours: the 3-hour suite (manifest + prog entries)
-  // goes, the 2- and 1-hour suites stay.
+  // Cutoff at 2.5 hours: the 3-hour suite's entries go, the 2- and
+  // 1-hour suites stay.
   CacheStore::GcStats Stats = Store.gc(/*MaxBytes=*/0,
                                        /*MaxAgeSeconds=*/2.5 * 3600);
   EXPECT_EQ(Stats.Evicted, Groups[0].size());
@@ -766,21 +763,19 @@ TEST(CacheStoreTest, GcAgeBoundEvictsOldEntriesOnly) {
   std::remove(ForeignPath.c_str());
 }
 
-// load() refreshes the mtime of the manifest *and* every prog entry it
-// resolves, so a hit protects the whole suite group from the next GC
-// pass — the property that makes mtime an LRU clock.
+// loadProgram() refreshes the mtime of every entry it serves, so
+// loading a suite protects its whole group from the next GC pass — the
+// property that makes mtime an LRU clock.
 TEST(CacheStoreTest, LoadRefreshesLruRecency) {
   CacheStore Store(testCacheDir("exp_test_gc_lru.cache"));
   std::vector<std::vector<std::string>> Groups = populateGcStore(Store);
 
-  // Touch the oldest suite through a real load.
+  // Touch the oldest suite through real loads.
   std::vector<Program> Programs = smallSuite();
   MachineConfig MC = MachineConfig::quadAsymmetric();
-  uint64_t ProgramsHash = CacheStore::hashProgramSet(Programs);
   TechniqueSpec Oldest = loopTechnique();
   Oldest.Transition.MinSize = 40;
-  uint64_t Key = CacheStore::suiteKey(ProgramsHash, MC, Oldest, 42);
-  ASSERT_TRUE(Store.load(Key, ProgramsHash, MC, Oldest, 42) != nullptr);
+  ASSERT_TRUE(loadSuite(Store, Programs, MC, Oldest, 42));
 
   // A budget fitting two suites must now evict Groups[1] (MinSize 41,
   // the new LRU), not the freshly used Groups[0].

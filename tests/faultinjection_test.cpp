@@ -1,11 +1,12 @@
 //===- tests/faultinjection_test.cpp - fault seam + store robustness ------===//
 //
-// The crash-safety contract of the persistent suite store, exercised
+// The crash-safety contract of the persistent program store, exercised
 // deterministically through support/FaultInjection: injected EIO, short
 // writes, and torn renames; quarantine of every rejection reason; gc
 // under concurrent-evictor races and held locks; the stale-debris
 // sweeps; and bounded lock acquisition degrading to misses.
 
+#include "StoreEntries.h"
 #include "TestDirs.h"
 
 #include "exp/CacheStore.h"
@@ -85,30 +86,34 @@ struct FaultScope {
   ~FaultScope() { FaultInjection::instance().reset(); }
 };
 
-/// A store with one saved entry for key-corruption experiments.
+/// A store holding an entry for every program of a prepared suite;
+/// load() and save() act on the first program's entry (Key), the one
+/// the tests corrupt, age and lock.
 struct StoreRig {
   explicit StoreRig(const std::string &DirName, unsigned MinSize = 40)
       : Store(DirName), Programs(tinySuite()),
         MC(MachineConfig::quadAsymmetric()), Tech(loopTechnique(MinSize)),
-        ProgramsHash(CacheStore::hashProgramSet(Programs)),
-        Key(CacheStore::suiteKey(ProgramsHash, MC, Tech, 42)) {
+        ProgramHash(CacheStore::hashProgram(Programs[0])),
+        Key(CacheStore::key(ProgramHash, MC, Tech, 42)) {
     wipeDir(Store.dir());
     Suite = prepareSuite(Programs, MC, Tech, 42);
-    EXPECT_TRUE(save());
+    EXPECT_TRUE(pbt_test::saveSuite(Store, Programs, MC, Tech, 42, Suite));
   }
 
   bool save() {
-    return Store.save(Key, ProgramsHash, MC, Tech, 42, Suite);
+    return pbt_test::saveEntry(Store, Programs, MC, Tech, 42, Suite, 0);
   }
-  std::shared_ptr<const PreparedSuite> load() {
-    return Store.load(Key, ProgramsHash, MC, Tech, 42);
+  bool load() {
+    return Store.loadProgram(ProgramHash, MC, Tech, 42).Image != nullptr;
   }
+  /// Deletes the entry, so the next save() has something to write.
+  void removeEntry() { std::remove(Store.pathFor(Key).c_str()); }
 
   CacheStore Store;
   std::vector<Program> Programs;
   MachineConfig MC;
   TechniqueSpec Tech;
-  uint64_t ProgramsHash;
+  uint64_t ProgramHash;
   uint64_t Key;
   PreparedSuite Suite;
 };
@@ -220,10 +225,11 @@ TEST(FaultInjectionTest, ShortWriteLeavesTornTempNeverDestination) {
 TEST(FaultInjectionTest, TornRenameIsQuarantinedThenRebuilt) {
   FaultScope Scope;
   StoreRig Rig(testCacheDir("fi_torn.cache"), 47);
-  ASSERT_TRUE(Rig.load() != nullptr);
+  ASSERT_TRUE(Rig.load());
 
-  // Re-save under a torn rename: the writer believes it succeeded, but
+  // Rewrite under a torn rename: the writer believes it succeeded, but
   // the entry on disk is only a prefix.
+  Rig.removeEntry();
   FaultConfig C;
   C.TornRenameP = 1;
   FaultInjection::instance().configure(C);
@@ -231,7 +237,7 @@ TEST(FaultInjectionTest, TornRenameIsQuarantinedThenRebuilt) {
   FaultInjection::instance().reset();
 
   // The next reader rejects the torn entry and quarantines it.
-  EXPECT_TRUE(Rig.load() == nullptr);
+  EXPECT_FALSE(Rig.load());
   EXPECT_EQ(Rig.Store.rejects(), 1u);
   EXPECT_EQ(Rig.Store.quarantines(), 1u);
   EXPECT_FALSE(fileExists(Rig.Store.pathFor(Rig.Key)));
@@ -239,19 +245,19 @@ TEST(FaultInjectionTest, TornRenameIsQuarantinedThenRebuilt) {
       Rig.Store.quarantinePathFor(Rig.Key, "truncated")));
 
   // A load-through cache transparently rebuilds the entry. Only the
-  // manifest was torn; the per-program entries are intact, so the
-  // rebuild reassembles the suite from them without running the static
-  // pipeline at all — incremental healing, counted as a store hit.
+  // first program's entry was torn; the others are intact, so the
+  // rebuild serves them from disk and runs the static pipeline over
+  // the torn program alone — incremental healing.
   SuiteCache Cache;
   // (shared_ptr with a no-op deleter: the rig owns the store)
   Cache.setStore(std::shared_ptr<CacheStore>(
       std::shared_ptr<CacheStore>(), &Rig.Store));
   Cache.get(Rig.Programs, Rig.MC, Rig.Tech);
-  EXPECT_EQ(Cache.prepared(), 0u);
-  EXPECT_EQ(Cache.storeHits(), 1u);
-  EXPECT_EQ(Cache.programStoreHits(), Rig.Programs.size());
-  // ...and the store is healthy again: the rebuild rewrote the manifest.
-  EXPECT_TRUE(Rig.load() != nullptr);
+  EXPECT_EQ(Cache.prepared(), 1u);
+  EXPECT_EQ(Cache.preparedPrograms(), 1u);
+  EXPECT_EQ(Cache.programStoreHits(), Rig.Programs.size() - 1);
+  // ...and the store is healthy again: the rebuild rewrote the entry.
+  EXPECT_TRUE(Rig.load());
 }
 
 //===----------------------------------------------------------------------===//
@@ -268,15 +274,12 @@ TEST(FaultInjectionTest, EveryRejectReasonQuarantinesAndRecovers) {
   constexpr size_t HeaderBytes = 64;
   ASSERT_GT(Good.size(), HeaderBytes);
 
-  // A healthy neighbor entry under a different key, for the
-  // "unaffected" half of the contract.
+  // A healthy neighbor entry under a different key (same program,
+  // another preparation), for the "unaffected" half of the contract.
   TechniqueSpec NeighborTech = loopTechnique(49);
-  uint64_t NeighborKey =
-      CacheStore::suiteKey(Rig.ProgramsHash, Rig.MC, NeighborTech, 42);
-  ASSERT_TRUE(Rig.Store.save(NeighborKey, Rig.ProgramsHash, Rig.MC,
-                             NeighborTech, 42,
-                             prepareSuite(Rig.Programs, Rig.MC,
-                                          NeighborTech, 42)));
+  ASSERT_TRUE(pbt_test::saveEntry(
+      Rig.Store, Rig.Programs, Rig.MC, NeighborTech, 42,
+      prepareSuite(Rig.Programs, Rig.MC, NeighborTech, 42), 0));
 
   struct Case {
     const char *Reason;
@@ -322,7 +325,7 @@ TEST(FaultInjectionTest, EveryRejectReasonQuarantinesAndRecovers) {
     uint64_t RejectsBefore = Rig.Store.rejects();
 
     // Rejected, quarantined under the right reason, original gone.
-    EXPECT_TRUE(Rig.load() == nullptr) << Corruption.Reason;
+    EXPECT_FALSE(Rig.load()) << Corruption.Reason;
     EXPECT_EQ(Rig.Store.rejects(), RejectsBefore + 1) << Corruption.Reason;
     EXPECT_EQ(Rig.Store.quarantines(), ++ExpectedQuarantines)
         << Corruption.Reason;
@@ -333,11 +336,11 @@ TEST(FaultInjectionTest, EveryRejectReasonQuarantinesAndRecovers) {
 
     // The next request is a PLAIN miss — no re-reject of the same bad
     // bytes — and a fresh save fully recovers the key.
-    EXPECT_TRUE(Rig.load() == nullptr) << Corruption.Reason;
+    EXPECT_FALSE(Rig.load()) << Corruption.Reason;
     EXPECT_EQ(Rig.Store.rejects(), RejectsBefore + 1)
         << "quarantined entry must not be re-rejected";
     ASSERT_TRUE(Rig.save()) << Corruption.Reason;
-    EXPECT_TRUE(Rig.load() != nullptr) << Corruption.Reason;
+    EXPECT_TRUE(Rig.load()) << Corruption.Reason;
 
     std::remove(
         Rig.Store.quarantinePathFor(Rig.Key, Corruption.Reason).c_str());
@@ -345,8 +348,8 @@ TEST(FaultInjectionTest, EveryRejectReasonQuarantinesAndRecovers) {
 
   // The neighbor key served hits throughout, untouched by the chaos.
   uint64_t HitsBefore = Rig.Store.hits();
-  EXPECT_TRUE(Rig.Store.load(NeighborKey, Rig.ProgramsHash, Rig.MC,
-                             NeighborTech, 42) != nullptr);
+  EXPECT_TRUE(Rig.Store.loadProgram(Rig.ProgramHash, Rig.MC, NeighborTech,
+                                    42).Image != nullptr);
   EXPECT_EQ(Rig.Store.hits(), HitsBefore + 1);
 }
 
@@ -369,9 +372,9 @@ TEST(FaultInjectionTest, GcToleratesEntriesVanishingUnderneath) {
   CacheStore::GcStats Stats = Rig.Store.gc(/*MaxBytes=*/0,
                                            /*MaxAgeSeconds=*/3600);
   FaultInjection::instance().reset();
-  // The scan sees the manifest plus one prog entry per program; only
-  // the aged manifest was an eviction candidate.
-  EXPECT_EQ(Stats.Scanned, 1u + Rig.Programs.size());
+  // The scan sees one entry per program; only the aged first entry was
+  // an eviction candidate.
+  EXPECT_EQ(Stats.Scanned, Rig.Programs.size());
   EXPECT_EQ(Stats.Evicted, 0u) << "the race winner gets the credit";
   EXPECT_FALSE(fileExists(Path));
 }
@@ -380,12 +383,10 @@ TEST(FaultInjectionTest, GcSkipsEntriesHeldByLiveProcesses) {
   FaultScope Scope;
   StoreRig Rig(testCacheDir("fi_gc_locked.cache"), 51);
   TechniqueSpec OtherTech = loopTechnique(52);
-  uint64_t OtherKey =
-      CacheStore::suiteKey(Rig.ProgramsHash, Rig.MC, OtherTech, 42);
-  ASSERT_TRUE(Rig.Store.save(OtherKey, Rig.ProgramsHash, Rig.MC, OtherTech,
-                             42,
-                             prepareSuite(Rig.Programs, Rig.MC, OtherTech,
-                                          42)));
+  uint64_t OtherKey = CacheStore::key(Rig.ProgramHash, Rig.MC, OtherTech, 42);
+  ASSERT_TRUE(pbt_test::saveEntry(
+      Rig.Store, Rig.Programs, Rig.MC, OtherTech, 42,
+      prepareSuite(Rig.Programs, Rig.MC, OtherTech, 42), 0));
   setFileAge(Rig.Store.pathFor(Rig.Key), 2 * 3600L);
   setFileAge(Rig.Store.pathFor(OtherKey), 2 * 3600L);
 
@@ -413,13 +414,13 @@ TEST(FaultInjectionTest, SweepCollectsDeadWritersAndOldQuarantines) {
   // LIVE writer (our own pid, fresh), an old quarantine, and a fresh
   // quarantine.
   std::string DeadTmp =
-      Store.dir() + "/suite-0000000000000001.pbt.tmp.999999999";
-  std::string LiveTmp = Store.dir() + "/suite-0000000000000002.pbt.tmp." +
+      Store.dir() + "/prog-0000000000000001.pbt.tmp.999999999";
+  std::string LiveTmp = Store.dir() + "/prog-0000000000000002.pbt.tmp." +
                         std::to_string(::getpid());
   std::string OldQuarantine =
-      Store.dir() + "/suite-0000000000000003.pbt.quarantined-checksum";
+      Store.dir() + "/prog-0000000000000003.pbt.quarantined-checksum";
   std::string FreshQuarantine =
-      Store.dir() + "/suite-0000000000000004.pbt.quarantined-truncated";
+      Store.dir() + "/prog-0000000000000004.pbt.quarantined-truncated";
   for (const std::string &Path :
        {DeadTmp, LiveTmp, OldQuarantine, FreshQuarantine})
     ASSERT_TRUE(writeFileAtomic(Path, "debris"));
@@ -445,7 +446,7 @@ TEST(FaultInjectionTest, GcCollectsOrphanedLockFiles) {
   // load+save left a lock file beside the entry; it must survive gc
   // while its entry lives...
   std::string LockPath = Rig.Store.lockPathFor(Rig.Key);
-  ASSERT_TRUE(Rig.load() != nullptr);
+  ASSERT_TRUE(Rig.load());
   ASSERT_TRUE(fileExists(LockPath));
   CacheStore::GcStats Stats = Rig.Store.gc(/*MaxBytes=*/0);
   EXPECT_TRUE(fileExists(LockPath));
@@ -474,17 +475,18 @@ TEST(FaultInjectionTest, ContendedLockDegradesToMissAndSkippedWrite) {
                                 FileLock::Mode::Exclusive));
 
   uint64_t MissesBefore = Rig.Store.misses();
-  EXPECT_TRUE(Rig.load() == nullptr) << "reader degrades to a miss";
+  EXPECT_FALSE(Rig.load()) << "reader degrades to a miss";
   EXPECT_EQ(Rig.Store.misses(), MissesBefore + 1);
   EXPECT_EQ(Rig.Store.lockTimeouts(), 1u);
+  Rig.removeEntry();
   EXPECT_FALSE(Rig.save()) << "writer skips the write-back";
   EXPECT_EQ(Rig.Store.lockTimeouts(), 2u);
   EXPECT_EQ(Rig.Store.rejects(), 0u) << "a timeout is not a rejection";
 
   // The moment the holder releases, everything works again.
   Writer.release();
-  EXPECT_TRUE(Rig.load() != nullptr);
   EXPECT_TRUE(Rig.save());
+  EXPECT_TRUE(Rig.load());
 }
 
 TEST(FaultInjectionTest, LockOpenFailureIsDistinguishedFromContention) {
@@ -528,18 +530,19 @@ TEST(FaultInjectionTest, UnopenableLockFileFallsBackToLocklessRead) {
   // lock is not counted as contention.
   uint64_t MissesBefore = Rig.Store.misses();
   uint64_t TimeoutsBefore = Rig.Store.lockTimeouts();
-  EXPECT_TRUE(Rig.load() != nullptr);
+  EXPECT_TRUE(Rig.load());
   EXPECT_EQ(Rig.Store.misses(), MissesBefore);
   EXPECT_EQ(Rig.Store.lockTimeouts(), TimeoutsBefore);
 
   // Writers skip the write-back, again without a lock-timeout count.
+  Rig.removeEntry();
   EXPECT_FALSE(Rig.save());
   EXPECT_EQ(Rig.Store.lockTimeouts(), TimeoutsBefore);
 
   // A healthy store directory restores full behavior.
   FaultInjection::instance().reset();
   EXPECT_TRUE(Rig.save());
-  EXPECT_TRUE(Rig.load() != nullptr);
+  EXPECT_TRUE(Rig.load());
 }
 
 TEST(FaultInjectionDeathTest, MalformedEnvSpecExitsCleanly) {

@@ -1,11 +1,12 @@
 //===- tests/incremental_test.cpp - per-program incremental store ---------===//
 //
-// The incremental half of the persistent cache: `pbt-prog-v2` entries
-// round-trip bit-identically, adding one benchmark to a cached suite
-// re-prepares exactly that benchmark, programs dedupe across suites,
-// corrupt prog entries quarantine and heal, and gc/version cleanup
-// treat prog entries as first-class store citizens.
+// The per-program persistent cache: `pbt-prog-v2` entries round-trip
+// bit-identically, adding one benchmark to a cached suite re-prepares
+// exactly that benchmark, programs dedupe across suites, corrupt
+// entries quarantine and heal, the store holds nothing but program
+// entries, and gc/version cleanup cover them.
 
+#include "StoreEntries.h"
 #include "TestDirs.h"
 
 #include "exp/CacheStore.h"
@@ -25,6 +26,8 @@
 
 using namespace pbt;
 using namespace pbt::exp;
+using pbt_test::entryPath;
+using pbt_test::saveSuite;
 using pbt_test::testCacheDir;
 
 namespace {
@@ -144,9 +147,10 @@ bool writeFileBytes(const std::string &Path, const std::string &Bytes) {
 // Per-program round trips
 //===----------------------------------------------------------------------===//
 
-// Every program saved as part of a suite must load back individually —
-// through the per-program addressing that knows nothing about the
-// suite — bit-identical to the freshly prepared artifact.
+// Every program saved must load back through the per-program
+// addressing, which knows nothing about suites, bit-identical to the
+// freshly prepared artifact. A second save of an entry already on disk
+// writes nothing.
 TEST(IncrementalStore, ProgEntryRoundTripBitIdentical) {
   CacheStore Store(testCacheDir("incr_roundtrip.cache"));
   std::vector<Program> Programs = randomPrograms(7, 4);
@@ -154,25 +158,21 @@ TEST(IncrementalStore, ProgEntryRoundTripBitIdentical) {
   TechniqueSpec Tech = loopTechnique();
 
   std::vector<PreparedProgram> Fresh = preparePrograms(Programs, MC, Tech, 42);
-  PreparedSuite Suite;
-  for (size_t I = 0; I < Programs.size(); ++I) {
-    Suite.Names.push_back(Programs[I].Name);
-    Suite.Images.push_back(Fresh[I].Image);
-    Suite.Costs.push_back(Fresh[I].Cost);
-    Suite.Flats.push_back(Fresh[I].Flat);
-  }
-  uint64_t SetHash = CacheStore::hashProgramSet(Programs);
-  uint64_t Key = CacheStore::suiteKey(SetHash, MC, Tech, 42);
-  ASSERT_TRUE(Store.save(Key, SetHash, MC, Tech, 42, Suite));
-  EXPECT_EQ(Store.progWrites(), Programs.size());
+  for (size_t I = 0; I < Programs.size(); ++I)
+    ASSERT_TRUE(Store.saveProgram(CacheStore::hashProgram(Programs[I]), MC,
+                                  Tech, 42, Fresh[I]));
+  EXPECT_EQ(Store.writes(), Programs.size());
+  ASSERT_TRUE(Store.saveProgram(CacheStore::hashProgram(Programs[0]), MC,
+                                Tech, 42, Fresh[0]));
+  EXPECT_EQ(Store.writes(), Programs.size()) << "existing entry rewritten";
 
   for (size_t I = 0; I < Programs.size(); ++I) {
     PreparedProgram Loaded =
         Store.loadProgram(CacheStore::hashProgram(Programs[I]), MC, Tech, 42);
     expectProgramsBitIdentical(Fresh[I], Loaded);
   }
-  EXPECT_EQ(Store.progHits(), Programs.size());
-  EXPECT_EQ(Store.progMisses(), 0u);
+  EXPECT_EQ(Store.hits(), Programs.size());
+  EXPECT_EQ(Store.misses(), 0u);
   EXPECT_EQ(Store.rejects(), 0u);
 }
 
@@ -184,10 +184,8 @@ TEST(IncrementalStore, ProgProbeMissesAreKeyed) {
   MachineConfig MC = MachineConfig::quadAsymmetric();
   TechniqueSpec Tech = loopTechnique();
 
-  PreparedSuite Suite = prepareSuite({Programs[0]}, MC, Tech, 42);
-  uint64_t SetHash = CacheStore::hashProgramSet({Programs[0]});
-  ASSERT_TRUE(Store.save(CacheStore::suiteKey(SetHash, MC, Tech, 42), SetHash,
-                         MC, Tech, 42, Suite));
+  ASSERT_TRUE(saveSuite(Store, {Programs[0]}, MC, Tech, 42,
+                        prepareSuite({Programs[0]}, MC, Tech, 42)));
 
   PreparedProgram Absent =
       Store.loadProgram(CacheStore::hashProgram(Programs[1]), MC, Tech, 42);
@@ -195,7 +193,7 @@ TEST(IncrementalStore, ProgProbeMissesAreKeyed) {
   PreparedProgram WrongSeed =
       Store.loadProgram(CacheStore::hashProgram(Programs[0]), MC, Tech, 43);
   EXPECT_TRUE(WrongSeed.Image == nullptr);
-  EXPECT_EQ(Store.progMisses(), 2u);
+  EXPECT_EQ(Store.misses(), 2u);
   EXPECT_EQ(Store.rejects(), 0u); // Plain absence, nothing rejected.
 }
 
@@ -220,7 +218,7 @@ TEST(IncrementalStore, AddOneBenchmarkPreparesExactlyOne) {
   First.get(Smaller, MC, Tech, 42);
   EXPECT_EQ(First.prepared(), 1u);
   EXPECT_EQ(First.preparedPrograms(), Smaller.size());
-  EXPECT_EQ(Store->progWrites(), Smaller.size());
+  EXPECT_EQ(Store->writes(), Smaller.size());
 
   // A fresh in-memory cache (a new process in miniature) over the
   // grown suite: one preparation, N prog-entry hits.
@@ -230,13 +228,13 @@ TEST(IncrementalStore, AddOneBenchmarkPreparesExactlyOne) {
   EXPECT_EQ(Second.prepared(), 1u);
   EXPECT_EQ(Second.preparedPrograms(), 1u);
   EXPECT_EQ(Second.programStoreHits(), Smaller.size());
-  EXPECT_EQ(Store->progWrites(), Programs.size()); // Only the new entry.
+  EXPECT_EQ(Store->writes(), Programs.size()); // Only the new entry.
 
   // And the assembled suite is bit-identical to preparing from scratch.
   PreparedSuite Scratch = prepareSuite(Programs, MC, Tech, 42);
   expectSuitesBitIdentical(Grown, Scratch);
 
-  // The grown suite's manifest was healed on the way out: a third
+  // The new benchmark's entry was written on the way out: a third
   // process gets a whole-suite store hit with nothing prepared.
   SuiteCache Third;
   Third.setStore(Store);
@@ -246,9 +244,8 @@ TEST(IncrementalStore, AddOneBenchmarkPreparesExactlyOne) {
   EXPECT_EQ(Third.preparedPrograms(), 0u);
 }
 
-// Programs shared between different suites resolve to the same prog
-// entries: a permuted subset of a cached suite — a different program
-// set, so a manifest miss — prepares nothing at all.
+// Programs shared between different suites resolve to the same
+// entries: a permuted subset of a cached suite prepares nothing at all.
 TEST(IncrementalStore, CrossSuiteDedupeServesSharedPrograms) {
   auto Store =
       std::make_shared<CacheStore>(testCacheDir("incr_dedupe.cache"));
@@ -261,8 +258,7 @@ TEST(IncrementalStore, CrossSuiteDedupeServesSharedPrograms) {
   First.get(Programs, MC, Tech, 42);
   ASSERT_EQ(First.preparedPrograms(), Programs.size());
 
-  // A different suite sharing two programs (reversed order on top, so
-  // the set hash differs even ignoring membership).
+  // A different suite sharing two programs, in reversed order.
   std::vector<Program> Other = {Programs[3], Programs[1]};
   SuiteCache Second;
   Second.setStore(Store);
@@ -270,7 +266,7 @@ TEST(IncrementalStore, CrossSuiteDedupeServesSharedPrograms) {
   EXPECT_EQ(Second.preparedPrograms(), 0u);
   EXPECT_EQ(Second.programStoreHits(), Other.size());
   EXPECT_EQ(Second.prepared(), 0u);
-  // Served entirely from the store even though no manifest existed.
+  // Served entirely from the store, though this suite was never saved.
   EXPECT_EQ(Second.storeHits(), 1u);
   ASSERT_EQ(Assembled.Names.size(), 2u);
   EXPECT_EQ(Assembled.Names[0], Programs[3].Name);
@@ -314,7 +310,7 @@ TEST(IncrementalStore, PreparationIdentityGovernsDedupe) {
 // Corruption, gc, and version hygiene over prog entries
 //===----------------------------------------------------------------------===//
 
-// A corrupt prog entry is quarantined on first touch and the suite
+// A corrupt entry is quarantined on first touch and the suite
 // heals incrementally: only the program behind the bad entry is
 // re-prepared, and the healed store serves clean hits again.
 TEST(IncrementalStore, CorruptProgEntryQuarantinedThenHealed) {
@@ -330,17 +326,16 @@ TEST(IncrementalStore, CorruptProgEntryQuarantinedThenHealed) {
 
   // Flip one payload byte of program 2's entry: header intact, checksum
   // no longer matches.
-  std::string Path = Store->progPathFor(
-      CacheStore::progKey(CacheStore::hashProgram(Programs[2]), MC, Tech, 42));
+  std::string Path = entryPath(*Store, Programs[2], MC, Tech, 42);
   std::string Bytes;
   ASSERT_TRUE(readFileBytes(Path, Bytes));
   ASSERT_GT(Bytes.size(), 100u);
   Bytes[Bytes.size() - 1] ^= 0x5A;
   ASSERT_TRUE(writeFileBytes(Path, Bytes));
 
-  // A fresh process: the manifest load trips over the bad entry
-  // (quarantining it), then the per-program probes serve the three
-  // intact entries and re-prepare exactly the corrupted one.
+  // A fresh process: the probes serve the three intact entries, trip
+  // over the bad one (quarantining it), and re-prepare exactly that
+  // program.
   auto Cold = std::make_shared<CacheStore>(Dir);
   SuiteCache Healer;
   Healer.setStore(Cold);
@@ -348,7 +343,7 @@ TEST(IncrementalStore, CorruptProgEntryQuarantinedThenHealed) {
   EXPECT_EQ(Healer.prepared(), 1u);
   EXPECT_EQ(Healer.preparedPrograms(), 1u);
   EXPECT_EQ(Healer.programStoreHits(), Programs.size() - 1);
-  EXPECT_GE(Cold->rejects(), 1u);
+  EXPECT_EQ(Cold->rejects(), 1u);
   EXPECT_EQ(Cold->quarantines(), 1u);
   EXPECT_EQ(filesContaining(Dir, ".quarantined-checksum").size(), 1u);
   expectSuitesBitIdentical(Healed, Reference);
@@ -364,8 +359,23 @@ TEST(IncrementalStore, CorruptProgEntryQuarantinedThenHealed) {
   EXPECT_EQ(Verify->rejects(), 0u);
 }
 
-// gc() treats prog entries as first-class: they are scanned alongside
-// manifests and a size bound of zero clears both kinds.
+// The store holds one kind of file: a cold suite over N programs leaves
+// exactly N program entries and no whole-suite manifest.
+TEST(IncrementalStore, StoreHoldsOnlyProgramEntries) {
+  std::string Dir = testCacheDir("incr_only_prog.cache");
+  auto Store = std::make_shared<CacheStore>(Dir);
+  std::vector<Program> Programs = randomPrograms(41, 3);
+  MachineConfig MC = MachineConfig::quadAsymmetric();
+
+  SuiteCache Cache;
+  Cache.setStore(Store);
+  Cache.get(Programs, MC, loopTechnique(), 42);
+  EXPECT_EQ(filesContaining(Dir, ".pbt").size(), Programs.size());
+  EXPECT_TRUE(filesContaining(Dir, "suite-").empty());
+}
+
+// gc() scans and evicts program entries; a size bound of one byte
+// clears them all.
 TEST(IncrementalStore, GcScansAndEvictsProgEntries) {
   std::string Dir = testCacheDir("incr_gc.cache");
   CacheStore Store(Dir);
@@ -373,19 +383,18 @@ TEST(IncrementalStore, GcScansAndEvictsProgEntries) {
   MachineConfig MC = MachineConfig::quadAsymmetric();
   TechniqueSpec Tech = loopTechnique();
 
-  PreparedSuite Suite = prepareSuite(Programs, MC, Tech, 42);
-  uint64_t SetHash = CacheStore::hashProgramSet(Programs);
-  uint64_t Key = CacheStore::suiteKey(SetHash, MC, Tech, 42);
-  ASSERT_TRUE(Store.save(Key, SetHash, MC, Tech, 42, Suite));
+  ASSERT_TRUE(saveSuite(Store, Programs, MC, Tech, 42,
+                        prepareSuite(Programs, MC, Tech, 42)));
 
   CacheStore::GcStats Stats = Store.gc(/*MaxBytes=*/1);
-  EXPECT_EQ(Stats.Scanned, 1u + Programs.size());
-  EXPECT_EQ(Stats.Evicted, 1u + Programs.size());
+  EXPECT_EQ(Stats.Scanned, Programs.size());
+  EXPECT_EQ(Stats.Evicted, Programs.size());
   EXPECT_TRUE(filesContaining(Dir, ".pbt").empty());
 }
 
-// cleanMismatchedVersions removes stale-version prog entries and suite
-// manifests while leaving current entries and foreign files alone.
+// cleanMismatchedVersions removes stale-version program entries while
+// leaving current entries, foreign files, and the inert `suite-*.pbt`
+// manifests of earlier store versions alone.
 TEST(IncrementalStore, CleanMismatchedVersionsCoversProgEntries) {
   std::string Dir = testCacheDir("incr_versions.cache");
   CacheStore Store(Dir);
@@ -393,14 +402,12 @@ TEST(IncrementalStore, CleanMismatchedVersionsCoversProgEntries) {
   MachineConfig MC = MachineConfig::quadAsymmetric();
   TechniqueSpec Tech = loopTechnique();
 
-  PreparedSuite Suite = prepareSuite(Programs, MC, Tech, 42);
-  uint64_t SetHash = CacheStore::hashProgramSet(Programs);
-  uint64_t Key = CacheStore::suiteKey(SetHash, MC, Tech, 42);
-  ASSERT_TRUE(Store.save(Key, SetHash, MC, Tech, 42, Suite));
+  ASSERT_TRUE(saveSuite(Store, Programs, MC, Tech, 42,
+                        prepareSuite(Programs, MC, Tech, 42)));
   size_t LiveFiles = filesContaining(Dir, ".pbt").size();
 
-  // Plant a stale-version prog entry and suite manifest: the real magic
-  // with a bumped format version, padded past the header.
+  // Plant a stale-version program entry and an old suite manifest: the
+  // real magic with a foreign format version, padded past the header.
   auto plantStale = [&](const char *Name, const char *Magic,
                         uint32_t Version) {
     BinaryWriter W;
@@ -408,21 +415,21 @@ TEST(IncrementalStore, CleanMismatchedVersionsCoversProgEntries) {
           static_cast<uint32_t>(Magic[1]) << 8 |
           static_cast<uint32_t>(Magic[2]) << 16 |
           static_cast<uint32_t>(Magic[3]) << 24);
-    W.u32(Version + 1);
+    W.u32(Version);
     std::string Bytes = W.buffer();
     Bytes.append(64, '\0');
     ASSERT_TRUE(writeFileBytes(Dir + "/" + Name, Bytes));
   };
   plantStale("prog-00000000deadbeef.pbt", "PBTP",
-             CacheStore::ProgFormatVersion);
-  plantStale("suite-00000000deadbeef.pbt", "PBTS",
-             CacheStore::FormatVersion);
+             CacheStore::ProgFormatVersion + 1);
+  plantStale("suite-00000000deadbeef.pbt", "PBTS", 1);
   // A foreign file that merely looks store-shaped must survive.
   ASSERT_TRUE(writeFileBytes(Dir + "/prog-00000000cafecafe.pbt",
                              std::string("not a store file at all")));
 
-  EXPECT_EQ(Store.cleanMismatchedVersions(), 2u);
-  EXPECT_EQ(filesContaining(Dir, ".pbt").size(), LiveFiles + 1);
+  EXPECT_EQ(Store.cleanMismatchedVersions(), 1u);
+  EXPECT_EQ(filesContaining(Dir, ".pbt").size(), LiveFiles + 2);
+  EXPECT_EQ(filesContaining(Dir, "suite-").size(), 1u);
 
   // Current entries still load after the clean.
   PreparedProgram Loaded =
@@ -430,4 +437,5 @@ TEST(IncrementalStore, CleanMismatchedVersionsCoversProgEntries) {
   EXPECT_TRUE(Loaded.Image != nullptr);
 
   std::remove((Dir + "/prog-00000000cafecafe.pbt").c_str());
+  std::remove((Dir + "/suite-00000000deadbeef.pbt").c_str());
 }
