@@ -225,6 +225,7 @@ void Machine::run(double Until) {
         if (Reads == PolicyReads::Anything)
           settleAll();
         ShapeDirty = false;
+        TelemetryRead = false;
         Policy->balance(*this);
       }
       NextBalance = Now + Sim.BalancePeriod;

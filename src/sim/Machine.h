@@ -135,11 +135,11 @@ public:
   /// required balance or \p Until. At its window's end a deferred core
   /// steps the one turn that is not steady and keeps the window open
   /// when that turn used its whole budget; a process placed on a
-  /// deferred core joins its window. Balance instants of a Shape policy
-  /// that cannot move anything are skipped; the others run on deferred
-  /// state unless the policy reads Anything (see PolicyReads). Every
-  /// window is settled before run() returns, and the result is
-  /// bit-identical to stepping every quantum.
+  /// deferred core joins its window. Balance instants that cannot move
+  /// anything are skipped; the others run on deferred state unless the
+  /// policy reads Anything (see PolicyReads). Every window is settled
+  /// before run() returns, and the result is bit-identical to stepping
+  /// every quantum.
   void run(double Until);
 
   /// Ends the simulation: the current run() call returns at the end of
@@ -153,7 +153,7 @@ public:
   /// Reference engine and traced runs step them all.
   uint64_t quantaStepped() const { return QuantaStepped; }
   uint64_t quantaFused() const { return QuantaFused; }
-  /// Balance instants skipped because the Shape policy could not move
+  /// Balance instants skipped because the policy could not move
   /// anything there (see PolicyReads).
   uint64_t balancesSkipped() const { return BalanceSkipped; }
   /// Deferred windows opened, windows settled (charged and closed),
@@ -225,6 +225,7 @@ public:
     return Telem[Pid];
   }
   const SchedTelemetry &telemetry(uint32_t Pid) {
+    TelemetryRead = true;
     // A process queued in an open window was last priced on its core
     // (openWindow, stepInWindow and enqueue call steadyTurns).
     uint32_t Core = Hot[Pid].LastCore;
@@ -337,10 +338,13 @@ private:
   bool fusing() const { return Sim.Engine == ExecEngine::Flat && !Trace; }
 
   /// True when the balance instant at hand cannot move anything: the
-  /// policy reads only Shape and no queue or mask changed since the
-  /// last balance, which made no move.
+  /// policy reads only Shape, or reads Telemetry and the last balance
+  /// read none; no queue or mask changed since the last balance, which
+  /// made no move.
   bool balanceSkippable() const {
-    return Reads == PolicyReads::Shape && !ShapeDirty && fusing();
+    return (Reads == PolicyReads::Shape ||
+            (Reads == PolicyReads::Telemetry && !TelemetryRead)) &&
+           !ShapeDirty && fusing();
   }
 
   /// Opens a deferred window on the busy \p Core at the current quantum
@@ -461,6 +465,9 @@ private:
   /// A queue gained or lost a process, or a mask changed, since the
   /// last balance call.
   bool ShapeDirty = true;
+  /// The non-const telemetry() was called since the last balance call
+  /// started.
+  bool TelemetryRead = false;
   uint64_t QuantaStepped = 0;
   uint64_t QuantaFused = 0;
   uint64_t BalanceSkipped = 0;

@@ -270,9 +270,9 @@ void IpcSamplingScheduler::balance(Machine &M) {
   if (NumTypes < 2)
     return; // Nothing to learn on a symmetric machine.
 
-  // Core types ordered by frequency descending (ties by type id), and
-  // the cores of each type — pure functions of the immutable machine
-  // shape, built once per policy instance.
+  // Core types ordered by frequency descending (ties by type id), the
+  // cores of each type and their core masks — pure functions of the
+  // immutable machine shape, built once per policy instance.
   if (!ShapeCached) {
     TypesByFreq.resize(NumTypes);
     for (uint32_t Ct = 0; Ct < NumTypes; ++Ct)
@@ -285,6 +285,8 @@ void IpcSamplingScheduler::balance(Machine &M) {
     CoresOfType.resize(NumTypes);
     for (uint32_t Core = 0; Core < NumCores; ++Core)
       CoresOfType[Cfg.Cores[Core].TypeId].push_back(Core);
+    for (uint32_t Ct = 0; Ct < NumTypes; ++Ct)
+      TypeMasks.push_back(Cfg.coreMaskOfType(Ct));
     ShapeCached = true;
   }
 
@@ -293,20 +295,22 @@ void IpcSamplingScheduler::balance(Machine &M) {
   // keep occupying their queues; they are counted into the projected
   // load so movable work is not piled on top of them. The queues are
   // read unsettled (const): what follows depends only on which
-  // processes each holds, not on their order.
+  // processes each holds, not on their order. Telemetry is read only
+  // for a process that reaches two or more types: the read charges its
+  // deferred core's due turns, which a pinned process's decision never
+  // needs.
   const Machine &Shape = M;
   Items.clear();
   Proj.assign(NumCores, 0);
   for (uint32_t Core = 0; Core < NumCores; ++Core) {
     for (uint32_t Pid : Shape.queue(Core)) {
       const Process &P = M.process(Pid);
-      const SchedTelemetry &T = M.telemetry(Pid);
       // Bitmask of core types the process's affinity mask reaches at
       // all (machines have at most 64 cores, so far fewer types).
       uint64_t AllowedTypes = 0;
-      for (uint32_t C = 0; C < NumCores; ++C)
-        if (P.allowedOn(C))
-          AllowedTypes |= 1ULL << Cfg.Cores[C].TypeId;
+      for (uint32_t Ct = 0; Ct < NumTypes; ++Ct)
+        if (P.AffinityMask & TypeMasks[Ct])
+          AllowedTypes |= 1ULL << Ct;
       auto Allowed = [AllowedTypes](uint32_t Ct) {
         return (AllowedTypes >> Ct) & 1;
       };
@@ -314,6 +318,7 @@ void IpcSamplingScheduler::balance(Machine &M) {
         ++Proj[Core]; // Pinned to one type; stays where it is.
         continue;
       }
+      const SchedTelemetry &T = M.telemetry(Pid);
 
       Item I;
       I.Pid = Pid;

@@ -109,8 +109,11 @@ enum class PolicyReads : uint8_t {
   /// counter telemetry through the non-const Machine::telemetry, which
   /// charges the turns its process's core owes first, and read queue
   /// order only through the settling Machine::queue, pullTail and
-  /// moveQueued. They run on deferred state, and no balance instant is
-  /// skipped.
+  /// moveQueued. They run on deferred state. balance's decisions must
+  /// be a function of what it reads of the Machine: a balance that read
+  /// no telemetry read only what Shape allows, so a balance instant is
+  /// skipped when the last balance read no telemetry and made no move,
+  /// and no queue or mask changed since.
   Telemetry,
   /// Anything else (process progress, stats): every deferred core is
   /// settled before every call, so it observes exactly the state
@@ -211,8 +214,10 @@ public:
   IpcSamplingScheduler(uint64_t MinSampleInsts, double SpeedupThreshold)
       : MinSampleInsts(MinSampleInsts), SpeedupThreshold(SpeedupThreshold) {}
 
-  /// balance reads counter telemetry, and queue order only through
-  /// moveQueued: its decisions depend on the set of queued processes.
+  /// balance reads counter telemetry only for queued processes whose
+  /// masks reach two or more core types, and queue order only through
+  /// moveQueued: its decisions depend on the set of queued processes,
+  /// their masks and that telemetry.
   void balance(Machine &M) override;
   PolicyReads reads() const override { return PolicyReads::Telemetry; }
 
@@ -234,6 +239,8 @@ private:
   bool ShapeCached = false;
   std::vector<uint32_t> TypesByFreq;
   std::vector<std::vector<uint32_t>> CoresOfType;
+  /// Core mask of each type.
+  std::vector<uint64_t> TypeMasks;
   std::vector<Item> Items;
   std::vector<uint32_t> Proj;
 };

@@ -31,23 +31,25 @@
 namespace pbt_test {
 
 /// Removes \p Path and everything under it (best-effort; the tree is
-/// at most a couple of levels of store directories full of files).
+/// at most a couple of levels of store directories full of files), or
+/// the file \p Path names.
 inline void removeTree(const std::string &Path) {
   DIR *D = ::opendir(Path.c_str());
-  if (D) {
-    while (const dirent *E = ::readdir(D)) {
-      if (std::strcmp(E->d_name, ".") == 0 ||
-          std::strcmp(E->d_name, "..") == 0)
-        continue;
-      std::string Child = Path + "/" + E->d_name;
-      struct stat St;
-      if (::lstat(Child.c_str(), &St) == 0 && S_ISDIR(St.st_mode))
-        removeTree(Child);
-      else
-        std::remove(Child.c_str());
-    }
-    ::closedir(D);
+  if (!D) {
+    std::remove(Path.c_str());
+    return;
   }
+  while (const dirent *E = ::readdir(D)) {
+    if (std::strcmp(E->d_name, ".") == 0 || std::strcmp(E->d_name, "..") == 0)
+      continue;
+    std::string Child = Path + "/" + E->d_name;
+    struct stat St;
+    if (::lstat(Child.c_str(), &St) == 0 && S_ISDIR(St.st_mode))
+      removeTree(Child);
+    else
+      std::remove(Child.c_str());
+  }
+  ::closedir(D);
   ::rmdir(Path.c_str());
 }
 
@@ -73,10 +75,15 @@ inline const std::string &testTmpRoot() {
 
 /// A scratch path for one test scenario's store directory: unique to
 /// this process, outside the source tree, collected at process exit.
-/// The directory itself is not created — CacheStore's constructor does
+/// Whatever an earlier run of the scenario left there (--gtest_repeat
+/// runs every test again in the same process) is removed first, so each
+/// run starts from an empty path; every scenario uses its own name. The
+/// directory itself is not created — CacheStore's constructor does
 /// that, which is part of what the tests exercise.
 inline std::string testCacheDir(const std::string &Name) {
-  return testTmpRoot() + "/" + Name;
+  std::string Path = testTmpRoot() + "/" + Name;
+  removeTree(Path);
+  return Path;
 }
 
 } // namespace pbt_test

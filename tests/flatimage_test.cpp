@@ -1146,11 +1146,13 @@ TEST(PerCoreFusion, ShapeOnlyHookMovesQueuedJob) {
 }
 
 TEST(PerCoreFusion, IpcSamplingRunsOnDeferredWindows) {
-  // ipc-sampling reads counter telemetry: no balance instant is
-  // skipped, each runs on deferred state and catches up the windows
-  // whose processes it reads, and its moves settle only the cores they
-  // touch. Movers fire a phase mark that switches them to the other
-  // core type; those that must migrate join the open window there.
+  // ipc-sampling reads the counter telemetry of jobs that may move
+  // between core types, and such jobs stay queued throughout: no
+  // balance instant is skipped, each runs on deferred state and catches
+  // up the windows whose processes it reads, and its moves settle only
+  // the cores they touch. Movers fire a phase mark that switches them
+  // to the other core type; those that must migrate join the open
+  // window there.
   MachineConfig MC = MachineConfig::quadAsymmetric();
   std::vector<Image> Images;
   for (uint32_t Job = 0; Job < 6; ++Job)
@@ -1682,6 +1684,140 @@ TEST(InWindowStep, ShapeOnlyPolicyReadsQueueOrder) {
     EXPECT_GT(Q.Skipped, 10u);
     EXPECT_GT(Q.Fused, 10 * Q.Stepped);
   }
+}
+
+//===----------------------------------------------------------------------===//
+// Telemetry-free balance instants: a Telemetry policy's balance instant
+// is skipped when the last balance read no telemetry, made no move and
+// no queue or mask changed since. Each case expects the machines
+// bit-identical to the Reference one.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// A Telemetry policy that moves nothing and, at each balance, reads
+/// and logs the clock and the counters of every queued process whose
+/// mask reaches both core types, in pid order; it reads none while all
+/// are pinned to one type. Reads holds the clock of each balance that
+/// read any.
+struct SpanningReader final : ObliviousScheduler {
+  SpanningReader(std::vector<double> &Log, std::vector<double> &Reads)
+      : Log(Log), Reads(Reads) {}
+  PolicyReads reads() const override { return PolicyReads::Telemetry; }
+  void balance(Machine &M) override {
+    const Machine &Shape = M;
+    std::vector<uint32_t> Spanning;
+    for (uint32_t Core = 0; Core < M.config().numCores(); ++Core)
+      for (uint32_t Pid : Shape.queue(Core)) {
+        uint64_t Mask = M.process(Pid).AffinityMask;
+        if ((Mask & M.config().coreMaskOfType(0)) &&
+            (Mask & M.config().coreMaskOfType(1)))
+          Spanning.push_back(Pid);
+      }
+    std::sort(Spanning.begin(), Spanning.end());
+    if (!Spanning.empty())
+      Reads.push_back(M.now());
+    for (uint32_t Pid : Spanning) {
+      const SchedTelemetry &T = M.telemetry(Pid);
+      Log.push_back(M.now());
+      Log.push_back(Pid);
+      for (uint64_t Insts : T.InstsByType)
+        Log.push_back(static_cast<double>(Insts));
+      Log.insert(Log.end(), T.CyclesByType.begin(), T.CyclesByType.end());
+      Log.push_back(T.WindowIpc);
+    }
+  }
+  std::vector<double> &Log;
+  std::vector<double> &Reads;
+};
+
+} // namespace
+
+TEST(TelemetryBalance, IpcSamplingWithEveryJobPinned) {
+  // Every job is pinned to one core or to the two cores of one type:
+  // ipc-sampling's balance decides from the masks alone that none can
+  // move, so it reads no telemetry and catches up no deferred core, and
+  // the instants after a balance that read nothing are skipped until
+  // an exit changes the shape.
+  MachineConfig MC = MachineConfig::quadAsymmetric();
+  std::vector<Image> Images;
+  for (uint32_t Job = 0; Job < 6; ++Job)
+    Images.push_back(imageFor(
+        loopProgram(400000 + 9973 * Job, 32, Job % 2 == 1, Job + 1), MC));
+  const uint64_t Masks[] = {1u << 0, 1u << 2, 0x3, 0xC, 1u << 1, 1u << 3};
+  SimConfig SC;
+  SC.BalancePeriod = 0.05;
+  QuantaCounts Q = expectFusionInvisible(
+      MC, SC,
+      [&](Machine &M) {
+        for (uint32_t Job = 0; Job < 6; ++Job)
+          spawnOn(M, Images[Job], Masks[Job], Job + 1);
+        M.run(6.0);
+        // Three jobs have exited.
+        EXPECT_EQ(M.queueLength(0) + M.queueLength(1) + M.queueLength(2) +
+                      M.queueLength(3),
+                  3u);
+      },
+      [] { return std::make_unique<IpcSamplingScheduler>(20000, 1.05); });
+  EXPECT_GT(Q.Skipped, 50u);
+  EXPECT_EQ(Q.CatchUps, 0u);
+  EXPECT_GT(Q.Fused, 10 * Q.Stepped);
+}
+
+TEST(TelemetryBalance, ReadsOnlyWhileAJobSpansTypes) {
+  // Core 0 holds two long jobs pinned to it. X1, pinned to the slow core
+  // 1, widens its mask to every core at its phase mark and spans both
+  // types until it exits; X2 arrives after that and does the same. The
+  // policy reads telemetry only while a spanning job is queued: its
+  // instants are skipped before X1 widens, called while it spans,
+  // skipped between X1's exit and X2's widening, and called again.
+  // Every read must equal stepping's.
+  MachineConfig MC = dyadicMachine();
+  Image Long = imageFor(loopProgram(4000000, 24, false), MC);
+  Image Widening = phaseChangeImage(60000, 200000, false, MC);
+  TunerConfig AllCores;
+  AllCores.SwitchToAllCores = true;
+  std::vector<double> Logs[2];
+  std::vector<double> Reads[2];
+  int Made = 0;
+  double X2Arrival = 0;
+  QuantaCounts Q = expectFusionInvisible(
+      MC, SimConfig(),
+      [&](Machine &M) {
+        spawnOn(M, Long, 1u << 0, 1);
+        spawnOn(M, Long, 1u << 0, 2);
+        uint32_t X1 =
+            M.spawn(Widening.IP, Widening.Cost, AllCores, 3, -1, 1u << 1);
+        M.setExitHandler([&](Machine &Mach, Process &P) {
+          if (P.Pid != X1)
+            return;
+          X2Arrival = Mach.now() + 1.0;
+          Mach.scheduleAt(X2Arrival, [&](Machine &At) {
+            At.spawn(Widening.IP, Widening.Cost, AllCores, 4, -1, 1u << 1);
+          });
+        });
+        M.run(12.0);
+        ASSERT_EQ(M.processes().size(), 4u);
+        EXPECT_GT(M.process(3).CompletionTime, 0.0);
+        EXPECT_EQ(M.process(3).Stats.MarksFired, 1u);
+      },
+      [&] {
+        int I = Made++;
+        return std::make_unique<SpanningReader>(Logs[I], Reads[I]);
+      });
+  EXPECT_FALSE(Logs[0].empty());
+  EXPECT_TRUE(Logs[0] == Logs[1]);
+  EXPECT_TRUE(Reads[0] == Reads[1]);
+  // Two runs of reading instants, one per widened job, each a run of
+  // consecutive instants, with skipped instants around them.
+  uint32_t Runs = 0;
+  for (size_t I = 0; I < Reads[1].size(); ++I)
+    Runs += I == 0 || Reads[1][I] - Reads[1][I - 1] > 0.15;
+  EXPECT_EQ(Runs, 2u);
+  EXPECT_GT(Reads[1].front(), 0.2);
+  EXPECT_GT(Q.Skipped, 20u);
+  EXPECT_GT(Q.CatchUps, 0u);
+  EXPECT_GT(Q.Fused, 10 * Q.Stepped);
 }
 
 //===----------------------------------------------------------------------===//

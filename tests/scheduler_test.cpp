@@ -451,6 +451,63 @@ TEST(IpcSampling, ReassignsComputeWorkTowardFastCores) {
   EXPECT_GT(MemT.CyclesByType[1], MemT.CyclesByType[0]);
 }
 
+namespace {
+
+/// Forwards to \p Inner and counts the balance calls the machine made.
+struct CountingPolicy final : SchedulerPolicy {
+  explicit CountingPolicy(std::unique_ptr<SchedulerPolicy> Inner)
+      : Inner(std::move(Inner)) {}
+  uint32_t selectCore(const Machine &M, const Process &P) override {
+    return Inner->selectCore(M, P);
+  }
+  void balance(Machine &M) override {
+    ++Balances;
+    Inner->balance(M);
+  }
+  PolicyReads reads() const override { return Inner->reads(); }
+  void onSpawn(Machine &M, Process &P) override { Inner->onSpawn(M, P); }
+  void onExit(Machine &M, Process &P) override { Inner->onExit(M, P); }
+  std::unique_ptr<SchedulerPolicy> Inner;
+  uint64_t Balances = 0;
+};
+
+} // namespace
+
+TEST(IpcSampling, BalanceCatchesUpOnlyCoresWithMovableWork) {
+  // Long jobs pinned to one core each keep all four cores deferred. With
+  // every job pinned, balance reads no telemetry: no core is caught up
+  // and the instants after the first are skipped. One job free to move
+  // between the types is read at every instant, which catches up its
+  // own core only: at most one catch-up per balance call.
+  MachineConfig MC = MachineConfig::quadAsymmetric();
+  Program Long = loopProgram(400000);
+  auto Cost = std::make_shared<const CostModel>(Long, MC);
+  auto Image = plainImage(Long);
+  for (bool OneMovable : {false, true}) {
+    SCOPED_TRACE(OneMovable ? "one movable job" : "every job pinned");
+    auto Policy = std::make_unique<CountingPolicy>(
+        SchedulerSpec::ipcSampling(/*MinSampleInsts=*/5000).makeScheduler());
+    CountingPolicy *Counts = Policy.get();
+    Machine M(MC, SimConfig(), std::move(Policy));
+    for (uint32_t Core = 0; Core < MC.numCores(); ++Core)
+      for (uint64_t Seed : {1, 2})
+        M.spawn(Image, Cost, TunerConfig(), 10 * Core + Seed, -1,
+                1ULL << Core);
+    if (OneMovable)
+      M.spawn(Image, Cost, TunerConfig(), 99);
+    M.run(3.0);
+    ASSERT_GT(Counts->Balances, 0u);
+    EXPECT_GT(M.windowsOpened(), 0u);
+    if (OneMovable) {
+      EXPECT_GT(M.windowCatchUps(), 0u);
+      EXPECT_LE(M.windowCatchUps(), Counts->Balances);
+    } else {
+      EXPECT_EQ(M.windowCatchUps(), 0u);
+      EXPECT_GT(M.balancesSkipped(), 20u);
+    }
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Telemetry bookkeeping
 //===----------------------------------------------------------------------===//
