@@ -64,8 +64,7 @@ public:
       // Snapshot the queue: moves invalidate iteration. Which process
       // moves first depends on the order, so it is read through the
       // non-const (settling) queue().
-      const std::deque<uint32_t> &Queue = M.queue(Core);
-      std::vector<uint32_t> Pids(Queue.begin(), Queue.end());
+      std::vector<uint32_t> Pids = M.queue(Core);
       for (uint32_t Pid : Pids) {
         const SchedTelemetry &T = M.telemetry(Pid);
         if (T.WindowIpc == 0)

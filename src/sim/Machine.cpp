@@ -30,6 +30,26 @@ const char *pbt::engineName(ExecEngine Engine) {
   return "unknown";
 }
 
+const char *pbt::settleCauseName(SettleCause Cause) {
+  switch (Cause) {
+  case SettleCause::WindowEnd:
+    return "window_end";
+  case SettleCause::L2Change:
+    return "l2_change";
+  case SettleCause::QueueEdit:
+    return "queue_edit";
+  case SettleCause::Event:
+    return "event";
+  case SettleCause::ExitHandler:
+    return "exit_handler";
+  case SettleCause::Policy:
+    return "policy";
+  case SettleCause::RunEnd:
+    return "run_end";
+  }
+  return "unknown";
+}
+
 Machine::Machine(MachineConfig ConfigIn, SimConfig SimIn,
                  std::unique_ptr<SchedulerPolicy> PolicyIn)
     : Config(std::move(ConfigIn)), Sim(SimIn), Policy(std::move(PolicyIn)),
@@ -94,7 +114,7 @@ uint32_t Machine::spawn(std::shared_ptr<const InstrumentedProgram> IProg,
   // The policy sees the process before its first placement and may
   // narrow the affinity mask (OS-level static assignment).
   if (Reads == PolicyReads::Anything)
-    settleAll();
+    settleAll(SettleCause::Policy);
   Policy->onSpawn(*this, *Procs[Pid]);
   assert((Procs[Pid]->AffinityMask & Config.allCoresMask()) != 0 &&
          "policy onSpawn left no allowed core");
@@ -110,7 +130,7 @@ uint32_t Machine::placeProcess(uint32_t Pid) {
   // Anything places on unsettled state, and the process joins the
   // receiving core's window if it holds one.
   if (Reads == PolicyReads::Anything)
-    settleAll();
+    settleAll(SettleCause::Policy);
   uint32_t Core = Policy->selectCore(*this, P);
   assert(P.allowedOn(Core) && "policy violated the affinity mask");
   enqueue(Core, Pid);
@@ -141,7 +161,7 @@ bool Machine::moveQueued(uint32_t Pid, uint32_t FromCore, uint32_t ToCore) {
   Process &P = *Procs[Pid];
   if (!P.allowedOn(ToCore))
     return false;
-  settle(FromCore);
+  settle(FromCore, SettleCause::QueueEdit);
   auto &From = Queues[FromCore];
   auto It = std::find(From.begin(), From.end(), Pid);
   if (It == From.end())
@@ -158,13 +178,13 @@ bool Machine::moveQueued(uint32_t Pid, uint32_t FromCore, uint32_t ToCore) {
 }
 
 bool Machine::pullTail(uint32_t FromCore, uint32_t ToCore) {
-  const std::deque<uint32_t> &From = Queues[FromCore];
+  const std::vector<uint32_t> &From = Queues[FromCore];
   if (std::none_of(From.begin(), From.end(), [&](uint32_t Pid) {
         return Procs[Pid]->allowedOn(ToCore);
       }))
     return false;
   // Which process is the tail-most depends on the rotation.
-  settle(FromCore);
+  settle(FromCore, SettleCause::QueueEdit);
   for (auto It = From.rbegin(); It != From.rend(); ++It)
     if (Procs[*It]->allowedOn(ToCore))
       return moveQueued(*It, FromCore, ToCore);
@@ -199,7 +219,7 @@ void Machine::run(double Until) {
     // at time zero reproduce the classic spawn-before-run state bit for
     // bit. Callbacks see settled state and may edit anything.
     if (!Events.empty() && Events.begin()->first <= Now) {
-      settleAll();
+      settleAll(SettleCause::Event);
       while (!Events.empty() && Events.begin()->first <= Now) {
         std::function<void(Machine &)> Fn = std::move(Events.begin()->second);
         Events.erase(Events.begin());
@@ -223,7 +243,7 @@ void Machine::run(double Until) {
         // (telemetry()), and the order it may read settles on demand
         // (queue(), pullTail, moveQueued).
         if (Reads == PolicyReads::Anything)
-          settleAll();
+          settleAll(SettleCause::Policy);
         ShapeDirty = false;
         TelemetryRead = false;
         Policy->balance(*this);
@@ -249,7 +269,7 @@ void Machine::run(double Until) {
       for (uint32_t Core = 0; Core < NumCores; ++Core) {
         CoreWindow &W = Windows[Core];
         if (W.Open && W.Active != GroupActive[Config.Cores[Core].L2Group])
-          settle(Core);
+          settle(Core, SettleCause::L2Change);
         if (Queues[Core].empty())
           ++Idle;
         else if (W.Open ? Quantum >= W.End : !openWindow(Core))
@@ -334,14 +354,26 @@ void Machine::run(double Until) {
     Now += Sim.Timeslice;
     ++Quantum;
   }
-  settleAll();
+  settleAll(SettleCause::RunEnd);
+  for (const std::vector<uint32_t> &Q : Queues)
+    for (uint32_t Pid : Q)
+      publishCpuSeconds(*Procs[Pid]);
+}
+
+void Machine::publishCpuSeconds(Process &P) const {
+  // Each per-type sum is an exact grid sum, equal across engines and
+  // however turns were grouped into charges, so this is too.
+  const std::vector<double> &Cycles = Telem[P.Pid].CyclesByType;
+  double Seconds = 0;
+  for (uint32_t Ct = 0; Ct < Config.numCoreTypes(); ++Ct)
+    Seconds += Cycles[Ct] / Config.CoreTypes[Ct].Frequency;
+  P.Stats.CpuSeconds = Seconds;
 }
 
 void Machine::chargeTurn(uint32_t Core, Process &P, const AdvanceResult &R) {
   uint32_t Ct = coreType(Core);
   BusyCycles[Core] += R.CyclesUsed;
   P.Stats.CyclesConsumed += R.CyclesUsed;
-  P.Stats.CpuSeconds += R.CyclesUsed / coreFrequency(Core);
 
   // Scheduler telemetry: the counters an OS policy may observe. Pure
   // bookkeeping — it never feeds back into the simulation unless a
@@ -364,7 +396,8 @@ void Machine::finishTurn(uint32_t Core, Process &P, const AdvanceResult &R) {
   if (R.Finished) {
     double Freq = coreFrequency(Core);
     P.CompletionTime = Now + std::min(Used[Core], Sim.Timeslice * Freq) / Freq;
-    Queues[Core].pop_front();
+    publishCpuSeconds(P);
+    Queues[Core].erase(Queues[Core].begin());
     ShapeDirty = true;
     if (P.MonActive)
       finishMonitor(P);
@@ -373,24 +406,24 @@ void Machine::finishTurn(uint32_t Core, Process &P, const AdvanceResult &R) {
       // cycle-derived; traces use quantized time only).
       Trace->exitProcess(Trace->cycles(Now), Pid, P.Stats.InstsRetired);
     if (Reads == PolicyReads::Anything)
-      settleAll();
+      settleAll(SettleCause::Policy);
     Policy->onExit(*this, P);
     if (OnExit) {
-      settleAll();
+      settleAll(SettleCause::ExitHandler);
       OnExit(*this, P);
     }
     return;
   }
   if (R.Migrated) {
-    Queues[Core].pop_front();
+    Queues[Core].erase(Queues[Core].begin());
     uint32_t To = placeProcess(Pid);
     if (Trace)
       Trace->migrate(Trace->cycles(Now), Pid, Core, To);
     return;
   }
   // Timeslice exhausted: round-robin rotate.
-  Queues[Core].pop_front();
-  Queues[Core].push_back(Pid);
+  std::vector<uint32_t> &Q = Queues[Core];
+  std::rotate(Q.begin(), Q.begin() + 1, Q.end());
 }
 
 void Machine::flushTraceWindows() {
@@ -517,7 +550,7 @@ bool Machine::openWindow(uint32_t Core) {
   // i of a queue of length len runs at quanta i, i + len, ...; it has
   // T_i steady turns left, so the queue stays steady for i + len*T_i
   // quanta.
-  const std::deque<uint32_t> &Q = Queues[Core];
+  const std::vector<uint32_t> &Q = Queues[Core];
   uint64_t Len = Q.size();
   uint32_t Active = GroupActive[Config.Cores[Core].L2Group];
   // Every position's steady turns are cached for the window's
@@ -555,7 +588,7 @@ double Machine::windowBusy(uint32_t Core, uint64_t Quanta) const {
   // it. Checked from the current values for every turn not charged
   // yet, so every prefix a settle or catch-up charges is exact too.
   // Owed turns make any position pending, whatever Quanta is.
-  const std::deque<uint32_t> &Q = Queues[Core];
+  const std::vector<uint32_t> &Q = Queues[Core];
   uint64_t Len = Q.size();
   uint32_t Ct = coreType(Core);
   double Busy = BusyCycles[Core];
@@ -593,11 +626,6 @@ void Machine::chargeSteady(uint32_t Core, Process &P, int64_t Turns) {
     P.MonInsts += Insts;
     P.MonCycles += Charge;
   }
-  // CpuSeconds adds Charge/Freq, which is off the grid: replay the
-  // per-turn adds so rounding happens exactly as when stepping.
-  double TurnSeconds = H.SteadyCharge / coreFrequency(Core);
-  for (int64_t Turn = 0; Turn < Turns; ++Turn)
-    P.Stats.CpuSeconds += TurnSeconds;
   uint32_t Ct = coreType(Core);
   SchedTelemetry &T = Telem[P.Pid];
   T.InstsByType[Ct] += Insts;
@@ -615,7 +643,7 @@ void Machine::chargeSteady(uint32_t Core, Process &P, int64_t Turns) {
 bool Machine::stepInWindow(uint32_t Core) {
   CoreWindow &W = Windows[Core];
   assert(Quantum == W.End && "a window steps at its planned end");
-  const std::deque<uint32_t> &Q = Queues[Core];
+  const std::vector<uint32_t> &Q = Queues[Core];
   uint64_t Len = Q.size();
   uint64_t Elapsed = Quantum - W.Start;
   uint64_t Front = Elapsed % Len;
@@ -633,7 +661,7 @@ bool Machine::stepInWindow(uint32_t Core) {
   // stays below the bound.
   if (R.Finished || R.Migrated || !(W.Busy + R.CyclesUsed < ExactCycleBound)) {
     // Settled through the previous quantum, P is at the front again.
-    settle(Core);
+    settle(Core, SettleCause::WindowEnd);
     ++QuantaStepped;
     Used[Core] += R.CyclesUsed;
     finishTurn(Core, P, R);
@@ -655,7 +683,7 @@ bool Machine::stepInWindow(uint32_t Core) {
 
 void Machine::planEnd(uint32_t Core, uint64_t Floor) {
   CoreWindow &W = Windows[Core];
-  const std::deque<uint32_t> &Q = Queues[Core];
+  const std::vector<uint32_t> &Q = Queues[Core];
   uint64_t Len = Q.size();
   // The process at position i breaks the schedule at its turn
   // WindowTurns + T_i, in quantum Start + i + len * that; owed turns
@@ -684,19 +712,19 @@ void Machine::planEnd(uint32_t Core, uint64_t Floor) {
   W.End = End;
 }
 
-void Machine::settle(uint32_t Core) {
+void Machine::settle(uint32_t Core, SettleCause Cause) {
   CoreWindow &W = Windows[Core];
   if (!W.Open)
     return;
   W.Open = false;
-  ++WindowSettles;
+  ++SettlesByCause[static_cast<size_t>(Cause)];
   // Cores are visited in index order, so inside a stepped quantum the
   // turn of a core below VisitPos has already run, and the settled core
   // must then sit out the quantum's work-conserving re-passes.
   bool Ran = Core < VisitPos;
   uint64_t Quanta = Quantum + (Ran ? 1 : 0) - W.Start;
   QuantaFused += Quanta;
-  std::deque<uint32_t> &Q = Queues[Core];
+  std::vector<uint32_t> &Q = Queues[Core];
   assert(!Q.empty() && "windows open on busy cores only");
   if (Ran)
     Used[Core] = Sim.Timeslice * coreFrequency(Core);
@@ -708,7 +736,7 @@ void Machine::settle(uint32_t Core) {
 void Machine::chargeWindow(uint32_t Core, uint64_t Quanta) {
   // Every position: owed turns are pending even where Quanta gives the
   // position none.
-  const std::deque<uint32_t> &Q = Queues[Core];
+  const std::vector<uint32_t> &Q = Queues[Core];
   uint64_t Len = Q.size();
   TurnsInWindow Turns(Quanta, Len);
   for (uint64_t Pos = 0; Pos < Len; ++Pos) {
@@ -731,7 +759,7 @@ void Machine::catchUp(uint32_t Core) {
 
 void Machine::enqueue(uint32_t Core, uint32_t Pid) {
   CoreWindow &W = Windows[Core];
-  std::deque<uint32_t> &Q = Queues[Core];
+  std::vector<uint32_t> &Q = Queues[Core];
   if (!W.Open) {
     Q.push_back(Pid);
     return;
@@ -758,9 +786,9 @@ void Machine::enqueue(uint32_t Core, uint32_t Pid) {
   planEnd(Core, W.Start);
 }
 
-void Machine::settleAll() {
+void Machine::settleAll(SettleCause Cause) {
   for (uint32_t Core = 0; Core < Config.numCores(); ++Core)
-    settle(Core);
+    settle(Core, Cause);
 }
 
 /// The flat-image interpreter. Same block sequence, same RNG draws, and

@@ -34,10 +34,11 @@
 #include "sim/Scheduler.h"
 #include "support/Rng.h"
 
-#include <deque>
+#include <array>
 #include <functional>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <utility>
 #include <vector>
 
@@ -63,6 +64,32 @@ enum class ExecEngine : uint8_t {
 /// Stable display name of \p Engine ("flat", "reference") — used by
 /// artifact cell labels.
 const char *engineName(ExecEngine Engine);
+
+/// Why a deferred window was settled: one cause per call site of
+/// Machine's settle (Plane-2 diagnostics, see Machine::windowSettles).
+enum class SettleCause : uint8_t {
+  /// The turn at a window's end broke the schedule (stepInWindow).
+  WindowEnd,
+  /// The L2 group's active-core count changed, so the turns' price did.
+  L2Change,
+  /// A policy edited or read the order of a queue: moveQueued,
+  /// pullTail, the non-const queue().
+  QueueEdit,
+  /// An injection event is due.
+  Event,
+  /// The machine's exit handler runs.
+  ExitHandler,
+  /// A policy reading Anything is called: onSpawn, selectCore, balance,
+  /// onExit.
+  Policy,
+  /// run() returns.
+  RunEnd,
+};
+constexpr size_t NumSettleCauses = 7;
+
+/// Stable counter-name suffix of \p Cause ("window_end", "l2_change",
+/// "queue_edit", "event", "exit_handler", "policy", "run_end").
+const char *settleCauseName(SettleCause Cause);
 
 /// Simulation knobs independent of the machine's hardware shape.
 struct SimConfig {
@@ -138,8 +165,9 @@ public:
   /// deferred core joins its window. Balance instants that cannot move
   /// anything are skipped; the others run on deferred state unless the
   /// policy reads Anything (see PolicyReads). Every window is settled
-  /// before run() returns, and the result is bit-identical to stepping
-  /// every quantum.
+  /// and every queued process's CpuSeconds written before run()
+  /// returns, and the result is bit-identical to stepping every
+  /// quantum.
   void run(double Until);
 
   /// Ends the simulation: the current run() call returns at the end of
@@ -162,7 +190,14 @@ public:
   /// turns for a telemetry read without closing it (Plane-2
   /// diagnostics; all 0 on the Reference engine and traced runs).
   uint64_t windowsOpened() const { return WindowsOpened; }
-  uint64_t windowSettles() const { return WindowSettles; }
+  uint64_t windowSettles() const {
+    return std::accumulate(SettlesByCause.begin(), SettlesByCause.end(),
+                           uint64_t{0});
+  }
+  /// Window settles made for \p Cause (see SettleCause).
+  uint64_t windowSettles(SettleCause Cause) const {
+    return SettlesByCause[static_cast<size_t>(Cause)];
+  }
   uint64_t windowSteps() const { return WindowSteps; }
   uint64_t windowAbsorbs() const { return WindowAbsorbs; }
   uint64_t windowCatchUps() const { return WindowCatchUps; }
@@ -186,19 +221,22 @@ public:
   Process &process(uint32_t Pid) { return *Procs[Pid]; }
 
   /// Scheduler-policy API: runqueue inspection and queued-process moves.
-  /// Queue lengths and the set of queued processes are exact at every
-  /// call; the order of a deferred core's queue is not. The non-const
-  /// queue() settles \p Core first, so the order it shows is the one
-  /// stepping would; the const one shows the stored order, exact
-  /// between run() calls and wherever the core holds no window.
+  /// A queue is the pids queued on a core, front (running next) first,
+  /// in one contiguous vector. Queue lengths and the set of queued
+  /// processes are exact at every call; the order of a deferred core's
+  /// queue is not. The non-const queue() settles \p Core first, so the
+  /// order it shows is the one stepping would; the const one shows the
+  /// stored order, exact between run() calls and wherever the core
+  /// holds no window. The reference is valid until the next call that
+  /// may edit a queue (a spawn, a move, run()).
   uint32_t queueLength(uint32_t Core) const {
     return static_cast<uint32_t>(Queues[Core].size());
   }
-  const std::deque<uint32_t> &queue(uint32_t Core) const {
+  const std::vector<uint32_t> &queue(uint32_t Core) const {
     return Queues[Core];
   }
-  const std::deque<uint32_t> &queue(uint32_t Core) {
-    settle(Core);
+  const std::vector<uint32_t> &queue(uint32_t Core) {
+    settle(Core, SettleCause::QueueEdit);
     return Queues[Core];
   }
   /// Moves a queued process to \p ToCore (affinity permitting); returns
@@ -399,9 +437,12 @@ private:
 
   /// Charges \p Core's open window and closes it: through the current
   /// quantum when the core's turn in it has run (Core < VisitPos), else
-  /// through the previous one.
-  void settle(uint32_t Core);
-  void settleAll();
+  /// through the previous one. \p Cause tags the settle's counter.
+  void settle(uint32_t Core, SettleCause Cause);
+  void settleAll(SettleCause Cause);
+
+  /// Writes \p P's CpuSeconds from its per-type cycle sums.
+  void publishCpuSeconds(Process &P) const;
 
   /// Books one stepped turn of \p P on \p Core: busy cycles, process
   /// stats, telemetry and the trace window.
@@ -472,7 +513,7 @@ private:
   uint64_t QuantaFused = 0;
   uint64_t BalanceSkipped = 0;
   uint64_t WindowsOpened = 0;
-  uint64_t WindowSettles = 0;
+  std::array<uint64_t, NumSettleCauses> SettlesByCause{};
   uint64_t WindowSteps = 0;
   uint64_t WindowAbsorbs = 0;
   uint64_t WindowCatchUps = 0;
@@ -481,7 +522,7 @@ private:
   /// Inside a stepped quantum, the cores below VisitPos have had their
   /// turn in it (NumCores once the first pass is done); 0 elsewhere.
   uint32_t VisitPos = 0;
-  std::vector<std::deque<uint32_t>> Queues;
+  std::vector<std::vector<uint32_t>> Queues;
   std::vector<CoreWindow> Windows;
   std::vector<std::unique_ptr<Process>> Procs;
   /// Per-process hot lanes, indexed like Procs (see HotProc).

@@ -38,7 +38,12 @@ struct ProcessStats {
   /// Cycles charged on whatever core the process ran (includes stalls and
   /// instrumentation overhead).
   double CyclesConsumed = 0;
-  /// CPU seconds consumed (cycles divided by the running core frequency).
+  /// CPU seconds consumed: the sum, in core-type order, of the cycles
+  /// the process ran on each core type (SchedTelemetry::CyclesByType)
+  /// divided by that type's frequency. Derived from those exact grid
+  /// sums rather than accumulated per turn; current when the process
+  /// exits (before the policy's and the machine's exit hooks see it)
+  /// and whenever Machine::run returns.
   double CpuSeconds = 0;
   /// Actual core migrations triggered by phase marks.
   uint64_t CoreSwitches = 0;

@@ -483,6 +483,11 @@ RunResult pbt::runWorkload(const PreparedSuite &Suite, const Workload &W,
   Reg.add("sim.balance_skipped", M.balancesSkipped());
   Reg.add("sim.windows_opened", M.windowsOpened());
   Reg.add("sim.window_settles", M.windowSettles());
+  for (size_t C = 0; C < NumSettleCauses; ++C) {
+    SettleCause Cause = static_cast<SettleCause>(C);
+    Reg.add(std::string("sim.window_settles.") + settleCauseName(Cause),
+            M.windowSettles(Cause));
+  }
   Reg.add("sim.window_steps", M.windowSteps());
   Reg.add("sim.window_absorbs", M.windowAbsorbs());
   Reg.add("sim.window_catchups", M.windowCatchUps());

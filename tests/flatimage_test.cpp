@@ -26,7 +26,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
 #include <functional>
 #include <memory>
 
@@ -975,9 +974,9 @@ TEST(PerCoreFusion, MigrationsIntoLowerAndHigherDeferredCores) {
     decide(M, Y, 1);
     M.run(M.simConfig().Timeslice);
     Snap.take(M);
-    EXPECT_EQ(M.queue(0), (std::deque<uint32_t>{B, A, X}));
-    EXPECT_EQ(M.queue(1), std::deque<uint32_t>{});
-    EXPECT_EQ(M.queue(2), (std::deque<uint32_t>{D, Y, C}));
+    EXPECT_EQ(M.queue(0), (std::vector<uint32_t>{B, A, X}));
+    EXPECT_EQ(M.queue(1), std::vector<uint32_t>{});
+    EXPECT_EQ(M.queue(2), (std::vector<uint32_t>{D, Y, C}));
     EXPECT_EQ(M.process(X).Stats.CoreSwitches, 1u);
     EXPECT_EQ(M.process(Y).Stats.CoreSwitches, 1u);
     M.run(1.0);
@@ -1017,6 +1016,100 @@ TEST(PerCoreFusion, ClosedLoopRespawnOntoDeferredCores) {
   Snap.expectAgree();
   EXPECT_EQ(Snap.Of[0].size(), 8u);
   EXPECT_GT(Q.Fused, 10 * Q.Stepped);
+}
+
+namespace {
+
+/// \p Pid's cycles on each core type over that type's frequency,
+/// summed in type order: the definition of ProcessStats::CpuSeconds.
+double perTypeSeconds(const Machine &M, uint32_t Pid) {
+  const MachineConfig &MC = M.config();
+  double Seconds = 0;
+  for (uint32_t Ct = 0; Ct < MC.numCoreTypes(); ++Ct)
+    Seconds += M.telemetry(Pid).CyclesByType[Ct] / MC.CoreTypes[Ct].Frequency;
+  return Seconds;
+}
+
+} // namespace
+
+TEST(CpuSeconds, DerivedFromPerTypeCyclesAtExitAndRunEnd) {
+  // X starts on the fast core 1 and its phase mark moves it to a slow
+  // core; A stays on the slow core 0. Frequencies that are not powers
+  // of two make every division round. CpuSeconds must be the per-type
+  // sum when run() returns with both still queued, and again in the
+  // stats the exit handler sees and after the last run() returns; A's
+  // must be its cycles over the slow frequency. Flat equals Reference.
+  MachineConfig MC = slowFastSlowMachine();
+  MC.CoreTypes[0].Frequency = 3000000.0;
+  MC.CoreTypes[1].Frequency = 1200000.0;
+  Image Long = imageFor(loopProgram(150000, 24, false), MC);
+  Image Mover = phaseChangeImage(20000, 60000, false, MC);
+  double Seen[2][2][3] = {}; // [engine][A, X][mid-run, at exit, at end]
+  for (ExecEngine Engine : {ExecEngine::Reference, ExecEngine::Flat}) {
+    SCOPED_TRACE(engineName(Engine));
+    SimConfig SC;
+    SC.Engine = Engine;
+    Machine M(MC, SC, std::make_unique<ObliviousScheduler>());
+    std::vector<ProcessStats> AtExit(2);
+    M.setExitHandler(
+        [&](Machine &, Process &P) { AtExit[P.Pid] = P.Stats; });
+    uint32_t A = spawnOn(M, Long, 1u << 0, 1);
+    uint32_t X = spawnOn(M, Mover, 1u << 1, 2);
+    decide(M, X, 1);
+    while (M.process(X).Stats.CoreSwitches == 0)
+      M.run(M.now() + M.simConfig().Timeslice);
+    M.run(M.now() + 0.1);
+    ASSERT_LT(M.process(A).CompletionTime, 0.0);
+    ASSERT_LT(M.process(X).CompletionTime, 0.0);
+    ASSERT_GT(M.telemetry(X).CyclesByType[0], 0.0);
+    ASSERT_GT(M.telemetry(X).CyclesByType[1], 0.0);
+    const double Slow = MC.CoreTypes[1].Frequency;
+    int E = Engine == ExecEngine::Reference ? 0 : 1;
+    for (uint32_t Pid : {A, X}) {
+      const ProcessStats &S = M.process(Pid).Stats;
+      EXPECT_EQ(S.CpuSeconds, perTypeSeconds(M, Pid)) << "pid " << Pid;
+      Seen[E][Pid][0] = S.CpuSeconds;
+    }
+    EXPECT_EQ(M.process(A).Stats.CpuSeconds,
+              M.process(A).Stats.CyclesConsumed / Slow);
+
+    M.run(60.0);
+    ASSERT_GT(M.process(A).CompletionTime, 0.0);
+    ASSERT_GT(M.process(X).CompletionTime, 0.0);
+    for (uint32_t Pid : {A, X}) {
+      SCOPED_TRACE("pid " + std::to_string(Pid));
+      EXPECT_EQ(AtExit[Pid].CpuSeconds, perTypeSeconds(M, Pid));
+      EXPECT_EQ(M.process(Pid).Stats.CpuSeconds, AtExit[Pid].CpuSeconds);
+      Seen[E][Pid][1] = AtExit[Pid].CpuSeconds;
+      Seen[E][Pid][2] = M.process(Pid).Stats.CpuSeconds;
+    }
+    EXPECT_EQ(AtExit[A].CpuSeconds, AtExit[A].CyclesConsumed / Slow);
+    EXPECT_GT(AtExit[X].CpuSeconds, Seen[E][X][0]);
+  }
+  for (int Pid = 0; Pid < 2; ++Pid)
+    for (int At = 0; At < 3; ++At)
+      EXPECT_EQ(Seen[0][Pid][At], Seen[1][Pid][At])
+          << "pid " << Pid << " point " << At;
+
+  // The stats a completed job carries: on one core type, the job's
+  // cycles over that type's frequency.
+  MachineConfig Sym = MachineConfig::symmetricQuad();
+  std::vector<Program> Programs = {randomProgram(31), randomProgram(32)};
+  PreparedSuite Suite = prepareSuite(Programs, Sym, loopTechnique());
+  Workload W = Workload::random(6, 64, Programs.size(), 3);
+  RunResult Runs[2];
+  int E = 0;
+  for (ExecEngine Engine : {ExecEngine::Reference, ExecEngine::Flat}) {
+    SimConfig SC;
+    SC.Engine = Engine;
+    Runs[E] = runWorkload(Suite, W, Sym, SC, 25);
+    ASSERT_GT(Runs[E].Completed.size(), 0u);
+    for (const CompletedJob &J : Runs[E].Completed)
+      EXPECT_EQ(J.Stats.CpuSeconds,
+                J.Stats.CyclesConsumed / Sym.CoreTypes[0].Frequency);
+    ++E;
+  }
+  expectRunsIdentical(Runs[0], Runs[1]);
 }
 
 TEST(PerCoreFusion, L2PartnerGoesBusyThenIdleMidWindow) {
@@ -1097,7 +1190,7 @@ TEST(PerCoreFusion, MaskChangeReenablesSkippedBalance) {
     uint32_t C = M.spawn(Widening.IP, Widening.Cost, AllCores, 3, -1, 1u << 0);
     M.run(1.0);
     EXPECT_EQ(M.process(C).Stats.MarksFired, 1u);
-    EXPECT_EQ(M.queue(1), std::deque<uint32_t>{C});
+    EXPECT_EQ(M.queue(1), std::vector<uint32_t>{C});
     M.run(6.0);
     EXPECT_GT(M.process(C).CompletionTime, 0.0);
   });
@@ -1112,7 +1205,7 @@ namespace {
 /// relies on moveQueued to settle the cores it touches.
 struct MoveLowestOnExit final : ObliviousScheduler {
   void onExit(Machine &M, Process &) override {
-    const std::deque<uint32_t> &Q = M.queue(0);
+    const std::vector<uint32_t> &Q = M.queue(0);
     if (!Q.empty())
       M.moveQueued(*std::min_element(Q.begin(), Q.end()), 0, 1);
   }
@@ -1543,7 +1636,7 @@ TEST(InWindowStep, SteadyRunEndsMidWindow) {
         break;
       case Migration:
         EXPECT_EQ(P.Stats.CoreSwitches, 1u);
-        EXPECT_EQ(M.queue(1), std::deque<uint32_t>{Pid});
+        EXPECT_EQ(M.queue(1), std::vector<uint32_t>{Pid});
         break;
       case Exit:
         EXPECT_GT(P.CompletionTime, 0.0);

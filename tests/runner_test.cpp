@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <stdexcept>
 #include <string>
 
@@ -339,6 +340,43 @@ TEST(StopRules, EmptyOpenStreamStopsAtTimeZero) {
   EXPECT_EQ(R.CompletedCount, 0u);
   EXPECT_EQ(R.InstructionsRetired, 0u);
   EXPECT_EQ(Q.Stepped + Q.Fused, 0u);
+}
+
+TEST(WindowSettles, CausesSumToTotal) {
+  // sim.window_settles.<cause> splits sim.window_settles by the call
+  // site that settled the window. A closed batch and an open stream
+  // under ipc-sampling reach the exit handler, arrival events, policy
+  // queue edits and the run's end between them.
+  auto Programs = smallSuite();
+  MachineConfig MC = MachineConfig::quadAsymmetric();
+  PreparedSuite Suite = prepareSuite(Programs, MC, loopTechnique());
+  Workload W = Workload::random(4, 64, Programs.size(), 5);
+  const std::vector<std::string> Names = {
+      "sim.window_settles",
+      "sim.windows_opened",
+      "sim.window_settles.window_end",
+      "sim.window_settles.l2_change",
+      "sim.window_settles.queue_edit",
+      "sim.window_settles.event",
+      "sim.window_settles.exit_handler",
+      "sim.window_settles.policy",
+      "sim.window_settles.run_end"};
+  std::map<std::string, uint64_t> Delta;
+  for (const std::string &Name : Names)
+    Delta[Name] -= registryCount(Name.c_str());
+  runWorkload(Suite, W, MC, SimConfig(), 60);
+  runWorkload(Suite, W, MC, SimConfig(), 60, {}, SchedulerSpec::ipcSampling(),
+              ScenarioSpec::poisson(0.6));
+  for (const std::string &Name : Names)
+    Delta[Name] += registryCount(Name.c_str());
+  uint64_t ByCause = 0;
+  for (size_t I = 2; I < Names.size(); ++I)
+    ByCause += Delta[Names[I]];
+  EXPECT_GT(Delta["sim.window_settles"], 0u);
+  EXPECT_EQ(Delta["sim.windows_opened"], Delta["sim.window_settles"]);
+  EXPECT_EQ(ByCause, Delta["sim.window_settles"]);
+  for (const char *Cause : {"queue_edit", "event", "exit_handler", "run_end"})
+    EXPECT_GT(Delta[std::string("sim.window_settles.") + Cause], 0u) << Cause;
 }
 
 TEST(RunIsolated, NonTerminatingBenchmarkThrows) {
