@@ -14,13 +14,17 @@
 using namespace pbt;
 
 IntervalPartition pbt::computeIntervals(const Procedure &P) {
+  return computeIntervals(P, runDfs(P), predecessors(P));
+}
+
+IntervalPartition
+pbt::computeIntervals(const Procedure &P, const CfgDfsResult &Dfs,
+                      const std::vector<std::vector<uint32_t>> &Preds) {
   IntervalPartition Partition;
   size_t N = P.Blocks.size();
   constexpr uint32_t None = UINT32_MAX;
   Partition.IntervalOf.assign(N, None);
 
-  CfgDfsResult Dfs = runDfs(P);
-  auto Preds = predecessors(P);
 
   std::vector<bool> IsHeader(N, false);
   std::deque<uint32_t> Headers;

@@ -16,6 +16,7 @@
 #ifndef PBT_ANALYSIS_INTERVALS_H
 #define PBT_ANALYSIS_INTERVALS_H
 
+#include "analysis/CfgAlgorithms.h"
 #include "ir/Program.h"
 
 #include <cstdint>
@@ -42,6 +43,11 @@ struct IntervalPartition {
 
 /// Computes the first-order interval partition of \p P.
 IntervalPartition computeIntervals(const Procedure &P);
+
+/// computeIntervals over \p P's runDfs() result and predecessors().
+IntervalPartition
+computeIntervals(const Procedure &P, const CfgDfsResult &Dfs,
+                 const std::vector<std::vector<uint32_t>> &Preds);
 
 } // namespace pbt
 

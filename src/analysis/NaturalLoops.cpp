@@ -32,13 +32,16 @@ bool LoopInfo::strictlyNested(uint32_t Inner, uint32_t Outer) const {
 }
 
 LoopInfo pbt::computeLoops(const Procedure &P) {
+  return computeLoops(P, runDfs(P), predecessors(P));
+}
+
+LoopInfo pbt::computeLoops(const Procedure &P, const CfgDfsResult &Dfs,
+                           const std::vector<std::vector<uint32_t>> &Preds) {
   LoopInfo Info;
   size_t N = P.Blocks.size();
   Info.InnermostLoop.assign(N, -1);
 
-  CfgDfsResult Dfs = runDfs(P);
   DominatorTree Dom(P);
-  auto Preds = predecessors(P);
 
   // Collect natural loops per header: for each back edge (t -> h) with
   // h dom t, the loop body is h plus all blocks that reach t without

@@ -15,6 +15,7 @@
 #ifndef PBT_ANALYSIS_NATURALLOOPS_H
 #define PBT_ANALYSIS_NATURALLOOPS_H
 
+#include "analysis/CfgAlgorithms.h"
 #include "ir/Program.h"
 
 #include <cstdint>
@@ -56,6 +57,10 @@ struct LoopInfo {
 
 /// Computes natural loops of \p P from its dominator tree and back edges.
 LoopInfo computeLoops(const Procedure &P);
+
+/// computeLoops over \p P's runDfs() result and predecessors().
+LoopInfo computeLoops(const Procedure &P, const CfgDfsResult &Dfs,
+                      const std::vector<std::vector<uint32_t>> &Preds);
 
 } // namespace pbt
 

@@ -6,8 +6,6 @@
 
 #include "core/Summaries.h"
 
-#include "analysis/CfgAlgorithms.h"
-
 #include <algorithm>
 #include <cassert>
 #include <cmath>
@@ -38,35 +36,37 @@ static SectionSummary finishSummary(const std::vector<double> &Weights,
 }
 
 std::vector<SectionSummary>
-pbt::summarizeIntervals(const Procedure &P, const IntervalPartition &Partition,
+pbt::summarizeIntervals(const Procedure &P, const ProcedureFacts &Facts,
                         const std::vector<uint32_t> &TypeOfBlock,
                         uint32_t NumTypes, double CycleWeight) {
   assert(TypeOfBlock.size() == P.Blocks.size() && "typing shape mismatch");
+  const IntervalPartition &Partition = Facts.Intervals;
   std::vector<SectionSummary> Summaries;
   Summaries.reserve(Partition.Intervals.size());
 
+  // Scratch flags, set only on the current interval's members and
+  // cleared again before the next interval.
+  std::vector<bool> InInterval(P.Blocks.size(), false);
+  std::vector<bool> OnCycle(P.Blocks.size(), false);
+  std::vector<uint32_t> Work;
   for (const Interval &I : Partition.Intervals) {
     // Blocks on closed paths inside the interval: every closed path
     // passes through the header (interval property), so cycle members
     // are exactly the blocks that can reach an in-interval edge back to
     // the header. Compute backward reachability from those edge sources.
-    std::vector<bool> InInterval(P.Blocks.size(), false);
     for (uint32_t Block : I.Blocks)
       InInterval[Block] = true;
 
-    std::vector<bool> OnCycle(P.Blocks.size(), false);
-    std::vector<uint32_t> Work;
     for (uint32_t Block : I.Blocks)
       for (uint32_t Succ : P.Blocks[Block].Succs)
         if (Succ == I.Header && InInterval[Block] && !OnCycle[Block]) {
           OnCycle[Block] = true;
           Work.push_back(Block);
         }
-    auto Preds = predecessors(P);
     while (!Work.empty()) {
       uint32_t Block = Work.back();
       Work.pop_back();
-      for (uint32_t Pred : Preds[Block])
+      for (uint32_t Pred : Facts.Preds[Block])
         if (InInterval[Pred] && !OnCycle[Pred]) {
           OnCycle[Pred] = true;
           Work.push_back(Pred);
@@ -92,6 +92,11 @@ pbt::summarizeIntervals(const Procedure &P, const IntervalPartition &Partition,
       Weights[Type] += Phi;
     }
     Summaries.push_back(finishSummary(Weights, InstCount));
+
+    for (uint32_t Block : I.Blocks) {
+      InInterval[Block] = false;
+      OnCycle[Block] = false;
+    }
   }
   return Summaries;
 }
@@ -197,20 +202,19 @@ pbt::summarizeLoops(const Procedure &P, const LoopInfo &Loops,
 }
 
 SectionSummary
-pbt::summarizeProcedure(const Procedure &P, const LoopInfo &Loops,
+pbt::summarizeProcedure(const Procedure &P, const ProcedureFacts &Facts,
                         const std::vector<uint32_t> &TypeOfBlock,
                         uint32_t NumTypes,
                         const std::vector<double> &CalleeWeight,
                         const std::vector<uint32_t> &CalleeType,
                         double NestingBase) {
-  CfgDfsResult Dfs = runDfs(P);
   std::vector<double> Weights(NumTypes, 0.0);
   uint64_t InstCount = 0;
-  for (uint32_t Block : Dfs.Preorder) {
+  for (uint32_t Block : Facts.Dfs.Preorder) {
     const BasicBlock &BB = P.Blocks[Block];
     InstCount += BB.size();
     double Wn =
-        std::pow(NestingBase, static_cast<double>(Loops.depthOf(Block)));
+        std::pow(NestingBase, static_cast<double>(Facts.Loops.depthOf(Block)));
     accumulateNode(BB, Wn, TypeOfBlock, CalleeWeight, CalleeType, Weights);
   }
   return finishSummary(Weights, InstCount);

@@ -29,8 +29,7 @@
 #define PBT_CORE_SUMMARIES_H
 
 #include "analysis/BlockTyping.h"
-#include "analysis/Intervals.h"
-#include "analysis/NaturalLoops.h"
+#include "analysis/ProgramFacts.h"
 #include "ir/Program.h"
 
 #include <cstdint>
@@ -47,13 +46,14 @@ struct SectionSummary {
   uint64_t InstCount = 0;
 };
 
-/// Computes per-interval summaries for procedure \p P.
+/// Computes per-interval summaries for procedure \p P over the interval
+/// partition in \p Facts (indexed like Facts.Intervals.Intervals).
 /// \p TypeOfBlock maps block id to phase type; \p NumTypes bounds types.
 /// \p CycleWeight multiplies the weight of nodes that lie on a cycle
 /// within their interval (paper: "those within cycles are given a higher
 /// weight").
 std::vector<SectionSummary>
-summarizeIntervals(const Procedure &P, const IntervalPartition &Partition,
+summarizeIntervals(const Procedure &P, const ProcedureFacts &Facts,
                    const std::vector<uint32_t> &TypeOfBlock,
                    uint32_t NumTypes, double CycleWeight = 4.0);
 
@@ -85,9 +85,10 @@ summarizeLoops(const Procedure &P, const LoopInfo &Loops,
 
 /// Summarizes an entire procedure body into one dominant type (used for
 /// procedure summary types in the inter-procedural analysis): weight
-/// ϕ(η)·wn(depth) over all reachable blocks.
+/// ϕ(η)·wn(depth) over all reachable blocks, added in DFS preorder, with
+/// depths from Facts.Loops.
 SectionSummary
-summarizeProcedure(const Procedure &P, const LoopInfo &Loops,
+summarizeProcedure(const Procedure &P, const ProcedureFacts &Facts,
                    const std::vector<uint32_t> &TypeOfBlock,
                    uint32_t NumTypes,
                    const std::vector<double> &CalleeWeight,

@@ -6,10 +6,6 @@
 
 #include "core/Transitions.h"
 
-#include "analysis/CallGraph.h"
-#include "analysis/CfgAlgorithms.h"
-#include "analysis/Intervals.h"
-#include "analysis/NaturalLoops.h"
 #include "core/Summaries.h"
 #include "support/Hashing.h"
 
@@ -56,18 +52,19 @@ namespace {
 /// Considered blocks keep their own type; skipped blocks inherit from the
 /// first already-typed predecessor (falling back to their own type).
 std::vector<uint32_t>
-propagateEffectiveTypes(const Procedure &P,
+propagateEffectiveTypes(const Procedure &P, const ProcedureFacts &Facts,
                         const std::vector<uint32_t> &OwnType,
                         const std::vector<bool> &Considered) {
   std::vector<uint32_t> Eff = OwnType;
-  auto Preds = predecessors(P);
   std::vector<bool> Typed(P.Blocks.size(), false);
-  for (uint32_t Block : reversePostorder(P)) {
+  const std::vector<uint32_t> &Post = Facts.Dfs.Postorder;
+  for (auto It = Post.rbegin(); It != Post.rend(); ++It) {
+    uint32_t Block = *It;
     if (Considered[Block] || Block == 0) {
       Typed[Block] = true;
       continue;
     }
-    for (uint32_t Pred : Preds[Block]) {
+    for (uint32_t Pred : Facts.Preds[Block]) {
       if (!Typed[Pred])
         continue;
       Eff[Block] = Eff[Pred];
@@ -112,7 +109,8 @@ bool lookaheadAccepts(const Procedure &P,
   return 2 * Agreeing > Total;
 }
 
-void runBasicBlockStrategy(const Program &Prog, const ProgramTyping &Typing,
+void runBasicBlockStrategy(const Program &Prog, const ProgramFacts &Facts,
+                           const ProgramTyping &Typing,
                            const TransitionConfig &Config,
                            MarkingResult &Result) {
   for (const Procedure &P : Prog.Procs) {
@@ -124,7 +122,7 @@ void runBasicBlockStrategy(const Program &Prog, const ProgramTyping &Typing,
         ++Result.SectionsConsidered;
     }
     std::vector<uint32_t> Eff =
-        propagateEffectiveTypes(P, OwnType, Considered);
+        propagateEffectiveTypes(P, Facts.Procs[P.Id], OwnType, Considered);
     Result.RegionType[P.Id] = Eff;
 
     for (const BasicBlock &BB : P.Blocks) {
@@ -145,19 +143,20 @@ void runBasicBlockStrategy(const Program &Prog, const ProgramTyping &Typing,
   }
 }
 
-void runIntervalStrategy(const Program &Prog, const ProgramTyping &Typing,
+void runIntervalStrategy(const Program &Prog, const ProgramFacts &Facts,
+                         const ProgramTyping &Typing,
                          const TransitionConfig &Config,
                          MarkingResult &Result) {
   for (const Procedure &P : Prog.Procs) {
     const std::vector<uint32_t> &OwnType = Typing.TypeOf[P.Id];
-    IntervalPartition Partition = computeIntervals(P);
+    const ProcedureFacts &F = Facts.Procs[P.Id];
+    const IntervalPartition &Partition = F.Intervals;
     std::vector<SectionSummary> Summaries = summarizeIntervals(
-        P, Partition, OwnType, Typing.NumTypes, Config.CycleWeight);
+        P, F, OwnType, Typing.NumTypes, Config.CycleWeight);
 
     // Effective type per interval: considered intervals use their
     // dominant type; small intervals inherit from the interval feeding
     // their header (propagated in discovery order, which is entry-first).
-    auto Preds = predecessors(P);
     size_t NumIntervals = Partition.Intervals.size();
     std::vector<bool> Considered(NumIntervals, false);
     std::vector<uint32_t> Eff(NumIntervals, 0);
@@ -169,7 +168,7 @@ void runIntervalStrategy(const Program &Prog, const ProgramTyping &Typing,
       if (Considered[I] || I == 0)
         continue;
       uint32_t Header = Partition.Intervals[I].Header;
-      for (uint32_t Pred : Preds[Header]) {
+      for (uint32_t Pred : F.Preds[Header]) {
         uint32_t PredInterval = Partition.IntervalOf[Pred];
         if (PredInterval < I) {
           Eff[I] = Eff[PredInterval];
@@ -201,10 +200,11 @@ void runIntervalStrategy(const Program &Prog, const ProgramTyping &Typing,
   }
 }
 
-void runLoopStrategy(const Program &Prog, const ProgramTyping &Typing,
+void runLoopStrategy(const Program &Prog, const ProgramFacts &Facts,
+                     const ProgramTyping &Typing,
                      const TransitionConfig &Config, MarkingResult &Result) {
   size_t NumProcs = Prog.Procs.size();
-  CallGraph Cg = buildCallGraph(Prog);
+  const CallGraph &Cg = Facts.Calls;
 
   // Inter-procedural summaries, bottom-up with a fixpoint for recursion.
   // Initial approximations let recursive cliques converge.
@@ -215,21 +215,18 @@ void runLoopStrategy(const Program &Prog, const ProgramTyping &Typing,
     ProcWeight[P.Id] = static_cast<double>(P.instructionCount());
   }
 
-  std::vector<LoopInfo> Loops(NumProcs);
   std::vector<LoopSummaryResult> LoopSums(NumProcs);
-  for (const Procedure &P : Prog.Procs)
-    Loops[P.Id] = computeLoops(P);
 
   constexpr double WeightCap = 1e7;
   auto AnalyzeProc = [&](uint32_t ProcId) {
     const Procedure &P = Prog.Procs[ProcId];
+    const ProcedureFacts &F = Facts.Procs[ProcId];
     LoopSums[ProcId] =
-        summarizeLoops(P, Loops[ProcId], Typing.TypeOf[ProcId],
-                       Typing.NumTypes, ProcWeight, ProcType,
-                       Config.NestingBase);
+        summarizeLoops(P, F.Loops, Typing.TypeOf[ProcId], Typing.NumTypes,
+                       ProcWeight, ProcType, Config.NestingBase);
     SectionSummary Whole = summarizeProcedure(
-        P, Loops[ProcId], Typing.TypeOf[ProcId], Typing.NumTypes,
-        ProcWeight, ProcType, Config.NestingBase);
+        P, F, Typing.TypeOf[ProcId], Typing.NumTypes, ProcWeight, ProcType,
+        Config.NestingBase);
     bool Changed = ProcType[ProcId] != Whole.DominantType;
     ProcType[ProcId] = Whole.DominantType;
     double NewWeight = static_cast<double>(P.instructionCount());
@@ -259,7 +256,7 @@ void runLoopStrategy(const Program &Prog, const ProgramTyping &Typing,
   // Region formation per procedure: selected loops meeting the size
   // filter become regions; everything else is the procedure background.
   for (const Procedure &P : Prog.Procs) {
-    const LoopInfo &LI = Loops[P.Id];
+    const LoopInfo &LI = Facts.Procs[P.Id].Loops;
     const LoopSummaryResult &LS = LoopSums[P.Id];
     const std::vector<uint32_t> &OwnType = Typing.TypeOf[P.Id];
 
@@ -350,21 +347,30 @@ void runLoopStrategy(const Program &Prog, const ProgramTyping &Typing,
 MarkingResult pbt::computeTransitions(const Program &Prog,
                                       const ProgramTyping &Typing,
                                       const TransitionConfig &Config) {
+  return computeTransitions(Prog, computeProgramFacts(Prog), Typing, Config);
+}
+
+MarkingResult pbt::computeTransitions(const Program &Prog,
+                                      const ProgramFacts &Facts,
+                                      const ProgramTyping &Typing,
+                                      const TransitionConfig &Config) {
   assert(Typing.TypeOf.size() == Prog.Procs.size() &&
          "typing does not match program");
+  assert(Facts.Procs.size() == Prog.Procs.size() &&
+         "facts do not match program");
   MarkingResult Result;
   Result.NumTypes = Typing.NumTypes;
   Result.RegionType.resize(Prog.Procs.size());
 
   switch (Config.Strat) {
   case Strategy::BasicBlock:
-    runBasicBlockStrategy(Prog, Typing, Config, Result);
+    runBasicBlockStrategy(Prog, Facts, Typing, Config, Result);
     break;
   case Strategy::Interval:
-    runIntervalStrategy(Prog, Typing, Config, Result);
+    runIntervalStrategy(Prog, Facts, Typing, Config, Result);
     break;
   case Strategy::Loop:
-    runLoopStrategy(Prog, Typing, Config, Result);
+    runLoopStrategy(Prog, Facts, Typing, Config, Result);
     break;
   }
 

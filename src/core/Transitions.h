@@ -30,6 +30,7 @@
 #define PBT_CORE_TRANSITIONS_H
 
 #include "analysis/BlockTyping.h"
+#include "analysis/ProgramFacts.h"
 #include "ir/Program.h"
 
 #include <cstdint>
@@ -108,7 +109,15 @@ struct MarkingResult {
   uint64_t SectionsConsidered = 0;
 };
 
-/// Runs the transition analysis for \p Config over a typed program.
+/// Runs the transition analysis for \p Config over a typed program,
+/// reading the CFG facts in \p Facts (computeProgramFacts(Prog)) rather
+/// than recomputing them.
+MarkingResult computeTransitions(const Program &Prog,
+                                 const ProgramFacts &Facts,
+                                 const ProgramTyping &Typing,
+                                 const TransitionConfig &Config);
+
+/// computeTransitions over freshly computed facts of \p Prog.
 MarkingResult computeTransitions(const Program &Prog,
                                  const ProgramTyping &Typing,
                                  const TransitionConfig &Config);

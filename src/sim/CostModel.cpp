@@ -67,6 +67,17 @@ CostModel::CostModel(const Program &Prog, const MachineConfig &MachineIn,
       }
     }
   }
+  buildCycleTable();
+}
+
+void CostModel::buildCycleTable() {
+  const uint32_t NumCoreTypes = Machine.numCoreTypes();
+  Cycles.resize(Entries.size() * NumCoreTypes * MaxSharers);
+  size_t At = 0;
+  for (const BlockEntry &E : Entries)
+    for (uint32_t Ct = 0; Ct < NumCoreTypes; ++Ct)
+      for (uint32_t Level = 0; Level < MaxSharers; ++Level)
+        Cycles[At++] = E.BaseCycles + E.StallCycles[Ct][Level];
 }
 
 void CostModel::serializeTables(BinaryWriter &W) const {
@@ -143,6 +154,8 @@ CostModel CostModel::deserializeTables(BinaryReader &R,
       Offset += static_cast<uint32_t>(P.Blocks.size());
     }
   }
+  if (!R.failed())
+    M.buildCycleTable();
   return M;
 }
 

@@ -120,6 +120,13 @@ public:
   /// biggest L2 group); blockCycles clamps Sharers to [1, maxSharers()].
   uint32_t maxSharers() const { return MaxSharers; }
 
+  /// Every blockCycles value in one flat array: global block G (the
+  /// block's index in procedure-id order, FlatImage's global id) on core
+  /// type Ct with S sharers is at
+  /// (G * numCoreTypes + Ct) * maxSharers() + (S - 1). Built once with
+  /// the model; every FlatImage bound to the model reads it in place.
+  const std::vector<double> &cycleTable() const { return Cycles; }
+
   /// Serializes the computed tables (offsets, per-block entries, stall
   /// matrices) to \p W. Doubles are written by bit pattern, so a
   /// deserialized model answers blockCycles bit-identically. The machine
@@ -139,6 +146,9 @@ public:
 private:
   CostModel() = default; ///< Shell for deserializeTables().
 
+  /// Fills Cycles from the block entries.
+  void buildCycleTable();
+
   struct BlockEntry {
     uint32_t Insts = 0;
     uint32_t MemOps = 0;
@@ -155,6 +165,7 @@ private:
   std::vector<uint32_t> ProcOffset;
   std::vector<BlockEntry> Entries;
   uint32_t MaxSharers = 1;
+  std::vector<double> Cycles;
 };
 
 /// Behavioural "oracle" typing (paper Sec. IV-A1: block types derived

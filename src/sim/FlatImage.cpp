@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 
 using namespace pbt;
 
@@ -28,7 +29,9 @@ FlatImage::FlatImage(std::shared_ptr<const InstrumentedProgram> IProgIn,
     Total += static_cast<uint32_t>(P.Blocks.size());
   }
   Blocks.resize(Total);
-  Cycles.resize(static_cast<size_t>(Total) * Stride);
+  Cycles = Cost->cycleTable().data();
+  assert(Cost->cycleTable().size() == static_cast<size_t>(Total) * Stride &&
+         "cost model disagrees with program");
 
   auto MarkIndex = [&](const PhaseMark *M) -> int32_t {
     return M ? static_cast<int32_t>(M - Marks) : -1;
@@ -42,10 +45,6 @@ FlatImage::FlatImage(std::shared_ptr<const InstrumentedProgram> IProgIn,
       F.Insts = Cost->blockInsts(P.Id, BB.Id);
       assert(F.Insts == BB.size() && "cost model disagrees with program");
       F.CycleRow = G * Stride;
-      for (uint32_t Ct = 0; Ct < NumCoreTypes; ++Ct)
-        for (uint32_t Sharers = 1; Sharers <= MaxSharers; ++Sharers)
-          Cycles[F.CycleRow + Ct * MaxSharers + (Sharers - 1)] =
-              Cost->blockCycles(P.Id, BB.Id, Ct, Sharers);
 
       F.EdgeMark[0] = MarkIndex(IP.edgeMark(P.Id, BB.Id, 0));
       F.EdgeMark[1] = MarkIndex(IP.edgeMark(P.Id, BB.Id, 1));
@@ -115,8 +114,9 @@ void FlatImage::serialize(BinaryWriter &W) const {
     W.u32(F.TripCount);
     W.f64(F.TakenProb);
   }
-  W.u32(static_cast<uint32_t>(Cycles.size()));
-  for (double Value : Cycles)
+  const std::vector<double> &Table = Cost->cycleTable();
+  W.u32(static_cast<uint32_t>(Table.size()));
+  for (double Value : Table)
     W.f64(Value);
 }
 
@@ -155,9 +155,18 @@ FlatImage::deserialize(BinaryReader &R,
     if (R.failed())
       break; // Truncated record: stop spinning through dead reads.
   }
-  Img.Cycles.resize(R.count(1u << 28, /*ElemBytes=*/8));
-  for (double &Value : Img.Cycles)
-    Value = R.f64();
+  // The image reads its cost model's table, so the stored copy is only
+  // checked: any bit that differs rejects the entry.
+  const std::vector<double> &Table = Img.Cost->cycleTable();
+  Img.Cycles = Table.data();
+  size_t StoredCycles = R.count(1u << 28, /*ElemBytes=*/8);
+  if (StoredCycles != Table.size())
+    R.markFailed();
+  for (size_t I = 0; I < StoredCycles && !R.failed(); ++I) {
+    double Value = R.f64();
+    if (std::memcmp(&Value, &Table[I], sizeof(Value)) != 0)
+      R.markFailed();
+  }
 
   // Cross-field sanity: the machine shape, the offset layout, the table
   // sizes, and every inter-record reference must be in range, so a file
@@ -183,12 +192,13 @@ FlatImage::deserialize(BinaryReader &R,
   }
   uint32_t NumBlocks = static_cast<uint32_t>(Img.Blocks.size());
   if (NumBlocks != Prog.blockCount() ||
-      Img.Cycles.size() != static_cast<size_t>(NumBlocks) * Img.Stride)
+      Table.size() != static_cast<size_t>(NumBlocks) * Img.Stride)
     R.markFailed();
   int32_t NumMarks = static_cast<int32_t>(Img.IProg->marks().size());
-  for (const FlatBlock &F : Img.Blocks) {
-    bool Ok = static_cast<size_t>(F.CycleRow) + Img.Stride <=
-                  Img.Cycles.size() &&
+  for (uint32_t G = 0; G < NumBlocks; ++G) {
+    const FlatBlock &F = Img.Blocks[G];
+    bool Ok = static_cast<size_t>(F.CycleRow) ==
+                  static_cast<size_t>(G) * Img.Stride &&
               F.EdgeMark[0] >= -1 && F.EdgeMark[0] < NumMarks &&
               F.EdgeMark[1] >= -1 && F.EdgeMark[1] < NumMarks &&
               F.CallMark >= -1 && F.CallMark < NumMarks;

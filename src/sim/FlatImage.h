@@ -77,7 +77,7 @@ struct FlatBlock {
 static_assert(sizeof(FlatBlock) == 48, "FlatBlock layout changed");
 
 /// The fused image for one (InstrumentedProgram, CostModel) pair.
-/// Construction is O(program x machine configs); all queries are O(1).
+/// Construction is O(program); all queries are O(1).
 /// Immutable and shareable across processes and machines.
 class FlatImage {
 public:
@@ -102,9 +102,11 @@ public:
   const FlatBlock *blocks() const { return Blocks.data(); }
   const FlatBlock &block(uint32_t Global) const { return Blocks[Global]; }
 
-  /// Per-block cycle costs, indexed via FlatBlock::CycleRow. Entries are
-  /// bit-identical to CostModel::blockCycles for the same configuration.
-  const double *cycleTable() const { return Cycles.data(); }
+  /// Per-block cycle costs, indexed via FlatBlock::CycleRow: the cost
+  /// model's own CostModel::cycleTable(), which the image's reference to
+  /// the cost model keeps alive. Entries are bit-identical to
+  /// CostModel::blockCycles for the same configuration.
+  const double *cycleTable() const { return Cycles; }
 
   /// The instrumented program's mark array (indices in FlatBlock are
   /// relative to this).
@@ -135,9 +137,11 @@ public:
   void serialize(BinaryWriter &W) const;
 
   /// Rebuilds an image from serialize() output, re-attached to \p IProg
-  /// and \p Cost. Bit-identical to the image originally serialized. On
-  /// malformed input, marks \p R failed and returns an image that must
-  /// be discarded.
+  /// and \p Cost. Bit-identical to the image originally serialized. The
+  /// stored cycle table is checked, not kept: it must equal \p Cost's
+  /// cycleTable() bit for bit, and every record's CycleRow must be its
+  /// global id times configStride(). On malformed input, marks \p R
+  /// failed and returns an image that must be discarded.
   static FlatImage deserialize(BinaryReader &R,
                                std::shared_ptr<const InstrumentedProgram> IProg,
                                std::shared_ptr<const CostModel> Cost);
@@ -150,7 +154,8 @@ private:
   const PhaseMark *Marks = nullptr;
   std::vector<uint32_t> Offsets;
   std::vector<FlatBlock> Blocks;
-  std::vector<double> Cycles;
+  /// Cost->cycleTable().data().
+  const double *Cycles = nullptr;
   uint32_t NumCoreTypes = 1;
   uint32_t MaxSharers = 1;
   uint32_t Stride = 1;

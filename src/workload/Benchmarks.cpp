@@ -8,6 +8,7 @@
 
 #include "ir/IRBuilder.h"
 #include "sim/MachineConfig.h"
+#include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <cassert>
@@ -288,8 +289,9 @@ std::vector<BenchSpec> pbt::specSuite() {
 }
 
 std::vector<Program> pbt::buildSuite() {
-  std::vector<Program> Programs;
-  for (const BenchSpec &Spec : specSuite())
-    Programs.push_back(buildBenchmark(Spec));
+  std::vector<BenchSpec> Specs = specSuite();
+  std::vector<Program> Programs(Specs.size());
+  ThreadPool::global().parallelFor(
+      Specs.size(), [&](size_t I) { Programs[I] = buildBenchmark(Specs[I]); });
   return Programs;
 }

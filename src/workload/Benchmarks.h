@@ -72,7 +72,11 @@ Program buildBenchmark(const BenchSpec &Spec);
 /// The default 15-benchmark suite mirroring the paper's Table 1 set.
 std::vector<BenchSpec> specSuite();
 
-/// Convenience: builds every program of specSuite().
+/// Builds every program of specSuite(), in spec order, as one
+/// parallelFor on the global pool. Each program depends only on its own
+/// spec (its generators are seeded by its name), so the result does not
+/// depend on the thread count, and a call from inside a pool task runs
+/// inline.
 std::vector<Program> buildSuite();
 
 } // namespace pbt

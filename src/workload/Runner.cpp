@@ -8,6 +8,7 @@
 
 #include "analysis/BlockTyping.h"
 #include "analysis/PassManager.h"
+#include "analysis/ProgramFacts.h"
 #include "obs/Clock.h"
 #include "obs/Counters.h"
 #include "obs/Trace.h"
@@ -81,14 +82,20 @@ CumulativeStats &cumulative() {
   return C;
 }
 
-/// The technique-invariant base of one program on one machine. Program
-/// and cost model share one allocation, so one weak_ptr tracks both and
-/// aliasing shared_ptrs hand out each half.
+/// The technique-invariant base of one program on one machine: the
+/// program, its cost model (with the cycle table every flat image
+/// reads), its CFG facts and its oracle typing, all built eagerly here,
+/// inside the cost-model stage's parallel sweep. One allocation holds
+/// them all, so one weak_ptr tracks the base and aliasing shared_ptrs
+/// hand out the program and the cost model.
 struct ProgramBase {
   Program Prog;
   CostModel Cost;
+  ProgramFacts Facts;
+  ProgramTyping Oracle;
   ProgramBase(const Program &P, const MachineConfig &Machine)
-      : Prog(P), Cost(Prog, Machine) {}
+      : Prog(P), Cost(Prog, Machine), Facts(computeProgramFacts(Prog)),
+        Oracle(computeOracleTyping(Prog, Cost)) {}
 };
 
 /// Process-wide intern table of live program bases. Entries are
@@ -181,6 +188,10 @@ pbt::preparePrograms(const std::vector<Program> &Programs,
   std::vector<ProgramPrep> Preps(N);
   for (size_t I = 0; I < N; ++I)
     Preps[I].Prog = &Programs[I];
+  // Bound by the cost-model stage; later stages read the technique-
+  // invariant products from it.
+  using BaseRef = std::shared_ptr<const ProgramBase>;
+  std::vector<BaseRef> Bases(N);
 
   // Stages stay stage-major, with a barrier between them, so each
   // stage's Seconds is the wall time of its own sweep. Seconds never
@@ -193,7 +204,7 @@ pbt::preparePrograms(const std::vector<Program> &Programs,
     Run[S].Seconds += obs::monotonicSeconds() - Start;
   };
   auto RunStage = [&](Stage S, const auto &Body) {
-    Sweep(S, [&](size_t I) { Body(Preps[I]); });
+    Sweep(S, [&](size_t I) { Body(Preps[I], Bases[I]); });
     if (!VerifyIR)
       return;
     // Read-only per program; failures surface on the caller thread as
@@ -210,44 +221,45 @@ pbt::preparePrograms(const std::vector<Program> &Programs,
                                  Programs[I].Name + "': " + Errors[I]);
   };
 
-  RunStage(CostModelStage, [&](ProgramPrep &PC) {
-    std::shared_ptr<const ProgramBase> B = bases().bind(*PC.Prog, Machine);
+  RunStage(CostModelStage, [&](ProgramPrep &PC, BaseRef &B) {
+    B = bases().bind(*PC.Prog, Machine);
     PC.Base = std::shared_ptr<const Program>(B, &B->Prog);
     PC.Cost = std::shared_ptr<const CostModel>(B, &B->Cost);
     PC.Prog = PC.Base.get();
   });
   if (!Tech.Baseline) {
-    RunStage(TypingStage, [&](ProgramPrep &PC) {
+    RunStage(TypingStage, [&](ProgramPrep &PC, const BaseRef &B) {
       if (Tech.UseStaticTyping) {
         TypingConfig Config;
         Config.Seed = TypingSeed;
         PC.Typing = computeStaticTyping(*PC.Prog, Config);
       } else {
-        PC.Typing = computeOracleTyping(*PC.Prog, *PC.Cost);
+        PC.Typing = B->Oracle;
       }
       PC.Typed = true;
     });
     if (Tech.TypingError > 0)
-      RunStage(ErrorInjectStage, [&](ProgramPrep &PC) {
+      RunStage(ErrorInjectStage, [&](ProgramPrep &PC, const BaseRef &) {
         PC.Typing = injectClusteringError(PC.Typing, Tech.TypingError,
                                           TypingSeed ^ 0xE77);
       });
   }
-  RunStage(TransitionsStage, [&](ProgramPrep &PC) {
+  RunStage(TransitionsStage, [&](ProgramPrep &PC, const BaseRef &B) {
     if (Tech.Baseline) {
       // Uninstrumented image: no marks; region typing is irrelevant.
       PC.Marking.NumTypes = 1;
       PC.Marking.RegionType.resize(PC.Prog->Procs.size());
     } else {
-      PC.Marking = computeTransitions(*PC.Prog, PC.Typing, Tech.Transition);
+      PC.Marking =
+          computeTransitions(*PC.Prog, B->Facts, PC.Typing, Tech.Transition);
     }
     PC.Marked = true;
   });
-  RunStage(InstrumentStage, [&](ProgramPrep &PC) {
+  RunStage(InstrumentStage, [&](ProgramPrep &PC, const BaseRef &) {
     PC.Image = std::make_shared<const InstrumentedProgram>(
         PC.Base, std::move(PC.Marking), Tech.Cost);
   });
-  RunStage(FlattenStage, [&](ProgramPrep &PC) {
+  RunStage(FlattenStage, [&](ProgramPrep &PC, const BaseRef &) {
     PC.Flat = std::make_shared<const FlatImage>(PC.Image, PC.Cost);
   });
 

@@ -133,9 +133,12 @@ struct PreparedProgram {
 /// (analysis/PassManager.h).
 ///
 /// The cost-model stage binds each program to its technique-invariant
-/// base: one immutable copy of the program plus its CostModel, shared
-/// process-wide by every preparation of an equal program on an equal
-/// machine while any result still holds it. Every image is built on that
+/// base: one immutable copy of the program plus its CostModel (whose
+/// cycle table every flat image reads), CFG facts and oracle typing,
+/// shared process-wide by every preparation of an equal program on an
+/// equal machine while any result still holds it. The typing stage
+/// copies the base's oracle typing and the transitions stage reads its
+/// facts. Every image is built on that
 /// shared program, so the returned Image->program() is the base copy,
 /// not the caller's object. A base is reused only after full structural
 /// equality of program and machine; the registry counters

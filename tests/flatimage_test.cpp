@@ -171,6 +171,64 @@ TEST(FlatImage, GlobalIdsFollowProcOffsets) {
   }
 }
 
+// The image's cycle table is its cost model's: serialize writes that
+// table, and deserialize accepts a stored table only when it equals the
+// cost model's bit for bit, with every record's row at its global id.
+TEST(FlatImage, DeserializeChecksTheCostModelsCycleTable) {
+  Program Prog = randomProgram(11);
+  auto Cost = std::make_shared<const CostModel>(
+      Prog, MachineConfig::quadAsymmetric());
+  auto IP = std::make_shared<const InstrumentedProgram>(
+      Prog, computeTransitions(Prog, computeOracleTyping(Prog, *Cost),
+                               TransitionConfig()));
+  FlatImage FI(IP, Cost);
+  EXPECT_EQ(FI.cycleTable(), Cost->cycleTable().data());
+
+  BinaryWriter W;
+  FI.serialize(W);
+  const std::string Bytes = W.buffer();
+  {
+    BinaryReader R(Bytes);
+    FlatImage Loaded = FlatImage::deserialize(R, IP, Cost);
+    ASSERT_FALSE(R.failed());
+    EXPECT_EQ(Loaded.cycleTable(), Cost->cycleTable().data());
+    BinaryWriter Again;
+    Loaded.serialize(Again);
+    EXPECT_EQ(Again.buffer(), Bytes);
+  }
+
+  // The cycle table closes the payload: one bit flipped in its first,
+  // middle or last entry rejects the image.
+  const size_t TableWords = Cost->cycleTable().size();
+  ASSERT_GT(TableWords, 2u);
+  const size_t TableAt = Bytes.size() - 8 * TableWords;
+  for (size_t Word : {size_t(0), TableWords / 2, TableWords - 1}) {
+    SCOPED_TRACE(Word);
+    std::string Flipped = Bytes;
+    Flipped[TableAt + 8 * Word] ^= 1;
+    BinaryReader R(Flipped);
+    FlatImage::deserialize(R, IP, Cost);
+    EXPECT_TRUE(R.failed());
+  }
+
+  // Block 1's row pointed at block 0's stays in bounds, but is not the
+  // row of global id 1. Records follow the three shape words, the offset
+  // vector and the record count; CycleRow follows Op, Insts and Succ.
+  ASSERT_GT(FI.numBlocks(), 1u);
+  const size_t RecordBytes = 1 + 4 * 9 + 8;
+  const size_t Row1At = 4 * 3 + 4 + 4 * FI.numProcs() + 4 + RecordBytes +
+                        1 + 4 * 3;
+  uint32_t Row1 = 0;
+  for (int Byte = 0; Byte < 4; ++Byte) // Little-endian, as BinaryWriter.
+    Row1 |= uint32_t(static_cast<uint8_t>(Bytes[Row1At + Byte])) << 8 * Byte;
+  ASSERT_EQ(Row1, FI.configStride());
+  std::string Moved = Bytes;
+  Moved.replace(Row1At, 4, 4, '\0');
+  BinaryReader R(Moved);
+  FlatImage::deserialize(R, IP, Cost);
+  EXPECT_TRUE(R.failed());
+}
+
 TEST(FlatEngine, BitIdenticalToReferenceIsolated) {
   uint64_t TotalMarks = 0;
   uint64_t TotalSwitches = 0;

@@ -523,7 +523,8 @@ template <typename EditFn> Program edited(Program Prog, EditFn Edit) {
 
 // The whole Table 2 grid over the paper suite builds one base per
 // benchmark: every technique's image and cost model of a benchmark are
-// the same objects, and the base is an equal copy of the input.
+// the same objects, every flat image reads that cost model's cycle
+// table, and the base is an equal copy of the input.
 TEST(SharedBase, TableTwoTechniquesShareOneBasePerBenchmark) {
   MachineConfig MC = MachineConfig::quadAsymmetric();
   std::vector<Program> Programs = buildSuite();
@@ -549,6 +550,9 @@ TEST(SharedBase, TableTwoTechniquesShareOneBasePerBenchmark) {
     for (const PreparedSuite &S : Suites) {
       EXPECT_EQ(S.Costs[I].get(), Suites[0].Costs[I].get()) << Programs[I].Name;
       EXPECT_EQ(&S.Images[I]->program(), &Base) << Programs[I].Name;
+      // Every technique's flat image reads the base's one cycle table.
+      EXPECT_EQ(S.Flats[I]->cycleTable(), S.Costs[I]->cycleTable().data())
+          << Programs[I].Name;
     }
   }
   EXPECT_EQ(Distinct.size(), N);

@@ -34,9 +34,9 @@ const std::vector<uint32_t> NoCalleeTypes;
 TEST(IntervalSummary, DominantByInstructionWeight) {
   // One interval: blocks 0 (type 0, 10 insts) and 1 (type 1, 30 insts).
   Procedure P = makeProc({{1}, {}}, {10, 30});
-  IntervalPartition Part = computeIntervals(P);
-  ASSERT_EQ(Part.Intervals.size(), 1u);
-  auto Sums = summarizeIntervals(P, Part, {0, 1}, 2);
+  ProcedureFacts Facts = computeProcedureFacts(P);
+  ASSERT_EQ(Facts.Intervals.Intervals.size(), 1u);
+  auto Sums = summarizeIntervals(P, Facts, {0, 1}, 2);
   EXPECT_EQ(Sums[0].DominantType, 1u);
   EXPECT_NEAR(Sums[0].Strength, 0.75, 1e-9);
   EXPECT_EQ(Sums[0].InstCount, 40u);
@@ -47,11 +47,11 @@ TEST(IntervalSummary, CycleMembersWeighHigher) {
   // Block 1 (type 1, in cycle, 10 insts) outweighs block 2
   // (type 0, 30 insts) because of the cycle multiplier.
   Procedure P = makeProc({{1, 2}, {0}, {}}, {2, 10, 30});
-  IntervalPartition Part = computeIntervals(P);
+  ProcedureFacts Facts = computeProcedureFacts(P);
   auto Sums =
-      summarizeIntervals(P, Part, {1, 1, 0}, 2, /*CycleWeight=*/4.0);
+      summarizeIntervals(P, Facts, {1, 1, 0}, 2, /*CycleWeight=*/4.0);
   ASSERT_FALSE(Sums.empty());
-  uint32_t HeaderInterval = Part.IntervalOf[0];
+  uint32_t HeaderInterval = Facts.Intervals.IntervalOf[0];
   EXPECT_EQ(Sums[HeaderInterval].DominantType, 1u);
 }
 
@@ -178,16 +178,16 @@ TEST(ProcSummary, WeightsLoopsHigher) {
   // Loop block (type 1, 10 insts) vs straightline block (type 0,
   // 30 insts): nesting weight 8 makes the loop dominate.
   Procedure P = makeProc({{1}, {1, 2}, {}}, {30, 10, 2});
-  LoopInfo Loops = computeLoops(P);
-  SectionSummary Whole = summarizeProcedure(P, Loops, {0, 1, 0}, 2,
+  SectionSummary Whole = summarizeProcedure(P, computeProcedureFacts(P),
+                                            {0, 1, 0}, 2,
                                             NoCallees, NoCalleeTypes);
   EXPECT_EQ(Whole.DominantType, 1u);
 }
 
 TEST(ProcSummary, TieBreaksTowardLowerType) {
   Procedure P = makeProc({{1}, {}}, {10, 10});
-  LoopInfo Loops = computeLoops(P);
-  SectionSummary Whole = summarizeProcedure(P, Loops, {0, 1}, 2, NoCallees,
+  SectionSummary Whole = summarizeProcedure(P, computeProcedureFacts(P),
+                                            {0, 1}, 2, NoCallees,
                                             NoCalleeTypes);
   EXPECT_EQ(Whole.DominantType, 0u);
   EXPECT_NEAR(Whole.Strength, 0.5, 1e-9);

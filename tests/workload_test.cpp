@@ -1,5 +1,6 @@
 //===- tests/workload_test.cpp - benchmark suite + workload tests ---------===//
 
+#include "support/ThreadPool.h"
 #include "workload/Benchmarks.h"
 #include "workload/Workload.h"
 
@@ -40,6 +41,30 @@ TEST(Suite, DeterministicConstruction) {
   EXPECT_EQ(A.instructionCount(), B.instructionCount());
   EXPECT_EQ(A.blockCount(), B.blockCount());
   EXPECT_EQ(printProgram(A), printProgram(B));
+}
+
+// buildSuite builds its programs as one parallelFor on the global pool:
+// both a direct call and a call from inside a pool task (which runs
+// inline) return, in spec order, the programs a serial loop builds.
+TEST(Suite, ParallelBuildMatchesSerialBuild) {
+  const std::vector<BenchSpec> Specs = specSuite();
+  std::vector<Program> Serial;
+  for (const BenchSpec &S : Specs)
+    Serial.push_back(buildBenchmark(S));
+  const std::vector<Program> Direct = buildSuite();
+  std::vector<Program> Nested;
+  ThreadPool::global().parallelFor(2, [&](size_t I) {
+    if (I == 0)
+      Nested = buildSuite();
+  });
+
+  ASSERT_EQ(Direct.size(), Specs.size());
+  ASSERT_EQ(Nested.size(), Specs.size());
+  for (size_t I = 0; I < Specs.size(); ++I) {
+    EXPECT_EQ(Direct[I].Name, Specs[I].Name);
+    EXPECT_TRUE(Direct[I] == Serial[I]) << Specs[I].Name;
+    EXPECT_TRUE(Nested[I] == Serial[I]) << Specs[I].Name;
+  }
 }
 
 TEST(Suite, InterProceduralPhasesExist) {
