@@ -30,7 +30,7 @@ PBT_EXPERIMENT(ablation_static_typing) {
   std::vector<double> Disagreements;
   for (size_t I = 0; I < L.programs().size(); ++I) {
     const Program &Prog = L.programs()[I];
-    ProgramTyping Oracle = computeOracleTyping(Prog, *Base.Costs[I]);
+    ProgramTyping Oracle = computeOracleTyping(Prog, Base.Flats[I]->cost());
     ProgramTyping Static = computeStaticTyping(Prog, TypingConfig());
     double D = 100.0 * Static.disagreement(Oracle);
     Disagreements.push_back(D);

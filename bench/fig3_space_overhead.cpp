@@ -25,9 +25,10 @@ PBT_EXPERIMENT(fig3_space_overhead) {
     PreparedSuite Suite = L.suite(Tech);
     std::vector<double> Overheads;
     double TotalMarks = 0;
-    for (const auto &Image : Suite.Images) {
-      TotalMarks += static_cast<double>(Image->marks().size());
-      Overheads.push_back(Image->spaceOverheadPercent());
+    for (const auto &Flat : Suite.Flats) {
+      const InstrumentedProgram &Image = Flat->program();
+      TotalMarks += static_cast<double>(Image.marks().size());
+      Overheads.push_back(Image.spaceOverheadPercent());
     }
     BoxSummary Box = summarize(Overheads);
     T.addRow({Tech.Transition.label(), Table::fmt(Box.Min),

@@ -21,7 +21,7 @@ PBT_EXPERIMENT(fig5_cycles_per_switch) {
 
   Lab &L = H.lab();
   TechniqueSpec Tech = loop45(0.2);
-  uint32_t SwitchCost = L.suite(Tech).Images[0]->cost().SwitchCycles;
+  uint32_t SwitchCost = L.suite(Tech).Flats[0]->program().cost().SwitchCycles;
   std::vector<CompletedJob> Jobs = L.isolatedJobs(Tech);
 
   Table T({"benchmark", "cycles/switch", "log10", "x switch cost"});

@@ -46,10 +46,7 @@ EngineResult measure(const PreparedSuite &Suite, const MachineConfig &MC,
   Best.WallSec = 1e300;
   for (int Rep = 0; Rep < Reps; ++Rep) {
     Machine M(MC, SC, std::make_unique<ObliviousScheduler>());
-    uint32_t Pid =
-        M.spawn(Suite.Images[0], Suite.Costs[0], Suite.Tuner,
-                /*Seed=*/1, /*Slot=*/-1, /*InitialAffinity=*/0,
-                Suite.Flats[0]);
+    uint32_t Pid = M.spawn(Suite.Flats[0], Suite.Tuner, /*Seed=*/1);
     auto Start = std::chrono::steady_clock::now();
     while (M.process(Pid).CompletionTime < 0)
       M.run(M.now() + 64);

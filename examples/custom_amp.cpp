@@ -28,9 +28,12 @@ int main() {
   Tuner.IpcDelta = 0.15;
   PreparedSuite Suite = prepareSuite(One, MachineConfig::quadAsymmetric(),
                                      TechniqueSpec::tuned(Loop45, Tuner));
+  // The instrumented image, held through the quad's flat image.
+  std::shared_ptr<const InstrumentedProgram> Image(
+      Suite.Flats[0], &Suite.Flats[0]->program());
   std::printf("instrumented %s once: %zu marks, %.2f%% space overhead\n\n",
-              Prog.Name.c_str(), Suite.Images[0]->marks().size(),
-              Suite.Images[0]->spaceOverheadPercent());
+              Prog.Name.c_str(), Image->marks().size(),
+              Image->spaceOverheadPercent());
 
   // A custom machine: one fast core, three slow cores, all sharing L2s
   // in pairs, with the slow cores clocked even lower.
@@ -51,9 +54,10 @@ int main() {
   for (const Target &T : Targets) {
     // The cost model is the physics of the target machine; the image is
     // unchanged.
-    auto Cost = std::make_shared<const CostModel>(Prog, T.Config);
+    auto Flat = std::make_shared<const FlatImage>(
+        Image, std::make_shared<const CostModel>(Prog, T.Config));
     Machine M(T.Config, SimConfig(), std::make_unique<ObliviousScheduler>());
-    uint32_t Pid = M.spawn(Suite.Images[0], Cost, Tuner, 11);
+    uint32_t Pid = M.spawn(Flat, Tuner, 11);
     while (M.process(Pid).CompletionTime < 0)
       M.run(M.now() + 64);
     const Process &P = M.process(Pid);

@@ -123,9 +123,8 @@ int main() {
     if (Index >= W.Slots[Slot].size())
       return;
     uint32_t Bench = W.Slots[Slot][Index];
-    M.spawn(Suite.Images[Bench], Suite.Costs[Bench], Suite.Tuner,
-            W.jobSeed(Slot, Index), static_cast<int32_t>(Slot),
-            /*InitialAffinity=*/0, Suite.Flats[Bench]);
+    M.spawn(Suite.Flats[Bench], Suite.Tuner, W.jobSeed(Slot, Index),
+            static_cast<int32_t>(Slot));
   };
   M.setExitHandler([&](Machine &, Process &P) {
     if (P.Slot >= 0)

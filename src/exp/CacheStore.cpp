@@ -175,10 +175,11 @@ std::vector<PhaseMark> readMarks(BinaryReader &R, const Program &Prog) {
 // Per-program payload
 //===----------------------------------------------------------------------===//
 
-/// One prepared program: the `pbt-prog-v2` payload (IR, marks, mark
-/// cost, cost tables, flat image).
-void writePrepared(BinaryWriter &W, const InstrumentedProgram &Image,
-                   const CostModel &Tables, const FlatImage &Flat) {
+/// One prepared program: the `pbt-prog-v3` payload (IR, marks, mark
+/// cost, cost model). The flat image is not stored: readPrepared
+/// rebuilds it from the rest.
+void writePrepared(BinaryWriter &W, const FlatImage &Flat) {
+  const InstrumentedProgram &Image = Flat.program();
   writeProgram(W, Image.program());
   writeMarks(W, Image.marks());
   W.u32(Image.numTypes());
@@ -188,19 +189,18 @@ void writePrepared(BinaryWriter &W, const InstrumentedProgram &Image,
   W.u32(Cost.MarkInsts);
   W.u32(Cost.MonitorSetupCycles);
   W.u32(Cost.SwitchCycles);
-  Tables.serializeTables(W);
-  Flat.serialize(W);
+  Flat.cost().serializeTables(W);
 }
 
-/// Decodes and validates one prepared program. Returns a
-/// PreparedProgram with null pointers (and \p R marked failed where
-/// applicable) on any rejection.
-PreparedProgram readPrepared(BinaryReader &R, const MachineConfig &Machine,
-                             const TechniqueSpec &Tech) {
-  PreparedProgram Out;
+/// Decodes and validates one prepared program and rebuilds its flat
+/// image with the constructor the flatten stage uses. Returns null (and
+/// \p R marked failed where applicable) on any rejection.
+std::shared_ptr<const FlatImage>
+readPrepared(BinaryReader &R, const MachineConfig &Machine,
+             const TechniqueSpec &Tech) {
   Program Prog = readProgram(R);
   if (R.failed() || !verify(Prog))
-    return Out;
+    return nullptr;
 
   MarkingResult Marking;
   Marking.Marks = readMarks(R, Prog);
@@ -223,25 +223,16 @@ PreparedProgram readPrepared(BinaryReader &R, const MachineConfig &Machine,
   Cost.MonitorSetupCycles = R.u32();
   Cost.SwitchCycles = R.u32();
   if (R.failed() || Cost != Tech.Cost)
-    return Out;
+    return nullptr;
 
   CostModel Tables = CostModel::deserializeTables(R, Machine, Prog);
   if (R.failed())
-    return Out;
+    return nullptr;
 
-  size_t BlockCount = Prog.blockCount();
-  auto Image = std::make_shared<const InstrumentedProgram>(
-      std::move(Prog), std::move(Marking), Cost);
-  auto Costs = std::make_shared<const CostModel>(std::move(Tables));
-  auto Flat = std::make_shared<const FlatImage>(
-      FlatImage::deserialize(R, Image, Costs));
-  if (R.failed() || Flat->numBlocks() != BlockCount)
-    return Out;
-
-  Out.Image = std::move(Image);
-  Out.Cost = std::move(Costs);
-  Out.Flat = std::move(Flat);
-  return Out;
+  return std::make_shared<const FlatImage>(
+      std::make_shared<const InstrumentedProgram>(std::move(Prog),
+                                                  std::move(Marking), Cost),
+      std::make_shared<const CostModel>(std::move(Tables)));
 }
 
 /// Creates \p Dir (and parents) best-effort; existing directories are
@@ -575,12 +566,11 @@ CacheStore::GcStats CacheStore::gc(uint64_t MaxBytes, double MaxAgeSeconds) {
   return Stats;
 }
 
-PreparedProgram CacheStore::loadProgram(uint64_t ProgramHash,
-                                        const MachineConfig &Machine,
-                                        const TechniqueSpec &Tech,
-                                        uint64_t TypingSeed) {
+std::shared_ptr<const FlatImage>
+CacheStore::loadProgram(uint64_t ProgramHash, const MachineConfig &Machine,
+                        const TechniqueSpec &Tech, uint64_t TypingSeed) {
   std::lock_guard<std::mutex> Lock(Mutex);
-  PreparedProgram Out;
+  std::shared_ptr<const FlatImage> Out;
   uint64_t Key = key(ProgramHash, Machine, Tech, TypingSeed);
 
   // Shared reader lock with bounded retry: waits out an in-flight
@@ -639,14 +629,14 @@ PreparedProgram CacheStore::loadProgram(uint64_t ProgramHash,
     else {
       BinaryReader Payload(Bytes.data() + HeaderBytes, H.PayloadSize);
       Out = readPrepared(Payload, Machine, Tech);
-      if (!Out.Image || Payload.remaining() != 0) {
-        Out = PreparedProgram();
+      if (!Out || Payload.remaining() != 0) {
+        Out = nullptr;
         Why = "payload"; // Checksummed bytes decode to nonsense.
       }
     }
   }
 
-  if (Out.Image) {
+  if (Out) {
     ++Hits;
     // Refresh the mtime: it is the LRU clock gc() evicts by, so a hit
     // must mark the entry recently used (best-effort — a failed touch
@@ -677,7 +667,7 @@ PreparedProgram CacheStore::loadProgram(uint64_t ProgramHash,
 bool CacheStore::saveProgram(uint64_t ProgramHash,
                              const MachineConfig &Machine,
                              const TechniqueSpec &Tech, uint64_t TypingSeed,
-                             const PreparedProgram &Prepared) {
+                             const FlatImage &Prepared) {
   std::lock_guard<std::mutex> Lock(Mutex);
   uint64_t Key = key(ProgramHash, Machine, Tech, TypingSeed);
 
@@ -689,7 +679,7 @@ bool CacheStore::saveProgram(uint64_t ProgramHash,
     return true;
 
   BinaryWriter Payload;
-  writePrepared(Payload, *Prepared.Image, *Prepared.Cost, *Prepared.Flat);
+  writePrepared(Payload, Prepared);
   Header H;
   H.Key = Key;
   H.ProgramHash = ProgramHash;

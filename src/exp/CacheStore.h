@@ -6,15 +6,16 @@
 ///
 /// \file
 /// The on-disk half of the suite cache: a content-addressed store of
-/// prepared programs (instrumented program, phase marks, cost tables,
-/// flat execution image) that survives across processes. A SuiteCache
-/// with an attached store probes it per program before running the
-/// static pipeline, and writes back every program it had to prepare,
-/// so a second run of any experiment — or the one-process bench/driver
-/// — skips every preparation it has seen before.
+/// prepared programs (instrumented program, phase marks, cost model)
+/// that survives across processes; a loaded entry's flat execution
+/// image is rebuilt from them. A SuiteCache with an attached store
+/// probes it per program before running the static pipeline, and
+/// writes back every program it had to prepare, so a second run of any
+/// experiment — or the one-process bench/driver — skips every
+/// preparation it has seen before.
 ///
 /// **Addressing.** The unit of storage is one prepared program
-/// (`pbt-prog-v2`, `prog-<16 hex>.pbt`), keyed by a 64-bit hash of
+/// (`pbt-prog-v3`, `prog-<16 hex>.pbt`), keyed by a 64-bit hash of
 /// everything its preparation depends on: the program's own content
 /// hash (every instruction of every block), the machine (structural
 /// fields, name excluded), the technique's preparation identity
@@ -29,10 +30,11 @@
 /// **Format** (documented field by field in docs/BENCH_SCHEMA.md): a
 /// fixed header — `PBTP` magic, format version, key, the key components,
 /// payload length, FNV-1a payload checksum — followed by the serialized
-/// prepared program (IR, marks, cost tables, flat image). Doubles are
-/// stored by bit pattern, so a loaded program is bit-identical to the
-/// freshly prepared one (proven in tests/exp_test.cpp and
-/// tests/incremental_test.cpp).
+/// prepared program (IR, marks, mark cost, cost model). Doubles are
+/// stored by bit pattern, and the flat image is rebuilt on load with the
+/// constructor the preparation pipeline's flatten stage uses, so a
+/// loaded program is bit-identical to the freshly prepared one (proven
+/// in tests/exp_test.cpp and tests/incremental_test.cpp).
 ///
 /// **Crash safety and concurrency.** The store is built to survive
 /// `kill -9`, concurrent writers, and injected filesystem faults
@@ -86,15 +88,16 @@
 namespace pbt {
 namespace exp {
 
-/// Content-addressed on-disk store of serialized PreparedPrograms.
+/// Content-addressed on-disk store of prepared programs.
 class CacheStore {
 public:
-  /// On-disk entry format version (`pbt-prog-v2`); bumped whenever the
+  /// On-disk entry format version (`pbt-prog-v3`); bumped whenever the
   /// binary layout changes. Part of the file header AND the key hash, so
   /// a version bump invalidates old entries without ever misreading
   /// them. v2 dropped the flat image's superblock-chain summaries
-  /// (48-byte block records).
-  static constexpr uint32_t ProgFormatVersion = 2;
+  /// (48-byte block records); v3 stores the cost model as instruction
+  /// counts plus one cycle table and no longer stores the flat image.
+  static constexpr uint32_t ProgFormatVersion = 3;
 
   /// Version of the static preparation pipeline whose output entries
   /// hold (preparePrograms in workload/Runner.h); part of every key, so
@@ -126,13 +129,13 @@ public:
 
   /// Loads the prepared program stored under key(\p ProgramHash, ...),
   /// after verifying its header against the request's key components
-  /// and its payload against its checksum. Returns a PreparedProgram
-  /// with null pointers on a miss or on any rejection (corrupt,
-  /// truncated, version or key mismatch); a rejected file is
-  /// quarantined.
-  PreparedProgram loadProgram(uint64_t ProgramHash,
-                              const MachineConfig &Machine,
-                              const TechniqueSpec &Tech, uint64_t TypingSeed);
+  /// and its payload against its checksum, and returns its flat image
+  /// (rebuilt from the stored program and cost model). Returns null on
+  /// a miss or on any rejection (corrupt, truncated, version or key
+  /// mismatch); a rejected file is quarantined.
+  std::shared_ptr<const FlatImage>
+  loadProgram(uint64_t ProgramHash, const MachineConfig &Machine,
+              const TechniqueSpec &Tech, uint64_t TypingSeed);
 
   /// Serializes \p Prepared under key(\p ProgramHash, ...) with an
   /// atomic write. An entry already on disk is left alone: content
@@ -142,7 +145,7 @@ public:
   /// could not be taken (the write-back is skipped, nothing aborts).
   bool saveProgram(uint64_t ProgramHash, const MachineConfig &Machine,
                    const TechniqueSpec &Tech, uint64_t TypingSeed,
-                   const PreparedProgram &Prepared);
+                   const FlatImage &Prepared);
 
   /// The file path the entry for \p Key lives at.
   std::string pathFor(uint64_t Key) const;

@@ -51,13 +51,15 @@ PreparedSuite SuiteCache::get(const std::vector<Program> &Programs,
   // them without a store). Adding one benchmark to an otherwise-cached
   // suite prepares exactly that benchmark, and programs shared with
   // other suites are reused regardless of which suite wrote them.
-  std::vector<PreparedProgram> Parts(Programs.size());
+  auto Suite = std::make_shared<PreparedSuite>();
+  std::vector<std::shared_ptr<const FlatImage>> &Flats = Suite->Flats;
+  Flats.resize(Programs.size());
   std::vector<size_t> Missing;
   for (size_t I = 0; I < Programs.size(); ++I) {
     if (Store)
-      Parts[I] = Store->loadProgram(programHashes(Programs)[I], Machine, Tech,
+      Flats[I] = Store->loadProgram(programHashes(Programs)[I], Machine, Tech,
                                     TypingSeed);
-    if (!Parts[I].Image)
+    if (!Flats[I])
       Missing.push_back(I);
   }
   size_t Served = Programs.size() - Missing.size();
@@ -71,28 +73,23 @@ PreparedSuite SuiteCache::get(const std::vector<Program> &Programs,
       for (size_t I : Missing)
         Subset.push_back(Programs[I]);
     obs::Span Prep("suite_cache.prepare");
-    std::vector<PreparedProgram> Fresh = preparePrograms(
+    std::vector<std::shared_ptr<const FlatImage>> Fresh = preparePrograms(
         Served > 0 ? Subset : Programs, Machine, Tech, TypingSeed);
     for (size_t J = 0; J < Missing.size(); ++J)
-      Parts[Missing[J]] = std::move(Fresh[J]);
+      Flats[Missing[J]] = std::move(Fresh[J]);
     ++Prepared;
     PreparedPrograms += Missing.size();
   }
 
-  auto Suite = std::make_shared<PreparedSuite>();
-  for (size_t I = 0; I < Programs.size(); ++I) {
-    Suite->Names.push_back(Programs[I].Name);
-    Suite->Images.push_back(Parts[I].Image);
-    Suite->Costs.push_back(Parts[I].Cost);
-    Suite->Flats.push_back(Parts[I].Flat);
-  }
+  for (const Program &Prog : Programs)
+    Suite->Names.push_back(Prog.Name);
 
   // Write back what the store was missing, so later processes (or labs
   // over the same programs) skip it.
   if (Store)
     for (size_t I : Missing)
       Store->saveProgram(programHashes(Programs)[I], Machine, Tech,
-                         TypingSeed, Parts[I]);
+                         TypingSeed, *Flats[I]);
 
   // Freshly prepared programs are verified inside the pipeline when
   // verify-IR is on; store-served artifacts get the same static audit

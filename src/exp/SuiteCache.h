@@ -64,8 +64,8 @@ public:
   /// Returns the suite for (\p Tech, \p Machine, \p TypingSeed),
   /// serving it from memory, else assembling it from the persistent
   /// store's entries (when attached) and the static pipeline.
-  /// The returned value shares the cached immutable images/costs/flats
-  /// (cheap shared_ptr copies) but carries \p Tech's own TunerConfig,
+  /// The returned value shares the cached immutable flat images (cheap
+  /// shared_ptr copies) but carries \p Tech's own TunerConfig,
   /// so cache hits still honor the requested tuner.
   PreparedSuite get(const std::vector<Program> &Programs,
                     const MachineConfig &Machine, const TechniqueSpec &Tech,

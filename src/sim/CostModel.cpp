@@ -6,6 +6,7 @@
 
 #include "sim/CostModel.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace pbt;
@@ -30,73 +31,61 @@ double CpiTable::of(InstKind Kind) const {
   return 1.0;
 }
 
-CostModel::CostModel(const Program &Prog, const MachineConfig &MachineIn,
-                     CpiTable Cpi)
-    : Machine(MachineIn) {
-  MaxSharers = std::max(1u, Machine.maxGroupSize());
-
+void CostModel::layOut(const Program &Prog) {
   ProcOffset.resize(Prog.Procs.size());
   uint32_t Offset = 0;
   for (const Procedure &P : Prog.Procs) {
     ProcOffset[P.Id] = Offset;
     Offset += static_cast<uint32_t>(P.Blocks.size());
   }
-  Entries.resize(Offset);
+}
+
+CostModel::CostModel(const Program &Prog, const MachineConfig &MachineIn)
+    : Machine(MachineIn) {
+  const CpiTable Cpi;
+  const uint32_t NumCoreTypes = Machine.numCoreTypes();
+  MaxSharers = std::max(1u, Machine.maxGroupSize());
+  layOut(Prog);
+  Insts.resize(Prog.blockCount());
+  Cycles.resize(Insts.size() * NumCoreTypes * MaxSharers);
 
   for (const Procedure &P : Prog.Procs) {
     for (const BasicBlock &BB : P.Blocks) {
-      BlockEntry &E = Entries[ProcOffset[P.Id] + BB.Id];
-      E.Insts = static_cast<uint32_t>(BB.size());
-      E.MemOps = static_cast<uint32_t>(BB.memOpCount());
+      const uint32_t G = ProcOffset[P.Id] + BB.Id;
+      const uint32_t BlockInsts = static_cast<uint32_t>(BB.size());
+      const uint32_t MemRefs = static_cast<uint32_t>(BB.memOpCount());
+      Insts[G] = BlockInsts;
+      double Base = 0;
       for (const Instruction &I : BB.Insts)
-        E.BaseCycles += Cpi.of(I.Kind);
-      E.BaseCycles = quantizeCycles(E.BaseCycles);
+        Base += Cpi.of(I.Kind);
+      Base = quantizeCycles(Base);
 
       ReuseProfile Reuse = computeBlockReuse(BB);
-      E.StallCycles.resize(Machine.numCoreTypes());
-      for (uint32_t Ct = 0; Ct < Machine.numCoreTypes(); ++Ct) {
-        E.StallCycles[Ct].resize(MaxSharers);
+      double *Row =
+          &Cycles[static_cast<size_t>(G) * NumCoreTypes * MaxSharers];
+      for (uint32_t Ct = 0; Ct < NumCoreTypes; ++Ct) {
         double Penalty = Machine.missPenaltyCycles(Ct);
         for (uint32_t Sharers = 1; Sharers <= MaxSharers; ++Sharers) {
           uint32_t EffLines = std::max(1u, Machine.cacheLines(Ct) / Sharers);
-          E.StallCycles[Ct][Sharers - 1] = quantizeCycles(
-              (Reuse.missRate(EffLines) * static_cast<double>(E.MemOps) +
-               Cpi.AmbientMissPerInst * static_cast<double>(E.Insts)) *
+          double Stall = quantizeCycles(
+              (Reuse.missRate(EffLines) * static_cast<double>(MemRefs) +
+               Cpi.AmbientMissPerInst * static_cast<double>(BlockInsts)) *
               Penalty);
+          Row[Ct * MaxSharers + (Sharers - 1)] = Base + Stall;
         }
       }
     }
   }
-  buildCycleTable();
-}
-
-void CostModel::buildCycleTable() {
-  const uint32_t NumCoreTypes = Machine.numCoreTypes();
-  Cycles.resize(Entries.size() * NumCoreTypes * MaxSharers);
-  size_t At = 0;
-  for (const BlockEntry &E : Entries)
-    for (uint32_t Ct = 0; Ct < NumCoreTypes; ++Ct)
-      for (uint32_t Level = 0; Level < MaxSharers; ++Level)
-        Cycles[At++] = E.BaseCycles + E.StallCycles[Ct][Level];
 }
 
 void CostModel::serializeTables(BinaryWriter &W) const {
   W.u32(MaxSharers);
-  W.u32(static_cast<uint32_t>(ProcOffset.size()));
-  for (uint32_t Offset : ProcOffset)
-    W.u32(Offset);
-  W.u32(static_cast<uint32_t>(Entries.size()));
-  for (const BlockEntry &E : Entries) {
-    W.u32(E.Insts);
-    W.u32(E.MemOps);
-    W.f64(E.BaseCycles);
-    W.u32(static_cast<uint32_t>(E.StallCycles.size()));
-    for (const std::vector<double> &Row : E.StallCycles) {
-      W.u32(static_cast<uint32_t>(Row.size()));
-      for (double Stall : Row)
-        W.f64(Stall);
-    }
-  }
+  W.u32(static_cast<uint32_t>(Insts.size()));
+  for (uint32_t N : Insts)
+    W.u32(N);
+  W.u32(static_cast<uint32_t>(Cycles.size()));
+  for (double Value : Cycles)
+    W.f64(Value);
 }
 
 CostModel CostModel::deserializeTables(BinaryReader &R,
@@ -105,89 +94,47 @@ CostModel CostModel::deserializeTables(BinaryReader &R,
   CostModel M;
   M.Machine = Machine;
   M.MaxSharers = R.u32();
-  M.ProcOffset.resize(R.count(1u << 24, /*ElemBytes=*/4));
-  for (uint32_t &Offset : M.ProcOffset)
-    Offset = R.u32();
-  M.Entries.resize(R.count(1u << 24, /*ElemBytes=*/20));
-  for (BlockEntry &E : M.Entries) {
-    E.Insts = R.u32();
-    E.MemOps = R.u32();
-    E.BaseCycles = R.f64();
-    E.StallCycles.resize(R.count(256, /*ElemBytes=*/4));
-    for (std::vector<double> &Row : E.StallCycles) {
-      Row.resize(R.count(256, /*ElemBytes=*/8));
-      for (double &Stall : Row)
-        Stall = R.f64();
-    }
-    if (R.failed())
-      break; // Bail before resizing from further garbage lengths.
-  }
-  // The tables must agree with the machine and program they claim to
-  // describe: sharer depth, stall-matrix shape, the canonical offset
-  // layout, and per-block instruction counts.
-  if (M.MaxSharers != std::max(1u, Machine.maxGroupSize()))
+  M.Insts.resize(R.count(1u << 24, /*ElemBytes=*/4));
+  for (uint32_t &N : M.Insts)
+    N = R.u32();
+  M.Cycles.resize(R.count(1u << 28, /*ElemBytes=*/8));
+  for (double &Value : M.Cycles)
+    Value = R.f64();
+  M.layOut(Prog);
+  // The data must agree with the machine and program it claims to
+  // describe: sharer depth, per-block instruction counts, table length.
+  if (M.MaxSharers != std::max(1u, Machine.maxGroupSize()) ||
+      M.Insts.size() != Prog.blockCount() ||
+      M.Cycles.size() != M.Insts.size() * Machine.numCoreTypes() *
+                             static_cast<size_t>(M.MaxSharers)) {
     R.markFailed();
-  for (const BlockEntry &E : M.Entries) {
-    if (E.StallCycles.size() != Machine.numCoreTypes())
-      R.markFailed();
-    for (const std::vector<double> &Row : E.StallCycles)
-      if (Row.size() != M.MaxSharers)
-        R.markFailed();
-    if (R.failed())
-      break;
+    return M;
   }
-  if (M.ProcOffset.size() != Prog.Procs.size() ||
-      M.Entries.size() != Prog.blockCount())
-    R.markFailed();
-  if (!R.failed()) {
-    uint32_t Offset = 0;
-    for (const Procedure &P : Prog.Procs) {
-      if (M.ProcOffset[P.Id] != Offset) {
+  for (const Procedure &P : Prog.Procs)
+    for (const BasicBlock &BB : P.Blocks)
+      if (M.blockInsts(P.Id, BB.Id) != BB.size()) {
         R.markFailed();
-        break;
+        return M;
       }
-      for (const BasicBlock &BB : P.Blocks)
-        if (M.Entries[Offset + BB.Id].Insts != BB.size()) {
-          R.markFailed();
-          break;
-        }
-      Offset += static_cast<uint32_t>(P.Blocks.size());
-    }
-  }
-  if (!R.failed())
-    M.buildCycleTable();
   return M;
 }
 
 double CostModel::blockCycles(uint32_t Proc, uint32_t Block,
                               uint32_t CoreType, uint32_t Sharers) const {
-  const BlockEntry &E = entry(Proc, Block);
-  assert(CoreType < E.StallCycles.size() && "core type out of range");
+  assert(CoreType < Machine.numCoreTypes() && "core type out of range");
   uint32_t Level = std::min(std::max(Sharers, 1u), MaxSharers) - 1;
-  return E.BaseCycles + E.StallCycles[CoreType][Level];
+  size_t G = ProcOffset[Proc] + Block;
+  return Cycles[(G * Machine.numCoreTypes() + CoreType) * MaxSharers + Level];
 }
 
 bool CostModel::onGrid() const {
-  for (const BlockEntry &E : Entries) {
-    if (!onCycleGrid(E.BaseCycles))
-      return false;
-    for (const std::vector<double> &Row : E.StallCycles)
-      for (double Stall : Row)
-        if (!onCycleGrid(Stall))
-          return false;
-  }
-  return true;
-}
-
-uint32_t CostModel::blockInsts(uint32_t Proc, uint32_t Block) const {
-  return entry(Proc, Block).Insts;
+  return std::all_of(Cycles.begin(), Cycles.end(), onCycleGrid);
 }
 
 double CostModel::blockIpc(uint32_t Proc, uint32_t Block,
                            uint32_t CoreType) const {
-  const BlockEntry &E = entry(Proc, Block);
-  double Cycles = blockCycles(Proc, Block, CoreType, 1);
-  return Cycles <= 0 ? 0 : static_cast<double>(E.Insts) / Cycles;
+  double C = blockCycles(Proc, Block, CoreType, 1);
+  return C <= 0 ? 0 : static_cast<double>(blockInsts(Proc, Block)) / C;
 }
 
 ProgramTyping pbt::computeOracleTyping(const Program &Prog,

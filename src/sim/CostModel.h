@@ -87,20 +87,23 @@ struct CpiTable {
 };
 
 /// Precomputed execution costs for every block of a program on a given
-/// machine. Construction is O(program); queries are O(1).
+/// machine, built with the default CpiTable. Construction is
+/// O(program); queries are O(1).
 class CostModel {
 public:
-  CostModel(const Program &Prog, const MachineConfig &Machine,
-            CpiTable Cpi = CpiTable());
+  CostModel(const Program &Prog, const MachineConfig &Machine);
 
   /// Cycles for one execution of a block on a core of \p CoreType whose
-  /// L2 is shared by \p Sharers active cores (>= 1). Always on the cycle
-  /// grid (the constructor quantizes every table entry).
+  /// L2 is shared by \p Sharers active cores (clamped to
+  /// [1, maxSharers()]). A cycleTable() entry, so always on the cycle
+  /// grid.
   double blockCycles(uint32_t Proc, uint32_t Block, uint32_t CoreType,
                      uint32_t Sharers) const;
 
   /// Instructions retired by one execution of the block.
-  uint32_t blockInsts(uint32_t Proc, uint32_t Block) const;
+  uint32_t blockInsts(uint32_t Proc, uint32_t Block) const {
+    return Insts[ProcOffset[Proc] + Block];
+  }
 
   /// Steady-state IPC of the block on \p CoreType with an unshared L2.
   double blockIpc(uint32_t Proc, uint32_t Block, uint32_t CoreType) const;
@@ -112,33 +115,35 @@ public:
 
   const MachineConfig &machine() const { return Machine; }
 
-  /// True when every base and stall entry is on the cycle grid (the
+  /// True when every cycleTable() entry is on the cycle grid (the
   /// verify-IR audit of fresh and store-served tables).
   bool onGrid() const;
 
-  /// Largest sharer count the stall tables are built for (the machine's
-  /// biggest L2 group); blockCycles clamps Sharers to [1, maxSharers()].
+  /// Largest sharer count the table is built for (the machine's biggest
+  /// L2 group); blockCycles clamps Sharers to [1, maxSharers()].
   uint32_t maxSharers() const { return MaxSharers; }
 
   /// Every blockCycles value in one flat array: global block G (the
   /// block's index in procedure-id order, FlatImage's global id) on core
   /// type Ct with S sharers is at
-  /// (G * numCoreTypes + Ct) * maxSharers() + (S - 1). Built once with
-  /// the model; every FlatImage bound to the model reads it in place.
+  /// (G * numCoreTypes + Ct) * maxSharers() + (S - 1). Each entry is
+  /// quantize(base CPI sum) + quantize(stall cycles); every FlatImage
+  /// bound to the model reads the table in place.
   const std::vector<double> &cycleTable() const { return Cycles; }
 
-  /// Serializes the computed tables (offsets, per-block entries, stall
-  /// matrices) to \p W. Doubles are written by bit pattern, so a
-  /// deserialized model answers blockCycles bit-identically. The machine
-  /// is NOT serialized — it is part of the cache key and is re-supplied
-  /// at deserialization (see exp/CacheStore).
+  /// Serializes the model's data — sharer depth, per-block instruction
+  /// counts, the cycle table — to \p W. Doubles are written by bit
+  /// pattern, so a deserialized model answers blockCycles
+  /// bit-identically. The machine is NOT serialized — it is part of the
+  /// cache key and is re-supplied at deserialization (see
+  /// exp/CacheStore).
   void serializeTables(BinaryWriter &W) const;
 
-  /// Rebuilds a model from tables written by serializeTables(), attached
-  /// to \p Machine and validated against \p Prog (offset layout, entry
-  /// count, per-block instruction counts, stall-matrix shape). On
-  /// malformed input, marks \p R failed and returns a model that must be
-  /// discarded.
+  /// Rebuilds a model from serializeTables() output, attached to
+  /// \p Machine and validated against \p Prog (sharer depth, per-block
+  /// instruction counts, table length = blocks x core types x sharers).
+  /// On malformed input, marks \p R failed and returns a model that must
+  /// be discarded.
   static CostModel deserializeTables(BinaryReader &R,
                                      const MachineConfig &Machine,
                                      const Program &Prog);
@@ -146,24 +151,13 @@ public:
 private:
   CostModel() = default; ///< Shell for deserializeTables().
 
-  /// Fills Cycles from the block entries.
-  void buildCycleTable();
-
-  struct BlockEntry {
-    uint32_t Insts = 0;
-    uint32_t MemOps = 0;
-    double BaseCycles = 0;
-    /// Stall cycles per core type, indexed by [CoreType][Sharers-1].
-    std::vector<std::vector<double>> StallCycles;
-  };
-
-  const BlockEntry &entry(uint32_t Proc, uint32_t Block) const {
-    return Entries[ProcOffset[Proc] + Block];
-  }
+  /// Fills ProcOffset (procedures laid out in id order) from \p Prog.
+  void layOut(const Program &Prog);
 
   MachineConfig Machine;
   std::vector<uint32_t> ProcOffset;
-  std::vector<BlockEntry> Entries;
+  /// Instructions per global block.
+  std::vector<uint32_t> Insts;
   uint32_t MaxSharers = 1;
   std::vector<double> Cycles;
 };

@@ -131,24 +131,13 @@ public:
   const CostModel &cost() const { return *Cost; }
 
   /// Serializes the image's numeric payload — offsets, block records,
-  /// the cycle table (by bit pattern) — to \p W. The backing program and
-  /// cost model are serialized separately by the caller (exp/CacheStore)
-  /// and re-attached at deserialization.
+  /// the cost model's cycle table (by bit pattern) — to \p W: the bytes
+  /// that pin a prepared image in digests and cross-path comparisons.
+  /// The store does not keep them; it rebuilds images from the program
+  /// and cost model (exp/CacheStore).
   void serialize(BinaryWriter &W) const;
 
-  /// Rebuilds an image from serialize() output, re-attached to \p IProg
-  /// and \p Cost. Bit-identical to the image originally serialized. The
-  /// stored cycle table is checked, not kept: it must equal \p Cost's
-  /// cycleTable() bit for bit, and every record's CycleRow must be its
-  /// global id times configStride(). On malformed input, marks \p R
-  /// failed and returns an image that must be discarded.
-  static FlatImage deserialize(BinaryReader &R,
-                               std::shared_ptr<const InstrumentedProgram> IProg,
-                               std::shared_ptr<const CostModel> Cost);
-
 private:
-  FlatImage() = default; ///< Shell for deserialize().
-
   std::shared_ptr<const InstrumentedProgram> IProg;
   std::shared_ptr<const CostModel> Cost;
   const PhaseMark *Marks = nullptr;

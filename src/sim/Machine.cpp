@@ -12,6 +12,7 @@
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 using namespace pbt;
 
@@ -80,24 +81,19 @@ Machine::Machine(MachineConfig ConfigIn, SimConfig SimIn,
   GroupActive.resize(NumGroups, 0);
 }
 
-uint32_t Machine::spawn(std::shared_ptr<const InstrumentedProgram> IProg,
-                        std::shared_ptr<const CostModel> Cost,
+uint32_t Machine::spawn(std::shared_ptr<const FlatImage> Flat,
                         const TunerConfig &TunerCfg, uint64_t Seed,
-                        int32_t Slot, uint64_t InitialAffinity,
-                        std::shared_ptr<const FlatImage> Flat) {
-  if (!Flat) {
-    auto Key = std::make_pair(static_cast<const void *>(IProg.get()),
-                              static_cast<const void *>(Cost.get()));
-    auto &Cached = FlatCache[Key];
-    if (!Cached)
-      Cached = std::make_shared<const FlatImage>(IProg, Cost);
-    Flat = Cached;
-  }
+                        int32_t Slot, uint64_t InitialAffinity) {
+  assert(Flat && "spawn needs a prepared image");
+  if (Flat->numCoreTypes() != Config.numCoreTypes())
+    throw std::invalid_argument("Machine::spawn: image's cost model has " +
+                                std::to_string(Flat->numCoreTypes()) +
+                                " core types, the machine has " +
+                                std::to_string(Config.numCoreTypes()));
   uint32_t Pid = static_cast<uint32_t>(Procs.size());
-  auto P = std::make_unique<Process>(Pid, std::move(IProg), std::move(Cost),
-                                     TunerCfg, Config.numCoreTypes(), Seed,
+  auto P = std::make_unique<Process>(Pid, std::move(Flat), TunerCfg,
+                                     Config.numCoreTypes(), Seed,
                                      Config.allCoresMask());
-  P->Flat = std::move(Flat);
   if (InitialAffinity != 0) {
     assert((InitialAffinity & Config.allCoresMask()) != 0 &&
            "initial affinity excludes every core");
@@ -932,9 +928,9 @@ Machine::AdvanceResult
 Machine::advanceProcessReference(Process &P, uint32_t Core,
                                  double BudgetCycles, uint32_t Sharers) {
   AdvanceResult R;
-  const InstrumentedProgram &IP = *P.IProg;
+  const InstrumentedProgram &IP = P.Flat->program();
   const Program &Prog = IP.program();
-  const CostModel &Cost = *P.Cost;
+  const CostModel &Cost = P.Flat->cost();
 
   while (!P.Finished && R.CyclesUsed < BudgetCycles) {
     const BasicBlock &BB = Prog.Procs[P.CurProc].Blocks[P.CurBlock];
@@ -1030,7 +1026,7 @@ Machine::advanceProcessReference(Process &P, uint32_t Core,
 
 bool Machine::fireMark(Process &P, const PhaseMark &Mark, uint32_t Core,
                        double &Cycles) {
-  const MarkCostModel &MC = P.IProg->cost();
+  const MarkCostModel &MC = P.Flat->program().cost();
   ++P.Stats.MarksFired;
   uint64_t MaskBefore = P.AffinityMask;
   uint32_t Ct = coreType(Core);

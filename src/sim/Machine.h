@@ -121,7 +121,8 @@ public:
   using ExitHandler = std::function<void(Machine &, Process &)>;
   void setExitHandler(ExitHandler Handler) { OnExit = std::move(Handler); }
 
-  /// Creates a process running \p IProg and enqueues it. \p Seed drives
+  /// Creates a process running the prepared image \p Flat (shared by
+  /// every process of one benchmark) and enqueues it. \p Seed drives
   /// the process's branch outcomes, so identical seeds give identical
   /// dynamic traces across scheduler configurations (the paper's
   /// same-queues methodology). Returns the pid.
@@ -129,14 +130,12 @@ public:
   /// (0 = all cores), modeling externally pinned processes; the
   /// scheduling policy's onSpawn hook runs afterwards and may narrow the
   /// mask further (e.g. HassStaticScheduler's whole-program pinning).
-  /// \p Flat, when non-null, supplies a prebuilt execution image (the
-  /// workload runner shares one per benchmark); otherwise the machine
-  /// builds and caches one per (program, cost model) pair.
-  uint32_t spawn(std::shared_ptr<const InstrumentedProgram> IProg,
-                 std::shared_ptr<const CostModel> Cost,
+  /// Throws std::invalid_argument when \p Flat's cost model was built
+  /// for a machine with a different number of core types: its cycle
+  /// rows would not line up with this machine's core types.
+  uint32_t spawn(std::shared_ptr<const FlatImage> Flat,
                  const TunerConfig &TunerCfg, uint64_t Seed,
-                 int32_t Slot = -1, uint64_t InitialAffinity = 0,
-                 std::shared_ptr<const FlatImage> Flat = nullptr);
+                 int32_t Slot = -1, uint64_t InitialAffinity = 0);
 
   /// Schedules \p Fn for deterministic mid-run injection at simulated
   /// time \p Time: it fires at the start of the first quantum whose
@@ -534,12 +533,6 @@ private:
   /// nothing: active cores per L2 group, and used cycles per core.
   std::vector<uint32_t> GroupActive;
   std::vector<double> Used;
-  /// Flat images built on demand for direct spawn() callers, keyed by
-  /// (program, cost model) identity; entries stay alive with the
-  /// processes holding them.
-  std::map<std::pair<const void *, const void *>,
-           std::shared_ptr<const FlatImage>>
-      FlatCache;
   Rng Gen;
   /// Plane-1 trace sink; nullptr = tracing off (the common case).
   obs::TraceSink *Trace = nullptr;

@@ -8,16 +8,14 @@
 
 using namespace pbt;
 
-Process::Process(uint32_t PidIn,
-                 std::shared_ptr<const InstrumentedProgram> IProgIn,
-                 std::shared_ptr<const CostModel> CostIn,
+Process::Process(uint32_t PidIn, std::shared_ptr<const FlatImage> FlatIn,
                  TunerConfig TunerCfg, uint32_t NumCoreTypes, uint64_t Seed,
                  uint64_t AllCoresMask)
-    : Pid(PidIn), IProg(std::move(IProgIn)), Cost(std::move(CostIn)),
-      Gen(Seed),
-      Tuner(std::max(1u, IProg->numTypes()), NumCoreTypes, TunerCfg),
+    : Pid(PidIn), Flat(std::move(FlatIn)), Gen(Seed),
+      Tuner(std::max(1u, Flat->program().numTypes()), NumCoreTypes,
+            TunerCfg),
       AffinityMask(AllCoresMask) {
-  const Program &Prog = IProg->program();
+  const Program &Prog = Flat->program().program();
   Name = Prog.Name;
   LoopRemaining.assign(Prog.blockCount(), 0);
   CallStack.reserve(32);

@@ -18,9 +18,7 @@
 #ifndef PBT_SIM_PROCESS_H
 #define PBT_SIM_PROCESS_H
 
-#include "core/Instrument.h"
 #include "core/Tuner.h"
-#include "sim/CostModel.h"
 #include "sim/FlatImage.h"
 #include "support/Rng.h"
 
@@ -69,9 +67,9 @@ struct CallFrame {
 
 /// A runnable simulated process.
 struct Process {
-  Process(uint32_t Pid, std::shared_ptr<const InstrumentedProgram> IProg,
-          std::shared_ptr<const CostModel> Cost, TunerConfig TunerCfg,
-          uint32_t NumCoreTypes, uint64_t Seed, uint64_t AllCoresMask);
+  Process(uint32_t Pid, std::shared_ptr<const FlatImage> Flat,
+          TunerConfig TunerCfg, uint32_t NumCoreTypes, uint64_t Seed,
+          uint64_t AllCoresMask);
 
   /// Identity.
   uint32_t Pid;
@@ -79,10 +77,9 @@ struct Process {
   /// Workload slot this process occupies (set by the workload runner).
   int32_t Slot = -1;
 
-  /// Program and cost model (shared across processes of one benchmark).
-  std::shared_ptr<const InstrumentedProgram> IProg;
-  std::shared_ptr<const CostModel> Cost;
-  /// Fused execution image (shared like IProg/Cost; attached at spawn).
+  /// Fused execution image, shared across processes of one benchmark;
+  /// it owns the instrumented program (Flat->program()) and the cost
+  /// model (Flat->cost()) the process runs on.
   std::shared_ptr<const FlatImage> Flat;
 
   /// Control-flow position. CurProc/CurBlock are the reference engine's

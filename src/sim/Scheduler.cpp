@@ -15,7 +15,7 @@
 #include <cstdio>
 #include <mutex>
 #include <stdexcept>
-#include <tuple>
+#include <utility>
 
 using namespace pbt;
 
@@ -192,24 +192,20 @@ uint64_t pbt::hassWholeProgramMask(const Program &Prog, const CostModel &Cost,
 namespace {
 
 /// Process-wide memo of whole-program masks keyed by (image identity,
-/// cost-model identity, machine identity) — the mask derives its typing
-/// from the cost model, so the cost is part of the key like in
-/// Machine's own FlatCache. Prepared-suite images are shared by every
-/// replay (cells hold shared_ptr copies of the same immutable images),
-/// so the dominant-type analysis runs once per key per process instead
-/// of once per Machine — a parallel sweep's hass-static cells all hit
-/// this after the first. Anchoring shared_ptrs per key keeps a freed
-/// image's or cost's address from aliasing a later, different one;
-/// the retained objects are the same ones the labs' suite caches hold
-/// for the process lifetime anyway.
+/// machine identity) — the image owns the cost model the mask's typing
+/// derives from. Prepared-suite images are shared by every replay
+/// (cells hold shared_ptr copies of the same immutable images), so the
+/// dominant-type analysis runs once per key per process instead of once
+/// per Machine — a parallel sweep's hass-static cells all hit this after
+/// the first. Anchoring a shared_ptr per key keeps a freed image's
+/// address from aliasing a later, different one; the retained images
+/// are the same ones the labs' suite caches hold for the process
+/// lifetime anyway.
 struct HassMaskMemo {
-  using Key = std::tuple<const InstrumentedProgram *, const CostModel *,
-                         uint64_t>;
+  using Key = std::pair<const FlatImage *, uint64_t>;
   std::mutex Mutex;
   std::map<Key, uint64_t> Masks;
-  std::vector<std::pair<std::shared_ptr<const InstrumentedProgram>,
-                        std::shared_ptr<const CostModel>>>
-      Anchors;
+  std::vector<std::shared_ptr<const FlatImage>> Anchors;
 };
 
 HassMaskMemo &hassMaskMemo() {
@@ -221,16 +217,13 @@ HassMaskMemo &hassMaskMemo() {
 
 void HassStaticScheduler::onSpawn(Machine &M, Process &P) {
   // Instance-level fast path first: one lock-free lookup per spawn
-  // after this Machine has seen the (image, cost) pair once. Within a
-  // Machine's life the processes keep both alive, so the raw-pointer
-  // pair cannot alias.
-  auto Key = std::make_pair(static_cast<const void *>(P.IProg.get()),
-                            static_cast<const void *>(P.Cost.get()));
-  auto It = MaskByImage.find(Key);
+  // after this Machine has seen the image once. Within a Machine's life
+  // the processes keep their images alive, so the raw pointer cannot
+  // alias.
+  auto It = MaskByImage.find(P.Flat.get());
   if (It == MaskByImage.end()) {
     HassMaskMemo &Memo = hassMaskMemo();
-    HassMaskMemo::Key SharedKey{P.IProg.get(), P.Cost.get(),
-                                hashValue(M.config())};
+    HassMaskMemo::Key SharedKey{P.Flat.get(), hashValue(M.config())};
     uint64_t Mask = 0;
     bool Found = false;
     {
@@ -245,14 +238,15 @@ void HassStaticScheduler::onSpawn(Machine &M, Process &P) {
       // Compute outside the lock so distinct keys analyze in parallel;
       // a racing duplicate computation is idempotent and the re-check
       // below keeps one canonical entry.
-      Mask = hassWholeProgramMask(P.IProg->program(), *P.Cost, M.config());
+      Mask = hassWholeProgramMask(P.Flat->program().program(),
+                                  P.Flat->cost(), M.config());
       std::lock_guard<std::mutex> Lock(Memo.Mutex);
       auto Inserted = Memo.Masks.emplace(SharedKey, Mask);
       if (Inserted.second)
-        Memo.Anchors.emplace_back(P.IProg, P.Cost);
+        Memo.Anchors.push_back(P.Flat);
       Mask = Inserted.first->second;
     }
-    It = MaskByImage.emplace(Key, Mask).first;
+    It = MaskByImage.emplace(P.Flat.get(), Mask).first;
   }
   uint64_t Mask = It->second & M.config().allCoresMask();
   if (Mask != 0)

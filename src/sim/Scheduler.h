@@ -57,6 +57,7 @@
 namespace pbt {
 
 class CostModel;
+class FlatImage;
 class Machine;
 struct MachineConfig;
 struct Process;
@@ -194,11 +195,12 @@ public:
   void onSpawn(Machine &M, Process &P) override;
 
 private:
-  /// The dominant-type analysis is per (program image, cost model), not
-  /// per process; memoized so workloads spawning thousands of jobs
-  /// analyze each benchmark once (a process-wide second tier shares the
-  /// results across Machines of a parallel sweep).
-  std::map<std::pair<const void *, const void *>, uint64_t> MaskByImage;
+  /// The dominant-type analysis is per prepared image (program plus
+  /// cost model), not per process; memoized so workloads spawning
+  /// thousands of jobs analyze each benchmark once (a process-wide
+  /// second tier shares the results across Machines of a parallel
+  /// sweep).
+  std::map<const FlatImage *, uint64_t> MaskByImage;
 };
 
 /// Kumar-style dynamic reassigner: oblivious placement (inherited), plus

@@ -178,7 +178,7 @@ PipelineStats pbt::cumulativePipelineStats() {
   return Out;
 }
 
-std::vector<PreparedProgram>
+std::vector<std::shared_ptr<const FlatImage>>
 pbt::preparePrograms(const std::vector<Program> &Programs,
                      const MachineConfig &Machine, const TechniqueSpec &Tech,
                      uint64_t TypingSeed, ThreadPool *Pool) {
@@ -272,12 +272,9 @@ pbt::preparePrograms(const std::vector<Program> &Programs,
     }
   }
 
-  std::vector<PreparedProgram> Out(N);
-  for (size_t I = 0; I < N; ++I) {
-    Out[I].Image = std::move(Preps[I].Image);
-    Out[I].Cost = std::move(Preps[I].Cost);
-    Out[I].Flat = std::move(Preps[I].Flat);
-  }
+  std::vector<std::shared_ptr<const FlatImage>> Out(N);
+  for (size_t I = 0; I < N; ++I)
+    Out[I] = std::move(Preps[I].Flat);
   return Out;
 }
 
@@ -285,17 +282,11 @@ PreparedSuite pbt::prepareSuite(const std::vector<Program> &Programs,
                                 const MachineConfig &Machine,
                                 const TechniqueSpec &Tech,
                                 uint64_t TypingSeed, ThreadPool *Pool) {
-  std::vector<PreparedProgram> Prepared =
-      preparePrograms(Programs, Machine, Tech, TypingSeed, Pool);
-
   PreparedSuite Suite;
+  Suite.Flats = preparePrograms(Programs, Machine, Tech, TypingSeed, Pool);
   Suite.Tuner = Tech.Tuner;
-  for (size_t Index = 0; Index < Programs.size(); ++Index) {
-    Suite.Names.push_back(Programs[Index].Name);
-    Suite.Images.push_back(std::move(Prepared[Index].Image));
-    Suite.Costs.push_back(std::move(Prepared[Index].Cost));
-    Suite.Flats.push_back(std::move(Prepared[Index].Flat));
-  }
+  for (const Program &Prog : Programs)
+    Suite.Names.push_back(Prog.Name);
   return Suite;
 }
 
@@ -310,7 +301,7 @@ pbt::isolatedRuntimes(const std::vector<Program> &Programs,
 std::vector<double> pbt::isolatedRuntimes(const PreparedSuite &BaselineSuite,
                                           const MachineConfig &MachineCfg,
                                           const SimConfig &Sim) {
-  std::vector<double> Times(BaselineSuite.Images.size(), 0.0);
+  std::vector<double> Times(BaselineSuite.Flats.size(), 0.0);
   ThreadPool::global().parallelFor(Times.size(), [&](size_t Bench) {
     CompletedJob Job = runIsolated(BaselineSuite,
                                    static_cast<uint32_t>(Bench), MachineCfg,
@@ -324,9 +315,7 @@ CompletedJob pbt::runIsolated(const PreparedSuite &Suite, uint32_t Bench,
                               const MachineConfig &MachineCfg,
                               const SimConfig &Sim, uint64_t Seed) {
   Machine M(MachineCfg, Sim, std::make_unique<ObliviousScheduler>());
-  uint32_t Pid =
-      M.spawn(Suite.Images[Bench], Suite.Costs[Bench], Suite.Tuner, Seed,
-              /*Slot=*/-1, /*InitialAffinity=*/0, Suite.Flats[Bench]);
+  uint32_t Pid = M.spawn(Suite.Flats[Bench], Suite.Tuner, Seed);
   // Advance until the process finishes.
   const double Step = 64;
   const double Limit = 1e7;
@@ -382,9 +371,7 @@ RunResult pbt::runWorkload(const PreparedSuite &Suite, const Workload &W,
 
   auto Spawn = [&](uint32_t Bench, uint64_t Seed, int32_t Slot,
                    double Arrival) {
-    uint32_t Pid =
-        M.spawn(Suite.Images[Bench], Suite.Costs[Bench], Suite.Tuner, Seed,
-                Slot, /*InitialAffinity=*/0, Suite.Flats[Bench]);
+    uint32_t Pid = M.spawn(Suite.Flats[Bench], Suite.Tuner, Seed, Slot);
     BenchOfPid.push_back(Bench);
     ArrivalOfPid.push_back(Arrival);
     if (Trace)
@@ -459,7 +446,7 @@ RunResult pbt::runWorkload(const PreparedSuite &Suite, const Workload &W,
       M.scheduleAt(0.0, [&SpawnSlot, Slot](Machine &) { SpawnSlot(Slot); });
   } else {
     Arrivals = scenarioArrivals(
-        Scenario, static_cast<uint32_t>(Suite.Images.size()), Horizon);
+        Scenario, static_cast<uint32_t>(Suite.Flats.size()), Horizon);
     Stream = static_cast<uint32_t>(Arrivals.size());
     M.setExitHandler([&](Machine &, Process &P) {
       Record(P);

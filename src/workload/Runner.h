@@ -98,28 +98,19 @@ uint64_t hashValue(const TechniqueSpec &Tech);
 /// any SchedulerSpec (OS-level assignment, including the HASS-static
 /// comparator's spawn pinning, lives entirely in the scheduler policy).
 struct PreparedSuite {
-  std::vector<std::shared_ptr<const InstrumentedProgram>> Images;
-  std::vector<std::shared_ptr<const CostModel>> Costs;
-  /// Fused flat execution images, one per benchmark, shared by every
-  /// process spawned from this suite (built once at preparation time).
+  /// One fused flat execution image per benchmark, shared by every
+  /// process spawned from this suite. Each owns its instrumented
+  /// program (FlatImage::program()) and cost model (FlatImage::cost()).
   std::vector<std::shared_ptr<const FlatImage>> Flats;
   std::vector<std::string> Names;
   TunerConfig Tuner;
 };
 
-/// Prepared artifacts of one program: the per-program slice of a
-/// PreparedSuite. The unit of incremental preparation — exp/SuiteCache
-/// stores and reloads these individually (`pbt-prog-v2` entries) and
-/// assembles suites from them.
-struct PreparedProgram {
-  std::shared_ptr<const InstrumentedProgram> Image;
-  std::shared_ptr<const CostModel> Cost;
-  std::shared_ptr<const FlatImage> Flat;
-};
-
 /// Runs the static preparation pipeline over \p Programs for \p Tech on
-/// \p Machine and returns one PreparedProgram per input, in input order.
-/// \p TypingSeed drives k-means and error injection.
+/// \p Machine and returns one flat image per input, in input order: the
+/// unit of incremental preparation, which exp/SuiteCache stores and
+/// reloads individually (`pbt-prog-v3` entries) and assembles suites
+/// from. \p TypingSeed drives k-means and error injection.
 ///
 /// The pipeline is a fixed sequence of stages — cost-model, typing,
 /// error-inject, transitions, instrument, flatten — each run as one
@@ -138,13 +129,13 @@ struct PreparedProgram {
 /// shared process-wide by every preparation of an equal program on an
 /// equal machine while any result still holds it. The typing stage
 /// copies the base's oracle typing and the transitions stage reads its
-/// facts. Every image is built on that
-/// shared program, so the returned Image->program() is the base copy,
-/// not the caller's object. A base is reused only after full structural
-/// equality of program and machine; the registry counters
+/// facts. Every image is built on that shared program, so the returned
+/// Flat->program().program() is the base copy, not the caller's object.
+/// A base is reused only after full structural equality of program and
+/// machine; the registry counters
 /// analysis.cost_models_built and analysis.cost_models_shared count
 /// fresh builds and reuses.
-std::vector<PreparedProgram>
+std::vector<std::shared_ptr<const FlatImage>>
 preparePrograms(const std::vector<Program> &Programs,
                 const MachineConfig &Machine, const TechniqueSpec &Tech,
                 uint64_t TypingSeed = 42, ThreadPool *Pool = nullptr);
@@ -194,7 +185,7 @@ bool verifyPrep(const ProgramPrep &PC, const TechniqueSpec *Tech,
                 std::string *ErrorOut = nullptr);
 
 /// Verifies a finished suite (freshly prepared or loaded from the
-/// store): every program's image, cost binding, and flat image.
+/// store): every flat image with the program and cost model it owns.
 bool verifyPrepared(const PreparedSuite &Suite, const MachineConfig &Machine,
                     std::string *ErrorOut = nullptr);
 

@@ -202,12 +202,6 @@ bool checkFlat(const FlatImage &F, std::string *Out) {
   const CostModel &CM = F.cost();
   const std::vector<PhaseMark> &Marks = IP.marks();
   const uint32_t Stride = F.configStride();
-  const uint32_t MaxSharers = F.maxSharers();
-
-  if (F.numCoreTypes() != CM.machine().numCoreTypes() ||
-      MaxSharers != CM.maxSharers() ||
-      Stride != F.numCoreTypes() * MaxSharers || Stride == 0)
-    return failWith(Out, "flat image machine shape mismatch");
 
   // Global-block-id contiguity: procedure offsets partition [0, total).
   if (F.numProcs() != Prog.Procs.size())
@@ -236,21 +230,10 @@ bool checkFlat(const FlatImage &F, std::string *Out) {
         return failWith(Out,
                         place("flat instruction count mismatch", P, B));
 
-      // Cost-model binding: the inlined cycle rows must be bit-equal to
-      // the cost model's answers for every (core type, sharers) config.
+      // The row must be the block's row of the cost model's table,
+      // which the image reads in place.
       if (FB.CycleRow != G * Stride)
         return failWith(Out, place("cycle row out of layout", P, B));
-      for (uint32_t Ct = 0; Ct < F.numCoreTypes(); ++Ct)
-        for (uint32_t Sharers = 1; Sharers <= MaxSharers; ++Sharers)
-          if (!bitEqual(
-                  F.cycleTable()[FB.CycleRow + Ct * MaxSharers +
-                                 (Sharers - 1)],
-                  CM.blockCycles(P, B, Ct, Sharers)))
-            return failWith(
-                Out, place("cycle table differs from cost model", P, B));
-      for (uint32_t Cfg = 0; Cfg < Stride; ++Cfg)
-        if (!onCycleGrid(F.cycleTable()[FB.CycleRow + Cfg]))
-          return failWith(Out, place("cycle table off the cycle grid", P, B));
 
       int32_t E0 = MarkIndex(IP.edgeMark(P, B, 0));
       int32_t E1 = MarkIndex(IP.edgeMark(P, B, 1));
@@ -317,15 +300,15 @@ bool pbt::verifyPrep(const ProgramPrep &PC, const TechniqueSpec *Tech,
   if (!checkCfgAnalyses(*Prog, ErrorOut))
     return false;
 
-  if (PC.Cost) {
-    // Cost-model binding against the IR: entry layout and instruction
-    // counts (cycle tables are cross-checked via the flat image below).
+  // The cost model the engine will read: the flat image's once it is
+  // built, the cost-model stage's binding before.
+  if (const CostModel *Cost = PC.Flat ? &PC.Flat->cost() : PC.Cost.get()) {
     for (uint32_t P = 0; P < Prog->Procs.size(); ++P)
       for (uint32_t B = 0; B < Prog->Procs[P].Blocks.size(); ++B)
-        if (PC.Cost->blockInsts(P, B) != Prog->Procs[P].Blocks[B].size())
+        if (Cost->blockInsts(P, B) != Prog->Procs[P].Blocks[B].size())
           return failWith(ErrorOut,
                           place("cost model disagrees with program", P, B));
-    if (!PC.Cost->onGrid())
+    if (!Cost->onGrid())
       return failWith(ErrorOut, "cost table entry off the cycle grid");
   }
 
@@ -355,17 +338,6 @@ bool pbt::verifyPrep(const ProgramPrep &PC, const TechniqueSpec *Tech,
 
   if (PC.Image) {
     const InstrumentedProgram &IP = *PC.Image;
-    // An image that does not share the prepared program (one loaded
-    // from the store) must still satisfy the IR invariants and describe
-    // the same program.
-    if (&IP.program() != Prog) {
-      if (!verify(IP.program(), &Err))
-        return failWith(ErrorOut, "image program invariant: " + Err);
-      if (IP.program().Name != Prog->Name ||
-          IP.program().Procs.size() != Prog->Procs.size() ||
-          IP.program().blockCount() != Prog->blockCount())
-        return failWith(ErrorOut, "image program diverged from source");
-    }
     if (IP.numTypes() == 0)
       return failWith(ErrorOut, "image has zero phase types");
     if (!checkMarks(IP.program(), IP.marks(), IP.numTypes(), ErrorOut))
@@ -375,30 +347,22 @@ bool pbt::verifyPrep(const ProgramPrep &PC, const TechniqueSpec *Tech,
                       "image mark-cost model differs from technique");
   }
 
-  if (PC.Flat) {
-    if (PC.Image && &PC.Flat->program() != PC.Image.get())
-      return failWith(ErrorOut, "flat image bound to a different image");
-    if (PC.Cost && &PC.Flat->cost() != PC.Cost.get())
-      return failWith(ErrorOut, "flat image bound to a different cost model");
-    if (!checkFlat(*PC.Flat, ErrorOut))
-      return false;
-  }
+  if (PC.Flat && !checkFlat(*PC.Flat, ErrorOut))
+    return false;
 
   return true;
 }
 
 bool pbt::verifyPrepared(const PreparedSuite &Suite, const MachineConfig &,
                          std::string *ErrorOut) {
-  if (Suite.Images.size() != Suite.Costs.size() ||
-      Suite.Images.size() != Suite.Flats.size() ||
-      Suite.Images.size() != Suite.Names.size())
-    return failWith(ErrorOut, "suite arrays have mismatched sizes");
-  for (size_t I = 0; I < Suite.Images.size(); ++I) {
+  for (size_t I = 0; I < Suite.Flats.size(); ++I) {
+    const std::shared_ptr<const FlatImage> &Flat = Suite.Flats[I];
     ProgramPrep PC;
-    PC.Prog = &Suite.Images[I]->program();
-    PC.Cost = Suite.Costs[I];
-    PC.Image = Suite.Images[I];
-    PC.Flat = Suite.Flats[I];
+    PC.Prog = &Flat->program().program();
+    PC.Cost = std::shared_ptr<const CostModel>(Flat, &Flat->cost());
+    PC.Image =
+        std::shared_ptr<const InstrumentedProgram>(Flat, &Flat->program());
+    PC.Flat = Flat;
     std::string Err;
     if (!verifyPrep(PC, nullptr, &Err))
       return failWith(ErrorOut, "suite[" + std::to_string(I) + "] '" +

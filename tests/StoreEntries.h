@@ -31,7 +31,7 @@ inline bool saveEntry(pbt::exp::CacheStore &Store,
                       const pbt::PreparedSuite &Suite, size_t I) {
   return Store.saveProgram(
       pbt::exp::CacheStore::hashProgram(Programs[I]), MC, Tech, Seed,
-      pbt::PreparedProgram{Suite.Images[I], Suite.Costs[I], Suite.Flats[I]});
+      *Suite.Flats[I]);
 }
 
 /// Saves every program of \p Suite; true when every entry is on disk.
@@ -56,13 +56,11 @@ inline bool loadSuite(pbt::exp::CacheStore &Store,
   bool All = true;
   pbt::PreparedSuite Suite;
   for (const pbt::Program &Prog : Programs) {
-    pbt::PreparedProgram P = Store.loadProgram(
-        pbt::exp::CacheStore::hashProgram(Prog), MC, Tech, Seed);
-    All = All && P.Image;
+    auto Flat = Store.loadProgram(pbt::exp::CacheStore::hashProgram(Prog), MC,
+                                  Tech, Seed);
+    All = All && Flat;
     Suite.Names.push_back(Prog.Name);
-    Suite.Images.push_back(P.Image);
-    Suite.Costs.push_back(P.Cost);
-    Suite.Flats.push_back(P.Flat);
+    Suite.Flats.push_back(std::move(Flat));
   }
   if (Out)
     *Out = Suite;

@@ -177,7 +177,7 @@ TEST(CacheStressTest, SurvivesEnvironmentFaults) {
     SuiteCache Cache; // Cold memory tier every round: disk is in play.
     Cache.setStore(Store);
     PreparedSuite Suite = Cache.get(Programs, MC, Tech);
-    ASSERT_EQ(Suite.Images.size(), Programs.size()) << "round " << Round;
+    ASSERT_EQ(Suite.Flats.size(), Programs.size()) << "round " << Round;
   }
   FaultInjection::instance().reset();
 }

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 using namespace pbt;
 
 namespace {
@@ -175,4 +177,70 @@ TEST(CostModel, CostsSitOnTheExactCycleGrid) {
       }
   EXPECT_EQ(quantizeCycles(0.35), 22938 / 65536.0);
   EXPECT_FALSE(onCycleGrid(0.35));
+}
+
+// A serialized model is its sharer depth, one instruction count per
+// block and the cycle table. A reload answers bit-identically; a table
+// whose length is not blocks x core types x sharers, or an instruction
+// count that disagrees with the program, is rejected.
+TEST(CostModel, DeserializeChecksTableLengthAndInstructionCounts) {
+  Program Prog = twoBlockProgram();
+  MachineConfig MC = MachineConfig::quadAsymmetric();
+  CostModel Cost(Prog, MC);
+  const std::vector<double> &Table = Cost.cycleTable();
+  ASSERT_EQ(Table.size(), 2u * MC.numCoreTypes() * Cost.maxSharers());
+  std::vector<uint32_t> Insts = {Cost.blockInsts(0, 0),
+                                 Cost.blockInsts(0, 1)};
+
+  auto write = [&](const std::vector<uint32_t> &Counts,
+                   const std::vector<double> &Cycles) {
+    BinaryWriter W;
+    W.u32(Cost.maxSharers());
+    W.u32(static_cast<uint32_t>(Counts.size()));
+    for (uint32_t N : Counts)
+      W.u32(N);
+    W.u32(static_cast<uint32_t>(Cycles.size()));
+    for (double C : Cycles)
+      W.f64(C);
+    return W.buffer();
+  };
+  auto rejects = [&](const std::string &Bytes, const MachineConfig &On) {
+    BinaryReader R(Bytes);
+    CostModel::deserializeTables(R, On, Prog);
+    return R.failed();
+  };
+
+  BinaryWriter W;
+  Cost.serializeTables(W);
+  ASSERT_EQ(W.buffer(), write(Insts, Table));
+  BinaryReader R(W.buffer());
+  CostModel Loaded = CostModel::deserializeTables(R, MC, Prog);
+  ASSERT_FALSE(R.failed());
+  EXPECT_EQ(R.remaining(), 0u);
+  ASSERT_EQ(Loaded.cycleTable().size(), Table.size());
+  EXPECT_EQ(0, std::memcmp(Loaded.cycleTable().data(), Table.data(),
+                           Table.size() * sizeof(double)));
+  for (uint32_t Block = 0; Block < 2; ++Block)
+    EXPECT_EQ(Loaded.blockInsts(0, Block), Insts[Block]);
+
+  std::vector<double> Short(Table.begin(), Table.end() - 1);
+  EXPECT_TRUE(rejects(write(Insts, Short), MC)) << "one entry short";
+  std::vector<double> Long = Table;
+  Long.push_back(Table.back());
+  EXPECT_TRUE(rejects(write(Insts, Long), MC)) << "one entry too many";
+  // The quad's table read for a one-type machine with the same sharer
+  // depth: twice the entries that machine's rows hold.
+  MachineConfig Sym = MachineConfig::symmetricQuad();
+  ASSERT_EQ(Sym.maxGroupSize(), MC.maxGroupSize());
+  EXPECT_TRUE(rejects(write(Insts, Table), Sym)) << "other core-type count";
+
+  std::vector<uint32_t> Miscounted = Insts;
+  ++Miscounted[1];
+  EXPECT_TRUE(rejects(write(Miscounted, Table), MC)) << "instruction count";
+  std::vector<uint32_t> ExtraBlock = Insts;
+  ExtraBlock.push_back(1);
+  std::vector<double> ExtraRow = Table;
+  ExtraRow.insert(ExtraRow.end(), Table.begin(),
+                  Table.begin() + MC.numCoreTypes() * Cost.maxSharers());
+  EXPECT_TRUE(rejects(write(ExtraBlock, ExtraRow), MC)) << "block count";
 }

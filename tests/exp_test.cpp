@@ -82,11 +82,11 @@ TechniqueSpec loopTechnique(double Delta = 0.2) {
 /// instrumented images (marks, byte sizes), cost-model samples, flat
 /// images, and spawn affinities.
 void expectSuitesIdentical(const PreparedSuite &A, const PreparedSuite &B) {
-  ASSERT_EQ(A.Images.size(), B.Images.size());
+  ASSERT_EQ(A.Flats.size(), B.Flats.size());
   EXPECT_EQ(A.Names, B.Names);
-  for (size_t I = 0; I < A.Images.size(); ++I) {
-    const InstrumentedProgram &IA = *A.Images[I];
-    const InstrumentedProgram &IB = *B.Images[I];
+  for (size_t I = 0; I < A.Flats.size(); ++I) {
+    const InstrumentedProgram &IA = A.Flats[I]->program();
+    const InstrumentedProgram &IB = B.Flats[I]->program();
     ASSERT_EQ(IA.marks().size(), IB.marks().size());
     for (size_t M = 0; M < IA.marks().size(); ++M) {
       EXPECT_EQ(IA.marks()[M].Proc, IB.marks()[M].Proc);
@@ -101,10 +101,10 @@ void expectSuitesIdentical(const PreparedSuite &A, const PreparedSuite &B) {
     const Program &Prog = IA.program();
     for (const Procedure &Proc : Prog.Procs)
       for (const BasicBlock &BB : Proc.Blocks) {
-        EXPECT_EQ(A.Costs[I]->blockInsts(Proc.Id, BB.Id),
-                  B.Costs[I]->blockInsts(Proc.Id, BB.Id));
-        EXPECT_DOUBLE_EQ(A.Costs[I]->blockCycles(Proc.Id, BB.Id, 0, 1),
-                         B.Costs[I]->blockCycles(Proc.Id, BB.Id, 0, 1));
+        EXPECT_EQ(A.Flats[I]->cost().blockInsts(Proc.Id, BB.Id),
+                  B.Flats[I]->cost().blockInsts(Proc.Id, BB.Id));
+        EXPECT_DOUBLE_EQ(A.Flats[I]->cost().blockCycles(Proc.Id, BB.Id, 0, 1),
+                         B.Flats[I]->cost().blockCycles(Proc.Id, BB.Id, 0, 1));
       }
     EXPECT_EQ(A.Flats[I]->numBlocks(), B.Flats[I]->numBlocks());
   }
@@ -186,11 +186,9 @@ TEST(SuiteCacheTest, TunerOnlyVariationHitsCache) {
   EXPECT_DOUBLE_EQ(Second.Tuner.IpcDelta, 0.4);
   EXPECT_DOUBLE_EQ(First.Tuner.IpcDelta, 0.1);
   // The heavy artifacts are shared, not rebuilt.
-  ASSERT_EQ(First.Images.size(), Second.Images.size());
-  for (size_t I = 0; I < First.Images.size(); ++I) {
-    EXPECT_EQ(First.Images[I].get(), Second.Images[I].get());
+  ASSERT_EQ(First.Flats.size(), Second.Flats.size());
+  for (size_t I = 0; I < First.Flats.size(); ++I)
     EXPECT_EQ(First.Flats[I].get(), Second.Flats[I].get());
-  }
 
   // A different transition is a different preparation.
   TechniqueSpec BB = loopTechnique();
@@ -595,7 +593,7 @@ TEST(CacheStoreTest, TruncatedAndCorruptFilesRejected) {
   // boundary (the header is 64 bytes), and mid-payload.
   for (size_t Keep : {size_t(10), size_t(64), Good.size() / 2}) {
     ASSERT_TRUE(writeFileAtomic(Path, Good.substr(0, Keep)));
-    EXPECT_TRUE(Store.loadProgram(Hash, MC, Tech, 42).Image == nullptr)
+    EXPECT_TRUE(Store.loadProgram(Hash, MC, Tech, 42) == nullptr)
         << "truncated to " << Keep << " bytes";
   }
 
@@ -603,12 +601,12 @@ TEST(CacheStoreTest, TruncatedAndCorruptFilesRejected) {
   std::string Flipped = Good;
   Flipped[Good.size() - 7] ^= 0x20;
   ASSERT_TRUE(writeFileAtomic(Path, Flipped));
-  EXPECT_TRUE(Store.loadProgram(Hash, MC, Tech, 42).Image == nullptr);
+  EXPECT_TRUE(Store.loadProgram(Hash, MC, Tech, 42) == nullptr);
   EXPECT_EQ(Store.rejects(), 4u);
 
   // The pristine bytes still load.
   ASSERT_TRUE(writeFileAtomic(Path, Good));
-  EXPECT_TRUE(Store.loadProgram(Hash, MC, Tech, 42).Image != nullptr);
+  EXPECT_TRUE(Store.loadProgram(Hash, MC, Tech, 42) != nullptr);
 }
 
 // --clean-cache's helper: only entries carrying a foreign format

@@ -104,7 +104,7 @@ struct StoreRig {
     return pbt_test::saveEntry(Store, Programs, MC, Tech, 42, Suite, 0);
   }
   bool load() {
-    return Store.loadProgram(ProgramHash, MC, Tech, 42).Image != nullptr;
+    return Store.loadProgram(ProgramHash, MC, Tech, 42) != nullptr;
   }
   /// Deletes the entry, so the next save() has something to write.
   void removeEntry() { std::remove(Store.pathFor(Key).c_str()); }
@@ -349,7 +349,7 @@ TEST(FaultInjectionTest, EveryRejectReasonQuarantinesAndRecovers) {
   // The neighbor key served hits throughout, untouched by the chaos.
   uint64_t HitsBefore = Rig.Store.hits();
   EXPECT_TRUE(Rig.Store.loadProgram(Rig.ProgramHash, Rig.MC, NeighborTech,
-                                    42).Image != nullptr);
+                                    42) != nullptr);
   EXPECT_EQ(Rig.Store.hits(), HitsBefore + 1);
 }
 

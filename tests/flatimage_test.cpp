@@ -131,8 +131,7 @@ TechniqueSpec bbTechnique() {
 /// Runs one prepared benchmark alone to completion under \p Engine.
 const Process &runAlone(Machine &M, const PreparedSuite &Suite,
                         uint64_t Seed) {
-  uint32_t Pid = M.spawn(Suite.Images[0], Suite.Costs[0], Suite.Tuner, Seed,
-                         -1, 0, Suite.Flats[0]);
+  uint32_t Pid = M.spawn(Suite.Flats[0], Suite.Tuner, Seed);
   while (M.process(Pid).CompletionTime < 0)
     M.run(M.now() + 64);
   return M.process(Pid);
@@ -151,6 +150,8 @@ TEST(FlatImage, GlobalIdsFollowProcOffsets) {
       std::make_shared<const InstrumentedProgram>(Prog, std::move(Empty));
   FlatImage FI(IP, Cost);
 
+  // The image reads its cost model's cycle table in place.
+  EXPECT_EQ(FI.cycleTable(), Cost->cycleTable().data());
   EXPECT_EQ(FI.numBlocks(), Prog.blockCount());
   uint32_t Expected = 0;
   for (const Procedure &P : Prog.Procs) {
@@ -169,64 +170,6 @@ TEST(FlatImage, GlobalIdsFollowProcOffsets) {
     }
     Expected += static_cast<uint32_t>(P.Blocks.size());
   }
-}
-
-// The image's cycle table is its cost model's: serialize writes that
-// table, and deserialize accepts a stored table only when it equals the
-// cost model's bit for bit, with every record's row at its global id.
-TEST(FlatImage, DeserializeChecksTheCostModelsCycleTable) {
-  Program Prog = randomProgram(11);
-  auto Cost = std::make_shared<const CostModel>(
-      Prog, MachineConfig::quadAsymmetric());
-  auto IP = std::make_shared<const InstrumentedProgram>(
-      Prog, computeTransitions(Prog, computeOracleTyping(Prog, *Cost),
-                               TransitionConfig()));
-  FlatImage FI(IP, Cost);
-  EXPECT_EQ(FI.cycleTable(), Cost->cycleTable().data());
-
-  BinaryWriter W;
-  FI.serialize(W);
-  const std::string Bytes = W.buffer();
-  {
-    BinaryReader R(Bytes);
-    FlatImage Loaded = FlatImage::deserialize(R, IP, Cost);
-    ASSERT_FALSE(R.failed());
-    EXPECT_EQ(Loaded.cycleTable(), Cost->cycleTable().data());
-    BinaryWriter Again;
-    Loaded.serialize(Again);
-    EXPECT_EQ(Again.buffer(), Bytes);
-  }
-
-  // The cycle table closes the payload: one bit flipped in its first,
-  // middle or last entry rejects the image.
-  const size_t TableWords = Cost->cycleTable().size();
-  ASSERT_GT(TableWords, 2u);
-  const size_t TableAt = Bytes.size() - 8 * TableWords;
-  for (size_t Word : {size_t(0), TableWords / 2, TableWords - 1}) {
-    SCOPED_TRACE(Word);
-    std::string Flipped = Bytes;
-    Flipped[TableAt + 8 * Word] ^= 1;
-    BinaryReader R(Flipped);
-    FlatImage::deserialize(R, IP, Cost);
-    EXPECT_TRUE(R.failed());
-  }
-
-  // Block 1's row pointed at block 0's stays in bounds, but is not the
-  // row of global id 1. Records follow the three shape words, the offset
-  // vector and the record count; CycleRow follows Op, Insts and Succ.
-  ASSERT_GT(FI.numBlocks(), 1u);
-  const size_t RecordBytes = 1 + 4 * 9 + 8;
-  const size_t Row1At = 4 * 3 + 4 + 4 * FI.numProcs() + 4 + RecordBytes +
-                        1 + 4 * 3;
-  uint32_t Row1 = 0;
-  for (int Byte = 0; Byte < 4; ++Byte) // Little-endian, as BinaryWriter.
-    Row1 |= uint32_t(static_cast<uint8_t>(Bytes[Row1At + Byte])) << 8 * Byte;
-  ASSERT_EQ(Row1, FI.configStride());
-  std::string Moved = Bytes;
-  Moved.replace(Row1At, 4, 4, '\0');
-  BinaryReader R(Moved);
-  FlatImage::deserialize(R, IP, Cost);
-  EXPECT_TRUE(R.failed());
 }
 
 TEST(FlatEngine, BitIdenticalToReferenceIsolated) {
@@ -253,7 +196,7 @@ TEST(FlatEngine, BitIdenticalToReferenceIsolated) {
                      Tech.label());
         expectStatsIdentical(PRef.Stats, PFlat.Stats);
         EXPECT_EQ(PRef.CompletionTime, PFlat.CompletionTime);
-        if (Suite.Images[0]->marks().empty()) {
+        if (Suite.Flats[0]->program().marks().empty()) {
           EXPECT_EQ(PRef.Stats.MarksFired, 0u);
         }
         TotalMarks += PRef.Stats.MarksFired;
@@ -326,7 +269,8 @@ TEST(FlatEngine, SingleSuccessorCondFoldsIdentically) {
   Marking.Marks.push_back({0, 0, 0, MarkPoint::Edge, 0});
   auto IP = std::make_shared<const InstrumentedProgram>(Prog, Marking);
   MachineConfig MC = MachineConfig::quadAsymmetric();
-  auto Cost = std::make_shared<const CostModel>(Prog, MC);
+  auto Flat = std::make_shared<const FlatImage>(
+      IP, std::make_shared<const CostModel>(Prog, MC));
 
   ProcessStats Stats[2];
   double Completion[2];
@@ -335,7 +279,7 @@ TEST(FlatEngine, SingleSuccessorCondFoldsIdentically) {
     SimConfig SC;
     SC.Engine = Engine;
     Machine M(MC, SC, std::make_unique<ObliviousScheduler>());
-    uint32_t Pid = M.spawn(IP, Cost, TunerConfig(), 5);
+    uint32_t Pid = M.spawn(Flat, TunerConfig(), 5);
     while (M.process(Pid).CompletionTime < 0)
       M.run(M.now() + 64);
     Stats[I] = M.process(Pid).Stats;
@@ -439,14 +383,15 @@ void runToCompletion(Machine &M, uint32_t Pid) {
 ProcessStats expectEnginesAgree(std::shared_ptr<const InstrumentedProgram> IP,
                                 const MachineConfig &MC, SimConfig SC,
                                 const Driver &Drive = runToCompletion) {
-  auto Cost = std::make_shared<const CostModel>(IP->program(), MC);
+  auto Flat = std::make_shared<const FlatImage>(
+      IP, std::make_shared<const CostModel>(IP->program(), MC));
   ProcessStats Stats[2];
   double Completion[2];
   int I = 0;
   for (ExecEngine Engine : {ExecEngine::Reference, ExecEngine::Flat}) {
     SC.Engine = Engine;
     Machine M(MC, SC, std::make_unique<ObliviousScheduler>());
-    uint32_t Pid = M.spawn(IP, Cost, TunerConfig(), 5);
+    uint32_t Pid = M.spawn(Flat, TunerConfig(), 5);
     Drive(M, Pid);
     Stats[I] = M.process(Pid).Stats;
     Completion[I] = M.process(Pid).CompletionTime;
@@ -591,21 +536,17 @@ MachineConfig oneCoreMachine() {
   return MC;
 }
 
-/// A program image plus cost model for spawning on \p MC.
-struct Image {
-  std::shared_ptr<const InstrumentedProgram> IP;
-  std::shared_ptr<const CostModel> Cost;
-};
+/// A flat image of a program for spawning on \p MC.
+using Image = std::shared_ptr<const FlatImage>;
 Image imageFor(const Program &Prog, const MachineConfig &MC,
                std::vector<PhaseMark> Marks = {}) {
-  Image Out;
-  Out.IP = withMarks(Prog, std::move(Marks));
-  Out.Cost = std::make_shared<const CostModel>(Out.IP->program(), MC);
-  return Out;
+  auto IP = withMarks(Prog, std::move(Marks));
+  return std::make_shared<const FlatImage>(
+      IP, std::make_shared<const CostModel>(IP->program(), MC));
 }
 
 uint32_t spawnImage(Machine &M, const Image &I, uint64_t Seed = 5) {
-  return M.spawn(I.IP, I.Cost, TunerConfig(), Seed);
+  return M.spawn(I, TunerConfig(), Seed);
 }
 
 /// Core-quanta the Flat machine of expectFusionInvisible stepped and
@@ -838,8 +779,8 @@ TEST(SteadyQuantumFusion, SharerGoesIdleAfterWindow) {
   MC.Cores = {{0, 0}, {0, 0}};
   Image Long = imageFor(loopProgram(600000, 40, true), MC);
   Image Short = imageFor(loopProgram(40000, 40, true, 2), MC);
-  ASSERT_NE(Long.Cost->blockCycles(0, 0, 0, 1),
-            Long.Cost->blockCycles(0, 0, 0, 2));
+  ASSERT_NE(Long->cost().blockCycles(0, 0, 0, 1),
+            Long->cost().blockCycles(0, 0, 0, 2));
   SimConfig SC;
   SC.BalancePeriod = 1e3;
   QuantaCounts Q = expectFusionInvisible(MC, SC, [&](Machine &M) {
@@ -962,7 +903,7 @@ Image phaseChangeImage(uint32_t PreTrips, uint32_t Trips, bool Memory,
 
 uint32_t spawnOn(Machine &M, const Image &I, uint64_t Mask,
                  uint64_t Seed = 5, int32_t Slot = -1) {
-  return M.spawn(I.IP, I.Cost, TunerConfig(), Seed, Slot, Mask);
+  return M.spawn(I, TunerConfig(), Seed, Slot, Mask);
 }
 
 /// Decides phase type 0 of \p Pid's tuner for core type \p Type (0 =
@@ -1178,8 +1119,8 @@ TEST(PerCoreFusion, L2PartnerGoesBusyThenIdleMidWindow) {
   MachineConfig MC = dyadicMachine();
   MC.Cores = {{0, 0}, {0, 0}, {1, 1}};
   Image Long = imageFor(loopProgram(3000000, 40, true), MC);
-  ASSERT_NE(Long.Cost->blockCycles(0, 0, 0, 1),
-            Long.Cost->blockCycles(0, 0, 0, 2));
+  ASSERT_NE(Long->cost().blockCycles(0, 0, 0, 1),
+            Long->cost().blockCycles(0, 0, 0, 2));
   Image Mover = phaseChangeImage(20000, 60000, true, MC);
   Snapshots Snap;
   QuantaCounts Q = expectFusionInvisible(MC, SimConfig(), [&](Machine &M) {
@@ -1245,7 +1186,7 @@ TEST(PerCoreFusion, MaskChangeReenablesSkippedBalance) {
   QuantaCounts Q = expectFusionInvisible(MC, SimConfig(), [&](Machine &M) {
     spawnOn(M, Long, 1u << 0, 1);
     spawnOn(M, Long, 1u << 0, 2);
-    uint32_t C = M.spawn(Widening.IP, Widening.Cost, AllCores, 3, -1, 1u << 0);
+    uint32_t C = M.spawn(Widening, AllCores, 3, -1, 1u << 0);
     M.run(1.0);
     EXPECT_EQ(M.process(C).Stats.MarksFired, 1u);
     EXPECT_EQ(M.queue(1), std::vector<uint32_t>{C});
@@ -1938,13 +1879,13 @@ TEST(TelemetryBalance, ReadsOnlyWhileAJobSpansTypes) {
         spawnOn(M, Long, 1u << 0, 1);
         spawnOn(M, Long, 1u << 0, 2);
         uint32_t X1 =
-            M.spawn(Widening.IP, Widening.Cost, AllCores, 3, -1, 1u << 1);
+            M.spawn(Widening, AllCores, 3, -1, 1u << 1);
         M.setExitHandler([&](Machine &Mach, Process &P) {
           if (P.Pid != X1)
             return;
           X2Arrival = Mach.now() + 1.0;
           Mach.scheduleAt(X2Arrival, [&](Machine &At) {
-            At.spawn(Widening.IP, Widening.Cost, AllCores, 4, -1, 1u << 1);
+            At.spawn(Widening, AllCores, 4, -1, 1u << 1);
           });
         });
         M.run(12.0);

@@ -1,6 +1,6 @@
 //===- tests/incremental_test.cpp - per-program incremental store ---------===//
 //
-// The per-program persistent cache: `pbt-prog-v2` entries round-trip
+// The per-program persistent cache: `pbt-prog-v3` entries round-trip
 // bit-identically, adding one benchmark to a cached suite re-prepares
 // exactly that benchmark, programs dedupe across suites, corrupt
 // entries quarantine and heal, the store holds nothing but program
@@ -68,12 +68,11 @@ TechniqueSpec loopTechnique() {
 
 /// Field-exact comparison of one prepared program against another:
 /// marks, cost samples, and the serialized flat image byte stream.
-void expectProgramsBitIdentical(const PreparedProgram &A,
-                                const PreparedProgram &B) {
-  ASSERT_TRUE(A.Image && A.Cost && A.Flat);
-  ASSERT_TRUE(B.Image && B.Cost && B.Flat);
-  const InstrumentedProgram &IA = *A.Image;
-  const InstrumentedProgram &IB = *B.Image;
+void expectProgramsBitIdentical(const std::shared_ptr<const FlatImage> &A,
+                                const std::shared_ptr<const FlatImage> &B) {
+  ASSERT_TRUE(A && B);
+  const InstrumentedProgram &IA = A->program();
+  const InstrumentedProgram &IB = B->program();
   EXPECT_EQ(IA.program().Name, IB.program().Name);
   ASSERT_EQ(IA.marks().size(), IB.marks().size());
   for (size_t M = 0; M < IA.marks().size(); ++M) {
@@ -86,23 +85,20 @@ void expectProgramsBitIdentical(const PreparedProgram &A,
   const Program &Prog = IA.program();
   for (const Procedure &Proc : Prog.Procs)
     for (const BasicBlock &BB : Proc.Blocks)
-      EXPECT_EQ(A.Cost->blockInsts(Proc.Id, BB.Id),
-                B.Cost->blockInsts(Proc.Id, BB.Id));
+      EXPECT_EQ(A->cost().blockInsts(Proc.Id, BB.Id),
+                B->cost().blockInsts(Proc.Id, BB.Id));
   BinaryWriter WA, WB;
-  A.Flat->serialize(WA);
-  B.Flat->serialize(WB);
+  A->serialize(WA);
+  B->serialize(WB);
   EXPECT_EQ(WA.buffer(), WB.buffer());
 }
 
 void expectSuitesBitIdentical(const PreparedSuite &A,
                               const PreparedSuite &B) {
-  ASSERT_EQ(A.Images.size(), B.Images.size());
+  ASSERT_EQ(A.Flats.size(), B.Flats.size());
   EXPECT_EQ(A.Names, B.Names);
-  for (size_t I = 0; I < A.Images.size(); ++I) {
-    PreparedProgram PA{A.Images[I], A.Costs[I], A.Flats[I]};
-    PreparedProgram PB{B.Images[I], B.Costs[I], B.Flats[I]};
-    expectProgramsBitIdentical(PA, PB);
-  }
+  for (size_t I = 0; I < A.Flats.size(); ++I)
+    expectProgramsBitIdentical(A.Flats[I], B.Flats[I]);
 }
 
 /// Sorted names of the store's files matching \p Substr.
@@ -157,19 +153,20 @@ TEST(IncrementalStore, ProgEntryRoundTripBitIdentical) {
   MachineConfig MC = MachineConfig::quadAsymmetric();
   TechniqueSpec Tech = loopTechnique();
 
-  std::vector<PreparedProgram> Fresh = preparePrograms(Programs, MC, Tech, 42);
+  std::vector<std::shared_ptr<const FlatImage>> Fresh =
+      preparePrograms(Programs, MC, Tech, 42);
   for (size_t I = 0; I < Programs.size(); ++I)
     ASSERT_TRUE(Store.saveProgram(CacheStore::hashProgram(Programs[I]), MC,
-                                  Tech, 42, Fresh[I]));
+                                  Tech, 42, *Fresh[I]));
   EXPECT_EQ(Store.writes(), Programs.size());
   ASSERT_TRUE(Store.saveProgram(CacheStore::hashProgram(Programs[0]), MC,
-                                Tech, 42, Fresh[0]));
+                                Tech, 42, *Fresh[0]));
   EXPECT_EQ(Store.writes(), Programs.size()) << "existing entry rewritten";
 
   for (size_t I = 0; I < Programs.size(); ++I) {
-    PreparedProgram Loaded =
-        Store.loadProgram(CacheStore::hashProgram(Programs[I]), MC, Tech, 42);
-    expectProgramsBitIdentical(Fresh[I], Loaded);
+    expectProgramsBitIdentical(
+        Fresh[I],
+        Store.loadProgram(CacheStore::hashProgram(Programs[I]), MC, Tech, 42));
   }
   EXPECT_EQ(Store.hits(), Programs.size());
   EXPECT_EQ(Store.misses(), 0u);
@@ -187,12 +184,11 @@ TEST(IncrementalStore, ProgProbeMissesAreKeyed) {
   ASSERT_TRUE(saveSuite(Store, {Programs[0]}, MC, Tech, 42,
                         prepareSuite({Programs[0]}, MC, Tech, 42)));
 
-  PreparedProgram Absent =
-      Store.loadProgram(CacheStore::hashProgram(Programs[1]), MC, Tech, 42);
-  EXPECT_TRUE(Absent.Image == nullptr);
-  PreparedProgram WrongSeed =
-      Store.loadProgram(CacheStore::hashProgram(Programs[0]), MC, Tech, 43);
-  EXPECT_TRUE(WrongSeed.Image == nullptr);
+  EXPECT_TRUE(Store.loadProgram(CacheStore::hashProgram(Programs[1]), MC,
+                                Tech, 42) == nullptr);
+  EXPECT_TRUE(Store.loadProgram(CacheStore::hashProgram(Programs[0]), MC,
+                                Tech, 43) == nullptr)
+      << "wrong typing seed";
   EXPECT_EQ(Store.misses(), 2u);
   EXPECT_EQ(Store.rejects(), 0u); // Plain absence, nothing rejected.
 }
@@ -432,10 +428,77 @@ TEST(IncrementalStore, CleanMismatchedVersionsCoversProgEntries) {
   EXPECT_EQ(filesContaining(Dir, "suite-").size(), 1u);
 
   // Current entries still load after the clean.
-  PreparedProgram Loaded =
-      Store.loadProgram(CacheStore::hashProgram(Programs[0]), MC, Tech, 42);
-  EXPECT_TRUE(Loaded.Image != nullptr);
+  EXPECT_TRUE(Store.loadProgram(CacheStore::hashProgram(Programs[0]), MC,
+                                Tech, 42) != nullptr);
 
   std::remove((Dir + "/prog-00000000cafecafe.pbt").c_str());
   std::remove((Dir + "/suite-00000000deadbeef.pbt").c_str());
+}
+
+// A store left by the `pbt-prog-v2` format: its entries are misses (the
+// version is in the key and in every header), each program is prepared
+// again and written back as v3, and cleanMismatchedVersions then
+// removes the leftovers. Program 0's leftover sits at its v3 entry path,
+// so the probe reads and rejects it; program 1's sits under another key,
+// as a v2 key would, so its probe is a plain miss.
+TEST(IncrementalStore, LeftoverV2EntriesMissAndAreRewrittenAsV3) {
+  std::string Dir = testCacheDir("incr_v2_leftover.cache");
+  std::vector<Program> Programs = randomPrograms(43, 2);
+  MachineConfig MC = MachineConfig::quadAsymmetric();
+  TechniqueSpec Tech = loopTechnique();
+  PreparedSuite Reference = prepareSuite(Programs, MC, Tech, 42);
+
+  auto versionOf = [](const std::string &Path) {
+    std::string Bytes;
+    if (!readFileBytes(Path, Bytes) || Bytes.size() < 8)
+      return 0u;
+    BinaryReader R(Bytes);
+    R.u32(); // Magic.
+    return R.u32();
+  };
+  std::string LeftoverPath = Dir + "/prog-00000000000000f2.pbt";
+  CacheStore Writer(Dir);
+  ASSERT_TRUE(saveSuite(Writer, Programs, MC, Tech, 42, Reference));
+  for (size_t I = 0; I < Programs.size(); ++I) {
+    std::string Path = entryPath(Writer, Programs[I], MC, Tech, 42);
+    std::string Bytes;
+    ASSERT_TRUE(readFileBytes(Path, Bytes));
+    Bytes[4] = 2; // Format version, little-endian, after the magic.
+    ASSERT_EQ(versionOf(Path), CacheStore::ProgFormatVersion);
+    if (I == 0) {
+      ASSERT_TRUE(writeFileBytes(Path, Bytes));
+    } else {
+      ASSERT_TRUE(writeFileBytes(LeftoverPath, Bytes));
+      std::remove(Path.c_str());
+    }
+  }
+
+  auto Store = std::make_shared<CacheStore>(Dir);
+  SuiteCache Cache;
+  Cache.setStore(Store);
+  PreparedSuite Rebuilt = Cache.get(Programs, MC, Tech, 42);
+  EXPECT_EQ(Cache.preparedPrograms(), Programs.size());
+  EXPECT_EQ(Cache.programStoreHits(), 0u);
+  EXPECT_EQ(Store->hits(), 0u);
+  EXPECT_EQ(Store->misses(), Programs.size());
+  EXPECT_EQ(Store->rejects(), 1u);
+  EXPECT_EQ(filesContaining(Dir, ".quarantined-version").size(), 1u);
+  EXPECT_EQ(Store->writes(), Programs.size());
+  expectSuitesBitIdentical(Rebuilt, Reference);
+  for (const Program &Prog : Programs)
+    EXPECT_EQ(versionOf(entryPath(*Store, Prog, MC, Tech, 42)),
+              CacheStore::ProgFormatVersion)
+        << Prog.Name;
+
+  EXPECT_EQ(Store->cleanMismatchedVersions(), 1u);
+  std::string Bytes;
+  EXPECT_FALSE(readFileBytes(LeftoverPath, Bytes));
+
+  // The rewritten entries serve a later process whole.
+  auto Warm = std::make_shared<CacheStore>(Dir);
+  SuiteCache Again;
+  Again.setStore(Warm);
+  expectSuitesBitIdentical(Again.get(Programs, MC, Tech, 42), Reference);
+  EXPECT_EQ(Again.storeHits(), 1u);
+  EXPECT_EQ(Warm->rejects(), 0u);
 }

@@ -54,7 +54,7 @@ TEST(Integration, SwitchCostAmortized) {
       Job.Stats.CyclesConsumed / static_cast<double>(Job.Stats.CoreSwitches);
   // Paper Fig. 5: work per switch dwarfs the ~1000-cycle switch cost.
   EXPECT_GT(CyclesPerSwitch,
-            10.0 * Suite.Images[0]->cost().SwitchCycles);
+            10.0 * Suite.Flats[0]->program().cost().SwitchCycles);
 }
 
 TEST(Integration, TunedBeatsBaselineOnQuad) {
@@ -116,10 +116,14 @@ TEST(Integration, TuneOnceRunAnywhere) {
   // Prepare against the quad (the typing is behavioural, but marks are
   // machine-independent).
   PreparedSuite Suite = prepareSuite(One, Quad, loopTechnique());
-  // Run the SAME image on the 3-core machine (costs recomputed there).
-  auto CostThree = std::make_shared<const CostModel>(Prog, Three);
+  // Run the SAME instrumented image on the 3-core machine, flattened
+  // with costs recomputed there.
+  std::shared_ptr<const InstrumentedProgram> Image(
+      Suite.Flats[0], &Suite.Flats[0]->program());
+  auto FlatThree = std::make_shared<const FlatImage>(
+      Image, std::make_shared<const CostModel>(Prog, Three));
   Machine M(Three, SimConfig(), std::make_unique<ObliviousScheduler>());
-  uint32_t Pid = M.spawn(Suite.Images[0], CostThree, Suite.Tuner, 9);
+  uint32_t Pid = M.spawn(FlatThree, Suite.Tuner, 9);
   M.run(400);
   const Process &P = M.process(Pid);
   EXPECT_TRUE(P.Finished);

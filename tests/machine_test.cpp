@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 using namespace pbt;
 
 namespace {
@@ -23,11 +25,15 @@ Program loopProgram(uint32_t Trips = 1000, bool Memory = false) {
   return B.take();
 }
 
-std::shared_ptr<const InstrumentedProgram> plainImage(const Program &Prog) {
+/// An uninstrumented image of \p Prog, costed for \p MC.
+std::shared_ptr<const FlatImage> plainFlat(const Program &Prog,
+                                           const MachineConfig &MC) {
   MarkingResult Empty;
   Empty.NumTypes = 1;
   Empty.RegionType.resize(Prog.Procs.size());
-  return std::make_shared<const InstrumentedProgram>(Prog, std::move(Empty));
+  return std::make_shared<const FlatImage>(
+      std::make_shared<const InstrumentedProgram>(Prog, std::move(Empty)),
+      std::make_shared<const CostModel>(Prog, MC));
 }
 
 } // namespace
@@ -53,10 +59,9 @@ TEST(CounterManager, UnlimitedMode) {
 TEST(Machine, SingleProcessRunsToCompletion) {
   MachineConfig MC = MachineConfig::quadAsymmetric();
   Program Prog = loopProgram();
-  auto Image = plainImage(Prog);
-  auto Cost = std::make_shared<const CostModel>(Prog, MC);
+  auto Flat = plainFlat(Prog, MC);
   Machine M(MC, SimConfig(), std::make_unique<ObliviousScheduler>());
-  uint32_t Pid = M.spawn(Image, Cost, TunerConfig(), 1);
+  uint32_t Pid = M.spawn(Flat, TunerConfig(), 1);
   M.run(100);
   const Process &P = M.process(Pid);
   EXPECT_TRUE(P.Finished);
@@ -66,17 +71,38 @@ TEST(Machine, SingleProcessRunsToCompletion) {
   EXPECT_EQ(P.Stats.MarksFired, 0u);
 }
 
+TEST(Machine, SpawnRejectsImageCostedForAnotherCoreTypeCount) {
+  // An image's cycle rows hold one entry per core type of the machine
+  // its cost model was built for; read on a machine with another count,
+  // a slow core would charge the next block's row.
+  Program Prog = loopProgram();
+  MachineConfig Quad = MachineConfig::quadAsymmetric();
+  MachineConfig Sym = MachineConfig::symmetricQuad();
+  Machine OnQuad(Quad, SimConfig(), std::make_unique<ObliviousScheduler>());
+  EXPECT_THROW(OnQuad.spawn(plainFlat(Prog, Sym), TunerConfig(), 1),
+               std::invalid_argument);
+  EXPECT_TRUE(OnQuad.processes().empty());
+  Machine OnSym(Sym, SimConfig(), std::make_unique<ObliviousScheduler>());
+  EXPECT_THROW(OnSym.spawn(plainFlat(Prog, Quad), TunerConfig(), 1),
+               std::invalid_argument);
+  EXPECT_TRUE(OnSym.processes().empty());
+  // The same program costed for each machine is accepted there.
+  OnQuad.spawn(plainFlat(Prog, Quad), TunerConfig(), 1);
+  OnSym.spawn(plainFlat(Prog, Sym), TunerConfig(), 1);
+  EXPECT_EQ(OnQuad.processes().size(), 1u);
+  EXPECT_EQ(OnSym.processes().size(), 1u);
+}
+
 TEST(Machine, InstructionCountIndependentOfMachine) {
   // The same program retires the same instructions on any machine.
   Program Prog = loopProgram(500);
-  auto Image = plainImage(Prog);
   uint64_t Counts[2];
   int Index = 0;
   for (MachineConfig MC :
        {MachineConfig::quadAsymmetric(), MachineConfig::threeCore()}) {
-    auto Cost = std::make_shared<const CostModel>(Prog, MC);
+    auto Flat = plainFlat(Prog, MC);
     Machine M(MC, SimConfig(), std::make_unique<ObliviousScheduler>());
-    uint32_t Pid = M.spawn(Image, Cost, TunerConfig(), 7);
+    uint32_t Pid = M.spawn(Flat, TunerConfig(), 7);
     M.run(200);
     EXPECT_TRUE(M.process(Pid).Finished);
     Counts[Index++] = M.process(Pid).Stats.InstsRetired;
@@ -86,13 +112,12 @@ TEST(Machine, InstructionCountIndependentOfMachine) {
 
 TEST(Machine, DeterministicForSeed) {
   Program Prog = loopProgram(800, true);
-  auto Image = plainImage(Prog);
   MachineConfig MC = MachineConfig::quadAsymmetric();
-  auto Cost = std::make_shared<const CostModel>(Prog, MC);
+  auto Flat = plainFlat(Prog, MC);
   double Completion[2];
   for (int Round = 0; Round < 2; ++Round) {
     Machine M(MC, SimConfig(), std::make_unique<ObliviousScheduler>());
-    uint32_t Pid = M.spawn(Image, Cost, TunerConfig(), 33);
+    uint32_t Pid = M.spawn(Flat, TunerConfig(), 33);
     M.run(200);
     Completion[Round] = M.process(Pid).CompletionTime;
   }
@@ -104,7 +129,6 @@ TEST(Machine, FasterAloneOnFastCore) {
   // otherwise empty machine both types are free, so compare machines
   // that ONLY have one type.
   Program Prog = loopProgram(2000);
-  auto Image = plainImage(Prog);
   MachineConfig FastOnly;
   FastOnly.CoreTypes = {{"fast", 2.4e6, 4096}};
   FastOnly.Cores = {{0, 0}};
@@ -114,9 +138,9 @@ TEST(Machine, FasterAloneOnFastCore) {
   double Times[2];
   int I = 0;
   for (const MachineConfig &MC : {FastOnly, SlowOnly}) {
-    auto Cost = std::make_shared<const CostModel>(Prog, MC);
+    auto Flat = plainFlat(Prog, MC);
     Machine M(MC, SimConfig(), std::make_unique<ObliviousScheduler>());
-    uint32_t Pid = M.spawn(Image, Cost, TunerConfig(), 3);
+    uint32_t Pid = M.spawn(Flat, TunerConfig(), 3);
     M.run(400);
     EXPECT_TRUE(M.process(Pid).Finished);
     Times[I++] = M.process(Pid).CompletionTime;
@@ -128,7 +152,6 @@ TEST(Machine, FasterAloneOnFastCore) {
 
 TEST(Machine, MemoryCodeScalesSublinearly) {
   Program Prog = loopProgram(2000, /*Memory=*/true);
-  auto Image = plainImage(Prog);
   MachineConfig FastOnly;
   FastOnly.CoreTypes = {{"fast", 2.4e6, 4096}};
   FastOnly.Cores = {{0, 0}};
@@ -138,9 +161,9 @@ TEST(Machine, MemoryCodeScalesSublinearly) {
   double Times[2];
   int I = 0;
   for (const MachineConfig &MC : {FastOnly, SlowOnly}) {
-    auto Cost = std::make_shared<const CostModel>(Prog, MC);
+    auto Flat = plainFlat(Prog, MC);
     Machine M(MC, SimConfig(), std::make_unique<ObliviousScheduler>());
-    uint32_t Pid = M.spawn(Image, Cost, TunerConfig(), 3);
+    uint32_t Pid = M.spawn(Flat, TunerConfig(), 3);
     M.run(600);
     EXPECT_TRUE(M.process(Pid).Finished);
     Times[I++] = M.process(Pid).CompletionTime;
@@ -152,12 +175,11 @@ TEST(Machine, MemoryCodeScalesSublinearly) {
 
 TEST(Machine, MultipleProcessesShareCores) {
   Program Prog = loopProgram(1500);
-  auto Image = plainImage(Prog);
   MachineConfig MC = MachineConfig::quadAsymmetric();
-  auto Cost = std::make_shared<const CostModel>(Prog, MC);
+  auto Flat = plainFlat(Prog, MC);
   Machine M(MC, SimConfig(), std::make_unique<ObliviousScheduler>());
   for (int I = 0; I < 8; ++I)
-    M.spawn(Image, Cost, TunerConfig(), 100 + I);
+    M.spawn(Flat, TunerConfig(), 100 + I);
   M.run(400);
   for (const auto &P : M.processes())
     EXPECT_TRUE(P->Finished);
@@ -168,28 +190,26 @@ TEST(Machine, MultipleProcessesShareCores) {
 
 TEST(Machine, ExitHandlerFires) {
   Program Prog = loopProgram(200);
-  auto Image = plainImage(Prog);
   MachineConfig MC = MachineConfig::quadAsymmetric();
-  auto Cost = std::make_shared<const CostModel>(Prog, MC);
+  auto Flat = plainFlat(Prog, MC);
   Machine M(MC, SimConfig(), std::make_unique<ObliviousScheduler>());
   int Exits = 0;
   M.setExitHandler([&](Machine &, Process &P) {
     ++Exits;
     EXPECT_TRUE(P.Finished);
   });
-  M.spawn(Image, Cost, TunerConfig(), 5);
-  M.spawn(Image, Cost, TunerConfig(), 6);
+  M.spawn(Flat, TunerConfig(), 5);
+  M.spawn(Flat, TunerConfig(), 6);
   M.run(200);
   EXPECT_EQ(Exits, 2);
 }
 
 TEST(Machine, MoveQueuedRespectsAffinity) {
   Program Prog = loopProgram(100000);
-  auto Image = plainImage(Prog);
   MachineConfig MC = MachineConfig::quadAsymmetric();
-  auto Cost = std::make_shared<const CostModel>(Prog, MC);
+  auto Flat = plainFlat(Prog, MC);
   Machine M(MC, SimConfig(), std::make_unique<ObliviousScheduler>());
-  uint32_t Pid = M.spawn(Image, Cost, TunerConfig(), 5);
+  uint32_t Pid = M.spawn(Flat, TunerConfig(), 5);
   // Find its queue.
   uint32_t Home = UINT32_MAX;
   for (uint32_t Core = 0; Core < 4; ++Core)
@@ -207,12 +227,11 @@ TEST(Machine, MoveQueuedRespectsAffinity) {
 
 TEST(Machine, TotalInstructionsAggregates) {
   Program Prog = loopProgram(300);
-  auto Image = plainImage(Prog);
   MachineConfig MC = MachineConfig::quadAsymmetric();
-  auto Cost = std::make_shared<const CostModel>(Prog, MC);
+  auto Flat = plainFlat(Prog, MC);
   Machine M(MC, SimConfig(), std::make_unique<ObliviousScheduler>());
-  M.spawn(Image, Cost, TunerConfig(), 1);
-  M.spawn(Image, Cost, TunerConfig(), 2);
+  M.spawn(Flat, TunerConfig(), 1);
+  M.spawn(Flat, TunerConfig(), 2);
   M.run(100);
   uint64_t Sum = 0;
   for (const auto &P : M.processes())

@@ -86,12 +86,12 @@ std::vector<TechniqueSpec> pinTechniques() {
 }
 
 /// FNV-1a digest of everything that makes up a prepared suite: each
-/// program's name, marks and instrumented size, its cost tables, and its
+/// program's name, marks and instrumented size, its cost model, and its
 /// serialized flat image (which carries the cycle table).
 uint64_t suiteDigest(const PreparedSuite &Suite) {
   BinaryWriter W;
-  for (size_t I = 0; I < Suite.Images.size(); ++I) {
-    const InstrumentedProgram &IP = *Suite.Images[I];
+  for (size_t I = 0; I < Suite.Flats.size(); ++I) {
+    const InstrumentedProgram &IP = Suite.Flats[I]->program();
     W.str(Suite.Names[I]);
     W.u64(IP.marks().size());
     for (const PhaseMark &M : IP.marks()) {
@@ -102,7 +102,7 @@ uint64_t suiteDigest(const PreparedSuite &Suite) {
       W.u32(M.PhaseType);
     }
     W.u64(IP.instrumentedByteSize());
-    Suite.Costs[I]->serializeTables(W);
+    Suite.Flats[I]->cost().serializeTables(W);
     Suite.Flats[I]->serialize(W);
   }
   return hashString(W.buffer());
@@ -115,6 +115,42 @@ struct VerifyIRGuard {
   VerifyIRGuard() : Saved(verifyIREnabled()) {}
   ~VerifyIRGuard() { setVerifyIR(Saved); }
 };
+
+/// The prepared state of \p Prog as a ProgramPrep: the flat image with
+/// the instrumented program and cost model it owns.
+ProgramPrep prepOf(const Program &Prog,
+                   const std::shared_ptr<const FlatImage> &Flat) {
+  ProgramPrep PC;
+  PC.Prog = &Prog;
+  PC.Cost = std::shared_ptr<const CostModel>(Flat, &Flat->cost());
+  PC.Image =
+      std::shared_ptr<const InstrumentedProgram>(Flat, &Flat->program());
+  PC.Flat = Flat;
+  return PC;
+}
+
+/// \p Flat's cost model with its first cycle-table entry nudged off the
+/// cycle grid, as a store entry written before cost quantization would
+/// hold it. The table follows the sharer depth, the instruction counts
+/// and the table length.
+std::shared_ptr<const CostModel> offGridCost(const FlatImage &Flat) {
+  const Program &Prog = Flat.program().program();
+  BinaryWriter W;
+  Flat.cost().serializeTables(W);
+  std::string Bytes = W.buffer();
+  size_t At = 4 + 4 + 4 * Prog.blockCount() + 4;
+  double Entry;
+  std::memcpy(&Entry, Bytes.data() + At, sizeof(Entry));
+  EXPECT_TRUE(onCycleGrid(Entry));
+  EXPECT_EQ(Entry, Flat.cycleTable()[0]);
+  double OffGrid = Entry + 0x1p-20;
+  std::memcpy(&Bytes[At], &OffGrid, sizeof(OffGrid));
+  BinaryReader R(Bytes);
+  auto Cost = std::make_shared<const CostModel>(
+      CostModel::deserializeTables(R, Flat.cost().machine(), Prog));
+  EXPECT_FALSE(R.failed());
+  return Cost;
+}
 
 /// Programs stage \p Name has run on so far in this process.
 uint64_t stagePrograms(const PipelineStats &Stats, const char *Name) {
@@ -135,7 +171,11 @@ uint64_t stagePrograms(const PipelineStats &Stats, const char *Name) {
 // monolithic preparation path, so they carry that guarantee forward.
 // When the flat image dropped its superblock-chain summaries they were
 // re-taken, and equal the digests of the older pipeline with each image
-// serialized without its chain fields (Chain ops counted as Jump). A
+// serialized without its chain fields (Chain ops counted as Jump). When
+// the cost model came to keep instruction counts plus one cycle table
+// (and serialize just those) they were re-taken again, and equal the
+// digests of the older pipeline with each cost model serialized in the
+// new layout from its own tables. A
 // change that alters prepared artifacts must update this table in a
 // reviewed edit and give its reason in CHANGES.md. The digests assume
 // IEEE-754 doubles without floating-point contraction (the default
@@ -152,17 +192,17 @@ struct PinRow {
 };
 
 const PinRow Pins[] = {
-    {3, 6, 0, 42, 0x41bf1f23c8a087c0ull},     // Linux
-    {3, 6, 1, 42, 0x61a0fdfab5504364ull},     // Loop[45]
-    {3, 6, 2, 42, 0xdea164005445dcd6ull},     // BB[15,0]
-    {3, 6, 3, 42, 0x13d50eb16c77c471ull},     // Loop[45]+static+err25%
-    {101, 6, 0, 42, 0x29e2700d8d2165beull},   // Linux
-    {101, 6, 1, 42, 0x22faa387f48fd605ull},   // Loop[45]
-    {101, 6, 2, 42, 0xaf7a657ae5f04d27ull},   // BB[15,0]
-    {101, 6, 3, 42, 0x9399e88b8d00ced0ull},   // Loop[45]+static+err25%
-    {17, 5, 4, 7, 0xdcc0ad0ab9fa1e8cull},     // Loop[45]+static+err15%
-    {17, 5, 4, 42, 0xeae08124f960b9b2ull},    // Loop[45]+static+err15%
-    {17, 5, 4, 1234, 0x729544fab55f9ae9ull},  // Loop[45]+static+err15%
+    {3, 6, 0, 42, 0x303f51f4d6fd2783ull},     // Linux
+    {3, 6, 1, 42, 0xe753670ed6b804fbull},     // Loop[45]
+    {3, 6, 2, 42, 0x3a88c9a99d1afe53ull},     // BB[15,0]
+    {3, 6, 3, 42, 0xbe52e00de3f4d472ull},     // Loop[45]+static+err25%
+    {101, 6, 0, 42, 0x55bb231c9f271785ull},   // Linux
+    {101, 6, 1, 42, 0x90143396c0ecb4b6ull},   // Loop[45]
+    {101, 6, 2, 42, 0xc6198a748116a500ull},   // BB[15,0]
+    {101, 6, 3, 42, 0x0f9c23a839df6fcfull},   // Loop[45]+static+err25%
+    {17, 5, 4, 7, 0x758287242b686c69ull},     // Loop[45]+static+err15%
+    {17, 5, 4, 42, 0xf51fd812a779b7ebull},    // Loop[45]+static+err15%
+    {17, 5, 4, 1234, 0x06ff81946c0687c8ull},  // Loop[45]+static+err15%
 };
 
 } // namespace
@@ -231,7 +271,7 @@ TEST(PrepareStages, EachStageRunsOncePerProgram) {
     SCOPED_TRACE(R.Tech.label() + (R.VerifyIR ? " under verify-IR" : ""));
     setVerifyIR(R.VerifyIR);
     PipelineStats Before = cumulativePipelineStats();
-    std::vector<PreparedProgram> Prepared =
+    std::vector<std::shared_ptr<const FlatImage>> Prepared =
         preparePrograms(Programs, MC, R.Tech, 42);
     PipelineStats After = cumulativePipelineStats();
 
@@ -254,14 +294,10 @@ TEST(PrepareStages, EachStageRunsOncePerProgram) {
 
     // Every program's prepared state is complete and verifies.
     for (size_t I = 0; I < N; ++I) {
-      ProgramPrep PC;
-      PC.Prog = &Programs[I];
-      PC.Cost = Prepared[I].Cost;
-      PC.Image = Prepared[I].Image;
-      PC.Flat = Prepared[I].Flat;
+      ASSERT_TRUE(Prepared[I]);
       std::string Err;
-      EXPECT_TRUE(PC.Cost && PC.Image && PC.Flat);
-      EXPECT_TRUE(verifyPrep(PC, &R.Tech, &Err)) << Err;
+      EXPECT_TRUE(verifyPrep(prepOf(Programs[I], Prepared[I]), &R.Tech, &Err))
+          << Err;
     }
   }
 }
@@ -278,18 +314,11 @@ struct PreparedFixture {
   MachineConfig MC = MachineConfig::quadAsymmetric();
   TechniqueSpec Tech = loopTechnique();
   std::vector<Program> Programs = randomPrograms(53, 2);
-  std::vector<PreparedProgram> Prepared =
+  std::vector<std::shared_ptr<const FlatImage>> Prepared =
       preparePrograms(Programs, MC, Tech, 42);
 
   /// The prepared state of program \p I as a ProgramPrep.
-  ProgramPrep prep(size_t I) const {
-    ProgramPrep PC;
-    PC.Prog = &Programs[I];
-    PC.Cost = Prepared[I].Cost;
-    PC.Image = Prepared[I].Image;
-    PC.Flat = Prepared[I].Flat;
-    return PC;
-  }
+  ProgramPrep prep(size_t I) const { return prepOf(Programs[I], Prepared[I]); }
 };
 
 void expectRejected(const ProgramPrep &PC, const TechniqueSpec *Tech,
@@ -366,23 +395,6 @@ TEST(VerifyPass, RejectsBrokenPreImageMarking) {
   expectRejected(PC, &F.Tech, "mark proc out of range");
 }
 
-TEST(VerifyPass, RejectsCrossWiredArtifacts) {
-  PreparedFixture F;
-
-  // Flat image of program 0 presented with program 1's image.
-  ProgramPrep Mixed = F.prep(1);
-  Mixed.Flat = F.Prepared[0].Flat;
-  expectRejected(Mixed, &F.Tech, "flat image bound to a different image");
-
-  // Flat image presented with a freshly built (equal-valued but
-  // different-object) cost model: binding is by identity, because the
-  // flat image inlined that exact object's tables.
-  ProgramPrep Rebound = F.prep(0);
-  Rebound.Cost =
-      std::make_shared<const CostModel>(F.Programs[0], F.MC);
-  expectRejected(Rebound, &F.Tech, "flat image bound to a different cost model");
-}
-
 TEST(VerifyPass, RejectsImageCostModelDivergence) {
   PreparedFixture F;
   // The technique the context claims uses a different mark-cost profile
@@ -394,32 +406,18 @@ TEST(VerifyPass, RejectsImageCostModelDivergence) {
 
 TEST(VerifyPass, RejectsOffGridCostTables) {
   // A store entry written before cost quantization holds off-grid
-  // tables; the audit must reject them whether they arrive through the
-  // cost model or only through the flat image's inlined copy.
+  // tables; the audit must reject them whether they arrive as the
+  // cost-model stage's binding or only through the flat image that
+  // reads the table.
   PreparedFixture F;
-  const Program &Prog = F.Programs[0];
-  BinaryWriter W;
-  F.Prepared[0].Cost->serializeTables(W);
-  std::string Bytes = W.buffer();
-  // Entry 0's BaseCycles follows MaxSharers, the proc-offset vector,
-  // the entry count, and entry 0's Insts and MemOps.
-  size_t At = 4 + 4 + 4 * Prog.Procs.size() + 4 + 4 + 4;
-  double Base;
-  std::memcpy(&Base, Bytes.data() + At, sizeof(Base));
-  ASSERT_TRUE(onCycleGrid(Base));
-  double OffGrid = Base + 0x1p-20;
-  std::memcpy(&Bytes[At], &OffGrid, sizeof(OffGrid));
-  BinaryReader R(Bytes);
-  auto Cost = std::make_shared<const CostModel>(
-      CostModel::deserializeTables(R, F.MC, Prog));
-  ASSERT_FALSE(R.failed());
-
+  auto Cost = offGridCost(*F.Prepared[0]);
   ProgramPrep PC = F.prep(0);
+  PC.Flat = nullptr;
   PC.Cost = Cost;
+  expectRejected(PC, &F.Tech, "cost table entry off the cycle grid");
+  PC = F.prep(0);
   PC.Flat = std::make_shared<const FlatImage>(PC.Image, Cost);
   expectRejected(PC, &F.Tech, "cost table entry off the cycle grid");
-  PC.Cost = nullptr;
-  expectRejected(PC, &F.Tech, "cycle table off the cycle grid");
 }
 
 //===----------------------------------------------------------------------===//
@@ -434,23 +432,18 @@ TEST(VerifyPrepared, AcceptsFreshSuiteAndNamesBrokenProgram) {
   std::string Err;
   EXPECT_TRUE(verifyPrepared(Suite, MC, &Err)) << Err;
 
-  // Mismatched array sizes are caught before any per-program check.
-  PreparedSuite Lopsided = Suite;
-  Lopsided.Names.pop_back();
-  EXPECT_FALSE(verifyPrepared(Lopsided, MC, &Err));
-  EXPECT_NE(Err.find("suite arrays have mismatched sizes"),
-            std::string::npos);
-
-  // Swapping two programs' flat images is caught at the first broken
-  // index, with the diagnostic naming suite slot and program.
-  PreparedSuite Swapped = Suite;
-  std::swap(Swapped.Flats[0], Swapped.Flats[1]);
-  EXPECT_FALSE(verifyPrepared(Swapped, MC, &Err));
-  EXPECT_NE(Err.find("suite[0] '" + Suite.Names[0] + "'"),
-            std::string::npos)
+  // An image reading an off-grid cycle table is caught, with the
+  // diagnostic naming suite slot and program.
+  PreparedSuite Broken = Suite;
+  const FlatImage &Second = *Suite.Flats[1];
+  Broken.Flats[1] = std::make_shared<const FlatImage>(
+      std::shared_ptr<const InstrumentedProgram>(Suite.Flats[1],
+                                                 &Second.program()),
+      offGridCost(Second));
+  EXPECT_FALSE(verifyPrepared(Broken, MC, &Err));
+  EXPECT_NE(Err.find("suite[1] '" + Suite.Names[1] + "'"), std::string::npos)
       << Err;
-  EXPECT_NE(Err.find("flat image bound to a different image"),
-            std::string::npos);
+  EXPECT_NE(Err.find("off the cycle grid"), std::string::npos) << Err;
 }
 
 // The full benchmark registry — every program the experiments can run —
@@ -543,15 +536,16 @@ TEST(SharedBase, TableTwoTechniquesShareOneBasePerBenchmark) {
 
   std::set<const CostModel *> Distinct;
   for (size_t I = 0; I < N; ++I) {
-    const Program &Base = Suites[0].Images[I]->program();
+    const Program &Base = Suites[0].Flats[I]->program().program();
     EXPECT_NE(&Base, &Programs[I]);
     EXPECT_TRUE(Base == Programs[I]);
-    Distinct.insert(Suites[0].Costs[I].get());
+    const CostModel &Cost = Suites[0].Flats[I]->cost();
+    Distinct.insert(&Cost);
     for (const PreparedSuite &S : Suites) {
-      EXPECT_EQ(S.Costs[I].get(), Suites[0].Costs[I].get()) << Programs[I].Name;
-      EXPECT_EQ(&S.Images[I]->program(), &Base) << Programs[I].Name;
+      EXPECT_EQ(&S.Flats[I]->cost(), &Cost) << Programs[I].Name;
+      EXPECT_EQ(&S.Flats[I]->program().program(), &Base) << Programs[I].Name;
       // Every technique's flat image reads the base's one cycle table.
-      EXPECT_EQ(S.Flats[I]->cycleTable(), S.Costs[I]->cycleTable().data())
+      EXPECT_EQ(S.Flats[I]->cycleTable(), Cost.cycleTable().data())
           << Programs[I].Name;
     }
   }
@@ -608,13 +602,13 @@ TEST(SharedBase, NoFalseSharing) {
   for (const Variant &V : Variants) {
     SCOPED_TRACE(V.What);
     ASSERT_FALSE(V.Prog == Original);
-    std::vector<PreparedProgram> P =
+    std::vector<std::shared_ptr<const FlatImage>> P =
         preparePrograms({Original, V.Prog, Original}, MC, Base);
-    EXPECT_EQ(P[0].Cost.get(), P[2].Cost.get());
-    EXPECT_EQ(&P[0].Image->program(), &P[2].Image->program());
-    EXPECT_NE(P[0].Cost.get(), P[1].Cost.get());
-    EXPECT_NE(&P[0].Image->program(), &P[1].Image->program());
-    EXPECT_TRUE(P[1].Image->program() == V.Prog);
+    EXPECT_EQ(&P[0]->cost(), &P[2]->cost());
+    EXPECT_EQ(&P[0]->program().program(), &P[2]->program().program());
+    EXPECT_NE(&P[0]->cost(), &P[1]->cost());
+    EXPECT_NE(&P[0]->program().program(), &P[1]->program().program());
+    EXPECT_TRUE(P[1]->program().program() == V.Prog);
   }
 
   // Machines: a structurally different machine gets its own base; the
@@ -622,12 +616,13 @@ TEST(SharedBase, NoFalseSharing) {
   PreparedSuite Quad = prepareSuite({Original}, MC, Base);
   PreparedSuite Sym =
       prepareSuite({Original}, MachineConfig::symmetricQuad(), Base);
-  EXPECT_NE(Quad.Costs[0].get(), Sym.Costs[0].get());
-  EXPECT_TRUE(Sym.Costs[0]->machine() == MachineConfig::symmetricQuad());
+  EXPECT_NE(&Quad.Flats[0]->cost(), &Sym.Flats[0]->cost());
+  EXPECT_TRUE(Sym.Flats[0]->cost().machine() ==
+              MachineConfig::symmetricQuad());
   MachineConfig Relabeled = MC;
   Relabeled.Name = "relabeled";
   PreparedSuite Same = prepareSuite({Original}, Relabeled, Base);
-  EXPECT_EQ(Quad.Costs[0].get(), Same.Costs[0].get());
+  EXPECT_EQ(&Quad.Flats[0]->cost(), &Same.Flats[0]->cost());
 }
 
 // The table holds no strong reference: once every prepared artifact is
@@ -636,20 +631,19 @@ TEST(SharedBase, BaseLivesOnlyWhilePreparedArtifactsDo) {
   MachineConfig MC = MachineConfig::quadAsymmetric();
   std::vector<Program> Programs = randomPrograms(71, 3);
   const uint64_t N = Programs.size();
-  std::weak_ptr<const CostModel> Held;
-  std::weak_ptr<const InstrumentedProgram> HeldImage;
+  std::weak_ptr<const FlatImage> Held[2];
 
   uint64_t Built = counterValue("analysis.cost_models_built");
   {
     PreparedSuite Tuned = prepareSuite(Programs, MC, loopTechnique());
     PreparedSuite Plain = prepareSuite(Programs, MC, TechniqueSpec::baseline());
-    EXPECT_EQ(Tuned.Costs[0].get(), Plain.Costs[0].get());
+    EXPECT_EQ(&Tuned.Flats[0]->cost(), &Plain.Flats[0]->cost());
     EXPECT_EQ(counterValue("analysis.cost_models_built") - Built, N);
-    Held = Tuned.Costs[0];
-    HeldImage = Tuned.Images[0];
+    Held[0] = Tuned.Flats[0];
+    Held[1] = Plain.Flats[0];
   }
-  EXPECT_TRUE(Held.expired());
-  EXPECT_TRUE(HeldImage.expired());
+  EXPECT_TRUE(Held[0].expired());
+  EXPECT_TRUE(Held[1].expired());
 
   Built = counterValue("analysis.cost_models_built");
   PreparedSuite Again = prepareSuite(Programs, MC, loopTechnique());
@@ -689,9 +683,9 @@ TEST(SharedBase, ConcurrentPreparationsReproducePinnedDigests) {
     for (size_t T = 0; T < Threads; ++T) {
       EXPECT_EQ(Digests[T][Row], Pins[Row].Digest)
           << "thread " << T << ", row " << Row;
-      for (size_t I = 0; I < Suites[T][Row].Costs.size(); ++I)
-        EXPECT_EQ(Suites[T][Row].Costs[I].get(),
-                  Suites[0][Row].Costs[I].get())
+      for (size_t I = 0; I < Suites[T][Row].Flats.size(); ++I)
+        EXPECT_EQ(&Suites[T][Row].Flats[I]->cost(),
+                  &Suites[0][Row].Flats[I]->cost())
             << "thread " << T << ", row " << Row << ", program " << I;
     }
 }

@@ -161,7 +161,8 @@ TEST_P(MarkingVariant, InstrumentationPreservesSemantics) {
   int Index = 0;
   for (const auto &Image : {Plain, Marked}) {
     Machine M(MC, SC, std::make_unique<ObliviousScheduler>());
-    uint32_t Pid = M.spawn(Image, Cost, TunerConfig(), 1234);
+    uint32_t Pid = M.spawn(std::make_shared<const FlatImage>(Image, Cost),
+                           TunerConfig(), 1234);
     while (M.process(Pid).CompletionTime < 0)
       M.run(M.now() + 64);
     Insts[Index++] = M.process(Pid).Stats.InstsRetired;
@@ -225,10 +226,11 @@ TEST_P(SuiteBenchmark, EngineTerminatesUninstrumented) {
   MarkingResult Empty;
   Empty.NumTypes = 1;
   Empty.RegionType.resize(Prog.Procs.size());
-  auto Image =
-      std::make_shared<const InstrumentedProgram>(Prog, std::move(Empty));
+  auto Flat = std::make_shared<const FlatImage>(
+      std::make_shared<const InstrumentedProgram>(Prog, std::move(Empty)),
+      Cost);
   Machine M(MC, SimConfig(), std::make_unique<ObliviousScheduler>());
-  uint32_t Pid = M.spawn(Image, Cost, TunerConfig(), 42);
+  uint32_t Pid = M.spawn(Flat, TunerConfig(), 42);
   M.run(200);
   if (!M.process(Pid).Finished)
     M.run(1200); // The longest benchmark needs more wall time.

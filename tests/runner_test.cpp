@@ -44,9 +44,9 @@ TEST(PrepareSuite, BaselineHasNoMarks) {
   auto Programs = smallSuite();
   PreparedSuite Suite = prepareSuite(Programs, MachineConfig::quadAsymmetric(),
                                      TechniqueSpec::baseline());
-  ASSERT_EQ(Suite.Images.size(), Programs.size());
-  for (const auto &Image : Suite.Images)
-    EXPECT_TRUE(Image->marks().empty());
+  ASSERT_EQ(Suite.Flats.size(), Programs.size());
+  for (const auto &Flat : Suite.Flats)
+    EXPECT_TRUE(Flat->program().marks().empty());
 }
 
 TEST(PrepareSuite, TunedProgramsWithPhasesHaveMarks) {
@@ -55,8 +55,8 @@ TEST(PrepareSuite, TunedProgramsWithPhasesHaveMarks) {
                                      loopTechnique());
   // gzip and art have phase changes; astar is single-phase but its cold
   // code may still carry marks. At minimum the multi-phase ones do.
-  EXPECT_FALSE(Suite.Images[0]->marks().empty());
-  EXPECT_FALSE(Suite.Images[1]->marks().empty());
+  EXPECT_FALSE(Suite.Flats[0]->program().marks().empty());
+  EXPECT_FALSE(Suite.Flats[1]->program().marks().empty());
 }
 
 TEST(PrepareSuite, TechniqueLabels) {
@@ -194,12 +194,12 @@ TEST(HassStatic, PinsDominantProgramsAtSpawn) {
   MachineConfig MC = MachineConfig::quadAsymmetric();
   PreparedSuite Suite = prepareSuite(Programs, MC,
                                      TechniqueSpec::baseline());
-  for (const auto &Image : Suite.Images)
-    EXPECT_TRUE(Image->marks().empty());
+  for (const auto &Flat : Suite.Flats)
+    EXPECT_TRUE(Flat->program().marks().empty());
   int PinnedFast = 0, PinnedSlow = 0;
   for (size_t I = 0; I < Programs.size(); ++I) {
     uint64_t Mask =
-        hassWholeProgramMask(Programs[I], *Suite.Costs[I], MC);
+        hassWholeProgramMask(Programs[I], Suite.Flats[I]->cost(), MC);
     if (Mask == 0)
       continue;
     if (Mask == MC.coreMaskOfType(0))

@@ -72,9 +72,8 @@ RunResult preScenarioRun(const PreparedSuite &Suite, const Workload &W,
       return;
     ++NextJob[Slot];
     uint32_t Bench = W.Slots[Slot][Index];
-    M.spawn(Suite.Images[Bench], Suite.Costs[Bench], Suite.Tuner,
-            W.jobSeed(Slot, Index), static_cast<int32_t>(Slot),
-            /*InitialAffinity=*/0, Suite.Flats[Bench]);
+    M.spawn(Suite.Flats[Bench], Suite.Tuner, W.jobSeed(Slot, Index),
+            static_cast<int32_t>(Slot));
     BenchOfPid.push_back(Bench);
   };
   M.setExitHandler([&](Machine &, Process &P) {

@@ -57,11 +57,15 @@ Program loopProgram(uint32_t Trips = 1000, bool Memory = false) {
   return B.take();
 }
 
-std::shared_ptr<const InstrumentedProgram> plainImage(const Program &Prog) {
+/// An uninstrumented image of \p Prog, costed for \p MC.
+std::shared_ptr<const FlatImage> plainFlat(const Program &Prog,
+                                           const MachineConfig &MC) {
   MarkingResult Empty;
   Empty.NumTypes = 1;
   Empty.RegionType.resize(Prog.Procs.size());
-  return std::make_shared<const InstrumentedProgram>(Prog, std::move(Empty));
+  return std::make_shared<const FlatImage>(
+      std::make_shared<const InstrumentedProgram>(Prog, std::move(Empty)),
+      std::make_shared<const CostModel>(Prog, MC));
 }
 
 /// An asymmetric machine whose SLOW cores come first, so policies that
@@ -115,9 +119,8 @@ RunResult preRefactorRun(const PreparedSuite &Suite, const Workload &W,
     uint32_t Bench = W.Slots[Slot][Index];
     uint64_t Affinity =
         Bench < SpawnAffinity.size() ? SpawnAffinity[Bench] : 0;
-    M.spawn(Suite.Images[Bench], Suite.Costs[Bench], Suite.Tuner,
-            W.jobSeed(Slot, Index), static_cast<int32_t>(Slot), Affinity,
-            Suite.Flats[Bench]);
+    M.spawn(Suite.Flats[Bench], Suite.Tuner, W.jobSeed(Slot, Index),
+            static_cast<int32_t>(Slot), Affinity);
     BenchOfPid.push_back(Bench);
   };
   M.setExitHandler([&](Machine &, Process &P) {
@@ -260,18 +263,17 @@ TEST(SimConfigValidation, RejectsInconsistentConfigs) {
 
 TEST(ObliviousAffinity, BalanceNeverPullsOutsideAffinityMask) {
   Program Prog = loopProgram(200000);
-  auto Image = plainImage(Prog);
   MachineConfig MC = MachineConfig::quadAsymmetric();
-  auto Cost = std::make_shared<const CostModel>(Prog, MC);
+  auto Flat = plainFlat(Prog, MC);
   Machine M(MC, SimConfig(), std::make_unique<ObliviousScheduler>());
   // Six processes pinned to core 0 (a heavy imbalance the balancer must
   // NOT spread) plus two free ones.
   std::vector<uint32_t> Pinned;
   for (int I = 0; I < 6; ++I)
     Pinned.push_back(
-        M.spawn(Image, Cost, TunerConfig(), 10 + I, -1, /*Affinity=*/1));
-  M.spawn(Image, Cost, TunerConfig(), 20);
-  M.spawn(Image, Cost, TunerConfig(), 21);
+        M.spawn(Flat, TunerConfig(), 10 + I, -1, /*Affinity=*/1));
+  M.spawn(Flat, TunerConfig(), 20);
+  M.spawn(Flat, TunerConfig(), 21);
   // Several balance periods' worth of quanta.
   M.run(0.5);
   expectQueuesHonorAffinity(M);
@@ -283,13 +285,12 @@ TEST(ObliviousAffinity, BalanceMovesOnlyUnpinnedWork) {
   // Direct balance() invocation: core 0 holds 5 processes of which only
   // one may migrate; the balancer must move exactly that one.
   Program Prog = loopProgram(200000);
-  auto Image = plainImage(Prog);
   MachineConfig MC = MachineConfig::quadAsymmetric();
-  auto Cost = std::make_shared<const CostModel>(Prog, MC);
+  auto Flat = plainFlat(Prog, MC);
   Machine M(MC, SimConfig(), std::make_unique<ObliviousScheduler>());
   for (int I = 0; I < 4; ++I)
-    M.spawn(Image, Cost, TunerConfig(), 30 + I, -1, /*Affinity=*/1);
-  uint32_t Free = M.spawn(Image, Cost, TunerConfig(), 40, -1,
+    M.spawn(Flat, TunerConfig(), 30 + I, -1, /*Affinity=*/1);
+  uint32_t Free = M.spawn(Flat, TunerConfig(), 40, -1,
                           /*Affinity=*/0);
   // The free process was placed on an empty core; drag it onto core 0
   // to construct the imbalance.
@@ -305,16 +306,15 @@ TEST(ObliviousAffinity, BalanceMovesOnlyUnpinnedWork) {
 
 TEST(ObliviousAffinity, SelectCoreHonorsSingleCoreMaskUnderLoad) {
   Program Prog = loopProgram(200000);
-  auto Image = plainImage(Prog);
   MachineConfig MC = MachineConfig::quadAsymmetric();
-  auto Cost = std::make_shared<const CostModel>(Prog, MC);
+  auto Flat = plainFlat(Prog, MC);
   Machine M(MC, SimConfig(), std::make_unique<ObliviousScheduler>());
   // Load core 2 heavily while the others stay empty...
   for (int I = 0; I < 5; ++I)
-    M.spawn(Image, Cost, TunerConfig(), 50 + I, -1, /*Affinity=*/1ULL << 2);
+    M.spawn(Flat, TunerConfig(), 50 + I, -1, /*Affinity=*/1ULL << 2);
   // ...then a single-core mask for core 2 must still land there, even
   // though every other core has a shorter queue.
-  uint32_t Pid = M.spawn(Image, Cost, TunerConfig(), 60, -1,
+  uint32_t Pid = M.spawn(Flat, TunerConfig(), 60, -1,
                          /*Affinity=*/1ULL << 2);
   EXPECT_EQ(queuedOn(M, Pid), 2u);
   // And under rotation/balancing it must never leave.
@@ -354,12 +354,52 @@ TEST(SchedulerBitIdentity, HassPolicyMatchesSpawnAffinityPinning) {
                                      TechniqueSpec::baseline());
   std::vector<uint64_t> Masks;
   for (size_t I = 0; I < Programs.size(); ++I)
-    Masks.push_back(hassWholeProgramMask(Programs[I], *Suite.Costs[I], MC));
+    Masks.push_back(
+        hassWholeProgramMask(Programs[I], Suite.Flats[I]->cost(), MC));
   Workload W = Workload::random(6, 64, Programs.size(), 9);
   RunResult Old = preRefactorRun(Suite, W, MC, SimConfig(), 25, Masks);
   RunResult New = runWorkload(Suite, W, MC, SimConfig(), 25, {},
                               SchedulerSpec::hassStatic());
   expectRunsIdentical(Old, New);
+}
+
+// hass-static replays running concurrently share the process-wide mask
+// memo, keyed by image and machine. The suites here are fresh, so their
+// images are new to the memo and the first lookups race inside the
+// batch; two machines give two keys per image's program. Every replay
+// must still equal its serial run bit for bit.
+TEST(SchedulerBitIdentity, HassReplaysOnThePoolMatchSerialRuns) {
+  auto Programs = buildSuite();
+  MachineConfig Quad = MachineConfig::quadAsymmetric();
+  MachineConfig Three = MachineConfig::threeCore();
+  PreparedSuite QuadSuite =
+      prepareSuite(Programs, Quad, TechniqueSpec::baseline());
+  PreparedSuite ThreeSuite =
+      prepareSuite(Programs, Three, TechniqueSpec::baseline());
+  std::vector<Workload> Workloads;
+  for (uint64_t Seed = 1; Seed <= 8; ++Seed)
+    Workloads.push_back(Workload::random(
+        4, 64, static_cast<uint32_t>(Programs.size()), Seed));
+  std::vector<WorkloadJob> Jobs;
+  for (size_t I = 0; I < Workloads.size(); ++I) {
+    WorkloadJob Job;
+    Job.Suite = I % 2 ? &ThreeSuite : &QuadSuite;
+    Job.Machine = I % 2 ? &Three : &Quad;
+    Job.W = &Workloads[I];
+    Job.Horizon = 20;
+    Job.Sched = SchedulerSpec::hassStatic();
+    Jobs.push_back(std::move(Job));
+  }
+  std::vector<RunResult> Pooled = runWorkloads(Jobs);
+  ASSERT_EQ(Pooled.size(), Jobs.size());
+  for (size_t I = 0; I < Jobs.size(); ++I) {
+    SCOPED_TRACE("job " + std::to_string(I));
+    EXPECT_FALSE(Pooled[I].Completed.empty());
+    expectRunsIdentical(runWorkload(*Jobs[I].Suite, *Jobs[I].W,
+                                    *Jobs[I].Machine, Jobs[I].Sim,
+                                    Jobs[I].Horizon, {}, Jobs[I].Sched),
+                        Pooled[I]);
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -368,34 +408,32 @@ TEST(SchedulerBitIdentity, HassPolicyMatchesSpawnAffinityPinning) {
 
 TEST(FastestFirst, PrefersFastCoreAtEqualLoad) {
   Program Prog = loopProgram(200000);
-  auto Image = plainImage(Prog);
   MachineConfig MC = slowFirstQuad();
-  auto Cost = std::make_shared<const CostModel>(Prog, MC);
+  auto Flat = plainFlat(Prog, MC);
   // On the slow-first machine the oblivious policy takes core 0 (slow);
   // fastest-first must take core 2 (the first fast core).
   Machine Obl(MC, SimConfig(), std::make_unique<ObliviousScheduler>());
-  EXPECT_EQ(queuedOn(Obl, Obl.spawn(Image, Cost, TunerConfig(), 1)), 0u);
+  EXPECT_EQ(queuedOn(Obl, Obl.spawn(Flat, TunerConfig(), 1)), 0u);
   Machine Fast(MC, SimConfig(),
                SchedulerSpec::fastestFirst().makeScheduler());
-  EXPECT_EQ(queuedOn(Fast, Fast.spawn(Image, Cost, TunerConfig(), 1)), 2u);
+  EXPECT_EQ(queuedOn(Fast, Fast.spawn(Flat, TunerConfig(), 1)), 2u);
 }
 
 TEST(FastestFirst, BalancePullsStrandedWorkOntoIdleFastCores) {
   Program Prog = loopProgram(200000);
-  auto Image = plainImage(Prog);
   MachineConfig MC = slowFirstQuad();
-  auto Cost = std::make_shared<const CostModel>(Prog, MC);
+  auto Flat = plainFlat(Prog, MC);
   Machine M(MC, SimConfig(), std::make_unique<ObliviousScheduler>());
   // One job stranded on a slow core (where oblivious placement left it)
   // while both fast cores idle.
-  uint32_t Pid = M.spawn(Image, Cost, TunerConfig(), 1);
+  uint32_t Pid = M.spawn(Flat, TunerConfig(), 1);
   ASSERT_EQ(queuedOn(M, Pid), 0u);
   FastestFirstScheduler Policy;
   Policy.balance(M);
   uint32_t Core = queuedOn(M, Pid);
   EXPECT_EQ(MC.Cores[Core].TypeId, 0u) << "should now queue on a fast core";
   // A pinned process, by contrast, must stay put.
-  uint32_t Pinned = M.spawn(Image, Cost, TunerConfig(), 2, -1,
+  uint32_t Pinned = M.spawn(Flat, TunerConfig(), 2, -1,
                             /*Affinity=*/0b11); // Slow cores only.
   Policy.balance(M);
   uint32_t PinnedCore = queuedOn(M, Pinned);
@@ -431,15 +469,11 @@ TEST(IpcSampling, ReassignsComputeWorkTowardFastCores) {
   MC.Cores = {{0, 0}, {1, 1}};
   Program Comp = loopProgram(400000, false);
   Program Mem = loopProgram(400000, true);
-  auto CompCost = std::make_shared<const CostModel>(Comp, MC);
-  auto MemCost = std::make_shared<const CostModel>(Mem, MC);
-  auto CompImage = plainImage(Comp);
-  auto MemImage = plainImage(Mem);
   Machine M(MC, SimConfig(),
             SchedulerSpec::ipcSampling(/*MinSampleInsts=*/5000)
                 .makeScheduler());
-  uint32_t CompPid = M.spawn(CompImage, CompCost, TunerConfig(), 1);
-  uint32_t MemPid = M.spawn(MemImage, MemCost, TunerConfig(), 2);
+  uint32_t CompPid = M.spawn(plainFlat(Comp, MC), TunerConfig(), 1);
+  uint32_t MemPid = M.spawn(plainFlat(Mem, MC), TunerConfig(), 2);
   M.run(2.0); // ~20 balance periods.
   const SchedTelemetry &CompT = M.telemetry(CompPid);
   const SchedTelemetry &MemT = M.telemetry(MemPid);
@@ -481,8 +515,7 @@ TEST(IpcSampling, BalanceCatchesUpOnlyCoresWithMovableWork) {
   // own core only: at most one catch-up per balance call.
   MachineConfig MC = MachineConfig::quadAsymmetric();
   Program Long = loopProgram(400000);
-  auto Cost = std::make_shared<const CostModel>(Long, MC);
-  auto Image = plainImage(Long);
+  auto Flat = plainFlat(Long, MC);
   for (bool OneMovable : {false, true}) {
     SCOPED_TRACE(OneMovable ? "one movable job" : "every job pinned");
     auto Policy = std::make_unique<CountingPolicy>(
@@ -491,10 +524,10 @@ TEST(IpcSampling, BalanceCatchesUpOnlyCoresWithMovableWork) {
     Machine M(MC, SimConfig(), std::move(Policy));
     for (uint32_t Core = 0; Core < MC.numCores(); ++Core)
       for (uint64_t Seed : {1, 2})
-        M.spawn(Image, Cost, TunerConfig(), 10 * Core + Seed, -1,
+        M.spawn(Flat, TunerConfig(), 10 * Core + Seed, -1,
                 1ULL << Core);
     if (OneMovable)
-      M.spawn(Image, Cost, TunerConfig(), 99);
+      M.spawn(Flat, TunerConfig(), 99);
     M.run(3.0);
     ASSERT_GT(Counts->Balances, 0u);
     EXPECT_GT(M.windowsOpened(), 0u);
@@ -531,11 +564,10 @@ TEST(Telemetry, ZeroCycleWindowsReadAsUnsampled) {
   // And the machine-maintained telemetry of a spawned-but-never-run
   // process is exactly that all-zero state.
   Program Prog = loopProgram(100);
-  auto Image = plainImage(Prog);
   MachineConfig MC = MachineConfig::quadAsymmetric();
-  auto Cost = std::make_shared<const CostModel>(Prog, MC);
+  auto Flat = plainFlat(Prog, MC);
   Machine M(MC, SimConfig(), std::make_unique<ObliviousScheduler>());
-  uint32_t Pid = M.spawn(Image, Cost, TunerConfig(), 1);
+  uint32_t Pid = M.spawn(Flat, TunerConfig(), 1);
   const SchedTelemetry &Fresh = M.telemetry(Pid);
   ASSERT_EQ(Fresh.InstsByType.size(), MC.numCoreTypes());
   ASSERT_EQ(Fresh.CyclesByType.size(), MC.numCoreTypes());
@@ -555,13 +587,11 @@ TEST(Telemetry, IpcFollowsLastWindowAfterMigration) {
   MC.Cores = {{0, 0}, {1, 1}};
   Program Comp = loopProgram(400000, false);
   Program Mem = loopProgram(400000, true);
-  auto CompCost = std::make_shared<const CostModel>(Comp, MC);
-  auto MemCost = std::make_shared<const CostModel>(Mem, MC);
   Machine M(MC, SimConfig(),
             SchedulerSpec::ipcSampling(/*MinSampleInsts=*/5000)
                 .makeScheduler());
-  uint32_t CompPid = M.spawn(plainImage(Comp), CompCost, TunerConfig(), 1);
-  uint32_t MemPid = M.spawn(plainImage(Mem), MemCost, TunerConfig(), 2);
+  uint32_t CompPid = M.spawn(plainFlat(Comp, MC), TunerConfig(), 1);
+  uint32_t MemPid = M.spawn(plainFlat(Mem, MC), TunerConfig(), 2);
   M.run(2.0); // Long enough for sampling migrations both ways.
   for (uint32_t Pid : {CompPid, MemPid}) {
     const SchedTelemetry &T = M.telemetry(Pid);
@@ -593,13 +623,12 @@ TEST(Telemetry, ExitPreservesFinalTelemetry) {
     }
   };
   Program Prog = loopProgram(2000);
-  auto Image = plainImage(Prog);
   MachineConfig MC = MachineConfig::quadAsymmetric();
-  auto Cost = std::make_shared<const CostModel>(Prog, MC);
+  auto Flat = plainFlat(Prog, MC);
   auto Policy = std::make_unique<ExitSnooper>();
   ExitSnooper *Snoop = Policy.get();
   Machine M(MC, SimConfig(), std::move(Policy));
-  uint32_t Pid = M.spawn(Image, Cost, TunerConfig(), 1);
+  uint32_t Pid = M.spawn(Flat, TunerConfig(), 1);
   M.run(50);
   ASSERT_TRUE(M.process(Pid).Finished);
   EXPECT_EQ(Snoop->InstsAtExit, M.process(Pid).Stats.InstsRetired);
@@ -612,7 +641,7 @@ TEST(Telemetry, ExitPreservesFinalTelemetry) {
   for (uint64_t I : InstsSnapshot)
     SnapSum += I;
   EXPECT_EQ(SnapSum, Snoop->InstsAtExit);
-  M.spawn(Image, Cost, TunerConfig(), 2);
+  M.spawn(Flat, TunerConfig(), 2);
   M.run(M.now() + 50);
   EXPECT_EQ(M.telemetry(Pid).InstsByType, InstsSnapshot);
   for (size_t Ct = 0; Ct < CyclesSnapshot.size(); ++Ct)
@@ -622,12 +651,11 @@ TEST(Telemetry, ExitPreservesFinalTelemetry) {
 
 TEST(Telemetry, CountersMatchProcessStats) {
   Program Prog = loopProgram(2000, true);
-  auto Image = plainImage(Prog);
   MachineConfig MC = MachineConfig::quadAsymmetric();
-  auto Cost = std::make_shared<const CostModel>(Prog, MC);
+  auto Flat = plainFlat(Prog, MC);
   Machine M(MC, SimConfig(), std::make_unique<ObliviousScheduler>());
   for (int I = 0; I < 6; ++I)
-    M.spawn(Image, Cost, TunerConfig(), 70 + I);
+    M.spawn(Flat, TunerConfig(), 70 + I);
   M.run(100);
   for (const auto &P : M.processes()) {
     ASSERT_TRUE(P->Finished);
