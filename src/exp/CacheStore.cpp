@@ -13,6 +13,7 @@
 #include "support/Hashing.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -60,9 +61,11 @@ void writeHeader(BinaryWriter &W, const Header &H) {
 constexpr size_t HeaderBytes = 4 + 4 + 7 * 8;
 
 //===----------------------------------------------------------------------===//
-// Program + marks serialization
+// Program hash + marks serialization
 //===----------------------------------------------------------------------===//
 
+/// The program's IR, field by field: the input of hashProgram. Entries
+/// do not store it.
 void writeProgram(BinaryWriter &W, const Program &Prog) {
   W.str(Prog.Name);
   W.u32(static_cast<uint32_t>(Prog.Procs.size()));
@@ -88,45 +91,6 @@ void writeProgram(BinaryWriter &W, const Program &Prog) {
       W.u32(BB.StreamWorkingSet);
     }
   }
-}
-
-Program readProgram(BinaryReader &R) {
-  Program Prog;
-  Prog.Name = R.str();
-  Prog.Procs.resize(R.count(1u << 20, /*ElemBytes=*/12));
-  for (Procedure &P : Prog.Procs) {
-    P.Id = R.u32();
-    P.Name = R.str();
-    P.Blocks.resize(R.count(1u << 22, /*ElemBytes=*/29));
-    for (BasicBlock &BB : P.Blocks) {
-      BB.Id = R.u32();
-      BB.Insts.resize(R.count(1u << 24, /*ElemBytes=*/10));
-      for (Instruction &I : BB.Insts) {
-        uint8_t Kind = R.u8();
-        if (Kind > static_cast<uint8_t>(InstKind::Syscall))
-          R.markFailed();
-        I.Kind = static_cast<InstKind>(Kind);
-        I.SizeBytes = R.u8();
-        I.MemRef = R.i32();
-        I.Callee = R.i32();
-      }
-      uint8_t Term = R.u8();
-      if (Term > static_cast<uint8_t>(TermKind::Ret))
-        R.markFailed();
-      BB.Term = static_cast<TermKind>(Term);
-      BB.Succs.resize(R.count(8, /*ElemBytes=*/4));
-      for (uint32_t &Succ : BB.Succs)
-        Succ = R.u32();
-      BB.TripCount = R.u32();
-      BB.TakenProb = R.f64();
-      BB.StreamWorkingSet = R.u32();
-      if (R.failed())
-        return Prog; // Stop amplifying garbage lengths.
-    }
-    if (R.failed())
-      return Prog;
-  }
-  return Prog;
 }
 
 void writeMarks(BinaryWriter &W, const std::vector<PhaseMark> &Marks) {
@@ -175,12 +139,12 @@ std::vector<PhaseMark> readMarks(BinaryReader &R, const Program &Prog) {
 // Per-program payload
 //===----------------------------------------------------------------------===//
 
-/// One prepared program: the `pbt-prog-v3` payload (IR, marks, mark
-/// cost, cost model). The flat image is not stored: readPrepared
-/// rebuilds it from the rest.
+/// One prepared program: the `pbt-prog-v4` payload (marks, phase-type
+/// count, mark cost). The program and its cost model are not stored:
+/// the loading caller holds the program, and readPrepared rebuilds the
+/// image on it and its shared base.
 void writePrepared(BinaryWriter &W, const FlatImage &Flat) {
   const InstrumentedProgram &Image = Flat.program();
-  writeProgram(W, Image.program());
   writeMarks(W, Image.marks());
   W.u32(Image.numTypes());
   const MarkCostModel &Cost = Image.cost();
@@ -189,19 +153,15 @@ void writePrepared(BinaryWriter &W, const FlatImage &Flat) {
   W.u32(Cost.MarkInsts);
   W.u32(Cost.MonitorSetupCycles);
   W.u32(Cost.SwitchCycles);
-  Flat.cost().serializeTables(W);
 }
 
-/// Decodes and validates one prepared program and rebuilds its flat
-/// image with the constructor the flatten stage uses. Returns null (and
-/// \p R marked failed where applicable) on any rejection.
+/// Decodes and validates one prepared program's marks against \p Prog
+/// and rebuilds its flat image on \p Prog (imageFromMarks). Returns
+/// null (and \p R marked failed where applicable) on any rejection,
+/// trailing bytes included.
 std::shared_ptr<const FlatImage>
-readPrepared(BinaryReader &R, const MachineConfig &Machine,
-             const TechniqueSpec &Tech) {
-  Program Prog = readProgram(R);
-  if (R.failed() || !verify(Prog))
-    return nullptr;
-
+readPrepared(BinaryReader &R, const Program &Prog,
+             const MachineConfig &Machine, const TechniqueSpec &Tech) {
   MarkingResult Marking;
   Marking.Marks = readMarks(R, Prog);
   Marking.NumTypes = R.u32();
@@ -222,17 +182,10 @@ readPrepared(BinaryReader &R, const MachineConfig &Machine,
   Cost.MarkInsts = R.u32();
   Cost.MonitorSetupCycles = R.u32();
   Cost.SwitchCycles = R.u32();
-  if (R.failed() || Cost != Tech.Cost)
+  if (R.failed() || R.remaining() != 0 || Cost != Tech.Cost)
     return nullptr;
 
-  CostModel Tables = CostModel::deserializeTables(R, Machine, Prog);
-  if (R.failed())
-    return nullptr;
-
-  return std::make_shared<const FlatImage>(
-      std::make_shared<const InstrumentedProgram>(std::move(Prog),
-                                                  std::move(Marking), Cost),
-      std::make_shared<const CostModel>(std::move(Tables)));
+  return imageFromMarks(Prog, Machine, std::move(Marking), Cost);
 }
 
 /// Creates \p Dir (and parents) best-effort; existing directories are
@@ -567,8 +520,10 @@ CacheStore::GcStats CacheStore::gc(uint64_t MaxBytes, double MaxAgeSeconds) {
 }
 
 std::shared_ptr<const FlatImage>
-CacheStore::loadProgram(uint64_t ProgramHash, const MachineConfig &Machine,
+CacheStore::loadProgram(const Program &Prog, uint64_t ProgramHash,
+                        const MachineConfig &Machine,
                         const TechniqueSpec &Tech, uint64_t TypingSeed) {
+  assert(ProgramHash == hashProgram(Prog) && "hash of another program");
   std::lock_guard<std::mutex> Lock(Mutex);
   std::shared_ptr<const FlatImage> Out;
   uint64_t Key = key(ProgramHash, Machine, Tech, TypingSeed);
@@ -628,11 +583,9 @@ CacheStore::loadProgram(uint64_t ProgramHash, const MachineConfig &Machine,
       Why = "checksum"; // Bit rot within the payload.
     else {
       BinaryReader Payload(Bytes.data() + HeaderBytes, H.PayloadSize);
-      Out = readPrepared(Payload, Machine, Tech);
-      if (!Out || Payload.remaining() != 0) {
-        Out = nullptr;
+      Out = readPrepared(Payload, Prog, Machine, Tech);
+      if (!Out)
         Why = "payload"; // Checksummed bytes decode to nonsense.
-      }
     }
   }
 

@@ -6,16 +6,18 @@
 ///
 /// \file
 /// The on-disk half of the suite cache: a content-addressed store of
-/// prepared programs (instrumented program, phase marks, cost model)
-/// that survives across processes; a loaded entry's flat execution
-/// image is rebuilt from them. A SuiteCache with an attached store
-/// probes it per program before running the static pipeline, and
-/// writes back every program it had to prepare, so a second run of any
-/// experiment — or the one-process bench/driver — skips every
-/// preparation it has seen before.
+/// prepared programs that survives across processes. As in the paper,
+/// a tuned program is the unchanged program plus its phase marks, so an
+/// entry holds only the marks, the phase-type count and the mark cost;
+/// a load rebuilds the flat image on the caller's program and the
+/// cost model of its shared base (imageFromMarks in workload/Runner.h).
+/// A SuiteCache with an attached store probes it per program before
+/// running the static pipeline, and writes back every program it had to
+/// prepare, so a second run of any experiment — or the one-process
+/// bench/driver — skips every preparation it has seen before.
 ///
 /// **Addressing.** The unit of storage is one prepared program
-/// (`pbt-prog-v3`, `prog-<16 hex>.pbt`), keyed by a 64-bit hash of
+/// (`pbt-prog-v4`, `prog-<16 hex>.pbt`), keyed by a 64-bit hash of
 /// everything its preparation depends on: the program's own content
 /// hash (every instruction of every block), the machine (structural
 /// fields, name excluded), the technique's preparation identity
@@ -29,12 +31,13 @@
 ///
 /// **Format** (documented field by field in docs/BENCH_SCHEMA.md): a
 /// fixed header — `PBTP` magic, format version, key, the key components,
-/// payload length, FNV-1a payload checksum — followed by the serialized
-/// prepared program (IR, marks, mark cost, cost model). Doubles are
-/// stored by bit pattern, and the flat image is rebuilt on load with the
-/// constructor the preparation pipeline's flatten stage uses, so a
-/// loaded program is bit-identical to the freshly prepared one (proven
-/// in tests/exp_test.cpp and tests/incremental_test.cpp).
+/// payload length, FNV-1a payload checksum — followed by the marks,
+/// phase-type count and mark cost. The marks are validated against the
+/// caller's program, whose content hash is part of the key, and the
+/// image is rebuilt with the instrument and flatten stages'
+/// constructors, so a loaded program is bit-identical to the freshly
+/// prepared one (proven in tests/exp_test.cpp and
+/// tests/incremental_test.cpp).
 ///
 /// **Crash safety and concurrency.** The store is built to survive
 /// `kill -9`, concurrent writers, and injected filesystem faults
@@ -56,8 +59,8 @@
 ///    (rename atomicity keeps them safe) and writers skip the
 ///    write-back without counting a timeout.
 ///  - Any mismatch on load — wrong magic, wrong version, wrong key,
-///    truncation, checksum failure, or out-of-range indices in the
-///    decoded structures — **quarantines** the file (renamed to
+///    truncation, checksum failure, or marks that are out of range for
+///    the caller's program — **quarantines** the file (renamed to
 ///    `<entry>.quarantined-<reason>` under the writer lock) and counts
 ///    as a plain miss, so the next preparation rebuilds the entry
 ///    transparently instead of tripping over it again.
@@ -91,20 +94,21 @@ namespace exp {
 /// Content-addressed on-disk store of prepared programs.
 class CacheStore {
 public:
-  /// On-disk entry format version (`pbt-prog-v3`); bumped whenever the
+  /// On-disk entry format version (`pbt-prog-v4`); bumped whenever the
   /// binary layout changes. Part of the file header AND the key hash, so
   /// a version bump invalidates old entries without ever misreading
   /// them. v2 dropped the flat image's superblock-chain summaries
-  /// (48-byte block records); v3 stores the cost model as instruction
-  /// counts plus one cycle table and no longer stores the flat image.
-  static constexpr uint32_t ProgFormatVersion = 3;
+  /// (48-byte block records); v3 stored the cost model as instruction
+  /// counts plus one cycle table and no longer stored the flat image; v4
+  /// stores neither the IR nor the cost model, only the marks.
+  static constexpr uint32_t ProgFormatVersion = 4;
 
   /// Version of the static preparation pipeline whose output entries
-  /// hold (preparePrograms in workload/Runner.h); part of every key, so
-  /// a pipeline change that alters prepared artifacts invalidates every
-  /// entry. v2 quantized cost tables to the exact cycle grid
-  /// (sim/CostModel.h); v1 entries hold off-grid tables and are misses,
-  /// never replayed.
+  /// hold (preparePrograms in workload/Runner.h); part of every key.
+  /// Entries hold marks only, so the cost tables always come from the
+  /// running code; a change to costing, typing or marking that moves
+  /// any mark must bump this. v2 quantized cost tables to the exact
+  /// cycle grid when entries still stored tables; v1 entries are misses.
   static constexpr uint32_t PipelineVersion = 2;
 
   /// Opens (creating if needed) the store directory \p Dir and sweeps
@@ -129,16 +133,18 @@ public:
 
   /// Loads the prepared program stored under key(\p ProgramHash, ...),
   /// after verifying its header against the request's key components
-  /// and its payload against its checksum, and returns its flat image
-  /// (rebuilt from the stored program and cost model). Returns null on
-  /// a miss or on any rejection (corrupt, truncated, version or key
-  /// mismatch); a rejected file is quarantined.
+  /// and its payload against its checksum, and returns the flat image
+  /// of \p Prog (whose content hash \p ProgramHash must be) with the
+  /// stored marks, rebuilt by imageFromMarks. Returns null on a miss or
+  /// on any rejection (corrupt, truncated, version or key mismatch,
+  /// marks illegal for \p Prog); a rejected file is quarantined.
   std::shared_ptr<const FlatImage>
-  loadProgram(uint64_t ProgramHash, const MachineConfig &Machine,
-              const TechniqueSpec &Tech, uint64_t TypingSeed);
+  loadProgram(const Program &Prog, uint64_t ProgramHash,
+              const MachineConfig &Machine, const TechniqueSpec &Tech,
+              uint64_t TypingSeed);
 
-  /// Serializes \p Prepared under key(\p ProgramHash, ...) with an
-  /// atomic write. An entry already on disk is left alone: content
+  /// Serializes \p Prepared's marks under key(\p ProgramHash, ...) with
+  /// an atomic write. An entry already on disk is left alone: content
   /// addressing makes it identical by construction, which is what
   /// dedupes programs shared across suites. Returns true when the entry
   /// is on disk afterwards; false when the write failed or the lock

@@ -19,6 +19,19 @@ void SuiteCache::setStore(std::shared_ptr<CacheStore> StoreIn) {
   Store = std::move(StoreIn);
 }
 
+void SuiteCache::checkProgramSet(const std::vector<Program> &Programs) {
+  std::vector<ProgramShape> Set;
+  Set.reserve(Programs.size());
+  for (const Program &Prog : Programs)
+    Set.emplace_back(Prog.Name, Prog.blockCount(), Prog.instructionCount());
+  if (!Shapes)
+    Shapes = std::move(Set);
+  else if (Set != *Shapes)
+    throw std::invalid_argument(
+        "SuiteCache::get: program set differs from the one this cache "
+        "serves");
+}
+
 const std::vector<uint64_t> &
 SuiteCache::programHashes(const std::vector<Program> &Programs) {
   if (ProgramHashes.empty())
@@ -31,6 +44,7 @@ PreparedSuite SuiteCache::get(const std::vector<Program> &Programs,
                               const MachineConfig &Machine,
                               const TechniqueSpec &Tech,
                               uint64_t TypingSeed) {
+  checkProgramSet(Programs);
   uint64_t Key = hashCombine(Tech.preparationHash(), hashValue(Machine));
   Key = hashCombine(Key, TypingSeed);
 
@@ -57,8 +71,8 @@ PreparedSuite SuiteCache::get(const std::vector<Program> &Programs,
   std::vector<size_t> Missing;
   for (size_t I = 0; I < Programs.size(); ++I) {
     if (Store)
-      Flats[I] = Store->loadProgram(programHashes(Programs)[I], Machine, Tech,
-                                    TypingSeed);
+      Flats[I] = Store->loadProgram(Programs[I], programHashes(Programs)[I],
+                                    Machine, Tech, TypingSeed);
     if (!Flats[I])
       Missing.push_back(I);
   }

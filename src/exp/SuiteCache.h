@@ -16,8 +16,9 @@
 ///
 /// One cache serves one fixed program set (it is owned by a Lab, whose
 /// programs never change); programs are therefore not part of the
-/// in-memory key. An optional CacheStore adds a persistent disk tier of
-/// per-program entries: a memory miss probes the store for each program
+/// in-memory key, and get() rejects a set other than the first it saw.
+/// An optional CacheStore adds a persistent disk tier of per-program
+/// entries: a memory miss probes the store for each program
 /// (CacheStore::loadProgram), runs the static pipeline once over the
 /// programs it cannot serve (all of them without a store), and writes
 /// those back (CacheStore::saveProgram). Adding one benchmark to an
@@ -36,6 +37,9 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <string>
+#include <tuple>
 #include <unordered_map>
 #include <vector>
 
@@ -66,7 +70,10 @@ public:
   /// store's entries (when attached) and the static pipeline.
   /// The returned value shares the cached immutable flat images (cheap
   /// shared_ptr copies) but carries \p Tech's own TunerConfig,
-  /// so cache hits still honor the requested tuner.
+  /// so cache hits still honor the requested tuner. Throws
+  /// std::invalid_argument when \p Programs differs from the first
+  /// call's set in size, or in any program's name, block count or
+  /// instruction count: the cache serves one program set.
   PreparedSuite get(const std::vector<Program> &Programs,
                     const MachineConfig &Machine, const TechniqueSpec &Tech,
                     uint64_t TypingSeed = DefaultTypingSeed);
@@ -101,6 +108,14 @@ private:
     std::shared_ptr<const PreparedSuite> Suite;
   };
 
+  /// What get() compares of each program to hold the cache to one set:
+  /// name, block count, instruction count.
+  using ProgramShape = std::tuple<std::string, size_t, size_t>;
+
+  /// Records the first call's program set; throws std::invalid_argument
+  /// for any later set that differs from it.
+  void checkProgramSet(const std::vector<Program> &Programs);
+
   /// Per-program content hashes for the disk tier, computed once (the
   /// cache serves one fixed program set for its whole life).
   const std::vector<uint64_t> &
@@ -110,6 +125,8 @@ private:
   /// comparison (samePreparation + machine equality + seed).
   std::unordered_map<uint64_t, std::vector<Entry>> Buckets;
   std::shared_ptr<CacheStore> Store;
+  /// The program set of the first get(), unset until then.
+  std::optional<std::vector<ProgramShape>> Shapes;
   std::vector<uint64_t> ProgramHashes;
   uint64_t Hits = 0;
   uint64_t Misses = 0;

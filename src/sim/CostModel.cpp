@@ -31,21 +31,18 @@ double CpiTable::of(InstKind Kind) const {
   return 1.0;
 }
 
-void CostModel::layOut(const Program &Prog) {
+CostModel::CostModel(const Program &Prog, const MachineConfig &MachineIn)
+    : Machine(MachineIn) {
+  const CpiTable Cpi;
+  const uint32_t NumCoreTypes = Machine.numCoreTypes();
+  MaxSharers = std::max(1u, Machine.maxGroupSize());
+  // Procedures laid out in id order.
   ProcOffset.resize(Prog.Procs.size());
   uint32_t Offset = 0;
   for (const Procedure &P : Prog.Procs) {
     ProcOffset[P.Id] = Offset;
     Offset += static_cast<uint32_t>(P.Blocks.size());
   }
-}
-
-CostModel::CostModel(const Program &Prog, const MachineConfig &MachineIn)
-    : Machine(MachineIn) {
-  const CpiTable Cpi;
-  const uint32_t NumCoreTypes = Machine.numCoreTypes();
-  MaxSharers = std::max(1u, Machine.maxGroupSize());
-  layOut(Prog);
   Insts.resize(Prog.blockCount());
   Cycles.resize(Insts.size() * NumCoreTypes * MaxSharers);
 
@@ -76,47 +73,6 @@ CostModel::CostModel(const Program &Prog, const MachineConfig &MachineIn)
       }
     }
   }
-}
-
-void CostModel::serializeTables(BinaryWriter &W) const {
-  W.u32(MaxSharers);
-  W.u32(static_cast<uint32_t>(Insts.size()));
-  for (uint32_t N : Insts)
-    W.u32(N);
-  W.u32(static_cast<uint32_t>(Cycles.size()));
-  for (double Value : Cycles)
-    W.f64(Value);
-}
-
-CostModel CostModel::deserializeTables(BinaryReader &R,
-                                       const MachineConfig &Machine,
-                                       const Program &Prog) {
-  CostModel M;
-  M.Machine = Machine;
-  M.MaxSharers = R.u32();
-  M.Insts.resize(R.count(1u << 24, /*ElemBytes=*/4));
-  for (uint32_t &N : M.Insts)
-    N = R.u32();
-  M.Cycles.resize(R.count(1u << 28, /*ElemBytes=*/8));
-  for (double &Value : M.Cycles)
-    Value = R.f64();
-  M.layOut(Prog);
-  // The data must agree with the machine and program it claims to
-  // describe: sharer depth, per-block instruction counts, table length.
-  if (M.MaxSharers != std::max(1u, Machine.maxGroupSize()) ||
-      M.Insts.size() != Prog.blockCount() ||
-      M.Cycles.size() != M.Insts.size() * Machine.numCoreTypes() *
-                             static_cast<size_t>(M.MaxSharers)) {
-    R.markFailed();
-    return M;
-  }
-  for (const Procedure &P : Prog.Procs)
-    for (const BasicBlock &BB : P.Blocks)
-      if (M.blockInsts(P.Id, BB.Id) != BB.size()) {
-        R.markFailed();
-        return M;
-      }
-  return M;
 }
 
 double CostModel::blockCycles(uint32_t Proc, uint32_t Block,

@@ -29,7 +29,6 @@
 #include "analysis/ReuseDistance.h"
 #include "ir/Program.h"
 #include "sim/MachineConfig.h"
-#include "support/Binary.h"
 
 #include <cmath>
 #include <cstdint>
@@ -116,7 +115,7 @@ public:
   const MachineConfig &machine() const { return Machine; }
 
   /// True when every cycleTable() entry is on the cycle grid (the
-  /// verify-IR audit of fresh and store-served tables).
+  /// verify-IR audit of every table an image reads).
   bool onGrid() const;
 
   /// Largest sharer count the table is built for (the machine's biggest
@@ -131,29 +130,7 @@ public:
   /// bound to the model reads the table in place.
   const std::vector<double> &cycleTable() const { return Cycles; }
 
-  /// Serializes the model's data — sharer depth, per-block instruction
-  /// counts, the cycle table — to \p W. Doubles are written by bit
-  /// pattern, so a deserialized model answers blockCycles
-  /// bit-identically. The machine is NOT serialized — it is part of the
-  /// cache key and is re-supplied at deserialization (see
-  /// exp/CacheStore).
-  void serializeTables(BinaryWriter &W) const;
-
-  /// Rebuilds a model from serializeTables() output, attached to
-  /// \p Machine and validated against \p Prog (sharer depth, per-block
-  /// instruction counts, table length = blocks x core types x sharers).
-  /// On malformed input, marks \p R failed and returns a model that must
-  /// be discarded.
-  static CostModel deserializeTables(BinaryReader &R,
-                                     const MachineConfig &Machine,
-                                     const Program &Prog);
-
 private:
-  CostModel() = default; ///< Shell for deserializeTables().
-
-  /// Fills ProcOffset (procedures laid out in id order) from \p Prog.
-  void layOut(const Program &Prog);
-
   MachineConfig Machine;
   std::vector<uint32_t> ProcOffset;
   /// Instructions per global block.

@@ -278,6 +278,17 @@ pbt::preparePrograms(const std::vector<Program> &Programs,
   return Out;
 }
 
+std::shared_ptr<const FlatImage>
+pbt::imageFromMarks(const Program &Prog, const MachineConfig &Machine,
+                    MarkingResult Marking, const MarkCostModel &Cost) {
+  std::shared_ptr<const ProgramBase> B = bases().bind(Prog, Machine);
+  return std::make_shared<const FlatImage>(
+      std::make_shared<const InstrumentedProgram>(
+          std::shared_ptr<const Program>(B, &B->Prog), std::move(Marking),
+          Cost),
+      std::shared_ptr<const CostModel>(B, &B->Cost));
+}
+
 PreparedSuite pbt::prepareSuite(const std::vector<Program> &Programs,
                                 const MachineConfig &Machine,
                                 const TechniqueSpec &Tech,

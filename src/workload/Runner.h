@@ -108,9 +108,10 @@ struct PreparedSuite {
 
 /// Runs the static preparation pipeline over \p Programs for \p Tech on
 /// \p Machine and returns one flat image per input, in input order: the
-/// unit of incremental preparation, which exp/SuiteCache stores and
-/// reloads individually (`pbt-prog-v3` entries) and assembles suites
-/// from. \p TypingSeed drives k-means and error injection.
+/// unit of incremental preparation, which exp/SuiteCache assembles
+/// suites from and stores individually as its phase marks alone
+/// (`pbt-prog-v4` entries, reloaded through imageFromMarks).
+/// \p TypingSeed drives k-means and error injection.
 ///
 /// The pipeline is a fixed sequence of stages — cost-model, typing,
 /// error-inject, transitions, instrument, flatten — each run as one
@@ -139,6 +140,18 @@ std::vector<std::shared_ptr<const FlatImage>>
 preparePrograms(const std::vector<Program> &Programs,
                 const MachineConfig &Machine, const TechniqueSpec &Tech,
                 uint64_t TypingSeed = 42, ThreadPool *Pool = nullptr);
+
+/// Rebuilds the flat image of \p Prog prepared with phase marks
+/// \p Marking and mark cost \p Cost: binds \p Prog to its shared base on
+/// \p Machine (the cost-model stage's, built if none is live) and runs
+/// the instrument and flatten stages' constructors on it, so the image
+/// shares its program and cost model with every preparation of an equal
+/// program in the process. \p Marking must be legal for \p Prog: every
+/// mark's procedure and block in range, SuccIndex < 2, no two marks on
+/// one anchor. The store's load path (exp/CacheStore).
+std::shared_ptr<const FlatImage>
+imageFromMarks(const Program &Prog, const MachineConfig &Machine,
+               MarkingResult Marking, const MarkCostModel &Cost);
 
 /// Types + marks + instruments every program for \p Tech on \p Machine
 /// (see preparePrograms) and assembles the results into a suite.

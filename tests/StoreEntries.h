@@ -56,8 +56,8 @@ inline bool loadSuite(pbt::exp::CacheStore &Store,
   bool All = true;
   pbt::PreparedSuite Suite;
   for (const pbt::Program &Prog : Programs) {
-    auto Flat = Store.loadProgram(pbt::exp::CacheStore::hashProgram(Prog), MC,
-                                  Tech, Seed);
+    auto Flat = Store.loadProgram(
+        Prog, pbt::exp::CacheStore::hashProgram(Prog), MC, Tech, Seed);
     All = All && Flat;
     Suite.Names.push_back(Prog.Name);
     Suite.Flats.push_back(std::move(Flat));

@@ -21,6 +21,7 @@
 #include <cstring>
 #include <ctime>
 #include <iterator>
+#include <stdexcept>
 #include <thread>
 #include <utime.h>
 
@@ -222,6 +223,42 @@ TEST(SuiteCacheTest, RenamedMachineStillHits) {
   MachineConfig MC = MachineConfig::quadAsymmetric();
   Cache.get(Programs, MC, loopTechnique());
   MC.Name = "renamed"; // Display label is not part of the identity.
+  Cache.get(Programs, MC, loopTechnique());
+  EXPECT_EQ(Cache.hits(), 1u);
+  EXPECT_EQ(Cache.misses(), 1u);
+}
+
+// Programs are not part of the in-memory key, so a cache serves the
+// program set of its first request only: any other set throws instead
+// of being handed the first set's suite (same size) or reading past its
+// hashes (larger).
+TEST(SuiteCacheTest, RejectsAProgramSetOtherThanTheFirst) {
+  std::vector<Program> Programs = smallSuite();
+  MachineConfig MC = MachineConfig::quadAsymmetric();
+  SuiteCache Cache;
+  Cache.get(Programs, MC, loopTechnique());
+
+  std::vector<Program> Larger = Programs;
+  Larger.push_back(randomPrograms(5, 1)[0]);
+  EXPECT_THROW(Cache.get(Larger, MC, loopTechnique()), std::invalid_argument);
+  std::vector<Program> Smaller(Programs.begin(), Programs.end() - 1);
+  EXPECT_THROW(Cache.get(Smaller, MC, loopTechnique()),
+               std::invalid_argument);
+
+  std::vector<Program> Renamed = Programs;
+  Renamed[1].Name += "'";
+  EXPECT_THROW(Cache.get(Renamed, MC, loopTechnique()),
+               std::invalid_argument);
+  // Program 0's name on program 2's body: other block and instruction
+  // counts.
+  std::vector<Program> Swapped = Programs;
+  Swapped[0] = Programs[2];
+  Swapped[0].Name = Programs[0].Name;
+  ASSERT_NE(Swapped[0].instructionCount(), Programs[0].instructionCount());
+  EXPECT_THROW(Cache.get(Swapped, MC, loopTechnique()),
+               std::invalid_argument);
+
+  // The first set is still served from memory.
   Cache.get(Programs, MC, loopTechnique());
   EXPECT_EQ(Cache.hits(), 1u);
   EXPECT_EQ(Cache.misses(), 1u);
@@ -593,7 +630,8 @@ TEST(CacheStoreTest, TruncatedAndCorruptFilesRejected) {
   // boundary (the header is 64 bytes), and mid-payload.
   for (size_t Keep : {size_t(10), size_t(64), Good.size() / 2}) {
     ASSERT_TRUE(writeFileAtomic(Path, Good.substr(0, Keep)));
-    EXPECT_TRUE(Store.loadProgram(Hash, MC, Tech, 42) == nullptr)
+    EXPECT_TRUE(Store.loadProgram(Programs[0], Hash, MC, Tech, 42) ==
+                nullptr)
         << "truncated to " << Keep << " bytes";
   }
 
@@ -601,12 +639,13 @@ TEST(CacheStoreTest, TruncatedAndCorruptFilesRejected) {
   std::string Flipped = Good;
   Flipped[Good.size() - 7] ^= 0x20;
   ASSERT_TRUE(writeFileAtomic(Path, Flipped));
-  EXPECT_TRUE(Store.loadProgram(Hash, MC, Tech, 42) == nullptr);
+  EXPECT_TRUE(Store.loadProgram(Programs[0], Hash, MC, Tech, 42) ==
+              nullptr);
   EXPECT_EQ(Store.rejects(), 4u);
 
   // The pristine bytes still load.
   ASSERT_TRUE(writeFileAtomic(Path, Good));
-  EXPECT_TRUE(Store.loadProgram(Hash, MC, Tech, 42) != nullptr);
+  EXPECT_TRUE(Store.loadProgram(Programs[0], Hash, MC, Tech, 42) != nullptr);
 }
 
 // --clean-cache's helper: only entries carrying a foreign format

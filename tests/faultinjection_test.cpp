@@ -104,7 +104,8 @@ struct StoreRig {
     return pbt_test::saveEntry(Store, Programs, MC, Tech, 42, Suite, 0);
   }
   bool load() {
-    return Store.loadProgram(ProgramHash, MC, Tech, 42) != nullptr;
+    return Store.loadProgram(Programs[0], ProgramHash, MC, Tech, 42) !=
+           nullptr;
   }
   /// Deletes the entry, so the next save() has something to write.
   void removeEntry() { std::remove(Store.pathFor(Key).c_str()); }
@@ -348,8 +349,8 @@ TEST(FaultInjectionTest, EveryRejectReasonQuarantinesAndRecovers) {
 
   // The neighbor key served hits throughout, untouched by the chaos.
   uint64_t HitsBefore = Rig.Store.hits();
-  EXPECT_TRUE(Rig.Store.loadProgram(Rig.ProgramHash, Rig.MC, NeighborTech,
-                                    42) != nullptr);
+  EXPECT_TRUE(Rig.Store.loadProgram(Rig.Programs[0], Rig.ProgramHash, Rig.MC,
+                                    NeighborTech, 42) != nullptr);
   EXPECT_EQ(Rig.Store.hits(), HitsBefore + 1);
 }
 

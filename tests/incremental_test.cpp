@@ -1,7 +1,8 @@
 //===- tests/incremental_test.cpp - per-program incremental store ---------===//
 //
-// The per-program persistent cache: `pbt-prog-v3` entries round-trip
-// bit-identically, adding one benchmark to a cached suite re-prepares
+// The per-program persistent cache: `pbt-prog-v4` entries hold only a
+// program's marks and round-trip bit-identically onto the shared
+// program base, adding one benchmark to a cached suite re-prepares
 // exactly that benchmark, programs dedupe across suites, corrupt
 // entries quarantine and heal, the store holds nothing but program
 // entries, and gc/version cleanup cover them.
@@ -166,7 +167,8 @@ TEST(IncrementalStore, ProgEntryRoundTripBitIdentical) {
   for (size_t I = 0; I < Programs.size(); ++I) {
     expectProgramsBitIdentical(
         Fresh[I],
-        Store.loadProgram(CacheStore::hashProgram(Programs[I]), MC, Tech, 42));
+        Store.loadProgram(Programs[I], CacheStore::hashProgram(Programs[I]),
+                          MC, Tech, 42));
   }
   EXPECT_EQ(Store.hits(), Programs.size());
   EXPECT_EQ(Store.misses(), 0u);
@@ -184,13 +186,53 @@ TEST(IncrementalStore, ProgProbeMissesAreKeyed) {
   ASSERT_TRUE(saveSuite(Store, {Programs[0]}, MC, Tech, 42,
                         prepareSuite({Programs[0]}, MC, Tech, 42)));
 
-  EXPECT_TRUE(Store.loadProgram(CacheStore::hashProgram(Programs[1]), MC,
+  EXPECT_TRUE(Store.loadProgram(Programs[1],
+                                CacheStore::hashProgram(Programs[1]), MC,
                                 Tech, 42) == nullptr);
-  EXPECT_TRUE(Store.loadProgram(CacheStore::hashProgram(Programs[0]), MC,
+  EXPECT_TRUE(Store.loadProgram(Programs[0],
+                                CacheStore::hashProgram(Programs[0]), MC,
                                 Tech, 43) == nullptr)
       << "wrong typing seed";
   EXPECT_EQ(Store.misses(), 2u);
   EXPECT_EQ(Store.rejects(), 0u); // Plain absence, nothing rejected.
+}
+
+// An entry holds the marks, not the program: every entry of the
+// benchmark suite's Loop[45] preparation is smaller than its program's
+// IR, and a warm load builds on the same program and cost model objects
+// a fresh preparation in the process holds.
+TEST(IncrementalStore, EntriesHoldMarksAndWarmImagesShareTheBase) {
+  std::string Dir = testCacheDir("incr_marks_only.cache");
+  std::vector<Program> Programs = buildSuite();
+  MachineConfig MC = MachineConfig::quadAsymmetric();
+  TechniqueSpec Tech = loopTechnique();
+  {
+    CacheStore Writer(Dir);
+    ASSERT_TRUE(saveSuite(Writer, Programs, MC, Tech, 42,
+                          prepareSuite(Programs, MC, Tech, 42)));
+  }
+  for (const Program &Prog : Programs) {
+    std::string Bytes;
+    ASSERT_TRUE(readFileBytes(entryPath(CacheStore(Dir), Prog, MC, Tech, 42),
+                              Bytes));
+    // Every instruction serializes to at least 10 bytes (kind, size,
+    // memory reference, callee), so this bounds the IR from below.
+    EXPECT_LT(Bytes.size(), 10 * Prog.instructionCount()) << Prog.Name;
+  }
+
+  PreparedSuite Fresh = prepareSuite(Programs, MC, TechniqueSpec::baseline());
+  auto Store = std::make_shared<CacheStore>(Dir);
+  SuiteCache Warm;
+  Warm.setStore(Store);
+  PreparedSuite Loaded = Warm.get(Programs, MC, Tech, 42);
+  ASSERT_EQ(Warm.storeHits(), 1u);
+  for (size_t I = 0; I < Programs.size(); ++I) {
+    EXPECT_EQ(&Loaded.Flats[I]->program().program(),
+              &Fresh.Flats[I]->program().program())
+        << Programs[I].Name;
+    EXPECT_EQ(&Loaded.Flats[I]->cost(), &Fresh.Flats[I]->cost())
+        << Programs[I].Name;
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -428,20 +470,21 @@ TEST(IncrementalStore, CleanMismatchedVersionsCoversProgEntries) {
   EXPECT_EQ(filesContaining(Dir, "suite-").size(), 1u);
 
   // Current entries still load after the clean.
-  EXPECT_TRUE(Store.loadProgram(CacheStore::hashProgram(Programs[0]), MC,
+  EXPECT_TRUE(Store.loadProgram(Programs[0],
+                                CacheStore::hashProgram(Programs[0]), MC,
                                 Tech, 42) != nullptr);
 
   std::remove((Dir + "/prog-00000000cafecafe.pbt").c_str());
   std::remove((Dir + "/suite-00000000deadbeef.pbt").c_str());
 }
 
-// A store left by the `pbt-prog-v2` format: its entries are misses (the
+// A store left by the `pbt-prog-v3` format: its entries are misses (the
 // version is in the key and in every header), each program is prepared
-// again and written back as v3, and cleanMismatchedVersions then
-// removes the leftovers. Program 0's leftover sits at its v3 entry path,
+// again and written back as v4, and cleanMismatchedVersions then
+// removes the leftovers. Program 0's leftover sits at its v4 entry path,
 // so the probe reads and rejects it; program 1's sits under another key,
-// as a v2 key would, so its probe is a plain miss.
-TEST(IncrementalStore, LeftoverV2EntriesMissAndAreRewrittenAsV3) {
+// as a v3 key would, so its probe is a plain miss.
+TEST(IncrementalStore, LeftoverV3EntriesMissAndAreRewrittenAsV4) {
   std::string Dir = testCacheDir("incr_v2_leftover.cache");
   std::vector<Program> Programs = randomPrograms(43, 2);
   MachineConfig MC = MachineConfig::quadAsymmetric();
@@ -463,7 +506,7 @@ TEST(IncrementalStore, LeftoverV2EntriesMissAndAreRewrittenAsV3) {
     std::string Path = entryPath(Writer, Programs[I], MC, Tech, 42);
     std::string Bytes;
     ASSERT_TRUE(readFileBytes(Path, Bytes));
-    Bytes[4] = 2; // Format version, little-endian, after the magic.
+    Bytes[4] = 3; // Format version, little-endian, after the magic.
     ASSERT_EQ(versionOf(Path), CacheStore::ProgFormatVersion);
     if (I == 0) {
       ASSERT_TRUE(writeFileBytes(Path, Bytes));

@@ -21,7 +21,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstring>
 #include <ios>
 #include <memory>
 #include <set>
@@ -85,6 +84,22 @@ std::vector<TechniqueSpec> pinTechniques() {
           staticWithError(0.25), staticWithError(0.15)};
 }
 
+/// \p Cost's data in the layout the digests were taken with: sharer
+/// depth, the block count and each block's instruction count (global
+/// block order: procedures in id order), the table length and the cycle
+/// table.
+void writeCostModel(BinaryWriter &W, const Program &Prog,
+                    const CostModel &Cost) {
+  W.u32(Cost.maxSharers());
+  W.u32(static_cast<uint32_t>(Prog.blockCount()));
+  for (uint32_t P = 0; P < Prog.Procs.size(); ++P)
+    for (uint32_t B = 0; B < Prog.Procs[P].Blocks.size(); ++B)
+      W.u32(Cost.blockInsts(P, B));
+  W.u32(static_cast<uint32_t>(Cost.cycleTable().size()));
+  for (double Value : Cost.cycleTable())
+    W.f64(Value);
+}
+
 /// FNV-1a digest of everything that makes up a prepared suite: each
 /// program's name, marks and instrumented size, its cost model, and its
 /// serialized flat image (which carries the cycle table).
@@ -102,7 +117,7 @@ uint64_t suiteDigest(const PreparedSuite &Suite) {
       W.u32(M.PhaseType);
     }
     W.u64(IP.instrumentedByteSize());
-    Suite.Flats[I]->cost().serializeTables(W);
+    writeCostModel(W, IP.program(), Suite.Flats[I]->cost());
     Suite.Flats[I]->serialize(W);
   }
   return hashString(W.buffer());
@@ -129,26 +144,16 @@ ProgramPrep prepOf(const Program &Prog,
   return PC;
 }
 
-/// \p Flat's cost model with its first cycle-table entry nudged off the
-/// cycle grid, as a store entry written before cost quantization would
-/// hold it. The table follows the sharer depth, the instruction counts
-/// and the table length.
+/// A copy of \p Flat's cost model with its first cycle-table entry
+/// nudged off the cycle grid, as a costing change that skipped
+/// quantization would build it.
 std::shared_ptr<const CostModel> offGridCost(const FlatImage &Flat) {
-  const Program &Prog = Flat.program().program();
-  BinaryWriter W;
-  Flat.cost().serializeTables(W);
-  std::string Bytes = W.buffer();
-  size_t At = 4 + 4 + 4 * Prog.blockCount() + 4;
-  double Entry;
-  std::memcpy(&Entry, Bytes.data() + At, sizeof(Entry));
-  EXPECT_TRUE(onCycleGrid(Entry));
-  EXPECT_EQ(Entry, Flat.cycleTable()[0]);
-  double OffGrid = Entry + 0x1p-20;
-  std::memcpy(&Bytes[At], &OffGrid, sizeof(OffGrid));
-  BinaryReader R(Bytes);
-  auto Cost = std::make_shared<const CostModel>(
-      CostModel::deserializeTables(R, Flat.cost().machine(), Prog));
-  EXPECT_FALSE(R.failed());
+  auto Cost = std::make_shared<CostModel>(Flat.cost());
+  // The copy is not const, so writing through the accessor is defined.
+  auto &Table = const_cast<std::vector<double> &>(Cost->cycleTable());
+  EXPECT_TRUE(onCycleGrid(Table[0]));
+  EXPECT_EQ(Table[0], Flat.cycleTable()[0]);
+  Table[0] += 0x1p-20;
   return Cost;
 }
 
@@ -405,10 +410,9 @@ TEST(VerifyPass, RejectsImageCostModelDivergence) {
 }
 
 TEST(VerifyPass, RejectsOffGridCostTables) {
-  // A store entry written before cost quantization holds off-grid
-  // tables; the audit must reject them whether they arrive as the
-  // cost-model stage's binding or only through the flat image that
-  // reads the table.
+  // An off-grid table breaks the engine's exact sums; the audit must
+  // reject it whether it arrives as the cost-model stage's binding or
+  // only through the flat image that reads the table.
   PreparedFixture F;
   auto Cost = offGridCost(*F.Prepared[0]);
   ProgramPrep PC = F.prep(0);
