@@ -11,6 +11,7 @@
 #include "support/FaultInjection.h"
 #include "support/FileLock.h"
 #include "support/Hashing.h"
+#include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <cassert>
@@ -189,7 +190,7 @@ readPrepared(BinaryReader &R, const Program &Prog,
 }
 
 /// Creates \p Dir (and parents) best-effort; existing directories are
-/// fine — a failed creation surfaces later as saveProgram() I/O failures.
+/// fine — a failed creation surfaces later as savePrograms() I/O failures.
 void makeDirs(const std::string &Dir) {
   std::string Partial;
   for (size_t I = 0; I <= Dir.size(); ++I) {
@@ -243,10 +244,10 @@ bool pidDead(long Pid) {
   return ::kill(static_cast<pid_t>(Pid), 0) != 0 && errno == ESRCH;
 }
 
-/// Shared sweep body (callers hold the store mutex): removes stranded
-/// temp files, expired quarantines, and — when \p CollectOrphanLocks —
-/// lock files whose entry is gone and that nobody holds. Staleness
-/// rules are documented on CacheStore::sweepStale.
+/// Shared sweep body: removes stranded temp files, expired quarantines,
+/// and — when \p CollectOrphanLocks — lock files whose entry is gone and
+/// that nobody holds. Staleness rules are documented on
+/// CacheStore::sweepStale.
 size_t sweepDebris(const std::string &Dir, double MaxQuarantineAgeSeconds,
                    bool CollectOrphanLocks) {
   DIR *D = ::opendir(Dir.c_str());
@@ -368,8 +369,12 @@ void CacheStore::setLockPolicy(unsigned MaxAttempts,
   LockBaseDelayMicros = std::max(1u, BaseDelayMicros);
 }
 
-size_t CacheStore::sweepStale(double MaxQuarantineAgeSeconds) {
+CacheStore::LockPlan CacheStore::lockPlan() {
   std::lock_guard<std::mutex> Lock(Mutex);
+  return {LockMaxAttempts, LockBaseDelayMicros, Rng(LockRng.next())};
+}
+
+size_t CacheStore::sweepStale(double MaxQuarantineAgeSeconds) {
   // Lock files are left alone here (load/save hold them constantly in
   // a busy store); gc() is the one pass that collects orphans.
   return sweepDebris(Dir, MaxQuarantineAgeSeconds,
@@ -377,7 +382,6 @@ size_t CacheStore::sweepStale(double MaxQuarantineAgeSeconds) {
 }
 
 size_t CacheStore::cleanMismatchedVersions() {
-  std::lock_guard<std::mutex> Lock(Mutex);
   size_t Removed = 0;
   DIR *D = ::opendir(Dir.c_str());
   if (!D)
@@ -426,7 +430,6 @@ size_t CacheStore::cleanMismatchedVersions() {
 }
 
 CacheStore::GcStats CacheStore::gc(uint64_t MaxBytes, double MaxAgeSeconds) {
-  std::lock_guard<std::mutex> Lock(Mutex);
   GcStats Stats;
 
   // Scan the directory for store entries — the same name + magic
@@ -524,7 +527,6 @@ CacheStore::loadProgram(const Program &Prog, uint64_t ProgramHash,
                         const MachineConfig &Machine,
                         const TechniqueSpec &Tech, uint64_t TypingSeed) {
   assert(ProgramHash == hashProgram(Prog) && "hash of another program");
-  std::lock_guard<std::mutex> Lock(Mutex);
   std::shared_ptr<const FlatImage> Out;
   uint64_t Key = key(ProgramHash, Machine, Tech, TypingSeed);
 
@@ -536,9 +538,12 @@ CacheStore::loadProgram(const Program &Prog, uint64_t ProgramHash,
   // atomic rename already makes reads safe without the lock, which
   // only buys efficiency against in-flight writers.
   FileLock ReadLock;
+  LockPlan Plan = lockPlan();
   if (!ReadLock.acquire(lockPathFor(Key), FileLock::Mode::Shared,
-                        LockMaxAttempts, LockRng, LockBaseDelayMicros) &&
+                        Plan.MaxAttempts, Plan.Backoff,
+                        Plan.BaseDelayMicros) &&
       !ReadLock.openFailed()) {
+    std::lock_guard<std::mutex> Lock(Mutex);
     ++Misses;
     ++LockTimeouts;
     return Out;
@@ -546,6 +551,7 @@ CacheStore::loadProgram(const Program &Prog, uint64_t ProgramHash,
 
   std::string Bytes;
   if (!readFile(pathFor(Key), Bytes)) {
+    std::lock_guard<std::mutex> Lock(Mutex);
     ++Misses; // Plain absence: the ordinary cold-store miss.
     return Out;
   }
@@ -590,7 +596,10 @@ CacheStore::loadProgram(const Program &Prog, uint64_t ProgramHash,
   }
 
   if (Out) {
-    ++Hits;
+    {
+      std::lock_guard<std::mutex> Lock(Mutex);
+      ++Hits;
+    }
     // Refresh the mtime: it is the LRU clock gc() evicts by, so a hit
     // must mark the entry recently used (best-effort — a failed touch
     // only ages the entry).
@@ -603,39 +612,58 @@ CacheStore::loadProgram(const Program &Prog, uint64_t ProgramHash,
   // same bad bytes — but only under an uncontended writer lock, and only
   // if the bytes did not change underneath us (a concurrent save may
   // already have replaced the entry with a healthy one).
-  ++Misses;
-  ++Rejects;
   ReadLock.release();
   FileLock WriteLock;
+  bool Quarantined = false;
   if (WriteLock.tryAcquire(lockPathFor(Key), FileLock::Mode::Exclusive)) {
     std::string Again;
-    if (readFile(pathFor(Key), Again) && Again == Bytes &&
-        std::rename(pathFor(Key).c_str(),
-                    quarantinePathFor(Key, Why).c_str()) == 0)
-      ++Quarantines;
+    Quarantined = readFile(pathFor(Key), Again) && Again == Bytes &&
+                  std::rename(pathFor(Key).c_str(),
+                              quarantinePathFor(Key, Why).c_str()) == 0;
   }
+  std::lock_guard<std::mutex> Lock(Mutex);
+  ++Misses;
+  ++Rejects;
+  Quarantines += Quarantined;
   return Out;
 }
 
-bool CacheStore::saveProgram(uint64_t ProgramHash,
-                             const MachineConfig &Machine,
-                             const TechniqueSpec &Tech, uint64_t TypingSeed,
-                             const FlatImage &Prepared) {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  uint64_t Key = key(ProgramHash, Machine, Tech, TypingSeed);
+size_t CacheStore::savePrograms(const std::vector<SaveItem> &Items,
+                                const MachineConfig &Machine,
+                                const TechniqueSpec &Tech,
+                                uint64_t TypingSeed) {
+  // Entries of distinct keys are independent files under their own
+  // locks, so they are written in parallel; by-index outcomes keep the
+  // result independent of the pool.
+  std::vector<Saved> Outcomes(Items.size());
+  ThreadPool::global().parallelFor(Items.size(), [&](size_t I) {
+    Outcomes[I] = saveEntry(Items[I], Machine, Tech, TypingSeed);
+  });
+  // One directory fsync makes every rename of the batch durable.
+  if (std::count(Outcomes.begin(), Outcomes.end(), Saved::Written) > 0)
+    syncDirectory(Dir);
+  return Items.size() -
+         std::count(Outcomes.begin(), Outcomes.end(), Saved::Skipped);
+}
+
+CacheStore::Saved CacheStore::saveEntry(const SaveItem &Item,
+                                        const MachineConfig &Machine,
+                                        const TechniqueSpec &Tech,
+                                        uint64_t TypingSeed) {
+  uint64_t Key = key(Item.ProgramHash, Machine, Tech, TypingSeed);
 
   // An entry already on disk is skipped: content addressing makes a
   // same-key file identical by construction, and the skip is what
   // dedupes programs shared across suites.
   struct stat St;
   if (::stat(pathFor(Key).c_str(), &St) == 0)
-    return true;
+    return Saved::Present;
 
   BinaryWriter Payload;
-  writePrepared(Payload, Prepared);
+  writePrepared(Payload, *Item.Prepared);
   Header H;
   H.Key = Key;
-  H.ProgramHash = ProgramHash;
+  H.ProgramHash = Item.ProgramHash;
   H.MachineHash = hashValue(Machine);
   H.PrepHash = Tech.preparationHash();
   H.TypingSeed = TypingSeed;
@@ -648,19 +676,24 @@ bool CacheStore::saveProgram(uint64_t ProgramHash,
   // budget just skips the write-back (the program is still served from
   // memory, and whoever holds the lock is writing identical bytes).
   FileLock WriteLock;
+  LockPlan Plan = lockPlan();
   if (!WriteLock.acquire(lockPathFor(Key), FileLock::Mode::Exclusive,
-                         LockMaxAttempts, LockRng, LockBaseDelayMicros)) {
+                         Plan.MaxAttempts, Plan.Backoff,
+                         Plan.BaseDelayMicros)) {
     // An unopenable lock file (read-only store directory) is not
     // contention; the write-back is skipped either way, but only real
     // contention counts as a lock timeout.
-    if (!WriteLock.openFailed())
+    if (!WriteLock.openFailed()) {
+      std::lock_guard<std::mutex> Lock(Mutex);
       ++LockTimeouts;
-    return false;
+    }
+    return Saved::Skipped;
   }
   FaultInjection::instance().crashPoint("store.locked");
   if (!writeFileAtomic(pathFor(Key), File.buffer() + Payload.buffer()))
-    return false;
+    return Saved::Skipped;
   FaultInjection::instance().crashPoint("store.saved");
+  std::lock_guard<std::mutex> Lock(Mutex);
   ++Writes;
-  return true;
+  return Saved::Written;
 }

@@ -43,14 +43,18 @@
 /// `kill -9`, concurrent writers, and injected filesystem faults
 /// (tests/cache_stress_test.cpp hammers it from forked processes):
 ///
-///  - Writes are atomic and durable: fsync-before-rename plus a
-///    parent-directory fsync (support/Binary's writeFileAtomic), so
-///    readers never observe partial files and a crash leaves at worst
-///    a stale `.tmp.<pid>` file.
-///  - Cooperating processes serialize per key through an advisory
-///    `flock` on `prog-<key>.lck` — shared for readers, exclusive for
-///    writers — acquired with bounded, seeded-backoff retries
-///    (support/FileLock). Exhausting the retries degrades gracefully:
+///  - Writes are atomic and durable: every entry is fsynced before its
+///    rename (support/Binary's writeFileAtomic), so readers never
+///    observe partial files and a crash leaves at worst a stale
+///    `.tmp.<pid>` file; a write-back batch (savePrograms) fsyncs the
+///    store directory once after its last rename, and is durable when
+///    the call returns.
+///  - Cooperating processes, and the threads of one process, serialize
+///    per key through an advisory `flock` on `prog-<key>.lck` — shared
+///    for readers, exclusive for writers — acquired with bounded,
+///    seeded-backoff retries (support/FileLock); each thread's lock
+///    holds its own descriptor, so threads contend exactly as processes
+///    do. Exhausting the retries degrades gracefully:
 ///    a reader counts a miss, a writer skips the write-back (counted
 ///    in lockTimeouts()). flock dies with its process, so crashed
 ///    holders never strand a lock. A store directory where the lock
@@ -87,6 +91,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <vector>
 
 namespace pbt {
 namespace exp {
@@ -143,15 +148,35 @@ public:
               const MachineConfig &Machine, const TechniqueSpec &Tech,
               uint64_t TypingSeed);
 
-  /// Serializes \p Prepared's marks under key(\p ProgramHash, ...) with
-  /// an atomic write. An entry already on disk is left alone: content
-  /// addressing makes it identical by construction, which is what
-  /// dedupes programs shared across suites. Returns true when the entry
-  /// is on disk afterwards; false when the write failed or the lock
-  /// could not be taken (the write-back is skipped, nothing aborts).
+  /// One program of a write-back batch: its content hash and its
+  /// prepared image.
+  struct SaveItem {
+    uint64_t ProgramHash = 0;
+    const FlatImage *Prepared = nullptr;
+  };
+
+  /// Serializes each item's marks under key(Item.ProgramHash, \p Machine,
+  /// \p Tech, \p TypingSeed), the items in parallel on the global thread
+  /// pool: per entry, the exclusive lock, then an atomic write (temp
+  /// file, fsync, rename). After the last rename the store directory is
+  /// fsynced once, so every entry written is durable when the call
+  /// returns. An entry already on disk is left alone: content addressing
+  /// makes it identical by construction, which is what dedupes programs
+  /// shared across suites. Returns how many of the items' entries are on
+  /// disk afterwards; an item whose write failed or whose lock could not
+  /// be taken is skipped (nothing aborts).
+  size_t savePrograms(const std::vector<SaveItem> &Items,
+                      const MachineConfig &Machine, const TechniqueSpec &Tech,
+                      uint64_t TypingSeed);
+
+  /// The one-item savePrograms: true when the entry is on disk
+  /// afterwards.
   bool saveProgram(uint64_t ProgramHash, const MachineConfig &Machine,
                    const TechniqueSpec &Tech, uint64_t TypingSeed,
-                   const FlatImage &Prepared);
+                   const FlatImage &Prepared) {
+    return savePrograms({{ProgramHash, &Prepared}}, Machine, Tech,
+                        TypingSeed) == 1;
+  }
 
   /// The file path the entry for \p Key lives at.
   std::string pathFor(uint64_t Key) const;
@@ -215,28 +240,51 @@ public:
   const std::string &dir() const { return Dir; }
 
   /// Entries served from disk.
-  uint64_t hits() const { return Hits; }
+  uint64_t hits() const { return counterValue(Hits); }
   /// loadProgram probes with no usable entry (absent, rejected, or
   /// lock timed out).
-  uint64_t misses() const { return Misses; }
+  uint64_t misses() const { return counterValue(Misses); }
   /// Files present but rejected (corruption, truncation, version or key
   /// mismatch); every reject is also counted as a miss.
-  uint64_t rejects() const { return Rejects; }
-  /// Entries written by saveProgram() (existing entries are skipped, so
-  /// this counts genuinely new preparations reaching disk).
-  uint64_t writes() const { return Writes; }
+  uint64_t rejects() const { return counterValue(Rejects); }
+  /// Entries written by savePrograms() (existing entries are skipped,
+  /// so this counts genuinely new preparations reaching disk).
+  uint64_t writes() const { return counterValue(Writes); }
   /// Rejected entries renamed aside for post-mortem (a subset of
   /// rejects(): quarantining needs the uncontended writer lock).
-  uint64_t quarantines() const { return Quarantines; }
+  uint64_t quarantines() const { return counterValue(Quarantines); }
   /// Operations abandoned because the per-key lock stayed contended
   /// through every bounded retry (each degrades to a miss or a
   /// skipped write-back; nothing aborts).
-  uint64_t lockTimeouts() const { return LockTimeouts; }
+  uint64_t lockTimeouts() const { return counterValue(LockTimeouts); }
 
 private:
+  /// What one entry's write-back did.
+  enum class Saved { Present, Written, Skipped };
+
+  /// Writes one entry of savePrograms (no directory fsync).
+  Saved saveEntry(const SaveItem &Item, const MachineConfig &Machine,
+                  const TechniqueSpec &Tech, uint64_t TypingSeed);
+
+  /// One call's lock acquisition: the policy and a backoff stream seeded
+  /// by one draw of LockRng.
+  struct LockPlan {
+    unsigned MaxAttempts;
+    unsigned BaseDelayMicros;
+    Rng Backoff;
+  };
+  LockPlan lockPlan();
+
+  uint64_t counterValue(const uint64_t &Counter) const {
+    std::lock_guard<std::mutex> Lock(Mutex);
+    return Counter;
+  }
+
   std::string Dir;
+  /// Guards the counters, the lock policy and LockRng; never held across
+  /// file I/O.
   mutable std::mutex Mutex;
-  Rng LockRng; ///< Jitter stream for lock backoff; guarded by Mutex.
+  Rng LockRng; ///< Seeds each call's backoff jitter stream.
   unsigned LockMaxAttempts = 64;
   unsigned LockBaseDelayMicros = 200;
   uint64_t Hits = 0;

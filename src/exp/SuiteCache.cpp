@@ -9,6 +9,7 @@
 #include "exp/CacheStore.h"
 #include "obs/Span.h"
 #include "support/Hashing.h"
+#include "support/ThreadPool.h"
 
 #include <stdexcept>
 
@@ -65,17 +66,23 @@ PreparedSuite SuiteCache::get(const std::vector<Program> &Programs,
   // them without a store). Adding one benchmark to an otherwise-cached
   // suite prepares exactly that benchmark, and programs shared with
   // other suites are reused regardless of which suite wrote them.
+  // The probes run on the pool, each binding its program's base as the
+  // cost-model stage does. programHashes fills a member on first use, so
+  // it runs before the fan-out.
   auto Suite = std::make_shared<PreparedSuite>();
   std::vector<std::shared_ptr<const FlatImage>> &Flats = Suite->Flats;
   Flats.resize(Programs.size());
+  if (Store) {
+    const std::vector<uint64_t> &Hashes = programHashes(Programs);
+    ThreadPool::global().parallelFor(Programs.size(), [&](size_t I) {
+      Flats[I] = Store->loadProgram(Programs[I], Hashes[I], Machine, Tech,
+                                    TypingSeed);
+    });
+  }
   std::vector<size_t> Missing;
-  for (size_t I = 0; I < Programs.size(); ++I) {
-    if (Store)
-      Flats[I] = Store->loadProgram(Programs[I], programHashes(Programs)[I],
-                                    Machine, Tech, TypingSeed);
+  for (size_t I = 0; I < Programs.size(); ++I)
     if (!Flats[I])
       Missing.push_back(I);
-  }
   size_t Served = Programs.size() - Missing.size();
   ProgramStoreHits += Served;
 
@@ -98,12 +105,14 @@ PreparedSuite SuiteCache::get(const std::vector<Program> &Programs,
   for (const Program &Prog : Programs)
     Suite->Names.push_back(Prog.Name);
 
-  // Write back what the store was missing, so later processes (or labs
-  // over the same programs) skip it.
-  if (Store)
+  // Write back what the store was missing, as one batch, so later
+  // processes (or labs over the same programs) skip it.
+  if (Store && !Missing.empty()) {
+    std::vector<CacheStore::SaveItem> Batch;
     for (size_t I : Missing)
-      Store->saveProgram(programHashes(Programs)[I], Machine, Tech,
-                         TypingSeed, *Flats[I]);
+      Batch.push_back({ProgramHashes[I], Flats[I].get()});
+    Store->savePrograms(Batch, Machine, Tech, TypingSeed);
+  }
 
   // Freshly prepared programs are verified inside the pipeline when
   // verify-IR is on; store-served artifacts get the same static audit

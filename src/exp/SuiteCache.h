@@ -18,10 +18,11 @@
 /// programs never change); programs are therefore not part of the
 /// in-memory key, and get() rejects a set other than the first it saw.
 /// An optional CacheStore adds a persistent disk tier of per-program
-/// entries: a memory miss probes the store for each program
-/// (CacheStore::loadProgram), runs the static pipeline once over the
-/// programs it cannot serve (all of them without a store), and writes
-/// those back (CacheStore::saveProgram). Adding one benchmark to an
+/// entries: a memory miss probes the store for each program, in
+/// parallel on the global thread pool (CacheStore::loadProgram), runs
+/// the static pipeline once over the programs it cannot serve (all of
+/// them without a store), and writes those back as one batch
+/// (CacheStore::savePrograms). Adding one benchmark to an
 /// otherwise-cached suite thus prepares exactly that benchmark, and
 /// programs shared between suites (or labs) are prepared once ever
 /// (preparedPrograms() / programStoreHits() count this split). Store

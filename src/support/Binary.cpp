@@ -15,23 +15,13 @@
 
 using namespace pbt;
 
-namespace {
-
-/// fsyncs \p Path's parent directory so a just-renamed entry survives a
-/// power cut (the rename itself lives in directory metadata).
-/// Best-effort: some filesystems refuse directory fsync; the rename is
-/// still crash-atomic, only its durability window widens.
-void fsyncParentDir(const std::string &Path) {
-  size_t Slash = Path.find_last_of('/');
-  std::string Dir = Slash == std::string::npos ? "." : Path.substr(0, Slash);
+void pbt::syncDirectory(const std::string &Dir) {
   int Fd = ::open(Dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
   if (Fd < 0)
     return;
   ::fsync(Fd);
   ::close(Fd);
 }
-
-} // namespace
 
 bool pbt::writeFileAtomic(const std::string &Path, const std::string &Data) {
   FaultInjection &FI = FaultInjection::instance();
@@ -40,7 +30,9 @@ bool pbt::writeFileAtomic(const std::string &Path, const std::string &Data) {
   // (never crosses a filesystem boundary); the pid keeps concurrent
   // writers of the same path from clobbering each other's half-written
   // bytes, and lets the store's startup sweep tell stale temps (dead
-  // pid) from in-flight ones.
+  // pid) from in-flight ones. Threads of one process share the pid, so
+  // they must not write one path at once (the store's per-key flock
+  // serializes them).
   std::string Tmp = Path + ".tmp." + std::to_string(getpid());
   if (FI.failOp("atomic.open"))
     return false;
@@ -96,7 +88,6 @@ bool pbt::writeFileAtomic(const std::string &Path, const std::string &Data) {
     return false;
   }
   FI.crashPoint("atomic.after_rename"); // Entry visible and complete.
-  fsyncParentDir(Path);
   return true;
 }
 

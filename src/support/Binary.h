@@ -168,16 +168,23 @@ inline uint64_t fnv1a(const void *Data, size_t Size) {
   return H;
 }
 
-/// Writes \p Data to \p Path atomically and durably: the bytes go to a
-/// sibling temporary file (`<path>.tmp.<pid>`) that is fsynced and then
-/// renamed into place, with a best-effort parent-directory fsync after
-/// the rename — so concurrent readers never observe a half-written
+/// Writes \p Data to \p Path atomically: the bytes go to a sibling
+/// temporary file (`<path>.tmp.<pid>`) that is fsynced and then renamed
+/// into place — so concurrent readers never observe a half-written
 /// file, and a crash (or power cut) at any instant leaves either the
 /// old entry, the new entry, or a stale temp file, never a torn
-/// destination. Every step routes through `support/FaultInjection`, so
-/// tests can inject EIO, short writes, torn renames, and crash points.
-/// Returns false on I/O failure.
+/// destination. The rename itself becomes durable with the next
+/// syncDirectory of the parent, which a caller writing many files runs
+/// once after the last of them. Every step routes through
+/// `support/FaultInjection`, so tests can inject EIO, short writes, torn
+/// renames, and crash points. Returns false on I/O failure.
 bool writeFileAtomic(const std::string &Path, const std::string &Data);
+
+/// fsyncs the directory \p Dir, so renames into it survive a power cut
+/// (a rename lives in directory metadata). Best-effort: some
+/// filesystems refuse directory fsync; the renames stay crash-atomic,
+/// only their durability window widens.
+void syncDirectory(const std::string &Dir);
 
 /// Reads the whole file at \p Path into \p Out; false when unreadable.
 bool readFile(const std::string &Path, std::string &Out);

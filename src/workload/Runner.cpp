@@ -85,9 +85,10 @@ CumulativeStats &cumulative() {
 /// The technique-invariant base of one program on one machine: the
 /// program, its cost model (with the cycle table every flat image
 /// reads), its CFG facts and its oracle typing, all built eagerly here,
-/// inside the cost-model stage's parallel sweep. One allocation holds
-/// them all, so one weak_ptr tracks the base and aliasing shared_ptrs
-/// hand out the program and the cost model.
+/// inside the cost-model stage's parallel sweep, plus the static
+/// k-means typings per typing seed, built on first use. One allocation
+/// holds them all, so one weak_ptr tracks the base and aliasing
+/// shared_ptrs hand out the program and the cost model.
 struct ProgramBase {
   Program Prog;
   CostModel Cost;
@@ -96,6 +97,37 @@ struct ProgramBase {
   ProgramBase(const Program &P, const MachineConfig &Machine)
       : Prog(P), Cost(Prog, Machine), Facts(computeProgramFacts(Prog)),
         Oracle(computeOracleTyping(Prog, Cost)) {}
+
+  /// The static k-means typing of Prog at \p Seed, computed on first use
+  /// and kept while the base lives. The seed is the only TypingConfig
+  /// field the pipeline sets (the rest keep their defaults), so it is the
+  /// whole key; a pipeline input that sets any other field must join it.
+  std::shared_ptr<const ProgramTyping> staticTyping(uint64_t Seed) const {
+    obs::CounterRegistry &Reg = obs::CounterRegistry::global();
+    {
+      std::lock_guard<std::mutex> Lock(TypingMutex);
+      auto It = StaticTypings.find(Seed);
+      if (It != StaticTypings.end()) {
+        Reg.add("analysis.static_typings_shared");
+        return It->second;
+      }
+    }
+    // Computed outside the lock: the typing is a pure function of
+    // (program, seed), so a racing thread's duplicate is equal and the
+    // first insert wins.
+    TypingConfig Config;
+    Config.Seed = Seed;
+    auto Fresh = std::make_shared<const ProgramTyping>(
+        computeStaticTyping(Prog, Config));
+    Reg.add("analysis.static_typings_built");
+    std::lock_guard<std::mutex> Lock(TypingMutex);
+    return StaticTypings.emplace(Seed, std::move(Fresh)).first->second;
+  }
+
+private:
+  mutable std::mutex TypingMutex;
+  mutable std::map<uint64_t, std::shared_ptr<const ProgramTyping>>
+      StaticTypings;
 };
 
 /// Process-wide intern table of live program bases. Entries are
@@ -229,13 +261,9 @@ pbt::preparePrograms(const std::vector<Program> &Programs,
   });
   if (!Tech.Baseline) {
     RunStage(TypingStage, [&](ProgramPrep &PC, const BaseRef &B) {
-      if (Tech.UseStaticTyping) {
-        TypingConfig Config;
-        Config.Seed = TypingSeed;
-        PC.Typing = computeStaticTyping(*PC.Prog, Config);
-      } else {
-        PC.Typing = B->Oracle;
-      }
+      // A copy either way: error-inject edits PC.Typing, never the base.
+      PC.Typing = Tech.UseStaticTyping ? *B->staticTyping(TypingSeed)
+                                       : B->Oracle;
       PC.Typed = true;
     });
     if (Tech.TypingError > 0)

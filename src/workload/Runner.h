@@ -126,16 +126,18 @@ struct PreparedSuite {
 ///
 /// The cost-model stage binds each program to its technique-invariant
 /// base: one immutable copy of the program plus its CostModel (whose
-/// cycle table every flat image reads), CFG facts and oracle typing,
-/// shared process-wide by every preparation of an equal program on an
-/// equal machine while any result still holds it. The typing stage
-/// copies the base's oracle typing and the transitions stage reads its
+/// cycle table every flat image reads), CFG facts, oracle typing and
+/// static k-means typing per typing seed (built on first use), shared
+/// process-wide by every preparation of an equal program on an equal
+/// machine while any result still holds it. The typing stage copies the
+/// base's oracle or static typing and the transitions stage reads its
 /// facts. Every image is built on that shared program, so the returned
 /// Flat->program().program() is the base copy, not the caller's object.
 /// A base is reused only after full structural equality of program and
 /// machine; the registry counters
 /// analysis.cost_models_built and analysis.cost_models_shared count
-/// fresh builds and reuses.
+/// fresh builds and reuses, and analysis.static_typings_built and
+/// analysis.static_typings_shared the same for the static typings.
 std::vector<std::shared_ptr<const FlatImage>>
 preparePrograms(const std::vector<Program> &Programs,
                 const MachineConfig &Machine, const TechniqueSpec &Tech,

@@ -11,8 +11,10 @@
 #include "TestDirs.h"
 
 #include "exp/CacheStore.h"
+#include "exp/Lab.h"
 #include "exp/SuiteCache.h"
 #include "support/Binary.h"
+#include "support/FileLock.h"
 #include "support/Rng.h"
 #include "workload/Benchmarks.h"
 #include "workload/Runner.h"
@@ -395,6 +397,46 @@ TEST(IncrementalStore, CorruptProgEntryQuarantinedThenHealed) {
   EXPECT_EQ(Clean.prepared(), 0u);
   EXPECT_EQ(Clean.storeHits(), 1u);
   EXPECT_EQ(Verify->rejects(), 0u);
+}
+
+// A write-back batch degrades entry by entry. While another descriptor
+// (another process, under flock) holds one entry's lock shared, as a
+// reader mid-read does, a cold get still serves the whole suite from
+// memory, writes the other 14 entries and counts one lock timeout; the
+// next lab prepares that one program and loads the rest.
+TEST(IncrementalStore, ContendedEntrySkipsOnlyItsOwnWriteBack) {
+  std::string Dir = testCacheDir("incr_contended.cache");
+  auto Store = std::make_shared<CacheStore>(Dir);
+  Store->setLockPolicy(/*MaxAttempts=*/1, /*BaseDelayMicros=*/1);
+  std::vector<Program> Programs = buildSuite();
+  ASSERT_EQ(Programs.size(), 15u);
+  MachineConfig MC = MachineConfig::quadAsymmetric();
+  TechniqueSpec Tech = loopTechnique();
+  PreparedSuite Reference = prepareSuite(Programs, MC, Tech, 42);
+
+  const std::string Pinned = entryPath(*Store, Programs[4], MC, Tech, 42);
+  FileLock Reader;
+  ASSERT_TRUE(Reader.tryAcquire(Pinned.substr(0, Pinned.size() - 4) + ".lck",
+                                FileLock::Mode::Shared));
+  SuiteCache Cold;
+  Cold.setStore(Store);
+  PreparedSuite Served = Cold.get(Programs, MC, Tech, 42);
+  EXPECT_EQ(Cold.preparedPrograms(), Programs.size());
+  EXPECT_EQ(Store->writes(), Programs.size() - 1);
+  EXPECT_EQ(Store->lockTimeouts(), 1u);
+  EXPECT_EQ(filesContaining(Dir, ".pbt").size(), Programs.size() - 1);
+  std::string Bytes;
+  EXPECT_FALSE(readFileBytes(Pinned, Bytes));
+  expectSuitesBitIdentical(Served, Reference);
+  Reader.release();
+
+  Lab Warm(Programs, MC);
+  Warm.cache().setStore(Store);
+  PreparedSuite Healed = Warm.suite(Tech, 42);
+  EXPECT_EQ(Warm.cache().programStoreHits(), Programs.size() - 1);
+  EXPECT_EQ(Warm.cache().preparedPrograms(), 1u);
+  EXPECT_EQ(Store->writes(), Programs.size());
+  expectSuitesBitIdentical(Healed, Reference);
 }
 
 // The store holds one kind of file: a cold suite over N programs leaves

@@ -654,6 +654,62 @@ TEST(SharedBase, BaseLivesOnlyWhilePreparedArtifactsDo) {
   EXPECT_EQ(counterValue("analysis.cost_models_built") - Built, N);
 }
 
+// Static k-means typing depends only on the program and the typing seed,
+// so it lives on the base too: the 18 paper variants typed statically
+// build one typing per benchmark and seed, and every image they yield is
+// byte-identical to the same technique prepared with no base alive.
+TEST(SharedBase, StaticTypingsAreBuiltOncePerBaseAndSeed) {
+  MachineConfig MC = MachineConfig::quadAsymmetric();
+  std::vector<Program> Programs = buildSuite();
+  const size_t N = Programs.size();
+  std::vector<TechniqueSpec> Techniques = tableTwoTechniques();
+  Techniques.erase(Techniques.begin()); // The baseline is never typed.
+  for (TechniqueSpec &Tech : Techniques)
+    Tech.UseStaticTyping = true;
+  ASSERT_EQ(Techniques.size(), 18u);
+  const uint64_t Seeds[] = {42, 7};
+
+  auto Bytes = [](const FlatImage &Flat) {
+    BinaryWriter W;
+    Flat.serialize(W);
+    return W.buffer();
+  };
+  std::vector<std::vector<std::string>> Shared;
+  {
+    std::vector<PreparedSuite> Suites;
+    for (uint64_t Seed : Seeds) {
+      SCOPED_TRACE(Seed);
+      uint64_t Built = counterValue("analysis.static_typings_built");
+      uint64_t Reused = counterValue("analysis.static_typings_shared");
+      for (const TechniqueSpec &Tech : Techniques)
+        Suites.push_back(prepareSuite(Programs, MC, Tech, Seed));
+      EXPECT_EQ(counterValue("analysis.static_typings_built") - Built, N);
+      EXPECT_EQ(counterValue("analysis.static_typings_shared") - Reused,
+                (Techniques.size() - 1) * N);
+    }
+    for (const PreparedSuite &S : Suites) {
+      Shared.emplace_back();
+      for (const auto &Flat : S.Flats)
+        Shared.back().push_back(Bytes(*Flat));
+    }
+  }
+
+  // Every suite above is gone, and with it every base: each technique
+  // now computes its typings afresh.
+  size_t Row = 0;
+  for (uint64_t Seed : Seeds)
+    for (const TechniqueSpec &Tech : Techniques) {
+      SCOPED_TRACE(Tech.label() + " seed " + std::to_string(Seed));
+      uint64_t Built = counterValue("analysis.static_typings_built");
+      PreparedSuite Fresh = prepareSuite(Programs, MC, Tech, Seed);
+      EXPECT_EQ(counterValue("analysis.static_typings_built") - Built, N);
+      for (size_t I = 0; I < N; ++I)
+        EXPECT_TRUE(Bytes(*Fresh.Flats[I]) == Shared[Row][I])
+            << Programs[I].Name;
+      ++Row;
+    }
+}
+
 // Concurrent preparations race on the shared table: every thread still
 // reproduces the pinned digests, and all of them end up on one base per
 // program.
