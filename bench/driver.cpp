@@ -326,21 +326,18 @@ int main(int Argc, char **Argv) {
     Rows.push_back(ReportRow{E.Name, R.statusName(), R.DurationSeconds});
   }
 
-  // Aggregate suite-cache statistics over the shared labs. store_hits
-  // counts preparations served from PBT_CACHE_DIR: a warm second run
-  // reports prepared == 0 and store_hits > 0 (asserted in CI).
-  uint64_t MemoryHits = 0;
-  uint64_t StoreHits = 0;
-  uint64_t PreparedCount = 0;
-  uint64_t PreparedProgramCount = 0;
-  uint64_t ProgramStoreHits = 0;
-  for (exp::Lab *L : exp::ExperimentHarness::labPool().labs()) {
-    MemoryHits += L->cache().hits();
-    StoreHits += L->cache().storeHits();
-    PreparedCount += L->cache().prepared();
-    PreparedProgramCount += L->cache().preparedPrograms();
-    ProgramStoreHits += L->cache().programStoreHits();
-  }
+  // Aggregate suite-cache statistics over every lab: the shared ones
+  // and the experiments' custom labs. store_hits counts preparations
+  // served from PBT_CACHE_DIR: a warm second run reports prepared == 0
+  // and store_hits > 0, and a cold one prepared_programs == store
+  // misses == store writes (asserted in CI).
+  const exp::SuiteCacheTotals Totals =
+      exp::ExperimentHarness::labPool().totals();
+  const uint64_t MemoryHits = Totals.MemoryHits;
+  const uint64_t StoreHits = Totals.StoreHits;
+  const uint64_t PreparedCount = Totals.Prepared;
+  const uint64_t PreparedProgramCount = Totals.PreparedPrograms;
+  const uint64_t ProgramStoreHits = Totals.ProgramStoreHits;
 
   Json Root = Json::object();
   // v7: the "store" block counts program entries only (hits, misses,

@@ -26,15 +26,15 @@ InstrumentedProgram::InstrumentedProgram(
     : Prog(std::move(ProgIn)), Marks(std::move(Marking.Marks)),
       NumTypes(Marking.NumTypes), Cost(CostIn) {
   assert(Prog && "an image needs a program");
-  Lookup.resize(Prog->Procs.size());
-  for (const Procedure &P : Prog->Procs)
-    Lookup[P.Id].resize(P.Blocks.size());
+  ProcOffset = Prog->blockOffsets();
+  Lookup.resize(Prog->blockCount());
 
   for (size_t I = 0; I < Marks.size(); ++I) {
     const PhaseMark &M = Marks[I];
-    assert(M.Proc < Lookup.size() && "mark names unknown procedure");
-    assert(M.Block < Lookup[M.Proc].size() && "mark names unknown block");
-    BlockMarks &Slot = Lookup[M.Proc][M.Block];
+    assert(M.Proc < ProcOffset.size() && "mark names unknown procedure");
+    assert(M.Block < Prog->Procs[M.Proc].Blocks.size() &&
+           "mark names unknown block");
+    BlockMarks &Slot = Lookup[ProcOffset[M.Proc] + M.Block];
     if (M.Point == MarkPoint::CallSite) {
       assert(Slot.CallMark < 0 && "duplicate call mark");
       Slot.CallMark = static_cast<int32_t>(I);
@@ -44,19 +44,28 @@ InstrumentedProgram::InstrumentedProgram(
     assert(Slot.EdgeMark[M.SuccIndex] < 0 && "duplicate edge mark");
     Slot.EdgeMark[M.SuccIndex] = static_cast<int32_t>(I);
   }
+
+  // verify() admits single-successor Cond blocks; both engines fold the
+  // missing edge onto the only one, mark included.
+  for (const Procedure &P : Prog->Procs)
+    for (const BasicBlock &BB : P.Blocks)
+      if (BB.Term == TermKind::Cond && BB.Succs.size() < 2) {
+        BlockMarks &Slot = Lookup[ProcOffset[P.Id] + BB.Id];
+        Slot.EdgeMark[1] = Slot.EdgeMark[0];
+      }
 }
 
 const PhaseMark *InstrumentedProgram::edgeMark(uint32_t Proc, uint32_t Block,
                                                uint32_t SuccIndex) const {
   if (SuccIndex >= 2)
     return nullptr;
-  int32_t Index = Lookup[Proc][Block].EdgeMark[SuccIndex];
+  int32_t Index = Lookup[ProcOffset[Proc] + Block].EdgeMark[SuccIndex];
   return Index < 0 ? nullptr : &Marks[static_cast<size_t>(Index)];
 }
 
 const PhaseMark *InstrumentedProgram::callMark(uint32_t Proc,
                                                uint32_t Block) const {
-  int32_t Index = Lookup[Proc][Block].CallMark;
+  int32_t Index = Lookup[ProcOffset[Proc] + Block].CallMark;
   return Index < 0 ? nullptr : &Marks[static_cast<size_t>(Index)];
 }
 

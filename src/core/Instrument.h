@@ -73,11 +73,25 @@ struct MarkCostModel {
 /// Stable content hash over every MarkCostModel field.
 uint64_t hashValue(const MarkCostModel &Cost);
 
+/// The marks on one block: indices into InstrumentedProgram::marks() on
+/// edge 0/1 and on the call site, or -1. For a call block, EdgeMark[0]
+/// is the *continuation* edge's mark, deferred to the matching return.
+struct BlockMarks {
+  int32_t EdgeMark[2] = {-1, -1};
+  int32_t CallMark = -1;
+};
+
 /// A program together with its phase marks and O(1) mark lookup,
 /// analogous to the paper's "standalone binary with phase information and
 /// dynamic analysis code fragments". The program itself is shared and
 /// immutable: every technique's image of one benchmark can point at the
 /// same Program, since marks live beside it rather than in it.
+///
+/// The lookup is one mark table indexed by global block id
+/// (Program::blockOffsets()), the technique's whole contribution to a
+/// flat image: both execution engines read it. A single-successor Cond
+/// block's edge 1 folds onto its only edge, so its row carries edge 0's
+/// mark on both edges.
 class InstrumentedProgram {
 public:
   InstrumentedProgram(std::shared_ptr<const Program> Prog,
@@ -95,12 +109,16 @@ public:
   uint32_t numTypes() const { return NumTypes; }
   const MarkCostModel &cost() const { return Cost; }
 
-  /// Mark on edge (\p Proc, \p Block, \p SuccIndex), or nullptr.
+  /// Mark on edge (\p Proc, \p Block, \p SuccIndex), or nullptr; edge 1
+  /// of a single-successor Cond is its edge 0.
   const PhaseMark *edgeMark(uint32_t Proc, uint32_t Block,
                             uint32_t SuccIndex) const;
 
   /// Mark on the call terminating (\p Proc, \p Block), or nullptr.
   const PhaseMark *callMark(uint32_t Proc, uint32_t Block) const;
+
+  /// The mark table: one row per global block id.
+  const std::vector<BlockMarks> &markTable() const { return Lookup; }
 
   /// Size of the instrumented binary in bytes.
   uint64_t instrumentedByteSize() const;
@@ -109,16 +127,13 @@ public:
   double spaceOverheadPercent() const;
 
 private:
-  struct BlockMarks {
-    int32_t EdgeMark[2] = {-1, -1};
-    int32_t CallMark = -1;
-  };
-
   std::shared_ptr<const Program> Prog;
   std::vector<PhaseMark> Marks;
   uint32_t NumTypes = 0;
   MarkCostModel Cost;
-  std::vector<std::vector<BlockMarks>> Lookup;
+  /// Program::blockOffsets() of the program.
+  std::vector<uint32_t> ProcOffset;
+  std::vector<BlockMarks> Lookup;
 };
 
 } // namespace pbt

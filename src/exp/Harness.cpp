@@ -35,6 +35,27 @@ std::vector<Lab *> LabPool::labs() {
   return Out;
 }
 
+void SuiteCacheTotals::add(const SuiteCache &Cache) {
+  MemoryHits += Cache.hits();
+  StoreHits += Cache.storeHits();
+  Prepared += Cache.prepared();
+  PreparedPrograms += Cache.preparedPrograms();
+  ProgramStoreHits += Cache.programStoreHits();
+}
+
+void LabPool::retire(Lab &L) {
+  std::lock_guard<std::mutex> Lock(Mutex);
+  Retired.add(L.cache());
+}
+
+SuiteCacheTotals LabPool::totals() {
+  std::lock_guard<std::mutex> Lock(Mutex);
+  SuiteCacheTotals Out = Retired;
+  for (auto &Entry : Labs)
+    Out.add(Entry.second->cache());
+  return Out;
+}
+
 LabPool &ExperimentHarness::labPool() {
   static LabPool Pool;
   return Pool;
@@ -66,6 +87,11 @@ ExperimentHarness::ExperimentHarness(std::string NameIn, std::string Title,
   Root["title"] = std::move(Title);
   Root["paper_ref"] = std::move(PaperRef);
   Root["scale"] = Scale;
+}
+
+ExperimentHarness::~ExperimentHarness() {
+  for (const std::unique_ptr<Lab> &L : CustomLabs)
+    labPool().retire(*L);
 }
 
 Lab &ExperimentHarness::lab(const MachineConfig &MachineCfg) {

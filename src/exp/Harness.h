@@ -41,6 +41,18 @@
 namespace pbt {
 namespace exp {
 
+/// Suite-cache counters summed over labs (SuiteCache's accessors of
+/// the same names).
+struct SuiteCacheTotals {
+  uint64_t MemoryHits = 0;
+  uint64_t StoreHits = 0;
+  uint64_t Prepared = 0;
+  uint64_t PreparedPrograms = 0;
+  uint64_t ProgramStoreHits = 0;
+
+  void add(const SuiteCache &Cache);
+};
+
 /// A pool of per-machine Labs. The process has one
 /// (ExperimentHarness::labPool), so every experiment bench/driver runs
 /// reuses the same labs — one isolated-runtime measurement and one
@@ -58,12 +70,20 @@ public:
   /// returned Lab is NOT thread-safe.
   Lab &lab(const MachineConfig &MachineCfg);
 
-  /// Every lab created so far (driver diagnostics).
+  /// Every pooled lab created so far.
   std::vector<Lab *> labs();
+
+  /// Adds the cache counters of \p L, a lab outside the pool that is
+  /// about to go away (a harness's custom lab), to totals().
+  void retire(Lab &L);
+
+  /// Suite-cache counters of every pooled lab plus every retired one.
+  SuiteCacheTotals totals();
 
 private:
   std::mutex Mutex;
   std::vector<std::pair<MachineConfig, std::unique_ptr<Lab>>> Labs;
+  SuiteCacheTotals Retired;
 };
 
 /// Shared driver for all experiment binaries: labs, sweeps, artifact.
@@ -74,6 +94,9 @@ public:
   /// the human headline, \p PaperRef names the reproduced figure/table.
   ExperimentHarness(std::string Name, std::string Title,
                     std::string PaperRef);
+
+  /// Retires the custom labs into the pool's totals().
+  ~ExperimentHarness();
 
   /// Horizon scale from PBT_BENCH_SCALE.
   double scale() const { return Scale; }
@@ -92,7 +115,8 @@ public:
   static LabPool &labPool();
 
   /// Registers a custom lab (subsetted programs, ablation SimConfigs)
-  /// under the harness's lifetime and returns it.
+  /// under the harness's lifetime and returns it. Its cache counters
+  /// join labPool().totals() when the harness is destroyed.
   Lab &customLab(std::vector<Program> Programs, MachineConfig MachineCfg,
                  SimConfig Sim = SimConfig());
 

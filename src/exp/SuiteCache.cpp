@@ -35,9 +35,12 @@ void SuiteCache::checkProgramSet(const std::vector<Program> &Programs) {
 
 const std::vector<uint64_t> &
 SuiteCache::programHashes(const std::vector<Program> &Programs) {
-  if (ProgramHashes.empty())
-    for (const Program &Prog : Programs)
-      ProgramHashes.push_back(CacheStore::hashProgram(Prog));
+  if (ProgramHashes.empty()) {
+    ProgramHashes.resize(Programs.size());
+    ThreadPool::global().parallelFor(Programs.size(), [&](size_t I) {
+      ProgramHashes[I] = CacheStore::hashProgram(Programs[I]);
+    });
+  }
   return ProgramHashes;
 }
 

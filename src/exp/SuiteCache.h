@@ -99,6 +99,13 @@ public:
   /// Distinct prepared suites currently held in memory.
   size_t size() const;
 
+  /// Per-program content hashes for the disk tier
+  /// (CacheStore::hashProgram), in program order, computed once on the
+  /// global pool: the cache serves one fixed program set for its whole
+  /// life.
+  const std::vector<uint64_t> &
+  programHashes(const std::vector<Program> &Programs);
+
   void clear();
 
 private:
@@ -116,11 +123,6 @@ private:
   /// Records the first call's program set; throws std::invalid_argument
   /// for any later set that differs from it.
   void checkProgramSet(const std::vector<Program> &Programs);
-
-  /// Per-program content hashes for the disk tier, computed once (the
-  /// cache serves one fixed program set for its whole life).
-  const std::vector<uint64_t> &
-  programHashes(const std::vector<Program> &Programs);
 
   /// Hash buckets hold entry lists so hash collisions fall back to exact
   /// comparison (samePreparation + machine equality + seed).

@@ -17,6 +17,7 @@
 
 #include "ir/BasicBlock.h"
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -82,6 +83,20 @@ struct Program {
     for (const Procedure &P : Procs)
       N += P.Blocks.size();
     return N;
+  }
+
+  /// First global block id of each procedure: procedure P's block B
+  /// has global id `blockOffsets()[P] + B`, procedures laid out in id
+  /// order (the numbering of CostModel's layout and of
+  /// InstrumentedProgram's mark table).
+  std::vector<uint32_t> blockOffsets() const {
+    std::vector<uint32_t> Offsets(Procs.size());
+    uint32_t Total = 0;
+    for (const Procedure &P : Procs) {
+      Offsets[P.Id] = Total;
+      Total += static_cast<uint32_t>(P.Blocks.size());
+    }
+    return Offsets;
   }
 
   /// Exact structural equality: name and every procedure.

@@ -32,34 +32,62 @@ double CpiTable::of(InstKind Kind) const {
 }
 
 CostModel::CostModel(const Program &Prog, const MachineConfig &MachineIn)
-    : Machine(MachineIn) {
+    : Machine(MachineIn), ProcOffset(Prog.blockOffsets()) {
   const CpiTable Cpi;
   const uint32_t NumCoreTypes = Machine.numCoreTypes();
   MaxSharers = std::max(1u, Machine.maxGroupSize());
-  // Procedures laid out in id order.
-  ProcOffset.resize(Prog.Procs.size());
-  uint32_t Offset = 0;
-  for (const Procedure &P : Prog.Procs) {
-    ProcOffset[P.Id] = Offset;
-    Offset += static_cast<uint32_t>(P.Blocks.size());
-  }
-  Insts.resize(Prog.blockCount());
-  Cycles.resize(Insts.size() * NumCoreTypes * MaxSharers);
+  const uint32_t Stride = NumCoreTypes * MaxSharers;
+  Layout.resize(Prog.blockCount());
+  Cycles.resize(Layout.size() * Stride);
 
   for (const Procedure &P : Prog.Procs) {
+    const uint32_t Base = ProcOffset[P.Id];
     for (const BasicBlock &BB : P.Blocks) {
-      const uint32_t G = ProcOffset[P.Id] + BB.Id;
+      const uint32_t G = Base + BB.Id;
       const uint32_t BlockInsts = static_cast<uint32_t>(BB.size());
       const uint32_t MemRefs = static_cast<uint32_t>(BB.memOpCount());
-      Insts[G] = BlockInsts;
-      double Base = 0;
+      FlatBlock &F = Layout[G];
+      F.Insts = BlockInsts;
+      F.CycleRow = G * Stride;
+      switch (BB.Term) {
+      case TermKind::Jump: {
+        F.Succ[0] = Base + BB.Succs[0];
+        int32_t Callee = BB.calleeOrNone();
+        if (Callee >= 0) {
+          F.Op = FlatOp::Call;
+          F.Callee = ProcOffset[static_cast<uint32_t>(Callee)];
+        } else {
+          F.Op = FlatOp::Jump;
+        }
+        break;
+      }
+      case TermKind::Loop:
+        F.Op = FlatOp::Loop;
+        F.Succ[0] = Base + BB.Succs[0];
+        F.Succ[1] = Base + BB.Succs[1];
+        F.TripCount = BB.TripCount;
+        break;
+      case TermKind::Cond:
+        // verify() admits single-successor Cond blocks; both edges fold
+        // onto the only successor, as in the reference engine (the mark
+        // table folds the edge's mark the same way).
+        F.Op = FlatOp::Cond;
+        F.Succ[0] = Base + BB.Succs[0];
+        F.Succ[1] = Base + BB.Succs[BB.Succs.size() > 1 ? 1 : 0];
+        F.TakenProb = BB.TakenProb;
+        break;
+      case TermKind::Ret:
+        F.Op = FlatOp::Ret;
+        break;
+      }
+
+      double CpiSum = 0;
       for (const Instruction &I : BB.Insts)
-        Base += Cpi.of(I.Kind);
-      Base = quantizeCycles(Base);
+        CpiSum += Cpi.of(I.Kind);
+      CpiSum = quantizeCycles(CpiSum);
 
       ReuseProfile Reuse = computeBlockReuse(BB);
-      double *Row =
-          &Cycles[static_cast<size_t>(G) * NumCoreTypes * MaxSharers];
+      double *Row = &Cycles[F.CycleRow];
       for (uint32_t Ct = 0; Ct < NumCoreTypes; ++Ct) {
         double Penalty = Machine.missPenaltyCycles(Ct);
         for (uint32_t Sharers = 1; Sharers <= MaxSharers; ++Sharers) {
@@ -68,7 +96,7 @@ CostModel::CostModel(const Program &Prog, const MachineConfig &MachineIn)
               (Reuse.missRate(EffLines) * static_cast<double>(MemRefs) +
                Cpi.AmbientMissPerInst * static_cast<double>(BlockInsts)) *
               Penalty);
-          Row[Ct * MaxSharers + (Sharers - 1)] = Base + Stall;
+          Row[Ct * MaxSharers + (Sharers - 1)] = CpiSum + Stall;
         }
       }
     }

@@ -85,9 +85,50 @@ struct CpiTable {
   double of(InstKind Kind) const;
 };
 
-/// Precomputed execution costs for every block of a program on a given
-/// machine, built with the default CpiTable. Construction is
-/// O(program); queries are O(1).
+/// Pre-decoded execution behaviour of one layout record. Jump
+/// terminators split two ways so the inner loop never re-derives the
+/// distinction: a call or a plain jump.
+enum class FlatOp : uint8_t {
+  Jump, ///< Jump, no call.
+  Call, ///< Jump terminator whose block ends in a call.
+  Loop, ///< Loop latch (successor 0 back edge, 1 exit).
+  Cond, ///< Data-dependent branch resolved by the process RNG.
+  Ret,  ///< Procedure return.
+};
+
+/// One block's execution record in the cost model's layout (40 bytes):
+/// everything the flat engine's inner loop needs of a block except its
+/// phase marks, which are the technique's (InstrumentedProgram's mark
+/// table, indexed by the same global id). Fields beyond the common set
+/// are meaningful only for the matching Op; they are kept
+/// unconditionally so records stay fixed-size PODs.
+struct FlatBlock {
+  FlatOp Op = FlatOp::Ret;
+  /// Instructions retired by one execution.
+  uint32_t Insts = 0;
+  /// Successor *global* ids (meaning per Op, as in BasicBlock::Succs;
+  /// for Call, Succ[0] is the return continuation). A single-successor
+  /// Cond has Succ[1] == Succ[0].
+  uint32_t Succ[2] = {0, 0};
+  /// Base row of this block in the cycle table: the cycle cost on a
+  /// core of type ct with s sharers is cycleTable()[CycleRow +
+  /// ct*maxSharers() + (s-1)].
+  uint32_t CycleRow = 0;
+  /// Callee entry global id (Op == Call).
+  uint32_t Callee = 0;
+  /// Loop latch trip count (Op == Loop).
+  uint32_t TripCount = 1;
+  /// Probability of taking Succ[0] (Op == Cond).
+  double TakenProb = 0.5;
+};
+static_assert(sizeof(FlatBlock) == 40, "FlatBlock layout changed");
+
+/// Precomputed execution costs and the flat block layout of a program on
+/// a given machine, built with the default CpiTable. Construction is
+/// O(program); queries are O(1). One cost model serves every technique
+/// prepared on its program base: the layout and the cycle table are
+/// technique-invariant, and every FlatImage bound to the model reads
+/// both in place.
 class CostModel {
 public:
   CostModel(const Program &Prog, const MachineConfig &Machine);
@@ -101,7 +142,7 @@ public:
 
   /// Instructions retired by one execution of the block.
   uint32_t blockInsts(uint32_t Proc, uint32_t Block) const {
-    return Insts[ProcOffset[Proc] + Block];
+    return Layout[ProcOffset[Proc] + Block].Insts;
   }
 
   /// Steady-state IPC of the block on \p CoreType with an unshared L2.
@@ -130,11 +171,16 @@ public:
   /// bound to the model reads the table in place.
   const std::vector<double> &cycleTable() const { return Cycles; }
 
+  /// One record per global block, in global-id order.
+  const std::vector<FlatBlock> &layout() const { return Layout; }
+
+  /// First global id of each procedure (Program::blockOffsets()).
+  const std::vector<uint32_t> &procOffsets() const { return ProcOffset; }
+
 private:
   MachineConfig Machine;
   std::vector<uint32_t> ProcOffset;
-  /// Instructions per global block.
-  std::vector<uint32_t> Insts;
+  std::vector<FlatBlock> Layout;
   uint32_t MaxSharers = 1;
   std::vector<double> Cycles;
 };

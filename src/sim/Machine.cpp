@@ -520,7 +520,8 @@ uint32_t Machine::steadyTurns(const Process &P, uint32_t Core,
 
   // The shape advanceProcessFlat charges as one O(1) self-loop run.
   const FlatBlock &B = P.Flat->blocks()[Cur];
-  if (B.Op != FlatOp::Loop || B.Succ[0] != Cur || B.EdgeMark[0] >= 0)
+  if (B.Op != FlatOp::Loop || B.Succ[0] != Cur ||
+      P.Flat->blockMarks(Cur).EdgeMark[0] >= 0)
     return 0;
   double C = P.Flat->cycleTable()[B.CycleRow + CfgOff];
   uint32_t Left = Rem == 0 ? B.TripCount : Rem;
@@ -790,9 +791,10 @@ void Machine::settleAll(SettleCause Cause) {
 /// The flat-image interpreter. Same block sequence, same RNG draws, and
 /// the same cycle totals as advanceProcessReference, so both engines
 /// produce bit-identical ProcessStats. The difference is mechanical:
-/// each step is one indexed load from the FlatImage instead of pointer
-/// chases through Program, CostModel, and InstrumentedProgram, and a
-/// run of unmarked self-loop iterations is charged in O(1) (k * cost).
+/// each step is one indexed load from the layout plus one from the mark
+/// table instead of pointer chases through Program, CostModel and
+/// InstrumentedProgram, and a run of unmarked self-loop iterations is
+/// charged in O(1) (k * cost).
 /// Costs are on the exact cycle grid (CostModel.h), so that product
 /// equals the adds it replaces.
 Machine::AdvanceResult Machine::advanceProcessFlat(Process &P, uint32_t Core,
@@ -801,6 +803,7 @@ Machine::AdvanceResult Machine::advanceProcessFlat(Process &P, uint32_t Core,
   AdvanceResult R;
   const FlatImage &FI = *P.Flat;
   const FlatBlock *Blk = FI.blocks();
+  const BlockMarks *Rows = FI.markTable();
   const double *Cyc = FI.cycleTable();
   const PhaseMark *Marks = FI.marks();
   // Per-quantum invariant, cached across quanta in the hot lane and
@@ -818,7 +821,8 @@ Machine::AdvanceResult Machine::advanceProcessFlat(Process &P, uint32_t Core,
     double Cycles = Cyc[B->CycleRow + CfgOff];
     uint32_t Insts = B->Insts;
 
-    if (B->Op == FlatOp::Loop && B->Succ[0] == Cur && B->EdgeMark[0] < 0) {
+    if (B->Op == FlatOp::Loop && B->Succ[0] == Cur &&
+        Rows[Cur].EdgeMark[0] < 0) {
       // O(1) self-loop: run every back-edge iteration this quantum
       // reaches at once. Latch executions left in this activation,
       // counting the exit one (a fresh activation starts at TripCount).
@@ -851,19 +855,23 @@ Machine::AdvanceResult Machine::advanceProcessFlat(Process &P, uint32_t Core,
 
     const PhaseMark *TakenMark = nullptr;
     switch (B->Op) {
-    case FlatOp::Jump:
-      if (B->EdgeMark[0] >= 0)
-        TakenMark = Marks + B->EdgeMark[0];
+    case FlatOp::Jump: {
+      int32_t Mark = Rows[Cur].EdgeMark[0];
+      if (Mark >= 0)
+        TakenMark = Marks + Mark;
       Cur = B->Succ[0];
       break;
-    case FlatOp::Call:
+    }
+    case FlatOp::Call: {
       // The call site's own mark fires now; the continuation edge's
       // waits for the matching return.
-      P.CallStack.push_back(CallFrame{0, 0, B->EdgeMark[0], B->Succ[0]});
-      if (B->CallMark >= 0)
-        TakenMark = Marks + B->CallMark;
+      const BlockMarks &Row = Rows[Cur];
+      P.CallStack.push_back(CallFrame{0, 0, Row.EdgeMark[0], B->Succ[0]});
+      if (Row.CallMark >= 0)
+        TakenMark = Marks + Row.CallMark;
       Cur = B->Callee;
       break;
+    }
     case FlatOp::Loop: {
       uint32_t &Rem = P.LoopRemaining[Cur];
       if (Rem == 0)
@@ -876,7 +884,7 @@ Machine::AdvanceResult Machine::advanceProcessFlat(Process &P, uint32_t Core,
         Rem = 0;
         Index = 1;
       }
-      int32_t Mark = B->EdgeMark[Index];
+      int32_t Mark = Rows[Cur].EdgeMark[Index];
       if (Mark >= 0)
         TakenMark = Marks + Mark;
       Cur = B->Succ[Index];
@@ -884,7 +892,7 @@ Machine::AdvanceResult Machine::advanceProcessFlat(Process &P, uint32_t Core,
     }
     case FlatOp::Cond: {
       uint32_t Index = P.Gen.nextBool(B->TakenProb) ? 0 : 1;
-      int32_t Mark = B->EdgeMark[Index];
+      int32_t Mark = Rows[Cur].EdgeMark[Index];
       if (Mark >= 0)
         TakenMark = Marks + Mark;
       Cur = B->Succ[Index];

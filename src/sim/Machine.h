@@ -56,7 +56,7 @@ enum class ExecEngine : uint8_t {
   /// Flat-image engine: one indexed load per block, unmarked self-loop
   /// runs charged in O(1).
   Flat,
-  /// Block-at-a-time interpreter over the IR + CostModel + mark lookup,
+  /// Block-at-a-time interpreter over the IR + CostModel + mark table,
   /// retained as the differential-testing oracle.
   Reference,
 };

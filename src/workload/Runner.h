@@ -185,7 +185,8 @@ struct ProgramPrep {
   bool Marked = false;
   /// Instrumented program (instrument stage).
   std::shared_ptr<const InstrumentedProgram> Image;
-  /// Fused flat execution image (flatten stage).
+  /// Flat execution image: the base's layout with the image's mark
+  /// table (flatten stage).
   std::shared_ptr<const FlatImage> Flat;
 };
 

@@ -193,14 +193,65 @@ bool checkTyping(const Program &Prog, const ProgramTyping &Typing,
   return true;
 }
 
+/// The technique's mark table against its marks, mark by mark: every
+/// mark sits in its anchor's slot, and every set slot names the mark
+/// anchored there. The one exception is edge 1 of a single-successor
+/// Cond, which must carry edge 0's entry (the fold both engines rely
+/// on).
+bool checkMarkTable(const FlatImage &F, std::string *Out) {
+  const InstrumentedProgram &IP = F.program();
+  const Program &Prog = IP.program();
+  const std::vector<PhaseMark> &Marks = IP.marks();
+  if (IP.markTable().size() != F.numBlocks())
+    return failWith(Out, "mark table size mismatch");
+  const BlockMarks *Rows = F.markTable();
+
+  for (size_t I = 0; I < Marks.size(); ++I) {
+    const PhaseMark &M = Marks[I];
+    if (M.Proc >= Prog.Procs.size() ||
+        M.Block >= Prog.Procs[M.Proc].Blocks.size() || M.SuccIndex >= 2)
+      return failWith(Out, place("mark anchor out of range", M.Proc, M.Block));
+    const BlockMarks &Row = Rows[F.globalId(M.Proc, M.Block)];
+    int32_t Slot = M.Point == MarkPoint::CallSite ? Row.CallMark
+                                                  : Row.EdgeMark[M.SuccIndex];
+    if (Slot != static_cast<int32_t>(I))
+      return failWith(Out,
+                      place("mark missing from mark table", M.Proc, M.Block));
+  }
+
+  auto AnchoredAt = [&](int32_t Index, uint32_t P, uint32_t B,
+                        MarkPoint Point, uint32_t Succ) {
+    if (Index < 0)
+      return true;
+    if (static_cast<size_t>(Index) >= Marks.size())
+      return false;
+    const PhaseMark &M = Marks[static_cast<size_t>(Index)];
+    return M.Proc == P && M.Block == B && M.Point == Point &&
+           (Point == MarkPoint::CallSite || M.SuccIndex == Succ);
+  };
+  for (uint32_t P = 0; P < Prog.Procs.size(); ++P) {
+    const Procedure &Proc = Prog.Procs[P];
+    for (uint32_t B = 0; B < Proc.Blocks.size(); ++B) {
+      const BasicBlock &BB = Proc.Blocks[B];
+      const BlockMarks &Row = Rows[F.globalId(P, B)];
+      bool Fold = BB.Term == TermKind::Cond && BB.Succs.size() < 2;
+      if (!AnchoredAt(Row.EdgeMark[0], P, B, MarkPoint::Edge, 0) ||
+          !(Fold ? Row.EdgeMark[1] == Row.EdgeMark[0]
+                 : AnchoredAt(Row.EdgeMark[1], P, B, MarkPoint::Edge, 1)) ||
+          !AnchoredAt(Row.CallMark, P, B, MarkPoint::CallSite, 0))
+        return failWith(Out, place("stray mark-table entry", P, B));
+    }
+  }
+  return true;
+}
+
 /// The flat image re-derived from its own program and cost model: every
-/// record, mark index, and cost-table row must equal what the
-/// constructor computes.
+/// layout record and cost-table row must equal what the cost model's
+/// constructor computes, and the mark table must hold exactly the marks.
 bool checkFlat(const FlatImage &F, std::string *Out) {
   const InstrumentedProgram &IP = F.program();
   const Program &Prog = IP.program();
   const CostModel &CM = F.cost();
-  const std::vector<PhaseMark> &Marks = IP.marks();
   const uint32_t Stride = F.configStride();
 
   // Global-block-id contiguity: procedure offsets partition [0, total).
@@ -214,10 +265,6 @@ bool checkFlat(const FlatImage &F, std::string *Out) {
   }
   if (F.numBlocks() != Expected)
     return failWith(Out, "flat image block count mismatch");
-
-  auto MarkIndex = [&](const PhaseMark *M) -> int32_t {
-    return M ? static_cast<int32_t>(M - Marks.data()) : -1;
-  };
 
   for (uint32_t P = 0; P < F.numProcs(); ++P) {
     const Procedure &Proc = Prog.Procs[P];
@@ -234,16 +281,6 @@ bool checkFlat(const FlatImage &F, std::string *Out) {
       // which the image reads in place.
       if (FB.CycleRow != G * Stride)
         return failWith(Out, place("cycle row out of layout", P, B));
-
-      int32_t E0 = MarkIndex(IP.edgeMark(P, B, 0));
-      int32_t E1 = MarkIndex(IP.edgeMark(P, B, 1));
-      int32_t CMk = MarkIndex(IP.callMark(P, B));
-      if (BB.Term == TermKind::Cond && BB.Succs.size() < 2)
-        E1 = E0; // The builder's single-successor Cond fold.
-      if (FB.EdgeMark[0] != E0 || FB.EdgeMark[1] != E1 ||
-          FB.CallMark != CMk)
-        return failWith(Out,
-                        place("flat mark lookup mismatch", P, B));
 
       switch (BB.Term) {
       case TermKind::Jump: {
@@ -281,7 +318,7 @@ bool checkFlat(const FlatImage &F, std::string *Out) {
       }
     }
   }
-  return true;
+  return checkMarkTable(F, Out);
 }
 
 } // namespace

@@ -264,6 +264,21 @@ TEST(SuiteCacheTest, RejectsAProgramSetOtherThanTheFirst) {
   EXPECT_EQ(Cache.misses(), 1u);
 }
 
+// The disk tier's per-program hashes are computed on the pool: the
+// same values, in the same order, as a serial hashProgram loop, and
+// computed once per cache.
+TEST(SuiteCacheTest, ProgramHashesEqualASerialLoopInOrder) {
+  std::vector<Program> Programs = buildSuite();
+  std::vector<uint64_t> Serial;
+  for (const Program &Prog : Programs)
+    Serial.push_back(CacheStore::hashProgram(Prog));
+
+  SuiteCache Cache;
+  const std::vector<uint64_t> &Hashes = Cache.programHashes(Programs);
+  EXPECT_EQ(Hashes, Serial);
+  EXPECT_EQ(&Cache.programHashes(Programs), &Hashes);
+}
+
 //===----------------------------------------------------------------------===//
 // Sweeps
 //===----------------------------------------------------------------------===//
@@ -909,6 +924,32 @@ TEST(HarnessTest, DriverSharedLabsByteIdenticalArtifacts) {
 
   // The warm run really did reuse the pool's caches.
   EXPECT_GT(Pooled.cache().hits(), HitsBefore);
+}
+
+// The driver's suite-cache summary reads the pool's totals(): a custom
+// lab's preparations join them when its harness goes away, so a cold
+// driver's prepared_programs counts every program it prepared.
+TEST(HarnessTest, CustomLabCountersJoinPoolTotals) {
+  LabPool &Pool = ExperimentHarness::labPool();
+  SuiteCacheTotals Before = Pool.totals();
+  std::vector<Program> Programs = smallSuite();
+  {
+    ExperimentHarness H("custom_totals", "custom-lab totals", "none");
+    Lab &L = H.customLab(Programs, MachineConfig::quadAsymmetric());
+    L.suite(loopTechnique());
+    L.suite(loopTechnique(0.05)); // Tuner only: a memory hit.
+    EXPECT_EQ(Pool.totals().MemoryHits, Before.MemoryHits);
+  }
+  // Each program was prepared, or served by a store when PBT_CACHE_DIR
+  // names one.
+  SuiteCacheTotals After = Pool.totals();
+  EXPECT_EQ(After.PreparedPrograms + After.ProgramStoreHits -
+                Before.PreparedPrograms - Before.ProgramStoreHits,
+            Programs.size());
+  EXPECT_EQ(After.Prepared + After.StoreHits - Before.Prepared -
+                Before.StoreHits,
+            1u);
+  EXPECT_EQ(After.MemoryHits - Before.MemoryHits, 1u);
 }
 
 TEST(LabPoolTest, ConcurrentResolutionIsSafeAndDeduplicated) {

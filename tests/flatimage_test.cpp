@@ -292,6 +292,57 @@ TEST(FlatEngine, SingleSuccessorCondFoldsIdentically) {
   EXPECT_EQ(Stats[0].MarksFired, 50u);
 }
 
+TEST(FlatEngine, TechniquesOnOneLayoutReplayInOneBatch) {
+  // Two techniques with different marks prepared on the same programs
+  // share one block layout per program and differ only in their mark
+  // tables. Replayed side by side in one parallel batch, each must
+  // still match its own Reference replay bit for bit.
+  std::vector<Program> Programs;
+  for (uint64_t Seed : {31ull, 32ull, 33ull})
+    Programs.push_back(randomProgram(Seed));
+  MachineConfig MC = MachineConfig::quadAsymmetric();
+  PreparedSuite Loop = prepareSuite(Programs, MC, loopTechnique());
+  PreparedSuite BB = prepareSuite(Programs, MC, bbTechnique());
+  bool MarksDiffer = false;
+  for (size_t I = 0; I < Programs.size(); ++I) {
+    EXPECT_EQ(Loop.Flats[I]->blocks(), BB.Flats[I]->blocks());
+    EXPECT_NE(Loop.Flats[I]->markTable(), BB.Flats[I]->markTable());
+    const std::vector<BlockMarks> &A = Loop.Flats[I]->program().markTable();
+    const std::vector<BlockMarks> &B = BB.Flats[I]->program().markTable();
+    for (size_t G = 0; G < A.size(); ++G)
+      MarksDiffer |= A[G].EdgeMark[0] != B[G].EdgeMark[0] ||
+                     A[G].EdgeMark[1] != B[G].EdgeMark[1] ||
+                     A[G].CallMark != B[G].CallMark;
+  }
+  EXPECT_TRUE(MarksDiffer);
+
+  Workload W = Workload::random(6, 64, Programs.size(), 17);
+  SimConfig Flat;
+  Flat.Engine = ExecEngine::Flat;
+  SimConfig Ref;
+  Ref.Engine = ExecEngine::Reference;
+  std::vector<WorkloadJob> Jobs;
+  for (const PreparedSuite *Suite : {&Loop, &BB}) {
+    WorkloadJob Job;
+    Job.Suite = Suite;
+    Job.W = &W;
+    Job.Machine = &MC;
+    Job.Sim = Flat;
+    Job.Horizon = 25.0;
+    Jobs.push_back(std::move(Job));
+  }
+  std::vector<RunResult> Batch = runWorkloads(Jobs);
+  ASSERT_EQ(Batch.size(), 2u);
+  for (size_t I = 0; I < Jobs.size(); ++I) {
+    SCOPED_TRACE(I == 0 ? "loop technique" : "basic-block technique");
+    RunResult Reference = runWorkload(*Jobs[I].Suite, W, MC, Ref, 25.0);
+    ASSERT_GT(Reference.Completed.size(), 0u);
+    EXPECT_GT(Reference.TotalMarks, 0u);
+    expectRunsIdentical(Reference, Batch[I]);
+  }
+  EXPECT_NE(Batch[0].TotalMarks, Batch[1].TotalMarks);
+}
+
 //===----------------------------------------------------------------------===//
 // O(1) self-loop fusion: the flat engine charges K back-edge iterations
 // of an unmarked single-block self-loop at once. Each case replays one
@@ -1922,7 +1973,8 @@ namespace {
 uint32_t markFreeJumps(const FlatImage &FI) {
   uint32_t Count = 0;
   for (uint32_t G = 0; G < FI.numBlocks(); ++G)
-    Count += FI.block(G).Op == FlatOp::Jump && FI.block(G).EdgeMark[0] < 0;
+    Count += FI.block(G).Op == FlatOp::Jump &&
+             FI.blockMarks(G).EdgeMark[0] < 0;
   return Count;
 }
 

@@ -424,6 +424,54 @@ TEST(VerifyPass, RejectsOffGridCostTables) {
   expectRejected(PC, &F.Tech, "cost table entry off the cycle grid");
 }
 
+TEST(VerifyPass, RejectsWrongMarkTableRow) {
+  // The audit reads the mark table the engines read and checks it
+  // against the marks themselves: a row naming a mark anchored elsewhere
+  // and a mark missing from its row are both caught.
+  PreparedFixture F;
+  size_t I = 0;
+  while (I < F.Prepared.size() && F.Prepared[I]->program().marks().empty())
+    ++I;
+  ASSERT_LT(I, F.Prepared.size()) << "no prepared program has marks";
+  ProgramPrep PC = F.prep(I);
+  const InstrumentedProgram &IP = *PC.Image;
+  const PhaseMark &First = IP.marks()[0];
+  const uint32_t Marked = PC.Flat->globalId(First.Proc, First.Block);
+
+  // A copy of the image with one row changed in place; the copy is not
+  // const, so writing through the accessor is defined.
+  auto Planted = [&](auto Edit) {
+    auto Copy = std::make_shared<InstrumentedProgram>(IP);
+    auto &Table = const_cast<std::vector<BlockMarks> &>(Copy->markTable());
+    Edit(Table);
+    ProgramPrep Broken = PC;
+    Broken.Image = Copy;
+    Broken.Flat = std::make_shared<const FlatImage>(Copy, PC.Cost);
+    return Broken;
+  };
+
+  // Mark 0 also named on a block without marks.
+  ProgramPrep Stray = Planted([&](std::vector<BlockMarks> &Table) {
+    for (size_t G = 0; G < Table.size(); ++G)
+      if (G != Marked && Table[G].EdgeMark[0] < 0 &&
+          Table[G].EdgeMark[1] < 0 && Table[G].CallMark < 0) {
+        Table[G].EdgeMark[0] = 0;
+        return;
+      }
+    ADD_FAILURE() << "no unmarked block";
+  });
+  expectRejected(Stray, &F.Tech, "stray mark-table entry");
+
+  // Mark 0 dropped from its own row.
+  ProgramPrep Missing = Planted([&](std::vector<BlockMarks> &Table) {
+    BlockMarks &Row = Table[Marked];
+    for (int32_t *Slot : {&Row.EdgeMark[0], &Row.EdgeMark[1], &Row.CallMark})
+      if (*Slot == 0)
+        *Slot = -1;
+  });
+  expectRejected(Missing, &F.Tech, "mark missing from mark table");
+}
+
 //===----------------------------------------------------------------------===//
 // verifyPrepared: whole-suite audit
 //===----------------------------------------------------------------------===//
@@ -521,7 +569,7 @@ template <typename EditFn> Program edited(Program Prog, EditFn Edit) {
 // The whole Table 2 grid over the paper suite builds one base per
 // benchmark: every technique's image and cost model of a benchmark are
 // the same objects, every flat image reads that cost model's cycle
-// table, and the base is an equal copy of the input.
+// table and block layout, and the base is an equal copy of the input.
 TEST(SharedBase, TableTwoTechniquesShareOneBasePerBenchmark) {
   MachineConfig MC = MachineConfig::quadAsymmetric();
   std::vector<Program> Programs = buildSuite();
@@ -548,8 +596,14 @@ TEST(SharedBase, TableTwoTechniquesShareOneBasePerBenchmark) {
     for (const PreparedSuite &S : Suites) {
       EXPECT_EQ(&S.Flats[I]->cost(), &Cost) << Programs[I].Name;
       EXPECT_EQ(&S.Flats[I]->program().program(), &Base) << Programs[I].Name;
-      // Every technique's flat image reads the base's one cycle table.
+      // Every technique's flat image reads the base's one cycle table
+      // and one block layout, and its own technique's mark table.
       EXPECT_EQ(S.Flats[I]->cycleTable(), Cost.cycleTable().data())
+          << Programs[I].Name;
+      EXPECT_EQ(S.Flats[I]->blocks(), Cost.layout().data())
+          << Programs[I].Name;
+      EXPECT_EQ(S.Flats[I]->markTable(),
+                S.Flats[I]->program().markTable().data())
           << Programs[I].Name;
     }
   }
